@@ -77,47 +77,47 @@ void BM_UnrankTripleLogExp(benchmark::State& state) {
 }
 BENCHMARK(BM_UnrankTripleLogExp);
 
-void BM_Kernel3x1_4hit(benchmark::State& state) {
+void BM_KernelFourHit3x1(benchmark::State& state) {
   const Dataset data = kernel_dataset(static_cast<std::uint32_t>(state.range(0)));
   const FContext ctx{FParams{}, data.tumor_samples(), data.normal_samples()};
-  const u64 total = scheme4_threads(Scheme4::k3x1, data.genes());
+  const u64 total = scheme_threads(Scheme{4, 3}, data.genes());
   std::uint64_t combos = 0;
   for (auto _ : state) {
     KernelStats stats;
-    benchmark::DoNotOptimize(evaluate_range_4hit(
-        data.tumor, data.normal, ctx, Scheme4::k3x1, 0, total,
+    benchmark::DoNotOptimize(evaluate_range(
+        data.tumor, data.normal, ctx, Scheme{4, 3}, 0, total,
         MemOpts{.prefetch_i = true, .prefetch_j = true}, &stats));
     combos = stats.combinations;
   }
   state.SetItemsProcessed(state.iterations() * combos);
   state.counters["combinations"] = static_cast<double>(combos);
 }
-BENCHMARK(BM_Kernel3x1_4hit)->Arg(40)->Arg(60)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelFourHit3x1)->Arg(40)->Arg(60)->Unit(benchmark::kMillisecond);
 
-void BM_Kernel2x1_3hit(benchmark::State& state) {
+void BM_KernelThreeHit2x1(benchmark::State& state) {
   const Dataset data = kernel_dataset(static_cast<std::uint32_t>(state.range(0)));
   const FContext ctx{FParams{}, data.tumor_samples(), data.normal_samples()};
-  const u64 total = scheme3_threads(Scheme3::k2x1, data.genes());
+  const u64 total = scheme_threads(Scheme{3, 2}, data.genes());
   std::uint64_t combos = 0;
   for (auto _ : state) {
     KernelStats stats;
-    benchmark::DoNotOptimize(evaluate_range_3hit(
-        data.tumor, data.normal, ctx, Scheme3::k2x1, 0, total,
+    benchmark::DoNotOptimize(evaluate_range(
+        data.tumor, data.normal, ctx, Scheme{3, 2}, 0, total,
         MemOpts{.prefetch_i = true, .prefetch_j = true}, &stats));
     combos = stats.combinations;
   }
   state.SetItemsProcessed(state.iterations() * combos);
 }
-BENCHMARK(BM_Kernel2x1_3hit)->Arg(60)->Arg(110)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelThreeHit2x1)->Arg(60)->Arg(110)->Unit(benchmark::kMillisecond);
 
-void BM_SerialReference_3hit(benchmark::State& state) {
+void BM_SerialReferenceThreeHit(benchmark::State& state) {
   const Dataset data = kernel_dataset(60);
   const FContext ctx{FParams{}, data.tumor_samples(), data.normal_samples()};
   for (auto _ : state) {
     benchmark::DoNotOptimize(serial_find_best(data.tumor, data.normal, ctx, 3));
   }
 }
-BENCHMARK(BM_SerialReference_3hit)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SerialReferenceThreeHit)->Unit(benchmark::kMillisecond);
 
 void BM_BitSplice(benchmark::State& state) {
   const Dataset data = kernel_dataset(200);

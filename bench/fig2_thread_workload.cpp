@@ -16,8 +16,8 @@ namespace {
 
 using namespace multihit;
 
-void print_scheme(Scheme4 scheme, std::uint32_t genes) {
-  const auto model = WorkloadModel::for_scheme4(scheme, genes);
+void print_scheme(Scheme scheme, std::uint32_t genes) {
+  const auto model = WorkloadModel::for_scheme(scheme, genes);
   print_section(std::cout, std::string("Fig. 2 — per-thread workload, ") +
                                scheme_name(scheme) + " scheme, G = " +
                                std::to_string(genes));
@@ -37,8 +37,8 @@ void print_scheme(Scheme4 scheme, std::uint32_t genes) {
 
 int main() {
   std::cout << "Reproduces paper Fig. 2 (workload per thread, G = 10).\n";
-  print_scheme(Scheme4::k2x2, 10);
-  print_scheme(Scheme4::k3x1, 10);
+  print_scheme(Scheme{4, 2}, 10);
+  print_scheme(Scheme{4, 3}, 10);
   std::cout << "\nShape check: 2x2 spread is C(G-2,2)-0 = 28 over 45 threads; "
                "3x1 spread is (G-3)-0 = 7 over 120 threads.\n";
   return 0;

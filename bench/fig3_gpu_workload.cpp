@@ -22,7 +22,7 @@ int main() {
   std::cout << "Reproduces paper Fig. 3 (per-GPU workload, G = " << kGenes << ", " << kNodes
             << " nodes = " << kGpus << " GPUs, 2x2 scheme).\n";
 
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k2x2, kGenes);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 2}, kGenes);
   const auto ed = equidistance_schedule(model, kGpus);
   const auto ea = equiarea_schedule(model, kGpus);
 

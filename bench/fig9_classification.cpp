@@ -14,7 +14,6 @@
 
 #include "classify/classifier.hpp"
 #include "core/engine.hpp"
-#include "core/schemes.hpp"
 #include "data/registry.hpp"
 #include "util/table.hpp"
 
@@ -35,12 +34,7 @@ int main() {
 
     EngineConfig config;
     config.hits = type.hits;
-    const Evaluator evaluator = [](const BitMatrix& tumor, const BitMatrix& normal,
-                                   const FContext& ctx) {
-      return evaluate_range_4hit(tumor, normal, ctx, Scheme4::k3x1,
-                                 0, scheme4_threads(Scheme4::k3x1, tumor.genes()),
-                                 MemOpts{.prefetch_i = true, .prefetch_j = true});
-    };
+    const Evaluator evaluator = make_kernel_evaluator(type.hits);
     const GreedyResult trained =
         run_greedy(split.train.tumor, split.train.normal, config, evaluator);
     total_selected += trained.iterations.size();

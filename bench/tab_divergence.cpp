@@ -33,11 +33,11 @@ int main() {
   for (const std::uint32_t G : {256u, 1024u, 2048u}) {
     add_row("naive GxG grid (3-hit, idle half)", G, naive_triangular_divergence(G, 32));
 
-    const auto tri_model = WorkloadModel::for_scheme3(Scheme3::k2x1, G);
+    const auto tri_model = WorkloadModel::for_scheme(Scheme{3, 2}, G);
     add_row("linearized triangular (2x1)", G,
             warp_divergence(tri_model, {0, tri_model.total_threads()}, 32));
 
-    const auto tet_model = WorkloadModel::for_scheme4(Scheme4::k3x1, G);
+    const auto tet_model = WorkloadModel::for_scheme(Scheme{4, 3}, G);
     add_row("linearized tetrahedral (3x1)", G,
             warp_divergence(tet_model, {0, tet_model.total_threads()}, 32));
   }

@@ -21,7 +21,7 @@ int main() {
   // Paper-scale model, BRCA.
   SummitConfig config;
   ModelInputs inputs;
-  inputs.scheme4 = Scheme4::k2x2;
+  inputs.inner = 2;
   const double ea_time = model_cluster_run(config, inputs).total_time;
   ModelInputs ed_inputs = inputs;
   ed_inputs.scheduler = SchedulerKind::kEquiDistance;
@@ -50,7 +50,7 @@ int main() {
   small.nodes = 5;
   const ClusterRunner runner(small);
   DistributedOptions ea_opts;
-  ea_opts.scheme4 = Scheme4::k2x2;
+  ea_opts.inner = 2;
   DistributedOptions ed_opts = ea_opts;
   ed_opts.scheduler = SchedulerKind::kEquiDistance;
 

@@ -21,9 +21,9 @@ int main() {
 
   print_section(std::cout, "Thread-space geometry at G = 19411 (BRCA)");
   Table geometry({"scheme", "threads", "max per-thread work", "min per-thread work"});
-  for (const Scheme4 scheme :
-       {Scheme4::k1x3, Scheme4::k2x2, Scheme4::k3x1, Scheme4::k4x1}) {
-    const auto model = WorkloadModel::for_scheme4(scheme, kGenes);
+  for (const Scheme scheme :
+       {Scheme{4, 1}, Scheme{4, 2}, Scheme{4, 3}, Scheme{4, 4}}) {
+    const auto model = WorkloadModel::for_scheme(scheme, kGenes);
     geometry.add_row({std::string(scheme_name(scheme)),
                       static_cast<long long>(model.total_threads()),
                       static_cast<long long>(model.work_at(0)),
@@ -37,9 +37,9 @@ int main() {
   print_section(std::cout, "Modeled 100-node BRCA runtime per implementable scheme");
   Table runtimes({"scheme", "modeled time (s)"});
   runtimes.set_precision(0);
-  for (const Scheme4 scheme : {Scheme4::k2x2, Scheme4::k3x1}) {
+  for (const Scheme scheme : {Scheme{4, 2}, Scheme{4, 3}}) {
     ModelInputs inputs;
-    inputs.scheme4 = scheme;
+    inputs.inner = scheme.hits - scheme.flat;
     SummitConfig config;
     runtimes.add_row({std::string(scheme_name(scheme)),
                       model_cluster_run(config, inputs).total_time});
@@ -54,9 +54,9 @@ int main() {
   const std::vector<std::uint32_t> nodes{100, 200, 300, 400, 500};
   Table scaling({"nodes", "2x2 efficiency", "3x1 efficiency"});
   ModelInputs esca22 = esca;
-  esca22.scheme4 = Scheme4::k2x2;
+  esca22.inner = 2;
   ModelInputs esca31 = esca;
-  esca31.scheme4 = Scheme4::k3x1;
+  esca31.inner = 1;
   SummitConfig config;
   const auto eff22 = strong_scaling(config, esca22, nodes);
   const auto eff31 = strong_scaling(config, esca31, nodes);

@@ -11,12 +11,10 @@
 #include <algorithm>
 #include <iostream>
 #include <numeric>
-#include <stdexcept>
 #include <string>
 
 #include "classify/classifier.hpp"
 #include "core/engine.hpp"
-#include "core/schemes.hpp"
 #include "data/maf.hpp"
 #include "data/registry.hpp"
 #include "util/table.hpp"
@@ -24,29 +22,6 @@
 namespace {
 
 using namespace multihit;
-
-// The kernel MUST match the type's hit count: the evaluator's combo_rank is
-// a linear index into the h-combination space, and the greedy loop unranks
-// it with config.hits — a 4-hit rank unranked as BRCA's 2-hit combination
-// fabricates out-of-range gene indices (and crashed here once).
-Evaluator gpu_kernel_evaluator(std::uint32_t hits) {
-  constexpr MemOpts kPrefetch{.prefetch_i = true, .prefetch_j = true};
-  switch (hits) {
-    case 2:
-      return [=](const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx) {
-        return evaluate_range_2hit(tumor, normal, ctx, Scheme2::k1x1, 0,
-                                   scheme2_threads(Scheme2::k1x1, tumor.genes()), kPrefetch);
-      };
-    case 4:
-      return [=](const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx) {
-        return evaluate_range_4hit(tumor, normal, ctx, Scheme4::k3x1, 0,
-                                   scheme4_threads(Scheme4::k3x1, tumor.genes()), kPrefetch);
-      };
-    default:
-      throw std::invalid_argument("cancer_panel: no GPU kernel wired for hits=" +
-                                  std::to_string(hits));
-  }
-}
 
 void run_type(const CancerType& type, bool verbose) {
   // Full pipeline: mutation-level records -> summarized matrices.
@@ -60,7 +35,7 @@ void run_type(const CancerType& type, bool verbose) {
   EngineConfig config;
   config.hits = type.hits;
   const GreedyResult trained =
-      run_greedy(split.train.tumor, split.train.normal, config, gpu_kernel_evaluator(type.hits));
+      run_greedy(split.train.tumor, split.train.normal, config, make_kernel_evaluator(type.hits));
   const CombinationClassifier classifier(trained.combinations());
   const ClassificationReport report = evaluate_classifier(classifier, split.test);
 

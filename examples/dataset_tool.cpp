@@ -20,7 +20,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/engine.hpp"
-#include "core/schemes.hpp"
+#include "core/session.hpp"
 #include "data/generator.hpp"
 #include "data/io.hpp"
 #include "util/log.hpp"
@@ -114,8 +114,9 @@ int cmd_solve(int argc, char** argv) {
 
   if (const char* checkpoint_path = flag_string(argc, argv, "--checkpoint")) {
     const auto iters = static_cast<std::uint32_t>(flag_value(argc, argv, "--iters", 1));
-    const CheckpointState state =
-        run_greedy_checkpointed(data.tumor, data.normal, config, evaluator, iters);
+    Engine session(data.tumor, data.normal, config, evaluator);
+    session.step(iters);
+    const CheckpointState state = session.checkpoint();
     save_checkpoint(checkpoint_path, state);
     print_progress(state.progress);
     std::cout << "checkpoint written to " << checkpoint_path << " ("
@@ -130,9 +131,12 @@ int cmd_solve(int argc, char** argv) {
 int cmd_resume(int argc, char** argv) {
   if (argc < 4) return 1;
   const Dataset data = load_dataset(argv[2]);
-  CheckpointState state = load_checkpoint(argv[3]);
+  CheckpointState snapshot = load_checkpoint(argv[3]);
   const auto iters = static_cast<std::uint32_t>(flag_value(argc, argv, "--iters", 0));
-  resume_greedy(state, data.normal, make_kernel_evaluator(state.hits), iters);
+  const Evaluator evaluator = make_kernel_evaluator(snapshot.hits);
+  Engine session(std::move(snapshot), data.normal, EngineConfig{}, evaluator);
+  session.step(iters);
+  const CheckpointState state = session.checkpoint();
   save_checkpoint(argv[3], state);
   print_progress(state.progress);
   std::cout << "checkpoint updated ("

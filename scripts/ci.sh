@@ -24,8 +24,10 @@ done
 
 # Instrumented bench trajectory: run the BENCH-emitting benches from the
 # optimized build, validate the multihit.bench.v1 records, and diff them
-# against the committed baselines (warn-only — modeled-time refinements are
-# legitimate; pass --strict here to turn drift into a failure).
+# against the committed baselines under --strict. Every series here is a
+# modeled (simulated-clock) number, deterministic run to run, so any drift is
+# a real change in the model or in the kernel accounting it prices; a
+# deliberate model change re-baselines bench/baselines/ in the same commit.
 bench_dir="build/bench_records"
 mkdir -p "$bench_dir"
 echo "=== bench records ==="
@@ -38,7 +40,11 @@ done
 MULTIHIT_BENCH_DIR="$bench_dir" build/bench/fig5_memopt \
   --benchmark_filter='NOTHING_MATCHES' > /dev/null
 if command -v python3 > /dev/null; then
-  python3 scripts/bench_compare.py "$bench_dir"/BENCH_*.json
+  python3 scripts/bench_compare.py --strict \
+    "$bench_dir"/BENCH_fig4_scaling.json "$bench_dir"/BENCH_fig5_memopt.json \
+    "$bench_dir"/BENCH_fig6_util_2x2.json "$bench_dir"/BENCH_fig7_util_3x1.json \
+    "$bench_dir"/BENCH_fig8_comm_overhead.json "$bench_dir"/BENCH_tab_fault_overhead.json \
+    "$bench_dir"/BENCH_tab_detection_latency.json
 else
   echo "python3 not found; skipping BENCH schema validation" >&2
 fi

@@ -1,9 +1,9 @@
 #include "cluster/distributed.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
+#include "core/session.hpp"
 #include "gpusim/device.hpp"
 #include "obs/recorder.hpp"
 #include "sched/memaware.hpp"
@@ -23,38 +23,6 @@ const char* scheduler_name(SchedulerKind kind) noexcept {
 
 namespace {
 
-WorkloadModel make_model(const DistributedOptions& options, std::uint32_t genes) {
-  switch (options.hits) {
-    case 2:
-      return WorkloadModel::for_scheme2(options.scheme2, genes);
-    case 3:
-      return WorkloadModel::for_scheme3(options.scheme3, genes);
-    case 5:
-      return WorkloadModel::for_scheme5(options.scheme5, genes);
-    default:
-      return WorkloadModel::for_scheme4(options.scheme4, genes);
-  }
-}
-
-DeviceRunResult run_device(const GpuDevice& device, const DistributedOptions& options,
-                           const BitMatrix& tumor, const BitMatrix& normal,
-                           const FContext& ctx, const Partition& partition) {
-  switch (options.hits) {
-    case 2:
-      return device.run_2hit(tumor, normal, ctx, options.scheme2, partition,
-                             options.mem_opts);
-    case 3:
-      return device.run_3hit(tumor, normal, ctx, options.scheme3, partition,
-                             options.mem_opts);
-    case 5:
-      return device.run_5hit(tumor, normal, ctx, options.scheme5, partition,
-                             options.mem_opts);
-    default:
-      return device.run_4hit(tumor, normal, ctx, options.scheme4, partition,
-                             options.mem_opts);
-  }
-}
-
 Partition intersect(const Partition& a, const Partition& b) noexcept {
   const u64 begin = std::max(a.begin, b.begin);
   const u64 end = std::min(a.end, b.end);
@@ -65,9 +33,7 @@ Partition intersect(const Partition& a, const Partition& b) noexcept {
 
 ClusterRunResult ClusterRunner::run(const Dataset& data,
                                     const DistributedOptions& options) const {
-  if (options.hits < 2 || options.hits > 5) {
-    throw std::invalid_argument("ClusterRunner supports hits in [2, 5]");
-  }
+  const Scheme scheme{options.hits, options.hits - options.inner};
   options.faults.validate(config_.nodes);
 
   ClusterRunResult result;
@@ -80,7 +46,7 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
   // iterations (BitSplicing removes samples, not genes) — built once,
   // exactly as rank 0 does in the paper. The *schedule* is rebuilt over the
   // surviving GPUs after every rank failure.
-  const WorkloadModel model = make_model(options, data.genes());
+  const WorkloadModel model = WorkloadModel::for_scheme(scheme, data.genes());
   const double schedule_build_time =
       static_cast<double>(model.levels().size()) * config_.schedule_seconds_per_level;
   const auto build_schedule = [&](std::uint32_t units) {
@@ -218,7 +184,7 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
         const std::uint32_t unit = pos * gpn + g;
         if (rec) rec->profile.set_context({node, unit, iter, /*recovery=*/false});
         const DeviceRunResult run =
-            run_device(device, options, tumor, normal, ctx, schedule[unit]);
+            device.run(tumor, normal, ctx, scheme, schedule[unit], options.mem_opts);
         GpuTiming timing = run.timing;
         const double slowdown = config_.jitter_factor(unit) * config_.noise_factor() * straggle;
         timing.time *= slowdown;
@@ -344,7 +310,7 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
             if (segment.size() == 0) continue;
             if (rec) rec->profile.set_context({node, unit, iter, /*recovery=*/true});
             const DeviceRunResult run =
-                run_device(device, options, tumor, normal, ctx, segment);
+                device.run(tumor, normal, ctx, scheme, segment, options.mem_opts);
             recovery[node] = merge_results(recovery[node], run.best);
             const double segment_time = run.timing.time * config_.jitter_factor(unit) *
                                         config_.noise_factor() * straggle;
@@ -441,13 +407,14 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
   engine.max_iterations = options.max_iterations;
   engine.recorder = rec;
   if (rec) engine.sim_clock = [&comm] { return comm.finish_time(); };
+  Engine session(data.tumor, data.normal, engine, evaluator);
   if (options.checkpoint_every > 0) {
-    // Periodic auto-checkpoint (the §IV-A allocation-limit workflow): every
+    // Periodic auto-checkpoint (the §IV-A allocation-limit workflow): after
+    // every checkpoint_every-th commit, before the next evaluation, every
     // rank streams its spliced matrix copy to the burst buffer, then the
     // fleet synchronizes. The snapshot is what a kJobAbort resumes from.
-    CheckpointPolicy policy;
-    policy.every = options.checkpoint_every;
-    policy.sink = [&](const CheckpointState& snapshot) {
+    while (session.step(options.checkpoint_every) == options.checkpoint_every) {
+      CheckpointState snapshot = session.checkpoint();
       const double bytes =
           static_cast<double>(snapshot.tumor.genes()) * snapshot.tumor.words_per_row() * 8.0 +
           64.0 * static_cast<double>(snapshot.progress.iterations.size());
@@ -457,23 +424,18 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
       comm.barrier();
       result.checkpoint_time += write_time;
       ++result.checkpoints_taken;
-      result.last_checkpoint = snapshot;
+      result.last_checkpoint = std::move(snapshot);
       last_checkpoint_mark = comm.finish_time();
       if (rec) {
         emit_clock_spans("checkpoint_write", "checkpoint");
         rec->metrics.counter("cluster.checkpoints").add(1.0);
         rec->metrics.histogram("cluster.checkpoint_seconds").observe(write_time);
       }
-    };
-    EngineConfig bounded = engine;
-    result.greedy = [&] {
-      CheckpointState state = run_greedy_checkpointed(data.tumor, data.normal, bounded,
-                                                      evaluator, options.max_iterations, policy);
-      return std::move(state.progress);
-    }();
+    }
   } else {
-    result.greedy = run_greedy(data.tumor, data.normal, engine, evaluator);
+    session.run();
   }
+  result.greedy = std::move(session).take_result();
 
   // The engine may call the evaluator one final time and then stop (best
   // covers nothing); that evaluation still costs time and stays recorded.

@@ -55,11 +55,10 @@ enum class SchedulerKind { kEquiDistance, kEquiArea, kMemoryAware };
 const char* scheduler_name(SchedulerKind kind) noexcept;
 
 struct DistributedOptions {
-  std::uint32_t hits = 4;             ///< 2, 3, 4, or 5
-  Scheme4 scheme4 = Scheme4::k3x1;    ///< used when hits == 4
-  Scheme3 scheme3 = Scheme3::k2x1;    ///< used when hits == 3
-  Scheme2 scheme2 = Scheme2::k1x1;    ///< used when hits == 2
-  Scheme5 scheme5 = Scheme5::k4x1;    ///< used when hits == 5
+  std::uint32_t hits = 4;             ///< C(genes, hits) must fit u64
+  /// Loops left unflattened: the kernel is Scheme{hits, hits - inner}. The
+  /// default is the paper's "flatten all but the innermost loop".
+  std::uint32_t inner = 1;
   MemOpts mem_opts{.prefetch_i = true, .prefetch_j = true};
   SchedulerKind scheduler = SchedulerKind::kEquiArea;
   bool bit_splicing = true;
@@ -115,7 +114,8 @@ class ClusterRunner {
   const SummitConfig& config() const noexcept { return config_; }
 
   /// Runs the full distributed greedy cover on `data` (functional; needs a
-  /// laptop-enumerable G). Requires options.hits in [2, 5].
+  /// laptop-enumerable G). Throws std::invalid_argument when
+  /// Scheme{hits, hits - inner} is not a valid scheme over the data's genes.
   ClusterRunResult run(const Dataset& data, const DistributedOptions& options) const;
 
  private:

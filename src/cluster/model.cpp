@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "gpusim/analytic.hpp"
 #include "gpusim/device.hpp"
 #include "obs/recorder.hpp"
 #include "sched/memaware.hpp"
@@ -18,35 +17,8 @@ constexpr std::uint32_t words_for(std::uint32_t samples) noexcept {
   return (samples + 63) / 64;
 }
 
-KernelStats stats_for_partition(const ModelInputs& inputs, const Partition& partition,
-                                std::uint32_t tumor_words, std::uint32_t normal_words) {
-  switch (inputs.hits) {
-    case 2:
-      return analytic_stats_2hit(inputs.scheme2, inputs.genes, partition.begin,
-                                 partition.end, inputs.mem_opts, tumor_words, normal_words);
-    case 3:
-      return analytic_stats_3hit(inputs.scheme3, inputs.genes, partition.begin,
-                                 partition.end, inputs.mem_opts, tumor_words, normal_words);
-    case 5:
-      return analytic_stats_5hit(inputs.scheme5, inputs.genes, partition.begin,
-                                 partition.end, inputs.mem_opts, tumor_words, normal_words);
-    default:
-      return analytic_stats_4hit(inputs.scheme4, inputs.genes, partition.begin,
-                                 partition.end, inputs.mem_opts, tumor_words, normal_words);
-  }
-}
-
-WorkloadModel model_for_inputs(const ModelInputs& inputs) {
-  switch (inputs.hits) {
-    case 2:
-      return WorkloadModel::for_scheme2(inputs.scheme2, inputs.genes);
-    case 3:
-      return WorkloadModel::for_scheme3(inputs.scheme3, inputs.genes);
-    case 5:
-      return WorkloadModel::for_scheme5(inputs.scheme5, inputs.genes);
-    default:
-      return WorkloadModel::for_scheme4(inputs.scheme4, inputs.genes);
-  }
+Scheme scheme_for(const ModelInputs& inputs) noexcept {
+  return Scheme{inputs.hits, inputs.hits - inputs.inner};
 }
 
 // One modeled distributed iteration at the given tumor width.
@@ -68,7 +40,9 @@ ModeledIteration model_iteration(const SummitConfig& config, const ModelInputs& 
     double node_time = 0.0;
     for (std::uint32_t g = 0; g < config.gpus_per_node; ++g) {
       const std::uint32_t unit = node * config.gpus_per_node + g;
-      const KernelStats stats = stats_for_partition(inputs, schedule[unit], wt, wn);
+      const KernelStats stats = scheme_stats(scheme_for(inputs), inputs.genes,
+                                             schedule[unit].begin, schedule[unit].end,
+                                             inputs.mem_opts, wt, wn);
       GpuTiming timing = model_gpu_time(config.device, stats, schedule[unit].size());
       // The profile keeps the device-model view (un-jittered) in the modeled
       // fields and the jittered placement in sim_seconds — the same split the
@@ -110,14 +84,11 @@ ModeledIteration model_iteration(const SummitConfig& config, const ModelInputs& 
 }  // namespace
 
 ModeledRun model_cluster_run(const SummitConfig& config, const ModelInputs& inputs) {
-  if (inputs.hits < 2 || inputs.hits > 5) {
-    throw std::invalid_argument("model_cluster_run supports hits in [2, 5]");
-  }
   if (inputs.coverage_per_iteration <= 0.0 || inputs.coverage_per_iteration > 1.0) {
     throw std::invalid_argument("coverage_per_iteration must be in (0, 1]");
   }
 
-  const WorkloadModel model = model_for_inputs(inputs);
+  const WorkloadModel model = WorkloadModel::for_scheme(scheme_for(inputs), inputs.genes);
   std::vector<Partition> schedule;
   switch (inputs.scheduler) {
     case SchedulerKind::kEquiDistance:
@@ -198,19 +169,19 @@ double model_single_cpu_time(const ModelInputs& inputs, double cpu_word_rate) {
   // A sequential scan performs the fully-prefetched op count (the CPU keeps
   // the fixed rows in cache): use the analytic word-op total over the whole
   // space with both prefetch optimizations on.
-  ModelInputs seq = inputs;
-  seq.mem_opts = MemOpts{.prefetch_i = true, .prefetch_j = true};
+  constexpr MemOpts kPrefetch{.prefetch_i = true, .prefetch_j = true};
+  const Scheme scheme = scheme_for(inputs);
   const std::uint32_t wt = (inputs.tumor_samples + 63) / 64;
   const std::uint32_t wn = (inputs.normal_samples + 63) / 64;
-  const WorkloadModel model = model_for_inputs(seq);
-  const Partition whole{0, model.total_threads()};
+  const u64 threads = scheme_threads(scheme, inputs.genes);
 
   double total_ops = 0.0;
   double remaining = inputs.tumor_samples;
   while (remaining >= 1.0) {
     const auto width = static_cast<std::uint32_t>(std::ceil(remaining));
     const std::uint32_t wti = inputs.bit_splicing ? (width + 63) / 64 : wt;
-    const KernelStats stats = stats_for_partition(seq, whole, wti, wn);
+    const KernelStats stats =
+        scheme_stats(scheme, inputs.genes, 0, threads, kPrefetch, wti, wn);
     total_ops += static_cast<double>(stats.word_ops);
     if (inputs.first_iteration_only) break;
     remaining *= 1.0 - inputs.coverage_per_iteration;

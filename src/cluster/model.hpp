@@ -4,7 +4,7 @@
 // At G = 19411 the 4-hit space holds ~5.9e15 combinations — nothing
 // enumerates that here. But every quantity the wall-clock depends on is
 // analytically available: exact per-partition combination/traffic counts
-// (gpusim/analytic.hpp), the occupancy/roofline device model, and the
+// (scheme_stats, core/schemes.hpp), the occupancy/roofline device model, and the
 // binomial-tree communication model. This module composes them into modeled
 // whole-run times for any fleet size, which is what regenerates the paper's
 // scaling and utilization figures at full scale.
@@ -28,11 +28,11 @@ struct ModelInputs {
   std::uint32_t genes = 19411;          ///< BRCA scale by default
   std::uint32_t tumor_samples = 911;
   std::uint32_t normal_samples = 520;
-  std::uint32_t hits = 4;               ///< 2, 3, 4, or 5
-  Scheme4 scheme4 = Scheme4::k3x1;
-  Scheme3 scheme3 = Scheme3::k2x1;
-  Scheme2 scheme2 = Scheme2::k1x1;
-  Scheme5 scheme5 = Scheme5::k4x1;      ///< 5-hit needs genes <= 18580
+  std::uint32_t hits = 4;               ///< C(genes, hits) must fit u64
+  /// Loops left unflattened: the kernel is Scheme{hits, hits - inner}. The
+  /// default is the paper's "flatten all but the innermost loop" (3x1 at 4
+  /// hits); 0 gives one combination per thread.
+  std::uint32_t inner = 1;
   MemOpts mem_opts{.prefetch_i = true, .prefetch_j = true};
   SchedulerKind scheduler = SchedulerKind::kEquiArea;
   bool bit_splicing = true;             ///< false => widths never shrink

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "combinat/linearize.hpp"
+
 namespace multihit {
 
 u64 rank_combination(std::span<const std::uint32_t> combo) noexcept {
@@ -12,36 +14,58 @@ u64 rank_combination(std::span<const std::uint32_t> combo) noexcept {
   return lambda;
 }
 
+std::uint32_t colex_top(u64 lambda, std::uint32_t k) noexcept {
+  assert(k >= 1);
+  switch (k) {  // the closed-form levels of the linearized hot paths
+    case 1:
+      return static_cast<std::uint32_t>(lambda);
+    case 2:
+      return unrank_pair(lambda).j;
+    case 3:
+      return tetrahedral_level(lambda);
+    case 4:
+      return quartic_level(lambda);
+    default:
+      break;
+  }
+  // Galloping + binary search keeps this O(log c) without floating point.
+  u64 lo = k - 1;  // C(k-1, k) = 0 <= lambda always holds
+  u64 hi = lo + 1;
+  while (true) {
+    const auto v = binomial128(hi, k);
+    if (v && *v <= static_cast<u128>(lambda)) {
+      lo = hi;
+      hi *= 2;
+    } else {
+      break;
+    }
+  }
+  while (lo + 1 < hi) {
+    const u64 mid = lo + (hi - lo) / 2;
+    const auto v = binomial128(mid, k);
+    if (v && *v <= static_cast<u128>(lambda)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return static_cast<std::uint32_t>(lo);
+}
+
+void unrank_combination(u64 lambda, std::span<std::uint32_t> combo) noexcept {
+  assert(!combo.empty());
+  u64 rem = lambda;
+  for (auto t = static_cast<std::uint32_t>(combo.size()); t >= 1; --t) {
+    const std::uint32_t c = colex_top(rem, t);
+    combo[t - 1] = c;
+    rem -= binomial(c, t);
+  }
+}
+
 std::vector<std::uint32_t> unrank_combination(u64 lambda, std::uint32_t h) {
   assert(h >= 1);
   std::vector<std::uint32_t> combo(h);
-  u64 rem = lambda;
-  for (std::uint32_t t = h; t >= 1; --t) {
-    // Largest c with C(c, t) <= rem. Galloping + binary search keeps this
-    // O(log c) per digit without floating point.
-    u64 lo = t - 1;  // C(t-1, t) = 0 <= rem always holds
-    u64 hi = lo + 1;
-    while (true) {
-      const auto v = binomial128(hi, t);
-      if (v && *v <= static_cast<u128>(rem)) {
-        lo = hi;
-        hi *= 2;
-      } else {
-        break;
-      }
-    }
-    while (lo + 1 < hi) {
-      const u64 mid = lo + (hi - lo) / 2;
-      const auto v = binomial128(mid, t);
-      if (v && *v <= static_cast<u128>(rem)) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    combo[t - 1] = static_cast<std::uint32_t>(lo);
-    rem -= binomial(lo, t);
-  }
+  unrank_combination(lambda, std::span<std::uint32_t>(combo));
   return combo;
 }
 

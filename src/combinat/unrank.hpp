@@ -24,6 +24,14 @@ u64 rank_combination(std::span<const std::uint32_t> combo) noexcept;
 /// Inverse of rank_combination for combinations of size h >= 1.
 std::vector<std::uint32_t> unrank_combination(u64 lambda, std::uint32_t h);
 
+/// Allocation-free form: writes the size-combo.size() combination of rank
+/// `lambda` into `combo` (combo must be non-empty).
+void unrank_combination(u64 lambda, std::span<std::uint32_t> combo) noexcept;
+
+/// Largest c with C(c, k) <= lambda: the top element of the size-k
+/// combination of rank `lambda`. Requires k >= 1.
+std::uint32_t colex_top(u64 lambda, std::uint32_t k) noexcept;
+
 /// Advances `combo` (strictly increasing values in [0, universe)) to its
 /// colexicographic successor, matching rank order. Returns false when combo
 /// was the last one (and leaves it unspecified).

@@ -1,8 +1,8 @@
 #pragma once
 // Monotonic word arena for kernel scratch.
 //
-// Every evaluate_range_* call needs a handful of row-width staging buffers
-// (detail::Scratch). Allocating them per call is invisible in a one-shot
+// Every evaluate_range call needs a handful of row-width fold buffers (one
+// per prefix slot and matrix). Allocating them per call is invisible in a one-shot
 // evaluation but becomes the dominant non-kernel cost in the host-threaded
 // sweep, where a worker evaluates thousands of small λ chunks per greedy
 // iteration. The arena turns that into a bump-pointer: a worker owns one

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <iomanip>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -13,11 +12,6 @@ namespace {
 
 [[noreturn]] void fail(const std::string& why) {
   throw std::runtime_error("malformed checkpoint: " + why);
-}
-
-void append(GreedyResult& base, GreedyResult&& extra) {
-  for (auto& it : extra.iterations) base.iterations.push_back(std::move(it));
-  base.uncovered_tumor = extra.uncovered_tumor;
 }
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
@@ -38,47 +32,6 @@ constexpr std::uint32_t kMaxSamples = 100'000'000;
 constexpr std::uint32_t kMaxHits = 64;
 
 }  // namespace
-
-CheckpointState run_greedy_checkpointed(BitMatrix tumor, const BitMatrix& normal,
-                                        const EngineConfig& config, const Evaluator& evaluator,
-                                        std::uint32_t iterations_this_allocation,
-                                        const CheckpointPolicy& policy) {
-  CheckpointState state;
-  state.hits = config.hits;
-  state.bit_splicing = config.bit_splicing;
-  EngineConfig bounded = config;
-  bounded.max_iterations = iterations_this_allocation;
-  if (policy.every > 0 && policy.sink) {
-    // Chain behind any observer the caller already installed. The snapshot
-    // accumulates the committed records so each sink call sees the full
-    // resumable state, not just the latest iteration.
-    auto seen = std::make_shared<GreedyResult>();
-    const IterationObserver prev = config.on_iteration;
-    bounded.on_iteration = [&config, &policy, prev, seen](const IterationRecord& record,
-                                                          const BitMatrix& tumor_now,
-                                                          std::uint32_t remaining) {
-      if (prev) prev(record, tumor_now, remaining);
-      seen->iterations.push_back(record);
-      seen->uncovered_tumor = remaining;
-      if (seen->iterations.size() % policy.every == 0) {
-        policy.sink(CheckpointState{config.hits, config.bit_splicing, *seen, tumor_now});
-      }
-    };
-  }
-  state.progress = run_greedy(std::move(tumor), normal, bounded, evaluator, &state.tumor);
-  return state;
-}
-
-void resume_greedy(CheckpointState& state, const BitMatrix& normal, const Evaluator& evaluator,
-                   std::uint32_t iterations_this_allocation) {
-  EngineConfig config;
-  config.hits = state.hits;
-  config.bit_splicing = state.bit_splicing;
-  config.max_iterations = iterations_this_allocation;
-  GreedyResult extra =
-      run_greedy(std::move(state.tumor), normal, config, evaluator, &state.tumor);
-  append(state.progress, std::move(extra));
-}
 
 void write_checkpoint(std::ostream& out, const CheckpointState& state) {
   // F values must survive the round trip bit-exactly (resume comparisons and

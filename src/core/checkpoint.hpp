@@ -5,8 +5,12 @@
 // (100 nodes, §IV-A) exists because smaller runs exceed the 2-hour limit.
 // A production deployment therefore needs to stop after N iterations,
 // persist the greedy state (selections so far + the spliced tumor matrix),
-// and resume in a later allocation. State is a plain-text stream compatible
-// with the repository's other formats.
+// and resume in a later allocation: Engine::checkpoint() takes the snapshot
+// and Engine's resume constructor continues from it (core/session.hpp). A
+// run resumed from any snapshot replays the remaining iterations
+// bit-identically (the greedy is memoryless given the spliced tumor matrix).
+// State is a plain-text stream compatible with the repository's other
+// formats.
 
 #include <cstdint>
 #include <iosfwd>
@@ -22,32 +26,6 @@ struct CheckpointState {
   GreedyResult progress;  ///< iterations completed so far
   BitMatrix tumor;        ///< tumor matrix after those iterations
 };
-
-/// Periodic auto-checkpointing: when `every` > 0 and `sink` is set, a full
-/// CheckpointState snapshot is handed to `sink` after every `every`-th
-/// committed greedy iteration. This is the recovery substrate for rank
-/// crashes and allocation loss: a run resumed from any snapshot replays the
-/// remaining iterations bit-identically (the greedy is memoryless given the
-/// spliced tumor matrix), so a crash costs only the time since the last
-/// snapshot.
-struct CheckpointPolicy {
-  std::uint32_t every = 0;
-  std::function<void(const CheckpointState&)> sink;
-};
-
-/// Runs up to `iterations_this_allocation` greedy iterations (0 = to
-/// completion) and returns the resumable state. `policy` optionally streams
-/// intermediate snapshots (see CheckpointPolicy).
-CheckpointState run_greedy_checkpointed(BitMatrix tumor, const BitMatrix& normal,
-                                        const EngineConfig& config, const Evaluator& evaluator,
-                                        std::uint32_t iterations_this_allocation,
-                                        const CheckpointPolicy& policy = {});
-
-/// Continues a checkpointed run for up to `iterations_this_allocation` more
-/// iterations (0 = to completion), updating `state` in place. The normal
-/// matrix is identical across allocations (it never shrinks).
-void resume_greedy(CheckpointState& state, const BitMatrix& normal, const Evaluator& evaluator,
-                   std::uint32_t iterations_this_allocation = 0);
 
 /// Serialization ("multihit-checkpoint v2"): plain-text header + sparse bit
 /// list, closed by an FNV-1a checksum line over the payload, so truncated or

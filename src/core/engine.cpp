@@ -21,35 +21,12 @@ Evaluator make_serial_evaluator(std::uint32_t hits) {
   };
 }
 
-namespace {
-constexpr MemOpts kOpts{.prefetch_i = true, .prefetch_j = true};
-}  // namespace
-
 Evaluator make_kernel_evaluator(std::uint32_t hits) {
-  switch (hits) {
-    case 2:
-      return [](const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx) {
-        return evaluate_range_2hit(tumor, normal, ctx, Scheme2::k1x1, 0,
-                                   scheme2_threads(Scheme2::k1x1, tumor.genes()), kOpts);
-      };
-    case 3:
-      return [](const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx) {
-        return evaluate_range_3hit(tumor, normal, ctx, Scheme3::k2x1, 0,
-                                   scheme3_threads(Scheme3::k2x1, tumor.genes()), kOpts);
-      };
-    case 4:
-      return [](const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx) {
-        return evaluate_range_4hit(tumor, normal, ctx, Scheme4::k3x1, 0,
-                                   scheme4_threads(Scheme4::k3x1, tumor.genes()), kOpts);
-      };
-    case 5:
-      return [](const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx) {
-        return evaluate_range_5hit(tumor, normal, ctx, Scheme5::k4x1, 0,
-                                   scheme5_threads(Scheme5::k4x1, tumor.genes()), kOpts);
-      };
-    default:
-      return make_serial_evaluator(hits);
-  }
+  if (hits < 2) return make_serial_evaluator(hits);
+  const Scheme scheme{hits, hits - 1};
+  return [scheme](const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx) {
+    return evaluate_range(tumor, normal, ctx, scheme, 0, scheme_threads(scheme, tumor.genes()));
+  };
 }
 
 }  // namespace multihit

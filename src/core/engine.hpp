@@ -84,18 +84,18 @@ struct GreedyResult {
 /// Runs the greedy cover. Matrices are taken by value: the engine consumes a
 /// private tumor copy it can splice. Stops when coverage is complete, when
 /// the best remaining combination covers zero tumor samples, or at the
-/// iteration cap. When `final_tumor` is non-null it receives the tumor
-/// matrix state at stop (the input for a checkpointed resume).
+/// iteration cap. A one-shot Engine session (core/session.hpp); use Engine
+/// directly to step, checkpoint or resume.
 GreedyResult run_greedy(BitMatrix tumor, const BitMatrix& normal, const EngineConfig& config,
-                        const Evaluator& evaluator, BitMatrix* final_tumor = nullptr);
+                        const Evaluator& evaluator);
 
 /// Evaluator backed by the serial reference scan (any h >= 1).
 Evaluator make_serial_evaluator(std::uint32_t hits);
 
-/// Evaluator backed by the best full-range enumeration kernel for the hit
-/// count (2 -> 1x1, 3 -> 2x1, 4 -> 3x1, 5 -> 4x1 — the paper's "flatten all
-/// but the innermost loop" winners), with both prefetch optimizations on.
-/// Falls back to the serial scan for other hit counts.
+/// Evaluator backed by the full-range enumeration kernel with every loop
+/// but the innermost flattened (Scheme{hits, hits-1}: 2 -> 1x1, 3 -> 2x1,
+/// 4 -> 3x1 — the paper's winners). Falls back to the serial scan for
+/// hits < 2.
 Evaluator make_kernel_evaluator(std::uint32_t hits);
 
 }  // namespace multihit

@@ -21,18 +21,7 @@ double seconds_between(Clock::time_point begin, Clock::time_point end) {
   return std::chrono::duration<double>(end - begin).count();
 }
 
-const char* sweep_scheme_name(const HostSweepOptions& options) {
-  switch (options.hits) {
-    case 2:
-      return scheme_name(options.scheme2);
-    case 3:
-      return scheme_name(options.scheme3);
-    case 5:
-      return scheme_name(options.scheme5);
-    default:
-      return scheme_name(options.scheme4);
-  }
-}
+constexpr MemOpts kSweepOpts{.prefetch_i = true, .prefetch_j = true};
 
 /// One per-chunk winner, tagged with the chunk's begin λ for the
 /// deterministic index-ordered fold.
@@ -50,45 +39,6 @@ struct WorkerOutput {
   std::uint64_t arena_blocks = 0;
 };
 
-std::uint64_t total_threads(const HostSweepOptions& options, std::uint32_t genes) {
-  switch (options.hits) {
-    case 2:
-      return scheme2_threads(options.scheme2, genes);
-    case 3:
-      return scheme3_threads(options.scheme3, genes);
-    case 4:
-      return scheme4_threads(options.scheme4, genes);
-    case 5:
-      return scheme5_threads(options.scheme5, genes);
-    default:
-      throw std::invalid_argument("host sweep: hits must be in [2, 5]");
-  }
-}
-
-EvalResult evaluate_chunk(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                          const HostSweepOptions& options, std::uint64_t begin,
-                          std::uint64_t end, KernelStats* stats, Arena* arena) {
-  switch (options.hits) {
-    case 2:
-      return evaluate_range_2hit(tumor, normal, ctx, options.scheme2, begin, end,
-                                 options.mem_opts, stats, arena);
-    case 3:
-      return evaluate_range_3hit(tumor, normal, ctx, options.scheme3, begin, end,
-                                 options.mem_opts, stats, arena);
-    case 4:
-      return evaluate_range_4hit(tumor, normal, ctx, options.scheme4, begin, end,
-                                 options.mem_opts, stats, arena);
-    case 5:
-      return evaluate_range_5hit(tumor, normal, ctx, options.scheme5, begin, end,
-                                 options.mem_opts, stats, arena);
-    default:
-      // total_threads() already rejected every hit count outside [2, 5]; a
-      // bare default routing here to the 5-hit kernel once silently scored
-      // the wrong combination space. Keep the guard loud.
-      throw std::logic_error("host sweep: evaluate_chunk reached with hits outside [2, 5]");
-  }
-}
-
 }  // namespace
 
 EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
@@ -97,7 +47,8 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
   if (tumor.genes() != normal.genes()) {
     throw std::invalid_argument("host sweep: tumor/normal gene counts differ");
   }
-  const std::uint64_t lambda_end = total_threads(options, tumor.genes());
+  const Scheme scheme{options.hits, options.hits - 1};
+  const std::uint64_t lambda_end = scheme_threads(scheme, tumor.genes());
 
   std::uint32_t workers = options.threads;
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
@@ -126,11 +77,11 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     std::uint64_t begin = 0, end = 0;
     if (profiler == nullptr) {
       while (queue.next(&begin, &end)) {
-        // The arena reset makes every chunk's Scratch land on the same warm
+        // The arena reset makes every chunk's fold scratch land on the same warm
         // block — per-chunk allocation drops to zero after the first grab.
         arena.reset();
-        const EvalResult best =
-            evaluate_chunk(tumor, normal, ctx, options, begin, end, &out.stats, &arena);
+        const EvalResult best = evaluate_range(tumor, normal, ctx, scheme, begin, end,
+                                               kSweepOpts, &out.stats, &arena);
         ++out.chunks;
         if (best.valid) out.candidates.push_back({begin, best});
       }
@@ -157,8 +108,8 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
         break;
       }
       arena.reset();
-      const EvalResult best =
-          evaluate_chunk(tumor, normal, ctx, options, begin, end, &out.stats, &arena);
+      const EvalResult best = evaluate_range(tumor, normal, ctx, scheme, begin, end,
+                                             kSweepOpts, &out.stats, &arena);
       mark = Clock::now();
       sample.eval_seconds += seconds_between(claimed_at, mark);
       ++out.chunks;
@@ -192,7 +143,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     setup.chunk_count = queue.chunk_count();
     setup.lambda_end = lambda_end;
     setup.hits = options.hits;
-    setup.scheme = sweep_scheme_name(options);
+    setup.scheme = scheme_name(scheme);
     setup.backend = backend_name(active_backend());
     setup.bitops_counted = count_bitops;
     profiler->begin_sweep(setup);

@@ -31,15 +31,13 @@ class HostProfiler;
 
 namespace multihit {
 
+/// The sweep runs Scheme{hits, hits-1} — every loop but the innermost
+/// flattened, the paper's winning shape — and accounts its KernelStats with
+/// both prefetch optimizations on.
 struct HostSweepOptions {
-  std::uint32_t hits = 4;       ///< 2, 3, 4, or 5
+  std::uint32_t hits = 4;       ///< any h >= 2 with C(genes, h) in u64
   std::uint32_t threads = 0;    ///< worker count; 0 = hardware_concurrency
   std::uint64_t chunk = 1024;   ///< λ indices per queue grab
-  Scheme4 scheme4 = Scheme4::k3x1;  ///< used when hits == 4
-  Scheme3 scheme3 = Scheme3::k2x1;  ///< used when hits == 3
-  Scheme2 scheme2 = Scheme2::k1x1;  ///< used when hits == 2
-  Scheme5 scheme5 = Scheme5::k4x1;  ///< used when hits == 5
-  MemOpts mem_opts{.prefetch_i = true, .prefetch_j = true};
   /// Optional wall-clock profiler (obs/hostprof.hpp). Null keeps the worker
   /// loop on its original untimed path; non-null adds two steady_clock reads
   /// per chunk and never changes which combination is selected — profiled
@@ -73,9 +71,9 @@ struct HostSweepTelemetry {
   }
 };
 
-/// One maxF evaluation over the full λ space of the scheme selected by
-/// options.hits, distributed over host threads. Requires
-/// tumor.genes() == normal.genes() and options.hits in [2, 5].
+/// One maxF evaluation over the full λ space of Scheme{hits, hits-1},
+/// distributed over host threads. Throws std::invalid_argument when the
+/// gene counts differ or the scheme is invalid (see scheme_threads).
 EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
                                 const FContext& ctx, const HostSweepOptions& options,
                                 HostSweepTelemetry* telemetry = nullptr);

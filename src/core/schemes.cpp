@@ -3,554 +3,288 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <vector>
+#include <span>
+#include <stdexcept>
 
-#include "combinat/linearize.hpp"
+#include "bitmat/bitops.hpp"
+#include "combinat/binomial.hpp"
 #include "combinat/unrank.hpp"
-#include "core/kernel_detail.hpp"
 
 namespace multihit {
 
 namespace {
 
-using detail::BestTracker;
-using detail::Scratch;
-using detail::advance_pair;
-using detail::advance_triple;
-
-// ---------------------------------------------------------------------------
-// 4-hit kernels
-// ---------------------------------------------------------------------------
-
-// Thread = (i, j, k); inner loop over l (the paper's Algorithm 3).
-EvalResult eval4_3x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                     std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
-  const std::uint32_t genes = tumor.genes();
-  const std::uint64_t wt = tumor.words_per_row();
-  const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
-
-  Triple t = begin < end ? unrank_triple(begin) : Triple{};
-  for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_triple(t)) {
-    const std::uint64_t inner = genes - 1 - t.k;  // combinations this thread owns
-    if (inner == 0) continue;
-    const std::uint64_t base_rank =
-        t.i + triangular(t.j) + tetrahedral(t.k);  // + C(l,4) per combination
-
-    if (opts.prefetch_j) {
-      // Stage the fixed rows fully combined: pre = row(i) & row(j) & row(k).
-      const std::uint32_t fixed[3] = {t.i, t.j, t.k};
-      tumor.combine_rows(fixed, scratch.t1);
-      normal.combine_rows(fixed, scratch.n1);
-      for (std::uint32_t l = t.k + 1; l < genes; ++l) {
-        const std::uint64_t tp = and_popcount(scratch.t1, tumor.row(l));
-        const std::uint64_t nh = and_popcount(scratch.n1, normal.row(l));
-        best.consider(tp, nh, [&] { return base_rank + quartic(l); });
-      }
-      if (stats) {
-        stats->word_ops += 2 * (wt + wn) + inner * (wt + wn);
-        stats->global_words += 3 * (wt + wn) + inner * (wt + wn);
-        stats->local_words += inner * (wt + wn);
-      }
-    } else {
-      // Optionally stage only row(i) locally (MemOpt1); the AND count is
-      // unchanged but the global traffic per combination drops by one row.
-      std::span<const std::uint64_t> row_ti = tumor.row(t.i);
-      std::span<const std::uint64_t> row_ni = normal.row(t.i);
-      if (opts.prefetch_i) {
-        std::copy(row_ti.begin(), row_ti.end(), scratch.t1.begin());
-        std::copy(row_ni.begin(), row_ni.end(), scratch.n1.begin());
-        row_ti = scratch.t1;
-        row_ni = scratch.n1;
-      }
-      for (std::uint32_t l = t.k + 1; l < genes; ++l) {
-        const std::uint64_t tp = and_popcount(row_ti, tumor.row(t.j), tumor.row(t.k),
-                                              tumor.row(l));
-        const std::uint64_t nh = and_popcount(row_ni, normal.row(t.j), normal.row(t.k),
-                                              normal.row(l));
-        best.consider(tp, nh, [&] { return base_rank + quartic(l); });
-      }
-      if (stats) {
-        stats->word_ops += inner * 3 * (wt + wn);
-        const std::uint64_t global_rows_per_combo = opts.prefetch_i ? 3 : 4;
-        stats->global_words += (opts.prefetch_i ? (wt + wn) : 0) +
-                               inner * global_rows_per_combo * (wt + wn);
-        stats->local_words += opts.prefetch_i ? inner * (wt + wn) : 0;
-      }
-    }
-    if (stats) {
-      stats->combinations += inner;
-      stats->distinct_rows += 2 * (3 + inner);
-    }
+// C(n, k) with closed forms up to k = 5; beyond that the checked generic
+// loop runs. Ranks are computed on every F tie, which is common on real data,
+// so the closed forms (inlined into the tie path) matter. Each is exact
+// whenever C(n, k) fits u64, and callers only ask for values bounded by
+// C(G, hits), which check_scheme proved fits.
+[[gnu::always_inline]] inline u64 choose(u64 n, std::uint32_t k) noexcept {
+  switch (k) {
+    case 0:
+      return 1;
+    case 1:
+      return n;
+    case 2:
+      return triangular(n);
+    case 3:
+      return tetrahedral(n);
+    case 4:
+      return quartic(n);
+    case 5:
+      return quintic(n);
+    default:
+      return binomial(n, k);
   }
-  return best.result();
 }
 
-// Thread = (i, j); inner loops over k, l (the paper's Algorithm 2).
-EvalResult eval4_2x2(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                     std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
-  const std::uint32_t genes = tumor.genes();
-  const std::uint64_t wt = tumor.words_per_row();
-  const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
-
-  Pair p = begin < end ? unrank_pair(begin) : Pair{};
-  for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_pair(p)) {
-    if (p.j + 2 >= genes) {  // no room for k < l above j
-      if (stats) stats->distinct_rows += 2 * 2;
-      continue;
-    }
-    const std::uint64_t base_rank = p.i + triangular(p.j);
-    std::uint64_t inner = 0;
-
-    if (opts.prefetch_j) {
-      // Stage pre_ij once, then pre_ijk per k; the innermost loop is a
-      // single AND against row(l).
-      and_rows(scratch.t1, tumor.row(p.i), tumor.row(p.j));
-      and_rows(scratch.n1, normal.row(p.i), normal.row(p.j));
-      for (std::uint32_t k = p.j + 1; k + 1 < genes; ++k) {
-        and_rows(scratch.t2, scratch.t1, tumor.row(k));
-        and_rows(scratch.n2, scratch.n1, normal.row(k));
-        const std::uint64_t rank_ijk = base_rank + tetrahedral(k);
-        for (std::uint32_t l = k + 1; l < genes; ++l) {
-          const std::uint64_t tp = and_popcount(scratch.t2, tumor.row(l));
-          const std::uint64_t nh = and_popcount(scratch.n2, normal.row(l));
-          best.consider(tp, nh, [&] { return rank_ijk + quartic(l); });
-          ++inner;
-        }
-      }
-      if (stats) {
-        const std::uint64_t nk = genes - 2 - p.j;
-        stats->word_ops += (1 + nk) * (wt + wn) + inner * (wt + wn);
-        stats->global_words += 2 * (wt + wn) + nk * (wt + wn) + inner * (wt + wn);
-        stats->local_words += inner * (wt + wn);
-      }
-    } else {
-      std::span<const std::uint64_t> row_ti = tumor.row(p.i);
-      std::span<const std::uint64_t> row_ni = normal.row(p.i);
-      if (opts.prefetch_i) {
-        std::copy(row_ti.begin(), row_ti.end(), scratch.t1.begin());
-        std::copy(row_ni.begin(), row_ni.end(), scratch.n1.begin());
-        row_ti = scratch.t1;
-        row_ni = scratch.n1;
-      }
-      for (std::uint32_t k = p.j + 1; k + 1 < genes; ++k) {
-        const std::uint64_t rank_ijk = base_rank + tetrahedral(k);
-        for (std::uint32_t l = k + 1; l < genes; ++l) {
-          const std::uint64_t tp =
-              and_popcount(row_ti, tumor.row(p.j), tumor.row(k), tumor.row(l));
-          const std::uint64_t nh =
-              and_popcount(row_ni, normal.row(p.j), normal.row(k), normal.row(l));
-          best.consider(tp, nh, [&] { return rank_ijk + quartic(l); });
-          ++inner;
-        }
-      }
-      if (stats) {
-        stats->word_ops += inner * 3 * (wt + wn);
-        const std::uint64_t global_rows_per_combo = opts.prefetch_i ? 3 : 4;
-        stats->global_words += (opts.prefetch_i ? (wt + wn) : 0) +
-                               inner * global_rows_per_combo * (wt + wn);
-        stats->local_words += opts.prefetch_i ? inner * (wt + wn) : 0;
-      }
-    }
-    if (stats) {
-      stats->combinations += inner;
-      stats->distinct_rows += 2 * (2 + (genes - 1 - p.j));
-    }
+void check_scheme(Scheme scheme, std::uint32_t genes) {
+  if (scheme.hits < 2 || scheme.hits > kMaxSchemeHits || scheme.flat < 1 ||
+      scheme.flat > scheme.hits) {
+    throw std::invalid_argument("scheme: need 2 <= hits <= " + std::to_string(kMaxSchemeHits) +
+                                " and 1 <= flat <= hits, got hits = " +
+                                std::to_string(scheme.hits) +
+                                ", flat = " + std::to_string(scheme.flat));
   }
-  return best.result();
+  // Ranks of h-gene combinations are u64; C(G, flat) sizes the thread space.
+  if (!binomial_checked(genes, scheme.hits) || !binomial_checked(genes, scheme.flat)) {
+    throw std::invalid_argument("scheme: C(G, h) overflows u64 at G = " + std::to_string(genes) +
+                                ", h = " + std::to_string(scheme.hits));
+  }
 }
 
-// Thread = i; inner loops over j, k, l.
-EvalResult eval4_1x3(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                     std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
-  const std::uint32_t genes = tumor.genes();
-  const std::uint64_t wt = tumor.words_per_row();
-  const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
+// Best-so-far tracker. F values are computed by the identical expression on
+// every path, so exact == comparison on doubles is sound here, and the
+// (F desc, rank asc) order makes every execution return the same winner.
+// The rank is only computed when F ties or beats the incumbent.
+class BestTracker {
+ public:
+  explicit BestTracker(const FContext& ctx) : ctx_(ctx) {}
 
-  for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
-    const auto i = static_cast<std::uint32_t>(lambda);
-    std::uint64_t inner = 0;
-    if (opts.prefetch_j) {
-      // Stage progressively: pre_ij per j, pre_ijk per k, 1 AND per l.
-      std::uint64_t nj = 0, nk = 0;
-      for (std::uint32_t j = i + 1; j + 2 < genes; ++j) {
-        and_rows(scratch.t1, tumor.row(i), tumor.row(j));
-        and_rows(scratch.n1, normal.row(i), normal.row(j));
-        ++nj;
-        for (std::uint32_t k = j + 1; k + 1 < genes; ++k) {
-          and_rows(scratch.t2, scratch.t1, tumor.row(k));
-          and_rows(scratch.n2, scratch.n1, normal.row(k));
-          ++nk;
-          const std::uint64_t rank_ijk = i + triangular(j) + tetrahedral(k);
-          for (std::uint32_t l = k + 1; l < genes; ++l) {
-            const std::uint64_t tp = and_popcount(scratch.t2, tumor.row(l));
-            const std::uint64_t nh = and_popcount(scratch.n2, normal.row(l));
-            best.consider(tp, nh, [&] { return rank_ijk + quartic(l); });
-            ++inner;
-          }
-        }
-      }
-      if (stats) {
-        stats->word_ops += (nj + nk + inner) * (wt + wn);
-        stats->global_words += (1 + nj + nk + inner) * (wt + wn);
-        stats->local_words += inner * (wt + wn);
-      }
-    } else {
-      std::span<const std::uint64_t> row_ti = tumor.row(i);
-      std::span<const std::uint64_t> row_ni = normal.row(i);
-      if (opts.prefetch_i) {
-        std::copy(row_ti.begin(), row_ti.end(), scratch.t1.begin());
-        std::copy(row_ni.begin(), row_ni.end(), scratch.n1.begin());
-        row_ti = scratch.t1;
-        row_ni = scratch.n1;
-      }
-      for (std::uint32_t j = i + 1; j + 2 < genes; ++j) {
-        for (std::uint32_t k = j + 1; k + 1 < genes; ++k) {
-          const std::uint64_t rank_ijk = i + triangular(j) + tetrahedral(k);
-          for (std::uint32_t l = k + 1; l < genes; ++l) {
-            const std::uint64_t tp =
-                and_popcount(row_ti, tumor.row(j), tumor.row(k), tumor.row(l));
-            const std::uint64_t nh =
-                and_popcount(row_ni, normal.row(j), normal.row(k), normal.row(l));
-            best.consider(tp, nh, [&] { return rank_ijk + quartic(l); });
-            ++inner;
-          }
-        }
-      }
-      if (stats) {
-        stats->word_ops += inner * 3 * (wt + wn);
-        const std::uint64_t global_rows_per_combo = opts.prefetch_i ? 3 : 4;
-        stats->global_words += (opts.prefetch_i ? (wt + wn) : 0) +
-                               inner * global_rows_per_combo * (wt + wn);
-        stats->local_words += opts.prefetch_i ? inner * (wt + wn) : 0;
+  template <typename RankFn>
+  void consider(std::uint64_t tp, std::uint64_t normal_hits, RankFn&& rank) noexcept {
+    const double f = f_score(ctx_, tp, normal_hits);
+    if (best_.valid) {
+      if (f < best_.f) return;
+      if (f == best_.f) {
+        const std::uint64_t r = rank();
+        if (r >= best_.combo_rank) return;
+        best_.combo_rank = r;
+        best_.tp = tp;
+        best_.tn = ctx_.normal_total - normal_hits;
+        return;
       }
     }
-    if (stats) {
-      stats->combinations += inner;
-      stats->distinct_rows += 2 * (genes - i);
-    }
+    best_.valid = true;
+    best_.f = f;
+    best_.combo_rank = rank();
+    best_.tp = tp;
+    best_.tn = ctx_.normal_total - normal_hits;
   }
-  return best.result();
-}
 
-// Thread = one combination (i, j, k, l).
-EvalResult eval4_4x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                     std::uint64_t begin, std::uint64_t end, KernelStats* stats) {
-  const std::uint64_t wt = tumor.words_per_row();
-  const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
+  EvalResult result() const noexcept { return best_; }
 
-  std::array<std::uint32_t, 4> combo{};
-  if (begin < end) {
-    const auto first = unrank_combination(begin, 4);
-    std::copy(first.begin(), first.end(), combo.begin());
-  }
-  for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
-    const std::uint64_t tp = and_popcount(tumor.row(combo[0]), tumor.row(combo[1]),
-                                          tumor.row(combo[2]), tumor.row(combo[3]));
-    const std::uint64_t nh = and_popcount(normal.row(combo[0]), normal.row(combo[1]),
-                                          normal.row(combo[2]), normal.row(combo[3]));
-    best.consider(tp, nh, [&] { return lambda; });
-    next_combination_colex(combo, tumor.genes());
-  }
-  if (stats && end > begin) {
-    const std::uint64_t n = end - begin;
-    stats->combinations += n;
-    stats->word_ops += n * 3 * (wt + wn);
-    stats->global_words += n * 4 * (wt + wn);
-    stats->distinct_rows += n * 8;
-  }
-  return best.result();
-}
-
-// ---------------------------------------------------------------------------
-// 3-hit kernels
-// ---------------------------------------------------------------------------
-
-// Thread = (i, j); inner loop over k (the paper's Algorithm 1).
-EvalResult eval3_2x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                     std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
-  const std::uint32_t genes = tumor.genes();
-  const std::uint64_t wt = tumor.words_per_row();
-  const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
-
-  Pair p = begin < end ? unrank_pair(begin) : Pair{};
-  for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_pair(p)) {
-    const std::uint64_t inner = genes - 1 - p.j;
-    if (inner == 0) {
-      if (stats) stats->distinct_rows += 2 * 2;
-      continue;
-    }
-    const std::uint64_t base_rank = p.i + triangular(p.j);
-
-    if (opts.prefetch_j) {
-      and_rows(scratch.t1, tumor.row(p.i), tumor.row(p.j));
-      and_rows(scratch.n1, normal.row(p.i), normal.row(p.j));
-      for (std::uint32_t k = p.j + 1; k < genes; ++k) {
-        const std::uint64_t tp = and_popcount(scratch.t1, tumor.row(k));
-        const std::uint64_t nh = and_popcount(scratch.n1, normal.row(k));
-        best.consider(tp, nh, [&] { return base_rank + tetrahedral(k); });
-      }
-      if (stats) {
-        stats->word_ops += (1 + inner) * (wt + wn);
-        stats->global_words += 2 * (wt + wn) + inner * (wt + wn);
-        stats->local_words += inner * (wt + wn);
-      }
-    } else {
-      std::span<const std::uint64_t> row_ti = tumor.row(p.i);
-      std::span<const std::uint64_t> row_ni = normal.row(p.i);
-      if (opts.prefetch_i) {
-        std::copy(row_ti.begin(), row_ti.end(), scratch.t1.begin());
-        std::copy(row_ni.begin(), row_ni.end(), scratch.n1.begin());
-        row_ti = scratch.t1;
-        row_ni = scratch.n1;
-      }
-      for (std::uint32_t k = p.j + 1; k < genes; ++k) {
-        const std::uint64_t tp = and_popcount(row_ti, tumor.row(p.j), tumor.row(k));
-        const std::uint64_t nh = and_popcount(row_ni, normal.row(p.j), normal.row(k));
-        best.consider(tp, nh, [&] { return base_rank + tetrahedral(k); });
-      }
-      if (stats) {
-        stats->word_ops += inner * 2 * (wt + wn);
-        const std::uint64_t global_rows_per_combo = opts.prefetch_i ? 2 : 3;
-        stats->global_words += (opts.prefetch_i ? (wt + wn) : 0) +
-                               inner * global_rows_per_combo * (wt + wn);
-        stats->local_words += opts.prefetch_i ? inner * (wt + wn) : 0;
-      }
-    }
-    if (stats) {
-      stats->combinations += inner;
-      stats->distinct_rows += 2 * (2 + inner);
-    }
-  }
-  return best.result();
-}
-
-// Thread = i; inner loops over j, k.
-EvalResult eval3_1x2(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                     std::uint64_t begin, std::uint64_t end, const MemOpts& opts,
-                     KernelStats* stats, Arena* arena) {
-  const std::uint32_t genes = tumor.genes();
-  const std::uint64_t wt = tumor.words_per_row();
-  const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
-  Scratch scratch(tumor.words_per_row(), normal.words_per_row(), arena);
-
-  for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
-    const auto i = static_cast<std::uint32_t>(lambda);
-    std::uint64_t inner = 0, nj = 0;
-    if (opts.prefetch_j) {
-      for (std::uint32_t j = i + 1; j + 1 < genes; ++j) {
-        and_rows(scratch.t1, tumor.row(i), tumor.row(j));
-        and_rows(scratch.n1, normal.row(i), normal.row(j));
-        ++nj;
-        const std::uint64_t base_rank = i + triangular(j);
-        for (std::uint32_t k = j + 1; k < genes; ++k) {
-          const std::uint64_t tp = and_popcount(scratch.t1, tumor.row(k));
-          const std::uint64_t nh = and_popcount(scratch.n1, normal.row(k));
-          best.consider(tp, nh, [&] { return base_rank + tetrahedral(k); });
-          ++inner;
-        }
-      }
-      if (stats) {
-        stats->word_ops += (nj + inner) * (wt + wn);
-        stats->global_words += (1 + nj + inner) * (wt + wn);
-        stats->local_words += inner * (wt + wn);
-      }
-    } else {
-      std::span<const std::uint64_t> row_ti = tumor.row(i);
-      std::span<const std::uint64_t> row_ni = normal.row(i);
-      if (opts.prefetch_i) {
-        std::copy(row_ti.begin(), row_ti.end(), scratch.t1.begin());
-        std::copy(row_ni.begin(), row_ni.end(), scratch.n1.begin());
-        row_ti = scratch.t1;
-        row_ni = scratch.n1;
-      }
-      for (std::uint32_t j = i + 1; j + 1 < genes; ++j) {
-        const std::uint64_t base_rank = i + triangular(j);
-        for (std::uint32_t k = j + 1; k < genes; ++k) {
-          const std::uint64_t tp = and_popcount(row_ti, tumor.row(j), tumor.row(k));
-          const std::uint64_t nh = and_popcount(row_ni, normal.row(j), normal.row(k));
-          best.consider(tp, nh, [&] { return base_rank + tetrahedral(k); });
-          ++inner;
-        }
-      }
-      if (stats) {
-        stats->word_ops += inner * 2 * (wt + wn);
-        const std::uint64_t global_rows_per_combo = opts.prefetch_i ? 2 : 3;
-        stats->global_words += (opts.prefetch_i ? (wt + wn) : 0) +
-                               inner * global_rows_per_combo * (wt + wn);
-        stats->local_words += opts.prefetch_i ? inner * (wt + wn) : 0;
-      }
-    }
-    if (stats) {
-      stats->combinations += inner;
-      stats->distinct_rows += 2 * (genes - i);
-    }
-  }
-  return best.result();
-}
-
-// Thread = one triple.
-EvalResult eval3_3x1(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                     std::uint64_t begin, std::uint64_t end, KernelStats* stats) {
-  const std::uint64_t wt = tumor.words_per_row();
-  const std::uint64_t wn = normal.words_per_row();
-  BestTracker best(ctx);
-
-  Triple t = begin < end ? unrank_triple(begin) : Triple{};
-  for (std::uint64_t lambda = begin; lambda < end; ++lambda, advance_triple(t)) {
-    const std::uint64_t tp = and_popcount(tumor.row(t.i), tumor.row(t.j), tumor.row(t.k));
-    const std::uint64_t nh = and_popcount(normal.row(t.i), normal.row(t.j), normal.row(t.k));
-    best.consider(tp, nh, [&] { return lambda; });
-  }
-  if (stats && end > begin) {
-    const std::uint64_t n = end - begin;
-    stats->combinations += n;
-    stats->word_ops += n * 2 * (wt + wn);
-    stats->global_words += n * 3 * (wt + wn);
-    stats->distinct_rows += n * 6;
-  }
-  return best.result();
-}
+ private:
+  FContext ctx_;
+  EvalResult best_;
+};
 
 }  // namespace
 
-const char* scheme_name(Scheme4 scheme) noexcept {
-  switch (scheme) {
-    case Scheme4::k1x3:
-      return "1x3";
-    case Scheme4::k2x2:
-      return "2x2";
-    case Scheme4::k3x1:
-      return "3x1";
-    case Scheme4::k4x1:
-      return "4x1";
-  }
-  return "?";
+std::string scheme_name(Scheme scheme) {
+  const std::uint32_t inner = scheme.hits > scheme.flat ? scheme.hits - scheme.flat : 1;
+  return std::to_string(scheme.flat) + "x" + std::to_string(inner);
 }
 
-const char* scheme_name(Scheme3 scheme) noexcept {
-  switch (scheme) {
-    case Scheme3::k1x2:
-      return "1x2";
-    case Scheme3::k2x1:
-      return "2x1";
-    case Scheme3::k3x1:
-      return "3x1";
-  }
-  return "?";
+std::uint64_t scheme_threads(Scheme scheme, std::uint32_t genes) {
+  check_scheme(scheme, genes);
+  return choose(genes, scheme.flat);
 }
 
-std::uint64_t scheme4_threads(Scheme4 scheme, std::uint32_t genes) noexcept {
-  switch (scheme) {
-    case Scheme4::k1x3:
-      return genes;
-    case Scheme4::k2x2:
-      return triangular(genes);
-    case Scheme4::k3x1:
-      return tetrahedral(genes);
-    case Scheme4::k4x1:
-      return quartic(genes);
-  }
-  return 0;
+std::uint64_t scheme_thread_work(Scheme scheme, std::uint32_t genes, std::uint64_t lambda) {
+  check_scheme(scheme, genes);
+  const std::uint32_t top = colex_top(lambda, scheme.flat);
+  return choose(genes - 1 - top, scheme.hits - scheme.flat);
 }
 
-std::uint64_t scheme3_threads(Scheme3 scheme, std::uint32_t genes) noexcept {
-  switch (scheme) {
-    case Scheme3::k1x2:
-      return genes;
-    case Scheme3::k2x1:
-      return triangular(genes);
-    case Scheme3::k3x1:
-      return tetrahedral(genes);
+EvalResult evaluate_range(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
+                          Scheme scheme, std::uint64_t begin, std::uint64_t end,
+                          const MemOpts& opts, KernelStats* stats, Arena* arena) {
+  const std::uint32_t genes = tumor.genes();
+  check_scheme(scheme, genes);
+  assert(normal.genes() == genes);
+  // λ past the thread space would unrank to genes past the matrix.
+  if (begin < end && end > choose(genes, scheme.flat)) {
+    throw std::invalid_argument("evaluate_range: threads [" + std::to_string(begin) + ", " +
+                                std::to_string(end) + ") exceed the " + scheme_name(scheme) +
+                                " space of G = " + std::to_string(genes));
   }
-  return 0;
-}
+  const std::uint32_t h = scheme.hits;
+  const std::uint32_t f = scheme.flat;
+  const std::uint32_t d = h - f;  // inner loops
+  const std::size_t wt = tumor.words_per_row();
+  const std::size_t wn = normal.words_per_row();
+  BestTracker best(ctx);
+  std::uint64_t scored = 0;
 
-std::uint64_t scheme4_thread_work(Scheme4 scheme, std::uint32_t genes,
-                                  std::uint64_t lambda) noexcept {
-  switch (scheme) {
-    case Scheme4::k1x3: {
-      const auto i = static_cast<std::uint32_t>(lambda);
-      return tetrahedral(genes - 1 - i);  // 0 whenever fewer than 3 genes remain above i
+  if (begin < end) {
+    // Fold order: the flat genes top-down, then the inner genes ascending.
+    // Slot s (0 <= s <= h-2) holds the AND of the rows of genes[0..s]; the
+    // innermost gene is never folded, so every combination costs one
+    // two-row and_popcount per matrix. Colex steps mostly move the smallest
+    // flat gene, which sits last among the flat slots, so a step refolds
+    // only the slots from the first changed gene on. Callers without an
+    // arena (one-shot full-range evaluations) share a per-thread one, so no
+    // call allocates after a thread's first.
+    thread_local Arena fallback;
+    if (arena == nullptr) {
+      fallback.reset();
+      arena = &fallback;
     }
-    case Scheme4::k2x2: {
-      const Pair p = unrank_pair(lambda);
-      return p.j + 1 < genes ? triangular(genes - 1 - p.j) : 0;
+    const std::span<std::uint64_t> block = arena->alloc_words((h - 1) * (wt + wn));
+    std::array<std::span<std::uint64_t>, kMaxSchemeHits> tslot, nslot;
+    for (std::uint32_t s = 0; s + 1 < h; ++s) {
+      tslot[s] = block.subspan(s * wt, wt);
+      nslot[s] = block.subspan((h - 1) * wt + s * wn, wn);
     }
-    case Scheme4::k3x1: {
-      const std::uint32_t k = tetrahedral_level(lambda);
-      return genes - 1 - k;
+    std::array<std::uint32_t, kMaxSchemeHits> genes_at{};  // by fold slot
+    const auto fold = [&](std::uint32_t from, std::uint32_t to) {
+      for (std::uint32_t s = from; s < to; ++s) {
+        if (s == 0) {
+          const auto trow = tumor.row(genes_at[0]);
+          const auto nrow = normal.row(genes_at[0]);
+          std::copy(trow.begin(), trow.end(), tslot[0].begin());
+          std::copy(nrow.begin(), nrow.end(), nslot[0].begin());
+        } else {
+          and_rows(tslot[s], tslot[s - 1], tumor.row(genes_at[s]));
+          and_rows(nslot[s], nslot[s - 1], normal.row(genes_at[s]));
+        }
+      }
+    };
+
+    // c: the thread's flat genes ascending (colex digits of λ).
+    // x: x[0] = the top flat gene, x[1..d-1] the inner prefix genes.
+    std::array<std::uint32_t, kMaxSchemeHits> c{}, x{};
+    unrank_combination(begin, std::span<std::uint32_t>(c.data(), f));
+    for (std::uint32_t k = 0; k < f; ++k) genes_at[f - 1 - k] = c[k];
+    std::uint32_t stale = 0;  // first flat slot whose gene changed since its fold
+
+    for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
+      if (d == 0) {
+        // One combination per thread; its smallest gene is the innermost.
+        fold(stale, h - 1);
+        stale = f;
+        const std::uint32_t last = c[0];
+        const std::uint64_t tp = and_popcount(tslot[h - 2], tumor.row(last));
+        const std::uint64_t nh = and_popcount(nslot[h - 2], normal.row(last));
+        best.consider(tp, nh, [&] { return lambda; });
+        ++scored;
+      } else if (genes - 1 - c[f - 1] >= d) {
+        fold(stale, f);
+        stale = f;
+        x[0] = c[f - 1];
+        for (std::uint32_t l = 1; l < d; ++l) genes_at[f - 1 + l] = x[l] = x[0] + l;
+        std::uint32_t inner_stale = f;  // first inner slot to refold
+        for (;;) {
+          fold(inner_stale, h - 1);
+          const std::span<const std::uint64_t> tpre = tslot[h - 2];
+          const std::span<const std::uint64_t> npre = nslot[h - 2];
+          for (std::uint32_t last = x[d - 1] + 1; last < genes; ++last) {
+            const std::uint64_t tp = and_popcount(tpre, tumor.row(last));
+            const std::uint64_t nh = and_popcount(npre, normal.row(last));
+            // Flat genes are the f smallest, so their colex digits sum to λ.
+            best.consider(tp, nh, [&] {
+              std::uint64_t rank = lambda + choose(last, h);
+              for (std::uint32_t l = 1; l < d; ++l) rank += choose(x[l], f + l);
+              return rank;
+            });
+          }
+          scored += genes - 1 - x[d - 1];
+          // Lexicographic successor of the inner prefix, x[l] <= G-1-(d-l).
+          std::uint32_t l = d - 1;
+          while (l >= 1 && x[l] == genes - 1 - (d - l)) --l;
+          if (l == 0) break;
+          ++x[l];
+          for (std::uint32_t k = l + 1; k < d; ++k) x[k] = x[k - 1] + 1;
+          for (std::uint32_t k = l; k < d; ++k) genes_at[f - 1 + k] = x[k];
+          inner_stale = f - 1 + l;
+        }
+      }
+
+      // Colex successor of the flat genes: bump the lowest digit that can
+      // move, reset the ones below it.
+      std::uint32_t k = 0;
+      while (k + 1 < f && c[k] + 1 == c[k + 1]) ++k;
+      ++c[k];
+      for (std::uint32_t j = 0; j < k; ++j) c[j] = j;
+      for (std::uint32_t j = 0; j <= k; ++j) genes_at[f - 1 - j] = c[j];
+      stale = std::min(stale, f - 1 - k);
     }
-    case Scheme4::k4x1:
-      return 1;
   }
-  return 0;
+
+  if (stats != nullptr) {
+    KernelStats counted = scheme_stats(scheme, genes, begin, end, opts,
+                                       static_cast<std::uint32_t>(wt),
+                                       static_cast<std::uint32_t>(wn));
+    counted.combinations = scored;
+    *stats += counted;
+  }
+  return best.result();
 }
 
-std::uint64_t scheme3_thread_work(Scheme3 scheme, std::uint32_t genes,
-                                  std::uint64_t lambda) noexcept {
-  switch (scheme) {
-    case Scheme3::k1x2: {
-      const auto i = static_cast<std::uint32_t>(lambda);
-      return triangular(genes - 1 - i);
-    }
-    case Scheme3::k2x1: {
-      const Pair p = unrank_pair(lambda);
-      return genes - 1 - p.j;
-    }
-    case Scheme3::k3x1:
-      return 1;
-  }
-  return 0;
-}
+KernelStats scheme_stats(Scheme scheme, std::uint32_t genes, std::uint64_t begin,
+                         std::uint64_t end, const MemOpts& opts, std::uint32_t tumor_words,
+                         std::uint32_t normal_words) {
+  check_scheme(scheme, genes);
+  KernelStats stats;
+  if (begin >= end) return stats;
+  const std::uint64_t W = static_cast<std::uint64_t>(tumor_words) + normal_words;
+  const std::uint32_t h = scheme.hits;
+  const std::uint32_t f = scheme.flat;
+  const std::uint32_t d = h - f;
 
-EvalResult evaluate_range_4hit(const BitMatrix& tumor, const BitMatrix& normal,
-                               const FContext& ctx, Scheme4 scheme, std::uint64_t begin,
-                               std::uint64_t end, const MemOpts& opts, KernelStats* stats,
-                               Arena* arena) {
-  assert(tumor.genes() == normal.genes());
-  assert(end <= scheme4_threads(scheme, tumor.genes()));
-  switch (scheme) {
-    case Scheme4::k1x3:
-      return eval4_1x3(tumor, normal, ctx, begin, end, opts, stats, arena);
-    case Scheme4::k2x2:
-      return eval4_2x2(tumor, normal, ctx, begin, end, opts, stats, arena);
-    case Scheme4::k3x1:
-      return eval4_3x1(tumor, normal, ctx, begin, end, opts, stats, arena);
-    case Scheme4::k4x1:
-      return eval4_4x1(tumor, normal, ctx, begin, end, stats);
+  if (d == 0) {
+    const std::uint64_t n = end - begin;
+    stats.combinations = n;
+    stats.word_ops = n * (h - 1) * W;
+    stats.global_words = n * h * W;
+    stats.distinct_rows = n * 2 * h;
+    return stats;
   }
-  return {};
-}
 
-EvalResult evaluate_range_3hit(const BitMatrix& tumor, const BitMatrix& normal,
-                               const FContext& ctx, Scheme3 scheme, std::uint64_t begin,
-                               std::uint64_t end, const MemOpts& opts, KernelStats* stats,
-                               Arena* arena) {
-  assert(tumor.genes() == normal.genes());
-  assert(end <= scheme3_threads(scheme, tumor.genes()));
-  switch (scheme) {
-    case Scheme3::k1x2:
-      return eval3_1x2(tumor, normal, ctx, begin, end, opts, stats, arena);
-    case Scheme3::k2x1:
-      return eval3_2x1(tumor, normal, ctx, begin, end, opts, stats, arena);
-    case Scheme3::k3x1:
-      return eval3_3x1(tumor, normal, ctx, begin, end, stats);
+  // Threads sharing their top flat gene t form the level
+  // [C(t, f), C(t+1, f)), all with R = G-1-t genes left above them.
+  const std::uint32_t t_lo = colex_top(begin, f);
+  const std::uint32_t t_hi = colex_top(end - 1, f);
+  for (std::uint32_t t = t_lo; t <= t_hi; ++t) {
+    const std::uint64_t n =
+        std::min(end, choose(t + 1, f)) - std::max(begin, choose(t, f));
+    const std::uint64_t R = genes - 1 - t;
+    const std::uint64_t m = choose(R, d);
+    if (m == 0 && !(f == 1 && d >= 2)) {
+      if (f == 2 || d >= 2) stats.distinct_rows += n * 2 * f;
+      continue;
+    }
+    stats.combinations += n * m;
+    stats.distinct_rows += n * 2 * (f + R);
+    if (opts.prefetch_j) {
+      std::uint64_t prefixes = 0;
+      for (std::uint32_t l = 1; l < d; ++l) {
+        if (R + l >= d) prefixes += choose(R - (d - l), l);
+      }
+      stats.word_ops += n * (f - 1 + prefixes + m) * W;
+      stats.global_words += n * (f + prefixes + m) * W;
+      stats.local_words += n * m * W;
+    } else if (opts.prefetch_i) {
+      stats.word_ops += n * (h - 1) * m * W;
+      stats.global_words += n * (1 + (h - 1) * m) * W;
+      stats.local_words += n * m * W;
+    } else {
+      stats.word_ops += n * (h - 1) * m * W;
+      stats.global_words += n * h * m * W;
+    }
   }
-  return {};
+  return stats;
 }
 
 }  // namespace multihit

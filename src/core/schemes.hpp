@@ -1,26 +1,35 @@
 #pragma once
-// The paper's four parallelization schemes (§III-A) as range kernels.
+// The paper's parallelization schemes (§III-A) as one range kernel.
 //
-// A sequential 4-hit scan is four nested loops over i < j < k < l. Flattening
-// the outer 1, 2, 3, or 4 loops into a single linear thread id λ yields:
+// A sequential h-hit scan is h nested loops over g_0 < g_1 < ... < g_{h-1}.
+// Flattening the outer `flat` loops into a single linear thread id λ (the
+// colex rank of the thread's flat genes) yields Scheme{hits, flat}:
 //
-//   1x3:  G       threads, thread = i,         inner work C(G-1-i, 3)
-//   2x2:  C(G,2)  threads, thread = (i,j),     inner work C(G-1-j, 2)
-//   3x1:  C(G,3)  threads, thread = (i,j,k),   inner work G-1-k
-//   4x1:  C(G,4)  threads, thread = (i,j,k,l), inner work 1
+//   threads          C(G, flat)
+//   thread λ         the flat genes c_0 < ... < c_{flat-1} of rank λ
+//   inner work       C(G-1-c_{flat-1}, hits-flat) combinations
 //
-// The paper implements 2x2 and then 3x1 (the winner: enough threads to
-// saturate 6000 GPUs, with per-thread workload spread reduced from O(G²) to
-// O(G)). All four are implemented here so the scheduler and the ablation
-// benches can compare them.
+// For 4 hits: 1x3 (G threads, work C(G-1-i,3)), 2x2 (C(G,2) threads, work
+// C(G-1-j,2)), 3x1 (C(G,3) threads, work G-1-k), 4x1 (one combination per
+// thread). The paper implements 2x2 and then 3x1 — the winner: enough
+// threads to saturate 6000 GPUs, with per-thread workload spread reduced from
+// O(G²) to O(G). Every (hits, flat) is the same kernel here, so the
+// scheduler and the ablation benches compare them freely.
 //
-// `evaluate_range_*` is the maxF kernel body: it scans threads
-// λ ∈ [begin, end) of a scheme, computing F for every combination each
-// thread owns on *both* matrices (TP from tumor, TN from normal), and
-// returns the best EvalResult. Memory optimizations (§III-D) are selectable
-// so their effect can be measured and modeled.
+// `evaluate_range` is the maxF kernel body: it scans threads λ ∈ [begin, end)
+// of a scheme, computing F for every combination each thread owns on *both*
+// matrices (TP from tumor, TN from normal), and returns the best EvalResult.
+//
+// `scheme_stats` is the closed-form operation/traffic accounting of that
+// kernel on the modeled GPU. For full-scale spaces (C(19411,4) ≈ 5.9e15
+// combinations) nothing can enumerate, but the counts are exactly summable
+// over the level structure of each scheme; that is what lets the performance
+// model price paper-scale runs. The kernel reports the same stats (with its
+// own count of scored combinations), so the device model and the analytic
+// cluster model price launches identically by construction.
 
 #include <cstdint>
+#include <string>
 
 #include "bitmat/bitmatrix.hpp"
 #include "core/arena.hpp"
@@ -29,75 +38,80 @@
 
 namespace multihit {
 
-enum class Scheme4 { k1x3, k2x2, k3x1, k4x1 };
-enum class Scheme3 { k1x2, k2x1, k3x1 };
+/// h-hit enumeration with the outer `flat` loops folded into the thread id.
+/// Valid when 1 <= flat <= hits and 2 <= hits <= kMaxSchemeHits.
+struct Scheme {
+  std::uint32_t hits = 0;
+  std::uint32_t flat = 0;
 
-/// 2-hit (the original Dash et al. 2019 problem) and 5-hit (the paper's §V
-/// next step: each extra hit costs another ~4e5x of compute) schemes,
-/// following the same flattening taxonomy.
-enum class Scheme2 { k1x1, k2x1 };  ///< thread per i / thread per pair
-enum class Scheme5 { k3x2, k4x1 };  ///< thread per triple / per quadruple
-
-/// Human-readable scheme names ("2x2", ...).
-const char* scheme_name(Scheme4 scheme) noexcept;
-const char* scheme_name(Scheme3 scheme) noexcept;
-const char* scheme_name(Scheme2 scheme) noexcept;
-const char* scheme_name(Scheme5 scheme) noexcept;
-
-/// §III-D memory optimizations. BitSplicing is engine-level (it mutates the
-/// matrix between greedy iterations) and therefore lives in EngineConfig.
-struct MemOpts {
-  bool prefetch_i = false;  ///< MemOpt1: stage gene-i rows in local memory
-  bool prefetch_j = false;  ///< MemOpt2: stage gene-j rows (and fold the
-                            ///< fixed-row ANDs) in local memory
+  friend bool operator==(const Scheme&, const Scheme&) = default;
 };
 
-/// Total thread count of a scheme for G genes. The 5-hit space C(G,5)
-/// overflows u64 at G > 18580; scheme5_threads aborts beyond that (use
-/// binomial128 to size paper-scale 5-hit spaces).
-std::uint64_t scheme4_threads(Scheme4 scheme, std::uint32_t genes) noexcept;
-std::uint64_t scheme3_threads(Scheme3 scheme, std::uint32_t genes) noexcept;
-std::uint64_t scheme2_threads(Scheme2 scheme, std::uint32_t genes) noexcept;
-std::uint64_t scheme5_threads(Scheme5 scheme, std::uint32_t genes) noexcept;
+/// Deepest scheme the kernel supports (its fold stack lives on the stack).
+inline constexpr std::uint32_t kMaxSchemeHits = 32;
 
-/// Combinations processed by thread λ (the per-thread workload the
-/// schedulers balance). λ must be < scheme*_threads().
-std::uint64_t scheme4_thread_work(Scheme4 scheme, std::uint32_t genes,
-                                  std::uint64_t lambda) noexcept;
-std::uint64_t scheme3_thread_work(Scheme3 scheme, std::uint32_t genes,
-                                  std::uint64_t lambda) noexcept;
-std::uint64_t scheme2_thread_work(Scheme2 scheme, std::uint32_t genes,
-                                  std::uint64_t lambda) noexcept;
-std::uint64_t scheme5_thread_work(Scheme5 scheme, std::uint32_t genes,
-                                  std::uint64_t lambda) noexcept;
+/// "<flat>x<max(hits-flat, 1)>": "3x1", "2x2", "1x3", "4x1", ...
+std::string scheme_name(Scheme scheme);
 
-/// 4-hit maxF kernel over threads [begin, end) of `scheme`. Both matrices
-/// must have identical gene counts. `stats`, when non-null, accumulates the
-/// operation/traffic counts used by the GPU performance model. `arena`,
-/// when non-null, supplies the prefetch scratch (bump-allocated; the caller
-/// owns the reset cadence) instead of a per-call heap allocation.
-EvalResult evaluate_range_4hit(const BitMatrix& tumor, const BitMatrix& normal,
-                               const FContext& ctx, Scheme4 scheme, std::uint64_t begin,
-                               std::uint64_t end, const MemOpts& opts = {},
-                               KernelStats* stats = nullptr, Arena* arena = nullptr);
+/// §III-D memory optimizations, as they shape the *modeled* GPU traffic in
+/// scheme_stats. The host kernel always folds the fixed rows. BitSplicing is
+/// engine-level (it mutates the matrix between greedy iterations) and
+/// therefore lives in EngineConfig.
+struct MemOpts {
+  bool prefetch_i = false;  ///< MemOpt1: stage gene-i rows in local memory
+  bool prefetch_j = false;  ///< MemOpt2: stage the folded fixed rows in
+                            ///< local memory
+};
 
-/// 3-hit maxF kernel over threads [begin, end) of `scheme`.
-EvalResult evaluate_range_3hit(const BitMatrix& tumor, const BitMatrix& normal,
-                               const FContext& ctx, Scheme3 scheme, std::uint64_t begin,
-                               std::uint64_t end, const MemOpts& opts = {},
-                               KernelStats* stats = nullptr, Arena* arena = nullptr);
+/// Total thread count C(genes, flat). Throws std::invalid_argument for an
+/// invalid scheme or when C(genes, hits) overflows u64 (combination ranks
+/// must fit 64 bits; at 5 hits that caps genes at 18580).
+std::uint64_t scheme_threads(Scheme scheme, std::uint32_t genes);
 
-/// 2-hit maxF kernel. MemOpt2 has no second fixed row to fold at this hit
-/// count; prefetch_j is accepted and behaves like prefetch_i.
-EvalResult evaluate_range_2hit(const BitMatrix& tumor, const BitMatrix& normal,
-                               const FContext& ctx, Scheme2 scheme, std::uint64_t begin,
-                               std::uint64_t end, const MemOpts& opts = {},
-                               KernelStats* stats = nullptr, Arena* arena = nullptr);
+/// Combinations processed by thread λ: C(genes-1-top, hits-flat), where top
+/// is the thread's largest flat gene. λ must be < scheme_threads().
+std::uint64_t scheme_thread_work(Scheme scheme, std::uint32_t genes, std::uint64_t lambda);
 
-/// 5-hit maxF kernel. Requires C(genes,5) to fit u64 (genes <= 18580).
-EvalResult evaluate_range_5hit(const BitMatrix& tumor, const BitMatrix& normal,
-                               const FContext& ctx, Scheme5 scheme, std::uint64_t begin,
-                               std::uint64_t end, const MemOpts& opts = {},
-                               KernelStats* stats = nullptr, Arena* arena = nullptr);
+/// maxF kernel over threads [begin, end) of `scheme`. Both matrices must have
+/// identical gene counts; throws std::invalid_argument like scheme_threads,
+/// or when a non-empty range ends past scheme_threads().
+/// `stats`, when non-null, accumulates scheme_stats(...) for the range under
+/// `opts`, with `combinations` counted from the combinations actually
+/// scored. `arena`, when non-null, supplies the fold scratch
+/// (bump-allocated; the caller owns the reset cadence); without one, a
+/// per-thread arena is reused across calls, so no call allocates after the
+/// first.
+EvalResult evaluate_range(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
+                          Scheme scheme, std::uint64_t begin, std::uint64_t end,
+                          const MemOpts& opts = {}, KernelStats* stats = nullptr,
+                          Arena* arena = nullptr);
+
+/// Closed-form KernelStats of the modeled GPU kernel over threads
+/// [begin, end). `tumor_words` / `normal_words` are the packed row widths.
+/// With W = tumor_words + normal_words, d = hits - flat inner loops, and a
+/// thread whose largest flat gene leaves R genes above it (m = C(R, d)
+/// combinations):
+///
+///   flat == hits  one combination per thread, all h rows from global
+///                 memory (opts ignored): (h-1)W word ops, hW global words,
+///                 2h distinct rows.
+///   no opts       (h-1)·m·W word ops, h·m·W global words.
+///   prefetch_i    (h-1)·m·W word ops, (1 + (h-1)·m)·W global words, m·W
+///                 local words (row i staged once per thread).
+///   prefetch_j    the fixed rows fold once per thread and each inner prefix
+///                 folds once: (flat-1 + P + m)·W word ops,
+///                 (flat + P + m)·W global words, m·W local words, with
+///                 P = Σ_{l=1}^{d-1} C(R-(d-l), l) inner prefixes.
+///   rows          2·(flat + R) distinct rows per thread.
+///
+/// Threads with no work (m == 0) count by scheme; the modeled figures depend
+/// on these counts, so tests/test_scheme_stats.cpp pins them with a frozen
+/// reference table. A 1x scheme with d >= 2 still stages row i (the formulas
+/// above with m = 0); otherwise such a thread counts 2·flat rows when
+/// flat == 2 or d >= 2, and nothing at all in the remaining single-loop
+/// schemes (1x1, 3x1 at 4 hits, 4x1 at 5 hits).
+KernelStats scheme_stats(Scheme scheme, std::uint32_t genes, std::uint64_t begin,
+                         std::uint64_t end, const MemOpts& opts, std::uint32_t tumor_words,
+                         std::uint32_t normal_words);
 
 }  // namespace multihit

@@ -142,10 +142,9 @@ CheckpointState Engine::checkpoint() const {
 
 // The legacy batch entry point: one-shot session, single implementation.
 GreedyResult run_greedy(BitMatrix tumor, const BitMatrix& normal, const EngineConfig& config,
-                        const Evaluator& evaluator, BitMatrix* final_tumor) {
+                        const Evaluator& evaluator) {
   Engine session(std::move(tumor), normal, config, evaluator);
   session.run();
-  if (final_tumor) *final_tumor = std::move(session).take_tumor();
   return std::move(session).take_result();
 }
 

@@ -69,9 +69,8 @@ class Engine {
   /// Resumable snapshot of the session as it stands right now.
   CheckpointState checkpoint() const;
 
-  /// Destructive accessors for the run_greedy wrapper.
+  /// Destructive accessor for one-shot drivers (run_greedy, the cluster).
   GreedyResult take_result() && { return std::move(progress_); }
-  BitMatrix take_tumor() && { return std::move(tumor_); }
 
  private:
   void validate() const;

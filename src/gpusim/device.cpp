@@ -21,9 +21,9 @@ EvalResult parallel_reduce_max(std::vector<EvalResult> candidates) {
   return candidates[0];
 }
 
-template <typename EvalBlock>
-DeviceRunResult GpuDevice::run_pipeline(const Partition& partition,
-                                        EvalBlock&& eval_block) const {
+DeviceRunResult GpuDevice::run(const BitMatrix& tumor, const BitMatrix& normal,
+                               const FContext& ctx, Scheme scheme, const Partition& partition,
+                               const MemOpts& opts) const {
   DeviceRunResult result;
   const std::uint64_t span = partition.size();
   if (span == 0) return result;
@@ -38,7 +38,8 @@ DeviceRunResult GpuDevice::run_pipeline(const Partition& partition,
     const std::uint64_t begin = partition.begin + b * spec_.block_size;
     const std::uint64_t end = std::min<std::uint64_t>(begin + spec_.block_size, partition.end);
     arena_.reset();  // block scratch reuses the device arena across launches
-    block_candidates.push_back(eval_block(begin, end, &result.stats));
+    block_candidates.push_back(
+        evaluate_range(tumor, normal, ctx, scheme, begin, end, opts, &result.stats, &arena_));
   }
   result.candidate_bytes = result.blocks * kCandidateBytes;
 
@@ -129,42 +130,6 @@ obs::KernelProfile kernel_profile_from(const DeviceSpec& spec, const KernelStats
   k.stall_execution_dependency = stalls.execution_dependency;
   k.stall_other = stalls.other;
   return k;
-}
-
-DeviceRunResult GpuDevice::run_4hit(const BitMatrix& tumor, const BitMatrix& normal,
-                                    const FContext& ctx, Scheme4 scheme,
-                                    const Partition& partition, const MemOpts& opts) const {
-  return run_pipeline(partition, [&](std::uint64_t begin, std::uint64_t end,
-                                     KernelStats* stats) {
-    return evaluate_range_4hit(tumor, normal, ctx, scheme, begin, end, opts, stats, &arena_);
-  });
-}
-
-DeviceRunResult GpuDevice::run_3hit(const BitMatrix& tumor, const BitMatrix& normal,
-                                    const FContext& ctx, Scheme3 scheme,
-                                    const Partition& partition, const MemOpts& opts) const {
-  return run_pipeline(partition, [&](std::uint64_t begin, std::uint64_t end,
-                                     KernelStats* stats) {
-    return evaluate_range_3hit(tumor, normal, ctx, scheme, begin, end, opts, stats, &arena_);
-  });
-}
-
-DeviceRunResult GpuDevice::run_2hit(const BitMatrix& tumor, const BitMatrix& normal,
-                                    const FContext& ctx, Scheme2 scheme,
-                                    const Partition& partition, const MemOpts& opts) const {
-  return run_pipeline(partition, [&](std::uint64_t begin, std::uint64_t end,
-                                     KernelStats* stats) {
-    return evaluate_range_2hit(tumor, normal, ctx, scheme, begin, end, opts, stats, &arena_);
-  });
-}
-
-DeviceRunResult GpuDevice::run_5hit(const BitMatrix& tumor, const BitMatrix& normal,
-                                    const FContext& ctx, Scheme5 scheme,
-                                    const Partition& partition, const MemOpts& opts) const {
-  return run_pipeline(partition, [&](std::uint64_t begin, std::uint64_t end,
-                                     KernelStats* stats) {
-    return evaluate_range_5hit(tumor, normal, ctx, scheme, begin, end, opts, stats, &arena_);
-  });
 }
 
 }  // namespace multihit

@@ -51,30 +51,12 @@ class GpuDevice {
   /// results or modeled times.
   void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
 
-  /// Runs the 4-hit maxF + parallelReduceMax pipeline over threads
+  /// Runs the maxF + parallelReduceMax pipeline over threads
   /// [partition.begin, partition.end) of `scheme`.
-  DeviceRunResult run_4hit(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                           Scheme4 scheme, const Partition& partition,
-                           const MemOpts& opts = {}) const;
-
-  /// 3-hit counterpart.
-  DeviceRunResult run_3hit(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                           Scheme3 scheme, const Partition& partition,
-                           const MemOpts& opts = {}) const;
-
-  /// 2-hit counterpart.
-  DeviceRunResult run_2hit(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                           Scheme2 scheme, const Partition& partition,
-                           const MemOpts& opts = {}) const;
-
-  /// 5-hit counterpart (requires C(genes,5) to fit u64).
-  DeviceRunResult run_5hit(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                           Scheme5 scheme, const Partition& partition,
-                           const MemOpts& opts = {}) const;
+  DeviceRunResult run(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
+                      Scheme scheme, const Partition& partition, const MemOpts& opts = {}) const;
 
  private:
-  template <typename EvalBlock>
-  DeviceRunResult run_pipeline(const Partition& partition, EvalBlock&& eval_block) const;
   void record_launch(const DeviceRunResult& result, const Partition& partition) const;
 
   DeviceSpec spec_;
@@ -100,8 +82,8 @@ obs::ProfileDevice profile_device_info(const DeviceSpec& spec);
 /// Builds the NVPROF-style launch record for one pipeline execution: counted
 /// traffic before/after L2 reuse, prefetch-served bytes, occupancy/resident
 /// warps, the roofline decomposition, reduce stages, and the stall taxonomy.
-/// Shared by GpuDevice (counted stats) and the paper-scale analytic model
-/// (analytic stats) so both paths profile identically. The traced placement
+/// Shared by GpuDevice (kernel-reported stats) and the paper-scale analytic
+/// model (scheme_stats) so both paths profile identically. The traced placement
 /// (sim_begin/sim_seconds) is left for Profiler::record / annotate_last.
 obs::KernelProfile kernel_profile_from(const DeviceSpec& spec, const KernelStats& stats,
                                        const GpuTiming& timing, const Partition& partition);

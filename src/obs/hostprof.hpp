@@ -96,7 +96,7 @@ struct HostWorkerSample {
   std::uint64_t empty_polls = 0;
   HostBitopsCalls calls;
   double claim_seconds = 0.0;      ///< time between finishing a chunk and owning the next
-  double eval_seconds = 0.0;       ///< time inside evaluate_chunk
+  double eval_seconds = 0.0;       ///< time inside chunk evaluation
   double tail_idle_seconds = 0.0;  ///< queue-drained to last-worker-join gap
   std::array<std::uint64_t, kClaimBuckets> claim_histogram{};
   std::uint64_t arena_peak_words = 0;

@@ -11,7 +11,7 @@
 // The fix is a one-line generalization: run the same O(G) equi-area walk
 // over a reweighted workload model whose per-thread weight is the modeled
 // traffic, cost = per_combination · work + per_thread. Weights follow the
-// kernels' counted global-word formulas (gpusim/analytic.cpp).
+// kernels' global-word formulas (scheme_stats in core/schemes.hpp).
 
 #include <cstdint>
 #include <vector>

@@ -20,91 +20,18 @@ void WorkloadModel::finalize() {
   total_work_ = cumulative_work_.back();
 }
 
-WorkloadModel WorkloadModel::for_scheme4(Scheme4 scheme, std::uint32_t genes) {
+WorkloadModel WorkloadModel::for_scheme(Scheme scheme, std::uint32_t genes) {
   WorkloadModel model;
   model.genes_ = genes;
-  switch (scheme) {
-    case Scheme4::k1x3:
-      // One level per thread: work C(G-1-i, 3) is distinct for each i.
-      for (std::uint32_t i = 0; i < genes; ++i) {
-        model.levels_.push_back({i, 1, tetrahedral(genes - 1 - i)});
-      }
-      break;
-    case Scheme4::k2x2:
-      // All j threads whose larger gene is j share work C(G-1-j, 2).
-      for (std::uint32_t j = 1; j < genes; ++j) {
-        model.levels_.push_back({triangular(j), j, triangular(genes - 1 - j)});
-      }
-      break;
-    case Scheme4::k3x1:
-      // All C(k,2) threads whose largest gene is k share work G-1-k.
-      for (std::uint32_t k = 2; k < genes; ++k) {
-        model.levels_.push_back({tetrahedral(k), triangular(k), genes - 1 - k});
-      }
-      break;
-    case Scheme4::k4x1:
-      model.levels_.push_back({0, quartic(genes), 1});
-      break;
-  }
-  model.finalize();
-  return model;
-}
-
-WorkloadModel WorkloadModel::for_scheme3(Scheme3 scheme, std::uint32_t genes) {
-  WorkloadModel model;
-  model.genes_ = genes;
-  switch (scheme) {
-    case Scheme3::k1x2:
-      for (std::uint32_t i = 0; i < genes; ++i) {
-        model.levels_.push_back({i, 1, triangular(genes - 1 - i)});
-      }
-      break;
-    case Scheme3::k2x1:
-      for (std::uint32_t j = 1; j < genes; ++j) {
-        model.levels_.push_back({triangular(j), j, genes - 1 - j});
-      }
-      break;
-    case Scheme3::k3x1:
-      model.levels_.push_back({0, tetrahedral(genes), 1});
-      break;
-  }
-  model.finalize();
-  return model;
-}
-
-WorkloadModel WorkloadModel::for_scheme2(Scheme2 scheme, std::uint32_t genes) {
-  WorkloadModel model;
-  model.genes_ = genes;
-  switch (scheme) {
-    case Scheme2::k1x1:
-      for (std::uint32_t i = 0; i < genes; ++i) {
-        model.levels_.push_back({i, 1, genes - 1 - i});
-      }
-      break;
-    case Scheme2::k2x1:
-      model.levels_.push_back({0, triangular(genes), 1});
-      break;
-  }
-  model.finalize();
-  return model;
-}
-
-WorkloadModel WorkloadModel::for_scheme5(Scheme5 scheme, std::uint32_t genes) {
-  WorkloadModel model;
-  model.genes_ = genes;
-  switch (scheme) {
-    case Scheme5::k3x2:
-      // All C(k,2) threads whose largest gene is k share work C(G-1-k, 2).
-      for (std::uint32_t k = 2; k < genes; ++k) {
-        model.levels_.push_back({tetrahedral(k), triangular(k), triangular(genes - 1 - k)});
-      }
-      break;
-    case Scheme5::k4x1:
-      // All C(l,3) threads whose largest gene is l share work G-1-l.
-      for (std::uint32_t l = 3; l < genes; ++l) {
-        model.levels_.push_back({quartic(l), tetrahedral(l), genes - 1 - l});
-      }
-      break;
+  const u64 threads = scheme_threads(scheme, genes);  // validates the scheme
+  const std::uint32_t f = scheme.flat;
+  if (f == scheme.hits) {
+    model.levels_.push_back({0, threads, 1});
+  } else {
+    for (std::uint32_t t = f - 1; t < genes; ++t) {
+      model.levels_.push_back(
+          {binomial(t, f), binomial(t, f - 1), binomial(genes - 1 - t, scheme.hits - f)});
+    }
   }
   model.finalize();
   return model;

@@ -2,8 +2,9 @@
 // Analytic per-thread workload models.
 //
 // Every scheme's thread space decomposes into contiguous *levels* of equal
-// per-thread work (paper §III-C): e.g. for the 3x1 scheme all C(k,2) threads
-// whose largest gene is k run an inner loop of exactly G-1-k iterations.
+// per-thread work (paper §III-C): e.g. for the 4-hit 3x1 scheme all C(k,2)
+// threads whose largest gene is k run an inner loop of exactly G-1-k
+// iterations.
 // The O(G) equi-area scheduler exploits exactly this structure, as does the
 // exact prefix-work arithmetic used to audit any partition.
 
@@ -26,11 +27,11 @@ struct WorkLevel {
 /// Level-structured description of one scheme's thread space.
 class WorkloadModel {
  public:
-  static WorkloadModel for_scheme4(Scheme4 scheme, std::uint32_t genes);
-  static WorkloadModel for_scheme3(Scheme3 scheme, std::uint32_t genes);
-  static WorkloadModel for_scheme2(Scheme2 scheme, std::uint32_t genes);
-  /// Requires C(genes,5) to fit u64 (genes <= 18580).
-  static WorkloadModel for_scheme5(Scheme5 scheme, std::uint32_t genes);
+  /// Levels of `scheme` over `genes`: one level per top flat gene t (the
+  /// C(t, flat-1) threads [C(t, flat), C(t+1, flat)) each own
+  /// C(G-1-t, hits-flat) combinations), or a single level when flat == hits.
+  /// Throws std::invalid_argument like scheme_threads().
+  static WorkloadModel for_scheme(Scheme scheme, std::uint32_t genes);
 
   std::uint32_t genes() const noexcept { return genes_; }
   u64 total_threads() const noexcept { return total_threads_; }

@@ -34,20 +34,10 @@ std::uint32_t ceil_log2(std::uint32_t n) noexcept {
   return levels;
 }
 
-/// Same hit-count -> scheme mapping as make_kernel_evaluator (the paper's
-/// full-flattening winners), so the time model prices the kernels that
-/// actually run.
+/// The scheme make_kernel_evaluator runs, so the time model prices the
+/// kernel that actually executes.
 WorkloadModel model_for_hits(std::uint32_t hits, std::uint32_t genes) {
-  switch (hits) {
-    case 2:
-      return WorkloadModel::for_scheme2(Scheme2::k1x1, genes);
-    case 3:
-      return WorkloadModel::for_scheme3(Scheme3::k2x1, genes);
-    case 5:
-      return WorkloadModel::for_scheme5(Scheme5::k4x1, genes);
-    default:
-      return WorkloadModel::for_scheme4(Scheme4::k3x1, genes);
-  }
+  return WorkloadModel::for_scheme(Scheme{hits, hits - 1}, genes);
 }
 
 /// One admitted, unfinished job: its Engine session plus the workload model
@@ -245,8 +235,9 @@ ServeResult JobService::replay(const RequestTrace& trace) {
     job.client = req.client;
     job.tenant = req.tenant;
     job.cancer = req.cancer;
-    // Hit count defaults to the registry estimate, clamped to the range the
-    // enumeration kernels cover.
+    // Hit count defaults to the registry estimate, clamped to [2, 5]: the
+    // serve datasets are sized so that C(G, 5) is the most one iteration of
+    // a served job may enumerate.
     job.hits = std::clamp(req.hits != 0 ? req.hits : CancerCache::serve_spec(*type).hits,
                           2u, 5u);
     job.priority = req.priority;

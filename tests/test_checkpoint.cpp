@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/session.hpp"
 #include "data/generator.hpp"
 #include "util/rng.hpp"
 
@@ -33,18 +34,20 @@ TEST(Checkpoint, PausedPlusResumedEqualsStraightRun) {
 
   const GreedyResult straight = run_greedy(data.tumor, data.normal, config, evaluator);
 
-  CheckpointState state =
-      run_greedy_checkpointed(data.tumor, data.normal, config, evaluator, 2);
+  Engine first(data.tumor, data.normal, config, evaluator);
+  EXPECT_EQ(first.step(2), 2u);
+  CheckpointState state = first.checkpoint();
   EXPECT_EQ(state.progress.iterations.size(), 2u);
   EXPECT_GT(state.progress.uncovered_tumor, 0u);
-  resume_greedy(state, data.normal, evaluator);
+  Engine resumed(std::move(state), data.normal, EngineConfig{}, evaluator);
+  const GreedyResult& finished = resumed.run();
 
-  ASSERT_EQ(state.progress.iterations.size(), straight.iterations.size());
+  ASSERT_EQ(finished.iterations.size(), straight.iterations.size());
   for (std::size_t i = 0; i < straight.iterations.size(); ++i) {
-    EXPECT_EQ(state.progress.iterations[i].genes, straight.iterations[i].genes) << i;
-    EXPECT_EQ(state.progress.iterations[i].tp, straight.iterations[i].tp) << i;
+    EXPECT_EQ(finished.iterations[i].genes, straight.iterations[i].genes) << i;
+    EXPECT_EQ(finished.iterations[i].tp, straight.iterations[i].tp) << i;
   }
-  EXPECT_EQ(state.progress.uncovered_tumor, straight.uncovered_tumor);
+  EXPECT_EQ(finished.uncovered_tumor, straight.uncovered_tumor);
 }
 
 TEST(Checkpoint, MultipleAllocationsOfOneIteration) {
@@ -54,12 +57,15 @@ TEST(Checkpoint, MultipleAllocationsOfOneIteration) {
   const Evaluator evaluator = make_kernel_evaluator(3);
   const GreedyResult straight = run_greedy(data.tumor, data.normal, config, evaluator);
 
-  CheckpointState state =
-      run_greedy_checkpointed(data.tumor, data.normal, config, evaluator, 1);
+  Engine first(data.tumor, data.normal, config, evaluator);
+  first.step(1);
+  CheckpointState state = first.checkpoint();
   for (std::size_t round = 0; round < 50 && state.progress.uncovered_tumor > 0; ++round) {
-    const std::size_t before = state.progress.iterations.size();
-    resume_greedy(state, data.normal, evaluator, 1);
-    if (state.progress.iterations.size() == before) break;  // no further coverage
+    // Each allocation reopens the session from the previous one's snapshot.
+    Engine allocation(std::move(state), data.normal, EngineConfig{}, evaluator);
+    const std::uint32_t committed = allocation.step(1);
+    state = allocation.checkpoint();
+    if (committed == 0) break;  // no further coverage
   }
   ASSERT_EQ(state.progress.iterations.size(), straight.iterations.size());
   for (std::size_t i = 0; i < straight.iterations.size(); ++i) {
@@ -71,8 +77,9 @@ TEST(Checkpoint, SerializationRoundTrip) {
   const Dataset data = checkpoint_dataset();
   EngineConfig config;
   config.hits = 3;
-  const CheckpointState original =
-      run_greedy_checkpointed(data.tumor, data.normal, config, make_kernel_evaluator(3), 2);
+  Engine session(data.tumor, data.normal, config, make_kernel_evaluator(3));
+  session.step(2);
+  const CheckpointState original = session.checkpoint();
 
   std::stringstream buffer;
   write_checkpoint(buffer, original);
@@ -97,17 +104,18 @@ TEST(Checkpoint, ResumeAfterSerializationMatchesStraightRun) {
   const Evaluator evaluator = make_kernel_evaluator(3);
   const GreedyResult straight = run_greedy(data.tumor, data.normal, config, evaluator);
 
-  const CheckpointState saved =
-      run_greedy_checkpointed(data.tumor, data.normal, config, evaluator, 3);
+  Engine session(data.tumor, data.normal, config, evaluator);
+  session.step(3);
   std::stringstream buffer;
-  write_checkpoint(buffer, saved);
-  CheckpointState restored = read_checkpoint(buffer);
-  resume_greedy(restored, data.normal, evaluator);
+  write_checkpoint(buffer, session.checkpoint());
+  Engine restored(read_checkpoint(buffer), data.normal, EngineConfig{}, evaluator);
+  const GreedyResult& finished = restored.run();
 
-  ASSERT_EQ(restored.progress.iterations.size(), straight.iterations.size());
+  ASSERT_EQ(finished.iterations.size(), straight.iterations.size());
   for (std::size_t i = 0; i < straight.iterations.size(); ++i) {
-    EXPECT_EQ(restored.progress.iterations[i].genes, straight.iterations[i].genes);
+    EXPECT_EQ(finished.iterations[i].genes, straight.iterations[i].genes);
   }
+  EXPECT_EQ(finished.uncovered_tumor, straight.uncovered_tumor);
 }
 
 TEST(Checkpoint, RejectsMalformedInput) {
@@ -241,8 +249,9 @@ TEST(Checkpoint, FileRoundTrip) {
   const Dataset data = checkpoint_dataset();
   EngineConfig config;
   config.hits = 3;
-  const CheckpointState state =
-      run_greedy_checkpointed(data.tumor, data.normal, config, make_kernel_evaluator(3), 1);
+  Engine session(data.tumor, data.normal, config, make_kernel_evaluator(3));
+  session.step(1);
+  const CheckpointState state = session.checkpoint();
   const std::string path = testing::TempDir() + "/multihit_checkpoint_test.txt";
   save_checkpoint(path, state);
   const CheckpointState loaded = load_checkpoint(path);

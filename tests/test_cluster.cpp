@@ -127,7 +127,9 @@ TEST(Cluster, RejectsUnsupportedHitCount) {
   const ClusterRunner runner(tiny_cluster(2));
   options.hits = 1;
   EXPECT_THROW(runner.run(data, options), std::invalid_argument);
-  options.hits = 6;
+  // Every loop folded into λ with none left innermost is not a scheme.
+  options.hits = 4;
+  options.inner = 4;
   EXPECT_THROW(runner.run(data, options), std::invalid_argument);
 }
 
@@ -188,7 +190,7 @@ TEST(ClusterModel, EquiAreaBeatsEquiDistanceThreefold) {
   // §IV-B: ED 13943 s vs EA 4607 s for the 2x2 scheme on 100 nodes (~3x).
   SummitConfig base;
   ModelInputs inputs;
-  inputs.scheme4 = Scheme4::k2x2;
+  inputs.inner = 2;
   const double ea = model_cluster_run(base, inputs).total_time;
   ModelInputs ed_inputs = inputs;
   ed_inputs.scheduler = SchedulerKind::kEquiDistance;
@@ -203,14 +205,14 @@ TEST(ClusterModel, TwoByTwoSchemeCollapsesAtScale) {
   esca.genes = 18364;
   esca.tumor_samples = 184;
   esca.normal_samples = 150;
-  esca.scheme4 = Scheme4::k2x2;
+  esca.inner = 2;
   const std::vector<std::uint32_t> nodes{100, 500};
   const auto two_by_two = strong_scaling(base, esca, nodes);
   EXPECT_NEAR(two_by_two[1].efficiency, 0.36, 0.09);
   // 3x1 on the same dataset holds far higher efficiency (ESCA is small, so
   // fixed overheads still cost a little at 500 nodes).
   ModelInputs three_by_one = esca;
-  three_by_one.scheme4 = Scheme4::k3x1;
+  three_by_one.inner = 1;
   const auto tree = strong_scaling(base, three_by_one, nodes);
   EXPECT_GT(tree[1].efficiency, two_by_two[1].efficiency + 0.3);
   EXPECT_GT(tree[1].efficiency, 0.7);
@@ -261,7 +263,7 @@ TEST(ClusterModel, UtilizationImbalancedFor2x2) {
   SummitConfig base;
   base.gpu_jitter = 0.0;
   ModelInputs inputs;
-  inputs.scheme4 = Scheme4::k2x2;
+  inputs.inner = 2;
   inputs.genes = 2000;  // ACC-like shrunken for test speed
   inputs.tumor_samples = 60;
   inputs.normal_samples = 55;

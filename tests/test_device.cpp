@@ -54,9 +54,9 @@ TEST(ParallelReduceMax, EmptyAndInvalid) {
 TEST(GpuDevice, FullPartitionMatchesSerial) {
   const auto f = make_fixture(24, 88);
   const GpuDevice device;
-  const Partition whole{0, scheme4_threads(Scheme4::k3x1, 24)};
-  const auto run = device.run_4hit(f.data.tumor, f.data.normal, f.ctx, Scheme4::k3x1, whole,
-                                   MemOpts{.prefetch_i = true, .prefetch_j = true});
+  const Partition whole{0, scheme_threads(Scheme{4, 3}, 24)};
+  const auto run = device.run(f.data.tumor, f.data.normal, f.ctx, Scheme{4, 3}, whole,
+                              MemOpts{.prefetch_i = true, .prefetch_j = true});
   const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, 4);
   ASSERT_TRUE(run.best.valid);
   EXPECT_EQ(run.best.combo_rank, serial.combo_rank);
@@ -66,9 +66,9 @@ TEST(GpuDevice, FullPartitionMatchesSerial) {
 TEST(GpuDevice, BlockCountMatchesBlockSize) {
   const auto f = make_fixture(24, 89);
   const GpuDevice device;
-  const u64 total = scheme4_threads(Scheme4::k3x1, 24);  // C(24,3) = 2024
+  const u64 total = scheme_threads(Scheme{4, 3}, 24);  // C(24,3) = 2024
   const auto run =
-      device.run_4hit(f.data.tumor, f.data.normal, f.ctx, Scheme4::k3x1, {0, total});
+      device.run(f.data.tumor, f.data.normal, f.ctx, Scheme{4, 3}, {0, total});
   EXPECT_EQ(run.blocks, (total + 511) / 512);
   // §III-E: candidate list is one 20-byte struct per block, a 512-fold
   // reduction versus one per thread.
@@ -80,13 +80,13 @@ TEST(GpuDevice, SplitAcrossDevicesMatchesSingleDevice) {
   // Six devices, each a sixth of the space: merged winner identical.
   const auto f = make_fixture(22, 90);
   const GpuDevice device;
-  const u64 total = scheme4_threads(Scheme4::k3x1, 22);
-  const auto whole = device.run_4hit(f.data.tumor, f.data.normal, f.ctx, Scheme4::k3x1,
-                                     {0, total});
+  const u64 total = scheme_threads(Scheme{4, 3}, 22);
+  const auto whole = device.run(f.data.tumor, f.data.normal, f.ctx, Scheme{4, 3},
+                                {0, total});
   EvalResult merged;
   for (u64 d = 0; d < 6; ++d) {
-    const auto part = device.run_4hit(f.data.tumor, f.data.normal, f.ctx, Scheme4::k3x1,
-                                      {total * d / 6, total * (d + 1) / 6});
+    const auto part = device.run(f.data.tumor, f.data.normal, f.ctx, Scheme{4, 3},
+                                 {total * d / 6, total * (d + 1) / 6});
     merged = merge_results(merged, part.best);
   }
   EXPECT_EQ(merged.combo_rank, whole.best.combo_rank);
@@ -95,8 +95,8 @@ TEST(GpuDevice, SplitAcrossDevicesMatchesSingleDevice) {
 TEST(GpuDevice, ThreeHitPipelineMatchesSerial) {
   const auto f = make_fixture(30, 91);
   const GpuDevice device;
-  const auto run = device.run_3hit(f.data.tumor, f.data.normal, f.ctx, Scheme3::k2x1,
-                                   {0, scheme3_threads(Scheme3::k2x1, 30)});
+  const auto run = device.run(f.data.tumor, f.data.normal, f.ctx, Scheme{3, 2},
+                              {0, scheme_threads(Scheme{3, 2}, 30)});
   const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, 3);
   EXPECT_EQ(run.best.combo_rank, serial.combo_rank);
 }
@@ -104,7 +104,7 @@ TEST(GpuDevice, ThreeHitPipelineMatchesSerial) {
 TEST(GpuDevice, EmptyPartition) {
   const auto f = make_fixture(20, 92);
   const GpuDevice device;
-  const auto run = device.run_4hit(f.data.tumor, f.data.normal, f.ctx, Scheme4::k3x1, {5, 5});
+  const auto run = device.run(f.data.tumor, f.data.normal, f.ctx, Scheme{4, 3}, {5, 5});
   EXPECT_FALSE(run.best.valid);
   EXPECT_EQ(run.blocks, 0u);
   EXPECT_EQ(run.stats.combinations, 0u);
@@ -113,8 +113,8 @@ TEST(GpuDevice, EmptyPartition) {
 TEST(GpuDevice, TimingIsPopulated) {
   const auto f = make_fixture(20, 93);
   const GpuDevice device;
-  const auto run = device.run_4hit(f.data.tumor, f.data.normal, f.ctx, Scheme4::k3x1,
-                                   {0, scheme4_threads(Scheme4::k3x1, 20)});
+  const auto run = device.run(f.data.tumor, f.data.normal, f.ctx, Scheme{4, 3},
+                              {0, scheme_threads(Scheme{4, 3}, 20)});
   EXPECT_GT(run.timing.time, 0.0);
   EXPECT_GT(run.stats.word_ops, 0u);
   EXPECT_GT(run.timing.dram_throughput, 0.0);
@@ -125,11 +125,11 @@ TEST(GpuDevice, PrefetchReducesModeledTime) {
   // the same partition drops.
   const auto f = make_fixture(26, 94);
   const GpuDevice device;
-  const Partition whole{0, scheme4_threads(Scheme4::k3x1, 26)};
+  const Partition whole{0, scheme_threads(Scheme{4, 3}, 26)};
   const auto plain =
-      device.run_4hit(f.data.tumor, f.data.normal, f.ctx, Scheme4::k3x1, whole, MemOpts{});
-  const auto opt = device.run_4hit(f.data.tumor, f.data.normal, f.ctx, Scheme4::k3x1, whole,
-                                   MemOpts{.prefetch_i = true, .prefetch_j = true});
+      device.run(f.data.tumor, f.data.normal, f.ctx, Scheme{4, 3}, whole, MemOpts{});
+  const auto opt = device.run(f.data.tumor, f.data.normal, f.ctx, Scheme{4, 3}, whole,
+                              MemOpts{.prefetch_i = true, .prefetch_j = true});
   EXPECT_LT(opt.stats.global_words, plain.stats.global_words);
   EXPECT_LT(opt.timing.time, plain.timing.time);
   EXPECT_EQ(opt.best.combo_rank, plain.best.combo_rank);

@@ -27,8 +27,8 @@ DivergenceStats brute_divergence(const WorkloadModel& model, const Partition& ra
 }
 
 TEST(Divergence, MatchesBruteForceAcrossSchemes) {
-  for (const Scheme4 scheme : {Scheme4::k2x2, Scheme4::k3x1, Scheme4::k4x1}) {
-    const auto model = WorkloadModel::for_scheme4(scheme, 40);
+  for (const Scheme scheme : {Scheme{4, 2}, Scheme{4, 3}, Scheme{4, 4}}) {
+    const auto model = WorkloadModel::for_scheme(scheme, 40);
     for (const std::uint32_t warp : {1u, 8u, 32u}) {
       const Partition whole{0, model.total_threads()};
       const auto fast = warp_divergence(model, whole, warp);
@@ -41,7 +41,7 @@ TEST(Divergence, MatchesBruteForceAcrossSchemes) {
 }
 
 TEST(Divergence, MatchesBruteForceOnSubranges) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 35);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 35);
   const u64 total = model.total_threads();
   for (const auto& [a, b] : {std::pair<u64, u64>{3, 777}, {100, total}, {total / 2, total / 2 + 65}}) {
     const Partition range{a, b};
@@ -53,14 +53,14 @@ TEST(Divergence, MatchesBruteForceOnSubranges) {
 }
 
 TEST(Divergence, WarpSizeOneIsPerfect) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k2x2, 30);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 2}, 30);
   const auto stats = warp_divergence(model, {0, model.total_threads()}, 1);
   EXPECT_TRUE(stats.useful_work == stats.issued_work);
   EXPECT_DOUBLE_EQ(stats.efficiency, 1.0);
 }
 
 TEST(Divergence, EmptyRange) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 20);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 20);
   const auto stats = warp_divergence(model, {5, 5}, 32);
   EXPECT_TRUE(stats.issued_work == 0);
   EXPECT_DOUBLE_EQ(stats.efficiency, 1.0);
@@ -75,14 +75,14 @@ TEST(Divergence, LinearizedBeatsNaiveMapping) {
   EXPECT_LT(naive.thread_utilization, 0.51);   // "half the threads are idle"
   EXPECT_LT(naive.efficiency, 0.9);            // work-time divergence on top
 
-  const auto model = WorkloadModel::for_scheme3(Scheme3::k2x1, G);
+  const auto model = WorkloadModel::for_scheme(Scheme{3, 2}, G);
   const auto linear = warp_divergence(model, {0, model.total_threads()}, 32);
   EXPECT_GT(linear.thread_utilization, 0.99);
   EXPECT_GT(linear.efficiency, 0.99);
 }
 
 TEST(Divergence, ThreadAccountingConsistency) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 30);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 30);
   const Partition whole{0, model.total_threads()};
   const auto stats = warp_divergence(model, whole, 32);
   EXPECT_EQ(stats.launched_threads, model.total_threads());
@@ -93,7 +93,7 @@ TEST(Divergence, ThreadAccountingConsistency) {
 TEST(Divergence, TetrahedralMappingNearPerfectAtScale) {
   // 3x1 levels hold C(k,2) threads each — enormous relative to a warp — so
   // straddling warps are a vanishing fraction.
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 2000);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 2000);
   const auto stats = warp_divergence(model, {0, model.total_threads()}, 32);
   EXPECT_GT(stats.efficiency, 0.999);
 }

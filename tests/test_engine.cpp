@@ -110,8 +110,8 @@ TEST(Engine, ParallelEvaluatorMatchesSerialAcrossIterations) {
   config.hits = 4;
   const Evaluator kernel_eval = [](const BitMatrix& tumor, const BitMatrix& normal,
                                    const FContext& ctx) {
-    return evaluate_range_4hit(tumor, normal, ctx, Scheme4::k3x1, 0,
-                               scheme4_threads(Scheme4::k3x1, tumor.genes()));
+    return evaluate_range(tumor, normal, ctx, Scheme{4, 3}, 0,
+                          scheme_threads(Scheme{4, 3}, tumor.genes()));
   };
   const GreedyResult serial =
       run_greedy(data.tumor, data.normal, config, make_serial_evaluator(4));

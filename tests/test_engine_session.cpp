@@ -149,28 +149,6 @@ TEST(EngineSession, CheckpointResumeRoundTripIsExact) {
   }
 }
 
-TEST(EngineSession, CheckpointInteroperatesWithLegacyResume) {
-  // A session checkpoint must be consumable by the pre-session resume path
-  // (and vice versa: run_greedy_checkpointed state opens as a session).
-  const Dataset data = make_data(904);
-  EngineConfig config;
-  config.hits = 4;
-  const Evaluator evaluator = make_kernel_evaluator(4);
-  const GreedyResult batch = run_greedy(data.tumor, data.normal, config, evaluator);
-
-  Engine session(data.tumor, data.normal, config, evaluator);
-  (void)session.step(1);
-  CheckpointState state = session.checkpoint();
-  resume_greedy(state, data.normal, evaluator);
-  expect_same_result(state.progress, batch, "session checkpoint -> legacy resume");
-
-  CheckpointState legacy =
-      run_greedy_checkpointed(data.tumor, data.normal, config, evaluator, 1);
-  Engine reopened(std::move(legacy), data.normal, config, evaluator);
-  reopened.run();
-  expect_same_result(reopened.result(), batch, "legacy checkpoint -> session resume");
-}
-
 TEST(EngineSession, MaxIterationsPausesWithoutMarkingDone) {
   const Dataset data = make_data(905);
   EngineConfig config;

@@ -16,6 +16,7 @@
 #include "cluster/distributed.hpp"
 #include "core/checkpoint.hpp"
 #include "core/engine.hpp"
+#include "core/session.hpp"
 #include "data/generator.hpp"
 #include "mpisim/comm.hpp"
 
@@ -210,7 +211,7 @@ TEST(SimCommFaults, DroppedMessagesCostRetransmitTimeouts) {
 
 struct DifferentialCase {
   std::uint32_t nodes;
-  Scheme4 scheme;
+  Scheme scheme;
 };
 
 class FaultDifferential : public ::testing::TestWithParam<DifferentialCase> {};
@@ -221,7 +222,7 @@ TEST_P(FaultDifferential, CrashRecoveryIsBitIdenticalToSerial) {
   const GreedyResult serial = serial_reference(data, 4);
 
   DistributedOptions options;
-  options.scheme4 = scheme;
+  options.inner = scheme.hits - scheme.flat;
   const ClusterRunner runner(tiny_cluster(nodes));
   const ClusterRunResult clean = runner.run(data, options);
 
@@ -248,9 +249,9 @@ TEST_P(FaultDifferential, CrashRecoveryIsBitIdenticalToSerial) {
 
 INSTANTIATE_TEST_SUITE_P(
     NodesAndSchemes, FaultDifferential,
-    ::testing::Values(DifferentialCase{4, Scheme4::k3x1}, DifferentialCase{16, Scheme4::k3x1},
-                      DifferentialCase{64, Scheme4::k3x1}, DifferentialCase{4, Scheme4::k2x2},
-                      DifferentialCase{16, Scheme4::k2x2}, DifferentialCase{64, Scheme4::k2x2}),
+    ::testing::Values(DifferentialCase{4, Scheme{4, 3}}, DifferentialCase{16, Scheme{4, 3}},
+                      DifferentialCase{64, Scheme{4, 3}}, DifferentialCase{4, Scheme{4, 2}},
+                      DifferentialCase{16, Scheme{4, 2}}, DifferentialCase{64, Scheme{4, 2}}),
     [](const auto& info) {
       return std::string(scheme_name(info.param.scheme)) + "x" +
              std::to_string(info.param.nodes);
@@ -369,9 +370,9 @@ TEST(FaultCheckpoint, PeriodicSnapshotsAreTakenAndResumable) {
   // state under the serial evaluator.
   std::stringstream stream;
   write_checkpoint(stream, *result.last_checkpoint);
-  CheckpointState resumed = read_checkpoint(stream);
-  resume_greedy(resumed, data.normal, make_serial_evaluator(4));
-  expect_same_selections(resumed.progress, serial, "resumed from last snapshot");
+  Engine resumed(read_checkpoint(stream), data.normal, EngineConfig{},
+                 make_serial_evaluator(4));
+  expect_same_selections(resumed.run(), serial, "resumed from last snapshot");
 }
 
 TEST(FaultCheckpoint, MidRunSnapshotResumesToSerialTail) {
@@ -384,10 +385,9 @@ TEST(FaultCheckpoint, MidRunSnapshotResumesToSerialTail) {
   const ClusterRunner runner(tiny_cluster(4));
   const ClusterRunResult result = runner.run(data, options);
   ASSERT_TRUE(result.last_checkpoint.has_value());
-  CheckpointState state = *result.last_checkpoint;
-  ASSERT_EQ(state.progress.iterations.size(), 1u);
-  resume_greedy(state, data.normal, make_serial_evaluator(4));
-  expect_same_selections(state.progress, serial, "1-iteration snapshot + serial tail");
+  ASSERT_EQ(result.last_checkpoint->progress.iterations.size(), 1u);
+  Engine tail(*result.last_checkpoint, data.normal, EngineConfig{}, make_serial_evaluator(4));
+  expect_same_selections(tail.run(), serial, "1-iteration snapshot + serial tail");
 }
 
 TEST(FaultCheckpoint, JobAbortChargesLostTimeAndStaysIdentical) {

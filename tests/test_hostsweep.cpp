@@ -182,7 +182,7 @@ TEST(HostSweep, TelemetryCountsTheWholeSpace) {
   HostSweepTelemetry telemetry;
   (void)host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options, &telemetry);
   // Every λ chunk must be evaluated exactly once regardless of scheduling.
-  const std::uint64_t lambdas = scheme4_threads(Scheme4::k3x1, f.data.genes());
+  const std::uint64_t lambdas = scheme_threads(Scheme{4, 3}, f.data.genes());
   EXPECT_EQ(telemetry.chunks, (lambdas + options.chunk - 1) / options.chunk);
   // 3x1 visits each 4-combination exactly once.
   EXPECT_EQ(telemetry.stats.combinations, binomial(f.data.genes(), 4));
@@ -190,17 +190,22 @@ TEST(HostSweep, TelemetryCountsTheWholeSpace) {
 
 TEST(HostSweep, RejectsInvalidConfigurations) {
   const Fixture f = make_fixture(3, 5);
+  // Any h >= 2 whose ranks fit u64 is a valid sweep now; one hit (no loop
+  // to keep innermost) and hit counts past the kernel's fold stack are not.
   HostSweepOptions options;
-  options.hits = 7;
-  EXPECT_THROW((void)host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options),
-               std::invalid_argument);
+  for (const std::uint32_t hits : {1u, kMaxSchemeHits + 1}) {
+    options.hits = hits;
+    EXPECT_THROW((void)host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options),
+                 std::invalid_argument)
+        << "hits=" << hits;
+  }
 }
 
 TEST(HostSweep, FiveHitRoutesToTheFiveHitKernel) {
-  // evaluate_chunk's dispatch once reached 5-hit through a bare `default:`;
-  // now case 5 is explicit and the default throws. Pin the 5-hit route
-  // against the serial reference so a future mis-route can't score the
-  // wrong combination space silently.
+  // A per-hit dispatch once routed 5-hit through a bare `default:`. The
+  // sweep now derives Scheme{5, 4} from the hit count; pin that route
+  // against the serial reference so the wrong combination space can never
+  // be scored silently.
   SyntheticSpec spec;
   spec.genes = 22;
   spec.tumor_samples = 60;
@@ -302,7 +307,7 @@ TEST(HostSweep, EvaluatorSinkAccumulatesWholeGreedyRunWithSerialParity) {
   EXPECT_EQ(swept.combinations(), serial.combinations());
 
   const std::uint64_t iterations = swept.iterations.size();
-  const std::uint64_t lambdas = scheme4_threads(Scheme4::k3x1, data.genes());
+  const std::uint64_t lambdas = scheme_threads(Scheme{4, 3}, data.genes());
   const std::uint64_t chunks_per_sweep = (lambdas + options.chunk - 1) / options.chunk;
   EXPECT_EQ(total.stats.combinations, iterations * binomial(data.genes(), 4));
   EXPECT_EQ(total.chunks, iterations * chunks_per_sweep);

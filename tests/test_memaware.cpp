@@ -28,7 +28,7 @@ TEST(MemAware, WeightsFollowKernelFormulas) {
 }
 
 TEST(MemAware, ReweightedModelTotals) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 30);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 30);
   const auto costed = model.reweighted(1, 3);
   EXPECT_EQ(costed.total_threads(), model.total_threads());
   // cost total = combos + 3 * (threads with positive work).
@@ -41,13 +41,13 @@ TEST(MemAware, ReweightedModelTotals) {
 }
 
 TEST(MemAware, ZeroWorkThreadsStayFree) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 20);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 20);
   const auto costed = model.reweighted(1, 5);
   EXPECT_EQ(costed.work_at(costed.total_threads() - 1), 0u);  // k = G-1 level
 }
 
 TEST(MemAware, ScheduleCoversExactly) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 60);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 60);
   const auto schedule = memaware_schedule(model, 30, {1, 3});
   ASSERT_EQ(schedule.size(), 30u);
   EXPECT_EQ(schedule.front().begin, 0u);
@@ -60,7 +60,7 @@ TEST(MemAware, ScheduleCoversExactly) {
 TEST(MemAware, BalancesTrafficBetterThanPlainEquiArea) {
   // The tail partitions of plain EA hold many short threads whose setup
   // traffic EA ignores; the memory-aware weights must equalize modeled cost.
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 300);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 300);
   const MemoryCostWeights weights{1, 3};
   const auto costed = model.reweighted(weights.per_combination, weights.per_thread);
   const std::uint32_t units = 48;

@@ -309,7 +309,7 @@ TEST(ProfileFigures, Fig6ReproducesFromSavedProfile) {
   inputs.genes = acc->paper_genes;
   inputs.tumor_samples = acc->paper_tumor_samples;
   inputs.normal_samples = acc->paper_normal_samples;
-  inputs.scheme4 = Scheme4::k2x2;
+  inputs.inner = 2;
   inputs.first_iteration_only = true;
 
   ModeledRun run;

@@ -20,7 +20,7 @@ void expect_contiguous_cover(const std::vector<Partition>& schedule, u64 total_t
 }
 
 TEST(Schedule, EquidistanceCoversExactly) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 60);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 60);
   for (std::uint32_t units : {1u, 5u, 7u, 30u, 64u}) {
     const auto schedule = equidistance_schedule(model, units);
     ASSERT_EQ(schedule.size(), units);
@@ -36,7 +36,7 @@ TEST(Schedule, EquidistanceCoversExactly) {
 }
 
 TEST(Schedule, EquiareaCoversExactly) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 60);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 60);
   for (std::uint32_t units : {1u, 5u, 7u, 30u, 64u}) {
     const auto schedule = equiarea_schedule(model, units);
     ASSERT_EQ(schedule.size(), units);
@@ -45,19 +45,19 @@ TEST(Schedule, EquiareaCoversExactly) {
 }
 
 TEST(Schedule, EquiareaWorkConservation) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 50);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 50);
   const auto schedule = equiarea_schedule(model, 30);
   u128 total = 0;
   for (const auto& p : schedule) total += partition_work(model, p);
   EXPECT_TRUE(total == model.total_work());
 }
 
-class ScheduleAgreement : public ::testing::TestWithParam<Scheme4> {};
+class ScheduleAgreement : public ::testing::TestWithParam<Scheme> {};
 
 TEST_P(ScheduleAgreement, FastEquiareaMatchesNaive) {
   // The paper's O(G) level-based scheduler must produce exactly the
   // boundaries of the thread-by-thread accumulation it replaced.
-  const auto model = WorkloadModel::for_scheme4(GetParam(), 40);
+  const auto model = WorkloadModel::for_scheme(GetParam(), 40);
   for (std::uint32_t units : {2u, 6u, 13u, 30u}) {
     const auto fast = equiarea_schedule(model, units);
     const auto naive = equiarea_schedule_naive(model, units);
@@ -66,14 +66,14 @@ TEST_P(ScheduleAgreement, FastEquiareaMatchesNaive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ScheduleAgreement,
-                         ::testing::Values(Scheme4::k1x3, Scheme4::k2x2, Scheme4::k3x1,
-                                           Scheme4::k4x1),
+                         ::testing::Values(Scheme{4, 1}, Scheme{4, 2}, Scheme{4, 3},
+                                           Scheme{4, 4}),
                          [](const auto& info) { return scheme_name(info.param); });
 
 TEST(Schedule, EquiareaBalancesFarBetterThanEquidistance) {
   // The heart of Fig. 3: for the 2x2 scheme, ED has wildly unequal areas
   // while EA is near-uniform.
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k2x2, 50);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 2}, 50);
   const std::uint32_t units = 30;  // 5 nodes x 6 GPUs, the figure's setup
   const auto ed = schedule_imbalance(model, equidistance_schedule(model, units));
   const auto ea = schedule_imbalance(model, equiarea_schedule(model, units));
@@ -85,7 +85,7 @@ TEST(Schedule, EquiareaBalancesFarBetterThanEquidistance) {
 
 TEST(Schedule, EquiareaAtPaperScaleIsBalanced) {
   // 1000 nodes x 6 GPUs on BRCA's 3x1 space: every GPU within 0.1%.
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 19411);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 19411);
   const auto schedule = equiarea_schedule(model, 6000);
   expect_contiguous_cover(schedule, model.total_threads());
   const auto imbalance = schedule_imbalance(model, schedule);
@@ -94,7 +94,7 @@ TEST(Schedule, EquiareaAtPaperScaleIsBalanced) {
 }
 
 TEST(Schedule, SingleUnitGetsEverything) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 30);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 30);
   const auto schedule = equiarea_schedule(model, 1);
   ASSERT_EQ(schedule.size(), 1u);
   EXPECT_EQ(schedule[0].begin, 0u);
@@ -102,7 +102,7 @@ TEST(Schedule, SingleUnitGetsEverything) {
 }
 
 TEST(Schedule, MoreUnitsThanWorkYieldsEmptyPartitions) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 6);  // C(6,3)=20 threads
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 6);  // C(6,3)=20 threads
   const auto schedule = equiarea_schedule(model, 64);
   expect_contiguous_cover(schedule, model.total_threads());
   std::uint32_t non_empty = 0;
@@ -140,17 +140,17 @@ TEST(ScheduleProperty, RandomWorkloadsHoldAllInvariants) {
     WorkloadModel model = [&] {
       switch (rng.uniform(6)) {
         case 0:
-          return WorkloadModel::for_scheme4(Scheme4::k1x3, genes);
+          return WorkloadModel::for_scheme(Scheme{4, 1}, genes);
         case 1:
-          return WorkloadModel::for_scheme4(Scheme4::k2x2, genes);
+          return WorkloadModel::for_scheme(Scheme{4, 2}, genes);
         case 2:
-          return WorkloadModel::for_scheme4(Scheme4::k3x1, genes);
+          return WorkloadModel::for_scheme(Scheme{4, 3}, genes);
         case 3:
-          return WorkloadModel::for_scheme4(Scheme4::k4x1, genes);
+          return WorkloadModel::for_scheme(Scheme{4, 4}, genes);
         case 4:
-          return WorkloadModel::for_scheme3(Scheme3::k2x1, genes);
+          return WorkloadModel::for_scheme(Scheme{3, 2}, genes);
         default:
-          return WorkloadModel::for_scheme2(Scheme2::k1x1, genes);
+          return WorkloadModel::for_scheme(Scheme{2, 1}, genes);
       }
     }();
     const std::string base = "trial " + std::to_string(trial) + ", G=" + std::to_string(genes);
@@ -168,13 +168,13 @@ TEST(ScheduleProperty, RandomWorkloadsHoldAllInvariants) {
 }
 
 TEST(Schedule, ZeroUnitsRejected) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 10);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 10);
   EXPECT_THROW(equidistance_schedule(model, 0), std::invalid_argument);
   EXPECT_THROW(equiarea_schedule(model, 0), std::invalid_argument);
 }
 
 TEST(Schedule, ImbalanceStatsSanity) {
-  const auto model = WorkloadModel::for_scheme4(Scheme4::k3x1, 40);
+  const auto model = WorkloadModel::for_scheme(Scheme{4, 3}, 40);
   const auto schedule = equiarea_schedule(model, 10);
   const auto s = schedule_imbalance(model, schedule);
   EXPECT_GE(s.max_work, s.mean_work);

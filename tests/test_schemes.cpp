@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "cluster/distributed.hpp"
+#include "cluster/model.hpp"
 #include "combinat/binomial.hpp"
+#include "combinat/linearize.hpp"
 #include "combinat/unrank.hpp"
+#include "core/engine.hpp"
+#include "core/hostsweep.hpp"
 #include "core/serial.hpp"
 #include "data/generator.hpp"
+#include "sched/schedule.hpp"
+#include "sched/workload.hpp"
+#include "util/rng.hpp"
 
 namespace multihit {
 namespace {
@@ -17,13 +27,14 @@ struct Fixture {
   FContext ctx;
 };
 
-Fixture make_fixture(std::uint32_t genes, std::uint32_t hits, std::uint64_t seed) {
+Fixture make_fixture(std::uint32_t genes, std::uint32_t hits, std::uint64_t seed,
+                     std::uint32_t planted = 3) {
   SyntheticSpec spec;
   spec.genes = genes;
   spec.tumor_samples = 70;
   spec.normal_samples = 50;
   spec.hits = hits;
-  spec.num_combinations = 3;
+  spec.num_combinations = planted;
   spec.background_rate = 0.05;
   spec.seed = seed;
   Fixture f{generate_dataset(spec), {}};
@@ -31,39 +42,178 @@ Fixture make_fixture(std::uint32_t genes, std::uint32_t hits, std::uint64_t seed
   return f;
 }
 
-// --- thread-space sizes -----------------------------------------------------
-
-TEST(SchemeThreads, CountsMatchCombinatorics) {
-  EXPECT_EQ(scheme4_threads(Scheme4::k1x3, 100), 100u);
-  EXPECT_EQ(scheme4_threads(Scheme4::k2x2, 100), binomial(100, 2));
-  EXPECT_EQ(scheme4_threads(Scheme4::k3x1, 100), binomial(100, 3));
-  EXPECT_EQ(scheme4_threads(Scheme4::k4x1, 100), binomial(100, 4));
-  EXPECT_EQ(scheme3_threads(Scheme3::k1x2, 100), 100u);
-  EXPECT_EQ(scheme3_threads(Scheme3::k2x1, 100), binomial(100, 2));
-  EXPECT_EQ(scheme3_threads(Scheme3::k3x1, 100), binomial(100, 3));
+/// Gene count per hit count that keeps C(G, h) in the low thousands.
+std::uint32_t small_genes(std::uint32_t hits) {
+  static constexpr std::uint32_t kGenes[] = {0, 0, 40, 30, 20, 16, 14};
+  return kGenes[hits];
 }
 
-TEST(SchemeThreads, WorkSumsToWholeSpace4Hit) {
-  // Σ over threads of per-thread work must equal C(G,4) for every scheme.
-  const std::uint32_t G = 40;
-  for (const Scheme4 scheme :
-       {Scheme4::k1x3, Scheme4::k2x2, Scheme4::k3x1, Scheme4::k4x1}) {
-    u64 total = 0;
-    for (u64 lambda = 0; lambda < scheme4_threads(scheme, G); ++lambda) {
-      total += scheme4_thread_work(scheme, G, lambda);
+/// Datasets built to stress the kernel's bookkeeping rather than to look
+/// biological: planted combinations, rows duplicated so that F ties are
+/// everywhere (the rank tie-break decides every winner), and a sparse matrix
+/// where most combinations cover nothing.
+std::vector<Fixture> adversarial_fixtures(std::uint32_t hits) {
+  const std::uint32_t genes = small_genes(hits);
+  std::vector<Fixture> fixtures;
+  fixtures.push_back(make_fixture(genes, hits, 4000 + hits, 2));
+
+  Fixture ties{{}, FContext{FParams{}, 70, 50}};
+  ties.data.tumor = BitMatrix(genes, 70);
+  ties.data.normal = BitMatrix(genes, 50);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < 70; ++s) {
+      if ((s + g % 3) % 4 != 0) ties.data.tumor.set(g, s);
     }
-    EXPECT_EQ(total, binomial(G, 4)) << scheme_name(scheme);
+    for (std::uint32_t s = 0; s < 50; ++s) {
+      if ((s * 7 + g % 2) % 9 == 0) ties.data.normal.set(g, s);
+    }
+  }
+  fixtures.push_back(std::move(ties));
+
+  Fixture sparse{{}, FContext{FParams{}, 70, 50}};
+  sparse.data.tumor = BitMatrix(genes, 70);
+  sparse.data.normal = BitMatrix(genes, 50);
+  Rng rng(77 + hits);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < 70; ++s) {
+      if (g == genes - 1 || rng.bernoulli(0.6)) sparse.data.tumor.set(g, s);
+    }
+  }
+  fixtures.push_back(std::move(sparse));
+  return fixtures;
+}
+
+/// Independent reference for threads [begin, end): every h-combination whose
+/// flat prefix (its `flat` smallest genes) ranks inside the range, scored by
+/// BitMatrix::intersect_count and merged under (F desc, rank asc).
+EvalResult brute_force_range(const Fixture& f, Scheme scheme, u64 begin, u64 end,
+                             u64* combinations = nullptr) {
+  EvalResult best;
+  u64 count = 0;
+  auto combo = first_combination(scheme.hits);
+  u64 rank = 0;
+  do {
+    const u64 prefix =
+        rank_combination(std::span<const std::uint32_t>(combo.data(), scheme.flat));
+    if (prefix >= begin && prefix < end) {
+      const u64 tp = f.data.tumor.intersect_count(combo);
+      const u64 nh = f.data.normal.intersect_count(combo);
+      EvalResult candidate;
+      candidate.valid = true;
+      candidate.f = f_score(f.ctx, tp, nh);
+      candidate.combo_rank = rank;
+      candidate.tp = tp;
+      candidate.tn = f.ctx.normal_total - nh;
+      best = merge_results(best, candidate);
+      ++count;
+    }
+    ++rank;
+  } while (next_combination_colex(combo, f.data.tumor.genes()));
+  if (combinations) *combinations = count;
+  return best;
+}
+
+void expect_same(const EvalResult& a, const EvalResult& b, const std::string& context) {
+  ASSERT_EQ(a.valid, b.valid) << context;
+  if (!a.valid) return;
+  EXPECT_EQ(a.combo_rank, b.combo_rank) << context;
+  EXPECT_EQ(a.f, b.f) << context;
+  EXPECT_EQ(a.tp, b.tp) << context;
+  EXPECT_EQ(a.tn, b.tn) << context;
+}
+
+/// Ragged λ ranges over [0, total): empty, single-thread, the zero-work
+/// tail, and random spans.
+std::vector<std::pair<u64, u64>> ragged_ranges(u64 total, std::uint64_t seed) {
+  std::vector<std::pair<u64, u64>> ranges = {
+      {0, total}, {0, 1}, {total / 2, total / 2}, {total - 1, total}, {total / 3, total}};
+  Rng rng(seed);
+  for (int trial = 0; trial < 6; ++trial) {
+    u64 a = rng.uniform(total + 1), b = rng.uniform(total + 1);
+    if (a > b) std::swap(a, b);
+    ranges.emplace_back(a, b);
+  }
+  return ranges;
+}
+
+// --- combinadics ---------------------------------------------------------------
+
+TEST(Quad, RankFirstValues) {
+  // Colex order: {0,1,2,3} {0,1,2,4} {0,1,3,4} {0,2,3,4} {1,2,3,4} {0,1,2,5}...
+  EXPECT_EQ(rank_quad({0, 1, 2, 3}), 0u);
+  EXPECT_EQ(rank_quad({0, 1, 2, 4}), 1u);
+  EXPECT_EQ(rank_quad({0, 1, 3, 4}), 2u);
+  EXPECT_EQ(rank_quad({1, 2, 3, 4}), 4u);
+  EXPECT_EQ(rank_quad({0, 1, 2, 5}), 5u);
+}
+
+TEST(Quad, RoundTripExhaustive) {
+  const u64 total = quartic(30);
+  for (u64 lambda = 0; lambda < total; ++lambda) {
+    const Quad q = unrank_quad(lambda);
+    ASSERT_LT(q.i, q.j);
+    ASSERT_LT(q.j, q.k);
+    ASSERT_LT(q.k, q.l);
+    ASSERT_LT(q.l, 30u);
+    ASSERT_EQ(rank_quad(q), lambda) << lambda;
   }
 }
 
-TEST(SchemeThreads, WorkSumsToWholeSpace3Hit) {
-  const std::uint32_t G = 40;
-  for (const Scheme3 scheme : {Scheme3::k1x2, Scheme3::k2x1, Scheme3::k3x1}) {
-    u64 total = 0;
-    for (u64 lambda = 0; lambda < scheme3_threads(scheme, G); ++lambda) {
-      total += scheme3_thread_work(scheme, G, lambda);
+TEST(Quad, RoundTripAtScale) {
+  // Includes the near-u64-max region where the C(l,4) fix-up probes exceed
+  // u64 (the overflow a naive implementation hangs on).
+  for (const u64 lambda : {u64{0}, quartic(19411) - 1, u64{1} << 50,
+                           (u64{1} << 62) + 123456789, ~u64{0} - 5, ~u64{0}}) {
+    EXPECT_EQ(rank_quad(unrank_quad(lambda)), lambda) << lambda;
+  }
+}
+
+TEST(Quad, MatchesGenericUnranking) {
+  for (u64 lambda = 0; lambda < quartic(15); ++lambda) {
+    const Quad q = unrank_quad(lambda);
+    const auto generic = unrank_combination(lambda, 4);
+    EXPECT_EQ(generic, (std::vector<std::uint32_t>{q.i, q.j, q.k, q.l}));
+  }
+}
+
+TEST(Quad, QuarticLevelBoundaries) {
+  for (std::uint32_t l = 3; l < 150; ++l) {
+    EXPECT_EQ(quartic_level(quartic(l)), l);
+    EXPECT_EQ(quartic_level(quartic(l + 1) - 1), l);
+  }
+  EXPECT_EQ(quartic_level(quartic(19411)), 19411u);
+}
+
+TEST(Quintic, MatchesBinomial) {
+  for (u64 n = 0; n <= 1000; n += 13) EXPECT_EQ(quintic(n), binomial(n, 5));
+  EXPECT_EQ(quintic(5), 1u);
+  EXPECT_EQ(quintic(4), 0u);
+  // Find the largest n whose C(n,5) fits u64 and verify quintic there.
+  u64 n = 18000;
+  while (binomial_checked(n + 1, 5).has_value()) ++n;
+  EXPECT_GT(n, 18400u);
+  EXPECT_LT(n, 18800u);
+  EXPECT_EQ(quintic(n), binomial(n, 5));
+  EXPECT_FALSE(binomial_checked(n + 1, 5).has_value());
+}
+
+TEST(Combinadics, ColexTopIsTheLargestFittingBinomial) {
+  for (std::uint32_t k = 1; k <= 7; ++k) {
+    std::uint32_t top = k - 1;
+    for (u64 lambda = 0; lambda < 5000; ++lambda) {
+      while (binomial(top + 1, k) <= lambda) ++top;
+      ASSERT_EQ(colex_top(lambda, k), top) << "k=" << k << " lambda=" << lambda;
     }
-    EXPECT_EQ(total, binomial(G, 3)) << scheme_name(scheme);
+  }
+}
+
+// --- thread spaces -------------------------------------------------------------
+
+TEST(SchemeThreads, CountsMatchCombinatorics) {
+  for (std::uint32_t hits = 2; hits <= 6; ++hits) {
+    for (std::uint32_t flat = 1; flat <= hits; ++flat) {
+      EXPECT_EQ(scheme_threads({hits, flat}, 100), binomial(100, flat));
+    }
   }
 }
 
@@ -71,121 +221,196 @@ TEST(SchemeThreads, WorkloadSpreadMatchesPaper) {
   // Paper §III-B: max-min per-thread work is ~C(G,2) for 2x2 but only ~G for
   // 3x1 — the whole reason the 3x1 scheme scales.
   const std::uint32_t G = 100;
-  EXPECT_EQ(scheme4_thread_work(Scheme4::k2x2, G, 0), triangular(G - 2));
-  EXPECT_EQ(scheme4_thread_work(Scheme4::k2x2, G, triangular(G) - 1), 0u);
-  EXPECT_EQ(scheme4_thread_work(Scheme4::k3x1, G, 0), static_cast<u64>(G) - 3);
-  EXPECT_EQ(scheme4_thread_work(Scheme4::k3x1, G, tetrahedral(G) - 1), 0u);
+  EXPECT_EQ(scheme_thread_work({4, 2}, G, 0), triangular(G - 2));
+  EXPECT_EQ(scheme_thread_work({4, 2}, G, triangular(G) - 1), 0u);
+  EXPECT_EQ(scheme_thread_work({4, 3}, G, 0), static_cast<u64>(G) - 3);
+  EXPECT_EQ(scheme_thread_work({4, 3}, G, tetrahedral(G) - 1), 0u);
 }
 
-// --- full-range equivalence to the serial reference -------------------------
-
-class Scheme4Equivalence : public ::testing::TestWithParam<Scheme4> {};
-
-TEST_P(Scheme4Equivalence, FullRangeMatchesSerial) {
-  const auto f = make_fixture(26, 4, 1234);
-  const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, 4);
-  const EvalResult parallel =
-      evaluate_range_4hit(f.data.tumor, f.data.normal, f.ctx, GetParam(), 0,
-                          scheme4_threads(GetParam(), 26));
-  ASSERT_TRUE(parallel.valid);
-  EXPECT_EQ(parallel.combo_rank, serial.combo_rank);
-  EXPECT_DOUBLE_EQ(parallel.f, serial.f);
-  EXPECT_EQ(parallel.tp, serial.tp);
-  EXPECT_EQ(parallel.tn, serial.tn);
-}
-
-TEST_P(Scheme4Equivalence, PrefetchVariantsAreResultIdentical) {
-  const auto f = make_fixture(22, 4, 555);
-  const u64 end = scheme4_threads(GetParam(), 22);
-  const EvalResult plain =
-      evaluate_range_4hit(f.data.tumor, f.data.normal, f.ctx, GetParam(), 0, end, {});
-  const EvalResult opt1 = evaluate_range_4hit(f.data.tumor, f.data.normal, f.ctx, GetParam(), 0,
-                                              end, {.prefetch_i = true});
-  const EvalResult opt12 = evaluate_range_4hit(
-      f.data.tumor, f.data.normal, f.ctx, GetParam(), 0, end,
-      {.prefetch_i = true, .prefetch_j = true});
-  EXPECT_EQ(plain.combo_rank, opt1.combo_rank);
-  EXPECT_EQ(plain.combo_rank, opt12.combo_rank);
-  EXPECT_DOUBLE_EQ(plain.f, opt1.f);
-  EXPECT_DOUBLE_EQ(plain.f, opt12.f);
-}
-
-TEST_P(Scheme4Equivalence, PartialRangesMergeToFull) {
-  const auto f = make_fixture(20, 4, 77);
-  const u64 end = scheme4_threads(GetParam(), 20);
-  const EvalResult full =
-      evaluate_range_4hit(f.data.tumor, f.data.normal, f.ctx, GetParam(), 0, end);
-  EvalResult merged;
-  const u64 pieces = 7;
-  for (u64 p = 0; p < pieces; ++p) {
-    const u64 begin = end * p / pieces;
-    const u64 stop = end * (p + 1) / pieces;
-    const EvalResult part =
-        evaluate_range_4hit(f.data.tumor, f.data.normal, f.ctx, GetParam(), begin, stop);
-    merged = merge_results(merged, part);
+TEST(SchemeThreads, RejectsSpacesWhoseRanksOverflow) {
+  // C(18582, 5) > 2^64: the 5-hit ranks of such a matrix cannot be
+  // represented. The last thread of the 4x1 space once returned valid=1 with
+  // a wrapped rank that unranked to genes the thread never scored; every
+  // entry point must now refuse the space instead.
+  const std::uint32_t genes = 18582;
+  const Scheme scheme{5, 4};
+  EXPECT_THROW((void)scheme_threads(scheme, genes), std::invalid_argument);
+  EXPECT_THROW((void)scheme_thread_work(scheme, genes, 0), std::invalid_argument);
+  EXPECT_THROW((void)WorkloadModel::for_scheme(scheme, genes), std::invalid_argument);
+  EXPECT_THROW((void)scheme_stats(scheme, genes, 0, 1, {}, 1, 1), std::invalid_argument);
+  BitMatrix tumor(genes, 8);
+  BitMatrix normal(genes, 8);
+  const FContext ctx{FParams{}, 8, 8};
+  const u64 lambda = quartic(genes - 1) - 1;
+  try {
+    (void)evaluate_range(tumor, normal, ctx, scheme, lambda, lambda + 1);
+    FAIL() << "evaluate_range accepted G=18582, h=5";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("G = 18582"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("h = 5"), std::string::npos) << e.what();
   }
-  ASSERT_TRUE(merged.valid);
-  EXPECT_EQ(merged.combo_rank, full.combo_rank);
-  EXPECT_DOUBLE_EQ(merged.f, full.f);
+  // One gene fewer than the last representable 5-hit space still works.
+  EXPECT_EQ(scheme_threads(scheme, 18580), quartic(18580));
 }
 
-TEST_P(Scheme4Equivalence, StatsCountExactCombinationTotal) {
-  const auto f = make_fixture(18, 4, 31);
-  KernelStats stats;
-  evaluate_range_4hit(f.data.tumor, f.data.normal, f.ctx, GetParam(), 0,
-                      scheme4_threads(GetParam(), 18), {}, &stats);
-  EXPECT_EQ(stats.combinations, binomial(18, 4));
-  EXPECT_GT(stats.word_ops, 0u);
-  EXPECT_GT(stats.global_words, 0u);
+TEST(SchemeThreads, RejectsMalformedSchemes) {
+  for (const Scheme bad : {Scheme{4, 0}, Scheme{4, 5}, Scheme{1, 1}, Scheme{0, 0},
+                           Scheme{kMaxSchemeHits + 1, 1}}) {
+    EXPECT_THROW((void)scheme_threads(bad, 40), std::invalid_argument) << scheme_name(bad);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSchemes, Scheme4Equivalence,
-                         ::testing::Values(Scheme4::k1x3, Scheme4::k2x2, Scheme4::k3x1,
-                                           Scheme4::k4x1),
-                         [](const auto& info) { return scheme_name(info.param); });
-
-class Scheme3Equivalence : public ::testing::TestWithParam<Scheme3> {};
-
-TEST_P(Scheme3Equivalence, FullRangeMatchesSerial) {
-  const auto f = make_fixture(40, 3, 999);
-  const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, 3);
-  const EvalResult parallel =
-      evaluate_range_3hit(f.data.tumor, f.data.normal, f.ctx, GetParam(), 0,
-                          scheme3_threads(GetParam(), 40));
-  ASSERT_TRUE(parallel.valid);
-  EXPECT_EQ(parallel.combo_rank, serial.combo_rank);
-  EXPECT_DOUBLE_EQ(parallel.f, serial.f);
+TEST(SchemeThreads, NamesAreStable) {
+  EXPECT_EQ(scheme_name({4, 2}), "2x2");
+  EXPECT_EQ(scheme_name({4, 3}), "3x1");
+  EXPECT_EQ(scheme_name({4, 4}), "4x1");
+  EXPECT_EQ(scheme_name({4, 1}), "1x3");
+  EXPECT_EQ(scheme_name({3, 2}), "2x1");
+  EXPECT_EQ(scheme_name({2, 1}), "1x1");
+  EXPECT_EQ(scheme_name({5, 3}), "3x2");
 }
 
-TEST_P(Scheme3Equivalence, PrefetchVariantsAreResultIdentical) {
-  const auto f = make_fixture(30, 3, 1001);
-  const u64 end = scheme3_threads(GetParam(), 30);
-  const EvalResult plain =
-      evaluate_range_3hit(f.data.tumor, f.data.normal, f.ctx, GetParam(), 0, end, {});
-  const EvalResult opt = evaluate_range_3hit(f.data.tumor, f.data.normal, f.ctx, GetParam(), 0,
-                                             end, {.prefetch_i = true, .prefetch_j = true});
-  EXPECT_EQ(plain.combo_rank, opt.combo_rank);
+// --- every (hits, flat) for hits in 2..6 ----------------------------------------
+
+class AllSchemes : public ::testing::TestWithParam<Scheme> {};
+
+TEST_P(AllSchemes, WorkSumsToWholeSpace) {
+  const Scheme scheme = GetParam();
+  const std::uint32_t G = small_genes(scheme.hits);
+  u64 total = 0;
+  for (u64 lambda = 0; lambda < scheme_threads(scheme, G); ++lambda) {
+    total += scheme_thread_work(scheme, G, lambda);
+  }
+  EXPECT_EQ(total, binomial(G, scheme.hits));
 }
 
-TEST_P(Scheme3Equivalence, StatsCountExactCombinationTotal) {
-  const auto f = make_fixture(24, 3, 13);
-  KernelStats stats;
-  evaluate_range_3hit(f.data.tumor, f.data.normal, f.ctx, GetParam(), 0,
-                      scheme3_threads(GetParam(), 24), {}, &stats);
-  EXPECT_EQ(stats.combinations, binomial(24, 3));
+TEST_P(AllSchemes, WorkloadLevelsMatchThreadWork) {
+  const Scheme scheme = GetParam();
+  const std::uint32_t G = small_genes(scheme.hits);
+  const auto model = WorkloadModel::for_scheme(scheme, G);
+  EXPECT_EQ(model.total_threads(), scheme_threads(scheme, G));
+  EXPECT_TRUE(model.total_work() == static_cast<u128>(binomial(G, scheme.hits)));
+  for (u64 lambda = 0; lambda < model.total_threads(); ++lambda) {
+    ASSERT_EQ(model.work_at(lambda), scheme_thread_work(scheme, G, lambda)) << lambda;
+  }
+  // The level count prices the modeled O(G) scheduler: one level when every
+  // loop is flattened, one per top flat gene otherwise.
+  if (scheme.flat == scheme.hits) {
+    EXPECT_EQ(model.levels().size(), 1u);
+  } else {
+    EXPECT_EQ(model.levels().size(), G - scheme.flat + 1);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSchemes, Scheme3Equivalence,
-                         ::testing::Values(Scheme3::k1x2, Scheme3::k2x1, Scheme3::k3x1),
-                         [](const auto& info) { return scheme_name(info.param); });
+TEST_P(AllSchemes, FullRangeMatchesSerial) {
+  const Scheme scheme = GetParam();
+  const auto f = make_fixture(small_genes(scheme.hits), scheme.hits, 1234 + scheme.flat, 2);
+  const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, scheme.hits);
+  const EvalResult kernel = evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, 0,
+                                           scheme_threads(scheme, f.data.genes()));
+  ASSERT_TRUE(kernel.valid);
+  expect_same(kernel, serial, scheme_name(scheme));
+}
 
-// --- targeted behaviour -----------------------------------------------------
+TEST_P(AllSchemes, RaggedRangesMatchReferenceOnAdversarialData) {
+  // Each ragged range against the brute-force scan of exactly the
+  // combinations its threads own, and the ranges' merge against the serial
+  // reference's best — on data where ties and empty covers dominate.
+  const Scheme scheme = GetParam();
+  const auto fixtures = adversarial_fixtures(scheme.hits);
+  for (std::size_t which = 0; which < fixtures.size(); ++which) {
+    const Fixture& f = fixtures[which];
+    const u64 total = scheme_threads(scheme, f.data.genes());
+    const EvalResult serial =
+        serial_find_best(f.data.tumor, f.data.normal, f.ctx, scheme.hits);
+    EvalResult merged;
+    u64 cursor = 0;
+    Rng rng(31 * which + scheme.flat);
+    while (cursor < total) {
+      const u64 stop = std::min(total, cursor + 1 + rng.uniform(total / 5 + 2));
+      merged = merge_results(
+          merged, evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, cursor, stop));
+      cursor = stop;
+    }
+    expect_same(merged, serial, "fixture " + std::to_string(which) + " merged");
+    for (const auto& [a, b] : ragged_ranges(total, 17 * which + scheme.hits)) {
+      const EvalResult kernel = evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b);
+      expect_same(kernel, brute_force_range(f, scheme, a, b),
+                  "fixture " + std::to_string(which) + " [" + std::to_string(a) + "," +
+                      std::to_string(b) + ")");
+    }
+  }
+}
+
+TEST_P(AllSchemes, CountedCombinationsMatchSchemeStats) {
+  // The kernel's `combinations` is a real count of what it scored; it must
+  // agree with the closed form (and with the reference's count) over ragged
+  // ranges, or the host sweep's "visits each combination once" check means
+  // nothing.
+  const Scheme scheme = GetParam();
+  const auto f = make_fixture(small_genes(scheme.hits), scheme.hits, 77, 2);
+  const std::uint32_t wt = f.data.tumor.words_per_row();
+  const std::uint32_t wn = f.data.normal.words_per_row();
+  const u64 total = scheme_threads(scheme, f.data.genes());
+  for (const auto& [a, b] : ragged_ranges(total, 5 + scheme.flat)) {
+    const MemOpts opts{.prefetch_i = true, .prefetch_j = true};
+    KernelStats counted;
+    evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, opts, &counted);
+    const KernelStats modeled = scheme_stats(scheme, f.data.genes(), a, b, opts, wt, wn);
+    u64 brute = 0;
+    (void)brute_force_range(f, scheme, a, b, &brute);
+    EXPECT_EQ(counted.combinations, modeled.combinations) << "[" << a << "," << b << ")";
+    EXPECT_EQ(counted.combinations, brute) << "[" << a << "," << b << ")";
+    EXPECT_EQ(counted.word_ops, modeled.word_ops);
+    EXPECT_EQ(counted.global_words, modeled.global_words);
+    EXPECT_EQ(counted.distinct_rows, modeled.distinct_rows);
+  }
+}
+
+TEST_P(AllSchemes, MemOptsNeverChangeTheResult) {
+  const Scheme scheme = GetParam();
+  const auto f = make_fixture(small_genes(scheme.hits), scheme.hits, 555, 2);
+  const u64 end = scheme_threads(scheme, f.data.genes());
+  const EvalResult plain = evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, 0, end);
+  for (const MemOpts opts : {MemOpts{.prefetch_i = true},
+                             MemOpts{.prefetch_i = true, .prefetch_j = true}}) {
+    Arena arena;
+    expect_same(evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, 0, end, opts,
+                               nullptr, &arena),
+                plain, scheme_name(scheme));
+  }
+}
+
+std::vector<Scheme> all_schemes() {
+  std::vector<Scheme> schemes;
+  for (std::uint32_t hits = 2; hits <= 6; ++hits) {
+    for (std::uint32_t flat = 1; flat <= hits; ++flat) schemes.push_back({hits, flat});
+  }
+  return schemes;
+}
+
+INSTANTIATE_TEST_SUITE_P(HitsTwoToSix, AllSchemes, ::testing::ValuesIn(all_schemes()),
+                         [](const auto& info) {
+                           return "h" + std::to_string(info.param.hits) + "_" +
+                                  scheme_name(info.param);
+                         });
+
+// --- targeted behaviour -----------------------------------------------------------
 
 TEST(Schemes, EmptyRangeIsInvalid) {
   const auto f = make_fixture(15, 4, 3);
-  const EvalResult r =
-      evaluate_range_4hit(f.data.tumor, f.data.normal, f.ctx, Scheme4::k3x1, 5, 5);
+  const EvalResult r = evaluate_range(f.data.tumor, f.data.normal, f.ctx, {4, 3}, 5, 5);
   EXPECT_FALSE(r.valid);
+}
+
+TEST(Schemes, RangePastTheThreadSpaceIsRejected) {
+  const auto f = make_fixture(15, 4, 3);
+  const u64 threads = scheme_threads({4, 3}, 15);
+  EXPECT_THROW((void)evaluate_range(f.data.tumor, f.data.normal, f.ctx, {4, 3}, threads - 1,
+                                    threads + 1),
+               std::invalid_argument);
+  EXPECT_TRUE(
+      evaluate_range(f.data.tumor, f.data.normal, f.ctx, {4, 3}, 0, threads).valid);
 }
 
 TEST(Schemes, WinnerIsPlantedCombination) {
@@ -201,8 +426,8 @@ TEST(Schemes, WinnerIsPlantedCombination) {
   spec.seed = 4242;
   const Dataset data = generate_dataset(spec);
   const FContext ctx{FParams{}, spec.tumor_samples, spec.normal_samples};
-  const EvalResult best = evaluate_range_3hit(data.tumor, data.normal, ctx, Scheme3::k2x1, 0,
-                                              scheme3_threads(Scheme3::k2x1, 30));
+  const EvalResult best =
+      evaluate_range(data.tumor, data.normal, ctx, {3, 2}, 0, scheme_threads({3, 2}, 30));
   ASSERT_TRUE(best.valid);
   const auto genes = unrank_combination(best.combo_rank, 3);
   const bool is_planted = genes == data.planted[0] || genes == data.planted[1];
@@ -210,27 +435,142 @@ TEST(Schemes, WinnerIsPlantedCombination) {
 }
 
 TEST(Schemes, TieBreakPicksLowestRank) {
-  // Two identical gene rows => combinations differing only in which copy
-  // they use have exactly equal F; the lower colex rank must win on every
-  // scheme.
-  BitMatrix tumor(6, 10);
-  BitMatrix normal(6, 10);
-  for (std::uint32_t g = 0; g < 6; ++g) {
+  // Identical gene rows => every combination has exactly equal F; the lower
+  // colex rank must win on every scheme.
+  BitMatrix tumor(7, 10);
+  BitMatrix normal(7, 10);
+  for (std::uint32_t g = 0; g < 7; ++g) {
     for (std::uint32_t s = 0; s < 10; ++s) tumor.set(g, s);
   }
   const FContext ctx{FParams{}, 10, 10};
-  for (const Scheme4 scheme :
-       {Scheme4::k1x3, Scheme4::k2x2, Scheme4::k3x1, Scheme4::k4x1}) {
-    const EvalResult r = evaluate_range_4hit(tumor, normal, ctx, scheme, 0,
-                                             scheme4_threads(scheme, 6));
-    EXPECT_EQ(r.combo_rank, 0u) << scheme_name(scheme);  // {0,1,2,3}
+  for (const Scheme scheme : all_schemes()) {
+    const EvalResult r =
+        evaluate_range(tumor, normal, ctx, scheme, 0, scheme_threads(scheme, 7));
+    EXPECT_EQ(r.combo_rank, 0u) << scheme_name(scheme);  // {0, 1, ..., h-1}
   }
 }
 
-TEST(Schemes, NamesAreStable) {
-  EXPECT_STREQ(scheme_name(Scheme4::k2x2), "2x2");
-  EXPECT_STREQ(scheme_name(Scheme4::k3x1), "3x1");
-  EXPECT_STREQ(scheme_name(Scheme3::k2x1), "2x1");
+TEST(Schemes, FewerGenesThanHitsIsAnEmptySpace) {
+  BitMatrix tumor(4, 16), normal(4, 16);
+  const FContext ctx{FParams{}, 16, 16};
+  for (const Scheme scheme : {Scheme{6, 5}, Scheme{6, 1}, Scheme{5, 5}}) {
+    EXPECT_FALSE(evaluate_range(tumor, normal, ctx, scheme, 0, scheme_threads(scheme, 4)).valid)
+        << scheme_name(scheme);
+  }
+}
+
+// --- workload / scheduling --------------------------------------------------------
+
+TEST(SchemeWorkload, EquiAreaBalancesFiveHit) {
+  const auto model = WorkloadModel::for_scheme({5, 4}, 200);
+  const auto ea = equiarea_schedule(model, 60);
+  const auto stats = schedule_imbalance(model, ea);
+  EXPECT_LT(stats.imbalance, 1.01);
+  const auto fast = equiarea_schedule(model, 24);
+  const auto naive = equiarea_schedule_naive(model, 24);
+  EXPECT_EQ(fast, naive);
+}
+
+// --- engine / cluster integration -------------------------------------------------
+
+TEST(KernelEvaluator, MatchesSerialForAllHitCounts) {
+  for (std::uint32_t hits = 2; hits <= 6; ++hits) {
+    const auto f = make_fixture(small_genes(hits), hits, 900 + hits, 2);
+    const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, hits);
+    const EvalResult kernel = make_kernel_evaluator(hits)(f.data.tumor, f.data.normal, f.ctx);
+    expect_same(kernel, serial, "hits=" + std::to_string(hits));
+  }
+}
+
+TEST(KernelEvaluator, FallsBackToSerialBelowTwoHits) {
+  const auto f = make_fixture(14, 3, 905);
+  const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, 1);
+  const EvalResult fallback = make_kernel_evaluator(1)(f.data.tumor, f.data.normal, f.ctx);
+  expect_same(fallback, serial, "hits=1");
+}
+
+TEST(SixHit, GreedyThroughKernelAndSweepMatchesSerial) {
+  // h = 6 needs no kernel of its own: the kernel evaluator and the threaded
+  // host sweep both run Scheme{6, 5} and must select what the serial scan
+  // selects.
+  const auto f = make_fixture(14, 6, 6006, 2);
+  EngineConfig config;
+  config.hits = 6;
+  const GreedyResult serial =
+      run_greedy(f.data.tumor, f.data.normal, config, make_serial_evaluator(6));
+  ASSERT_FALSE(serial.iterations.empty());
+  const GreedyResult kernel =
+      run_greedy(f.data.tumor, f.data.normal, config, make_kernel_evaluator(6));
+  HostSweepOptions sweep;
+  sweep.hits = 6;
+  sweep.threads = 3;
+  sweep.chunk = 97;
+  const GreedyResult swept =
+      run_greedy(f.data.tumor, f.data.normal, config, make_host_sweep_evaluator(sweep));
+  EXPECT_EQ(kernel.combinations(), serial.combinations());
+  EXPECT_EQ(swept.combinations(), serial.combinations());
+  EXPECT_EQ(swept.uncovered_tumor, serial.uncovered_tumor);
+}
+
+TEST(ClusterHits, DistributedTwoHitMatchesSerialEngine) {
+  const auto f = make_fixture(30, 2, 910);
+  EngineConfig engine;
+  engine.hits = 2;
+  const GreedyResult serial =
+      run_greedy(f.data.tumor, f.data.normal, engine, make_serial_evaluator(2));
+  SummitConfig config;
+  config.nodes = 3;
+  DistributedOptions options;
+  options.hits = 2;
+  const auto result = ClusterRunner(config).run(f.data, options);
+  EXPECT_EQ(result.greedy.combinations(), serial.combinations());
+}
+
+TEST(ClusterHits, DistributedFiveHitMatchesSerialEngine) {
+  const auto f = make_fixture(14, 5, 911, 2);
+  EngineConfig engine;
+  engine.hits = 5;
+  const GreedyResult serial =
+      run_greedy(f.data.tumor, f.data.normal, engine, make_serial_evaluator(5));
+  SummitConfig config;
+  config.nodes = 2;
+  DistributedOptions options;
+  options.hits = 5;
+  const auto result = ClusterRunner(config).run(f.data, options);
+  EXPECT_EQ(result.greedy.combinations(), serial.combinations());
+}
+
+TEST(ClusterHits, DistributedSixHitWithTwoInnerLoopsMatchesSerialEngine) {
+  const auto f = make_fixture(13, 6, 912, 2);
+  EngineConfig engine;
+  engine.hits = 6;
+  const GreedyResult serial =
+      run_greedy(f.data.tumor, f.data.normal, engine, make_serial_evaluator(6));
+  SummitConfig config;
+  config.nodes = 2;
+  DistributedOptions options;
+  options.hits = 6;
+  options.inner = 2;
+  const auto result = ClusterRunner(config).run(f.data, options);
+  EXPECT_EQ(result.greedy.combinations(), serial.combinations());
+}
+
+TEST(ClusterHits, FiveHitAtScaleIsModellable) {
+  // §V: each extra hit costs ~G/h more work; 5-hit at paper scale must be
+  // priceable by the analytic model without enumeration.
+  SummitConfig config;
+  config.nodes = 1000;
+  ModelInputs inputs;
+  inputs.hits = 5;
+  inputs.genes = 15000;  // C(15000,5) ~ 6.3e18 still fits u64
+  inputs.first_iteration_only = true;
+  const auto run = model_cluster_run(config, inputs);
+  EXPECT_GT(run.total_time, 0.0);
+  // 4-hit at the same G for comparison: 5-hit is ~(G-4)/5 ~ 3000x slower.
+  ModelInputs four = inputs;
+  four.hits = 4;
+  const auto run4 = model_cluster_run(config, four);
+  EXPECT_GT(run.total_time / run4.total_time, 500.0);
 }
 
 }  // namespace
