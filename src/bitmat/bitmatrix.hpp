@@ -15,6 +15,11 @@
 
 namespace multihit {
 
+/// Per-dimension caps that readers check before building a matrix from a
+/// header, so a corrupt size cannot demand a multi-terabyte allocation.
+inline constexpr std::uint32_t kMaxGenes = 10'000'000;
+inline constexpr std::uint32_t kMaxSamples = 100'000'000;
+
 class BitMatrix {
  public:
   BitMatrix() = default;

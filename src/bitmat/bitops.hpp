@@ -4,12 +4,12 @@
 //
 // The paper packs 64 samples per `unsigned long long` (a 32x memory
 // reduction versus one int per sample) and replaces per-sample arithmetic
-// with bitwise AND + popcount. These free functions are the arithmetic core
-// of every enumeration kernel — every combination a kernel visits costs one
-// and_popcount per matrix — so they are the unit of scale the whole system
-// is built around.
+// with bitwise AND + popcount. Two dispatched kernels carry the enumeration
+// in core/schemes.cpp: every combination costs one two-row and_popcount per
+// matrix, and and_rows refolds a prefix slot when one of its genes changes.
+// They are the unit of scale the whole system is built around.
 //
-// Two implementations live behind the public functions:
+// Two implementations live behind the dispatched functions:
 //
 //   kScalar  portable word loop (std::popcount); the bit-exact reference
 //            every other backend is pinned to in tests/test_bitops_simd.cpp.
@@ -25,7 +25,7 @@
 // retarget it at any time. All backends produce bit-identical counts, so the
 // choice is invisible to everything above — only the wall clock moves.
 //
-// Length contract: all multi-row operations require equal-length spans. In
+// Length contract: both dispatched kernels require equal-length spans. In
 // checked builds (!NDEBUG or MULTIHIT_CHECKS, the ASan preset) a mismatch
 // aborts with a diagnostic; release builds trust the caller (BitMatrix rows
 // are same-width by construction).
@@ -67,77 +67,39 @@ bool set_backend(BitopsBackend backend) noexcept;
 /// return auto and set *ok to false when ok is non-null.
 BitopsBackend parse_backend(const char* name, bool* ok = nullptr) noexcept;
 
+/// popcount over one row: a plain scalar word loop, not dispatched (its
+/// callers — BitMatrix::total_set_bits and the one-gene serial path — are
+/// off the enumeration's hot path).
+std::uint64_t popcount_row(std::span<const std::uint64_t> a) noexcept;
+
 // ---------------------------------------------------------------------------
 // Dispatched kernels (the public hot path)
 // ---------------------------------------------------------------------------
-
-/// popcount over one row.
-std::uint64_t popcount_row(std::span<const std::uint64_t> a) noexcept;
 
 /// popcount(a & b). Rows must be the same length.
 std::uint64_t and_popcount(std::span<const std::uint64_t> a,
                            std::span<const std::uint64_t> b) noexcept;
 
-/// popcount(a & b & c).
-std::uint64_t and_popcount(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-                           std::span<const std::uint64_t> c) noexcept;
-
-/// popcount(a & b & c & d).
-std::uint64_t and_popcount(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-                           std::span<const std::uint64_t> c,
-                           std::span<const std::uint64_t> d) noexcept;
-
-/// popcount(a & ~b): the complement side — samples present in `a` that are
-/// NOT hit in `b` (e.g. tumor samples a candidate set leaves uncovered)
-/// counted directly, without materializing the complement row.
-std::uint64_t andnot_popcount(std::span<const std::uint64_t> a,
-                              std::span<const std::uint64_t> b) noexcept;
-
-/// dst = a & b. The prefetch step of MemOpt1/MemOpt2: a thread with fixed
-/// (i, j) ANDs those rows once into thread-local storage instead of
-/// re-reading both from global memory on every inner iteration.
+/// dst = a & b: folds one more gene into a prefix slot, so the innermost
+/// loop ANDs one staged row instead of re-reading every gene's row.
 void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
               std::span<const std::uint64_t> b) noexcept;
-
-/// dst &= a, in place.
-void and_rows_inplace(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a) noexcept;
-
-/// dst = a & ~b: stages the complement-masked row, the ANDNOT counterpart of
-/// and_rows.
-void andnot_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
-                 std::span<const std::uint64_t> b) noexcept;
 
 // ---------------------------------------------------------------------------
 // Dispatched-call counting (host profiler support)
 // ---------------------------------------------------------------------------
 
-/// Per-thread counts of dispatched kernel calls, one counter per public
+/// Per-thread counts of dispatched kernel calls, one counter per dispatched
 /// entry point. Plain monotonic counters: they only advance while call
 /// counting is enabled, and only for calls made by the reading thread.
 struct BitopsCallCounts {
-  std::uint64_t popcount_row = 0;
   std::uint64_t and2 = 0;
-  std::uint64_t and3 = 0;
-  std::uint64_t and4 = 0;
   std::uint64_t and_rows = 0;
-  std::uint64_t and_rows_inplace = 0;
-  std::uint64_t andnot2 = 0;
-  std::uint64_t andnot_rows = 0;
 
-  std::uint64_t total() const noexcept {
-    return popcount_row + and2 + and3 + and4 + and_rows + and_rows_inplace + andnot2 +
-           andnot_rows;
-  }
+  std::uint64_t total() const noexcept { return and2 + and_rows; }
 
   BitopsCallCounts operator-(const BitopsCallCounts& other) const noexcept {
-    return {popcount_row - other.popcount_row,
-            and2 - other.and2,
-            and3 - other.and3,
-            and4 - other.and4,
-            and_rows - other.and_rows,
-            and_rows_inplace - other.and_rows_inplace,
-            andnot2 - other.andnot2,
-            andnot_rows - other.andnot_rows};
+    return {and2 - other.and2, and_rows - other.and_rows};
   }
 };
 
@@ -161,21 +123,10 @@ const BitopsCallCounts& thread_bitops_calls() noexcept;
 // ---------------------------------------------------------------------------
 
 namespace bitops_scalar {
-std::uint64_t popcount_row(std::span<const std::uint64_t> a) noexcept;
 std::uint64_t and_popcount2(std::span<const std::uint64_t> a,
                             std::span<const std::uint64_t> b) noexcept;
-std::uint64_t and_popcount3(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-                            std::span<const std::uint64_t> c) noexcept;
-std::uint64_t and_popcount4(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-                            std::span<const std::uint64_t> c,
-                            std::span<const std::uint64_t> d) noexcept;
-std::uint64_t andnot_popcount2(std::span<const std::uint64_t> a,
-                               std::span<const std::uint64_t> b) noexcept;
 void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
               std::span<const std::uint64_t> b) noexcept;
-void and_rows_inplace(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a) noexcept;
-void andnot_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
-                 std::span<const std::uint64_t> b) noexcept;
 }  // namespace bitops_scalar
 
 /// AVX2 entry points exist on every x86-64 build (per-function target
@@ -183,21 +134,10 @@ void andnot_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
 /// backend_supported(BitopsBackend::kAvx2). On non-x86 builds they forward
 /// to the scalar reference so callers can link unconditionally.
 namespace bitops_avx2 {
-std::uint64_t popcount_row(std::span<const std::uint64_t> a) noexcept;
 std::uint64_t and_popcount2(std::span<const std::uint64_t> a,
                             std::span<const std::uint64_t> b) noexcept;
-std::uint64_t and_popcount3(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-                            std::span<const std::uint64_t> c) noexcept;
-std::uint64_t and_popcount4(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-                            std::span<const std::uint64_t> c,
-                            std::span<const std::uint64_t> d) noexcept;
-std::uint64_t andnot_popcount2(std::span<const std::uint64_t> a,
-                               std::span<const std::uint64_t> b) noexcept;
 void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
               std::span<const std::uint64_t> b) noexcept;
-void and_rows_inplace(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a) noexcept;
-void andnot_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
-                 std::span<const std::uint64_t> b) noexcept;
 }  // namespace bitops_avx2
 
 }  // namespace multihit

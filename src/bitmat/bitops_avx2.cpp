@@ -1,6 +1,7 @@
-// AVX2 backend: bit-sliced AND + popcount over packed sample rows.
+// AVX2 backend: bit-sliced AND + popcount over packed sample rows, and the
+// vectorized row AND that stages prefix slots.
 //
-// Structure of every kernel (the vectorized-popcount pattern):
+// Structure of and_popcount2 (the vectorized-popcount pattern):
 //
 //   1. 64-word Harley-Seal blocks: sixteen 256-bit vectors are folded through
 //      a carry-save-adder tree (ones/twos/fours/eights/sixteens), so the
@@ -17,8 +18,7 @@
 // popcount-accumulate over vectors plus one horizontal sum, so the fixed
 // hs_finish cost is never paid on short rows.
 //
-// The row AND (2-, 3-, 4-arity) is fused into the load stage, so higher
-// arities cost extra loads + vpand only. All loads are unaligned
+// The row AND is fused into the load stage. All loads are unaligned
 // (_mm256_loadu_si256): rows are only 8-byte aligned, and BitSplicing and
 // the differential tests deliberately shift span offsets.
 //
@@ -132,28 +132,8 @@ constexpr std::size_t kWordsPerBlock = 64;  // 16 vectors per Harley-Seal block
 
 }  // namespace
 
-MULTIHIT_TARGET_AVX2 std::uint64_t popcount_row(std::span<const std::uint64_t> a) noexcept {
-  const std::uint64_t* pa = a.data();
-  const std::size_t n = a.size();
-  std::size_t w = 0;
-  __m256i acc = _mm256_setzero_si256();
-  if (n >= kWordsPerBlock) {
-    HsState s;
-    hs_init(&s);
-    __m256i v[16];
-    for (; w + kWordsPerBlock <= n; w += kWordsPerBlock) {
-      for (std::size_t x = 0; x < 16; ++x) v[x] = loadu(pa + w + kWordsPerVector * x);
-      hs_block(&s, v);
-    }
-    acc = hs_fold(&s);
-  }
-  for (; w + kWordsPerVector <= n; w += kWordsPerVector) {
-    acc = _mm256_add_epi64(acc, popcount256(loadu(pa + w)));
-  }
-  if (w < n) acc = _mm256_add_epi64(acc, popcount256(maskload(pa + w, tail_mask(n - w))));
-  return hsum(acc);
-}
-
+// Cache-line aligned: code-layout shifts from unrelated edits moved sweep time up to 15%.
+__attribute__((aligned(64)))
 MULTIHIT_TARGET_AVX2 std::uint64_t and_popcount2(std::span<const std::uint64_t> a,
                                                  std::span<const std::uint64_t> b) noexcept {
   const std::uint64_t* pa = a.data();
@@ -185,116 +165,8 @@ MULTIHIT_TARGET_AVX2 std::uint64_t and_popcount2(std::span<const std::uint64_t> 
   return hsum(acc);
 }
 
-MULTIHIT_TARGET_AVX2 std::uint64_t and_popcount3(std::span<const std::uint64_t> a,
-                                                 std::span<const std::uint64_t> b,
-                                                 std::span<const std::uint64_t> c) noexcept {
-  const std::uint64_t* pa = a.data();
-  const std::uint64_t* pb = b.data();
-  const std::uint64_t* pc = c.data();
-  const std::size_t n = a.size();
-  std::size_t w = 0;
-  __m256i acc = _mm256_setzero_si256();
-  if (n >= kWordsPerBlock) {
-    HsState s;
-    hs_init(&s);
-    __m256i v[16];
-    for (; w + kWordsPerBlock <= n; w += kWordsPerBlock) {
-      for (std::size_t x = 0; x < 16; ++x) {
-        const std::size_t o = w + kWordsPerVector * x;
-        v[x] = _mm256_and_si256(_mm256_and_si256(loadu(pa + o), loadu(pb + o)), loadu(pc + o));
-      }
-      hs_block(&s, v);
-    }
-    acc = hs_fold(&s);
-  }
-  for (; w + kWordsPerVector <= n; w += kWordsPerVector) {
-    acc = _mm256_add_epi64(
-        acc, popcount256(_mm256_and_si256(_mm256_and_si256(loadu(pa + w), loadu(pb + w)),
-                                          loadu(pc + w))));
-  }
-  if (w < n) {
-    const __m256i m = tail_mask(n - w);
-    acc = _mm256_add_epi64(
-        acc, popcount256(_mm256_and_si256(_mm256_and_si256(maskload(pa + w, m), maskload(pb + w, m)),
-                                          maskload(pc + w, m))));
-  }
-  return hsum(acc);
-}
-
-MULTIHIT_TARGET_AVX2 std::uint64_t and_popcount4(std::span<const std::uint64_t> a,
-                                                 std::span<const std::uint64_t> b,
-                                                 std::span<const std::uint64_t> c,
-                                                 std::span<const std::uint64_t> d) noexcept {
-  const std::uint64_t* pa = a.data();
-  const std::uint64_t* pb = b.data();
-  const std::uint64_t* pc = c.data();
-  const std::uint64_t* pd = d.data();
-  const std::size_t n = a.size();
-  std::size_t w = 0;
-  __m256i acc = _mm256_setzero_si256();
-  if (n >= kWordsPerBlock) {
-    HsState s;
-    hs_init(&s);
-    __m256i v[16];
-    for (; w + kWordsPerBlock <= n; w += kWordsPerBlock) {
-      for (std::size_t x = 0; x < 16; ++x) {
-        const std::size_t o = w + kWordsPerVector * x;
-        v[x] = _mm256_and_si256(_mm256_and_si256(loadu(pa + o), loadu(pb + o)),
-                                _mm256_and_si256(loadu(pc + o), loadu(pd + o)));
-      }
-      hs_block(&s, v);
-    }
-    acc = hs_fold(&s);
-  }
-  for (; w + kWordsPerVector <= n; w += kWordsPerVector) {
-    acc = _mm256_add_epi64(
-        acc, popcount256(_mm256_and_si256(_mm256_and_si256(loadu(pa + w), loadu(pb + w)),
-                                          _mm256_and_si256(loadu(pc + w), loadu(pd + w)))));
-  }
-  if (w < n) {
-    const __m256i m = tail_mask(n - w);
-    acc = _mm256_add_epi64(
-        acc,
-        popcount256(_mm256_and_si256(_mm256_and_si256(maskload(pa + w, m), maskload(pb + w, m)),
-                                     _mm256_and_si256(maskload(pc + w, m), maskload(pd + w, m)))));
-  }
-  return hsum(acc);
-}
-
-MULTIHIT_TARGET_AVX2 std::uint64_t andnot_popcount2(std::span<const std::uint64_t> a,
-                                                    std::span<const std::uint64_t> b) noexcept {
-  // _mm256_andnot_si256(x, y) computes ~x & y, so b rides in the first
-  // operand. The masked tail stays bit-identical to scalar: lanes beyond the
-  // row load a as zero, and 0 & ~b is 0 whatever ~b holds there.
-  const std::uint64_t* pa = a.data();
-  const std::uint64_t* pb = b.data();
-  const std::size_t n = a.size();
-  std::size_t w = 0;
-  __m256i acc = _mm256_setzero_si256();
-  if (n >= kWordsPerBlock) {
-    HsState s;
-    hs_init(&s);
-    __m256i v[16];
-    for (; w + kWordsPerBlock <= n; w += kWordsPerBlock) {
-      for (std::size_t x = 0; x < 16; ++x) {
-        const std::size_t o = w + kWordsPerVector * x;
-        v[x] = _mm256_andnot_si256(loadu(pb + o), loadu(pa + o));
-      }
-      hs_block(&s, v);
-    }
-    acc = hs_fold(&s);
-  }
-  for (; w + kWordsPerVector <= n; w += kWordsPerVector) {
-    acc = _mm256_add_epi64(acc, popcount256(_mm256_andnot_si256(loadu(pb + w), loadu(pa + w))));
-  }
-  if (w < n) {
-    const __m256i m = tail_mask(n - w);
-    acc = _mm256_add_epi64(
-        acc, popcount256(_mm256_andnot_si256(maskload(pb + w, m), maskload(pa + w, m))));
-  }
-  return hsum(acc);
-}
-
+// Cache-line aligned: code-layout shifts from unrelated edits moved sweep time up to 15%.
+__attribute__((aligned(64)))
 MULTIHIT_TARGET_AVX2 void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
                                    std::span<const std::uint64_t> b) noexcept {
   std::uint64_t* pd = dst.data();
@@ -308,68 +180,19 @@ MULTIHIT_TARGET_AVX2 void and_rows(std::span<std::uint64_t> dst, std::span<const
   for (; w < n; ++w) pd[w] = pa[w] & pb[w];
 }
 
-MULTIHIT_TARGET_AVX2 void and_rows_inplace(std::span<std::uint64_t> dst,
-                                           std::span<const std::uint64_t> a) noexcept {
-  std::uint64_t* pd = dst.data();
-  const std::uint64_t* pa = a.data();
-  const std::size_t n = dst.size();
-  std::size_t w = 0;
-  for (; w + kWordsPerVector <= n; w += kWordsPerVector) {
-    storeu(pd + w, _mm256_and_si256(loadu(pd + w), loadu(pa + w)));
-  }
-  for (; w < n; ++w) pd[w] &= pa[w];
-}
-
-MULTIHIT_TARGET_AVX2 void andnot_rows(std::span<std::uint64_t> dst,
-                                      std::span<const std::uint64_t> a,
-                                      std::span<const std::uint64_t> b) noexcept {
-  std::uint64_t* pd = dst.data();
-  const std::uint64_t* pa = a.data();
-  const std::uint64_t* pb = b.data();
-  const std::size_t n = dst.size();
-  std::size_t w = 0;
-  for (; w + kWordsPerVector <= n; w += kWordsPerVector) {
-    storeu(pd + w, _mm256_andnot_si256(loadu(pb + w), loadu(pa + w)));
-  }
-  for (; w < n; ++w) pd[w] = pa[w] & ~pb[w];
-}
-
 }  // namespace multihit::bitops_avx2
 
 #else  // non-x86: keep the entry points linkable; dispatch never selects them.
 
 namespace multihit::bitops_avx2 {
 
-std::uint64_t popcount_row(std::span<const std::uint64_t> a) noexcept {
-  return bitops_scalar::popcount_row(a);
-}
 std::uint64_t and_popcount2(std::span<const std::uint64_t> a,
                             std::span<const std::uint64_t> b) noexcept {
   return bitops_scalar::and_popcount2(a, b);
 }
-std::uint64_t and_popcount3(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-                            std::span<const std::uint64_t> c) noexcept {
-  return bitops_scalar::and_popcount3(a, b, c);
-}
-std::uint64_t and_popcount4(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-                            std::span<const std::uint64_t> c,
-                            std::span<const std::uint64_t> d) noexcept {
-  return bitops_scalar::and_popcount4(a, b, c, d);
-}
-std::uint64_t andnot_popcount2(std::span<const std::uint64_t> a,
-                               std::span<const std::uint64_t> b) noexcept {
-  return bitops_scalar::andnot_popcount2(a, b);
-}
 void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
               std::span<const std::uint64_t> b) noexcept {
   bitops_scalar::and_rows(dst, a, b);
-}
-void and_rows_inplace(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a) noexcept {
-  bitops_scalar::and_rows_inplace(dst, a);
-}
-void andnot_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
-                 std::span<const std::uint64_t> b) noexcept {
-  bitops_scalar::andnot_rows(dst, a, b);
 }
 
 }  // namespace multihit::bitops_avx2

@@ -25,10 +25,8 @@ std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) noexcept {
   return hash;
 }
 
-// Caps so a corrupted header cannot demand a multi-terabyte allocation
-// before the checksum check would catch it.
-constexpr std::uint32_t kMaxGenes = 10'000'000;
-constexpr std::uint32_t kMaxSamples = 100'000'000;
+// Like kMaxGenes/kMaxSamples (bitmat/bitmatrix.hpp), a cap a corrupted
+// header cannot exceed before the checksum check would catch it.
 constexpr std::uint32_t kMaxHits = 64;
 
 }  // namespace

@@ -117,16 +117,9 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     }
     out.arena_blocks = arena.block_allocations();
 
-    const BitopsCallCounts calls_now = thread_bitops_calls();
-    const BitopsCallCounts delta = calls_now - calls_before;
-    sample.calls.popcount_row = delta.popcount_row;
+    const BitopsCallCounts delta = thread_bitops_calls() - calls_before;
     sample.calls.and2 = delta.and2;
-    sample.calls.and3 = delta.and3;
-    sample.calls.and4 = delta.and4;
     sample.calls.and_rows = delta.and_rows;
-    sample.calls.and_rows_inplace = delta.and_rows_inplace;
-    sample.calls.andnot2 = delta.andnot2;
-    sample.calls.andnot_rows = delta.andnot_rows;
     sample.chunks = out.chunks;
     sample.candidates = static_cast<std::uint64_t>(out.candidates.size());
     sample.combinations = out.stats.combinations;

@@ -107,9 +107,13 @@ std::uint64_t scheme_thread_work(Scheme scheme, std::uint32_t genes, std::uint64
   return choose(genes - 1 - top, scheme.hits - scheme.flat);
 }
 
-EvalResult evaluate_range(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                          Scheme scheme, std::uint64_t begin, std::uint64_t end,
-                          const MemOpts& opts, KernelStats* stats, Arena* arena) {
+// Cache-line aligned: code-layout shifts from unrelated edits moved sweep time up to 15%.
+__attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
+                                                       const BitMatrix& normal,
+                                                       const FContext& ctx, Scheme scheme,
+                                                       std::uint64_t begin, std::uint64_t end,
+                                                       const MemOpts& opts, KernelStats* stats,
+                                                       Arena* arena) {
   const std::uint32_t genes = tumor.genes();
   check_scheme(scheme, genes);
   assert(normal.genes() == genes);

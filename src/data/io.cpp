@@ -1,5 +1,6 @@
 #include "data/io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -52,11 +53,26 @@ Dataset read_dataset(std::istream& in) {
     return line.substr(key.size() + 1);
   };
 
+  // Decimal digits only, in u32 range: stoul would throw its own exception
+  // types, accept "-1" as 2^64 - 1 and let a cast wrap 2^32 + 1 to 1.
+  auto expect_u32 = [&](const std::string& key) -> std::uint32_t {
+    const std::string text = expect_kv(key);
+    const char* const end = text.data() + text.size();
+    std::uint32_t value = 0;
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc{} || stop != end) fail("'" + key + "' is not a u32: '" + text + "'");
+    return value;
+  };
+
   data.name = expect_kv("name");
-  genes = static_cast<std::uint32_t>(std::stoul(expect_kv("genes")));
-  tumor_samples = static_cast<std::uint32_t>(std::stoul(expect_kv("tumor-samples")));
-  normal_samples = static_cast<std::uint32_t>(std::stoul(expect_kv("normal-samples")));
-  planted_count = std::stoul(expect_kv("planted"));
+  genes = expect_u32("genes");
+  tumor_samples = expect_u32("tumor-samples");
+  normal_samples = expect_u32("normal-samples");
+  planted_count = expect_u32("planted");
+  if (genes > kMaxGenes) fail("genes " + std::to_string(genes) + " out of range");
+  if (tumor_samples > kMaxSamples || normal_samples > kMaxSamples) {
+    fail("sample count out of range");
+  }
 
   data.tumor = BitMatrix(genes, tumor_samples);
   data.normal = BitMatrix(genes, normal_samples);

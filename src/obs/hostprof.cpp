@@ -30,14 +30,8 @@ struct OpField {
   std::uint64_t HostBitopsCalls::* member;
 };
 constexpr OpField kOpFields[] = {
-    {"popcount_row", &HostBitopsCalls::popcount_row},
     {"and2", &HostBitopsCalls::and2},
-    {"and3", &HostBitopsCalls::and3},
-    {"and4", &HostBitopsCalls::and4},
     {"and_rows", &HostBitopsCalls::and_rows},
-    {"and_rows_inplace", &HostBitopsCalls::and_rows_inplace},
-    {"andnot2", &HostBitopsCalls::andnot2},
-    {"andnot_rows", &HostBitopsCalls::andnot_rows},
 };
 
 JsonValue calls_json(const HostBitopsCalls& calls) {
@@ -189,6 +183,10 @@ void HostProfiler::end_sweep(const HostSweepClose& close) {
 
 // ----------------------------------------------------------------- rendering
 
+namespace {
+
+/// Per-worker imbalance over one wall-clock quantity, in the analyze layer's
+/// PhaseStat shape (lanes = worker slots, straggler_lane = slot index).
 PhaseStat hostprof_imbalance(const HostProfile& profile, const std::string& phase) {
   PhaseStat stat;
   stat.phase = phase;
@@ -228,8 +226,6 @@ PhaseStat hostprof_imbalance(const HostProfile& profile, const std::string& phas
   stat.max_over_mean = stat.mean_seconds > 0.0 ? stat.max_seconds / stat.mean_seconds : 0.0;
   return stat;
 }
-
-namespace {
 
 JsonValue workload_json(const HostProfile& profile) {
   JsonValue workload = JsonValue::object();

@@ -60,28 +60,13 @@ std::size_t claim_bucket(double seconds) noexcept;
 /// Dispatched bitops call counts, mirrored as a plain struct so core can
 /// hand deltas across without obs depending on the bitmat library.
 struct HostBitopsCalls {
-  std::uint64_t popcount_row = 0;
   std::uint64_t and2 = 0;
-  std::uint64_t and3 = 0;
-  std::uint64_t and4 = 0;
   std::uint64_t and_rows = 0;
-  std::uint64_t and_rows_inplace = 0;
-  std::uint64_t andnot2 = 0;
-  std::uint64_t andnot_rows = 0;
 
-  std::uint64_t total() const noexcept {
-    return popcount_row + and2 + and3 + and4 + and_rows + and_rows_inplace + andnot2 +
-           andnot_rows;
-  }
+  std::uint64_t total() const noexcept { return and2 + and_rows; }
   HostBitopsCalls& operator+=(const HostBitopsCalls& other) noexcept {
-    popcount_row += other.popcount_row;
     and2 += other.and2;
-    and3 += other.and3;
-    and4 += other.and4;
     and_rows += other.and_rows;
-    and_rows_inplace += other.and_rows_inplace;
-    andnot2 += other.andnot2;
-    andnot_rows += other.andnot_rows;
     return *this;
   }
 };
@@ -229,10 +214,6 @@ JsonValue hostprof_deterministic(const HostProfile& profile);
 /// descriptions; non-empty means a corrupt or hand-edited document, and
 /// `obstool hostprof` exits 1.
 std::vector<std::string> hostprof_crosscheck(const HostProfile& profile);
-
-/// Per-worker imbalance over one wall-clock quantity, in the analyze layer's
-/// PhaseStat shape (lanes = worker slots, straggler_lane = slot index).
-PhaseStat hostprof_imbalance(const HostProfile& profile, const std::string& phase);
 
 /// Collapsed-stack flamegraph lines ("hostsweep;worker 0;evaluate <µs>"),
 /// same format folded_stacks() emits, so the existing obstool folded

@@ -18,6 +18,12 @@ TEST(BitMatrix, ConstructionAndDimensions) {
   EXPECT_EQ(m.total_set_bits(), 0u);
 }
 
+TEST(BitMatrix, WordCountDoesNotWrapNearU32Max) {
+  // samples + 63 overflows u32 here; zero genes keeps the matrix empty.
+  const BitMatrix m(0, 4294967290u);
+  EXPECT_EQ(m.words_per_row(), 67108864u);  // ceil((2^32 - 6) / 64)
+}
+
 TEST(BitMatrix, SetGetClear) {
   BitMatrix m(4, 100);
   m.set(2, 63);

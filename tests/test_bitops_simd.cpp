@@ -69,57 +69,33 @@ void fill(std::span<std::uint64_t> row, Pattern p, std::uint64_t salt) {
 struct OffsetRows {
   // Backing buffers are over-allocated so spans can start mid-buffer: the
   // kernels must honour arbitrary word offsets, not just vector-aligned ones.
-  std::vector<std::uint64_t> buf_a, buf_b, buf_c, buf_d, buf_dst_s, buf_dst_v;
-  std::span<const std::uint64_t> a, b, c, d;
+  std::vector<std::uint64_t> buf_a, buf_b, buf_dst_s, buf_dst_v;
+  std::span<const std::uint64_t> a, b;
   std::span<std::uint64_t> dst_s, dst_v;
 
   OffsetRows(std::size_t words, std::size_t offset, Pattern p) {
     const std::size_t alloc = words + offset;
     buf_a.resize(alloc);
     buf_b.resize(alloc);
-    buf_c.resize(alloc);
-    buf_d.resize(alloc);
     buf_dst_s.resize(alloc);
     buf_dst_v.resize(alloc);
     a = std::span<const std::uint64_t>(buf_a).subspan(offset, words);
     b = std::span<const std::uint64_t>(buf_b).subspan(offset, words);
-    c = std::span<const std::uint64_t>(buf_c).subspan(offset, words);
-    d = std::span<const std::uint64_t>(buf_d).subspan(offset, words);
     dst_s = std::span<std::uint64_t>(buf_dst_s).subspan(offset, words);
     dst_v = std::span<std::uint64_t>(buf_dst_v).subspan(offset, words);
     fill({buf_a.data() + offset, words}, p, 0);
     fill({buf_b.data() + offset, words}, p, 1);
-    fill({buf_c.data() + offset, words}, p, 2);
-    fill({buf_d.data() + offset, words}, p, 3);
   }
 };
 
-/// One backend-vs-scalar comparison of all eight ops on one operand set.
+/// One backend-vs-scalar comparison of both kernels on one operand set.
 void expect_identical(const OffsetRows& r, const std::string& label) {
   namespace sc = bitops_scalar;
   namespace av = bitops_avx2;
-  EXPECT_EQ(sc::popcount_row(r.a), av::popcount_row(r.a)) << label;
   EXPECT_EQ(sc::and_popcount2(r.a, r.b), av::and_popcount2(r.a, r.b)) << label;
-  EXPECT_EQ(sc::and_popcount3(r.a, r.b, r.c), av::and_popcount3(r.a, r.b, r.c)) << label;
-  EXPECT_EQ(sc::and_popcount4(r.a, r.b, r.c, r.d), av::and_popcount4(r.a, r.b, r.c, r.d))
-      << label;
-  // ANDNOT is order-sensitive (a & ~b != b & ~a on asymmetric operands), so
-  // check both orders against scalar.
-  EXPECT_EQ(sc::andnot_popcount2(r.a, r.b), av::andnot_popcount2(r.a, r.b)) << label;
-  EXPECT_EQ(sc::andnot_popcount2(r.b, r.a), av::andnot_popcount2(r.b, r.a)) << label;
 
-  std::vector<std::uint64_t> out_s(r.a.size()), out_v(r.a.size());
   sc::and_rows(r.dst_s, r.a, r.b);
   av::and_rows(r.dst_v, r.a, r.b);
-  EXPECT_TRUE(std::equal(r.dst_s.begin(), r.dst_s.end(), r.dst_v.begin())) << label;
-
-  // In-place AND starts from the just-computed (identical) staged rows.
-  sc::and_rows_inplace(r.dst_s, r.c);
-  av::and_rows_inplace(r.dst_v, r.c);
-  EXPECT_TRUE(std::equal(r.dst_s.begin(), r.dst_s.end(), r.dst_v.begin())) << label;
-
-  sc::andnot_rows(r.dst_s, r.a, r.b);
-  av::andnot_rows(r.dst_v, r.a, r.b);
   EXPECT_TRUE(std::equal(r.dst_s.begin(), r.dst_s.end(), r.dst_v.begin())) << label;
 }
 
@@ -160,7 +136,6 @@ TEST_F(BitopsSimd, RandomRegressionSweepWithDenseAndSparseMixes) {
     if (words > 0) {
       rows.buf_a[0] = ~0ULL;
       rows.buf_b[words - 1] = ~0ULL;
-      if (trial % 3 == 0) std::fill(rows.buf_c.begin(), rows.buf_c.end(), ~0ULL);
     }
     expect_identical(rows, "trial=" + std::to_string(trial));
     if (HasFailure()) return;
@@ -184,37 +159,16 @@ TEST_F(BitopsSimd, DispatchedEntryPointsFollowSetBackend) {
   set_backend(previous);
 }
 
-TEST(BitopsDispatch, AndnotComplementIdentities) {
-  // Backend-independent semantics: popcount(a & ~b) == popcount(a) -
-  // popcount(a & b), and (a & ~b) | (a & b) reassembles a. Catches an
-  // operand-order swap (b & ~a) that the differential sweep alone would
-  // miss if both backends swapped the same way.
-  std::vector<std::uint64_t> a(19), b(19);
-  fill(a, Pattern::kRandom, 21);
-  fill(b, Pattern::kRandom, 22);
-  EXPECT_EQ(andnot_popcount(a, b), popcount_row(a) - and_popcount(a, b));
-
-  std::vector<std::uint64_t> masked(19), common(19);
-  andnot_rows(masked, a, b);
-  and_rows(common, a, b);
-  for (std::size_t w = 0; w < a.size(); ++w) {
-    EXPECT_EQ(masked[w] | common[w], a[w]) << "word " << w;
-    EXPECT_EQ(masked[w] & b[w], 0u) << "word " << w;
-  }
-}
-
 TEST(BitopsDispatch, CallCountingCountsDispatchedCallsOnly) {
   // Counting swaps the dispatch table; the backend selection must survive
-  // the swap, counters only advance while enabled, and every public entry
-  // point bumps exactly its own counter.
+  // the swap, counters only advance while enabled, and each dispatched
+  // kernel bumps exactly its own counter.
   const BitopsBackend backend_before = active_backend();
   ASSERT_FALSE(call_counting());
 
-  std::vector<std::uint64_t> a(9), b(9), c(9), d(9), dst(9);
+  std::vector<std::uint64_t> a(9), b(9), dst(9);
   fill(a, Pattern::kRandom, 31);
   fill(b, Pattern::kRandom, 32);
-  fill(c, Pattern::kRandom, 33);
-  fill(d, Pattern::kRandom, 34);
 
   const BitopsCallCounts before_off = thread_bitops_calls();
   (void)and_popcount(a, b);
@@ -226,24 +180,13 @@ TEST(BitopsDispatch, CallCountingCountsDispatchedCallsOnly) {
   EXPECT_EQ(active_backend(), backend_before);
 
   const BitopsCallCounts t0 = thread_bitops_calls();
-  (void)popcount_row(a);
+  (void)popcount_row(a);  // scalar, outside dispatch: never counted
   (void)and_popcount(a, b);
-  (void)and_popcount(a, b, c);
-  (void)and_popcount(a, b, c, d);
-  (void)andnot_popcount(a, b);
   and_rows(dst, a, b);
-  and_rows_inplace(dst, c);
-  andnot_rows(dst, a, b);
   const BitopsCallCounts delta = thread_bitops_calls() - t0;
-  EXPECT_EQ(delta.popcount_row, 1u);
   EXPECT_EQ(delta.and2, 1u);
-  EXPECT_EQ(delta.and3, 1u);
-  EXPECT_EQ(delta.and4, 1u);
-  EXPECT_EQ(delta.andnot2, 1u);
   EXPECT_EQ(delta.and_rows, 1u);
-  EXPECT_EQ(delta.and_rows_inplace, 1u);
-  EXPECT_EQ(delta.andnot_rows, 1u);
-  EXPECT_EQ(delta.total(), 8u);
+  EXPECT_EQ(delta.total(), 2u);
 
   // Counted results match uncounted ones (the wrappers only forward).
   const std::uint64_t counted = and_popcount(a, b);
@@ -288,15 +231,11 @@ using BitopsContractDeathTest = ::testing::Test;
 
 TEST(BitopsContractDeathTest, MismatchedSpanLengthsAbort) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::vector<std::uint64_t> a(4), b(5), c(4), d(6);
+  const std::vector<std::uint64_t> a(4), b(5), c(4);
   std::vector<std::uint64_t> dst(5);
   EXPECT_DEATH((void)and_popcount(a, b), "span length mismatch");
-  EXPECT_DEATH((void)and_popcount(a, b, c), "span length mismatch");
-  EXPECT_DEATH((void)and_popcount(a, c, b, d), "span length mismatch");
-  EXPECT_DEATH((void)andnot_popcount(a, b), "span length mismatch");
   EXPECT_DEATH(and_rows(dst, a, c), "span length mismatch");
-  EXPECT_DEATH(and_rows_inplace(dst, a), "span length mismatch");
-  EXPECT_DEATH(andnot_rows(dst, a, c), "span length mismatch");
+  EXPECT_DEATH(and_rows(dst, b, c), "span length mismatch");
 }
 #else
 TEST(BitopsContractDeathTest, MismatchedSpanLengthsAbort) {

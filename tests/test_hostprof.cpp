@@ -186,7 +186,7 @@ TEST(HostProf, CallCountsAreDispatchLevelIdenticalAcrossThreadCounts) {
     } else {
       EXPECT_EQ(calls.total(), reference.total()) << "threads=" << threads;
       EXPECT_EQ(calls.and2, reference.and2);
-      EXPECT_EQ(calls.andnot2, reference.andnot2);
+      EXPECT_EQ(calls.and_rows, reference.and_rows);
     }
   }
 }

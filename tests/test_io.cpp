@@ -69,6 +69,27 @@ TEST(DatasetIo, RejectsMissingEnd) {
   EXPECT_THROW(read_dataset(buffer), std::runtime_error);
 }
 
+TEST(DatasetIo, RejectsMalformedHeaderNumbers) {
+  // Each once escaped the documented std::runtime_error: "abc" threw
+  // std::invalid_argument, 2^32 + 1 wrapped to a 1-gene dataset, "-1" tried
+  // to allocate 2^32 - 1 rows, and the 102-byte input wrapped the per-row
+  // word count to 0 and wrote past the matrix on its sparse line.
+  const auto with_genes = [](const std::string& genes) {
+    return "multihit-dataset v1\nname x\ngenes " + genes +
+           "\ntumor-samples 2\nnormal-samples 2\nplanted 0\nend\n";
+  };
+  const std::string huge_samples =
+      "multihit-dataset v1\nname x\ngenes 1\ntumor-samples 4294967290\n"
+      "normal-samples 1\nplanted 0\nt 0 100000\nend\n";
+  ASSERT_EQ(huge_samples.size(), 102u);
+  for (const std::string& input :
+       {with_genes("abc"), with_genes("4294967297"), with_genes("-1"), huge_samples}) {
+    SCOPED_TRACE(input);
+    std::stringstream buffer(input);
+    EXPECT_THROW(read_dataset(buffer), std::runtime_error);
+  }
+}
+
 TEST(DatasetIo, FileRoundTrip) {
   const Dataset original = sample_dataset();
   const std::string path = testing::TempDir() + "/multihit_io_test.txt";

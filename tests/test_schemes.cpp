@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "bitmat/bitops.hpp"
 #include "cluster/distributed.hpp"
 #include "cluster/model.hpp"
 #include "combinat/binomial.hpp"
@@ -346,7 +347,8 @@ TEST_P(AllSchemes, CountedCombinationsMatchSchemeStats) {
   // The kernel's `combinations` is a real count of what it scored; it must
   // agree with the closed form (and with the reference's count) over ragged
   // ranges, or the host sweep's "visits each combination once" check means
-  // nothing.
+  // nothing. The hot-path call contract rides along: every combination
+  // costs exactly one dispatched two-row and_popcount per matrix.
   const Scheme scheme = GetParam();
   const auto f = make_fixture(small_genes(scheme.hits), scheme.hits, 77, 2);
   const std::uint32_t wt = f.data.tumor.words_per_row();
@@ -355,7 +357,12 @@ TEST_P(AllSchemes, CountedCombinationsMatchSchemeStats) {
   for (const auto& [a, b] : ragged_ranges(total, 5 + scheme.flat)) {
     const MemOpts opts{.prefetch_i = true, .prefetch_j = true};
     KernelStats counted;
+    const bool was_counting = set_call_counting(true);
+    const BitopsCallCounts calls_before = thread_bitops_calls();
     evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, opts, &counted);
+    const BitopsCallCounts calls = thread_bitops_calls() - calls_before;
+    set_call_counting(was_counting);
+    EXPECT_EQ(calls.and2, 2 * counted.combinations) << "[" << a << "," << b << ")";
     const KernelStats modeled = scheme_stats(scheme, f.data.genes(), a, b, opts, wt, wn);
     u64 brute = 0;
     (void)brute_force_range(f, scheme, a, b, &brute);
