@@ -4,37 +4,58 @@
 //
 // Runs the Part 1b workload from brca_scaleout — the BRCA-shaped 4-hit
 // downscale (G=90, 120/80 samples, seed 911) — as a full greedy cover with
-// 4 host threads, plain and profiled, in alternation (5 interleaved rounds,
-// best time kept per variant so frequency drift hits both sides). Wall-clock
-// numbers land only in gauges; the strict-gated series are booleans:
+// 4 host threads, plain and profiled. With the kernel's prefix cut one cover
+// takes about half a millisecond, so a single timed cover is mostly thread
+// start-up noise: each of the 5 rounds is one interleaved sample that runs
+// plain/profiled pairs of covers (order flipped every pair) until each
+// variant's covers span >= 100 ms. The overhead is the median over all pairs
+// of profiled/plain, so load drift between rounds cancels inside each pair.
+// Wall-clock numbers land only in gauges; the strict-gated series are
+// booleans and exact counts:
 //
 //   profiled_identical     profiled and unprofiled greedy runs select the
 //                          same combinations (bit-identical cover)
-//   overhead_lt_5pct       best profiled time < 1.05x best plain time
+//   overhead_lt_5pct       median profiled/plain pair ratio < 1.05
 //   replay_identity        report -> parse -> re-render is byte-identical
 //   deterministic_stable   two profiled runs project byte-identical
 //                          deterministic documents
 //   crosscheck_clean       the profile reconciles against itself
+//   pruned_fraction.<code> share of the combinations the kernel's prefix cut
+//                          skipped over a full greedy cover of each registry
+//                          type's serve dataset (make_kernel_evaluator)
 //
-// The <5% budget is the ISSUE 9 acceptance gate: the profiled loop adds two
-// steady_clock reads per ~1024-combination chunk plus one thread_local
-// increment per dispatched bitops call, both of which amortize to noise
-// against the kernel work a chunk carries.
+// The <5% budget is the host profiler's acceptance gate: the profiled loop
+// adds two steady_clock reads per 1024-λ chunk plus one thread_local
+// increment per dispatched bitops call. That no longer amortizes to noise: a
+// pruned chunk is ~1.5 us of kernel work, and the two reads cost ~80 ns of
+// it on a 4-vCPU VM (about 4.5% of a 4-thread cover, 9% single-threaded), so
+// the gate now measures a real cost close to its bound.
 
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/hostsweep.hpp"
 #include "data/generator.hpp"
+#include "data/registry.hpp"
 #include "obs/bench.hpp"
 #include "obs/hostprof.hpp"
+#include "serve/cache.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr double kMinSampleSeconds = 0.1;
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
 
 }  // namespace
 
@@ -59,31 +80,39 @@ int main() {
   options.threads = 4;
   options.chunk = 1024;
 
-  const auto run_once = [&](obs::HostProfiler* profiler, double* seconds) {
+  // One timed cover. A profiled cover gets a fresh profiler (built outside
+  // the timed span), so every cover measures the same amount of collection
+  // work.
+  const auto cover = [&](std::optional<obs::HostProfiler>* profiler, GreedyResult* result) {
     HostSweepOptions sweep = options;
-    sweep.profiler = profiler;
+    if (profiler != nullptr) sweep.profiler = &profiler->emplace();
     const auto t0 = Clock::now();
-    const GreedyResult result =
-        run_greedy(data.tumor, data.normal, config, make_host_sweep_evaluator(sweep));
-    *seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-    return result;
+    *result = run_greedy(data.tumor, data.normal, config, make_host_sweep_evaluator(sweep));
+    return std::chrono::duration<double>(Clock::now() - t0).count();
   };
 
-  // Interleaved best-of-5: plain, then profiled, per round. The profiled
-  // variant uses a fresh profiler each round so every round measures the
-  // same amount of collection work.
-  double best_plain = 0.0, best_profiled = 0.0;
+  // Five interleaved rounds of plain/profiled pairs; the order flips every
+  // pair, so drift and warm-up hit both variants alike.
+  std::vector<double> plain_s, profiled_s, pair_ratios;
   GreedyResult plain, profiled;
   std::string deterministic_first;
   bool deterministic_stable = true;
   for (int round = 0; round < 5; ++round) {
-    double seconds = 0.0;
-    plain = run_once(nullptr, &seconds);
-    if (round == 0 || seconds < best_plain) best_plain = seconds;
-
-    obs::HostProfiler profiler;
-    profiled = run_once(&profiler, &seconds);
-    if (round == 0 || seconds < best_profiled) best_profiled = seconds;
+    std::optional<obs::HostProfiler> last_profiled;
+    double plain_total = 0.0, profiled_total = 0.0;
+    while (plain_total < kMinSampleSeconds || profiled_total < kMinSampleSeconds) {
+      const bool profiled_first = pair_ratios.size() % 2 == 1;
+      double profiled_seconds = 0.0;
+      if (profiled_first) profiled_seconds = cover(&last_profiled, &profiled);
+      const double plain_seconds = cover(nullptr, &plain);
+      if (!profiled_first) profiled_seconds = cover(&last_profiled, &profiled);
+      plain_s.push_back(plain_seconds);
+      profiled_s.push_back(profiled_seconds);
+      pair_ratios.push_back(profiled_seconds / plain_seconds);
+      plain_total += plain_seconds;
+      profiled_total += profiled_seconds;
+    }
+    const obs::HostProfiler& profiler = *last_profiled;
 
     const std::string projection = obs::hostprof_deterministic(profiler.profile()).dump();
     if (round == 0) {
@@ -99,8 +128,9 @@ int main() {
                                     obs::hostprof_crosscheck(parsed).empty();
 
       const bool profiled_identical = profiled.combinations() == plain.combinations();
-      const double overhead =
-          best_plain > 0.0 ? (best_profiled - best_plain) / best_plain : 0.0;
+      const double overhead = median(pair_ratios) - 1.0;
+      const double plain_median = median(plain_s);
+      const double profiled_median = median(profiled_s);
       const bool overhead_ok = overhead < 0.05;
 
       obs::BenchReporter bench("hostprof");
@@ -109,19 +139,33 @@ int main() {
       bench.series("replay_identity", replay_identity ? 1.0 : 0.0);
       bench.series("deterministic_stable", deterministic_stable ? 1.0 : 0.0);
       bench.series("crosscheck_clean", crosscheck_clean ? 1.0 : 0.0);
+      std::cout << "  pruned fraction per cancer type (kernel evaluator, serve datasets):\n";
+      for (const CancerType& type : cancer_registry()) {
+        const Dataset served = generate_dataset(serve::CancerCache::serve_spec(type));
+        EngineConfig served_config;
+        served_config.hits = type.hits;
+        KernelStats stats;
+        (void)run_greedy(served.tumor, served.normal, served_config,
+                         make_kernel_evaluator(type.hits, &stats));
+        const double fraction = static_cast<double>(stats.pruned) /
+                                static_cast<double>(std::max<std::uint64_t>(1, stats.combinations));
+        bench.series("pruned_fraction." + type.code, fraction);
+        std::cout << "    " << type.code << ": " << fraction << " of " << stats.combinations
+                  << "\n";
+      }
       bench.metrics().gauge("hostprof.overhead_fraction").set(overhead);
-      bench.metrics().gauge("hostprof.plain_seconds").set(best_plain);
-      bench.metrics().gauge("hostprof.profiled_seconds").set(best_profiled);
+      bench.metrics().gauge("hostprof.plain_seconds").set(plain_median);
+      bench.metrics().gauge("hostprof.profiled_seconds").set(profiled_median);
       bench.metrics()
           .gauge("hostprof.combos_per_sec")
-          .set(best_profiled > 0.0
-                   ? static_cast<double>(profiler.profile().total_combinations) / best_profiled
-                   : 0.0);
+          .set(static_cast<double>(profiler.profile().total_combinations) / profiled_median);
       bench.write();
 
-      std::cout << "  plain:    " << best_plain << " s (best of 5)\n"
-                << "  profiled: " << best_profiled << " s (best of 5)\n"
-                << "  overhead: " << overhead * 100.0 << "% (gate: < 5%)\n"
+      std::cout << "  plain:    " << plain_median << " s per cover (median of "
+                << plain_s.size() << ")\n"
+                << "  profiled: " << profiled_median << " s per cover (median of "
+                << profiled_s.size() << ")\n"
+                << "  overhead: " << overhead * 100.0 << "% (median pair ratio; gate: < 5%)\n"
                 << "  selections identical: " << (profiled_identical ? "yes" : "NO") << "\n"
                 << "  replay byte-identical: " << (replay_identity ? "yes" : "NO") << "\n"
                 << "  deterministic projection stable: "

@@ -35,18 +35,6 @@ bool BitMatrix::get(std::uint32_t gene, std::uint32_t sample) const noexcept {
   return (row(gene)[sample / kWordBits] >> (sample % kWordBits)) & 1;
 }
 
-// Cache-line aligned: code-layout shifts from unrelated edits moved sweep time up to 15%.
-__attribute__((aligned(64))) std::span<const std::uint64_t> BitMatrix::row(
-    std::uint32_t gene) const noexcept {
-  assert(gene < genes_);
-  return {words_.data() + static_cast<std::size_t>(gene) * words_per_row_, words_per_row_};
-}
-
-std::span<std::uint64_t> BitMatrix::row(std::uint32_t gene) noexcept {
-  assert(gene < genes_);
-  return {words_.data() + static_cast<std::size_t>(gene) * words_per_row_, words_per_row_};
-}
-
 std::uint64_t BitMatrix::intersect_count(std::span<const std::uint32_t> combo) const noexcept {
   switch (combo.size()) {
     case 0:

@@ -7,6 +7,8 @@
 // physically compacting away covered sample columns so later greedy
 // iterations touch fewer words.
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,9 +41,16 @@ class BitMatrix {
 
   bool get(std::uint32_t gene, std::uint32_t sample) const noexcept;
 
-  /// Packed row for one gene.
-  std::span<const std::uint64_t> row(std::uint32_t gene) const noexcept;
-  std::span<std::uint64_t> row(std::uint32_t gene) noexcept;
+  /// Packed row for one gene. Inline: the enumeration kernel's innermost
+  /// loop fetches two rows per combination.
+  std::span<const std::uint64_t> row(std::uint32_t gene) const noexcept {
+    assert(gene < genes_);
+    return {words_.data() + static_cast<std::size_t>(gene) * words_per_row_, words_per_row_};
+  }
+  std::span<std::uint64_t> row(std::uint32_t gene) noexcept {
+    assert(gene < genes_);
+    return {words_.data() + static_cast<std::size_t>(gene) * words_per_row_, words_per_row_};
+  }
 
   /// Number of samples mutated in every gene of `combo` (the intersection
   /// cardinality that TP/TN are computed from).

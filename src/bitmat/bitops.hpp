@@ -68,8 +68,9 @@ bool set_backend(BitopsBackend backend) noexcept;
 BitopsBackend parse_backend(const char* name, bool* ok = nullptr) noexcept;
 
 /// popcount over one row: a plain scalar word loop, not dispatched (its
-/// callers — BitMatrix::total_set_bits and the one-gene serial path — are
-/// off the enumeration's hot path).
+/// callers are BitMatrix::total_set_bits, the one-gene serial path and the
+/// kernel's prefix bound, which runs once per refolded slot rather than once
+/// per combination).
 std::uint64_t popcount_row(std::span<const std::uint64_t> a) noexcept;
 
 // ---------------------------------------------------------------------------

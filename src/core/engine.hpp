@@ -94,8 +94,11 @@ Evaluator make_serial_evaluator(std::uint32_t hits);
 
 /// Evaluator backed by the full-range enumeration kernel with every loop
 /// but the innermost flattened (Scheme{hits, hits-1}: 2 -> 1x1, 3 -> 2x1,
-/// 4 -> 3x1 — the paper's winners). Falls back to the serial scan for
-/// hits < 2.
-Evaluator make_kernel_evaluator(std::uint32_t hits);
+/// 4 -> 3x1 — the paper's winners), pruning against a greedy_floor computed
+/// per evaluation. Falls back to the serial scan for hits < 2. When
+/// `stats_sink` is non-null, every kernel evaluation accumulates its
+/// KernelStats (combinations and pruned among them) into it; the sink must
+/// outlive the evaluator.
+Evaluator make_kernel_evaluator(std::uint32_t hits, KernelStats* stats_sink = nullptr);
 
 }  // namespace multihit

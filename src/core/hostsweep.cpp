@@ -30,8 +30,10 @@ struct Candidate {
   EvalResult result;
 };
 
-/// Everything one worker produces; padded out by vector element granularity,
-/// written only by its owner until join.
+/// Everything one worker produces. Workers fill a stack copy and store it
+/// once when they drain the queue: adjacent vector elements share cache
+/// lines, and per-chunk writes to them would bounce those lines between
+/// workers on every (often tiny, once pruned) chunk.
 struct WorkerOutput {
   std::vector<Candidate> candidates;
   KernelStats stats;
@@ -60,6 +62,10 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
   workers = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(workers, std::max<std::uint64_t>(1, queue.chunk_count())));
 
+  // One floor for every chunk: each chunk's own incumbent starts empty, and
+  // the floor lets it cut from its first prefix on.
+  const double floor = greedy_floor(tumor, normal, ctx, options.hits);
+
   obs::HostProfiler* profiler = options.profiler;
   const bool count_bitops = profiler != nullptr && profiler->count_bitops;
   // Swapping in the counting dispatch tables is one pointer store; the
@@ -72,7 +78,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
   std::vector<Clock::time_point> finish_at(profiler != nullptr ? workers : 0);
 
   const auto worker_body = [&](std::uint32_t id) {
-    WorkerOutput& out = outputs[id];
+    WorkerOutput out;
     Arena arena;
     std::uint64_t begin = 0, end = 0;
     if (profiler == nullptr) {
@@ -81,18 +87,19 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
         // block — per-chunk allocation drops to zero after the first grab.
         arena.reset();
         const EvalResult best = evaluate_range(tumor, normal, ctx, scheme, begin, end,
-                                               kSweepOpts, &out.stats, &arena);
+                                               kSweepOpts, &out.stats, &arena, floor);
         ++out.chunks;
         if (best.valid) out.candidates.push_back({begin, best});
       }
       out.arena_blocks = arena.block_allocations();
+      outputs[id] = std::move(out);
       return;
     }
 
     // Profiled variant of the same loop: two steady_clock reads per chunk
     // (claim edge, evaluate edge) feed the claim-latency histogram and the
     // busy/idle split; everything that decides the selection is untouched.
-    obs::HostWorkerSample& sample = samples[id];
+    obs::HostWorkerSample sample;
     const BitopsCallCounts calls_before = thread_bitops_calls();
     Clock::time_point mark = Clock::now();
     for (;;) {
@@ -109,7 +116,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
       }
       arena.reset();
       const EvalResult best = evaluate_range(tumor, normal, ctx, scheme, begin, end,
-                                             kSweepOpts, &out.stats, &arena);
+                                             kSweepOpts, &out.stats, &arena, floor);
       mark = Clock::now();
       sample.eval_seconds += seconds_between(claimed_at, mark);
       ++out.chunks;
@@ -126,6 +133,8 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     sample.arena_peak_words = arena.peak_words();
     sample.arena_capacity_words = arena.capacity_words();
     sample.arena_blocks = arena.block_allocations();
+    samples[id] = sample;
+    outputs[id] = std::move(out);
   };
 
   const Clock::time_point sweep_start = Clock::now();

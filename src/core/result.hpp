@@ -35,7 +35,9 @@ inline EvalResult merge_results(const EvalResult& a, const EvalResult& b) noexce
 /// Analytic operation/traffic counts for a kernel execution, consumed by the
 /// GPU performance model. Counted in units of 64-bit words.
 struct KernelStats {
-  std::uint64_t combinations = 0;  ///< combinations evaluated
+  std::uint64_t combinations = 0;  ///< combinations covered, scored or pruned
+  std::uint64_t pruned = 0;        ///< of those, skipped under a cut prefix
+                                   ///< (counted by evaluate_range; not serialized)
   std::uint64_t word_ops = 0;      ///< bitwise AND+popcount word operations
   std::uint64_t global_words = 0;  ///< words read from (simulated) global memory
   std::uint64_t local_words = 0;   ///< words served from prefetched local memory
@@ -43,6 +45,7 @@ struct KernelStats {
 
   KernelStats& operator+=(const KernelStats& other) noexcept {
     combinations += other.combinations;
+    pruned += other.pruned;
     word_ops += other.word_ops;
     global_words += other.global_words;
     local_words += other.local_words;

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "bitmat/bitops.hpp"
 #include "combinat/binomial.hpp"
@@ -82,6 +83,10 @@ class BestTracker {
     best_.tn = ctx_.normal_total - normal_hits;
   }
 
+  /// True when an F of at most `bound` cannot displace the incumbent: the
+  /// comparison is strict, so a tie with the incumbent is never dominated.
+  bool dominates(double bound) const noexcept { return best_.valid && bound < best_.f; }
+
   EvalResult result() const noexcept { return best_; }
 
  private:
@@ -113,7 +118,7 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
                                                        const FContext& ctx, Scheme scheme,
                                                        std::uint64_t begin, std::uint64_t end,
                                                        const MemOpts& opts, KernelStats* stats,
-                                                       Arena* arena) {
+                                                       Arena* arena, double floor) {
   const std::uint32_t genes = tumor.genes();
   check_scheme(scheme, genes);
   assert(normal.genes() == genes);
@@ -130,6 +135,7 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
   const std::size_t wn = normal.words_per_row();
   BestTracker best(ctx);
   std::uint64_t scored = 0;
+  std::uint64_t pruned = 0;
 
   if (begin < end) {
     // Fold order: the flat genes top-down, then the inner genes ascending.
@@ -151,19 +157,33 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
       tslot[s] = block.subspan(s * wt, wt);
       nslot[s] = block.subspan((h - 1) * wt + s * wn, wn);
     }
+    // The bound f_score(TP, 0) covers every extension only while F grows
+    // with TP, i.e. for α >= 0.
+    const bool prune = ctx.params.alpha >= 0.0;
     std::array<std::uint32_t, kMaxSchemeHits> genes_at{};  // by fold slot
-    const auto fold = [&](std::uint32_t from, std::uint32_t to) {
+    // Folds slots [from, to) shallowest first. Returns the first slot whose
+    // bound is strictly below max(floor, incumbent F) — its normal half left
+    // unfolded, so callers refold from it — or `to` when none is cut.
+    const auto fold = [&](std::uint32_t from, std::uint32_t to) -> std::uint32_t {
       for (std::uint32_t s = from; s < to; ++s) {
+        const auto trow = tumor.row(genes_at[s]);
         if (s == 0) {
-          const auto trow = tumor.row(genes_at[0]);
-          const auto nrow = normal.row(genes_at[0]);
           std::copy(trow.begin(), trow.end(), tslot[0].begin());
+        } else {
+          and_rows(tslot[s], tslot[s - 1], trow);
+        }
+        if (prune) {
+          const double bound = f_score(ctx, popcount_row(tslot[s]), 0);
+          if (bound < floor || best.dominates(bound)) return s;
+        }
+        const auto nrow = normal.row(genes_at[s]);
+        if (s == 0) {
           std::copy(nrow.begin(), nrow.end(), nslot[0].begin());
         } else {
-          and_rows(tslot[s], tslot[s - 1], tumor.row(genes_at[s]));
-          and_rows(nslot[s], nslot[s - 1], normal.row(genes_at[s]));
+          and_rows(nslot[s], nslot[s - 1], nrow);
         }
       }
+      return to;
     };
 
     // c: the thread's flat genes ascending (colex digits of λ).
@@ -172,46 +192,71 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
     unrank_combination(begin, std::span<std::uint32_t>(c.data(), f));
     for (std::uint32_t k = 0; k < f; ++k) genes_at[f - 1 - k] = c[k];
     std::uint32_t stale = 0;  // first flat slot whose gene changed since its fold
+    // The slots folded per thread: all h-1 when every loop is flat (the
+    // smallest flat gene is then the innermost), else the f flat genes.
+    const std::uint32_t flat_slots = d == 0 ? h - 1 : f;
 
     for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
-      if (d == 0) {
-        // One combination per thread; its smallest gene is the innermost.
-        fold(stale, h - 1);
-        stale = f;
-        const std::uint32_t last = c[0];
-        const std::uint64_t tp = and_popcount(tslot[h - 2], tumor.row(last));
-        const std::uint64_t nh = and_popcount(nslot[h - 2], normal.row(last));
-        best.consider(tp, nh, [&] { return lambda; });
-        ++scored;
-      } else if (genes - 1 - c[f - 1] >= d) {
-        fold(stale, f);
-        stale = f;
-        x[0] = c[f - 1];
-        for (std::uint32_t l = 1; l < d; ++l) genes_at[f - 1 + l] = x[l] = x[0] + l;
-        std::uint32_t inner_stale = f;  // first inner slot to refold
-        for (;;) {
-          fold(inner_stale, h - 1);
-          const std::span<const std::uint64_t> tpre = tslot[h - 2];
-          const std::span<const std::uint64_t> npre = nslot[h - 2];
-          for (std::uint32_t last = x[d - 1] + 1; last < genes; ++last) {
-            const std::uint64_t tp = and_popcount(tpre, tumor.row(last));
-            const std::uint64_t nh = and_popcount(npre, normal.row(last));
-            // Flat genes are the f smallest, so their colex digits sum to λ.
-            best.consider(tp, nh, [&] {
-              std::uint64_t rank = lambda + choose(last, h);
-              for (std::uint32_t l = 1; l < d; ++l) rank += choose(x[l], f + l);
-              return rank;
-            });
+      if (d == 0 || genes - 1 - c[f - 1] >= d) {
+        const std::uint32_t cut = fold(stale, flat_slots);
+        stale = cut;
+        if (cut < flat_slots) {
+          // Every thread sharing genes_at[0..cut] is dominated: jump the
+          // colex digits below the cut slot's gene to their last values
+          // (the run's last λ) and count the run's work up to `end`.
+          const std::uint32_t low = f - 1 - cut;
+          std::uint64_t run_last = lambda;
+          for (std::uint32_t j = 0; j < low; ++j) {
+            const std::uint32_t top = c[low] - low + j;
+            run_last += choose(top, j + 1) - choose(c[j], j + 1);
+            c[j] = top;
+            genes_at[f - 1 - j] = top;
           }
-          scored += genes - 1 - x[d - 1];
-          // Lexicographic successor of the inner prefix, x[l] <= G-1-(d-l).
-          std::uint32_t l = d - 1;
-          while (l >= 1 && x[l] == genes - 1 - (d - l)) --l;
-          if (l == 0) break;
-          ++x[l];
-          for (std::uint32_t k = l + 1; k < d; ++k) x[k] = x[k - 1] + 1;
-          for (std::uint32_t k = l; k < d; ++k) genes_at[f - 1 + k] = x[k];
-          inner_stale = f - 1 + l;
+          const std::uint64_t work = d == 0 ? 1 : choose(genes - 1 - c[f - 1], d);
+          pruned += (std::min(run_last, end - 1) - lambda + 1) * work;
+          lambda = run_last;
+        } else if (d == 0) {
+          // One combination per thread; its smallest gene is the innermost.
+          const std::uint32_t last = c[0];
+          const std::uint64_t tp = and_popcount(tslot[h - 2], tumor.row(last));
+          const std::uint64_t nh = and_popcount(nslot[h - 2], normal.row(last));
+          best.consider(tp, nh, [&] { return lambda; });
+          ++scored;
+        } else {
+          x[0] = c[f - 1];
+          for (std::uint32_t l = 1; l < d; ++l) genes_at[f - 1 + l] = x[l] = x[0] + l;
+          std::uint32_t inner_stale = f;  // first inner slot to refold
+          for (;;) {
+            const std::uint32_t inner_cut = fold(inner_stale, h - 1);
+            // l: the deepest inner digit whose subtree is finished.
+            std::uint32_t l = d - 1;
+            if (inner_cut < h - 1) {
+              l = inner_cut - (f - 1);
+              pruned += choose(genes - 1 - x[l], d - l);
+            } else {
+              const std::span<const std::uint64_t> tpre = tslot[h - 2];
+              const std::span<const std::uint64_t> npre = nslot[h - 2];
+              for (std::uint32_t last = x[d - 1] + 1; last < genes; ++last) {
+                const std::uint64_t tp = and_popcount(tpre, tumor.row(last));
+                const std::uint64_t nh = and_popcount(npre, normal.row(last));
+                // Flat genes are the f smallest, so their colex digits sum to λ.
+                best.consider(tp, nh, [&] {
+                  std::uint64_t rank = lambda + choose(last, h);
+                  for (std::uint32_t k = 1; k < d; ++k) rank += choose(x[k], f + k);
+                  return rank;
+                });
+              }
+              scored += genes - 1 - x[d - 1];
+            }
+            // Lexicographic successor of the inner prefix, x[l] <= G-1-(d-l),
+            // from digit l (the digits below a cut digit are skipped whole).
+            while (l >= 1 && x[l] == genes - 1 - (d - l)) --l;
+            if (l == 0) break;
+            ++x[l];
+            for (std::uint32_t k = l + 1; k < d; ++k) x[k] = x[k - 1] + 1;
+            for (std::uint32_t k = l; k < d; ++k) genes_at[f - 1 + k] = x[k];
+            inner_stale = f - 1 + l;
+          }
         }
       }
 
@@ -230,10 +275,34 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
     KernelStats counted = scheme_stats(scheme, genes, begin, end, opts,
                                        static_cast<std::uint32_t>(wt),
                                        static_cast<std::uint32_t>(wn));
-    counted.combinations = scored;
+    counted.combinations = scored + pruned;
+    counted.pruned = pruned;
     *stats += counted;
   }
   return best.result();
+}
+
+double greedy_floor(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
+                    std::uint32_t hits) {
+  const std::uint32_t genes = tumor.genes();
+  if (hits == 0 || genes < hits) return kNoFloor;
+  std::vector<std::uint64_t> prefix(tumor.words_per_row(), ~std::uint64_t{0});
+  std::vector<std::uint32_t> combo;
+  std::uint64_t tp = 0;
+  for (std::uint32_t step = 0; step < hits; ++step) {
+    std::uint32_t pick = genes;
+    for (std::uint32_t g = 0; g < genes; ++g) {
+      if (std::find(combo.begin(), combo.end(), g) != combo.end()) continue;
+      const std::uint64_t kept = and_popcount(prefix, tumor.row(g));
+      if (pick == genes || kept > tp) {
+        pick = g;
+        tp = kept;
+      }
+    }
+    combo.push_back(pick);
+    and_rows(prefix, prefix, tumor.row(pick));
+  }
+  return f_score(ctx, tp, normal.intersect_count(combo));
 }
 
 KernelStats scheme_stats(Scheme scheme, std::uint32_t genes, std::uint64_t begin,

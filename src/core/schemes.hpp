@@ -19,6 +19,10 @@
 // `evaluate_range` is the maxF kernel body: it scans threads λ ∈ [begin, end)
 // of a scheme, computing F for every combination each thread owns on *both*
 // matrices (TP from tumor, TN from normal), and returns the best EvalResult.
+// It is an exact branch-and-bound: adding a gene only shrinks TP and the
+// normal hits, so every extension of a prefix P has
+// F <= f_score(TP(P), 0), and a prefix whose bound is strictly below the
+// best F seen so far (or below a caller-supplied floor) is never descended.
 //
 // `scheme_stats` is the closed-form operation/traffic accounting of that
 // kernel on the modeled GPU. For full-scale spaces (C(19411,4) ≈ 5.9e15
@@ -29,6 +33,7 @@
 // cluster model price launches identically by construction.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "bitmat/bitmatrix.hpp"
@@ -72,19 +77,35 @@ std::uint64_t scheme_threads(Scheme scheme, std::uint32_t genes);
 /// is the thread's largest flat gene. λ must be < scheme_threads().
 std::uint64_t scheme_thread_work(Scheme scheme, std::uint32_t genes, std::uint64_t lambda);
 
+/// The `floor` argument of evaluate_range that prunes against the range's
+/// own incumbent only.
+inline constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
+
 /// maxF kernel over threads [begin, end) of `scheme`. Both matrices must have
 /// identical gene counts; throws std::invalid_argument like scheme_threads,
 /// or when a non-empty range ends past scheme_threads().
 /// `stats`, when non-null, accumulates scheme_stats(...) for the range under
-/// `opts`, with `combinations` counted from the combinations actually
-/// scored. `arena`, when non-null, supplies the fold scratch
-/// (bump-allocated; the caller owns the reset cadence); without one, a
-/// per-thread arena is reused across calls, so no call allocates after the
-/// first.
+/// `opts`, with `combinations` counted as scored plus `pruned` (the
+/// combinations under cut prefixes). `arena`, when non-null, supplies the
+/// fold scratch (bump-allocated; the caller owns the reset cadence); without
+/// one, a per-thread arena is reused across calls, so no call allocates
+/// after the first.
+/// A prefix is cut when its bound is strictly below max(floor, the range's
+/// best F so far), so ties are always scored. Without a floor the result is
+/// the exact best of the range; with one it is exact whenever that best is
+/// >= floor, which the whole space's argmax always is when `floor` is the F
+/// of a combination in it (see greedy_floor).
 EvalResult evaluate_range(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                           Scheme scheme, std::uint64_t begin, std::uint64_t end,
                           const MemOpts& opts = {}, KernelStats* stats = nullptr,
-                          Arena* arena = nullptr);
+                          Arena* arena = nullptr, double floor = kNoFloor);
+
+/// The exact F of one h-gene combination built greedily: each step adds the
+/// gene keeping the most tumor TP (ties to the lowest index). It is a lower
+/// bound on the space's best F, computed by the kernel's own expression, so
+/// it is a sound `floor` for evaluate_range. kNoFloor when genes < hits.
+double greedy_floor(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
+                    std::uint32_t hits);
 
 /// Closed-form KernelStats of the modeled GPU kernel over threads
 /// [begin, end). `tumor_words` / `normal_words` are the packed row widths.

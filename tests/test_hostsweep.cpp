@@ -316,6 +316,54 @@ TEST(HostSweep, EvaluatorSinkAccumulatesWholeGreedyRunWithSerialParity) {
   EXPECT_EQ(total.threads_requested, 3u);
 }
 
+// --- prefix pruning -----------------------------------------------------------
+
+TEST(HostSweep, PruningIsThreadInvariantAtAFixedChunk) {
+  // A chunk cuts against the shared floor and its own incumbent only, so
+  // what it prunes depends on its bounds, never on which worker ran it or
+  // when: selections and the summed pruned count repeat across thread
+  // counts.
+  for (const std::uint32_t hits : {2u, 3u, 4u}) {
+    SyntheticSpec spec;
+    spec.genes = 36;
+    spec.tumor_samples = 80;
+    spec.normal_samples = 60;
+    spec.hits = hits;
+    spec.num_combinations = 3;
+    spec.background_rate = 0.02;
+    spec.seed = 2718 + hits;
+    const Dataset data = generate_dataset(spec);
+    EngineConfig config;
+    config.hits = hits;
+    const GreedyResult serial =
+        run_greedy(data.tumor, data.normal, config, make_serial_evaluator(hits));
+    ASSERT_FALSE(serial.iterations.empty());
+
+    HostSweepTelemetry reference;
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      HostSweepOptions options;
+      options.hits = hits;
+      options.threads = threads;
+      options.chunk = 61;
+      HostSweepTelemetry total;
+      const GreedyResult swept = run_greedy(data.tumor, data.normal, config,
+                                            make_host_sweep_evaluator(options, &total));
+      EXPECT_EQ(swept.combinations(), serial.combinations())
+          << "hits=" << hits << " threads=" << threads;
+      EXPECT_EQ(total.stats.combinations,
+                swept.iterations.size() * binomial(data.genes(), hits));
+      if (threads == 1u) {
+        reference = total;
+        EXPECT_GT(total.stats.pruned, 0u) << "hits=" << hits;
+        EXPECT_LT(total.stats.pruned, total.stats.combinations) << "hits=" << hits;
+      } else {
+        EXPECT_EQ(total.stats.pruned, reference.stats.pruned)
+            << "hits=" << hits << " threads=" << threads;
+      }
+    }
+  }
+}
+
 // --- full greedy determinism ------------------------------------------------
 
 TEST(HostSweep, GreedySelectionsIdenticalAcrossThreadCountsAndToCluster) {

@@ -49,10 +49,37 @@ std::uint32_t small_genes(std::uint32_t hits) {
   return kGenes[hits];
 }
 
-/// Datasets built to stress the kernel's bookkeeping rather than to look
-/// biological: planted combinations, rows duplicated so that F ties are
-/// everywhere (the rank tie-break decides every winner), and a sparse matrix
-/// where most combinations cover nothing.
+/// The h highest genes share one tumor row covering 50 of 70 samples and
+/// mutate no normal sample; every other gene is sparser. The greedy floor
+/// builds exactly that combination, it is the argmax, and every prefix of
+/// it bounds at its own F — so the kernel meets F == floor == bound on the
+/// winner's prefixes, the case a non-strict cut would drop.
+Fixture at_floor_fixture(std::uint32_t hits) {
+  const std::uint32_t genes = small_genes(hits);
+  Fixture f{{}, FContext{FParams{}, 70, 50}};
+  f.data.tumor = BitMatrix(genes, 70);
+  f.data.normal = BitMatrix(genes, 50);
+  Rng rng(900 + hits);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    const bool shared = g >= genes - hits;
+    for (std::uint32_t s = 0; s < 70; ++s) {
+      if (shared ? s < 50 : rng.bernoulli(0.3)) f.data.tumor.set(g, s);
+    }
+    for (std::uint32_t s = 0; s < 50; ++s) {
+      if (!shared && rng.bernoulli(0.1)) f.data.normal.set(g, s);
+    }
+  }
+  return f;
+}
+
+/// Datasets built to stress the kernel's bookkeeping and its prefix cut
+/// rather than to look biological: planted combinations, rows duplicated so
+/// that F ties are everywhere (the rank tie-break decides every winner), a
+/// sparse matrix where most combinations cover nothing, an all-zero tumor
+/// matrix (the argmax has TP = 0, the greedy's stop signal), identical rows
+/// (every F ties, and every prefix bound equals the incumbent), half the
+/// tumor rows empty (their prefixes bound at TP = 0 and are cut), and the
+/// at-floor fixture.
 std::vector<Fixture> adversarial_fixtures(std::uint32_t hits) {
   const std::uint32_t genes = small_genes(hits);
   std::vector<Fixture> fixtures;
@@ -81,6 +108,39 @@ std::vector<Fixture> adversarial_fixtures(std::uint32_t hits) {
     }
   }
   fixtures.push_back(std::move(sparse));
+
+  Fixture no_tp{{}, FContext{FParams{}, 70, 50}};
+  no_tp.data.tumor = BitMatrix(genes, 70);
+  no_tp.data.normal = BitMatrix(genes, 50);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < 50; ++s) {
+      if ((g + s) % 5 == 0) no_tp.data.normal.set(g, s);
+    }
+  }
+  fixtures.push_back(std::move(no_tp));
+
+  Fixture all_tie{{}, FContext{FParams{}, 70, 50}};
+  all_tie.data.tumor = BitMatrix(genes, 70);
+  all_tie.data.normal = BitMatrix(genes, 50);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < 70; s += 2) all_tie.data.tumor.set(g, s);
+  }
+  fixtures.push_back(std::move(all_tie));
+
+  Fixture empty_rows{{}, FContext{FParams{}, 70, 50}};
+  empty_rows.data.tumor = BitMatrix(genes, 70);
+  empty_rows.data.normal = BitMatrix(genes, 50);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < 70; ++s) {
+      if (g % 2 == 1 && rng.bernoulli(0.8)) empty_rows.data.tumor.set(g, s);
+    }
+    for (std::uint32_t s = 0; s < 50; ++s) {
+      if (rng.bernoulli(0.05)) empty_rows.data.normal.set(g, s);
+    }
+  }
+  fixtures.push_back(std::move(empty_rows));
+
+  fixtures.push_back(at_floor_fixture(hits));
   return fixtures;
 }
 
@@ -316,39 +376,77 @@ TEST_P(AllSchemes, FullRangeMatchesSerial) {
 TEST_P(AllSchemes, RaggedRangesMatchReferenceOnAdversarialData) {
   // Each ragged range against the brute-force scan of exactly the
   // combinations its threads own, and the ranges' merge against the serial
-  // reference's best — on data where ties and empty covers dominate.
+  // reference's best — on data where ties and empty covers dominate. Without
+  // a floor every range is exact. With the greedy floor a range is exact
+  // when its best reaches the floor and otherwise returns nothing that
+  // reaches it, so merges with and without the floor both equal the serial
+  // reference.
   const Scheme scheme = GetParam();
   const auto fixtures = adversarial_fixtures(scheme.hits);
+  u64 pruned = 0;
   for (std::size_t which = 0; which < fixtures.size(); ++which) {
     const Fixture& f = fixtures[which];
     const u64 total = scheme_threads(scheme, f.data.genes());
     const EvalResult serial =
         serial_find_best(f.data.tumor, f.data.normal, f.ctx, scheme.hits);
-    EvalResult merged;
+    const double floor = greedy_floor(f.data.tumor, f.data.normal, f.ctx, scheme.hits);
+    ASSERT_LE(floor, serial.f) << "fixture " << which;
+    EvalResult merged, merged_floor;
     u64 cursor = 0;
     Rng rng(31 * which + scheme.flat);
     while (cursor < total) {
       const u64 stop = std::min(total, cursor + 1 + rng.uniform(total / 5 + 2));
       merged = merge_results(
           merged, evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, cursor, stop));
+      KernelStats stats;
+      merged_floor = merge_results(
+          merged_floor, evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, cursor,
+                                       stop, {}, &stats, nullptr, floor));
+      pruned += stats.pruned;
       cursor = stop;
     }
     expect_same(merged, serial, "fixture " + std::to_string(which) + " merged");
+    expect_same(merged_floor, serial, "fixture " + std::to_string(which) + " merged, floor");
     for (const auto& [a, b] : ragged_ranges(total, 17 * which + scheme.hits)) {
-      const EvalResult kernel = evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b);
-      expect_same(kernel, brute_force_range(f, scheme, a, b),
-                  "fixture " + std::to_string(which) + " [" + std::to_string(a) + "," +
-                      std::to_string(b) + ")");
+      const std::string context = "fixture " + std::to_string(which) + " [" +
+                                  std::to_string(a) + "," + std::to_string(b) + ")";
+      const EvalResult exact = brute_force_range(f, scheme, a, b);
+      expect_same(evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b), exact,
+                  context);
+      const EvalResult floored = evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a,
+                                                b, {}, nullptr, nullptr, floor);
+      if (exact.valid && exact.f >= floor) {
+        expect_same(floored, exact, context + " floor");
+      } else {
+        EXPECT_TRUE(!floored.valid || floored.f < floor) << context << " floor";
+      }
     }
   }
+  EXPECT_GT(pruned, 0u) << "no fixture exercised the cut";
+}
+
+TEST_P(AllSchemes, CombinationAtTheFloorIsNeverCut) {
+  // The winner's F equals the floor and each of its prefixes bounds at that
+  // same F; only a strict cut keeps it.
+  const Scheme scheme = GetParam();
+  const Fixture f = at_floor_fixture(scheme.hits);
+  const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, scheme.hits);
+  const double floor = greedy_floor(f.data.tumor, f.data.normal, f.ctx, scheme.hits);
+  ASSERT_EQ(serial.f, floor);
+  ASSERT_EQ(serial.tp, 50u);
+  const EvalResult kernel =
+      evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, 0,
+                     scheme_threads(scheme, f.data.genes()), {}, nullptr, nullptr, floor);
+  expect_same(kernel, serial, scheme_name(scheme));
 }
 
 TEST_P(AllSchemes, CountedCombinationsMatchSchemeStats) {
-  // The kernel's `combinations` is a real count of what it scored; it must
-  // agree with the closed form (and with the reference's count) over ragged
-  // ranges, or the host sweep's "visits each combination once" check means
-  // nothing. The hot-path call contract rides along: every combination
-  // costs exactly one dispatched two-row and_popcount per matrix.
+  // The kernel's `combinations` is a real count of what it scored plus what
+  // it cut; it must agree with the closed form (and with the reference's
+  // count) over ragged ranges, or the host sweep's "visits each combination
+  // once" check means nothing. The hot-path call contract rides along:
+  // every scored combination costs exactly one dispatched two-row
+  // and_popcount per matrix, and a pruned one costs none.
   const Scheme scheme = GetParam();
   const auto f = make_fixture(small_genes(scheme.hits), scheme.hits, 77, 2);
   const std::uint32_t wt = f.data.tumor.words_per_row();
@@ -362,7 +460,8 @@ TEST_P(AllSchemes, CountedCombinationsMatchSchemeStats) {
     evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, opts, &counted);
     const BitopsCallCounts calls = thread_bitops_calls() - calls_before;
     set_call_counting(was_counting);
-    EXPECT_EQ(calls.and2, 2 * counted.combinations) << "[" << a << "," << b << ")";
+    EXPECT_EQ(calls.and2, 2 * (counted.combinations - counted.pruned))
+        << "[" << a << "," << b << ")";
     const KernelStats modeled = scheme_stats(scheme, f.data.genes(), a, b, opts, wt, wn);
     u64 brute = 0;
     (void)brute_force_range(f, scheme, a, b, &brute);
@@ -408,6 +507,21 @@ TEST(Schemes, EmptyRangeIsInvalid) {
   const auto f = make_fixture(15, 4, 3);
   const EvalResult r = evaluate_range(f.data.tumor, f.data.normal, f.ctx, {4, 3}, 5, 5);
   EXPECT_FALSE(r.valid);
+}
+
+TEST(Schemes, NegativeAlphaTurnsTheCutOff) {
+  // With α < 0, F falls as TP grows, so f_score(TP(P), 0) no longer bounds
+  // the extensions of P; the kernel must score everything and stay exact.
+  auto f = make_fixture(16, 4, 31);
+  f.ctx.params.alpha = -0.5;
+  const Scheme scheme{4, 3};
+  const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, 4);
+  KernelStats stats;
+  const EvalResult kernel = evaluate_range(
+      f.data.tumor, f.data.normal, f.ctx, scheme, 0, scheme_threads(scheme, 16), {}, &stats,
+      nullptr, greedy_floor(f.data.tumor, f.data.normal, f.ctx, 4));
+  expect_same(kernel, serial, "alpha = -0.5");
+  EXPECT_EQ(stats.pruned, 0u);
 }
 
 TEST(Schemes, RangePastTheThreadSpaceIsRejected) {
