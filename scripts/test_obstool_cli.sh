@@ -24,6 +24,18 @@ expect() {
   fi
 }
 
+# expect_error_naming NAME FIELD [args...]: runtime error (exit 1) whose
+# stderr names the offending FIELD.
+expect_error_naming() {
+  name=$1 field=$2
+  shift 2
+  expect "$name" 1 "$@"
+  if ! grep -qF "$field" "$TMP/err"; then
+    echo "FAIL $name: stderr does not name $field (args: $*)" >&2
+    fails=$((fails + 1))
+  fi
+}
+
 expect_usage_on_stderr() {
   name=$1
   shift
@@ -123,6 +135,11 @@ hostprof_doc 0 > "$TMP/empty.hostprof.json"
 expect hostprof_empty_profile 0 hostprof "$TMP/empty.hostprof.json" --quiet
 hostprof_doc 5 > "$TMP/corrupt.hostprof.json"
 expect hostprof_corrupted_totals 1 hostprof "$TMP/corrupt.hostprof.json" --quiet
+# Hostile values are refused with the field's path, never cast: an
+# out-of-range hit count must not come back as 0.
+hostprof_doc 0 | sed 's/"hits":2/"hits":1e30/' > "$TMP/hostile.hostprof.json"
+expect_error_naming hostprof_hostile_hits workload.hits \
+  hostprof "$TMP/hostile.hostprof.json" --quiet
 
 # --- diff subcommand ------------------------------------------------------
 # Usage: exactly two run operands.
@@ -140,6 +157,13 @@ printf '{"schema":"bogus.v9"}' > "$TMP/unknown.json"
 expect diff_unknown_schema 1 diff "$TMP/unknown.json" "$TMP/unknown.json"
 # A lone Chrome trace has no comparable series — refused, not vacuously passed.
 expect diff_undiffable_artifact 1 diff "$TMP/empty.trace.json" "$TMP/empty.trace.json"
+
+# A run manifest with a wrongly typed field names it instead of dying on an
+# internal type error.
+printf '{"schema":"multihit.run.v1","driver":5,"config":{},"artifacts":[]}' \
+  > "$TMP/hostile.run.json"
+expect_error_naming diff_hostile_manifest 'run manifest: driver' \
+  diff "$TMP/hostile.run.json" "$TMP/hostile.run.json"
 
 printf '{"schema":"multihit.metrics.v1","counters":[{"name":"engine.iterations","labels":{},"value":5}],"gauges":[],"histograms":[]}' \
   > "$TMP/metrics_a.json"

@@ -67,11 +67,11 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
   const double floor = greedy_floor(tumor, normal, ctx, options.hits);
 
   obs::HostProfiler* profiler = options.profiler;
-  const bool count_bitops = profiler != nullptr && profiler->count_bitops;
-  // Swapping in the counting dispatch tables is one pointer store; the
-  // per-call cost only exists while a profiled sweep runs, and the previous
-  // state is restored on the way out so unprofiled callers never pay.
-  const bool counting_before = count_bitops ? set_call_counting(true) : false;
+  // A profiled sweep always counts bitops calls. Swapping in the counting
+  // dispatch tables is one pointer store; the per-call cost only exists while
+  // a profiled sweep runs, and the previous state is restored on the way out
+  // so unprofiled callers never pay.
+  const bool counting_before = profiler != nullptr ? set_call_counting(true) : false;
 
   std::vector<WorkerOutput> outputs(workers);
   std::vector<obs::HostWorkerSample> samples(profiler != nullptr ? workers : 0);
@@ -147,7 +147,6 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     setup.hits = options.hits;
     setup.scheme = scheme_name(scheme);
     setup.backend = backend_name(active_backend());
-    setup.bitops_counted = count_bitops;
     profiler->begin_sweep(setup);
   }
 
@@ -177,7 +176,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
 
   if (profiler != nullptr) {
     const Clock::time_point merged_at = Clock::now();
-    if (count_bitops) set_call_counting(counting_before);
+    set_call_counting(counting_before);
     for (std::uint32_t id = 0; id < workers; ++id) {
       // Tail idle: the gap between this worker draining the queue and the
       // last worker joining — the end-of-sweep load-imbalance cost.

@@ -250,44 +250,9 @@ TraceAnalysis analyze_trace(const Tracer& tracer) {
   return analysis;
 }
 
-namespace {
-
-std::string require_string(const JsonValue& event, const char* key) {
-  const JsonValue* value = event.find(key);
-  if (!value || !value->is_string()) {
-    throw AnalysisError(std::string("trace event missing string field '") + key + "'");
-  }
-  return value->as_string();
-}
-
-double require_number(const JsonValue& event, const char* key) {
-  const JsonValue* value = event.find(key);
-  if (!value || !value->is_number()) {
-    throw AnalysisError(std::string("trace event missing numeric field '") + key + "'");
-  }
-  return value->as_number();
-}
-
-SpanArgs parse_args(const JsonValue& event) {
-  SpanArgs args;
-  const JsonValue* object = event.find("args");
-  if (!object) return args;
-  if (!object->is_object()) throw AnalysisError("trace event args is not an object");
-  for (const auto& [key, value] : object->as_object()) {
-    if (!value.is_string()) throw AnalysisError("trace event arg '" + key + "' is not a string");
-    args.emplace_back(key, value.as_string());
-  }
-  return args;
-}
-
-}  // namespace
-
 Tracer tracer_from_chrome(const JsonValue& doc) {
-  if (!doc.is_object()) throw AnalysisError("trace document is not a JSON object");
-  const JsonValue* events = doc.find("traceEvents");
-  if (!events || !events->is_array()) {
-    throw AnalysisError("trace document has no traceEvents array");
-  }
+  const JsonFields events =
+      JsonFields::root<AnalysisError>(doc, "trace document").array("traceEvents");
 
   Tracer tracer;
   struct FlowStart {
@@ -297,41 +262,32 @@ Tracer tracer_from_chrome(const JsonValue& doc) {
     bool binding;
     SpanArgs args;
   };
-  std::map<std::int64_t, FlowStart> pending;
+  std::map<std::uint64_t, FlowStart> pending;
 
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const JsonValue& event = events->at(i);
-    if (!event.is_object()) throw AnalysisError("trace event is not a JSON object");
-    const std::string ph = require_string(event, "ph");
+  for (const JsonFields& event : events.objects()) {
+    const std::string& ph = event.string("ph");
     if (ph == "M") {
-      if (require_string(event, "name") == "thread_name") {
-        const JsonValue* args = event.find("args");
-        const JsonValue* name = args ? args->find("name") : nullptr;
-        if (!name || !name->is_string()) throw AnalysisError("thread_name metadata without a name");
-        tracer.set_lane_name(static_cast<std::uint32_t>(require_number(event, "tid")),
-                             name->as_string());
+      if (event.string("name") == "thread_name") {
+        tracer.set_lane_name(event.u32("tid"), event.object("args").string("name"));
       }
       continue;
     }
-    const std::uint32_t lane = static_cast<std::uint32_t>(require_number(event, "tid"));
-    const double ts = require_number(event, "ts") / kMicros;
+    const std::uint32_t lane = event.u32("tid");
+    const double ts = event.number("ts") / kMicros;
+    const auto span_args = [&event] {
+      return event.has("args") ? event.object("args").strings() : SpanArgs{};
+    };
     if (ph == "X") {
-      const double dur = require_number(event, "dur") / kMicros;
-      tracer.complete(lane, require_string(event, "name"), require_string(event, "cat"), ts,
-                      ts + dur, parse_args(event));
+      const double dur = event.number("dur") / kMicros;
+      tracer.complete(lane, event.string("name"), event.string("cat"), ts, ts + dur,
+                      span_args());
     } else if (ph == "i") {
-      tracer.instant(lane, require_string(event, "name"), require_string(event, "cat"), ts,
-                     parse_args(event));
+      tracer.instant(lane, event.string("name"), event.string("cat"), ts, span_args());
     } else if (ph == "C") {
-      const JsonValue* args = event.find("args");
-      const JsonValue* value = args ? args->find("value") : nullptr;
-      if (!value || !value->is_number()) {
-        throw AnalysisError("counter event without a numeric args.value");
-      }
-      tracer.counter(lane, require_string(event, "name"), ts, value->as_number());
+      tracer.counter(lane, event.string("name"), ts, event.object("args").number("value"));
     } else if (ph == "s") {
-      const auto id = static_cast<std::int64_t>(require_number(event, "id"));
-      SpanArgs args = parse_args(event);
+      const std::uint64_t id = event.u64("id");
+      SpanArgs args = span_args();
       bool binding = false;
       for (auto it = args.begin(); it != args.end(); ++it) {
         if (it->first == "binding") {
@@ -341,28 +297,27 @@ Tracer tracer_from_chrome(const JsonValue& doc) {
         }
       }
       if (!pending
-               .emplace(id, FlowStart{require_string(event, "name"),
-                                      require_string(event, "cat"), lane, ts, binding,
-                                      std::move(args)})
+               .emplace(id, FlowStart{event.string("name"), event.string("cat"), lane, ts,
+                                      binding, std::move(args)})
                .second) {
-        throw AnalysisError("duplicate flow start id " + std::to_string(id));
+        event.fail("repeats flow start id " + std::to_string(id));
       }
     } else if (ph == "f") {
-      const auto id = static_cast<std::int64_t>(require_number(event, "id"));
+      const std::uint64_t id = event.u64("id");
       const auto it = pending.find(id);
       if (it == pending.end()) {
-        throw AnalysisError("flow finish without start, id " + std::to_string(id));
+        event.fail("finishes flow id " + std::to_string(id) + " without a start");
       }
       FlowStart start = std::move(it->second);
       pending.erase(it);
       tracer.flow(start.lane, start.time, lane, ts, start.name, start.category, start.binding,
                   std::move(start.args));
     } else {
-      throw AnalysisError("unsupported trace event phase '" + ph + "'");
+      event.fail("has unsupported phase '" + ph + "'");
     }
   }
   if (!pending.empty()) {
-    throw AnalysisError(std::to_string(pending.size()) + " flow start(s) without a finish");
+    events.fail("has " + std::to_string(pending.size()) + " flow start(s) without a finish");
   }
   return tracer;
 }

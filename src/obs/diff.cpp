@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -15,29 +13,12 @@
 namespace multihit::obs {
 namespace {
 
-std::string fmt(const char* format, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buffer, sizeof buffer, format, args);
-  va_end(args);
-  return buffer;
-}
-
 std::string read_file(const std::string& path, const char* what) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw DiffError(std::string("diff: cannot read ") + what + " \"" + path + "\"");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-const JsonValue& member(const JsonValue& obj, std::string_view key, const char* what) {
-  const JsonValue* value = obj.find(key);
-  if (!value) {
-    throw DiffError(std::string("diff: ") + what + " is missing \"" + std::string(key) + "\"");
-  }
-  return *value;
 }
 
 double number_or(const JsonValue& obj, std::string_view key, double fallback) {
@@ -125,13 +106,14 @@ const char* delta_class_name(DeltaClass cls) noexcept {
 
 namespace {
 
-DeltaClass delta_class_from_name(const std::string& name) {
+DeltaClass delta_class_from_json(const JsonFields& entry) {
+  const std::string& name = entry.string("class");
   for (DeltaClass cls : {DeltaClass::kIdentical, DeltaClass::kWithinTolerance,
                          DeltaClass::kImproved, DeltaClass::kRegressed,
                          DeltaClass::kAdded, DeltaClass::kRemoved}) {
     if (name == delta_class_name(cls)) return cls;
   }
-  throw DiffError("diff: unknown series class \"" + name + "\"");
+  entry.fail("class", "is \"" + name + "\", not a delta class");
 }
 
 }  // namespace
@@ -1084,202 +1066,192 @@ JsonValue diff_report_json(const DiffReport& report) {
 
 namespace {
 
-RunSummary run_side_from_json(const JsonValue& side) {
+RunSummary run_side_from_json(const JsonFields& side) {
   RunSummary out;
-  out.label = member(side, "label", "diff run").as_string();
-  out.driver = member(side, "driver", "diff run").as_string();
-  const JsonValue& config = member(side, "config", "diff run");
-  for (const auto& [key, value] : config.as_object()) {
-    out.config.emplace_back(key, value.as_string());
-  }
+  out.label = side.string("label");
+  out.driver = side.string("driver");
+  out.config = side.object("config").strings();
   return out;
 }
 
-IncidentKey incident_from_json(const JsonValue& entry) {
+IncidentKey incident_from_json(const JsonFields& entry) {
   IncidentKey out;
-  out.rule = member(entry, "rule", "incident").as_string();
-  out.kind = member(entry, "kind", "incident").as_string();
-  out.lane = static_cast<std::uint32_t>(member(entry, "lane", "incident").as_number());
-  out.tenant = member(entry, "tenant", "incident").as_string();
-  out.fired = member(entry, "fired", "incident").as_number();
-  out.cleared = member(entry, "cleared", "incident").as_number();
-  out.value = member(entry, "value", "incident").as_number();
+  out.rule = entry.string("rule");
+  out.kind = entry.string("kind");
+  out.lane = entry.u32("lane");
+  out.tenant = entry.string("tenant");
+  out.fired = entry.number("fired");
+  out.cleared = entry.number("cleared");
+  out.value = entry.number("value");
   return out;
 }
 
 }  // namespace
 
 DiffReport diff_from_json(const JsonValue& doc) {
-  require_schema<DiffError>(doc, kDiffSchema, "diff report");
+  const JsonFields root = require_schema<DiffError>(doc, kDiffSchema, "diff report");
   DiffReport report;
-  const JsonValue& runs = member(doc, "runs", "diff report");
-  report.run_a = run_side_from_json(member(runs, "a", "diff report"));
-  report.run_b = run_side_from_json(member(runs, "b", "diff report"));
+  const JsonFields runs = root.object("runs");
+  report.run_a = run_side_from_json(runs.object("a"));
+  report.run_b = run_side_from_json(runs.object("b"));
 
-  for (const JsonValue& entry : member(doc, "tolerances", "diff report").as_array()) {
+  for (const JsonFields& entry : root.array("tolerances").objects()) {
     ToleranceRule rule;
-    rule.glob = member(entry, "glob", "tolerance").as_string();
-    const std::string& mode = member(entry, "mode", "tolerance").as_string();
+    rule.glob = entry.string("glob");
+    const std::string& mode = entry.string("mode");
     if (mode != "rel" && mode != "abs") {
-      throw DiffError("diff: tolerance mode must be rel|abs, got \"" + mode + "\"");
+      entry.fail("mode", "is \"" + mode + "\", expected rel or abs");
     }
     rule.relative = mode == "rel";
-    rule.bound = member(entry, "bound", "tolerance").as_number();
+    rule.bound = entry.number("bound");
     report.tolerances.push_back(std::move(rule));
   }
 
-  for (const JsonValue& entry : member(doc, "config_changes", "diff report").as_array()) {
+  for (const JsonFields& entry : root.array("config_changes").objects()) {
     report.config_changes.push_back(
-        {member(entry, "key", "config change").as_string(),
-         {member(entry, "a", "config change").as_string(),
-          member(entry, "b", "config change").as_string()}});
+        {entry.string("key"), {entry.string("a"), entry.string("b")}});
   }
 
-  for (const JsonValue& entry : member(doc, "artifacts", "diff report").as_array()) {
+  for (const JsonFields& entry : root.array("artifacts").objects()) {
     ArtifactDelta artifact;
-    artifact.name = member(entry, "name", "artifact delta").as_string();
-    artifact.schema = member(entry, "schema", "artifact delta").as_string();
-    artifact.in_a = member(entry, "in_a", "artifact delta").as_bool();
-    artifact.in_b = member(entry, "in_b", "artifact delta").as_bool();
-    artifact.identical = member(entry, "identical", "artifact delta").as_bool();
+    artifact.name = entry.string("name");
+    artifact.schema = entry.string("schema");
+    artifact.in_a = entry.boolean("in_a");
+    artifact.in_b = entry.boolean("in_b");
+    artifact.identical = entry.boolean("identical");
     report.artifacts.push_back(std::move(artifact));
   }
 
-  const JsonValue& counts = member(doc, "counts", "diff report");
-  const auto count = [&counts](const char* key) {
-    return static_cast<std::uint32_t>(member(counts, key, "counts").as_number());
-  };
-  report.counts.compared = count("compared");
-  report.counts.identical = count("identical");
-  report.counts.within_tolerance = count("within_tolerance");
-  report.counts.improved = count("improved");
-  report.counts.regressed = count("regressed");
-  report.counts.added = count("added");
-  report.counts.removed = count("removed");
+  const JsonFields counts = root.object("counts");
+  report.counts.compared = counts.u32("compared");
+  report.counts.identical = counts.u32("identical");
+  report.counts.within_tolerance = counts.u32("within_tolerance");
+  report.counts.improved = counts.u32("improved");
+  report.counts.regressed = counts.u32("regressed");
+  report.counts.added = counts.u32("added");
+  report.counts.removed = counts.u32("removed");
 
-  for (const JsonValue& entry : member(doc, "series", "diff report").as_array()) {
+  for (const JsonFields& entry : root.array("series").objects()) {
     SeriesDelta delta;
-    delta.series = member(entry, "series", "series delta").as_string();
-    delta.cls = delta_class_from_name(member(entry, "class", "series delta").as_string());
-    if (const JsonValue* a = entry.find("a")) {
+    delta.series = entry.string("series");
+    delta.cls = delta_class_from_json(entry);
+    if (entry.has("a")) {
       delta.has_a = true;
-      delta.a = a->as_number();
+      delta.a = entry.number("a");
     }
-    if (const JsonValue* b = entry.find("b")) {
+    if (entry.has("b")) {
       delta.has_b = true;
-      delta.b = b->as_number();
+      delta.b = entry.number("b");
     }
-    if (const JsonValue* tolerance = entry.find("tolerance")) {
-      delta.tolerance = tolerance->as_string();
-    }
+    if (entry.has("tolerance")) delta.tolerance = entry.string("tolerance");
     report.series.push_back(std::move(delta));
   }
 
-  if (const JsonValue* section = doc.find("critical_path")) {
+  if (root.has("critical_path")) {
+    const JsonFields section = root.object("critical_path");
     report.critical_path.present = true;
-    report.critical_path.makespan_a = member(*section, "makespan_a", "critical_path").as_number();
-    report.critical_path.makespan_b = member(*section, "makespan_b", "critical_path").as_number();
-    for (const JsonValue& entry : member(*section, "cells", "critical_path").as_array()) {
+    report.critical_path.makespan_a = section.number("makespan_a");
+    report.critical_path.makespan_b = section.number("makespan_b");
+    for (const JsonFields& entry : section.array("cells").objects()) {
       AttributionCell cell;
-      cell.phase = member(entry, "phase", "attribution cell").as_string();
-      cell.lane = static_cast<std::uint32_t>(member(entry, "lane", "attribution cell").as_number());
-      cell.a_seconds = member(entry, "a_seconds", "attribution cell").as_number();
-      cell.b_seconds = member(entry, "b_seconds", "attribution cell").as_number();
+      cell.phase = entry.string("phase");
+      cell.lane = entry.u32("lane");
+      cell.a_seconds = entry.number("a_seconds");
+      cell.b_seconds = entry.number("b_seconds");
       report.critical_path.cells.push_back(std::move(cell));
     }
   }
 
-  if (const JsonValue* section = doc.find("kernels")) {
+  if (root.has("kernels")) {
+    const JsonFields section = root.object("kernels");
     KernelDiff& k = report.kernels;
     k.present = true;
-    k.launches_a = member(*section, "launches_a", "kernels").as_number();
-    k.launches_b = member(*section, "launches_b", "kernels").as_number();
-    k.seconds_a = member(*section, "seconds_a", "kernels").as_number();
-    k.seconds_b = member(*section, "seconds_b", "kernels").as_number();
-    k.dram_bytes_a = member(*section, "dram_bytes_a", "kernels").as_number();
-    k.dram_bytes_b = member(*section, "dram_bytes_b", "kernels").as_number();
-    k.memory_bound_fraction_a =
-        member(*section, "memory_bound_fraction_a", "kernels").as_number();
-    k.memory_bound_fraction_b =
-        member(*section, "memory_bound_fraction_b", "kernels").as_number();
-    for (const JsonValue& entry : member(*section, "rows", "kernels").as_array()) {
+    k.launches_a = section.number("launches_a");
+    k.launches_b = section.number("launches_b");
+    k.seconds_a = section.number("seconds_a");
+    k.seconds_b = section.number("seconds_b");
+    k.dram_bytes_a = section.number("dram_bytes_a");
+    k.dram_bytes_b = section.number("dram_bytes_b");
+    k.memory_bound_fraction_a = section.number("memory_bound_fraction_a");
+    k.memory_bound_fraction_b = section.number("memory_bound_fraction_b");
+    for (const JsonFields& entry : section.array("rows").objects()) {
       KernelRowDiff row;
-      row.rank = static_cast<std::uint32_t>(member(entry, "rank", "kernel row").as_number());
-      row.gpu = static_cast<std::uint32_t>(member(entry, "gpu", "kernel row").as_number());
-      row.iteration =
-          static_cast<std::uint32_t>(member(entry, "iteration", "kernel row").as_number());
-      row.launches_a = member(entry, "launches_a", "kernel row").as_number();
-      row.launches_b = member(entry, "launches_b", "kernel row").as_number();
-      row.seconds_a = member(entry, "seconds_a", "kernel row").as_number();
-      row.seconds_b = member(entry, "seconds_b", "kernel row").as_number();
-      row.dram_bytes_a = member(entry, "dram_bytes_a", "kernel row").as_number();
-      row.dram_bytes_b = member(entry, "dram_bytes_b", "kernel row").as_number();
-      row.occupancy_a = member(entry, "occupancy_a", "kernel row").as_number();
-      row.occupancy_b = member(entry, "occupancy_b", "kernel row").as_number();
-      row.intensity_a = member(entry, "intensity_a", "kernel row").as_number();
-      row.intensity_b = member(entry, "intensity_b", "kernel row").as_number();
-      row.memory_bound_a = member(entry, "memory_bound_a", "kernel row").as_number();
-      row.memory_bound_b = member(entry, "memory_bound_b", "kernel row").as_number();
+      row.rank = entry.u32("rank");
+      row.gpu = entry.u32("gpu");
+      row.iteration = entry.u32("iteration");
+      row.launches_a = entry.number("launches_a");
+      row.launches_b = entry.number("launches_b");
+      row.seconds_a = entry.number("seconds_a");
+      row.seconds_b = entry.number("seconds_b");
+      row.dram_bytes_a = entry.number("dram_bytes_a");
+      row.dram_bytes_b = entry.number("dram_bytes_b");
+      row.occupancy_a = entry.number("occupancy_a");
+      row.occupancy_b = entry.number("occupancy_b");
+      row.intensity_a = entry.number("intensity_a");
+      row.intensity_b = entry.number("intensity_b");
+      row.memory_bound_a = entry.number("memory_bound_a");
+      row.memory_bound_b = entry.number("memory_bound_b");
       k.rows.push_back(std::move(row));
     }
   }
 
-  if (const JsonValue* section = doc.find("incidents")) {
+  if (root.has("incidents")) {
+    const JsonFields section = root.object("incidents");
     report.incidents.present = true;
-    report.incidents.matched =
-        static_cast<std::uint32_t>(member(*section, "matched", "incidents").as_number());
-    for (const JsonValue& entry : member(*section, "added", "incidents").as_array()) {
+    report.incidents.matched = section.u32("matched");
+    for (const JsonFields& entry : section.array("added").objects()) {
       report.incidents.added.push_back(incident_from_json(entry));
     }
-    for (const JsonValue& entry : member(*section, "removed", "incidents").as_array()) {
+    for (const JsonFields& entry : section.array("removed").objects()) {
       report.incidents.removed.push_back(incident_from_json(entry));
     }
   }
 
-  if (const JsonValue* section = doc.find("slo")) {
+  if (root.has("slo")) {
+    const JsonFields section = root.object("slo");
     report.slo.present = true;
-    report.slo_newly_violated =
-        static_cast<std::uint32_t>(member(*section, "newly_violated", "slo").as_number());
-    for (const JsonValue& entry : member(*section, "objectives", "slo").as_array()) {
+    report.slo_newly_violated = section.u32("newly_violated");
+    for (const JsonFields& entry : section.array("objectives").objects()) {
       SloObjectiveDiff objective;
-      objective.tenant = member(entry, "tenant", "slo objective").as_string();
-      objective.kind = member(entry, "kind", "slo objective").as_string();
-      objective.percentile = member(entry, "percentile", "slo objective").as_number();
-      objective.observed_a = member(entry, "observed_a", "slo objective").as_number();
-      objective.observed_b = member(entry, "observed_b", "slo objective").as_number();
-      objective.attainment_a = member(entry, "attainment_a", "slo objective").as_number();
-      objective.attainment_b = member(entry, "attainment_b", "slo objective").as_number();
-      objective.burn_a = member(entry, "burn_a", "slo objective").as_number();
-      objective.burn_b = member(entry, "burn_b", "slo objective").as_number();
-      objective.violated_a = member(entry, "violated_a", "slo objective").as_bool();
-      objective.violated_b = member(entry, "violated_b", "slo objective").as_bool();
+      objective.tenant = entry.string("tenant");
+      objective.kind = entry.string("kind");
+      objective.percentile = entry.number("percentile");
+      objective.observed_a = entry.number("observed_a");
+      objective.observed_b = entry.number("observed_b");
+      objective.attainment_a = entry.number("attainment_a");
+      objective.attainment_b = entry.number("attainment_b");
+      objective.burn_a = entry.number("burn_a");
+      objective.burn_b = entry.number("burn_b");
+      objective.violated_a = entry.boolean("violated_a");
+      objective.violated_b = entry.boolean("violated_b");
       report.slo.objectives.push_back(std::move(objective));
     }
   }
 
-  if (const JsonValue* section = doc.find("hostprof")) {
+  if (root.has("hostprof")) {
+    const JsonFields section = root.object("hostprof");
     HostprofDiff& h = report.hostprof;
     h.present = true;
-    h.wall_a = member(*section, "wall_a", "hostprof").as_number();
-    h.wall_b = member(*section, "wall_b", "hostprof").as_number();
-    h.eval_a = member(*section, "eval_a", "hostprof").as_number();
-    h.eval_b = member(*section, "eval_b", "hostprof").as_number();
-    h.tail_idle_a = member(*section, "tail_idle_a", "hostprof").as_number();
-    h.tail_idle_b = member(*section, "tail_idle_b", "hostprof").as_number();
-    h.combos_per_sec_a = member(*section, "combos_per_sec_a", "hostprof").as_number();
-    h.combos_per_sec_b = member(*section, "combos_per_sec_b", "hostprof").as_number();
-    for (const JsonValue& entry : member(*section, "phases", "hostprof").as_array()) {
+    h.wall_a = section.number("wall_a");
+    h.wall_b = section.number("wall_b");
+    h.eval_a = section.number("eval_a");
+    h.eval_b = section.number("eval_b");
+    h.tail_idle_a = section.number("tail_idle_a");
+    h.tail_idle_b = section.number("tail_idle_b");
+    h.combos_per_sec_a = section.number("combos_per_sec_a");
+    h.combos_per_sec_b = section.number("combos_per_sec_b");
+    for (const JsonFields& entry : section.array("phases").objects()) {
       HostprofPhaseDiff phase;
-      phase.phase = member(entry, "phase", "hostprof phase").as_string();
-      phase.max_over_mean_a = member(entry, "max_over_mean_a", "hostprof phase").as_number();
-      phase.max_over_mean_b = member(entry, "max_over_mean_b", "hostprof phase").as_number();
-      phase.straggler_lane_a = member(entry, "straggler_lane_a", "hostprof phase").as_number();
-      phase.straggler_lane_b = member(entry, "straggler_lane_b", "hostprof phase").as_number();
+      phase.phase = entry.string("phase");
+      phase.max_over_mean_a = entry.number("max_over_mean_a");
+      phase.max_over_mean_b = entry.number("max_over_mean_b");
+      phase.straggler_lane_a = entry.number("straggler_lane_a");
+      phase.straggler_lane_b = entry.number("straggler_lane_b");
       h.phases.push_back(std::move(phase));
     }
   }
 
-  report.summary = member(doc, "summary", "diff report").as_string();
+  report.summary = root.string("summary");
   return report;
 }
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <stdexcept>
 
@@ -16,12 +15,6 @@
 namespace multihit::obs {
 
 namespace {
-
-std::string fmt(const char* format, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, format, value);
-  return buf;
-}
 
 // The fixed op order every calls table uses — report sections, text output,
 // and the backend attribution all iterate this one list.
@@ -41,57 +34,9 @@ JsonValue calls_json(const HostBitopsCalls& calls) {
   return out;
 }
 
-// ---------------------------------------------------------------- extraction
-// Strict typed member access for hostprof_from_json: every miss names the
-// exact path so "you handed me a truncated file" is a one-line diagnosis.
-
-const JsonValue& member(const JsonValue& obj, const std::string& where, const char* key) {
-  const JsonValue* value = obj.is_object() ? obj.find(key) : nullptr;
-  if (!value) throw HostprofError("hostprof document: missing " + where + "." + key);
-  return *value;
-}
-
-double get_number(const JsonValue& obj, const std::string& where, const char* key) {
-  const JsonValue& value = member(obj, where, key);
-  if (!value.is_number()) throw HostprofError("hostprof document: " + where + "." + key + " is not a number");
-  return value.as_number();
-}
-
-std::uint64_t get_u64(const JsonValue& obj, const std::string& where, const char* key) {
-  const double number = get_number(obj, where, key);
-  if (number < 0 || number != std::floor(number)) {
-    throw HostprofError("hostprof document: " + where + "." + key + " is not a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(number);
-}
-
-std::string get_string(const JsonValue& obj, const std::string& where, const char* key) {
-  const JsonValue& value = member(obj, where, key);
-  if (!value.is_string()) throw HostprofError("hostprof document: " + where + "." + key + " is not a string");
-  return value.as_string();
-}
-
-bool get_bool(const JsonValue& obj, const std::string& where, const char* key) {
-  const JsonValue& value = member(obj, where, key);
-  if (!value.is_bool()) throw HostprofError("hostprof document: " + where + "." + key + " is not a boolean");
-  return value.as_bool();
-}
-
-const JsonValue& get_array(const JsonValue& obj, const std::string& where, const char* key) {
-  const JsonValue& value = member(obj, where, key);
-  if (!value.is_array()) throw HostprofError("hostprof document: " + where + "." + key + " is not an array");
-  return value;
-}
-
-const JsonValue& get_object(const JsonValue& obj, const std::string& where, const char* key) {
-  const JsonValue& value = member(obj, where, key);
-  if (!value.is_object()) throw HostprofError("hostprof document: " + where + "." + key + " is not an object");
-  return value;
-}
-
-HostBitopsCalls calls_from_json(const JsonValue& obj, const std::string& where) {
+HostBitopsCalls calls_from_json(const JsonFields& obj) {
   HostBitopsCalls calls;
-  for (const OpField& op : kOpFields) calls.*op.member = get_u64(obj, where, op.name);
+  for (const OpField& op : kOpFields) calls.*op.member = obj.u64(op.name);
   return calls;
 }
 
@@ -120,7 +65,8 @@ void HostProfiler::begin_sweep(const HostSweepSetup& setup) {
     profile_.hits = setup.hits;
     profile_.scheme = setup.scheme;
     profile_.backend = setup.backend;
-    profile_.bitops_counted = setup.bitops_counted;
+    // Every profiled sweep swaps in the counting bitops dispatch.
+    profile_.bitops_counted = true;
     profile_.chunk_size = setup.chunk_size;
     profile_.lambda_end = setup.lambda_end;
   }
@@ -393,92 +339,78 @@ JsonValue hostprof_deterministic(const HostProfile& profile) {
 }
 
 HostProfile hostprof_from_json(const JsonValue& doc) {
-  require_schema<HostprofError>(doc, kHostprofSchema, "hostprof document");
+  const JsonFields root = require_schema<HostprofError>(doc, kHostprofSchema, "hostprof document");
   HostProfile profile;
 
-  const JsonValue& workload = get_object(doc, "$", "workload");
-  profile.hits = static_cast<std::uint32_t>(get_u64(workload, "workload", "hits"));
-  profile.scheme = get_string(workload, "workload", "scheme");
-  profile.lambda_end = get_u64(workload, "workload", "lambda_end");
-  profile.chunk_size = get_u64(workload, "workload", "chunk_size");
-  profile.workers = static_cast<std::uint32_t>(get_u64(workload, "workload", "workers"));
-  profile.bitops_counted = get_bool(workload, "workload", "bitops_counted");
-  const std::uint64_t sweep_count = get_u64(workload, "workload", "sweeps");
+  const JsonFields workload = root.object("workload");
+  profile.hits = workload.u32("hits");
+  profile.scheme = workload.string("scheme");
+  profile.lambda_end = workload.u64("lambda_end");
+  profile.chunk_size = workload.u64("chunk_size");
+  profile.workers = workload.u32("workers");
+  profile.bitops_counted = workload.boolean("bitops_counted");
+  const std::uint64_t sweep_count = workload.u64("sweeps");
 
-  const JsonValue& totals = get_object(doc, "$", "totals");
-  profile.total_chunks = get_u64(totals, "totals", "chunks");
-  profile.total_claims = get_u64(totals, "totals", "claims");
-  profile.total_empty_polls = get_u64(totals, "totals", "empty_polls");
-  profile.total_candidates = get_u64(totals, "totals", "candidates");
-  profile.total_combinations = get_u64(totals, "totals", "combinations");
-  profile.arena_peak_words_max = get_u64(totals, "totals", "arena_peak_words_max");
-  profile.total_calls = calls_from_json(get_object(totals, "totals", "bitops_calls"),
-                                        "totals.bitops_calls");
+  const JsonFields totals = root.object("totals");
+  profile.total_chunks = totals.u64("chunks");
+  profile.total_claims = totals.u64("claims");
+  profile.total_empty_polls = totals.u64("empty_polls");
+  profile.total_candidates = totals.u64("candidates");
+  profile.total_combinations = totals.u64("combinations");
+  profile.arena_peak_words_max = totals.u64("arena_peak_words_max");
+  profile.total_calls = calls_from_json(totals.object("bitops_calls"));
 
-  profile.backend = get_string(get_object(doc, "$", "backend"), "backend", "name");
+  profile.backend = root.object("backend").string("name");
 
-  const JsonValue& wallclock = get_object(doc, "$", "wallclock");
-  profile.wall_seconds = get_number(wallclock, "wallclock", "wall_seconds");
-  profile.eval_seconds = get_number(wallclock, "wallclock", "eval_seconds");
-  profile.claim_seconds = get_number(wallclock, "wallclock", "claim_seconds");
-  profile.merge_seconds = get_number(wallclock, "wallclock", "merge_seconds");
-  profile.tail_idle_seconds = get_number(wallclock, "wallclock", "tail_idle_seconds");
+  const JsonFields wallclock = root.object("wallclock");
+  profile.wall_seconds = wallclock.number("wall_seconds");
+  profile.eval_seconds = wallclock.number("eval_seconds");
+  profile.claim_seconds = wallclock.number("claim_seconds");
+  profile.merge_seconds = wallclock.number("merge_seconds");
+  profile.tail_idle_seconds = wallclock.number("tail_idle_seconds");
 
-  const JsonValue& workers = get_array(doc, "$", "workers");
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const JsonValue& entry = workers.at(i);
-    const std::string where = "workers[" + std::to_string(i) + "]";
+  for (const JsonFields& entry : root.array("workers").objects()) {
     HostWorkerStat stat;
-    stat.worker = static_cast<std::uint32_t>(get_u64(entry, where, "worker"));
-    stat.sweeps = get_u64(entry, where, "sweeps");
-    stat.chunks = get_u64(entry, where, "chunks");
-    stat.candidates = get_u64(entry, where, "candidates");
-    stat.combinations = get_u64(entry, where, "combinations");
-    stat.empty_polls = get_u64(entry, where, "empty_polls");
-    stat.claim_seconds = get_number(entry, where, "claim_seconds");
-    stat.eval_seconds = get_number(entry, where, "eval_seconds");
-    stat.tail_idle_seconds = get_number(entry, where, "tail_idle_seconds");
-    const JsonValue& histogram = get_array(entry, where, "claim_histogram");
+    stat.worker = entry.u32("worker");
+    stat.sweeps = entry.u64("sweeps");
+    stat.chunks = entry.u64("chunks");
+    stat.candidates = entry.u64("candidates");
+    stat.combinations = entry.u64("combinations");
+    stat.empty_polls = entry.u64("empty_polls");
+    stat.claim_seconds = entry.number("claim_seconds");
+    stat.eval_seconds = entry.number("eval_seconds");
+    stat.tail_idle_seconds = entry.number("tail_idle_seconds");
+    const JsonFields histogram = entry.array("claim_histogram");
     if (histogram.size() != kClaimBuckets) {
-      throw HostprofError("hostprof document: " + where + ".claim_histogram has " +
-                          std::to_string(histogram.size()) + " buckets, expected " +
-                          std::to_string(kClaimBuckets));
+      histogram.fail("has " + std::to_string(histogram.size()) + " buckets, expected " +
+                     std::to_string(kClaimBuckets));
     }
-    for (std::size_t b = 0; b < kClaimBuckets; ++b) {
-      const JsonValue& count = histogram.at(b);
-      if (!count.is_number()) {
-        throw HostprofError("hostprof document: " + where + ".claim_histogram is not numeric");
-      }
-      stat.claim_histogram[b] = static_cast<std::uint64_t>(count.as_number());
-    }
-    stat.arena_peak_words = get_u64(entry, where, "arena_peak_words");
-    stat.arena_capacity_words = get_u64(entry, where, "arena_capacity_words");
-    stat.arena_blocks = get_u64(entry, where, "arena_blocks");
-    stat.calls = calls_from_json(get_object(entry, where, "bitops_calls"), where + ".bitops_calls");
+    for (std::size_t b = 0; b < kClaimBuckets; ++b) stat.claim_histogram[b] = histogram.u64_at(b);
+    stat.arena_peak_words = entry.u64("arena_peak_words");
+    stat.arena_capacity_words = entry.u64("arena_capacity_words");
+    stat.arena_blocks = entry.u64("arena_blocks");
+    stat.calls = calls_from_json(entry.object("bitops_calls"));
     profile.worker_stats.push_back(std::move(stat));
   }
 
-  const JsonValue& sweeps = get_array(doc, "$", "sweeps");
+  const JsonFields sweeps = root.array("sweeps");
   if (sweeps.size() != sweep_count) {
-    throw HostprofError("hostprof document: workload.sweeps says " +
-                        std::to_string(sweep_count) + " but the sweeps array has " +
-                        std::to_string(sweeps.size()));
+    sweeps.fail("has " + std::to_string(sweeps.size()) + " entries but workload.sweeps says " +
+                std::to_string(sweep_count));
   }
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const JsonValue& entry = sweeps.at(i);
-    const std::string where = "sweeps[" + std::to_string(i) + "]";
+  for (const JsonFields& entry : sweeps.objects()) {
     HostSweepStat stat;
-    stat.index = static_cast<std::uint32_t>(get_u64(entry, where, "index"));
-    stat.workers = static_cast<std::uint32_t>(get_u64(entry, where, "workers"));
-    stat.chunk_size = get_u64(entry, where, "chunk_size");
-    stat.chunk_count = get_u64(entry, where, "chunk_count");
-    stat.lambda_end = get_u64(entry, where, "lambda_end");
-    stat.chunks = get_u64(entry, where, "chunks");
-    stat.candidates = get_u64(entry, where, "candidates");
-    stat.combinations = get_u64(entry, where, "combinations");
-    stat.polls = get_u64(entry, where, "polls");
-    stat.wall_seconds = get_number(entry, where, "wall_seconds");
-    stat.merge_seconds = get_number(entry, where, "merge_seconds");
+    stat.index = entry.u32("index");
+    stat.workers = entry.u32("workers");
+    stat.chunk_size = entry.u64("chunk_size");
+    stat.chunk_count = entry.u64("chunk_count");
+    stat.lambda_end = entry.u64("lambda_end");
+    stat.chunks = entry.u64("chunks");
+    stat.candidates = entry.u64("candidates");
+    stat.combinations = entry.u64("combinations");
+    stat.polls = entry.u64("polls");
+    stat.wall_seconds = entry.number("wall_seconds");
+    stat.merge_seconds = entry.number("merge_seconds");
     profile.sweeps.push_back(std::move(stat));
   }
 

@@ -155,7 +155,6 @@ struct HostSweepSetup {
   std::uint32_t hits = 0;
   std::string scheme;
   std::string backend;
-  bool bitops_counted = false;
 };
 
 /// Sweep-level facts known only after workers join and candidates merge.
@@ -173,11 +172,6 @@ class HostProfiler {
   HostProfiler() = default;
   HostProfiler(const HostProfiler&) = delete;
   HostProfiler& operator=(const HostProfiler&) = delete;
-
-  /// Whether profiled sweeps should also swap the bitops dispatch to the
-  /// counting tables (exact deterministic per-op call totals; measured cost
-  /// is inside the <5% BENCH_hostprof overhead gate). core reads this.
-  bool count_bitops = true;
 
   void begin_sweep(const HostSweepSetup& setup);
   void record_worker(std::uint32_t worker, const HostWorkerSample& sample);

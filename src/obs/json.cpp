@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,6 +54,15 @@ std::string json_number(double value) {
   std::snprintf(buf, sizeof buf, "%.15g", value);
   if (std::strtod(buf, nullptr) != value) std::snprintf(buf, sizeof buf, "%.17g", value);
   return buf;
+}
+
+std::string fmt(const char* format, ...) {
+  char buffer[256];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buffer, sizeof buffer, format, args);
+  va_end(args);
+  return buffer;
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const noexcept {
@@ -296,5 +306,133 @@ class Parser {
 }  // namespace
 
 JsonValue JsonValue::parse(std::string_view text) { return Parser(text).parse_document(); }
+
+// ------------------------------------------------------------ typed fields
+
+namespace {
+
+const char* kind_name(JsonValue::Kind kind) {
+  switch (kind) {
+    case JsonValue::Kind::kNull: return "null";
+    case JsonValue::Kind::kBool: return "a boolean";
+    case JsonValue::Kind::kNumber: return "a number";
+    case JsonValue::Kind::kString: return "a string";
+    case JsonValue::Kind::kArray: return "an array";
+    case JsonValue::Kind::kObject: return "an object";
+  }
+  return "unknown";
+}
+
+// Exclusive upper bounds of the integer types a field converts to.
+constexpr double kU32Limit = 4294967296.0;            // 2^32
+constexpr double kU64Limit = 18446744073709551616.0;  // 2^64
+
+}  // namespace
+
+void JsonFields::fail(std::string_view problem) const {
+  std::string message(document_);
+  if (!path_.empty()) message += ": " + path_;
+  message += ' ';
+  message += problem;
+  std::rethrow_exception(make_error_(std::move(message)));
+}
+
+void JsonFields::fail(std::string_view key, std::string_view problem) const {
+  JsonFields(*value_, document_, member_path(key), make_error_).fail(problem);
+}
+
+void JsonFields::expect(JsonValue::Kind kind) const {
+  if (value_->kind() != kind) {
+    fail(std::string("is ") + kind_name(value_->kind()) + ", expected " + kind_name(kind));
+  }
+}
+
+std::string JsonFields::member_path(std::string_view key) const {
+  return path_.empty() ? std::string(key) : path_ + "." + std::string(key);
+}
+
+JsonFields JsonFields::field(std::string_view key, JsonValue::Kind kind) const {
+  const JsonValue* value = value_->find(key);
+  JsonFields view(value ? *value : *value_, document_, member_path(key), make_error_);
+  if (!value) view.fail("is missing");
+  view.expect(kind);
+  return view;
+}
+
+JsonFields JsonFields::element(std::size_t index, JsonValue::Kind kind) const {
+  JsonFields view(value_->at(index), document_, path_ + "[" + std::to_string(index) + "]",
+                  make_error_);
+  view.expect(kind);
+  return view;
+}
+
+double JsonFields::finite() const {
+  const double value = value_->as_number();
+  if (!std::isfinite(value)) fail("is not a finite number");
+  return value;
+}
+
+double JsonFields::integer(double limit, const char* bound) const {
+  const double value = finite();
+  // Checked before any cast: a negative, fractional or out-of-range double
+  // converted to an unsigned type is undefined behaviour, not a wrap.
+  if (value < 0.0 || value >= limit || value != std::floor(value)) {
+    fail("is " + json_number(value) + ", expected a non-negative integer below " + bound);
+  }
+  return value;
+}
+
+JsonFields JsonFields::object(std::string_view key) const {
+  return field(key, JsonValue::Kind::kObject);
+}
+
+JsonFields JsonFields::array(std::string_view key) const {
+  return field(key, JsonValue::Kind::kArray);
+}
+
+const std::string& JsonFields::string(std::string_view key) const {
+  return field(key, JsonValue::Kind::kString).value_->as_string();
+}
+
+bool JsonFields::boolean(std::string_view key) const {
+  return field(key, JsonValue::Kind::kBool).value_->as_bool();
+}
+
+double JsonFields::number(std::string_view key) const {
+  return field(key, JsonValue::Kind::kNumber).finite();
+}
+
+std::uint32_t JsonFields::u32(std::string_view key) const {
+  return static_cast<std::uint32_t>(
+      field(key, JsonValue::Kind::kNumber).integer(kU32Limit, "2^32"));
+}
+
+std::uint64_t JsonFields::u64(std::string_view key) const {
+  return static_cast<std::uint64_t>(
+      field(key, JsonValue::Kind::kNumber).integer(kU64Limit, "2^64"));
+}
+
+std::vector<std::pair<std::string, std::string>> JsonFields::strings() const {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& [key, value] : value_->as_object()) {
+    // Per member, not via find(): a duplicated key checks each of its values.
+    JsonFields view(value, document_, member_path(key), make_error_);
+    view.expect(JsonValue::Kind::kString);
+    out.emplace_back(key, value.as_string());
+  }
+  return out;
+}
+
+std::vector<JsonFields> JsonFields::objects() const {
+  std::vector<JsonFields> out;
+  out.reserve(size());
+  for (std::size_t i = 0; i < size(); ++i) out.push_back(element(i, JsonValue::Kind::kObject));
+  return out;
+}
+
+std::uint64_t JsonFields::u64_at(std::size_t index) const {
+  return static_cast<std::uint64_t>(
+      element(index, JsonValue::Kind::kNumber).integer(kU64Limit, "2^64"));
+}
 
 }  // namespace multihit::obs

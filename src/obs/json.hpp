@@ -6,12 +6,14 @@
 // one writer so escaping and number formatting are correct in exactly one
 // place (the structured-log corruption fixed in util/log.cpp is the cautionary
 // tale). The parser exists so tests can round-trip what the exporters write
-// and so the regression gate can read committed baselines without external
+// and so offline tools can read artifacts back without external
 // dependencies. It is a strict, small RFC 8259 subset: no comments, no
-// trailing commas, UTF-8 passed through verbatim.
+// trailing commas, UTF-8 passed through verbatim. Readers of outside
+// documents take typed fields only through JsonFields.
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -108,6 +110,75 @@ class JsonValue {
   Object object_;
 };
 
+/// The one way every reader of outside JSON takes a typed field: a view over
+/// one object (or array) of an untrusted document that carries the document
+/// name and the dotted path to it. Every accessor checks presence, kind, and
+/// for integers integrality and range, before it converts; every failure
+/// throws the reader's own documented error type with a message naming the
+/// path, e.g. "hostprof document: workers[3].claim_histogram[2] is -1,
+/// expected a non-negative integer below 2^64".
+class JsonFields {
+ public:
+  /// Views `doc`, which must be an object; failures throw `Error(message)`.
+  /// `document` prefixes every message and must outlive the view (readers
+  /// pass string literals).
+  template <typename Error>
+  static JsonFields root(const JsonValue& doc, std::string_view document) {
+    JsonFields view(doc, document, {}, [](std::string message) {
+      return std::make_exception_ptr(Error(std::move(message)));
+    });
+    view.expect(JsonValue::Kind::kObject);
+    return view;
+  }
+
+  /// Object fields. Each is required: a missing key, a wrong kind, a
+  /// non-finite number, or an integer that is negative, fractional, or out
+  /// of range for its type throws. `has` is the test for optional fields.
+  bool has(std::string_view key) const noexcept { return value_->find(key) != nullptr; }
+  JsonFields object(std::string_view key) const;
+  JsonFields array(std::string_view key) const;
+  const std::string& string(std::string_view key) const;
+  bool boolean(std::string_view key) const;
+  double number(std::string_view key) const;
+  std::uint32_t u32(std::string_view key) const;
+  std::uint64_t u64(std::string_view key) const;
+
+  /// Every member of this object, each required to be a string (config
+  /// maps, trace-event args), in document order.
+  std::vector<std::pair<std::string, std::string>> strings() const;
+
+  /// Array elements (this view must come from array()): every element
+  /// required to be an object, or one element required to be a u64.
+  std::size_t size() const noexcept { return value_->size(); }
+  std::vector<JsonFields> objects() const;
+  std::uint64_t u64_at(std::size_t index) const;
+
+  /// Throw the reader's error as "<document>: <path> <problem>" (or
+  /// "<path>.<key> <problem>") — for the checks a reader makes beyond kind
+  /// and range: counts that must agree, enumerated strings.
+  [[noreturn]] void fail(std::string_view problem) const;
+  [[noreturn]] void fail(std::string_view key, std::string_view problem) const;
+
+ private:
+  using MakeError = std::exception_ptr (*)(std::string message);
+
+  JsonFields(const JsonValue& value, std::string_view document, std::string path,
+             MakeError make_error)
+      : value_(&value), document_(document), path_(std::move(path)), make_error_(make_error) {}
+
+  std::string member_path(std::string_view key) const;
+  JsonFields field(std::string_view key, JsonValue::Kind kind) const;
+  JsonFields element(std::size_t index, JsonValue::Kind kind) const;
+  void expect(JsonValue::Kind kind) const;
+  double finite() const;
+  double integer(double limit, const char* bound) const;
+
+  const JsonValue* value_;
+  std::string_view document_;
+  std::string path_;
+  MakeError make_error_;
+};
+
 /// JSON string escaping (quotes not included): `"`, `\`, and control
 /// characters become escape sequences; everything else passes through.
 std::string json_escape(std::string_view text);
@@ -115,5 +186,10 @@ std::string json_escape(std::string_view text);
 /// Shortest round-trippable decimal for a double (integral values print
 /// without a fraction so counts look like counts).
 std::string json_number(double value);
+
+/// printf into a std::string, for the fixed-precision numbers of the
+/// human-readable renderers; the compiler checks every format against its
+/// arguments.
+std::string fmt(const char* format, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace multihit::obs

@@ -1030,27 +1030,13 @@ JsonValue truth_json(const std::vector<TruthEvent>& events) {
 }
 
 std::vector<TruthEvent> truth_from_json(const JsonValue& doc) {
-  require_schema<MonitorError>(doc, kTruthSchema, "truth document");
-  const JsonValue* events = doc.find("events");
-  if (!events || !events->is_array()) {
-    throw MonitorError("truth document has no events array");
-  }
+  const JsonFields events =
+      require_schema<MonitorError>(doc, kTruthSchema, "truth document").array("events");
   std::vector<TruthEvent> out;
-  out.reserve(events->size());
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const JsonValue& entry = events->at(i);
-    const JsonValue* kind = entry.find("kind");
-    const JsonValue* rank = entry.find("rank");
-    const JsonValue* iteration = entry.find("iteration");
-    const JsonValue* sim_time = entry.find("sim_time");
-    if (!kind || !kind->is_string() || !rank || !rank->is_number() || !iteration ||
-        !iteration->is_number() || !sim_time || !sim_time->is_number()) {
-      throw MonitorError("truth event " + std::to_string(i) +
-                         " missing kind/rank/iteration/sim_time");
-    }
-    out.push_back({kind->as_string(), static_cast<std::uint32_t>(rank->as_number()),
-                   static_cast<std::uint32_t>(iteration->as_number()),
-                   sim_time->as_number()});
+  out.reserve(events.size());
+  for (const JsonFields& entry : events.objects()) {
+    out.push_back({entry.string("kind"), entry.u32("rank"), entry.u32("iteration"),
+                   entry.number("sim_time")});
   }
   return out;
 }

@@ -7,6 +7,7 @@
 #include <map>
 #include <utility>
 
+#include "obs/analyze.hpp"
 #include "obs/trace.hpp"
 
 namespace multihit::obs {
@@ -39,12 +40,6 @@ void Profiler::mark_node_lost(std::uint32_t rank, std::uint32_t iteration) {
 }
 
 namespace {
-
-std::string fmt(const char* format, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, format, value);
-  return buf;
-}
 
 JsonValue device_json(const ProfileDevice& device) {
   JsonValue out = JsonValue::object();
@@ -94,22 +89,6 @@ JsonValue kernel_json(const KernelProfile& k) {
   out.set("stall_execution_dependency", JsonValue(k.stall_execution_dependency));
   out.set("stall_other", JsonValue(k.stall_other));
   return out;
-}
-
-double require_num(const JsonValue& obj, const char* key) {
-  const JsonValue* value = obj.find(key);
-  if (!value || !value->is_number()) {
-    throw ProfileError(std::string("profile kernel entry missing numeric field '") + key + "'");
-  }
-  return value->as_number();
-}
-
-bool require_bool(const JsonValue& obj, const char* key) {
-  const JsonValue* value = obj.find(key);
-  if (!value || !value->is_bool()) {
-    throw ProfileError(std::string("profile kernel entry missing boolean field '") + key + "'");
-  }
-  return value->as_bool();
 }
 
 /// Aggregates shared by the rollup, rank, and heatmap sections. Sums
@@ -335,68 +314,57 @@ JsonValue profile_report(const Profiler& profiler) {
 }
 
 Profiler profiler_from_json(const JsonValue& doc) {
-  if (!doc.is_object()) throw ProfileError("profile document is not a JSON object");
-  require_schema<ProfileError>(doc, kProfileSchema, "profile document");
+  const JsonFields root = require_schema<ProfileError>(doc, kProfileSchema, "profile document");
 
   Profiler profiler;
   profiler.enable();
 
-  const JsonValue* device = doc.find("device");
-  if (!device || !device->is_object()) {
-    throw ProfileError("profile document has no device object");
-  }
+  const JsonFields device = root.object("device");
   ProfileDevice spec;
-  spec.sm_count = static_cast<std::uint32_t>(require_num(*device, "sm_count"));
-  spec.max_threads_per_sm =
-      static_cast<std::uint32_t>(require_num(*device, "max_threads_per_sm"));
-  spec.block_size = static_cast<std::uint32_t>(require_num(*device, "block_size"));
-  spec.warp_size = static_cast<std::uint32_t>(require_num(*device, "warp_size"));
-  spec.dram_bandwidth = require_num(*device, "dram_bandwidth");
-  spec.word_op_rate = require_num(*device, "word_op_rate");
-  spec.l2_reuse = require_num(*device, "l2_reuse");
+  spec.sm_count = device.u32("sm_count");
+  spec.max_threads_per_sm = device.u32("max_threads_per_sm");
+  spec.block_size = device.u32("block_size");
+  spec.warp_size = device.u32("warp_size");
+  spec.dram_bandwidth = device.number("dram_bandwidth");
+  spec.word_op_rate = device.number("word_op_rate");
+  spec.l2_reuse = device.number("l2_reuse");
   profiler.set_device(spec);
 
-  const JsonValue* kernels = doc.find("kernels");
-  if (!kernels || !kernels->is_array()) {
-    throw ProfileError("profile document has no kernels array");
-  }
-  for (std::size_t i = 0; i < kernels->size(); ++i) {
-    const JsonValue& entry = kernels->at(i);
-    if (!entry.is_object()) throw ProfileError("profile kernel entry is not a JSON object");
+  for (const JsonFields& entry : root.array("kernels").objects()) {
     KernelProfile k;
-    k.rank = static_cast<std::uint32_t>(require_num(entry, "rank"));
-    k.gpu = static_cast<std::uint32_t>(require_num(entry, "gpu"));
-    k.iteration = static_cast<std::uint32_t>(require_num(entry, "iteration"));
-    k.recovery = require_bool(entry, "recovery");
-    k.lost = require_bool(entry, "lost");
-    k.lambda_begin = static_cast<std::uint64_t>(require_num(entry, "lambda_begin"));
-    k.lambda_end = static_cast<std::uint64_t>(require_num(entry, "lambda_end"));
-    k.combinations = static_cast<std::uint64_t>(require_num(entry, "combinations"));
-    k.blocks = static_cast<std::uint64_t>(require_num(entry, "blocks"));
-    k.reduce_stages = static_cast<std::uint32_t>(require_num(entry, "reduce_stages"));
-    k.word_ops = static_cast<std::uint64_t>(require_num(entry, "word_ops"));
-    k.candidate_bytes = static_cast<std::uint64_t>(require_num(entry, "candidate_bytes"));
-    k.global_bytes = require_num(entry, "global_bytes");
-    k.dram_bytes = require_num(entry, "dram_bytes");
-    k.local_bytes = require_num(entry, "local_bytes");
-    k.occupancy = require_num(entry, "occupancy");
-    k.resident_warps = require_num(entry, "resident_warps");
-    k.mem_efficiency = require_num(entry, "mem_efficiency");
-    k.compute_seconds = require_num(entry, "compute_seconds");
-    k.memory_seconds = require_num(entry, "memory_seconds");
-    k.reduce_seconds = require_num(entry, "reduce_seconds");
-    k.overhead_seconds = require_num(entry, "overhead_seconds");
-    k.modeled_seconds = require_num(entry, "modeled_seconds");
-    k.memory_bound = require_bool(entry, "memory_bound");
-    k.dram_throughput = require_num(entry, "dram_throughput");
-    k.arithmetic_intensity = require_num(entry, "arithmetic_intensity");
-    k.sim_begin = require_num(entry, "sim_begin");
-    k.sim_seconds = require_num(entry, "sim_seconds");
-    k.stall_memory_dependency = require_num(entry, "stall_memory_dependency");
-    k.stall_memory_throttle = require_num(entry, "stall_memory_throttle");
-    k.stall_execution_dependency = require_num(entry, "stall_execution_dependency");
-    k.stall_other = require_num(entry, "stall_other");
-    // Bypass context stamping: the record carries its own context.
+    k.rank = entry.u32("rank");
+    k.gpu = entry.u32("gpu");
+    k.iteration = entry.u32("iteration");
+    k.recovery = entry.boolean("recovery");
+    k.lost = entry.boolean("lost");
+    k.lambda_begin = entry.u64("lambda_begin");
+    k.lambda_end = entry.u64("lambda_end");
+    k.combinations = entry.u64("combinations");
+    k.blocks = entry.u64("blocks");
+    k.reduce_stages = entry.u32("reduce_stages");
+    k.word_ops = entry.u64("word_ops");
+    k.candidate_bytes = entry.u64("candidate_bytes");
+    k.global_bytes = entry.number("global_bytes");
+    k.dram_bytes = entry.number("dram_bytes");
+    k.local_bytes = entry.number("local_bytes");
+    k.occupancy = entry.number("occupancy");
+    k.resident_warps = entry.number("resident_warps");
+    k.mem_efficiency = entry.number("mem_efficiency");
+    k.compute_seconds = entry.number("compute_seconds");
+    k.memory_seconds = entry.number("memory_seconds");
+    k.reduce_seconds = entry.number("reduce_seconds");
+    k.overhead_seconds = entry.number("overhead_seconds");
+    k.modeled_seconds = entry.number("modeled_seconds");
+    k.memory_bound = entry.boolean("memory_bound");
+    k.dram_throughput = entry.number("dram_throughput");
+    k.arithmetic_intensity = entry.number("arithmetic_intensity");
+    k.sim_begin = entry.number("sim_begin");
+    k.sim_seconds = entry.number("sim_seconds");
+    k.stall_memory_dependency = entry.number("stall_memory_dependency");
+    k.stall_memory_throttle = entry.number("stall_memory_throttle");
+    k.stall_execution_dependency = entry.number("stall_execution_dependency");
+    k.stall_other = entry.number("stall_other");
+  // Bypass context stamping: the record carries its own context.
     LaunchContext ctx{k.rank, k.gpu, k.iteration, k.recovery};
     profiler.set_context(ctx);
     profiler.record(std::move(k));
@@ -520,19 +488,15 @@ std::vector<std::string> profile_crosscheck(const Profiler& profiler, const Trac
   if (metrics) {
     // Reproduce the registry's accumulation: one Counter::add per launch in
     // record order, so the sums are bit-for-bit the counter values.
-    const JsonValue* counters = metrics->find("counters");
-    if (!counters || !counters->is_array()) {
-      mismatches.push_back("metrics snapshot has no counters array");
-    } else {
-      std::map<std::string, double> totals;
-      for (std::size_t i = 0; i < counters->size(); ++i) {
-        const JsonValue& entry = counters->at(i);
-        const JsonValue* name = entry.find("name");
-        const JsonValue* value = entry.find("value");
-        if (name && name->is_string() && value && value->is_number()) {
-          totals[name->as_string()] += value->as_number();
-        }
-      }
+    std::map<std::string, double> totals;
+    bool readable = true;
+    try {
+      totals = metrics_counter_totals(*metrics);
+    } catch (const AnalysisError& error) {
+      mismatches.push_back(error.what());
+      readable = false;
+    }
+    if (readable) {
       double launches = 0.0, blocks = 0.0, combinations = 0.0, word_ops = 0.0;
       double global_bytes = 0.0, candidate_bytes = 0.0;
       for (const KernelProfile& k : records) {

@@ -3,7 +3,6 @@
 // pure functions of TraceAnalysis (plus an optional metrics snapshot), so
 // byte-identical analyses render byte-identical artifacts.
 
-#include <cstdio>
 #include <map>
 
 #include "obs/analyze.hpp"
@@ -11,31 +10,12 @@
 
 namespace multihit::obs {
 
-namespace {
-
-std::string fmt(const char* format, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, format, value);
-  return buf;
-}
-
-}  // namespace
-
 std::map<std::string, double> metrics_counter_totals(const JsonValue& metrics) {
-  require_schema<AnalysisError>(metrics, kMetricsSchema, "metrics document");
+  const JsonFields root =
+      require_schema<AnalysisError>(metrics, kMetricsSchema, "metrics document");
   std::map<std::string, double> totals;
-  const JsonValue* counters = metrics.find("counters");
-  if (!counters || !counters->is_array()) {
-    throw AnalysisError("metrics snapshot has no counters array");
-  }
-  for (std::size_t i = 0; i < counters->size(); ++i) {
-    const JsonValue& entry = counters->at(i);
-    const JsonValue* name = entry.find("name");
-    const JsonValue* value = entry.find("value");
-    if (!name || !name->is_string() || !value || !value->is_number()) {
-      throw AnalysisError("metrics counter entry missing name/value");
-    }
-    totals[name->as_string()] += value->as_number();
+  for (const JsonFields& entry : root.array("counters").objects()) {
+    totals[entry.string("name")] += entry.number("value");
   }
   return totals;
 }

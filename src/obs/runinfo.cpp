@@ -78,43 +78,18 @@ JsonValue manifest_json(const RunManifest& manifest) {
   return doc;
 }
 
-namespace {
-
-const JsonValue& member(const JsonValue& obj, std::string_view key,
-                        const char* what) {
-  const JsonValue* value = obj.find(key);
-  if (!value) {
-    throw RuninfoError(std::string("runinfo: ") + what + " is missing \"" +
-                       std::string(key) + "\"");
-  }
-  return *value;
-}
-
-}  // namespace
-
 RunManifest manifest_from_json(const JsonValue& doc) {
-  require_schema<RuninfoError>(doc, kRunSchema, "run manifest");
+  const JsonFields root = require_schema<RuninfoError>(doc, kRunSchema, "run manifest");
   RunManifest manifest;
-  manifest.driver = member(doc, "driver", "manifest").as_string();
-  const JsonValue& config = member(doc, "config", "manifest");
-  if (!config.is_object()) throw RuninfoError("runinfo: \"config\" is not an object");
-  for (const auto& [key, value] : config.as_object()) {
-    if (!value.is_string()) {
-      throw RuninfoError("runinfo: config value for \"" + key + "\" is not a string");
-    }
-    manifest.config.emplace_back(key, value.as_string());
-  }
-  const JsonValue& artifacts = member(doc, "artifacts", "manifest");
-  if (!artifacts.is_array()) throw RuninfoError("runinfo: \"artifacts\" is not an array");
-  for (const JsonValue& entry : artifacts.as_array()) {
-    if (!entry.is_object()) throw RuninfoError("runinfo: artifact entry is not an object");
+  manifest.driver = root.string("driver");
+  manifest.config = root.object("config").strings();
+  for (const JsonFields& entry : root.array("artifacts").objects()) {
     RunArtifact artifact;
-    artifact.name = member(entry, "name", "artifact entry").as_string();
-    artifact.schema = member(entry, "schema", "artifact entry").as_string();
-    artifact.path = member(entry, "path", "artifact entry").as_string();
-    artifact.bytes = static_cast<std::uint64_t>(
-        member(entry, "bytes", "artifact entry").as_number());
-    artifact.digest = member(entry, "digest", "artifact entry").as_string();
+    artifact.name = entry.string("name");
+    artifact.schema = entry.string("schema");
+    artifact.path = entry.string("path");
+    artifact.bytes = entry.u64("bytes");
+    artifact.digest = entry.string("digest");
     manifest.artifacts.push_back(std::move(artifact));
   }
   return manifest;

@@ -98,11 +98,15 @@ inline std::string_view document_schema(const JsonValue& doc) {
 /// Validates `doc`'s top-level "schema" tag and throws `Error` on mismatch
 /// with a message naming both the expected and the found schema — the found
 /// half is what turns "is not a profile" into "you handed me the metrics
-/// file".
+/// file". Returns the typed field view the reader takes every other field
+/// through, failing with the same `Error` and `what` prefix.
 template <typename Error>
-void require_schema(const JsonValue& doc, std::string_view expected, std::string_view what) {
+JsonFields require_schema(const JsonValue& doc, std::string_view expected,
+                          std::string_view what) {
   const JsonValue* schema = doc.is_object() ? doc.find("schema") : nullptr;
-  if (schema && schema->is_string() && schema->as_string() == expected) return;
+  if (schema && schema->is_string() && schema->as_string() == expected) {
+    return JsonFields::root<Error>(doc, what);
+  }
   std::string found = "(missing)";
   if (schema) found = schema->is_string() ? "\"" + schema->as_string() + "\"" : "(non-string)";
   throw Error(std::string(what) + ": expected schema \"" + std::string(expected) +

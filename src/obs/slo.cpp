@@ -190,37 +190,17 @@ std::string series_tenant(std::string_view name) {
 }
 
 SloInput slo_input_from_serve_json(const JsonValue& doc) {
-  require_schema<SloError>(doc, kServeSchema, "serve report");
-  const JsonValue* jobs = doc.find("jobs");
-  if (!jobs || !jobs->is_array()) throw SloError("serve report has no jobs array");
+  const JsonFields jobs = require_schema<SloError>(doc, kServeSchema, "serve report").array("jobs");
   SloInput input;
-  input.jobs.reserve(jobs->size());
-  for (std::size_t i = 0; i < jobs->size(); ++i) {
-    const JsonValue& entry = jobs->at(i);
-    const JsonValue* tenant = entry.find("tenant");
-    const JsonValue* arrival = entry.find("arrival");
-    const JsonValue* finish = entry.find("finish");
-    const JsonValue* outcome = entry.find("outcome");
-    const JsonValue* cache_hit = entry.find("cache_hit");
-    if (!tenant || !tenant->is_string() || !arrival || !arrival->is_number() || !finish ||
-        !finish->is_number() || !outcome || !outcome->is_string() || !cache_hit ||
-        !cache_hit->is_bool()) {
-      throw SloError("serve job " + std::to_string(i) +
-                     " missing tenant/arrival/finish/outcome/cache_hit");
-    }
+  input.jobs.reserve(jobs.size());
+  for (const JsonFields& entry : jobs.objects()) {
     SloJob job;
-    job.tenant = tenant->as_string();
-    job.arrival = arrival->as_number();
-    job.finish = finish->as_number();
-    job.rejected = outcome->as_string() != "completed";
-    job.cache_hit = cache_hit->as_bool();
-    if (!job.rejected) {
-      const JsonValue* latency = entry.find("latency");
-      if (!latency || !latency->is_number()) {
-        throw SloError("serve job " + std::to_string(i) + " completed without a latency");
-      }
-      job.latency = latency->as_number();
-    }
+    job.tenant = entry.string("tenant");
+    job.arrival = entry.number("arrival");
+    job.finish = entry.number("finish");
+    job.rejected = entry.string("outcome") != "completed";
+    job.cache_hit = entry.boolean("cache_hit");
+    if (!job.rejected) job.latency = entry.number("latency");
     input.jobs.push_back(std::move(job));
   }
   return input;

@@ -8,6 +8,7 @@
 
 #include "cluster/distributed.hpp"
 #include "data/generator.hpp"
+#include "hostile_json.hpp"
 #include "obs/recorder.hpp"
 
 namespace multihit {
@@ -199,6 +200,37 @@ TEST(AnalyzeOffline, RejectsDocumentsThatAreNotTraces) {
                        "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"m\",\"cat\":\"c\",\"tid\":1,"
                        "\"ts\":1,\"id\":7}]}"),
                obs::AnalysisError);
+
+  // Hostile values name their event and field.
+  const std::string good =
+      R"({"traceEvents":[{"ph":"X","name":"x","cat":"t","tid":0,"ts":0,"dur":1},)"
+      R"({"ph":"s","name":"m","cat":"c","tid":0,"ts":0,"id":7},)"
+      R"({"ph":"f","bp":"e","name":"m","cat":"c","tid":1,"ts":1,"id":7}]})";
+  ASSERT_NO_THROW(analyze(good.c_str()));
+  const auto reject = [](const std::string& text, const char* path) {
+    hostile::expect_rejected<obs::AnalysisError>(obs::tracer_from_chrome, text, path);
+  };
+  reject(hostile::plant(good, "tid", "4294967297"), "traceEvents[0].tid");
+  reject(hostile::plant(good, "tid", "-1"), "traceEvents[0].tid");
+  reject(hostile::plant(good, "tid", "0.5"), "traceEvents[0].tid");
+  reject(hostile::plant(good, "id", "1e30"), "traceEvents[1].id");
+  reject(hostile::plant(good, "name", "5"), "traceEvents[0].name");
+  reject(hostile::drop(good, "ts"), "traceEvents[0].ts");
+  reject(hostile::plant(good, "dur", R"(1,"args":{"n":3})"), "traceEvents[0].args.n");
+}
+
+TEST(AnalyzeOffline, MetricsCounterTotalsRejectHostileEntries) {
+  const std::string good =
+      R"({"schema":"multihit.metrics.v1","counters":[{"name":"a","labels":{},"value":5},)"
+      R"({"name":"a","labels":{"op":"x"},"value":2}],"gauges":[],"histograms":[]})";
+  EXPECT_DOUBLE_EQ(obs::metrics_counter_totals(JsonValue::parse(good)).at("a"), 7.0);
+  const auto reject = [](const std::string& text, const char* path) {
+    hostile::expect_rejected<obs::AnalysisError>(obs::metrics_counter_totals, text, path);
+  };
+  reject(hostile::drop(good, "name"), "counters[0].name");
+  reject(hostile::plant(good, "value", "\"x\""), "counters[0].value");
+  reject(hostile::plant(good, "value", "1e999"), "counters[0].value");
+  reject(hostile::plant(good, "value", "true", "\"op\""), "counters[1].value");
 }
 
 // --------------------------------------------------- cluster-model crosscheck

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "hostile_json.hpp"
 #include "obs/runinfo.hpp"
 #include "obs/schema.hpp"
 
@@ -322,6 +323,60 @@ TEST(DiffReportJson, RejectsWrongSchema) {
     EXPECT_NE(what.find(std::string(obs::kDiffSchema)), std::string::npos);
     EXPECT_NE(what.find(std::string(obs::kMetricsSchema)), std::string::npos);
   }
+}
+
+TEST(DiffReportJson, RejectsHostileFieldsNamingTheirPath) {
+  RunInput a = metrics_run("runA", {{"engine.iterations", 5}});
+  RunInput b = metrics_run("runB", {{"engine.iterations", 6}});
+  obs::add_doc(a, "analysis", analysis_doc(2.0, {segment("compute", 0, 0.0, 2.0)}));
+  obs::add_doc(b, "analysis", analysis_doc(3.0, {segment("compute", 0, 0.0, 3.0)}));
+  DiffOptions options;
+  options.tolerances = obs::parse_tolerances("tol engine.* rel 0.5\n");
+  const std::string good = obs::diff_report_json(obs::diff_runs(a, b, options)).dump();
+  ASSERT_NO_THROW(obs::diff_from_json(JsonValue::parse(good)));
+
+  const auto reject = [](const std::string& text, const char* path) {
+    hostile::expect_rejected<DiffError>(obs::diff_from_json, text, path);
+  };
+  reject(hostile::plant(good, "compared", "4294967297"), "counts.compared");
+  reject(hostile::plant(good, "regressed", "-1"), "counts.regressed");
+  reject(hostile::plant(good, "improved", "1.5"), "counts.improved");
+  reject(hostile::plant(good, "added", "1e30"), "counts.added");
+  reject(hostile::drop(good, "label"), "runs.a.label");
+  reject(hostile::plant(good, "driver", "5", "\"b\":{"), "runs.b.driver");
+  reject(hostile::plant(good, "mode", "\"sideways\""), "tolerances[0].mode");
+  reject(hostile::plant(good, "class", "\"bogus\""), "series[0].class");
+  reject(hostile::plant(good, "a", "\"x\"", "\"series\":["), "series[0].a");
+  reject(hostile::plant(good, "lane", "4294967297", "\"critical_path\""),
+         "critical_path.cells[0].lane");
+  JsonValue summary = JsonValue::parse(good);
+  summary.set("summary", 5.0);
+  reject(summary.dump(), "summary");
+}
+
+TEST(RunManifestJson, RejectsHostileFieldsNamingTheirPath) {
+  RunManifest manifest;
+  manifest.driver = "brca_scaleout";
+  obs::set_config(manifest, "nodes", "2");
+  obs::RunArtifact artifact;
+  artifact.name = "metrics";
+  artifact.schema = std::string(obs::kMetricsSchema);
+  artifact.path = "run.metrics.json";
+  artifact.bytes = 10;
+  artifact.digest = "0123";
+  manifest.artifacts.push_back(artifact);
+  const std::string good = obs::manifest_json(manifest).dump();
+  ASSERT_NO_THROW(obs::manifest_from_json(JsonValue::parse(good)));
+
+  const auto reject = [](const std::string& text, const char* path) {
+    hostile::expect_rejected<obs::RuninfoError>(obs::manifest_from_json, text, path);
+  };
+  reject(hostile::plant(good, "driver", "5"), "run manifest: driver");
+  reject(hostile::plant(good, "nodes", "2"), "config.nodes");
+  reject(hostile::drop(good, "path"), "artifacts[0].path");
+  reject(hostile::plant(good, "bytes", "-1"), "artifacts[0].bytes");
+  reject(hostile::plant(good, "bytes", "2.5"), "artifacts[0].bytes");
+  reject(hostile::plant(good, "bytes", "1e30"), "artifacts[0].bytes");
 }
 
 TEST(RunManifestJson, RoundTripsByteIdentically) {

@@ -25,6 +25,7 @@
 #include "core/hostsweep.hpp"
 #include "core/serial.hpp"
 #include "data/generator.hpp"
+#include "hostile_json.hpp"
 
 namespace multihit {
 namespace {
@@ -191,18 +192,6 @@ TEST(HostProf, CallCountsAreDispatchLevelIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(HostProf, CountBitopsOptOutLeavesCallTablesAlone) {
-  const Fixture f = make_fixture(2, 706);
-  HostProfiler profiler;
-  profiler.count_bitops = false;
-  const EvalResult best = host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx,
-                                               sweep_options(2, 2, 23, &profiler));
-  ASSERT_TRUE(best.valid);
-  EXPECT_FALSE(profiler.profile().bitops_counted);
-  EXPECT_EQ(profiler.profile().total_calls.total(), 0u);
-  EXPECT_TRUE(obs::hostprof_crosscheck(profiler.profile()).empty());
-}
-
 // --- rendering round trip ----------------------------------------------------
 
 HostProfile profiled_greedy(const Fixture& f) {
@@ -234,6 +223,19 @@ TEST(HostProf, FromJsonRejectsWrongSchemaAndIllShapedDocs) {
   EXPECT_THROW(obs::hostprof_from_json(
                    obs::JsonValue::parse(R"({"schema":"multihit.hostprof.v1"})")),
                obs::HostprofError);
+
+  // Hostile values: each is refused before any cast, naming its path.
+  const std::string doc = obs::hostprof_report(profiled_greedy(make_fixture(3, 707))).dump();
+  const auto reject = [&doc](std::string_view key, std::string_view value, const char* path) {
+    hostile::expect_rejected<obs::HostprofError>(obs::hostprof_from_json,
+                                                 hostile::plant(doc, key, value), path);
+  };
+  reject("hits", "1e30", "workload.hits");
+  reject("workers", "4294967297", "workload.workers");
+  reject("claim_histogram", "[-1", "workers[0].claim_histogram[0]");
+  reject("claim_histogram", "[0.5", "workers[0].claim_histogram[0]");
+  reject("claim_histogram", "[\"x\"", "workers[0].claim_histogram[0]");
+  reject("polls", "1e30", "sweeps[0].polls");
 }
 
 // --- crosscheck --------------------------------------------------------------

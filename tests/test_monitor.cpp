@@ -20,6 +20,7 @@
 #include "fault/plan.hpp"
 #include "obs/analyze.hpp"
 #include "obs/recorder.hpp"
+#include "hostile_json.hpp"
 
 namespace multihit {
 namespace {
@@ -604,6 +605,20 @@ TEST(MonitorSchema, TruthRoundTripsAndNamesBothSchemasOnMismatch) {
   } catch (const MonitorError& e) {
     EXPECT_NE(std::string(e.what()).find("(missing)"), std::string::npos) << e.what();
   }
+}
+
+TEST(MonitorSchema, TruthRejectsHostileEvents) {
+  const std::string good = obs::truth_json({{"crash", 1, 2, 0.125}}).dump();
+  const auto reject = [](const std::string& text, const char* path) {
+    hostile::expect_rejected<MonitorError>(obs::truth_from_json, text, path);
+  };
+  reject(hostile::drop(good, "kind"), "events[0].kind");
+  reject(hostile::plant(good, "kind", "5"), "events[0].kind");
+  reject(hostile::plant(good, "rank", "-1"), "events[0].rank");
+  reject(hostile::plant(good, "rank", "4294967297"), "events[0].rank");
+  reject(hostile::plant(good, "iteration", "1.5"), "events[0].iteration");
+  reject(hostile::plant(good, "iteration", "1e30"), "events[0].iteration");
+  reject(hostile::plant(good, "sim_time", "\"soon\""), "events[0].sim_time");
 }
 
 TEST(MonitorCrosscheck, AgreesWithConsistentMetricsAndFlagsTampering) {

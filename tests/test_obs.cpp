@@ -57,6 +57,107 @@ TEST(ObsJson, ObjectsPreserveInsertionOrder) {
   EXPECT_EQ(doc.dump(), "{\"z\":1,\"a\":2}");
 }
 
+// -------------------------------------------------------------- typed fields
+
+struct FieldError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+obs::JsonFields fields_of(const JsonValue& doc) {
+  return obs::JsonFields::root<FieldError>(doc, "test document");
+}
+
+/// `read()` must throw FieldError with exactly `message`.
+template <typename Read>
+void expect_field_error(const Read& read, const std::string& message) {
+  try {
+    read();
+    ADD_FAILURE() << "expected: " << message;
+  } catch (const FieldError& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+}
+
+TEST(ObsJsonFields, ReadsTypedFieldsAndNestedPaths) {
+  const JsonValue doc = JsonValue::parse(
+      R"({"name":"x","on":true,"ratio":0.25,"n":4294967295,"big":9007199254740992,)"
+      R"("inner":{"rows":[{"k":1},{"k":2}],"counts":[0,7]},"cfg":{"a":"1","b":"2"}})");
+  const obs::JsonFields root = fields_of(doc);
+  EXPECT_EQ(root.string("name"), "x");
+  EXPECT_TRUE(root.boolean("on"));
+  EXPECT_DOUBLE_EQ(root.number("ratio"), 0.25);
+  EXPECT_EQ(root.u32("n"), 4294967295u);
+  EXPECT_EQ(root.u64("big"), 9007199254740992u);
+  EXPECT_TRUE(root.has("inner"));
+  EXPECT_FALSE(root.has("absent"));
+  const std::vector<obs::JsonFields> rows = root.object("inner").array("rows").objects();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[1].u32("k"), 2u);
+  EXPECT_EQ(root.object("inner").array("counts").u64_at(1), 7u);
+  const std::vector<std::pair<std::string, std::string>> cfg = root.object("cfg").strings();
+  ASSERT_EQ(cfg.size(), 2u);
+  EXPECT_EQ(cfg[1], (std::pair<std::string, std::string>("b", "2")));
+}
+
+TEST(ObsJsonFields, RejectionsThrowTheCallersErrorNamingThePath) {
+  const JsonValue doc = JsonValue::parse(
+      R"({"s":5,"inner":{"rows":[{"k":"x"}],"mixed":[{},7]},"cfg":{"a":"1","b":2},"list":[1]})");
+  const obs::JsonFields root = fields_of(doc);
+  expect_field_error([&] { root.string("missing"); }, "test document: missing is missing");
+  expect_field_error([&] { root.string("s"); },
+                     "test document: s is a number, expected a string");
+  expect_field_error([&] { root.boolean("s"); },
+                     "test document: s is a number, expected a boolean");
+  expect_field_error([&] { root.object("list"); },
+                     "test document: list is an array, expected an object");
+  expect_field_error([&] { root.array("inner"); },
+                     "test document: inner is an object, expected an array");
+  const obs::JsonFields rows = root.object("inner").array("rows");
+  expect_field_error([&] { rows.objects()[0].u64("k"); },
+                     "test document: inner.rows[0].k is a string, expected a number");
+  expect_field_error([&] { root.object("inner").array("mixed").objects(); },
+                     "test document: inner.mixed[1] is a number, expected an object");
+  expect_field_error([&] { root.object("cfg").strings(); },
+                     "test document: cfg.b is a number, expected a string");
+  expect_field_error([&] { rows.fail("has a problem"); },
+                     "test document: inner.rows has a problem");
+  expect_field_error([&] { rows.objects()[0].fail("k", "is unknown"); },
+                     "test document: inner.rows[0].k is unknown");
+  expect_field_error([&] { fields_of(JsonValue::parse("[1]")); },
+                     "test document is an array, expected an object");
+}
+
+TEST(ObsJsonFields, IntegersAreRangeCheckedBeforeAnyCast) {
+  const auto u32_of = [](const char* number) {
+    return fields_of(JsonValue::parse(std::string(R"({"v":)") + number + "}")).u32("v");
+  };
+  const auto u64_of = [](const char* number) {
+    return fields_of(JsonValue::parse(std::string(R"({"v":)") + number + "}")).u64("v");
+  };
+  EXPECT_EQ(u32_of("0"), 0u);
+  EXPECT_EQ(u32_of("4294967295"), 4294967295u);
+  expect_field_error([&] { u32_of("4294967296"); },
+                     "test document: v is 4294967296, expected a non-negative integer below 2^32");
+  expect_field_error([&] { u32_of("4294967297"); },
+                     "test document: v is 4294967297, expected a non-negative integer below 2^32");
+  expect_field_error([&] { u32_of("-1"); },
+                     "test document: v is -1, expected a non-negative integer below 2^32");
+  expect_field_error([&] { u32_of("0.5"); },
+                     "test document: v is 0.5, expected a non-negative integer below 2^32");
+  EXPECT_EQ(u64_of("4294967297"), 4294967297u);
+  expect_field_error([&] { u64_of("1e30"); },
+                     "test document: v is 1e+30, expected a non-negative integer below 2^64");
+  expect_field_error([&] { u64_of("18446744073709551616"); },
+                     "test document: v is 1.8446744073709552e+19, expected a non-negative "
+                     "integer below 2^64");
+  expect_field_error([&] { u64_of("1e999"); }, "test document: v is not a finite number");
+  const JsonValue counts = JsonValue::parse(R"({"c":[3,-2]})");
+  expect_field_error([&] { fields_of(counts).array("c").u64_at(1); },
+                     "test document: c[1] is -2, expected a non-negative integer below 2^64");
+  expect_field_error([&] { fields_of(JsonValue::parse(R"({"x":-1e999})")).number("x"); },
+                     "test document: x is not a finite number");
+}
+
 // ------------------------------------------------------------------- metrics
 
 TEST(ObsMetrics, CounterIsMonotone) {

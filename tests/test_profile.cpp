@@ -13,6 +13,7 @@
 #include "data/generator.hpp"
 #include "data/registry.hpp"
 #include "gpusim/perfmodel.hpp"
+#include "hostile_json.hpp"
 #include "obs/analyze.hpp"
 #include "obs/recorder.hpp"
 #include "util/stats.hpp"
@@ -177,6 +178,25 @@ TEST(Profile, LoaderRejectsCorruptDocuments) {
   tampered.replace(at, needle.size() + 1, needle + "\"x");
   tampered.insert(tampered.find(',', at), "\"");
   reject(tampered);
+
+  // Hostile values: each is refused before any cast, naming its path.
+  const auto reject_field = [&dumped](std::string_view key, std::string_view value,
+                                      const char* path) {
+    hostile::expect_rejected<obs::ProfileError>(
+        obs::profiler_from_json, hostile::plant(dumped, key, value, "\"kernels\""), path);
+  };
+  reject_field("rank", "-1", "kernels[0].rank");
+  reject_field("gpu", "0.5", "kernels[0].gpu");
+  reject_field("iteration", "4294967297", "kernels[0].iteration");
+  reject_field("lambda_end", "1e30", "kernels[0].lambda_end");
+  reject_field("lost", "0", "kernels[0].lost");
+  reject_field("occupancy", "\"x\"", "kernels[0].occupancy");
+  hostile::expect_rejected<obs::ProfileError>(
+      obs::profiler_from_json, hostile::drop(dumped, "occupancy", "\"kernels\""),
+      "kernels[0].occupancy");
+  hostile::expect_rejected<obs::ProfileError>(
+      obs::profiler_from_json, hostile::plant(dumped, "sm_count", "4294967297"),
+      "device.sm_count");
 }
 
 // --------------------------------------------------- acceptance: reconciliation

@@ -23,6 +23,7 @@
 #include "obs/recorder.hpp"
 #include "obs/schema.hpp"
 #include "serve/service.hpp"
+#include "hostile_json.hpp"
 
 namespace multihit {
 namespace {
@@ -259,6 +260,20 @@ TEST(SloInputJson, RejectsWrongSchemaAndIllShapedJobs) {
   jobs.push_back(std::move(bad_job));
   doc.set("jobs", std::move(jobs));
   EXPECT_THROW(obs::slo_input_from_serve_json(doc), SloError);
+
+  // Hostile values name their job and field.
+  const std::string good =
+      R"({"schema":"multihit.serve.v1","jobs":[{"tenant":"t","arrival":0,"finish":1,)"
+      R"("outcome":"completed","cache_hit":false,"latency":1}]})";
+  ASSERT_NO_THROW(obs::slo_input_from_serve_json(JsonValue::parse(good)));
+  const auto reject = [](const std::string& text, const char* path) {
+    hostile::expect_rejected<SloError>(obs::slo_input_from_serve_json, text, path);
+  };
+  reject(hostile::drop(good, "arrival"), "jobs[0].arrival");
+  reject(hostile::plant(good, "cache_hit", "\"yes\""), "jobs[0].cache_hit");
+  reject(hostile::plant(good, "tenant", "5"), "jobs[0].tenant");
+  reject(hostile::plant(good, "finish", "1e999"), "jobs[0].finish");
+  reject(good.substr(0, good.find(",\"latency\"")) + "}]}", "jobs[0].latency");
 }
 
 // ---------------------------------------------------------- replay identity
