@@ -144,13 +144,14 @@ int main() {
         const Dataset served = generate_dataset(serve::CancerCache::serve_spec(type));
         EngineConfig served_config;
         served_config.hits = type.hits;
-        KernelStats stats;
+        KernelCounts counts;
         (void)run_greedy(served.tumor, served.normal, served_config,
-                         make_kernel_evaluator(type.hits, &stats));
-        const double fraction = static_cast<double>(stats.pruned) /
-                                static_cast<double>(std::max<std::uint64_t>(1, stats.combinations));
+                         make_kernel_evaluator(type.hits, &counts));
+        const double fraction =
+            static_cast<double>(counts.pruned) /
+            static_cast<double>(std::max<std::uint64_t>(1, counts.combinations));
         bench.series("pruned_fraction." + type.code, fraction);
-        std::cout << "    " << type.code << ": " << fraction << " of " << stats.combinations
+        std::cout << "    " << type.code << ": " << fraction << " of " << counts.combinations
                   << "\n";
       }
       bench.metrics().gauge("hostprof.overhead_fraction").set(overhead);

@@ -69,11 +69,10 @@ void BM_KernelFourHit3x1(benchmark::State& state) {
   const u64 total = scheme_threads(Scheme{4, 3}, data.genes());
   std::uint64_t combos = 0;
   for (auto _ : state) {
-    KernelStats stats;
-    benchmark::DoNotOptimize(evaluate_range(
-        data.tumor, data.normal, ctx, Scheme{4, 3}, 0, total,
-        MemOpts{.prefetch_i = true, .prefetch_j = true}, &stats));
-    combos = stats.combinations;
+    KernelCounts counts;
+    benchmark::DoNotOptimize(evaluate_range(data.tumor, data.normal, ctx, Scheme{4, 3}, 0,
+                                            total, kNoFloor, &counts));
+    combos = counts.combinations;
   }
   state.SetItemsProcessed(state.iterations() * combos);
   state.counters["combinations"] = static_cast<double>(combos);
@@ -86,11 +85,10 @@ void BM_KernelThreeHit2x1(benchmark::State& state) {
   const u64 total = scheme_threads(Scheme{3, 2}, data.genes());
   std::uint64_t combos = 0;
   for (auto _ : state) {
-    KernelStats stats;
-    benchmark::DoNotOptimize(evaluate_range(
-        data.tumor, data.normal, ctx, Scheme{3, 2}, 0, total,
-        MemOpts{.prefetch_i = true, .prefetch_j = true}, &stats));
-    combos = stats.combinations;
+    KernelCounts counts;
+    benchmark::DoNotOptimize(evaluate_range(data.tumor, data.normal, ctx, Scheme{3, 2}, 0,
+                                            total, kNoFloor, &counts));
+    combos = counts.combinations;
   }
   state.SetItemsProcessed(state.iterations() * combos);
 }

@@ -398,10 +398,10 @@ int main(int argc, char** argv) {
     std::cout << "  combinations selected: " << swept.iterations.size()
               << " -> " << (sweep_identical ? "IDENTICAL" : "MISMATCH!")
               << " (vs serial and distributed)\n"
-              << "  " << total.stats.combinations << " combinations in " << seconds
-              << " s wall = " << static_cast<double>(total.stats.combinations) / seconds
-              << " combos/sec (" << total.chunks << " chunks, " << total.arena_blocks
-              << " arena block(s) across " << total.threads << " worker(s))\n";
+              << "  " << total.counts.combinations << " combinations in " << seconds
+              << " s wall = " << static_cast<double>(total.counts.combinations) / seconds
+              << " combos/sec (" << total.chunks << " chunks across " << total.threads
+              << " worker(s))\n";
     if (!sweep_identical) return 1;
     if (!host_profile_out.empty()) {
       const obs::HostProfile& profile = host_profiler.profile();

@@ -2,9 +2,11 @@
 # Full local CI: build and run the test suite under every preset in
 # CMakePresets.json — the optimized build, the ASan+UBSan build, and the
 # TSan build (whose test preset narrows to the concurrency-heavy suites:
-# the host-threaded sweep, chunk queue, arenas, bitops dispatch, and the
-# host profiler). Any sanitizer report aborts the run
-# (-fno-sanitize-recover=all turns UBSan findings into hard failures).
+# the host-threaded sweep, chunk queue, bitops dispatch, and the host
+# profiler). Any sanitizer report aborts the run
+# (-fno-sanitize-recover=all turns UBSan findings into hard failures; the
+# asan preset adds float-cast-overflow, which GCC's -fsanitize=undefined
+# leaves out).
 #
 # Usage: scripts/ci.sh [jobs]   (default: nproc)
 

@@ -128,7 +128,7 @@ expect hostprof_wrong_schema 1 hostprof "$TMP/metrics.json"
 # trip the reconciliation pass (exit 1), not render a wrong report.
 zero_calls='{"and2":0,"and_rows":0}'
 hostprof_doc() {
-  printf '{"schema":"multihit.hostprof.v1","workload":{"hits":2,"scheme":"scheme2","lambda_end":0,"chunk_size":64,"workers":0,"sweeps":0,"bitops_counted":true},"totals":{"chunks":%s,"claims":0,"empty_polls":0,"candidates":0,"combinations":0,"arena_peak_words_max":0,"bitops_calls":%s},"backend":{"name":"scalar"},"wallclock":{"wall_seconds":0,"eval_seconds":0,"claim_seconds":0,"merge_seconds":0,"tail_idle_seconds":0},"workers":[],"sweeps":[]}' \
+  printf '{"schema":"multihit.hostprof.v1","workload":{"hits":2,"scheme":"scheme2","lambda_end":0,"chunk_size":64,"workers":0,"sweeps":0,"bitops_counted":true},"totals":{"chunks":%s,"claims":0,"empty_polls":0,"candidates":0,"combinations":0,"bitops_calls":%s},"backend":{"name":"scalar"},"wallclock":{"wall_seconds":0,"eval_seconds":0,"claim_seconds":0,"merge_seconds":0,"tail_idle_seconds":0},"workers":[],"sweeps":[]}' \
     "$1" "$zero_calls"
 }
 hostprof_doc 0 > "$TMP/empty.hostprof.json"

@@ -21,13 +21,13 @@ Evaluator make_serial_evaluator(std::uint32_t hits) {
   };
 }
 
-Evaluator make_kernel_evaluator(std::uint32_t hits, KernelStats* stats_sink) {
+Evaluator make_kernel_evaluator(std::uint32_t hits, KernelCounts* counts_sink) {
   if (hits < 2) return make_serial_evaluator(hits);
   const Scheme scheme{hits, hits - 1};
-  return [scheme, stats_sink](const BitMatrix& tumor, const BitMatrix& normal,
-                              const FContext& ctx) {
+  return [scheme, counts_sink](const BitMatrix& tumor, const BitMatrix& normal,
+                               const FContext& ctx) {
     return evaluate_range(tumor, normal, ctx, scheme, 0, scheme_threads(scheme, tumor.genes()),
-                          {}, stats_sink, nullptr, greedy_floor(tumor, normal, ctx, scheme.hits));
+                          greedy_floor(tumor, normal, ctx, scheme.hits), counts_sink);
   };
 }
 

@@ -33,15 +33,6 @@ namespace multihit {
 using Evaluator =
     std::function<EvalResult(const BitMatrix& tumor, const BitMatrix& normal, const FContext&)>;
 
-struct IterationRecord;
-
-/// Observes each committed greedy iteration: the chosen record, the tumor
-/// matrix *after* the exclusion step, and the uncovered sample count. This
-/// is the hook periodic checkpointing and the cluster's fault-recovery
-/// accounting attach to.
-using IterationObserver =
-    std::function<void(const IterationRecord&, const BitMatrix& tumor, std::uint32_t remaining)>;
-
 struct EngineConfig {
   std::uint32_t hits = 4;
   FParams f_params;
@@ -51,9 +42,6 @@ struct EngineConfig {
   /// 0 = run until all tumor samples are covered (or no combination covers
   /// any remaining sample); otherwise stop after this many combinations.
   std::uint32_t max_iterations = 0;
-  /// Optional per-iteration observer (see IterationObserver). Called after
-  /// the iteration is committed; must not mutate engine state.
-  IterationObserver on_iteration;
   /// Optional observability recorder: each committed iteration lands a span
   /// on the engine lane plus engine.* counters. Null keeps the run untouched.
   obs::Recorder* recorder = nullptr;
@@ -96,9 +84,9 @@ Evaluator make_serial_evaluator(std::uint32_t hits);
 /// but the innermost flattened (Scheme{hits, hits-1}: 2 -> 1x1, 3 -> 2x1,
 /// 4 -> 3x1 — the paper's winners), pruning against a greedy_floor computed
 /// per evaluation. Falls back to the serial scan for hits < 2. When
-/// `stats_sink` is non-null, every kernel evaluation accumulates its
-/// KernelStats (combinations and pruned among them) into it; the sink must
+/// `counts_sink` is non-null, every kernel evaluation accumulates its
+/// KernelCounts (combinations and pruned among them) into it; the sink must
 /// outlive the evaluator.
-Evaluator make_kernel_evaluator(std::uint32_t hits, KernelStats* stats_sink = nullptr);
+Evaluator make_kernel_evaluator(std::uint32_t hits, KernelCounts* counts_sink = nullptr);
 
 }  // namespace multihit

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "bitmat/bitops.hpp"
-#include "core/arena.hpp"
 #include "core/workqueue.hpp"
 #include "obs/hostprof.hpp"
 
@@ -20,8 +19,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_between(Clock::time_point begin, Clock::time_point end) {
   return std::chrono::duration<double>(end - begin).count();
 }
-
-constexpr MemOpts kSweepOpts{.prefetch_i = true, .prefetch_j = true};
 
 /// One per-chunk winner, tagged with the chunk's begin λ for the
 /// deterministic index-ordered fold.
@@ -36,9 +33,8 @@ struct Candidate {
 /// workers on every (often tiny, once pruned) chunk.
 struct WorkerOutput {
   std::vector<Candidate> candidates;
-  KernelStats stats;
+  KernelCounts counts;
   std::uint64_t chunks = 0;
-  std::uint64_t arena_blocks = 0;
 };
 
 }  // namespace
@@ -79,61 +75,45 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
 
   const auto worker_body = [&](std::uint32_t id) {
     WorkerOutput out;
-    Arena arena;
-    std::uint64_t begin = 0, end = 0;
-    if (profiler == nullptr) {
-      while (queue.next(&begin, &end)) {
-        // The arena reset makes every chunk's fold scratch land on the same warm
-        // block — per-chunk allocation drops to zero after the first grab.
-        arena.reset();
-        const EvalResult best = evaluate_range(tumor, normal, ctx, scheme, begin, end,
-                                               kSweepOpts, &out.stats, &arena, floor);
-        ++out.chunks;
-        if (best.valid) out.candidates.push_back({begin, best});
-      }
-      out.arena_blocks = arena.block_allocations();
-      outputs[id] = std::move(out);
-      return;
-    }
-
-    // Profiled variant of the same loop: two steady_clock reads per chunk
-    // (claim edge, evaluate edge) feed the claim-latency histogram and the
-    // busy/idle split; everything that decides the selection is untouched.
+    // Under a profiler, two steady_clock reads per chunk (claim edge,
+    // evaluate edge) feed the claim-latency histogram and the busy/idle
+    // split; everything that decides the selection is untouched.
     obs::HostWorkerSample sample;
     const BitopsCallCounts calls_before = thread_bitops_calls();
-    Clock::time_point mark = Clock::now();
+    Clock::time_point mark, claimed_at;
+    if (profiler != nullptr) mark = Clock::now();
+    std::uint64_t begin = 0, end = 0;
     for (;;) {
       const bool claimed = queue.next(&begin, &end);
-      const Clock::time_point claimed_at = Clock::now();
-      const double claim_latency = seconds_between(mark, claimed_at);
-      sample.claim_seconds += claim_latency;
-      ++sample.claim_histogram[obs::claim_bucket(claim_latency)];
-      if (!claimed) {
-        // The one failed poll every worker's drain ends on.
-        ++sample.empty_polls;
-        finish_at[id] = claimed_at;
-        break;
+      if (profiler != nullptr) {
+        claimed_at = Clock::now();
+        const double claim_latency = seconds_between(mark, claimed_at);
+        sample.claim_seconds += claim_latency;
+        ++sample.claim_histogram[obs::claim_bucket(claim_latency)];
       }
-      arena.reset();
-      const EvalResult best = evaluate_range(tumor, normal, ctx, scheme, begin, end,
-                                             kSweepOpts, &out.stats, &arena, floor);
-      mark = Clock::now();
-      sample.eval_seconds += seconds_between(claimed_at, mark);
+      if (!claimed) break;
+      const EvalResult best =
+          evaluate_range(tumor, normal, ctx, scheme, begin, end, floor, &out.counts);
+      if (profiler != nullptr) {
+        mark = Clock::now();
+        sample.eval_seconds += seconds_between(claimed_at, mark);
+      }
       ++out.chunks;
       if (best.valid) out.candidates.push_back({begin, best});
     }
-    out.arena_blocks = arena.block_allocations();
 
-    const BitopsCallCounts delta = thread_bitops_calls() - calls_before;
-    sample.calls.and2 = delta.and2;
-    sample.calls.and_rows = delta.and_rows;
-    sample.chunks = out.chunks;
-    sample.candidates = static_cast<std::uint64_t>(out.candidates.size());
-    sample.combinations = out.stats.combinations;
-    sample.arena_peak_words = arena.peak_words();
-    sample.arena_capacity_words = arena.capacity_words();
-    sample.arena_blocks = arena.block_allocations();
-    samples[id] = sample;
+    if (profiler != nullptr) {
+      // The one failed poll every worker's drain ends on.
+      sample.empty_polls = 1;
+      finish_at[id] = claimed_at;
+      const BitopsCallCounts delta = thread_bitops_calls() - calls_before;
+      sample.calls.and2 = delta.and2;
+      sample.calls.and_rows = delta.and_rows;
+      sample.chunks = out.chunks;
+      sample.candidates = static_cast<std::uint64_t>(out.candidates.size());
+      sample.combinations = out.counts.combinations;
+      samples[id] = sample;
+    }
     outputs[id] = std::move(out);
   };
 
@@ -141,7 +121,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
   if (profiler != nullptr) {
     obs::HostSweepSetup setup;
     setup.workers = workers;
-    setup.chunk_size = options.chunk;
+    setup.chunk_size = queue.chunk_size();
     setup.chunk_count = queue.chunk_count();
     setup.lambda_end = lambda_end;
     setup.hits = options.hits;
@@ -193,15 +173,13 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
   if (telemetry != nullptr) {
     telemetry->threads = workers;
     telemetry->threads_requested = requested;
-    telemetry->chunk_size = options.chunk;
+    telemetry->chunk_size = queue.chunk_size();
     telemetry->candidates = static_cast<std::uint64_t>(merged.size());
     telemetry->chunks = 0;
-    telemetry->arena_blocks = 0;
-    telemetry->stats = {};
+    telemetry->counts = {};
     for (const WorkerOutput& out : outputs) {
       telemetry->chunks += out.chunks;
-      telemetry->arena_blocks += out.arena_blocks;
-      telemetry->stats += out.stats;
+      telemetry->counts += out.counts;
     }
   }
   return best;

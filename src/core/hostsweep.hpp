@@ -7,7 +7,8 @@
 // same λ space with actual std::threads, pulling fixed-size chunks off a
 // lock-free ChunkQueue (core/workqueue.hpp) so stragglers self-balance —
 // the planar_mt.cpp shape: atomic work counter, per-worker accumulation,
-// merge at the end.
+// merge at the end. Workers share nothing else: the kernel's fold scratch is
+// thread-local, so a worker allocates nothing after its first chunk.
 //
 // Determinism: every chunk produces at most one candidate tagged with its
 // chunk-begin λ; workers append to private lists, and the final fold sorts
@@ -32,17 +33,15 @@ class HostProfiler;
 namespace multihit {
 
 /// The sweep runs Scheme{hits, hits-1} — every loop but the innermost
-/// flattened, the paper's winning shape — and accounts its KernelStats with
-/// both prefetch optimizations on.
+/// flattened, the paper's winning shape.
 struct HostSweepOptions {
   std::uint32_t hits = 4;       ///< any h >= 2 with C(genes, h) in u64
   std::uint32_t threads = 0;    ///< worker count; 0 = hardware_concurrency
-  std::uint64_t chunk = 1024;   ///< λ indices per queue grab
-  /// Optional wall-clock profiler (obs/hostprof.hpp). Null keeps the worker
-  /// loop on its original untimed path; non-null adds two steady_clock reads
-  /// per chunk and never changes which combination is selected — profiled
-  /// and unprofiled sweeps are bit-identical (pinned by tests and the ci.sh
-  /// hostprof smoke).
+  std::uint64_t chunk = 1024;   ///< λ indices per queue grab (0 runs as 1)
+  /// Optional wall-clock profiler (obs/hostprof.hpp). Null reads no clock;
+  /// non-null adds two steady_clock reads per chunk and never changes which
+  /// combination is selected — profiled and unprofiled sweeps are
+  /// bit-identical (pinned by tests and the ci.sh hostprof smoke).
   obs::HostProfiler* profiler = nullptr;
 };
 
@@ -53,8 +52,7 @@ struct HostSweepTelemetry {
   std::uint64_t chunk_size = 0;         ///< λ indices per queue grab actually used
   std::uint64_t chunks = 0;             ///< chunks distributed
   std::uint64_t candidates = 0;         ///< valid per-chunk candidates merged
-  std::uint64_t arena_blocks = 0;       ///< heap blocks across all worker arenas
-  KernelStats stats;                    ///< summed over workers in index order
+  KernelCounts counts;                  ///< summed over workers in index order
 
   /// Accumulates another sweep's accounting (one greedy run = one sweep per
   /// iteration). Counters sum; the configuration fields (threads, chunk
@@ -65,8 +63,7 @@ struct HostSweepTelemetry {
     chunk_size = other.chunk_size;
     chunks += other.chunks;
     candidates += other.candidates;
-    arena_blocks += other.arena_blocks;
-    stats += other.stats;
+    counts += other.counts;
     return *this;
   }
 };
@@ -82,7 +79,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
 /// make_serial_evaluator/make_kernel_evaluator in run_greedy. When
 /// `telemetry_sink` is non-null, every evaluation accumulates its sweep
 /// accounting into it (operator+=), so engine runs through this evaluator
-/// report the same kernel stats the serial and cluster paths do; the sink
+/// report the kernel's combination and pruned counts; the sink
 /// must outlive the evaluator and is not thread-safe across concurrent
 /// evaluations (the greedy loop is sequential).
 Evaluator make_host_sweep_evaluator(HostSweepOptions options,

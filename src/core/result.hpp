@@ -1,6 +1,8 @@
 #pragma once
 // Result and accounting types shared by every evaluation path (serial
-// reference, scheme kernels, GPU simulator, distributed cluster run).
+// reference, scheme kernels, GPU simulator, distributed cluster run). The
+// kernel counts what it visits (KernelCounts); the GPU model prices what a
+// launch would move (KernelStats).
 
 #include <cstdint>
 
@@ -32,26 +34,27 @@ inline EvalResult merge_results(const EvalResult& a, const EvalResult& b) noexce
   return b.better_than(a) ? b : a;
 }
 
-/// Analytic operation/traffic counts for a kernel execution, consumed by the
-/// GPU performance model. Counted in units of 64-bit words.
-struct KernelStats {
+/// What the enumeration kernel (evaluate_range) counts as it runs.
+struct KernelCounts {
   std::uint64_t combinations = 0;  ///< combinations covered, scored or pruned
   std::uint64_t pruned = 0;        ///< of those, skipped under a cut prefix
-                                   ///< (counted by evaluate_range; not serialized)
+
+  KernelCounts& operator+=(const KernelCounts& other) noexcept {
+    combinations += other.combinations;
+    pruned += other.pruned;
+    return *this;
+  }
+};
+
+/// Modeled operation/traffic counts of a kernel launch on the simulated GPU,
+/// produced in closed form by scheme_stats and priced by the GPU performance
+/// model. Counted in units of 64-bit words.
+struct KernelStats {
+  std::uint64_t combinations = 0;  ///< combinations covered
   std::uint64_t word_ops = 0;      ///< bitwise AND+popcount word operations
   std::uint64_t global_words = 0;  ///< words read from (simulated) global memory
   std::uint64_t local_words = 0;   ///< words served from prefetched local memory
   std::uint64_t distinct_rows = 0; ///< distinct matrix rows touched (locality proxy)
-
-  KernelStats& operator+=(const KernelStats& other) noexcept {
-    combinations += other.combinations;
-    pruned += other.pruned;
-    word_ops += other.word_ops;
-    global_words += other.global_words;
-    local_words += other.local_words;
-    distinct_rows += other.distinct_rows;
-    return *this;
-  }
 };
 
 }  // namespace multihit

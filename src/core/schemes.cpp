@@ -117,8 +117,7 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
                                                        const BitMatrix& normal,
                                                        const FContext& ctx, Scheme scheme,
                                                        std::uint64_t begin, std::uint64_t end,
-                                                       const MemOpts& opts, KernelStats* stats,
-                                                       Arena* arena, double floor) {
+                                                       double floor, KernelCounts* counts) {
   const std::uint32_t genes = tumor.genes();
   check_scheme(scheme, genes);
   assert(normal.genes() == genes);
@@ -143,15 +142,13 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
     // innermost gene is never folded, so every combination costs one
     // two-row and_popcount per matrix. Colex steps mostly move the smallest
     // flat gene, which sits last among the flat slots, so a step refolds
-    // only the slots from the first changed gene on. Callers without an
-    // arena (one-shot full-range evaluations) share a per-thread one, so no
-    // call allocates after a thread's first.
-    thread_local Arena fallback;
-    if (arena == nullptr) {
-      fallback.reset();
-      arena = &fallback;
-    }
-    const std::span<std::uint64_t> block = arena->alloc_words((h - 1) * (wt + wn));
+    // only the slots from the first changed gene on. The slots live in a
+    // per-thread buffer that only ever grows, so no call allocates after a
+    // thread's first at a given width.
+    thread_local std::vector<std::uint64_t> scratch;
+    const std::size_t words = (h - 1) * (wt + wn);
+    if (scratch.size() < words) scratch.resize(words);
+    const std::span<std::uint64_t> block(scratch.data(), words);
     std::array<std::span<std::uint64_t>, kMaxSchemeHits> tslot, nslot;
     for (std::uint32_t s = 0; s + 1 < h; ++s) {
       tslot[s] = block.subspan(s * wt, wt);
@@ -271,13 +268,9 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
     }
   }
 
-  if (stats != nullptr) {
-    KernelStats counted = scheme_stats(scheme, genes, begin, end, opts,
-                                       static_cast<std::uint32_t>(wt),
-                                       static_cast<std::uint32_t>(wn));
-    counted.combinations = scored + pruned;
-    counted.pruned = pruned;
-    *stats += counted;
+  if (counts != nullptr) {
+    counts->combinations += scored + pruned;
+    counts->pruned += pruned;
   }
   return best.result();
 }

@@ -24,20 +24,23 @@
 // F <= f_score(TP(P), 0), and a prefix whose bound is strictly below the
 // best F seen so far (or below a caller-supplied floor) is never descended.
 //
+// The kernel only scores: besides the winner it reports two counts,
+// combinations visited and pruned (KernelCounts). Its fold scratch is a
+// per-thread buffer, (h-1)(wt+wn) words, that grows once and is reused.
+//
 // `scheme_stats` is the closed-form operation/traffic accounting of that
 // kernel on the modeled GPU. For full-scale spaces (C(19411,4) ≈ 5.9e15
 // combinations) nothing can enumerate, but the counts are exactly summable
 // over the level structure of each scheme; that is what lets the performance
-// model price paper-scale runs. The kernel reports the same stats (with its
-// own count of scored combinations), so the device model and the analytic
-// cluster model price launches identically by construction.
+// model price paper-scale runs. GpuDevice prices each launch with one
+// scheme_stats call over its partition, the same call the analytic cluster
+// model makes, so both price launches identically by construction.
 
 #include <cstdint>
 #include <limits>
 #include <string>
 
 #include "bitmat/bitmatrix.hpp"
-#include "core/arena.hpp"
 #include "core/fscore.hpp"
 #include "core/result.hpp"
 
@@ -84,12 +87,8 @@ inline constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
 /// maxF kernel over threads [begin, end) of `scheme`. Both matrices must have
 /// identical gene counts; throws std::invalid_argument like scheme_threads,
 /// or when a non-empty range ends past scheme_threads().
-/// `stats`, when non-null, accumulates scheme_stats(...) for the range under
-/// `opts`, with `combinations` counted as scored plus `pruned` (the
-/// combinations under cut prefixes). `arena`, when non-null, supplies the
-/// fold scratch (bump-allocated; the caller owns the reset cadence); without
-/// one, a per-thread arena is reused across calls, so no call allocates
-/// after the first.
+/// `counts`, when non-null, accumulates the combinations the range covers
+/// (scored plus pruned) and, of those, the ones under cut prefixes.
 /// A prefix is cut when its bound is strictly below max(floor, the range's
 /// best F so far), so ties are always scored. Without a floor the result is
 /// the exact best of the range; with one it is exact whenever that best is
@@ -97,8 +96,7 @@ inline constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
 /// of a combination in it (see greedy_floor).
 EvalResult evaluate_range(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                           Scheme scheme, std::uint64_t begin, std::uint64_t end,
-                          const MemOpts& opts = {}, KernelStats* stats = nullptr,
-                          Arena* arena = nullptr, double floor = kNoFloor);
+                          double floor = kNoFloor, KernelCounts* counts = nullptr);
 
 /// The exact F of one h-gene combination built greedily: each step adds the
 /// gene keeping the most tumor TP (ties to the lowest index). It is a lower

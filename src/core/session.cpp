@@ -114,7 +114,6 @@ bool Engine::commit_one() {
          {"tp", std::to_string(committed.tp)},
          {"remaining", std::to_string(remaining_)}});
   }
-  if (config_.on_iteration) config_.on_iteration(progress_.iterations.back(), tumor_, remaining_);
   if (remaining_ == 0) done_ = true;
   return true;
 }

@@ -37,11 +37,12 @@ DeviceRunResult GpuDevice::run(const BitMatrix& tumor, const BitMatrix& normal,
   for (std::uint64_t b = 0; b < result.blocks; ++b) {
     const std::uint64_t begin = partition.begin + b * spec_.block_size;
     const std::uint64_t end = std::min<std::uint64_t>(begin + spec_.block_size, partition.end);
-    arena_.reset();  // block scratch reuses the device arena across launches
-    block_candidates.push_back(
-        evaluate_range(tumor, normal, ctx, scheme, begin, end, opts, &result.stats, &arena_));
+    block_candidates.push_back(evaluate_range(tumor, normal, ctx, scheme, begin, end));
   }
   result.candidate_bytes = result.blocks * kCandidateBytes;
+  result.stats = scheme_stats(scheme, tumor.genes(), partition.begin, partition.end, opts,
+                              static_cast<std::uint32_t>(tumor.words_per_row()),
+                              static_cast<std::uint32_t>(normal.words_per_row()));
 
   // Kernel 2: multi-stage reduction over the block candidates.
   result.best = parallel_reduce_max(std::move(block_candidates));

@@ -11,13 +11,13 @@
 //     per-block candidates yields the device's single best combination.
 //
 // Execution is functionally exact (the real bit-matrix kernels run on the
-// real data); timing comes from the perfmodel over the counted stats.
+// real data); traffic is priced once per launch by scheme_stats over the
+// partition, and timing comes from the perfmodel over those stats.
 
 #include <cstdint>
 #include <vector>
 
 #include "bitmat/bitmatrix.hpp"
-#include "core/arena.hpp"
 #include "core/schemes.hpp"
 #include "gpusim/perfmodel.hpp"
 #include "obs/profile.hpp"
@@ -32,7 +32,7 @@ namespace multihit {
 /// Outcome of one device launch over a partition.
 struct DeviceRunResult {
   EvalResult best;          ///< device-level winner
-  KernelStats stats;        ///< counted ops/traffic
+  KernelStats stats;        ///< modeled ops/traffic (scheme_stats)
   std::uint64_t blocks = 0; ///< maxF blocks launched
   std::uint64_t candidate_bytes = 0;  ///< per-block candidate list footprint
   GpuTiming timing;         ///< modeled execution profile
@@ -61,11 +61,6 @@ class GpuDevice {
 
   DeviceSpec spec_;
   obs::Recorder* recorder_ = nullptr;
-  /// Launch-scoped kernel scratch: reset per simulated block dispatch, so a
-  /// functional run performs one allocation per device instead of one per
-  /// 512-thread block. Launches on one device are serialized (as on the real
-  /// card), which is what makes the mutable member safe.
-  mutable Arena arena_;
 };
 
 /// The multi-stage pairwise reduction of kernel 2, exposed for testing:
@@ -79,12 +74,13 @@ inline constexpr std::uint64_t kCandidateBytes = 20;
 /// DeviceSpec constants mirrored into the profile artifact's device section.
 obs::ProfileDevice profile_device_info(const DeviceSpec& spec);
 
-/// Builds the NVPROF-style launch record for one pipeline execution: counted
+/// Builds the NVPROF-style launch record for one pipeline execution: modeled
 /// traffic before/after L2 reuse, prefetch-served bytes, occupancy/resident
 /// warps, the roofline decomposition, reduce stages, and the stall taxonomy.
-/// Shared by GpuDevice (kernel-reported stats) and the paper-scale analytic
-/// model (scheme_stats) so both paths profile identically. The traced placement
-/// (sim_begin/sim_seconds) is left for Profiler::record / annotate_last.
+/// Shared by GpuDevice and the paper-scale analytic model, which both price
+/// launches with scheme_stats, so both paths profile identically. The traced
+/// placement (sim_begin/sim_seconds) is left for Profiler::record /
+/// annotate_last.
 obs::KernelProfile kernel_profile_from(const DeviceSpec& spec, const KernelStats& stats,
                                        const GpuTiming& timing, const Partition& partition);
 

@@ -96,9 +96,6 @@ void HostProfiler::record_worker(std::uint32_t worker, const HostWorkerSample& s
   for (std::size_t i = 0; i < kClaimBuckets; ++i) {
     stat.claim_histogram[i] += sample.claim_histogram[i];
   }
-  stat.arena_peak_words = std::max(stat.arena_peak_words, sample.arena_peak_words);
-  stat.arena_capacity_words = std::max(stat.arena_capacity_words, sample.arena_capacity_words);
-  stat.arena_blocks += sample.arena_blocks;
 
   current_.chunks += sample.chunks;
   current_.candidates += sample.candidates;
@@ -110,7 +107,6 @@ void HostProfiler::record_worker(std::uint32_t worker, const HostWorkerSample& s
   profile_.total_candidates += sample.candidates;
   profile_.total_combinations += sample.combinations;
   profile_.total_calls += sample.calls;
-  profile_.arena_peak_words_max = std::max(profile_.arena_peak_words_max, sample.arena_peak_words);
   profile_.eval_seconds += sample.eval_seconds;
   profile_.claim_seconds += sample.claim_seconds;
   profile_.tail_idle_seconds += sample.tail_idle_seconds;
@@ -192,7 +188,6 @@ JsonValue totals_json(const HostProfile& profile) {
   totals.set("empty_polls", JsonValue(profile.total_empty_polls));
   totals.set("candidates", JsonValue(profile.total_candidates));
   totals.set("combinations", JsonValue(profile.total_combinations));
-  totals.set("arena_peak_words_max", JsonValue(profile.arena_peak_words_max));
   totals.set("bitops_calls", calls_json(profile.total_calls));
   return totals;
 }
@@ -298,9 +293,6 @@ JsonValue hostprof_report(const HostProfile& profile) {
     JsonValue histogram = JsonValue::array();
     for (const std::uint64_t count : worker.claim_histogram) histogram.push_back(JsonValue(count));
     entry.set("claim_histogram", std::move(histogram));
-    entry.set("arena_peak_words", JsonValue(worker.arena_peak_words));
-    entry.set("arena_capacity_words", JsonValue(worker.arena_capacity_words));
-    entry.set("arena_blocks", JsonValue(worker.arena_blocks));
     entry.set("bitops_calls", calls_json(worker.calls));
     workers.push_back(std::move(entry));
   }
@@ -357,7 +349,6 @@ HostProfile hostprof_from_json(const JsonValue& doc) {
   profile.total_empty_polls = totals.u64("empty_polls");
   profile.total_candidates = totals.u64("candidates");
   profile.total_combinations = totals.u64("combinations");
-  profile.arena_peak_words_max = totals.u64("arena_peak_words_max");
   profile.total_calls = calls_from_json(totals.object("bitops_calls"));
 
   profile.backend = root.object("backend").string("name");
@@ -386,9 +377,6 @@ HostProfile hostprof_from_json(const JsonValue& doc) {
                      std::to_string(kClaimBuckets));
     }
     for (std::size_t b = 0; b < kClaimBuckets; ++b) stat.claim_histogram[b] = histogram.u64_at(b);
-    stat.arena_peak_words = entry.u64("arena_peak_words");
-    stat.arena_capacity_words = entry.u64("arena_capacity_words");
-    stat.arena_blocks = entry.u64("arena_blocks");
     stat.calls = calls_from_json(entry.object("bitops_calls"));
     profile.worker_stats.push_back(std::move(stat));
   }
@@ -560,7 +548,6 @@ std::string hostprof_text(const HostProfile& profile, bool summary) {
            fmt("%.6g", static_cast<double>(profile.total_combinations) / profile.wall_seconds) +
            " combos/s\n";
   }
-  out += "  arena: peak " + std::to_string(profile.arena_peak_words_max) + " words\n";
   out += "  imbalance (max/mean across workers):\n";
   for (const char* phase : {"evaluate", "claim", "tail_idle"}) {
     const PhaseStat stat = hostprof_imbalance(profile, phase);
@@ -575,8 +562,7 @@ std::string hostprof_text(const HostProfile& profile, bool summary) {
              std::to_string(worker.chunks) + ", combos " + std::to_string(worker.combinations) +
              ", eval " + fmt("%.6g", worker.eval_seconds) + " s, claim " +
              fmt("%.6g", worker.claim_seconds) + " s, idle " +
-             fmt("%.6g", worker.tail_idle_seconds) + " s, arena peak " +
-             std::to_string(worker.arena_peak_words) + " words\n";
+             fmt("%.6g", worker.tail_idle_seconds) + " s\n";
     }
   }
   return out;

@@ -84,9 +84,6 @@ struct HostWorkerSample {
   double eval_seconds = 0.0;       ///< time inside chunk evaluation
   double tail_idle_seconds = 0.0;  ///< queue-drained to last-worker-join gap
   std::array<std::uint64_t, kClaimBuckets> claim_histogram{};
-  std::uint64_t arena_peak_words = 0;
-  std::uint64_t arena_capacity_words = 0;
-  std::uint64_t arena_blocks = 0;
 };
 
 /// One worker slot aggregated across all profiled sweeps (slot i of sweep k
@@ -131,7 +128,6 @@ struct HostProfile {
   std::uint64_t total_candidates = 0;
   std::uint64_t total_combinations = 0;
   HostBitopsCalls total_calls;
-  std::uint64_t arena_peak_words_max = 0;
 
   // Wall-clock totals (quarantined: never byte-compared across runs).
   double wall_seconds = 0.0;

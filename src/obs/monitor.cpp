@@ -248,7 +248,9 @@ std::vector<AlertRule> parse_rules(std::string_view text) {
       if (tok.size() == 8) {
         if (tok[6] != "hold") fail("expected 'hold', got '" + tok[6] + "'");
         const double n = parse_num(tok[7]);
-        if (n < 1.0 || n != std::floor(n)) fail("hold must be a positive integer");
+        if (n < 1.0 || n != std::floor(n) || n >= 4294967296.0) {
+          fail("hold must be an integer in [1, 2^32)");
+        }
         rule.hold = static_cast<std::uint32_t>(n);
       }
     } else if (kind == "rate") {

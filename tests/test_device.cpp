@@ -120,6 +120,29 @@ TEST(GpuDevice, TimingIsPopulated) {
   EXPECT_GT(run.timing.dram_throughput, 0.0);
 }
 
+TEST(GpuDevice, LaunchStatsAreSchemeStatsOverThePartition) {
+  // One closed-form call prices the whole launch, however many 512-thread
+  // blocks the partition spans, under every MemOpts.
+  const auto f = make_fixture(26, 95);
+  const GpuDevice device;
+  for (const Scheme scheme : {Scheme{3, 3}, Scheme{4, 3}, Scheme{5, 3}}) {
+    const Partition part{37, scheme_threads(scheme, 26) - 11};
+    for (const MemOpts opts : {MemOpts{}, MemOpts{.prefetch_i = true},
+                               MemOpts{.prefetch_i = true, .prefetch_j = true}}) {
+      const auto run = device.run(f.data.tumor, f.data.normal, f.ctx, scheme, part, opts);
+      const KernelStats modeled =
+          scheme_stats(scheme, 26, part.begin, part.end, opts, f.data.tumor.words_per_row(),
+                       f.data.normal.words_per_row());
+      EXPECT_GT(run.blocks, 1u);
+      EXPECT_EQ(run.stats.combinations, modeled.combinations);
+      EXPECT_EQ(run.stats.word_ops, modeled.word_ops);
+      EXPECT_EQ(run.stats.global_words, modeled.global_words);
+      EXPECT_EQ(run.stats.local_words, modeled.local_words);
+      EXPECT_EQ(run.stats.distinct_rows, modeled.distinct_rows);
+    }
+  }
+}
+
 TEST(GpuDevice, PrefetchReducesModeledTime) {
   // The Fig. 5 mechanism: MemOpt2 cuts global traffic, so modeled time for
   // the same partition drops.

@@ -103,7 +103,6 @@ TEST(HostProf, ProfileAccountsForEveryChunkPollAndCall) {
   EXPECT_GT(profile.total_combinations, 0u);
   EXPECT_TRUE(profile.bitops_counted);
   EXPECT_GT(profile.total_calls.total(), 0u);
-  EXPECT_GT(profile.arena_peak_words_max, 0u);
 
   // Per-worker claim histograms carry one entry per poll (successful or
   // empty), so their mass reconciles against chunks + empty polls.

@@ -1,5 +1,5 @@
 // Determinism harness for the host-threaded sweep (src/core/hostsweep.hpp)
-// and its building blocks (ChunkQueue, Arena).
+// and its building block, the ChunkQueue.
 //
 // The load-bearing property: the sweep's selections are BIT-IDENTICAL across
 // thread counts {1, 2, 8}, chunk sizes (dividing and non-dividing), and to
@@ -19,11 +19,11 @@
 #include <vector>
 
 #include "cluster/distributed.hpp"
-#include "core/arena.hpp"
 #include "core/engine.hpp"
 #include "core/serial.hpp"
 #include "core/workqueue.hpp"
 #include "data/generator.hpp"
+#include "obs/hostprof.hpp"
 
 namespace multihit {
 namespace {
@@ -81,45 +81,6 @@ TEST(ChunkQueue, ConcurrentClaimsArePartition) {
   }
   for (auto& t : pool) t.join();
   EXPECT_EQ(total.load(), 10000u);
-}
-
-// --- Arena ------------------------------------------------------------------
-
-TEST(Arena, ResetReusesTheSameBlock) {
-  Arena arena;
-  const auto first = arena.alloc_words(100);
-  EXPECT_EQ(first.size(), 100u);
-  const std::uint64_t* base = first.data();
-  const std::uint64_t blocks_after_first = arena.block_allocations();
-
-  for (int round = 0; round < 50; ++round) {
-    arena.reset();
-    const auto again = arena.alloc_words(100);
-    EXPECT_EQ(again.data(), base) << "reset must rewind to the same storage";
-  }
-  EXPECT_EQ(arena.block_allocations(), blocks_after_first)
-      << "steady-state reset/alloc cycles must not touch the heap";
-}
-
-TEST(Arena, GrowsGeometricallyAndServesMixedSizes) {
-  Arena arena;
-  (void)arena.alloc_words(10);
-  (void)arena.alloc_words(2000);  // forces a second block
-  EXPECT_GE(arena.block_allocations(), 2u);
-  EXPECT_GE(arena.capacity_words(), 2010u);
-
-  arena.reset();
-  EXPECT_EQ(arena.used_words(), 0u);
-  // Everything fits in existing capacity now: no further heap traffic.
-  const std::uint64_t blocks = arena.block_allocations();
-  (void)arena.alloc_words(10);
-  (void)arena.alloc_words(2000);
-  EXPECT_EQ(arena.block_allocations(), blocks);
-}
-
-TEST(Arena, ZeroSizedAllocationIsEmpty) {
-  Arena arena;
-  EXPECT_TRUE(arena.alloc_words(0).empty());
 }
 
 // --- host sweep vs serial reference ----------------------------------------
@@ -185,7 +146,7 @@ TEST(HostSweep, TelemetryCountsTheWholeSpace) {
   const std::uint64_t lambdas = scheme_threads(Scheme{4, 3}, f.data.genes());
   EXPECT_EQ(telemetry.chunks, (lambdas + options.chunk - 1) / options.chunk);
   // 3x1 visits each 4-combination exactly once.
-  EXPECT_EQ(telemetry.stats.combinations, binomial(f.data.genes(), 4));
+  EXPECT_EQ(telemetry.counts.combinations, binomial(f.data.genes(), 4));
 }
 
 TEST(HostSweep, RejectsInvalidConfigurations) {
@@ -230,7 +191,7 @@ TEST(HostSweep, FiveHitRoutesToTheFiveHitKernel) {
   EXPECT_EQ(swept.combo_rank, reference.combo_rank);
   EXPECT_EQ(swept.f, reference.f);
   // 4x1 visits each 5-combination exactly once.
-  EXPECT_EQ(telemetry.stats.combinations, binomial(spec.genes, 5));
+  EXPECT_EQ(telemetry.counts.combinations, binomial(spec.genes, 5));
 }
 
 // --- worker-clamp edge cases ------------------------------------------------
@@ -273,6 +234,30 @@ TEST(HostSweep, MoreWorkersThanChunksClampsAndReportsBothCounts) {
   EXPECT_EQ(telemetry.chunk_size, 1000000u);
 }
 
+TEST(HostSweep, ZeroChunkRunsAndReportsChunkOne) {
+  // ChunkQueue clamps a chunk of 0 to 1; the telemetry and the profile must
+  // report the 1 the queue used, not the 0 that was asked for.
+  const Fixture f = make_fixture(4, 12);
+  HostSweepOptions options;
+  options.hits = 4;
+  options.threads = 2;
+  options.chunk = 0;
+  obs::HostProfiler profiler;
+  options.profiler = &profiler;
+  HostSweepTelemetry telemetry;
+  const EvalResult best =
+      host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options, &telemetry);
+  ASSERT_TRUE(best.valid);
+  EXPECT_EQ(best.combo_rank,
+            serial_find_best(f.data.tumor, f.data.normal, f.ctx, 4).combo_rank);
+  const std::uint64_t lambdas = scheme_threads(Scheme{4, 3}, f.data.genes());
+  EXPECT_EQ(telemetry.chunk_size, 1u);
+  EXPECT_EQ(telemetry.chunks, lambdas);
+  EXPECT_EQ(profiler.profile().chunk_size, 1u);
+  EXPECT_EQ(profiler.profile().sweeps.at(0).chunk_size, 1u);
+  EXPECT_TRUE(obs::hostprof_crosscheck(profiler.profile()).empty());
+}
+
 // --- evaluator telemetry sink ----------------------------------------------
 
 TEST(HostSweep, EvaluatorSinkAccumulatesWholeGreedyRunWithSerialParity) {
@@ -309,7 +294,7 @@ TEST(HostSweep, EvaluatorSinkAccumulatesWholeGreedyRunWithSerialParity) {
   const std::uint64_t iterations = swept.iterations.size();
   const std::uint64_t lambdas = scheme_threads(Scheme{4, 3}, data.genes());
   const std::uint64_t chunks_per_sweep = (lambdas + options.chunk - 1) / options.chunk;
-  EXPECT_EQ(total.stats.combinations, iterations * binomial(data.genes(), 4));
+  EXPECT_EQ(total.counts.combinations, iterations * binomial(data.genes(), 4));
   EXPECT_EQ(total.chunks, iterations * chunks_per_sweep);
   EXPECT_GE(total.candidates, iterations);  // at least one valid candidate each
   EXPECT_EQ(total.chunk_size, options.chunk);
@@ -350,14 +335,14 @@ TEST(HostSweep, PruningIsThreadInvariantAtAFixedChunk) {
                                             make_host_sweep_evaluator(options, &total));
       EXPECT_EQ(swept.combinations(), serial.combinations())
           << "hits=" << hits << " threads=" << threads;
-      EXPECT_EQ(total.stats.combinations,
+      EXPECT_EQ(total.counts.combinations,
                 swept.iterations.size() * binomial(data.genes(), hits));
       if (threads == 1u) {
         reference = total;
-        EXPECT_GT(total.stats.pruned, 0u) << "hits=" << hits;
-        EXPECT_LT(total.stats.pruned, total.stats.combinations) << "hits=" << hits;
+        EXPECT_GT(total.counts.pruned, 0u) << "hits=" << hits;
+        EXPECT_LT(total.counts.pruned, total.counts.combinations) << "hits=" << hits;
       } else {
-        EXPECT_EQ(total.stats.pruned, reference.stats.pruned)
+        EXPECT_EQ(total.counts.pruned, reference.counts.pruned)
             << "hits=" << hits << " threads=" << threads;
       }
     }

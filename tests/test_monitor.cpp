@@ -110,6 +110,10 @@ TEST(MonitorRules, RejectsMalformedLinesNamingTheLine) {
   EXPECT_THROW(obs::parse_rules("rule x rate s above 1\n"), MonitorError);
   EXPECT_THROW(obs::parse_rules("rule x absence s window -1\n"), MonitorError);
   EXPECT_THROW(obs::parse_rules("rule x threshold s above 1 hold 0\n"), MonitorError);
+  EXPECT_THROW(obs::parse_rules("rule x threshold s above 1 hold 1e30\n"), MonitorError);
+  EXPECT_THROW(obs::parse_rules("rule x threshold s above 1 hold 4294967296\n"), MonitorError);
+  EXPECT_EQ(obs::parse_rules("rule x threshold s above 1 hold 4294967295\n")[0].hold,
+            4294967295u);
   EXPECT_THROW(obs::parse_rules("nonsense\n"), MonitorError);
 }
 

@@ -16,6 +16,7 @@
 #include "core/hostsweep.hpp"
 #include "core/serial.hpp"
 #include "data/generator.hpp"
+#include "gpusim/device.hpp"
 #include "sched/schedule.hpp"
 #include "sched/workload.hpp"
 #include "util/rng.hpp"
@@ -398,11 +399,11 @@ TEST_P(AllSchemes, RaggedRangesMatchReferenceOnAdversarialData) {
       const u64 stop = std::min(total, cursor + 1 + rng.uniform(total / 5 + 2));
       merged = merge_results(
           merged, evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, cursor, stop));
-      KernelStats stats;
+      KernelCounts counts;
       merged_floor = merge_results(
           merged_floor, evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, cursor,
-                                       stop, {}, &stats, nullptr, floor));
-      pruned += stats.pruned;
+                                       stop, floor, &counts));
+      pruned += counts.pruned;
       cursor = stop;
     }
     expect_same(merged, serial, "fixture " + std::to_string(which) + " merged");
@@ -413,8 +414,8 @@ TEST_P(AllSchemes, RaggedRangesMatchReferenceOnAdversarialData) {
       const EvalResult exact = brute_force_range(f, scheme, a, b);
       expect_same(evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b), exact,
                   context);
-      const EvalResult floored = evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a,
-                                                b, {}, nullptr, nullptr, floor);
+      const EvalResult floored =
+          evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, floor);
       if (exact.valid && exact.f >= floor) {
         expect_same(floored, exact, context + " floor");
       } else {
@@ -436,7 +437,7 @@ TEST_P(AllSchemes, CombinationAtTheFloorIsNeverCut) {
   ASSERT_EQ(serial.tp, 50u);
   const EvalResult kernel =
       evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, 0,
-                     scheme_threads(scheme, f.data.genes()), {}, nullptr, nullptr, floor);
+                     scheme_threads(scheme, f.data.genes()), floor);
   expect_same(kernel, serial, scheme_name(scheme));
 }
 
@@ -444,7 +445,8 @@ TEST_P(AllSchemes, CountedCombinationsMatchSchemeStats) {
   // The kernel's `combinations` is a real count of what it scored plus what
   // it cut; it must agree with the closed form (and with the reference's
   // count) over ragged ranges, or the host sweep's "visits each combination
-  // once" check means nothing. The hot-path call contract rides along:
+  // once" check means nothing. The closed form's traffic fields are pinned
+  // by tests/test_scheme_stats.cpp. The hot-path call contract rides along:
   // every scored combination costs exactly one dispatched two-row
   // and_popcount per matrix, and a pruned one costs none.
   const Scheme scheme = GetParam();
@@ -453,37 +455,35 @@ TEST_P(AllSchemes, CountedCombinationsMatchSchemeStats) {
   const std::uint32_t wn = f.data.normal.words_per_row();
   const u64 total = scheme_threads(scheme, f.data.genes());
   for (const auto& [a, b] : ragged_ranges(total, 5 + scheme.flat)) {
-    const MemOpts opts{.prefetch_i = true, .prefetch_j = true};
-    KernelStats counted;
+    KernelCounts counted;
     const bool was_counting = set_call_counting(true);
     const BitopsCallCounts calls_before = thread_bitops_calls();
-    evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, opts, &counted);
+    evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, kNoFloor, &counted);
     const BitopsCallCounts calls = thread_bitops_calls() - calls_before;
     set_call_counting(was_counting);
     EXPECT_EQ(calls.and2, 2 * (counted.combinations - counted.pruned))
         << "[" << a << "," << b << ")";
-    const KernelStats modeled = scheme_stats(scheme, f.data.genes(), a, b, opts, wt, wn);
+    const KernelStats modeled = scheme_stats(scheme, f.data.genes(), a, b, {}, wt, wn);
     u64 brute = 0;
     (void)brute_force_range(f, scheme, a, b, &brute);
     EXPECT_EQ(counted.combinations, modeled.combinations) << "[" << a << "," << b << ")";
     EXPECT_EQ(counted.combinations, brute) << "[" << a << "," << b << ")";
-    EXPECT_EQ(counted.word_ops, modeled.word_ops);
-    EXPECT_EQ(counted.global_words, modeled.global_words);
-    EXPECT_EQ(counted.distinct_rows, modeled.distinct_rows);
   }
 }
 
 TEST_P(AllSchemes, MemOptsNeverChangeTheResult) {
+  // MemOpts only price a modeled launch (GpuDevice::run hands them to
+  // scheme_stats); the device's winner is the kernel's under every option.
   const Scheme scheme = GetParam();
   const auto f = make_fixture(small_genes(scheme.hits), scheme.hits, 555, 2);
-  const u64 end = scheme_threads(scheme, f.data.genes());
-  const EvalResult plain = evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, 0, end);
-  for (const MemOpts opts : {MemOpts{.prefetch_i = true},
+  const Partition whole{0, scheme_threads(scheme, f.data.genes())};
+  const EvalResult plain =
+      evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, whole.begin, whole.end);
+  const GpuDevice device;
+  for (const MemOpts opts : {MemOpts{}, MemOpts{.prefetch_i = true},
                              MemOpts{.prefetch_i = true, .prefetch_j = true}}) {
-    Arena arena;
-    expect_same(evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, 0, end, opts,
-                               nullptr, &arena),
-                plain, scheme_name(scheme));
+    expect_same(device.run(f.data.tumor, f.data.normal, f.ctx, scheme, whole, opts).best, plain,
+                scheme_name(scheme));
   }
 }
 
@@ -516,12 +516,12 @@ TEST(Schemes, NegativeAlphaTurnsTheCutOff) {
   f.ctx.params.alpha = -0.5;
   const Scheme scheme{4, 3};
   const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, 4);
-  KernelStats stats;
-  const EvalResult kernel = evaluate_range(
-      f.data.tumor, f.data.normal, f.ctx, scheme, 0, scheme_threads(scheme, 16), {}, &stats,
-      nullptr, greedy_floor(f.data.tumor, f.data.normal, f.ctx, 4));
+  KernelCounts counts;
+  const EvalResult kernel =
+      evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, 0, scheme_threads(scheme, 16),
+                     greedy_floor(f.data.tumor, f.data.normal, f.ctx, 4), &counts);
   expect_same(kernel, serial, "alpha = -0.5");
-  EXPECT_EQ(stats.pruned, 0u);
+  EXPECT_EQ(counts.pruned, 0u);
 }
 
 TEST(Schemes, RangePastTheThreadSpaceIsRejected) {
