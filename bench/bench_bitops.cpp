@@ -139,7 +139,7 @@ int main() {
   bench.series("identity_all_backends", identical ? 1.0 : 0.0);
   std::cout << "  differential identity (all ops, 11 lengths): "
             << (identical ? "PASS" : "FAIL") << "\n"
-            << "  avx2+bmi2 supported: " << (avx2_ok ? "yes" : "no") << "\n\n";
+            << "  avx2+bmi2+popcnt supported: " << (avx2_ok ? "yes" : "no") << "\n\n";
 
   const std::size_t kLengths[] = {4, 15, 64, 257};
 

@@ -25,11 +25,13 @@
 //                          type's serve dataset (make_kernel_evaluator)
 //
 // The <5% budget is the host profiler's acceptance gate: the profiled loop
-// adds two steady_clock reads per 1024-λ chunk plus one thread_local
-// increment per dispatched bitops call. That no longer amortizes to noise: a
-// pruned chunk is ~1.5 us of kernel work, and the two reads cost ~80 ns of
-// it on a 4-vCPU VM (about 4.5% of a 4-thread cover, 9% single-threaded), so
-// the gate now measures a real cost close to its bound.
+// adds two steady_clock reads per 1024-λ chunk plus the kernel-call counts:
+// one thread_local increment per dispatched bitops call, and one credit per
+// evaluate_range call for the kernel calls made inline on rows of 1-2 words
+// (this workload's 120/80 samples are 2 words, so it takes that path). That
+// no longer amortizes to noise: a pruned chunk is a microsecond or two of
+// kernel work, and the two reads cost ~80 ns of it on a 4-vCPU VM, so the
+// gate measures a real cost close to its bound.
 
 #include <algorithm>
 #include <chrono>

@@ -18,11 +18,12 @@ namespace {
 
 using namespace multihit;
 
-Dataset kernel_dataset(std::uint32_t genes) {
+Dataset kernel_dataset(std::uint32_t genes, std::uint32_t tumor_samples = 911,
+                       std::uint32_t normal_samples = 520) {
   SyntheticSpec spec;
   spec.genes = genes;
-  spec.tumor_samples = 911;
-  spec.normal_samples = 520;
+  spec.tumor_samples = tumor_samples;
+  spec.normal_samples = normal_samples;
   spec.hits = 3;
   spec.num_combinations = 4;
   spec.background_rate = 0.02;
@@ -63,34 +64,37 @@ void BM_UnrankTripleLogExp(benchmark::State& state) {
 }
 BENCHMARK(BM_UnrankTripleLogExp);
 
-void BM_KernelFourHit3x1(benchmark::State& state) {
-  const Dataset data = kernel_dataset(static_cast<std::uint32_t>(state.range(0)));
+/// Full-range kernel passes over `data`; items/s is combinations/s on one
+/// thread, pruned ones included.
+void time_kernel(benchmark::State& state, const Dataset& data, Scheme scheme) {
   const FContext ctx{FParams{}, data.tumor_samples(), data.normal_samples()};
-  const u64 total = scheme_threads(Scheme{4, 3}, data.genes());
-  std::uint64_t combos = 0;
+  const u64 total = scheme_threads(scheme, data.genes());
+  KernelCounts counts;
   for (auto _ : state) {
-    KernelCounts counts;
-    benchmark::DoNotOptimize(evaluate_range(data.tumor, data.normal, ctx, Scheme{4, 3}, 0,
-                                            total, kNoFloor, &counts));
-    combos = counts.combinations;
+    counts = {};
+    benchmark::DoNotOptimize(
+        evaluate_range(data.tumor, data.normal, ctx, scheme, 0, total, kNoFloor, &counts));
   }
-  state.SetItemsProcessed(state.iterations() * combos);
-  state.counters["combinations"] = static_cast<double>(combos);
+  state.SetItemsProcessed(state.iterations() * counts.combinations);
+  state.counters["combinations"] = static_cast<double>(counts.combinations);
+  state.counters["pruned"] = static_cast<double>(counts.pruned);
+}
+
+void BM_KernelFourHit3x1(benchmark::State& state) {
+  time_kernel(state, kernel_dataset(static_cast<std::uint32_t>(state.range(0))), Scheme{4, 3});
 }
 BENCHMARK(BM_KernelFourHit3x1)->Arg(40)->Arg(60)->Unit(benchmark::kMillisecond);
 
+// Serve-shaped 4-hit rows: 56 tumor / 44 normal samples, one word each, the
+// width at which the kernel scores and folds inline on a POPCNT host.
+void BM_KernelFourHit3x1Narrow(benchmark::State& state) {
+  time_kernel(state, kernel_dataset(static_cast<std::uint32_t>(state.range(0)), 56, 44),
+              Scheme{4, 3});
+}
+BENCHMARK(BM_KernelFourHit3x1Narrow)->Arg(40)->Arg(60)->Unit(benchmark::kMillisecond);
+
 void BM_KernelThreeHit2x1(benchmark::State& state) {
-  const Dataset data = kernel_dataset(static_cast<std::uint32_t>(state.range(0)));
-  const FContext ctx{FParams{}, data.tumor_samples(), data.normal_samples()};
-  const u64 total = scheme_threads(Scheme{3, 2}, data.genes());
-  std::uint64_t combos = 0;
-  for (auto _ : state) {
-    KernelCounts counts;
-    benchmark::DoNotOptimize(evaluate_range(data.tumor, data.normal, ctx, Scheme{3, 2}, 0,
-                                            total, kNoFloor, &counts));
-    combos = counts.combinations;
-  }
-  state.SetItemsProcessed(state.iterations() * combos);
+  time_kernel(state, kernel_dataset(static_cast<std::uint32_t>(state.range(0))), Scheme{3, 2});
 }
 BENCHMARK(BM_KernelThreeHit2x1)->Arg(60)->Arg(110)->Unit(benchmark::kMillisecond);
 

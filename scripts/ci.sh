@@ -56,8 +56,10 @@ fi
 # clears 2x at paper-scale row lengths; its BENCH series are deterministic
 # booleans, so --strict pins them against the committed baseline without
 # tripping on machine-dependent wall-clock (which lands in metrics only).
+# Its verdict lines stay in the log, so a tripped gate shows its reading.
 echo "=== bitops backend gate ==="
-MULTIHIT_BENCH_DIR="$bench_dir" build/bench/bench_bitops > /dev/null
+MULTIHIT_BENCH_DIR="$bench_dir" build/bench/bench_bitops |
+  grep -E 'differential identity|speedup:|GATE FAILURE'
 if command -v python3 > /dev/null; then
   python3 scripts/bench_compare.py --strict "$bench_dir"/BENCH_bench_bitops.json
 fi
@@ -93,9 +95,10 @@ echo "bitops backends byte-identical (scalar vs auto), threaded sweep pinned"
 # and profiled and exits non-zero unless selections are bit-identical, the
 # report replays byte-identically, and the measured profiler overhead stays
 # under 5%. Its BENCH series are those booleans, so --strict pins them; the
-# raw wall-clock lands in gauges only.
+# raw wall-clock lands in gauges only. The overhead reading and any GATE
+# FAILURE line stay in the log.
 echo "=== host profiler gate ==="
-MULTIHIT_BENCH_DIR="$bench_dir" build/bench/bench_hostprof > /dev/null
+MULTIHIT_BENCH_DIR="$bench_dir" build/bench/bench_hostprof | grep -E 'overhead:|GATE FAILURE'
 if command -v python3 > /dev/null; then
   python3 scripts/bench_compare.py --strict "$bench_dir"/BENCH_hostprof.json
 fi

@@ -73,7 +73,9 @@ std::uint64_t BitMatrix::total_set_bits() const noexcept {
   return popcount_row(words_);
 }
 
-std::uint32_t BitMatrix::splice_columns(std::span<const std::uint64_t> keep) {
+// Cache-line aligned: code-layout shifts from unrelated edits moved splice time up to 25%.
+__attribute__((aligned(64))) std::uint32_t BitMatrix::splice_columns(
+    std::span<const std::uint64_t> keep) {
   assert(keep.size() == words_per_row_);
 
   // Precompute, per source word, the packed destination layout: for each

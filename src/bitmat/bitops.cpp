@@ -8,36 +8,18 @@
 
 #include "util/log.hpp"
 
-// Length contracts are active in assert builds and whenever MULTIHIT_CHECKS
-// is defined (the ASan preset turns it on so the optimized sanitizer run
-// still exercises them). Violations abort: a mismatched span means some
-// caller is about to read past a row, and silently truncating to the shorter
-// span would return a plausible-but-wrong popcount.
-#if !defined(NDEBUG) || defined(MULTIHIT_CHECKS)
-#define MULTIHIT_BITOPS_CHECKED 1
-#else
-#define MULTIHIT_BITOPS_CHECKED 0
-#endif
-
 namespace multihit {
 
-namespace {
-
-#if MULTIHIT_BITOPS_CHECKED
-void check_lengths(const char* op, std::size_t a, std::size_t b,
-                   std::size_t c = ~std::size_t{0}) noexcept {
+// Violations abort: a mismatched span means some caller is about to read
+// past a row, and silently truncating to the shorter span would return a
+// plausible-but-wrong popcount.
+void check_span_lengths(const char* op, std::size_t a, std::size_t b, std::size_t c) noexcept {
   if (a == b && (c == ~std::size_t{0} || b == c)) return;
   std::fprintf(stderr, "multihit bitops: %s span length mismatch (%zu, %zu", op, a, b);
   if (c != ~std::size_t{0}) std::fprintf(stderr, ", %zu", c);
   std::fprintf(stderr, ")\n");
   std::abort();
 }
-#define MULTIHIT_BITOPS_CHECK(...) check_lengths(__VA_ARGS__)
-#else
-#define MULTIHIT_BITOPS_CHECK(...) ((void)0)
-#endif
-
-}  // namespace
 
 std::uint64_t popcount_row(std::span<const std::uint64_t> a) noexcept {
   std::uint64_t count = 0;
@@ -174,8 +156,12 @@ bool backend_supported(BitopsBackend backend) noexcept {
     case BitopsBackend::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
       // BMI2 ships on every AVX2-era core (Haswell+); requiring both keeps
-      // the backend free to use shlx/pdep in future revisions.
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2");
+      // the backend free to use shlx/pdep in future revisions. POPCNT too:
+      // the AVX2 bodies are compiled with it, and the enumeration kernel's
+      // target("popcnt") body runs whenever this backend is active, so a VM
+      // whose CPUID masks it must fall back to scalar.
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2") &&
+             __builtin_cpu_supports("popcnt");
 #else
       return false;
 #endif
@@ -214,6 +200,12 @@ bool set_call_counting(bool enabled) noexcept {
 }
 
 bool call_counting() noexcept { return g_counting.load(std::memory_order_acquire); }
+
+void credit_inline_calls(const BitopsCallCounts& calls) noexcept {
+  if (!g_counting.load(std::memory_order_relaxed)) return;
+  tl_calls.and2 += calls.and2;
+  tl_calls.and_rows += calls.and_rows;
+}
 
 const BitopsCallCounts& thread_bitops_calls() noexcept { return tl_calls; }
 

@@ -4,8 +4,8 @@
 //
 // The paper packs 64 samples per `unsigned long long` (a 32x memory
 // reduction versus one int per sample) and replaces per-sample arithmetic
-// with bitwise AND + popcount. Two dispatched kernels carry the enumeration
-// in core/schemes.cpp: every combination costs one two-row and_popcount per
+// with bitwise AND + popcount. Two kernels carry the enumeration in
+// core/schemes.cpp: every combination costs one two-row and_popcount per
 // matrix, and and_rows refolds a prefix slot when one of its genes changes.
 // They are the unit of scale the whole system is built around.
 //
@@ -18,22 +18,41 @@
 //            long rows, unaligned loads throughout (rows are only 8-byte
 //            aligned after BitSplicing shifts). Compiled with per-function
 //            target attributes, so the rest of the binary stays baseline
-//            x86-64 and the backend is a pure *runtime* decision.
+//            x86-64 and the backend is a pure *runtime* decision. The CPU
+//            must also have POPCNT: the enumeration kernel runs a
+//            target("popcnt") body whenever this backend is active, and on
+//            rows of 1-2 words that body ANDs and counts them inline
+//            instead of calling the dispatched kernels.
 //
 // Dispatch is resolved once from CPUID (and the MULTIHIT_BITOPS environment
 // override: "scalar", "avx2", or "auto") on first use; set_backend() can
 // retarget it at any time. All backends produce bit-identical counts, so the
 // choice is invisible to everything above — only the wall clock moves.
 //
-// Length contract: both dispatched kernels require equal-length spans. In
-// checked builds (!NDEBUG or MULTIHIT_CHECKS, the ASan preset) a mismatch
-// aborts with a diagnostic; release builds trust the caller (BitMatrix rows
-// are same-width by construction).
+// Length contract: both kernels require equal-length spans. In checked
+// builds (!NDEBUG or MULTIHIT_CHECKS, the ASan preset) a mismatch aborts
+// with a diagnostic, in the dispatched kernels and in the enumeration
+// kernel's inline copies alike (MULTIHIT_BITOPS_CHECK); release builds
+// trust the caller (BitMatrix rows are same-width by construction).
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
 namespace multihit {
+
+/// Aborts with "<op> span length mismatch (a, b[, c])" unless a == b and,
+/// when c is given, b == c. Called through MULTIHIT_BITOPS_CHECK only.
+void check_span_lengths(const char* op, std::size_t a, std::size_t b,
+                        std::size_t c = ~std::size_t{0}) noexcept;
+
+// Active in assert builds and whenever MULTIHIT_CHECKS is defined (the ASan
+// preset turns it on so the optimized sanitizer run still exercises it).
+#if !defined(NDEBUG) || defined(MULTIHIT_CHECKS)
+#define MULTIHIT_BITOPS_CHECK(...) ::multihit::check_span_lengths(__VA_ARGS__)
+#else
+#define MULTIHIT_BITOPS_CHECK(...) ((void)0)
+#endif
 
 // ---------------------------------------------------------------------------
 // Backend selection
@@ -68,9 +87,8 @@ bool set_backend(BitopsBackend backend) noexcept;
 BitopsBackend parse_backend(const char* name, bool* ok = nullptr) noexcept;
 
 /// popcount over one row: a plain scalar word loop, not dispatched (its
-/// callers are BitMatrix::total_set_bits, the one-gene serial path and the
-/// kernel's prefix bound, which runs once per refolded slot rather than once
-/// per combination).
+/// callers are BitMatrix::total_set_bits and the one-gene serial path; the
+/// enumeration kernel counts its prefix bound inline).
 std::uint64_t popcount_row(std::span<const std::uint64_t> a) noexcept;
 
 // ---------------------------------------------------------------------------
@@ -87,12 +105,14 @@ void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
               std::span<const std::uint64_t> b) noexcept;
 
 // ---------------------------------------------------------------------------
-// Dispatched-call counting (host profiler support)
+// Kernel-call counting (host profiler support)
 // ---------------------------------------------------------------------------
 
-/// Per-thread counts of dispatched kernel calls, one counter per dispatched
-/// entry point. Plain monotonic counters: they only advance while call
-/// counting is enabled, and only for calls made by the reading thread.
+/// Per-thread counts of kernel calls, one counter per kernel: the dispatched
+/// calls, plus the ones the enumeration kernel makes inline on rows of 1-2
+/// words (credited once per evaluate_range call, see credit_inline_calls).
+/// Plain monotonic counters: they only advance while call counting is
+/// enabled, and only for calls made by the reading thread.
 struct BitopsCallCounts {
   std::uint64_t and2 = 0;
   std::uint64_t and_rows = 0;
@@ -114,8 +134,12 @@ bool set_call_counting(bool enabled) noexcept;
 /// Whether the counting tables are currently installed.
 bool call_counting() noexcept;
 
-/// The calling thread's dispatched-call counters. Snapshot before and after
-/// a counted region and subtract; counts never reset.
+/// Adds `calls`, kernel calls the caller made inline rather than through
+/// dispatch, to this thread's counters. A no-op unless call counting is on.
+void credit_inline_calls(const BitopsCallCounts& calls) noexcept;
+
+/// The calling thread's kernel-call counters. Snapshot before and after a
+/// counted region and subtract; counts never reset.
 const BitopsCallCounts& thread_bitops_calls() noexcept;
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@
 // combinations visited and pruned (KernelCounts). Its fold scratch is a
 // per-thread buffer, (h-1)(wt+wn) words, that grows once and is reused.
 //
+// It runs one of three compiled bodies of one template, chosen per call:
+// under the AVX2 bitops backend (whose CPU check includes POPCNT) a
+// target("popcnt") body, which ANDs and counts rows inline when both
+// matrices' rows are 1-2 words and calls the dispatched and_popcount /
+// and_rows otherwise; under the scalar backend the portable baseline body.
+// All three return the same winner, counts and bitops call counts.
+//
 // `scheme_stats` is the closed-form operation/traffic accounting of that
 // kernel on the modeled GPU. For full-scale spaces (C(19411,4) ≈ 5.9e15
 // combinations) nothing can enumerate, but the counts are exactly summable

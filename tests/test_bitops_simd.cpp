@@ -223,6 +223,19 @@ TEST(BitopsDispatch, ScalarIsAlwaysSupportedAndSelectable) {
   set_backend(previous);
 }
 
+TEST(BitopsDispatch, Avx2SupportImpliesPopcnt) {
+  // The AVX2 bodies are compiled with POPCNT, and the enumeration kernel
+  // runs a target("popcnt") body whenever this backend is active.
+#if defined(__x86_64__) || defined(__i386__)
+  if (!backend_supported(BitopsBackend::kAvx2)) {
+    GTEST_SKIP() << "AVX2 backend not supported on this host";
+  }
+  EXPECT_TRUE(__builtin_cpu_supports("popcnt"));
+#else
+  EXPECT_FALSE(backend_supported(BitopsBackend::kAvx2));
+#endif
+}
+
 // The length contract is compiled in for assert builds and for MULTIHIT_CHECKS
 // builds (the ASan preset); elsewhere the checks are zero-cost and this test
 // documents that by skipping.

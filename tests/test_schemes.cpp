@@ -524,6 +524,109 @@ TEST(Schemes, NegativeAlphaTurnsTheCutOff) {
   EXPECT_EQ(counts.pruned, 0u);
 }
 
+// --- every compiled kernel body ----------------------------------------------------
+
+/// Random rows at the given sample counts: tumor dense enough that prefixes
+/// survive the cut, normal sparse.
+Fixture shaped_fixture(std::uint32_t genes, std::uint32_t tumor_samples,
+                       std::uint32_t normal_samples, std::uint64_t seed) {
+  Fixture f{{}, FContext{FParams{}, tumor_samples, normal_samples}};
+  f.data.tumor = BitMatrix(genes, tumor_samples);
+  f.data.normal = BitMatrix(genes, normal_samples);
+  Rng rng(seed);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < tumor_samples; ++s) {
+      if (rng.bernoulli(0.45)) f.data.tumor.set(g, s);
+    }
+    for (std::uint32_t s = 0; s < normal_samples; ++s) {
+      if (rng.bernoulli(0.1)) f.data.normal.set(g, s);
+    }
+  }
+  return f;
+}
+
+/// One kernel run: its winner, its counts and the kernel calls it made.
+struct BodyRun {
+  EvalResult result;
+  KernelCounts counts;
+  BitopsCallCounts calls;
+};
+
+BodyRun run_body(BitopsBackend backend, const Fixture& f, Scheme scheme, u64 begin, u64 end,
+                 double floor) {
+  EXPECT_TRUE(set_backend(backend));
+  BodyRun run;
+  const BitopsCallCounts before = thread_bitops_calls();
+  run.result =
+      evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, begin, end, floor, &run.counts);
+  run.calls = thread_bitops_calls() - before;
+  return run;
+}
+
+/// Turns call counting on and restores the backend and the counting state
+/// on scope exit, failed assertions included.
+class CountingScope {
+ public:
+  CountingScope() : backend_(active_backend()), counting_(set_call_counting(true)) {}
+  ~CountingScope() {
+    set_call_counting(counting_);
+    set_backend(backend_);
+  }
+
+ private:
+  BitopsBackend backend_;
+  bool counting_;
+};
+
+TEST(KernelBodies, EveryBodyAgreesAtEveryRowWidth) {
+  // The scalar backend runs the portable body. The AVX2 backend runs a
+  // POPCNT body that scores and folds inline when both matrices' rows are
+  // 1-2 words, and calls the dispatched kernels otherwise (0-word normal
+  // rows, 3+ words, or a mix). Every body must agree on the winner, on the
+  // counts and on the kernel calls it reports, with and without a floor and
+  // with the cut off (α < 0).
+  const CountingScope scope;
+  const bool avx2 = backend_supported(BitopsBackend::kAvx2);
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {70, 0},  {40, 0},   {1, 1},    {56, 44},   {64, 64},  {120, 80},
+      {128, 65}, {150, 190}, {70, 150}, {150, 50}, {200, 129}};
+  const Scheme schemes[] = {{2, 1}, {3, 1}, {3, 3}, {4, 1}, {4, 2}, {4, 3}, {4, 4}, {5, 3}};
+  std::uint64_t seed = 0;
+  for (const auto& [tumor_samples, normal_samples] : shapes) {
+    for (const Scheme scheme : schemes) {
+      for (const double alpha : {0.1, -0.5}) {
+        auto f = shaped_fixture(small_genes(scheme.hits), tumor_samples, normal_samples, ++seed);
+        f.ctx.params.alpha = alpha;
+        const u64 total = scheme_threads(scheme, f.data.genes());
+        const std::string shape = std::to_string(tumor_samples) + "/" +
+                                  std::to_string(normal_samples) + " samples, " +
+                                  scheme_name(scheme) + ", alpha " + std::to_string(alpha);
+        expect_same(run_body(BitopsBackend::kScalar, f, scheme, 0, total, kNoFloor).result,
+                    brute_force_range(f, scheme, 0, total), shape + ", brute force");
+        const double greedy = greedy_floor(f.data.tumor, f.data.normal, f.ctx, scheme.hits);
+        for (const double floor : {kNoFloor, greedy}) {
+          for (const auto& [a, b] : ragged_ranges(total, seed)) {
+            const std::string where = shape + (floor == kNoFloor ? ", no floor" : ", floor") +
+                                      ", [" + std::to_string(a) + "," + std::to_string(b) + ")";
+            const BodyRun portable = run_body(BitopsBackend::kScalar, f, scheme, a, b, floor);
+            if (alpha < 0.0) {
+              EXPECT_EQ(portable.counts.pruned, 0u) << where;
+            }
+            if (!avx2) continue;
+            const BodyRun popcnt = run_body(BitopsBackend::kAvx2, f, scheme, a, b, floor);
+            expect_same(popcnt.result, portable.result, where);
+            EXPECT_EQ(popcnt.counts.combinations, portable.counts.combinations) << where;
+            EXPECT_EQ(popcnt.counts.pruned, portable.counts.pruned) << where;
+            EXPECT_EQ(popcnt.calls.and2, portable.calls.and2) << where;
+            EXPECT_EQ(popcnt.calls.and_rows, portable.calls.and_rows) << where;
+            if (HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Schemes, RangePastTheThreadSpaceIsRejected) {
   const auto f = make_fixture(15, 4, 3);
   const u64 threads = scheme_threads({4, 3}, 15);
