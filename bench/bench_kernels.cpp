@@ -107,11 +107,32 @@ void BM_SerialReferenceThreeHit(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialReferenceThreeHit)->Unit(benchmark::kMillisecond);
 
+// greedy:0 is a random mask with ~25% of samples covered (the worst case for
+// the splice's runs); greedy:1 is what a cover2 greedy iteration splices:
+// 300 genes x 1600 tumor samples with one planted combination's TP samples
+// covered, so the mask has few holes.
 void BM_BitSplice(benchmark::State& state) {
-  const Dataset data = kernel_dataset(200);
-  Rng rng(5);
-  std::vector<std::uint64_t> covered(data.tumor.words_per_row());
-  for (auto& w : covered) w = rng() & rng();  // ~25% of samples covered
+  const bool greedy = state.range(0) != 0;
+  Dataset data;
+  std::vector<std::uint64_t> covered;
+  if (greedy) {
+    SyntheticSpec spec;
+    spec.genes = 300;
+    spec.tumor_samples = 1600;
+    spec.normal_samples = 1000;
+    spec.hits = 2;
+    spec.num_combinations = 60;
+    spec.background_rate = 0.01;
+    spec.seed = 7;
+    data = generate_dataset(spec);
+    covered.resize(data.tumor.words_per_row());
+    data.tumor.combine_rows(data.planted.front(), covered);
+  } else {
+    data = kernel_dataset(200);
+    Rng rng(5);
+    covered.resize(data.tumor.words_per_row());
+    for (auto& w : covered) w = rng() & rng();
+  }
   for (auto _ : state) {
     state.PauseTiming();
     BitMatrix copy = data.tumor;
@@ -119,7 +140,7 @@ void BM_BitSplice(benchmark::State& state) {
     benchmark::DoNotOptimize(copy.splice_covered(covered));
   }
 }
-BENCHMARK(BM_BitSplice)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BitSplice)->ArgName("greedy")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

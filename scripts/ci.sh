@@ -102,6 +102,13 @@ MULTIHIT_BENCH_DIR="$bench_dir" build/bench/bench_hostprof | grep -E 'overhead:|
 if command -v python3 > /dev/null; then
   python3 scripts/bench_compare.py --strict "$bench_dir"/BENCH_hostprof.json
 fi
+# BitSplicing wall time, printed into the log without a gate (wall clock is
+# not gateable): the BM_BitSplice medians for a random ~25%-covered mask
+# (greedy:0, the worst case for the splice's run list) and the mask a cover2
+# greedy iteration splices (greedy:1).
+echo "=== bit splice timing ==="
+build/bench/bench_kernels --benchmark_filter='^BM_BitSplice/' --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true 2> /dev/null | grep -E '^BM_BitSplice/.*_median'
 # Profiling must be a pure observer: attaching --host-profile-out cannot
 # change a byte of the sweep's selections (the binary itself enforces that
 # against the serial reference), and the multihit.hostprof.v1 document must

@@ -17,10 +17,19 @@
 
 namespace multihit {
 
-/// Per-dimension caps that readers check before building a matrix from a
-/// header, so a corrupt size cannot demand a multi-terabyte allocation.
+/// Caps that readers check before building a matrix from a header, so a
+/// corrupt size cannot demand a multi-terabyte allocation: each dimension on
+/// its own, and the allocation itself (genes x words per row; 2^28 words is
+/// 2 GiB, against about 20k x 15 words for real BRCA).
 inline constexpr std::uint32_t kMaxGenes = 10'000'000;
 inline constexpr std::uint32_t kMaxSamples = 100'000'000;
+inline constexpr std::uint64_t kMaxMatrixWords = std::uint64_t{1} << 28;
+
+/// Words a genes x samples matrix allocates, in 64 bits (cannot wrap for any
+/// u32 dimensions).
+constexpr std::uint64_t matrix_words(std::uint32_t genes, std::uint32_t samples) noexcept {
+  return std::uint64_t{genes} * ((std::uint64_t{samples} + 63) / 64);
+}
 
 class BitMatrix {
  public:
@@ -65,13 +74,16 @@ class BitMatrix {
   std::uint64_t total_set_bits() const noexcept;
 
   /// BitSplicing: keep only the samples whose bit in `keep` (packed like a
-  /// row) is 1, compacting all rows. `keep` must span words_per_row() words;
-  /// bits at positions >= samples() are ignored. Returns the new sample
-  /// count. O(genes x words).
+  /// row) is 1, compacting all rows. `keep` must span words_per_row() words
+  /// (std::invalid_argument otherwise); bits at positions >= samples() are
+  /// ignored. Returns the new sample count. The mask is split once into
+  /// maximal runs of kept bits within a word, and every row moves each run
+  /// as one block: O(genes x runs), where runs <= words + dropped samples.
   std::uint32_t splice_columns(std::span<const std::uint64_t> keep);
 
   /// Convenience: splice away the samples marked in `covered` (the samples
-  /// containing this iteration's best combination).
+  /// containing this iteration's best combination). `covered` must span
+  /// words_per_row() words (std::invalid_argument otherwise).
   std::uint32_t splice_covered(std::span<const std::uint64_t> covered);
 
   friend bool operator==(const BitMatrix&, const BitMatrix&) = default;

@@ -132,6 +132,7 @@ CheckpointState read_checkpoint(std::istream& in) {
     if (tokens >> junk) fail("trailing junk after 'tumor'");
   }
   if (genes > kMaxGenes || samples > kMaxSamples) fail("tumor dimensions out of range");
+  if (matrix_words(genes, samples) > kMaxMatrixWords) fail("tumor matrix too large");
   state.tumor = BitMatrix(genes, samples);
   while (next_payload_line("bit list")) {
     if (line.empty()) continue;

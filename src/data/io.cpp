@@ -73,6 +73,10 @@ Dataset read_dataset(std::istream& in) {
   if (tumor_samples > kMaxSamples || normal_samples > kMaxSamples) {
     fail("sample count out of range");
   }
+  if (matrix_words(genes, tumor_samples) > kMaxMatrixWords ||
+      matrix_words(genes, normal_samples) > kMaxMatrixWords) {
+    fail("matrix too large");
+  }
 
   data.tumor = BitMatrix(genes, tumor_samples);
   data.normal = BitMatrix(genes, normal_samples);

@@ -118,6 +118,41 @@ TEST(Checkpoint, ResumeAfterSerializationMatchesStraightRun) {
   EXPECT_EQ(finished.uncovered_tumor, straight.uncovered_tumor);
 }
 
+/// FNV-1a over a whole checkpoint stream (header, payload and trailer).
+std::uint64_t fnv1a_digest(const std::string& bytes) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(Checkpoint, GoldenDigestOfCover2ShapedGreedy) {
+  // A wide 2-hit cover (300 genes x 1600 tumor samples) stepped 40
+  // iterations: the checkpoint carries every selection and the tumor matrix
+  // after 40 BitSplicing compactions, so any change to the splice's output
+  // (or to the selections it feeds) moves this digest.
+  SyntheticSpec spec;
+  spec.genes = 300;
+  spec.tumor_samples = 1600;
+  spec.normal_samples = 1000;
+  spec.hits = 2;
+  spec.num_combinations = 60;
+  spec.background_rate = 0.01;
+  spec.seed = 501;
+  const Dataset data = generate_dataset(spec);
+  EngineConfig config;
+  config.hits = 2;
+  Engine session(data.tumor, data.normal, config, make_kernel_evaluator(2));
+  ASSERT_EQ(session.step(40), 40u);
+  const CheckpointState state = session.checkpoint();
+  ASSERT_LT(state.tumor.samples(), spec.tumor_samples);
+  std::stringstream buffer;
+  write_checkpoint(buffer, state);
+  EXPECT_EQ(fnv1a_digest(buffer.str()), 0xf87f201a9f2e147fULL);
+}
+
 TEST(Checkpoint, RejectsMalformedInput) {
   {
     std::stringstream buffer("wrong\n");
@@ -133,6 +168,27 @@ TEST(Checkpoint, RejectsMalformedInput) {
         "multihit-checkpoint v1\nhits 3\nbit-splicing 1\nuncovered 0\n"
         "iterations 1\niter 0.5 3 10 5 2 1 2\ntumor 4 4\nend\n");
     EXPECT_THROW(read_checkpoint(buffer), std::runtime_error);
+  }
+}
+
+TEST(Checkpoint, RejectsOversizedTumorBeforeAllocating) {
+  // Each dimension is under its own cap, but genes x words per row is not:
+  // these once reached the BitMatrix constructor and threw std::bad_alloc
+  // (the second under a 4 GB address-space limit) instead of the documented
+  // error.
+  for (const char* dims : {"10000000 100000000", "100000 3000000"}) {
+    SCOPED_TRACE(dims);
+    std::stringstream buffer(std::string("multihit-checkpoint v2\nhits 2\nbit-splicing 1\n"
+                                         "uncovered 0\niterations 0\ntumor ") +
+                             dims + "\n");
+    try {
+      read_checkpoint(buffer);
+      ADD_FAILURE() << "oversized tumor accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed checkpoint: tumor matrix too large"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

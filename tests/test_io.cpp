@@ -90,6 +90,32 @@ TEST(DatasetIo, RejectsMalformedHeaderNumbers) {
   }
 }
 
+TEST(DatasetIo, RejectsOversizedMatrixBeforeAllocating) {
+  // Each dimension is under its own cap, but genes x words per row is not:
+  // these once reached the BitMatrix constructor and threw std::bad_alloc
+  // (the second under a 4 GB address-space limit) instead of the documented
+  // error. The oversized matrix is the tumor one, then the normal one.
+  const auto header = [](const std::string& genes, const std::string& tumor,
+                         const std::string& normal) {
+    return "multihit-dataset v1\nname x\ngenes " + genes + "\ntumor-samples " + tumor +
+           "\nnormal-samples " + normal + "\nplanted 0\nend\n";
+  };
+  for (const std::string& input : {header("10000000", "100000000", "1"),
+                                   header("100000", "3000000", "1"),
+                                   header("100000", "1", "3000000")}) {
+    SCOPED_TRACE(input);
+    std::stringstream buffer(input);
+    try {
+      read_dataset(buffer);
+      ADD_FAILURE() << "oversized matrix accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed dataset: matrix too large"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(DatasetIo, FileRoundTrip) {
   const Dataset original = sample_dataset();
   const std::string path = testing::TempDir() + "/multihit_io_test.txt";
