@@ -20,9 +20,10 @@
 //   deterministic_stable   two profiled runs project byte-identical
 //                          deterministic documents
 //   crosscheck_clean       the profile reconciles against itself
-//   pruned_fraction.<code> share of the combinations the kernel's prefix cut
-//                          skipped over a full greedy cover of each registry
-//                          type's serve dataset (make_kernel_evaluator)
+//   pruned_fraction.<code> share of the combinations the kernel cut without
+//                          a kernel call (KernelCounts::pruned) over a full
+//                          greedy cover of each registry type's serve
+//                          dataset (make_kernel_evaluator)
 //
 // The <5% budget is the host profiler's acceptance gate: the profiled loop
 // adds two steady_clock reads per 1024-λ chunk plus the kernel-call counts:

@@ -9,9 +9,12 @@
 
 #include "bitmat/bitops.hpp"
 #include "combinat/linearize.hpp"
+#include "core/engine.hpp"
 #include "core/schemes.hpp"
 #include "core/serial.hpp"
 #include "data/generator.hpp"
+#include "data/registry.hpp"
+#include "serve/cache.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -92,6 +95,42 @@ void BM_KernelFourHit3x1Narrow(benchmark::State& state) {
               Scheme{4, 3});
 }
 BENCHMARK(BM_KernelFourHit3x1Narrow)->Arg(40)->Arg(60)->Unit(benchmark::kMillisecond);
+
+// The stop iteration of a served 4-hit solve: ACC's serve dataset spliced by
+// every combination its greedy cover selects. The best combination there
+// covers no tumor sample, so every combination without a normal hit ties at
+// the top F and only the rank bound cuts them. One evaluation the way
+// make_kernel_evaluator runs it: the 3x1 space from a greedy floor.
+void BM_KernelFourHit3x1Terminal(benchmark::State& state) {
+  const CancerType type = *find_cancer_type("ACC");
+  const Dataset data = generate_dataset(serve::CancerCache::serve_spec(type));
+  EngineConfig config;
+  config.hits = type.hits;
+  const Evaluator kernel = make_kernel_evaluator(type.hits);
+  BitMatrix tumor;
+  FContext ctx;
+  (void)run_greedy(data.tumor, data.normal, config,
+                   [&](const BitMatrix& spliced, const BitMatrix& normal, const FContext& at) {
+                     tumor = spliced;
+                     ctx = at;
+                     return kernel(spliced, normal, at);
+                   });
+  const Scheme scheme{type.hits, type.hits - 1};
+  const u64 total = scheme_threads(scheme, tumor.genes());
+  const double floor = greedy_floor(tumor, data.normal, ctx, type.hits);
+  KernelCounts counts;
+  EvalResult best;
+  for (auto _ : state) {
+    counts = {};
+    best = evaluate_range(tumor, data.normal, ctx, scheme, 0, total, floor, &counts);
+    benchmark::DoNotOptimize(best);
+  }
+  if (best.tp != 0) state.SkipWithError("ACC's last evaluation is not a stop iteration");
+  state.SetItemsProcessed(state.iterations() * counts.combinations);
+  state.counters["combinations"] = static_cast<double>(counts.combinations);
+  state.counters["pruned"] = static_cast<double>(counts.pruned);
+}
+BENCHMARK(BM_KernelFourHit3x1Terminal)->Unit(benchmark::kMicrosecond);
 
 void BM_KernelThreeHit2x1(benchmark::State& state) {
   time_kernel(state, kernel_dataset(static_cast<std::uint32_t>(state.range(0))), Scheme{3, 2});

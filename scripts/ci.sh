@@ -94,11 +94,13 @@ echo "bitops backends byte-identical (scalar vs auto), threaded sweep pinned"
 # Host-profiler gate (strict): bench_hostprof runs the Part 1b sweep plain
 # and profiled and exits non-zero unless selections are bit-identical, the
 # report replays byte-identically, and the measured profiler overhead stays
-# under 5%. Its BENCH series are those booleans, so --strict pins them; the
-# raw wall-clock lands in gauges only. The overhead reading and any GATE
-# FAILURE line stay in the log.
+# under 5%. Its BENCH series are those booleans plus each cancer type's
+# pruned fraction (exact counts), so --strict pins them; the raw wall-clock
+# lands in gauges only. The overhead reading, the pruned fractions and any
+# GATE FAILURE line stay in the log.
 echo "=== host profiler gate ==="
-MULTIHIT_BENCH_DIR="$bench_dir" build/bench/bench_hostprof | grep -E 'overhead:|GATE FAILURE'
+MULTIHIT_BENCH_DIR="$bench_dir" build/bench/bench_hostprof |
+  grep -E 'overhead:|pruned fraction|^    [A-Z]+: |GATE FAILURE'
 if command -v python3 > /dev/null; then
   python3 scripts/bench_compare.py --strict "$bench_dir"/BENCH_hostprof.json
 fi
@@ -109,6 +111,13 @@ fi
 echo "=== bit splice timing ==="
 build/bench/bench_kernels --benchmark_filter='^BM_BitSplice/' --benchmark_repetitions=5 \
   --benchmark_report_aggregates_only=true 2> /dev/null | grep -E '^BM_BitSplice/.*_median'
+# Stop-iteration kernel time, printed without a gate: one evaluation of
+# ACC's serve dataset spliced to the iteration where the best combination
+# covers nothing and thousands of combinations tie at the top F.
+echo "=== stop-iteration kernel timing ==="
+build/bench/bench_kernels --benchmark_filter='^BM_KernelFourHit3x1Terminal' \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true 2> /dev/null |
+  grep -E '^BM_KernelFourHit3x1Terminal_median'
 # Profiling must be a pure observer: attaching --host-profile-out cannot
 # change a byte of the sweep's selections (the binary itself enforces that
 # against the serial reference), and the multihit.hostprof.v1 document must

@@ -85,8 +85,7 @@ Evaluator make_serial_evaluator(std::uint32_t hits);
 /// 4 -> 3x1 — the paper's winners), pruning against a greedy_floor computed
 /// per evaluation. Falls back to the serial scan for hits < 2. When
 /// `counts_sink` is non-null, every kernel evaluation accumulates its
-/// KernelCounts (combinations and pruned among them) into it; the sink must
-/// outlive the evaluator.
+/// KernelCounts into it; the sink must outlive the evaluator.
 Evaluator make_kernel_evaluator(std::uint32_t hits, KernelCounts* counts_sink = nullptr);
 
 }  // namespace multihit

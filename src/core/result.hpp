@@ -34,14 +34,20 @@ inline EvalResult merge_results(const EvalResult& a, const EvalResult& b) noexce
   return b.better_than(a) ? b : a;
 }
 
-/// What the enumeration kernel (evaluate_range) counts as it runs.
+/// What the enumeration kernel (evaluate_range) counts as it runs. A pruned
+/// combination costs no kernel call; a leaf-cut one costs one tumor
+/// and_popcount; every other one costs one per matrix, so the dispatched
+/// two-row calls number exactly 2·(combinations − pruned) − leaf_cut.
 struct KernelCounts {
-  std::uint64_t combinations = 0;  ///< combinations covered, scored or pruned
+  std::uint64_t combinations = 0;  ///< combinations covered, scored or cut
   std::uint64_t pruned = 0;        ///< of those, skipped under a cut prefix
+                                   ///< or on their innermost gene's row count
+  std::uint64_t leaf_cut = 0;      ///< of the rest, cut on their own tumor count
 
   KernelCounts& operator+=(const KernelCounts& other) noexcept {
     combinations += other.combinations;
     pruned += other.pruned;
+    leaf_cut += other.leaf_cut;
     return *this;
   }
 };

@@ -17,10 +17,10 @@ namespace multihit {
 namespace {
 
 // C(n, k) with closed forms up to k = 5; beyond that the checked generic
-// loop runs. Ranks are computed on every F tie, which is common on real data,
-// so the closed forms (inlined into the tie path) matter. Each is exact
-// whenever C(n, k) fits u64, and callers only ask for values bounded by
-// C(G, hits), which check_scheme proved fits.
+// loop runs. Ranks and their bounds are computed on every F tie, which is
+// common on real data, so the closed forms (inlined into the tie path)
+// matter. Each is exact whenever C(n, k) fits u64, and callers only ask for
+// values bounded by C(G, hits), which check_scheme proved fits.
 [[gnu::always_inline]] inline u64 choose(u64 n, std::uint32_t k) noexcept {
   switch (k) {
     case 0:
@@ -55,13 +55,30 @@ void check_scheme(Scheme scheme, std::uint32_t genes) {
   }
 }
 
-// Best-so-far tracker. F values are computed by the identical expression on
-// every path, so exact == comparison on doubles is sound here, and the
-// (F desc, rank asc) order makes every execution return the same winner.
-// The rank is only computed when F ties or beats the incumbent.
+// Best-so-far tracker under (F desc, rank asc), and the two integer TP
+// thresholds the kernel cuts on. F values are computed by the identical
+// expression on every path, so exact == comparison on doubles is sound here,
+// and the order makes every execution return the same winner. The rank is
+// only computed when F ties or beats the incumbent.
+//
+// A prefix (or leaf) whose tumor count is TP bounds every extension at
+// f_score(TP, 0) while F grows with TP (α >= 0). With B(TP) that bound:
+//   need      the smallest TP with B(TP) not below max(floor, incumbent F);
+//             below it an extension can neither reach the floor nor beat
+//             the incumbent
+//   need_win  the smallest TP with B(TP) strictly above the incumbent's F,
+//             and at least need; in [need, need_win) B(TP) equals the
+//             incumbent's F, so an extension only wins a tie on rank.
+// B is monotone under IEEE rounding, so both are found by bisecting the
+// kernel's own f_score, and `count < need` is exactly the per-slot test
+// `B < floor || B < incumbent F` — NaN and edge cases included. They change
+// only with the incumbent's F. With α < 0 both are 0: nothing is cut.
 class BestTracker {
  public:
-  explicit BestTracker(const FContext& ctx) : ctx_(ctx) {}
+  BestTracker(const FContext& ctx, double floor, std::uint64_t max_count)
+      : ctx_(ctx), floor_(floor), max_count_(max_count) {
+    retarget();
+  }
 
   template <typename RankFn>
   void consider(std::uint64_t tp, std::uint64_t normal_hits, RankFn&& rank) noexcept {
@@ -82,17 +99,55 @@ class BestTracker {
     best_.combo_rank = rank();
     best_.tp = tp;
     best_.tn = ctx_.normal_total - normal_hits;
+    retarget();
   }
 
-  /// True when an F of at most `bound` cannot displace the incumbent: the
-  /// comparison is strict, so a tie with the incumbent is never dominated.
-  bool dominates(double bound) const noexcept { return best_.valid && bound < best_.f; }
+  std::uint64_t need() const noexcept { return need_; }
+  std::uint64_t need_win() const noexcept { return need_win_; }
+
+  /// True when no combination of rank >= `rho` wins a tie with the
+  /// incumbent. Only asked in the tie band, which is empty without one.
+  bool outranks(std::uint64_t rho) const noexcept { return rho > best_.combo_rank; }
 
   EvalResult result() const noexcept { return best_; }
 
  private:
+  // The smallest TP in [0, max_count_] whose bound satisfies `keep`, or
+  // max_count_ + 1 when none does; `keep` is monotone in the bound.
+  template <typename Keep>
+  std::uint64_t first(Keep keep) const noexcept {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = max_count_ + 1;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (keep(f_score(ctx_, mid, 0))) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  }
+
+  void retarget() noexcept {
+    if (!(ctx_.params.alpha >= 0.0)) {
+      need_ = need_win_ = 0;
+      return;
+    }
+    need_ = first([&](double bound) {
+      return !(bound < floor_ || (best_.valid && bound < best_.f));
+    });
+    need_win_ = best_.valid
+                    ? std::max(need_, first([&](double bound) { return !(bound <= best_.f); }))
+                    : need_;
+  }
+
   FContext ctx_;
+  double floor_;
+  std::uint64_t max_count_;
   EvalResult best_;
+  std::uint64_t need_ = 0;
+  std::uint64_t need_win_ = 0;
 };
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -159,18 +214,20 @@ template <bool kInline>
   const std::size_t wt = tumor.words_per_row();
   const std::size_t wn = normal.words_per_row();
   RowOps<kInline> ops;
-  BestTracker best(ctx);
-  std::uint64_t scored = 0;
-  std::uint64_t pruned = 0;
+  BestTracker best(ctx, floor, 64 * wt);
+  std::uint64_t reached = 0;     // combinations that reach the innermost gene
+  std::uint64_t cut_prefix = 0;  // combinations under a cut prefix
+  std::uint64_t cut_row = 0;     // reached, cut on the innermost gene's row count
+  std::uint64_t cut_leaf = 0;    // reached, cut on their own tumor count
 
   // Fold order: the flat genes top-down, then the inner genes ascending.
   // Slot s (0 <= s <= h-2) holds the AND of the rows of genes[0..s]; the
-  // innermost gene is never folded, so every combination costs one two-row
-  // and_popcount per matrix. Colex steps mostly move the smallest flat gene,
-  // which sits last among the flat slots, so a step refolds only the slots
-  // from the first changed gene on. The slots live in a per-thread buffer
-  // that only ever grows, so no call allocates after a thread's first at a
-  // given width.
+  // innermost gene is never folded, so every combination costs at most one
+  // two-row and_popcount per matrix. Colex steps mostly move the smallest
+  // flat gene, which sits last among the flat slots, so a step refolds only
+  // the slots from the first changed gene on. The slots live in a per-thread
+  // buffer that only ever grows, so no call allocates after a thread's first
+  // at a given width.
   thread_local std::vector<std::uint64_t> scratch;
   const std::size_t words = (h - 1) * (wt + wn);
   if (scratch.size() < words) scratch.resize(words);
@@ -180,14 +237,47 @@ template <bool kInline>
     tslot[s] = block.subspan(s * wt, wt);
     nslot[s] = block.subspan((h - 1) * wt + s * wn, wn);
   }
-  // The bound f_score(TP, 0) covers every extension only while F grows
-  // with TP, i.e. for α >= 0.
-  const bool prune = ctx.params.alpha >= 0.0;
+  const std::span<const std::uint64_t> tpre = tslot[h - 2];
+  const std::span<const std::uint64_t> npre = nslot[h - 2];
+
+  // Row-count bound: a combination's TP is at most its innermost gene's
+  // tumor row count. On rows of 3+ words each row is counted once per range
+  // and a leaf whose row count is below need is skipped before its AND.
+  // Decided by row width alone, so every body cuts the same leaves; on
+  // narrower rows the table would cost more than the ANDs it saves.
+  const bool row_bound = wt >= 3;
+  thread_local std::vector<std::uint64_t> row_count;
+  if (row_bound) {
+    if (row_count.size() < genes) row_count.resize(genes);
+    for (std::uint32_t g = 0; g < genes; ++g) row_count[g] = ops.count(tumor.row(g));
+  }
+
+  // c: the thread's flat genes ascending (colex digits of λ).
+  // x: x[0] = the top flat gene, x[1..d-1] the inner prefix genes.
+  std::array<std::uint32_t, kMaxSchemeHits> c{}, x{};
   std::array<std::uint32_t, kMaxSchemeHits> genes_at{};  // by fold slot
-  // Folds slots [from, to) shallowest first. Returns the first slot whose
-  // bound is strictly below max(floor, incumbent F) — its normal half left
-  // unfolded, so callers refold from it — or `to` when none is cut. Always
-  // inlined: an out-of-line copy would be shared by every target's body.
+  std::uint64_t lambda = begin;
+
+  // ρ: a lower bound on the rank of every combination a cut of slot s
+  // skips. A combination's rank is λ + Σ_{k=1}^{d-1} C(x_k, f+k) +
+  // C(last, h). The cut skips threads λ' >= λ (a flat slot) or part of
+  // thread λ (an inner slot), and every skipped innermost gene is at least
+  // top + above, with top the largest gene fixed through slot s and above
+  // the genes still to add. With d = 0 a thread's one combination has rank
+  // λ' itself; the incumbent came from an earlier thread, so there every
+  // tie is cut.
+  const auto rho = [&](std::uint32_t s) __attribute__((always_inline)) -> std::uint64_t {
+    if (d == 0) return lambda;
+    const std::uint32_t top = s < f ? genes_at[0] : genes_at[s];
+    const std::uint32_t above = h - 1 - std::max(s, f - 1);
+    return lambda + choose(top + above, h);
+  };
+
+  // Folds slots [from, to) shallowest first. Returns the first slot cut —
+  // its tumor count below need, or in the tie band with ρ ranking after the
+  // incumbent — with its normal half left unfolded, so callers refold from
+  // it; or `to` when none is cut. Always inlined: an out-of-line copy would
+  // be shared by every target's body.
   const auto fold = [&](std::uint32_t from,
                         std::uint32_t to) __attribute__((always_inline)) -> std::uint32_t {
     for (std::uint32_t s = from; s < to; ++s) {
@@ -197,10 +287,8 @@ template <bool kInline>
       } else {
         ops.and_rows(tslot[s], tslot[s - 1], trow);
       }
-      if (prune) {
-        const double bound = f_score(ctx, ops.count(tslot[s]), 0);
-        if (bound < floor || best.dominates(bound)) return s;
-      }
+      const std::uint64_t tp = ops.count(tslot[s]);
+      if (tp < best.need_win() && (tp < best.need() || best.outranks(rho(s)))) return s;
       const auto nrow = normal.row(genes_at[s]);
       if (s == 0) {
         std::copy(nrow.begin(), nrow.end(), nslot[0].begin());
@@ -211,9 +299,24 @@ template <bool kInline>
     return to;
   };
 
-  // c: the thread's flat genes ascending (colex digits of λ).
-  // x: x[0] = the top flat gene, x[1..d-1] the inner prefix genes.
-  std::array<std::uint32_t, kMaxSchemeHits> c{}, x{};
+  // Scores the folded prefix plus `last` unless a leaf cut drops it: its
+  // row count below need (no AND), or its tumor count below need or in the
+  // tie band with `low()`, a lower bound on its rank, after the incumbent's
+  // (no normal count).
+  const auto leaf = [&](std::uint32_t last, auto&& low,
+                        auto&& rank) __attribute__((always_inline)) {
+    if (row_bound && row_count[last] < best.need()) {
+      ++cut_row;
+      return;
+    }
+    const std::uint64_t tp = ops.and_popcount(tpre, tumor.row(last));
+    if (tp < best.need_win() && (tp < best.need() || best.outranks(low()))) {
+      ++cut_leaf;
+      return;
+    }
+    best.consider(tp, ops.and_popcount(npre, normal.row(last)), rank);
+  };
+
   unrank_combination(begin, std::span<std::uint32_t>(c.data(), f));
   for (std::uint32_t k = 0; k < f; ++k) genes_at[f - 1 - k] = c[k];
   std::uint32_t stale = 0;  // first flat slot whose gene changed since its fold
@@ -221,14 +324,14 @@ template <bool kInline>
   // smallest flat gene is then the innermost), else the f flat genes.
   const std::uint32_t flat_slots = d == 0 ? h - 1 : f;
 
-  for (std::uint64_t lambda = begin; lambda < end; ++lambda) {
+  for (; lambda < end; ++lambda) {
     if (d == 0 || genes - 1 - c[f - 1] >= d) {
       const std::uint32_t cut = fold(stale, flat_slots);
       stale = cut;
       if (cut < flat_slots) {
-        // Every thread sharing genes_at[0..cut] is dominated: jump the
-        // colex digits below the cut slot's gene to their last values (the
-        // run's last λ) and count the run's work up to `end`.
+        // Every thread sharing genes_at[0..cut] is cut: jump the colex
+        // digits below the cut slot's gene to their last values (the run's
+        // last λ) and count the run's work up to `end`.
         const std::uint32_t low = f - 1 - cut;
         std::uint64_t run_last = lambda;
         for (std::uint32_t j = 0; j < low; ++j) {
@@ -238,15 +341,13 @@ template <bool kInline>
           genes_at[f - 1 - j] = top;
         }
         const std::uint64_t work = d == 0 ? 1 : choose(genes - 1 - c[f - 1], d);
-        pruned += (std::min(run_last, end - 1) - lambda + 1) * work;
+        cut_prefix += (std::min(run_last, end - 1) - lambda + 1) * work;
         lambda = run_last;
       } else if (d == 0) {
-        // One combination per thread; its smallest gene is the innermost.
-        const std::uint32_t last = c[0];
-        const std::uint64_t tp = ops.and_popcount(tslot[h - 2], tumor.row(last));
-        const std::uint64_t nh = ops.and_popcount(nslot[h - 2], normal.row(last));
-        best.consider(tp, nh, [&] { return lambda; });
-        ++scored;
+        // One combination per thread, of rank λ; its smallest gene is the
+        // innermost.
+        ++reached;
+        leaf(c[0], [&] { return lambda; }, [&] { return lambda; });
       } else {
         x[0] = c[f - 1];
         for (std::uint32_t l = 1; l < d; ++l) genes_at[f - 1 + l] = x[l] = x[0] + l;
@@ -257,21 +358,17 @@ template <bool kInline>
           std::uint32_t l = d - 1;
           if (inner_cut < h - 1) {
             l = inner_cut - (f - 1);
-            pruned += choose(genes - 1 - x[l], d - l);
+            cut_prefix += choose(genes - 1 - x[l], d - l);
           } else {
-            const std::span<const std::uint64_t> tpre = tslot[h - 2];
-            const std::span<const std::uint64_t> npre = nslot[h - 2];
             for (std::uint32_t last = x[d - 1] + 1; last < genes; ++last) {
-              const std::uint64_t tp = ops.and_popcount(tpre, tumor.row(last));
-              const std::uint64_t nh = ops.and_popcount(npre, normal.row(last));
               // Flat genes are the f smallest, so their colex digits sum to λ.
-              best.consider(tp, nh, [&] {
+              leaf(last, [&] { return lambda + choose(last, h); }, [&] {
                 std::uint64_t rank = lambda + choose(last, h);
                 for (std::uint32_t k = 1; k < d; ++k) rank += choose(x[k], f + k);
                 return rank;
               });
             }
-            scored += genes - 1 - x[d - 1];
+            reached += genes - 1 - x[d - 1];
           }
           // Lexicographic successor of the inner prefix, x[l] <= G-1-(d-l),
           // from digit l (the digits below a cut digit are skipped whole).
@@ -297,8 +394,9 @@ template <bool kInline>
 
   if constexpr (kInline) credit_inline_calls(ops.calls);
   if (counts != nullptr) {
-    counts->combinations += scored + pruned;
-    counts->pruned += pruned;
+    counts->combinations += reached + cut_prefix;
+    counts->pruned += cut_prefix + cut_row;
+    counts->leaf_cut += cut_leaf;
   }
   return best.result();
 }

@@ -21,12 +21,18 @@
 // matrices (TP from tumor, TN from normal), and returns the best EvalResult.
 // It is an exact branch-and-bound: adding a gene only shrinks TP and the
 // normal hits, so every extension of a prefix P has
-// F <= f_score(TP(P), 0), and a prefix whose bound is strictly below the
-// best F seen so far (or below a caller-supplied floor) is never descended.
+// F <= f_score(TP(P), 0). The incumbent is bounded in the full order,
+// F then rank: a prefix is not descended when its bound is strictly below
+// the best F seen so far (or below a caller-supplied floor), nor when it
+// equals the best F and every extension ranks after the best. The bounds
+// are integer TP thresholds recomputed when the best F changes; the same
+// thresholds cut each leaf on its own tumor count and, on tumor rows of 3+
+// words, on its innermost gene's row count before any AND.
 //
-// The kernel only scores: besides the winner it reports two counts,
-// combinations visited and pruned (KernelCounts). Its fold scratch is a
-// per-thread buffer, (h-1)(wt+wn) words, that grows once and is reused.
+// The kernel only scores: besides the winner it reports three counts,
+// combinations covered, pruned and leaf-cut (KernelCounts). Its fold
+// scratch is a per-thread buffer, (h-1)(wt+wn) words, that grows once and
+// is reused.
 //
 // It runs one of three compiled bodies of one template, chosen per call:
 // under the AVX2 bitops backend (whose CPU check includes POPCNT) a
@@ -94,13 +100,15 @@ inline constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
 /// maxF kernel over threads [begin, end) of `scheme`. Both matrices must have
 /// identical gene counts; throws std::invalid_argument like scheme_threads,
 /// or when a non-empty range ends past scheme_threads().
-/// `counts`, when non-null, accumulates the combinations the range covers
-/// (scored plus pruned) and, of those, the ones under cut prefixes.
-/// A prefix is cut when its bound is strictly below max(floor, the range's
-/// best F so far), so ties are always scored. Without a floor the result is
-/// the exact best of the range; with one it is exact whenever that best is
-/// >= floor, which the whole space's argmax always is when `floor` is the F
-/// of a combination in it (see greedy_floor).
+/// `counts`, when non-null, accumulates KernelCounts: the combinations the
+/// range covers, those cut without a kernel call, and those cut on their
+/// own tumor count. A prefix is cut when its bound is strictly below
+/// max(floor, the range's best F so far), or equals the best F while a
+/// lower bound on its extensions' ranks is above the best's rank; a tie
+/// with the floor alone is never cut, since the floor has no rank. Without
+/// a floor the result is the exact best of the range; with one it is exact
+/// whenever that best is >= floor, which the whole space's argmax always is
+/// when `floor` is the F of a combination in it (see greedy_floor).
 EvalResult evaluate_range(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                           Scheme scheme, std::uint64_t begin, std::uint64_t end,
                           double floor = kNoFloor, KernelCounts* counts = nullptr);

@@ -149,9 +149,9 @@ class Parser {
   }
 
  private:
-  [[noreturn]] void fail(const char* what) const {
+  [[noreturn]] void fail(std::string_view what) const {
     throw JsonParseError(std::string("JSON parse error at byte ") + std::to_string(pos_) +
-                         ": " + what);
+                         ": " + std::string(what));
   }
 
   void skip_ws() {
@@ -187,14 +187,26 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return nested(&Parser::parse_object);
+      case '[': return nested(&Parser::parse_array);
       case '"': return JsonValue(parse_string());
       case 't': expect_literal("true"); return JsonValue(true);
       case 'f': expect_literal("false"); return JsonValue(false);
       case 'n': expect_literal("null"); return JsonValue();
       default: return parse_number();
     }
+  }
+
+  // Parses an array or object one nesting level deeper: one more level of
+  // parse_value recursion, capped so hostile input cannot exhaust the stack.
+  JsonValue nested(JsonValue (Parser::*parse)()) {
+    if (depth_ == JsonValue::kMaxParseDepth) {
+      fail("nesting deeper than " + std::to_string(JsonValue::kMaxParseDepth) + " levels");
+    }
+    ++depth_;
+    JsonValue value = (this->*parse)();
+    --depth_;
+    return value;
   }
 
   JsonValue parse_object() {
@@ -301,6 +313,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

@@ -92,8 +92,13 @@ class JsonValue {
   /// Serializes to a compact single-line document.
   std::string dump() const;
 
+  /// Deepest array/object nesting `parse` accepts. The parser recurses once
+  /// per level, so the cap bounds its stack; every artifact written here
+  /// nests fewer than 10 levels.
+  static constexpr std::size_t kMaxParseDepth = 512;
+
   /// Parses a complete JSON document (throws JsonParseError on malformed
-  /// input or trailing garbage).
+  /// input, trailing garbage, or nesting deeper than kMaxParseDepth).
   static JsonValue parse(std::string_view text);
 
  private:

@@ -50,6 +50,36 @@ TEST(ObsJson, ParseRejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("{} trailing"), obs::JsonParseError);
 }
 
+TEST(ObsJson, ParseCapsNestingDepth) {
+  // The parser recurses once per level: past the cap it must throw, naming
+  // the byte of the first bracket too deep, instead of exhausting the stack.
+  const std::size_t cap = JsonValue::kMaxParseDepth;
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "{\"k\":";
+    text += "0";
+    return text + std::string(depth, '}');
+  };
+  EXPECT_EQ(JsonValue::parse(arrays(cap)).dump(), arrays(cap));
+  EXPECT_EQ(JsonValue::parse(objects(cap)).dump(), objects(cap));
+  for (const std::string& deep : {arrays(cap + 1), objects(cap + 1)}) {
+    try {
+      (void)JsonValue::parse(deep);
+      ADD_FAILURE() << "accepted " << cap + 1 << " levels";
+    } catch (const obs::JsonParseError& e) {
+      const std::size_t offset = deep[0] == '[' ? cap : 5 * cap;
+      EXPECT_NE(std::string(e.what()).find("at byte " + std::to_string(offset) + ":"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // 200 KB of brackets: once a stack overflow, now a parse error.
+  EXPECT_THROW(JsonValue::parse(arrays(100000)), obs::JsonParseError);
+}
+
 TEST(ObsJson, ObjectsPreserveInsertionOrder) {
   JsonValue doc = JsonValue::object();
   doc.set("z", JsonValue(1.0));

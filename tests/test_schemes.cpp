@@ -30,10 +30,10 @@ struct Fixture {
 };
 
 Fixture make_fixture(std::uint32_t genes, std::uint32_t hits, std::uint64_t seed,
-                     std::uint32_t planted = 3) {
+                     std::uint32_t planted = 3, std::uint32_t tumor_samples = 70) {
   SyntheticSpec spec;
   spec.genes = genes;
-  spec.tumor_samples = 70;
+  spec.tumor_samples = tumor_samples;
   spec.normal_samples = 50;
   spec.hits = hits;
   spec.num_combinations = planted;
@@ -79,8 +79,9 @@ Fixture at_floor_fixture(std::uint32_t hits) {
 /// sparse matrix where most combinations cover nothing, an all-zero tumor
 /// matrix (the argmax has TP = 0, the greedy's stop signal), identical rows
 /// (every F ties, and every prefix bound equals the incumbent), half the
-/// tumor rows empty (their prefixes bound at TP = 0 and are cut), and the
-/// at-floor fixture.
+/// tumor rows empty (their prefixes bound at TP = 0 and are cut), the
+/// at-floor fixture, and planted data on tumor rows of 3 and 4 words, where
+/// the kernel also cuts leaves on their innermost gene's row count.
 std::vector<Fixture> adversarial_fixtures(std::uint32_t hits) {
   const std::uint32_t genes = small_genes(hits);
   std::vector<Fixture> fixtures;
@@ -142,7 +143,52 @@ std::vector<Fixture> adversarial_fixtures(std::uint32_t hits) {
   fixtures.push_back(std::move(empty_rows));
 
   fixtures.push_back(at_floor_fixture(hits));
+  for (const std::uint32_t wide : {150u, 190u, 200u}) {
+    fixtures.push_back(make_fixture(genes, hits, 4100 + wide + hits, 2, wide));
+  }
   return fixtures;
+}
+
+/// A top-F tie that only the rank test keeps. With U = {0, ..., h+1}, the
+/// two combinations A = {0, ..., h-2, h+1} and B = U minus {f-1, h+1} cover
+/// the same 40 tumor samples and no normal one. Every other combination of
+/// U covers its own normal sample; every other gene keeps fewer tumor
+/// samples. When the scheme has inner loops (d = h - f >= 1), A sits in
+/// thread 0 and ranks h+1; B is thread 1's first combination and ranks
+/// d+1, so the kernel meets B after A. Every prefix of B bounds at exactly
+/// A's F, and at B's top flat gene f the rank bound is
+/// ρ = 1 + C(f + d, h) = 2: it keeps B, while C(f + d + 1, h) would have
+/// cut B behind A. With d = 0 the kernel visits ranks in order, so there
+/// the fixture only pins exactness.
+Fixture tie_band_fixture(Scheme scheme) {
+  const std::uint32_t h = scheme.hits;
+  const std::uint32_t genes = small_genes(h);
+  std::vector<std::uint32_t> a = first_combination(h - 1);
+  a.push_back(h + 1);
+  std::vector<std::uint32_t> b;
+  for (std::uint32_t g = 0; g <= h; ++g) {
+    if (g != scheme.flat - 1) b.push_back(g);
+  }
+  std::vector<std::vector<std::uint32_t>> others;
+  auto combo = first_combination(h);
+  do {
+    if (combo != a && combo != b) others.push_back(combo);
+  } while (next_combination_colex(combo, h + 2));
+
+  const auto normal_samples = static_cast<std::uint32_t>(others.size());
+  Fixture fx{{}, FContext{FParams{}, 70, normal_samples}};
+  fx.data.tumor = BitMatrix(genes, 70);
+  fx.data.normal = BitMatrix(genes, normal_samples);
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < 70; ++s) {
+      const bool mutated = g <= h + 1 ? s < 40 : s < 50 && (s + g) % 3 != 0;
+      if (mutated) fx.data.tumor.set(g, s);
+    }
+  }
+  for (std::uint32_t n = 0; n < normal_samples; ++n) {
+    for (const std::uint32_t g : others[n]) fx.data.normal.set(g, n);
+  }
+  return fx;
 }
 
 /// Independent reference for threads [begin, end): every h-combination whose
@@ -441,33 +487,68 @@ TEST_P(AllSchemes, CombinationAtTheFloorIsNeverCut) {
   expect_same(kernel, serial, scheme_name(scheme));
 }
 
+TEST_P(AllSchemes, TieBandKeepsTheLowestRankTie) {
+  // See tie_band_fixture: B, the winner, is met after the tie A of higher
+  // rank, and each of its prefixes bounds at A's F; only the rank bound ρ
+  // keeps it, with or without a floor, the floor at the winner's F included.
+  const Scheme scheme = GetParam();
+  const Fixture fx = tie_band_fixture(scheme);
+  const u64 total = scheme_threads(scheme, fx.data.genes());
+  const EvalResult exact = brute_force_range(fx, scheme, 0, total);
+  ASSERT_TRUE(exact.valid);
+  ASSERT_EQ(exact.tp, 40u);
+  ASSERT_EQ(exact.tn, fx.ctx.normal_total);
+  ASSERT_EQ(exact.combo_rank, scheme.hits - scheme.flat + 1);
+  const double greedy = greedy_floor(fx.data.tumor, fx.data.normal, fx.ctx, scheme.hits);
+  ASSERT_LT(greedy, exact.f);
+  for (const double floor : {kNoFloor, greedy, exact.f}) {
+    for (const u64 end : {u64{2}, total}) {
+      expect_same(evaluate_range(fx.data.tumor, fx.data.normal, fx.ctx, scheme, 0, end, floor),
+                  end == total ? exact : brute_force_range(fx, scheme, 0, end),
+                  scheme_name(scheme) + " threads [0," + std::to_string(end) + "), floor " +
+                      std::to_string(floor));
+    }
+  }
+}
+
 TEST_P(AllSchemes, CountedCombinationsMatchSchemeStats) {
   // The kernel's `combinations` is a real count of what it scored plus what
   // it cut; it must agree with the closed form (and with the reference's
   // count) over ragged ranges, or the host sweep's "visits each combination
   // once" check means nothing. The closed form's traffic fields are pinned
-  // by tests/test_scheme_stats.cpp. The hot-path call contract rides along:
-  // every scored combination costs exactly one dispatched two-row
-  // and_popcount per matrix, and a pruned one costs none.
+  // by tests/test_scheme_stats.cpp. The hot-path call contract rides along,
+  // with and without the greedy floor, on tumor rows of 2 and of 3 words
+  // (where leaves are also cut on their row count): a pruned combination
+  // costs no dispatched two-row and_popcount, a leaf-cut one costs its
+  // tumor count, and every other one costs one per matrix.
   const Scheme scheme = GetParam();
-  const auto f = make_fixture(small_genes(scheme.hits), scheme.hits, 77, 2);
-  const std::uint32_t wt = f.data.tumor.words_per_row();
-  const std::uint32_t wn = f.data.normal.words_per_row();
-  const u64 total = scheme_threads(scheme, f.data.genes());
-  for (const auto& [a, b] : ragged_ranges(total, 5 + scheme.flat)) {
-    KernelCounts counted;
-    const bool was_counting = set_call_counting(true);
-    const BitopsCallCounts calls_before = thread_bitops_calls();
-    evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, kNoFloor, &counted);
-    const BitopsCallCounts calls = thread_bitops_calls() - calls_before;
-    set_call_counting(was_counting);
-    EXPECT_EQ(calls.and2, 2 * (counted.combinations - counted.pruned))
-        << "[" << a << "," << b << ")";
-    const KernelStats modeled = scheme_stats(scheme, f.data.genes(), a, b, {}, wt, wn);
-    u64 brute = 0;
-    (void)brute_force_range(f, scheme, a, b, &brute);
-    EXPECT_EQ(counted.combinations, modeled.combinations) << "[" << a << "," << b << ")";
-    EXPECT_EQ(counted.combinations, brute) << "[" << a << "," << b << ")";
+  for (const std::uint32_t tumor_samples : {70u, 150u}) {
+    const auto f = make_fixture(small_genes(scheme.hits), scheme.hits, 77, 2, tumor_samples);
+    const std::uint32_t wt = f.data.tumor.words_per_row();
+    const std::uint32_t wn = f.data.normal.words_per_row();
+    const u64 total = scheme_threads(scheme, f.data.genes());
+    const double greedy = greedy_floor(f.data.tumor, f.data.normal, f.ctx, scheme.hits);
+    for (const double floor : {kNoFloor, greedy}) {
+      for (const auto& [a, b] : ragged_ranges(total, 5 + scheme.flat)) {
+        const std::string where = std::to_string(tumor_samples) + " samples" +
+                                  (floor == kNoFloor ? "" : ", floor") + " [" +
+                                  std::to_string(a) + "," + std::to_string(b) + ")";
+        KernelCounts counted;
+        const bool was_counting = set_call_counting(true);
+        const BitopsCallCounts calls_before = thread_bitops_calls();
+        evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, floor, &counted);
+        const BitopsCallCounts calls = thread_bitops_calls() - calls_before;
+        set_call_counting(was_counting);
+        EXPECT_EQ(calls.and2,
+                  2 * (counted.combinations - counted.pruned) - counted.leaf_cut)
+            << where;
+        const KernelStats modeled = scheme_stats(scheme, f.data.genes(), a, b, {}, wt, wn);
+        u64 brute = 0;
+        (void)brute_force_range(f, scheme, a, b, &brute);
+        EXPECT_EQ(counted.combinations, modeled.combinations) << where;
+        EXPECT_EQ(counted.combinations, brute) << where;
+      }
+    }
   }
 }
 
