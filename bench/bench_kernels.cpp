@@ -10,6 +10,7 @@
 #include "bitmat/bitops.hpp"
 #include "combinat/linearize.hpp"
 #include "core/engine.hpp"
+#include "core/hostsweep.hpp"
 #include "core/schemes.hpp"
 #include "core/serial.hpp"
 #include "data/generator.hpp"
@@ -113,6 +114,7 @@ void BM_KernelFourHit3x1Terminal(benchmark::State& state) {
                    [&](const BitMatrix& spliced, const BitMatrix& normal, const FContext& at) {
                      tumor = spliced;
                      ctx = at;
+                     ctx.carried = nullptr;  // the session's, gone after run_greedy
                      return kernel(spliced, normal, at);
                    });
   const Scheme scheme{type.hits, type.hits - 1};
@@ -180,6 +182,55 @@ void BM_BitSplice(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitSplice)->ArgName("greedy")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// A full cover2-shaped greedy solve (300 genes, 1600/1000 samples, 60
+// planted pairs, the wallbench cover2 shape) through
+// make_host_sweep_evaluator on one thread. lazy:1 lets the Engine carry its
+// thread bounds from iteration to iteration; lazy:0 withholds them, so every
+// iteration scans cold. The counters give the threads each iteration
+// rescans (scanned rather than skipped on a carried bound; all 300 in a
+// cold iteration) and the iterations per solve.
+void BM_LazyGreedyCover2(benchmark::State& state) {
+  const bool lazy = state.range(0) != 0;
+  SyntheticSpec spec;
+  spec.genes = 300;
+  spec.tumor_samples = 1600;
+  spec.normal_samples = 1000;
+  spec.hits = 2;
+  spec.num_combinations = 60;
+  spec.background_rate = 0.01;
+  spec.seed = 7;
+  const Dataset data = generate_dataset(spec);
+  EngineConfig config;
+  config.hits = 2;
+  HostSweepOptions options;
+  options.hits = 2;
+  options.threads = 1;
+  HostSweepTelemetry telemetry;
+  std::uint64_t evaluations = 0;
+  const Evaluator sweep = make_host_sweep_evaluator(options, &telemetry);
+  const Evaluator evaluator = [&](const BitMatrix& tumor, const BitMatrix& normal,
+                                  const FContext& ctx) {
+    ++evaluations;
+    FContext at = ctx;
+    if (!lazy) at.carried = nullptr;
+    return sweep(tumor, normal, at);
+  };
+  std::size_t iterations = 0;
+  for (auto _ : state) {
+    telemetry = {};
+    evaluations = 0;
+    const GreedyResult result = run_greedy(data.tumor, data.normal, config, evaluator);
+    iterations = result.iterations.size();
+    benchmark::DoNotOptimize(iterations);
+  }
+  const double threads = static_cast<double>(scheme_threads(Scheme{2, 1}, data.genes()));
+  state.counters["rescanned_per_iteration"] =
+      threads - static_cast<double>(telemetry.counts.threads_skipped) /
+                    static_cast<double>(std::max<std::uint64_t>(1, evaluations));
+  state.counters["iterations"] = static_cast<double>(iterations);
+}
+BENCHMARK(BM_LazyGreedyCover2)->ArgName("lazy")->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -118,6 +118,12 @@ echo "=== stop-iteration kernel timing ==="
 build/bench/bench_kernels --benchmark_filter='^BM_KernelFourHit3x1Terminal' \
   --benchmark_repetitions=5 --benchmark_report_aggregates_only=true 2> /dev/null |
   grep -E '^BM_KernelFourHit3x1Terminal_median'
+# Lazy greedy, printed without a gate: the median of a full cover2-shaped
+# solve with the Engine's carried bounds (lazy:1) and without (lazy:0), each
+# line with the threads an iteration rescans on average.
+echo "=== lazy greedy timing ==="
+build/bench/bench_kernels --benchmark_filter='^BM_LazyGreedyCover2/' --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true 2> /dev/null | grep -E '^BM_LazyGreedyCover2/.*_median'
 # Profiling must be a pure observer: attaching --host-profile-out cannot
 # change a byte of the sweep's selections (the binary itself enforces that
 # against the serial reference), and the multihit.hostprof.v1 document must

@@ -26,8 +26,14 @@ Evaluator make_kernel_evaluator(std::uint32_t hits, KernelCounts* counts_sink) {
   const Scheme scheme{hits, hits - 1};
   return [scheme, counts_sink](const BitMatrix& tumor, const BitMatrix& normal,
                                const FContext& ctx) {
-    return evaluate_range(tumor, normal, ctx, scheme, 0, scheme_threads(scheme, tumor.genes()),
-                          greedy_floor(tumor, normal, ctx, scheme.hits), counts_sink);
+    CarriedBounds* carried =
+        ctx.carried != nullptr && ctx.carried->begin(tumor, ctx, scheme.hits) ? ctx.carried
+                                                                              : nullptr;
+    const EvalResult best =
+        evaluate_range(tumor, normal, ctx, scheme, 0, scheme_threads(scheme, tumor.genes()),
+                       greedy_floor(tumor, normal, ctx, scheme.hits), counts_sink, carried);
+    if (carried != nullptr) carried->finish();
+    return best;
   };
 }
 

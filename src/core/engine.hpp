@@ -7,7 +7,12 @@
 //     3. exclude the tumor samples it covers
 //
 // Step 1-2 is delegated to an Evaluator so the same engine drives the serial
-// reference, a single simulated GPU, or a full simulated cluster. Step 3 is
+// reference, a single simulated GPU, or a full simulated cluster. Each
+// iteration's FContext also hands the evaluator the session's carried
+// bounds: step 3 only removes tumor samples, so a bound on what a thread of
+// combinations can score stays valid in every later iteration, and the
+// kernel and host-sweep evaluators rescan only the threads that can still
+// win (Minoux's accelerated greedy). Step 3 is
 // BitSplicing (§III-D) by default: covered sample columns are physically
 // compacted out of the tumor matrix so later iterations do linearly less
 // word work. The ablation mode instead zeroes covered columns in place,
@@ -83,9 +88,12 @@ Evaluator make_serial_evaluator(std::uint32_t hits);
 /// Evaluator backed by the full-range enumeration kernel with every loop
 /// but the innermost flattened (Scheme{hits, hits-1}: 2 -> 1x1, 3 -> 2x1,
 /// 4 -> 3x1 — the paper's winners), pruning against a greedy_floor computed
-/// per evaluation. Falls back to the serial scan for hits < 2. When
-/// `counts_sink` is non-null, every kernel evaluation accumulates its
-/// KernelCounts into it; the sink must outlive the evaluator.
+/// per evaluation. Inside an Engine it is lazy: the session's carried
+/// bounds (FContext::carried, core/schemes.hpp) let it skip the threads
+/// that an earlier iteration proved cannot win. Falls back to the serial
+/// scan for hits < 2. When `counts_sink` is non-null, every kernel
+/// evaluation accumulates its KernelCounts into it; the sink must outlive
+/// the evaluator.
 Evaluator make_kernel_evaluator(std::uint32_t hits, KernelCounts* counts_sink = nullptr);
 
 }  // namespace multihit

@@ -35,6 +35,7 @@ struct WorkerOutput {
   std::vector<Candidate> candidates;
   KernelCounts counts;
   std::uint64_t chunks = 0;
+  std::uint64_t skipped_chunks = 0;  ///< of those, skipped on carried bounds
 };
 
 }  // namespace
@@ -59,8 +60,12 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
       std::min<std::uint64_t>(workers, std::max<std::uint64_t>(1, queue.chunk_count())));
 
   // One floor for every chunk: each chunk's own incumbent starts empty, and
-  // the floor lets it cut from its first prefix on.
+  // the floor lets it cut from its first prefix on. The Engine's carried
+  // bounds, when they apply, let a chunk skip whole against it.
   const double floor = greedy_floor(tumor, normal, ctx, options.hits);
+  CarriedBounds* carried =
+      ctx.carried != nullptr && ctx.carried->begin(tumor, ctx, options.hits) ? ctx.carried
+                                                                             : nullptr;
 
   obs::HostProfiler* profiler = options.profiler;
   // A profiled sweep always counts bitops calls. Swapping in the counting
@@ -85,6 +90,17 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     std::uint64_t begin = 0, end = 0;
     for (;;) {
       const bool claimed = queue.next(&begin, &end);
+      if (claimed && carried != nullptr && carried->skips(begin, end, floor, ctx)) {
+        // A chunk its carried bounds rule out costs no kernel call and no
+        // clock read; the profiler tallies it apart from timed claims.
+        const std::uint64_t work = scheme_range_work(scheme, tumor.genes(), begin, end);
+        out.counts.combinations += work;
+        out.counts.pruned += work;
+        out.counts.threads_skipped += end - begin;
+        ++out.chunks;
+        ++out.skipped_chunks;
+        continue;
+      }
       if (profiler != nullptr) {
         claimed_at = Clock::now();
         const double claim_latency = seconds_between(mark, claimed_at);
@@ -93,7 +109,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
       }
       if (!claimed) break;
       const EvalResult best =
-          evaluate_range(tumor, normal, ctx, scheme, begin, end, floor, &out.counts);
+          evaluate_range(tumor, normal, ctx, scheme, begin, end, floor, &out.counts, carried);
       if (profiler != nullptr) {
         mark = Clock::now();
         sample.eval_seconds += seconds_between(claimed_at, mark);
@@ -110,6 +126,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
       sample.calls.and2 = delta.and2;
       sample.calls.and_rows = delta.and_rows;
       sample.chunks = out.chunks;
+      sample.skipped_chunks = out.skipped_chunks;
       sample.candidates = static_cast<std::uint64_t>(out.candidates.size());
       sample.combinations = out.counts.combinations;
       samples[id] = sample;
@@ -139,6 +156,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     for (std::thread& t : pool) t.join();
   }
   const Clock::time_point joined_at = Clock::now();
+  if (carried != nullptr) carried->finish();
 
   // Deterministic merge: concatenate per-worker candidate lists, order by
   // chunk-begin λ (chunks are disjoint, so the key is unique), fold with

@@ -8,7 +8,8 @@
 // lock-free ChunkQueue (core/workqueue.hpp) so stragglers self-balance —
 // the planar_mt.cpp shape: atomic work counter, per-worker accumulation,
 // merge at the end. Workers share nothing else: the kernel's fold scratch is
-// thread-local, so a worker allocates nothing after its first chunk.
+// thread-local, so a worker allocates nothing after its first chunk, and of
+// an Engine's carried bounds a chunk writes only the ones its range holds.
 //
 // Determinism: every chunk produces at most one candidate tagged with its
 // chunk-begin λ; workers append to private lists, and the final fold sorts
@@ -39,7 +40,8 @@ struct HostSweepOptions {
   std::uint32_t threads = 0;    ///< worker count; 0 = hardware_concurrency
   std::uint64_t chunk = 1024;   ///< λ indices per queue grab (0 runs as 1)
   /// Optional wall-clock profiler (obs/hostprof.hpp). Null reads no clock;
-  /// non-null adds two steady_clock reads per chunk and never changes which
+  /// non-null adds two steady_clock reads per evaluated chunk (a chunk the
+  /// carried bounds skip whole reads none) and never changes which
   /// combination is selected — profiled and unprofiled sweeps are
   /// bit-identical (pinned by tests and the ci.sh hostprof smoke).
   obs::HostProfiler* profiler = nullptr;
@@ -69,8 +71,12 @@ struct HostSweepTelemetry {
 };
 
 /// One maxF evaluation over the full λ space of Scheme{hits, hits-1},
-/// distributed over host threads. Throws std::invalid_argument when the
-/// gene counts differ or the scheme is invalid (see scheme_threads).
+/// distributed over host threads. When ctx.carried holds an Engine's
+/// carried bounds, the sweep readies them, skips a chunk whose blocks all
+/// bound below the greedy floor without evaluating it, and has every other
+/// chunk's kernel use and lower them (chunks write disjoint bounds). Throws
+/// std::invalid_argument when the gene counts differ or the scheme is
+/// invalid (see scheme_threads).
 EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
                                 const FContext& ctx, const HostSweepOptions& options,
                                 HostSweepTelemetry* telemetry = nullptr);

@@ -40,14 +40,19 @@ inline EvalResult merge_results(const EvalResult& a, const EvalResult& b) noexce
 /// two-row calls number exactly 2·(combinations − pruned) − leaf_cut.
 struct KernelCounts {
   std::uint64_t combinations = 0;  ///< combinations covered, scored or cut
-  std::uint64_t pruned = 0;        ///< of those, skipped under a cut prefix
-                                   ///< or on their innermost gene's row count
+  std::uint64_t pruned = 0;        ///< of those, skipped under a cut prefix,
+                                   ///< on their innermost gene's row count or
+                                   ///< on their thread's carried bound
   std::uint64_t leaf_cut = 0;      ///< of the rest, cut on their own tumor count
+  std::uint64_t threads_skipped = 0;  ///< flat threads skipped whole on their
+                                      ///< carried bound (their combinations
+                                      ///< count in pruned)
 
   KernelCounts& operator+=(const KernelCounts& other) noexcept {
     combinations += other.combinations;
     pruned += other.pruned;
     leaf_cut += other.leaf_cut;
+    threads_skipped += other.threads_skipped;
     return *this;
   }
 };

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cassert>
+#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -40,6 +40,8 @@ namespace {
   }
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 void check_scheme(Scheme scheme, std::uint32_t genes) {
   if (scheme.hits < 2 || scheme.hits > kMaxSchemeHits || scheme.flat < 1 ||
       scheme.flat > scheme.hits) {
@@ -53,6 +55,25 @@ void check_scheme(Scheme scheme, std::uint32_t genes) {
     throw std::invalid_argument("scheme: C(G, h) overflows u64 at G = " + std::to_string(genes) +
                                 ", h = " + std::to_string(scheme.hits));
   }
+}
+
+// scheme_range_work without the checks: Σ C(G-1-top, d) over the levels
+// of threads sharing their top flat gene.
+std::uint64_t range_work(Scheme scheme, std::uint32_t genes, std::uint64_t begin,
+                         std::uint64_t end) noexcept {
+  if (begin >= end) return 0;
+  const std::uint32_t f = scheme.flat;
+  const std::uint32_t d = scheme.hits - f;
+  if (d == 0) return end - begin;
+  // One thread per level: Σ_{t in [begin, end)} C(G-1-t, d), hockey stick.
+  if (f == 1) return choose(genes - begin, d + 1) - choose(genes - end, d + 1);
+  std::uint64_t work = 0;
+  const std::uint32_t t_hi = colex_top(end - 1, f);
+  for (std::uint32_t t = colex_top(begin, f); t <= t_hi; ++t) {
+    const std::uint64_t n = std::min(end, choose(t + 1, f)) - std::max(begin, choose(t, f));
+    work += n * choose(genes - 1 - t, d);
+  }
+  return work;
 }
 
 // Best-so-far tracker under (F desc, rank asc), and the two integer TP
@@ -108,6 +129,16 @@ class BestTracker {
   /// True when no combination of rank >= `rho` wins a tie with the
   /// incumbent. Only asked in the tie band, which is empty without one.
   bool outranks(std::uint64_t rho) const noexcept { return rho > best_.combo_rank; }
+
+  /// True when combinations whose F is at most `bound` can neither reach
+  /// the floor nor beat the incumbent; `rho()`, a lower bound on their
+  /// ranks, is only asked on a tie with the incumbent's F.
+  template <typename RhoFn>
+  bool cuts(double bound, RhoFn&& rho) const noexcept {
+    if (bound < floor_) return true;
+    if (!best_.valid) return false;
+    return bound < best_.f || (bound == best_.f && rho() > best_.combo_rank);
+  }
 
   EvalResult result() const noexcept { return best_; }
 
@@ -206,7 +237,8 @@ template <bool kInline>
 [[gnu::always_inline]] inline EvalResult scan(const BitMatrix& tumor, const BitMatrix& normal,
                                               const FContext& ctx, Scheme scheme,
                                               std::uint64_t begin, std::uint64_t end,
-                                              double floor, KernelCounts* counts) {
+                                              double floor, KernelCounts* counts,
+                                              CarriedBounds* carried) {
   const std::uint32_t genes = tumor.genes();
   const std::uint32_t h = scheme.hits;
   const std::uint32_t f = scheme.flat;
@@ -216,9 +248,9 @@ template <bool kInline>
   RowOps<kInline> ops;
   BestTracker best(ctx, floor, 64 * wt);
   std::uint64_t reached = 0;     // combinations that reach the innermost gene
-  std::uint64_t cut_prefix = 0;  // combinations under a cut prefix
   std::uint64_t cut_row = 0;     // reached, cut on the innermost gene's row count
   std::uint64_t cut_leaf = 0;    // reached, cut on their own tumor count
+  std::uint64_t skipped = 0;     // threads skipped on their carried bound
 
   // Fold order: the flat genes top-down, then the inner genes ascending.
   // Slot s (0 <= s <= h-2) holds the AND of the rows of genes[0..s]; the
@@ -252,6 +284,56 @@ template <bool kInline>
     for (std::uint32_t g = 0; g < genes; ++g) row_count[g] = ops.count(tumor.row(g));
   }
 
+  // Carried bounds (CarriedBounds). evaluate_range passes them only for
+  // Scheme{h, h-1}, so d == 1 and a thread's combinations are its leaves.
+  const bool lazy = carried != nullptr;
+  const bool warm = lazy && carried->warm();
+  const unsigned block_shift = lazy ? carried->block_shift() : 0;  // log2 threads per block
+  const std::uint64_t block_span = std::uint64_t{1} << block_shift;
+  const std::uint64_t space = lazy ? carried->threads() : 0;
+  const double denom = static_cast<double>(ctx.tumor_total + ctx.normal_total);
+  std::uint64_t next_block = lazy ? begin : end;  // the next λ to test its block at
+  std::uint64_t open_block = 0;  // the block the range last noted threads of
+  bool open = false;
+  bool owned = false;  // the range holds all of the open block
+  double acc = -kInf;  // the max bound noted in the open block
+
+  // Leaving the open block stores its bound when the range owns it: the
+  // lower of its old bound and the max noted in it, where every thread of
+  // it was noted or skipped on a bound that is itself noted.
+  const auto flush = [&]() __attribute__((always_inline)) {
+    if (open && owned) carried->lower_block(open_block, acc);
+    open = false;
+  };
+  const auto enter = [&](std::uint64_t b) __attribute__((always_inline)) {
+    if (open && open_block == b) return;
+    flush();
+    open_block = b;
+    open = true;
+    owned = b * block_span >= begin && std::min((b + 1) * block_span, space) <= end;
+    acc = -kInf;
+  };
+  // Records that numerator bound v holds for thread t.
+  const auto note_thread = [&](std::uint64_t t, double v) __attribute__((always_inline)) {
+    enter(t >> block_shift);
+    acc = std::max(acc, v);
+    carried->lower_thread(t, v);
+  };
+  // Records that v bounds threads [first, last] of a cut run: the blocks
+  // it covers whole take v; 2-hit threads are runs of one.
+  const auto note_run = [&](std::uint64_t first, std::uint64_t last,
+                            double v) __attribute__((always_inline)) {
+    if (first == last) return note_thread(first, v);
+    const std::uint64_t b0 = first >> block_shift;
+    const std::uint64_t b1 = last >> block_shift;
+    enter(b0);
+    acc = std::max(acc, v);
+    if (b1 == b0) return;
+    for (std::uint64_t b = b0 + 1; b < b1; ++b) carried->lower_block(b, v);
+    enter(b1);
+    acc = v;
+  };
+
   // c: the thread's flat genes ascending (colex digits of λ).
   // x: x[0] = the top flat gene, x[1..d-1] the inner prefix genes.
   std::array<std::uint32_t, kMaxSchemeHits> c{}, x{};
@@ -273,6 +355,8 @@ template <bool kInline>
     return lambda + choose(top + above, h);
   };
 
+  std::uint64_t slot_count = 0;  // tumor count of the slot fold() folded last
+
   // Folds slots [from, to) shallowest first. Returns the first slot cut —
   // its tumor count below need, or in the tie band with ρ ranking after the
   // incumbent — with its normal half left unfolded, so callers refold from
@@ -288,6 +372,7 @@ template <bool kInline>
         ops.and_rows(tslot[s], tslot[s - 1], trow);
       }
       const std::uint64_t tp = ops.count(tslot[s]);
+      slot_count = tp;
       if (tp < best.need_win() && (tp < best.need() || best.outranks(rho(s)))) return s;
       const auto nrow = normal.row(genes_at[s]);
       if (s == 0) {
@@ -303,35 +388,99 @@ template <bool kInline>
   // row count below need (no AND), or its tumor count below need or in the
   // tie band with `low()`, a lower bound on its rank, after the incumbent's
   // (no normal count).
+  // The thread's numerator bound so far: its largest scored numerator,
+  // and one past the largest count a leaf was cut on (0: none was).
+  double scored_max = -kInf;
+  std::uint64_t cut_max = 0;
   const auto leaf = [&](std::uint32_t last, auto&& low,
                         auto&& rank) __attribute__((always_inline)) {
     if (row_bound && row_count[last] < best.need()) {
       ++cut_row;
+      cut_max = std::max(cut_max, row_count[last] + 1);
       return;
     }
     const std::uint64_t tp = ops.and_popcount(tpre, tumor.row(last));
     if (tp < best.need_win() && (tp < best.need() || best.outranks(low()))) {
       ++cut_leaf;
+      cut_max = std::max(cut_max, tp + 1);
       return;
     }
-    best.consider(tp, ops.and_popcount(npre, normal.row(last)), rank);
+    const std::uint64_t normal_hits = ops.and_popcount(npre, normal.row(last));
+    if (lazy) scored_max = std::max(scored_max, f_numerator(ctx, tp, normal_hits));
+    best.consider(tp, normal_hits, rank);
   };
 
-  unrank_combination(begin, std::span<std::uint32_t>(c.data(), f));
-  for (std::uint32_t k = 0; k < f; ++k) genes_at[f - 1 - k] = c[k];
   std::uint32_t stale = 0;  // first flat slot whose gene changed since its fold
+  bool positioned = false;  // c and genes_at hold λ's digits
   // The slots folded per thread: all h-1 when every loop is flat (the
   // smallest flat gene is then the innermost), else the f flat genes.
   const std::uint32_t flat_slots = d == 0 ? h - 1 : f;
 
-  for (; lambda < end; ++lambda) {
+  // Colex successor of the flat genes: bump the lowest digit that can
+  // move, reset the ones below it.
+  const auto advance = [&]() __attribute__((always_inline)) {
+    std::uint32_t k = 0;
+    while (k + 1 < f && c[k] + 1 == c[k + 1]) ++k;
+    ++c[k];
+    for (std::uint32_t j = 0; j < k; ++j) c[j] = j;
+    for (std::uint32_t j = 0; j <= k; ++j) genes_at[f - 1 - j] = c[j];
+    stale = std::min(stale, f - 1 - k);
+    ++lambda;
+  };
+
+  while (lambda < end) {
+    if (lazy && lambda >= next_block) {
+      // Entering a block (or the rest of one after a cut run): skip what is
+      // left of it in the range when its bound cannot win.
+      std::uint64_t b = lambda >> block_shift;
+      next_block = std::min(end, (b + 1) * block_span);
+      const auto cut_block = [&] {
+        return best.cuts(carried->block_bound(b) / denom, [] { return std::uint64_t{0}; });
+      };
+      if (warm && cut_block()) {
+        // Skip the run of blocks that cannot win, then reposition once.
+        // Their combinations count as pruned at the end of the range.
+        if (open && open_block == b) acc = std::max(acc, carried->block_bound(b));
+        do {
+          skipped += next_block - lambda;
+          lambda = next_block;
+          ++b;
+          next_block = std::min(end, (b + 1) * block_span);
+        } while (lambda < end && cut_block());
+        positioned = false;
+        continue;
+      }
+    }
+    if (!positioned) {
+      unrank_combination(lambda, std::span<std::uint32_t>(c.data(), f));
+      for (std::uint32_t k = 0; k < f; ++k) genes_at[f - 1 - k] = c[k];
+      stale = 0;
+      positioned = true;
+    }
     if (d == 0 || genes - 1 - c[f - 1] >= d) {
-      const std::uint32_t cut = fold(stale, flat_slots);
+      // Warm, the thread is tested on its bound once the slots a cut run
+      // would share are folded, before the last flat slot, whose cut skips
+      // this thread alone. Its combinations rank at least λ + C(top + 1, h)
+      // (d == 1).
+      const std::uint32_t shared = warm ? f - 1 : flat_slots;
+      std::uint32_t cut = fold(stale, shared);
+      if (cut == shared && shared < flat_slots) {
+        const double bound = carried->thread_bound(lambda);
+        if (best.cuts(bound / denom, [&] { return lambda + choose(c[f - 1] + 1, h); })) {
+          enter(lambda >> block_shift);
+          acc = std::max(acc, bound);
+          ++skipped;
+          stale = shared;
+          advance();
+          continue;
+        }
+        cut = fold(shared, flat_slots);
+      }
       stale = cut;
       if (cut < flat_slots) {
         // Every thread sharing genes_at[0..cut] is cut: jump the colex
         // digits below the cut slot's gene to their last values (the run's
-        // last λ) and count the run's work up to `end`.
+        // last λ).
         const std::uint32_t low = f - 1 - cut;
         std::uint64_t run_last = lambda;
         for (std::uint32_t j = 0; j < low; ++j) {
@@ -340,8 +489,8 @@ template <bool kInline>
           c[j] = top;
           genes_at[f - 1 - j] = top;
         }
-        const std::uint64_t work = d == 0 ? 1 : choose(genes - 1 - c[f - 1], d);
-        cut_prefix += (std::min(run_last, end - 1) - lambda + 1) * work;
+        // Every combination of the run extends the cut prefix.
+        if (lazy) note_run(lambda, std::min(run_last, end - 1), f_numerator(ctx, slot_count, 0));
         lambda = run_last;
       } else if (d == 0) {
         // One combination per thread, of rank λ; its smallest gene is the
@@ -352,13 +501,14 @@ template <bool kInline>
         x[0] = c[f - 1];
         for (std::uint32_t l = 1; l < d; ++l) genes_at[f - 1 + l] = x[l] = x[0] + l;
         std::uint32_t inner_stale = f;  // first inner slot to refold
+        scored_max = -kInf;
+        cut_max = 0;
         for (;;) {
           const std::uint32_t inner_cut = fold(inner_stale, h - 1);
           // l: the deepest inner digit whose subtree is finished.
           std::uint32_t l = d - 1;
           if (inner_cut < h - 1) {
             l = inner_cut - (f - 1);
-            cut_prefix += choose(genes - 1 - x[l], d - l);
           } else {
             for (std::uint32_t last = x[d - 1] + 1; last < genes; ++last) {
               // Flat genes are the f smallest, so their colex digits sum to λ.
@@ -379,24 +529,31 @@ template <bool kInline>
           for (std::uint32_t k = l; k < d; ++k) genes_at[f - 1 + k] = x[k];
           inner_stale = f - 1 + l;
         }
+        if (lazy) {
+          // No leaf covers more than the prefix, whose count bounds a row
+          // count the tumor AND was skipped on.
+          const double cut_bound =
+              cut_max == 0 ? -kInf : f_numerator(ctx, std::min(cut_max - 1, slot_count), 0);
+          note_thread(lambda, std::max(scored_max, cut_bound));
+        }
       }
+    } else if (lazy) {
+      enter(lambda >> block_shift);  // a thread with no combinations
     }
 
-    // Colex successor of the flat genes: bump the lowest digit that can
-    // move, reset the ones below it.
-    std::uint32_t k = 0;
-    while (k + 1 < f && c[k] + 1 == c[k + 1]) ++k;
-    ++c[k];
-    for (std::uint32_t j = 0; j < k; ++j) c[j] = j;
-    for (std::uint32_t j = 0; j <= k; ++j) genes_at[f - 1 - j] = c[j];
-    stale = std::min(stale, f - 1 - k);
+    advance();
   }
+  if (lazy) flush();
 
   if constexpr (kInline) credit_inline_calls(ops.calls);
+  // Every combination the scan did not reach was pruned: under a cut
+  // prefix or on its thread's carried bound.
   if (counts != nullptr) {
-    counts->combinations += reached + cut_prefix;
-    counts->pruned += cut_prefix + cut_row;
+    const std::uint64_t covered = range_work(scheme, genes, begin, end);
+    counts->combinations += covered;
+    counts->pruned += covered - reached + cut_row;
     counts->leaf_cut += cut_leaf;
+    counts->threads_skipped += skipped;
   }
   return best.result();
 }
@@ -408,16 +565,17 @@ template <bool kInline>
 __attribute__((aligned(64))) MULTIHIT_TARGET_POPCNT EvalResult
 scan_popcnt_inline(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                    Scheme scheme, std::uint64_t begin, std::uint64_t end, double floor,
-                   KernelCounts* counts) {
-  return scan<true>(tumor, normal, ctx, scheme, begin, end, floor, counts);
+                   KernelCounts* counts, CarriedBounds* carried) {
+  return scan<true>(tumor, normal, ctx, scheme, begin, end, floor, counts, carried);
 }
 
 // POPCNT, any other width (0 or 3+ words, or a mix) through the dispatched
 // kernels.
 __attribute__((aligned(64))) MULTIHIT_TARGET_POPCNT EvalResult
 scan_popcnt(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx, Scheme scheme,
-            std::uint64_t begin, std::uint64_t end, double floor, KernelCounts* counts) {
-  return scan<false>(tumor, normal, ctx, scheme, begin, end, floor, counts);
+            std::uint64_t begin, std::uint64_t end, double floor, KernelCounts* counts,
+            CarriedBounds* carried) {
+  return scan<false>(tumor, normal, ctx, scheme, begin, end, floor, counts, carried);
 }
 
 // Baseline target, every width through the dispatched kernels: the portable
@@ -426,8 +584,9 @@ __attribute__((aligned(64))) EvalResult scan_portable(const BitMatrix& tumor,
                                                       const BitMatrix& normal,
                                                       const FContext& ctx, Scheme scheme,
                                                       std::uint64_t begin, std::uint64_t end,
-                                                      double floor, KernelCounts* counts) {
-  return scan<false>(tumor, normal, ctx, scheme, begin, end, floor, counts);
+                                                      double floor, KernelCounts* counts,
+                                                      CarriedBounds* carried) {
+  return scan<false>(tumor, normal, ctx, scheme, begin, end, floor, counts, carried);
 }
 
 }  // namespace
@@ -442,6 +601,16 @@ std::uint64_t scheme_threads(Scheme scheme, std::uint32_t genes) {
   return choose(genes, scheme.flat);
 }
 
+std::uint64_t scheme_range_work(Scheme scheme, std::uint32_t genes, std::uint64_t begin,
+                                std::uint64_t end) {
+  if (begin < end && end > scheme_threads(scheme, genes)) {
+    throw std::invalid_argument("scheme_range_work: threads [" + std::to_string(begin) + ", " +
+                                std::to_string(end) + ") exceed the " + scheme_name(scheme) +
+                                " space of G = " + std::to_string(genes));
+  }
+  return range_work(scheme, genes, begin, end);
+}
+
 std::uint64_t scheme_thread_work(Scheme scheme, std::uint32_t genes, std::uint64_t lambda) {
   check_scheme(scheme, genes);
   const std::uint32_t top = colex_top(lambda, scheme.flat);
@@ -453,10 +622,20 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
                                                        const BitMatrix& normal,
                                                        const FContext& ctx, Scheme scheme,
                                                        std::uint64_t begin, std::uint64_t end,
-                                                       double floor, KernelCounts* counts) {
+                                                       double floor, KernelCounts* counts,
+                                                       CarriedBounds* carried) {
   const std::uint32_t genes = tumor.genes();
   check_scheme(scheme, genes);
-  assert(normal.genes() == genes);
+  // A normal matrix with fewer genes would be read past its last row.
+  if (normal.genes() != genes) {
+    throw std::invalid_argument("evaluate_range: tumor has " + std::to_string(genes) +
+                                " genes, normal has " + std::to_string(normal.genes()));
+  }
+  if (carried != nullptr &&
+      (carried->scheme() != scheme || carried->threads() != choose(genes, scheme.flat))) {
+    throw std::invalid_argument("evaluate_range: carried bounds were not readied for the " +
+                                scheme_name(scheme) + " space of G = " + std::to_string(genes));
+  }
   // λ past the thread space would unrank to genes past the matrix.
   if (begin < end && end > choose(genes, scheme.flat)) {
     throw std::invalid_argument("evaluate_range: threads [" + std::to_string(begin) + ", " +
@@ -473,7 +652,7 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
     body = narrow(tumor.words_per_row()) && narrow(normal.words_per_row()) ? scan_popcnt_inline
                                                                            : scan_popcnt;
   }
-  return body(tumor, normal, ctx, scheme, begin, end, floor, counts);
+  return body(tumor, normal, ctx, scheme, begin, end, floor, counts, carried);
 }
 
 double greedy_floor(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
@@ -497,6 +676,43 @@ double greedy_floor(const BitMatrix& tumor, const BitMatrix& normal, const FCont
     and_rows(prefix, prefix, tumor.row(pick));
   }
   return f_score(ctx, tp, normal.intersect_count(combo));
+}
+
+bool CarriedBounds::begin(const BitMatrix& tumor, const FContext& ctx, std::uint32_t hits) {
+  const double alpha = ctx.params.alpha;
+  // With α < 0 the numerator rises as TP falls, so no bound carries over.
+  if (hits < 2 || !(alpha >= 0.0) || !std::isfinite(alpha)) return false;
+  const Scheme scheme{hits, hits - 1};
+  const std::uint32_t genes = tumor.genes();
+  const bool same = scheme_ == scheme && genes_ == genes && alpha_ == alpha &&
+                    normal_total_ == ctx.normal_total && tumor.words_per_row() <= tumor_words_ &&
+                    ctx.tumor_total <= tumor_total_;
+  tumor_words_ = tumor.words_per_row();
+  tumor_total_ = ctx.tumor_total;
+  if (same) return true;
+
+  threads_ = scheme_threads(scheme, genes);
+  scheme_ = scheme;
+  genes_ = genes;
+  alpha_ = alpha;
+  normal_total_ = ctx.normal_total;
+  const std::uint64_t span =
+      std::max(kBlockThreads, std::bit_ceil((threads_ + max_blocks_ - 1) / max_blocks_));
+  shift_ = static_cast<unsigned>(std::countr_zero(span));
+  block_ub_.assign((threads_ + span - 1) >> shift_, kInf);
+  thread_ub_.assign(scheme.flat == 1 && span == kBlockThreads ? threads_ : 0, kInf);
+  warm_ = false;
+  return true;
+}
+
+bool CarriedBounds::skips(std::uint64_t begin, std::uint64_t end, double floor,
+                          const FContext& ctx) const noexcept {
+  if (!warm_ || begin >= end) return false;
+  const double denom = static_cast<double>(ctx.tumor_total + ctx.normal_total);
+  for (std::uint64_t b = begin >> shift_; b <= (end - 1) >> shift_; ++b) {
+    if (!(block_ub_[b] / denom < floor)) return false;
+  }
+  return true;
 }
 
 KernelStats scheme_stats(Scheme scheme, std::uint32_t genes, std::uint64_t begin,

@@ -29,10 +29,21 @@
 // thresholds cut each leaf on its own tumor count and, on tumor rows of 3+
 // words, on its innermost gene's row count before any AND.
 //
-// The kernel only scores: besides the winner it reports three counts,
-// combinations covered, pruned and leaf-cut (KernelCounts). Its fold
-// scratch is a per-thread buffer, (h-1)(wt+wn) words, that grows once and
-// is reused.
+// The kernel only scores: besides the winner it reports its counts
+// (KernelCounts). Its fold scratch is a per-thread buffer, (h-1)(wt+wn)
+// words, that grows once and is reused.
+//
+// Carried bounds make the greedy lazy (Minoux's accelerated greedy). Given
+// a CarriedBounds, the kernel bounds the F numerator α·TP + TN of every
+// thread of Scheme{h, h-1} it touches: a scored leaf gives its exact
+// numerator, leaves cut on their row or tumor count give α·c + N_n with c
+// the largest count cut on (at most the prefix's), and a cut prefix gives
+// α·c + N_n of its own count to every thread of its run. The exclusion
+// step only removes tumor samples, so the bounds hold in every later
+// iteration; once warm, the kernel skips a block of threads, or a thread,
+// whose bound over the iteration's denominator cannot reach the floor or
+// beat the incumbent. It still walks λ in order, so the rank tie cuts,
+// the counts and the host sweep's thread invariance hold as without them.
 //
 // It runs one of three compiled bodies of one template, chosen per call:
 // under the AVX2 bitops backend (whose CPU check includes POPCNT) a
@@ -49,9 +60,13 @@
 // scheme_stats call over its partition, the same call the analytic cluster
 // model makes, so both price launches identically by construction.
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "bitmat/bitmatrix.hpp"
 #include "core/fscore.hpp"
@@ -93,13 +108,96 @@ std::uint64_t scheme_threads(Scheme scheme, std::uint32_t genes);
 /// is the thread's largest flat gene. λ must be < scheme_threads().
 std::uint64_t scheme_thread_work(Scheme scheme, std::uint32_t genes, std::uint64_t lambda);
 
+/// Combinations owned by threads [begin, end): the sum of
+/// scheme_thread_work over the range, in closed form per level. Requires a
+/// valid scheme and end <= scheme_threads().
+std::uint64_t scheme_range_work(Scheme scheme, std::uint32_t genes, std::uint64_t begin,
+                                std::uint64_t end);
+
 /// The `floor` argument of evaluate_range that prunes against the range's
 /// own incumbent only.
 inline constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
 
-/// maxF kernel over threads [begin, end) of `scheme`. Both matrices must have
-/// identical gene counts; throws std::invalid_argument like scheme_threads,
-/// or when a non-empty range ends past scheme_threads().
+/// Upper bounds on the F numerator α·TP + TN of each flat thread of
+/// Scheme{hits, hits-1}, carried from one greedy iteration to the next.
+/// An Engine owns one per session and hands it to its evaluator through
+/// FContext::carried; it starts cold, so a resumed session re-derives it.
+///
+/// Every block of threads keeps one bound for all of them: kBlockThreads
+/// threads per block, or the power of two that keeps at most `max_blocks`
+/// blocks, so BRCA-scale spaces fit in 128 KiB. 2-hit spaces, whose
+/// threads are single genes tested before any fold, also keep one bound
+/// per thread (G of them); deeper spaces keep blocks only, since per-thread
+/// bounds there measured no faster and cost C(G, h-1) doubles a session. A
+/// bound only ever falls. A block's bound is written only by the
+/// evaluate_range call whose range holds the whole block, and a thread's
+/// only by the one whose range holds the thread, so host-sweep workers
+/// share the state without locks.
+///
+/// Sound only for successive evaluations of one tumor matrix whose samples
+/// are removed or zeroed between them, at one α >= 0 and one normal matrix
+/// — what Engine guarantees. For α < 0 (the numerator rises as TP falls)
+/// or hits < 2 it stays cold and unused.
+class CarriedBounds {
+ public:
+  static constexpr std::uint64_t kBlockThreads = 64;
+  static constexpr std::uint64_t kDefaultMaxBlocks = 16384;
+
+  explicit CarriedBounds(std::uint64_t max_blocks = kDefaultMaxBlocks) noexcept
+      : max_blocks_(max_blocks < 1 ? 1 : max_blocks) {}
+
+  /// Readies the bounds for one whole-space evaluation of Scheme{hits,
+  /// hits-1} and returns whether they apply. They do not for hits < 2 or
+  /// an α that is negative or not finite. The bounds start over cold when
+  /// the gene count, hits, α or N_n differ from the last evaluation's, or
+  /// the tumor matrix is wider or has more samples left than it had.
+  bool begin(const BitMatrix& tumor, const FContext& ctx, std::uint32_t hits);
+
+  /// Ends the evaluation begin() opened; from now on the bounds are warm.
+  void finish() noexcept { warm_ = true; }
+
+  bool warm() const noexcept { return warm_; }
+
+  /// True when warm block bounds prove that no thread in [begin, end) has
+  /// a combination whose F reaches `floor` at `ctx`.
+  bool skips(std::uint64_t begin, std::uint64_t end, double floor,
+             const FContext& ctx) const noexcept;
+
+  // The kernel's view of the state (evaluate_range).
+  Scheme scheme() const noexcept { return scheme_; }
+  std::uint64_t threads() const noexcept { return threads_; }
+  /// log2 of the threads per block.
+  unsigned block_shift() const noexcept { return shift_; }
+  double block_bound(std::uint64_t block) const noexcept { return block_ub_[block]; }
+  double thread_bound(std::uint64_t lambda) const noexcept {
+    const double block = block_ub_[lambda >> shift_];
+    return thread_ub_.empty() ? block : std::min(thread_ub_[lambda], block);
+  }
+  void lower_block(std::uint64_t block, double bound) noexcept {
+    block_ub_[block] = std::min(block_ub_[block], bound);
+  }
+  void lower_thread(std::uint64_t lambda, double bound) noexcept {
+    if (!thread_ub_.empty()) thread_ub_[lambda] = std::min(thread_ub_[lambda], bound);
+  }
+
+ private:
+  std::uint64_t max_blocks_;
+  Scheme scheme_{};
+  std::uint32_t genes_ = 0;
+  double alpha_ = 0.0;
+  std::uint64_t normal_total_ = 0;
+  std::uint64_t tumor_total_ = 0;
+  std::size_t tumor_words_ = 0;
+  std::uint64_t threads_ = 0;
+  unsigned shift_ = std::countr_zero(kBlockThreads);  ///< log2 threads per block
+  std::vector<double> block_ub_;
+  std::vector<double> thread_ub_;  ///< 2-hit spaces only
+  bool warm_ = false;
+};
+
+/// maxF kernel over threads [begin, end) of `scheme`. Throws
+/// std::invalid_argument when the matrices' gene counts differ, like
+/// scheme_threads, or when a non-empty range ends past scheme_threads().
 /// `counts`, when non-null, accumulates KernelCounts: the combinations the
 /// range covers, those cut without a kernel call, and those cut on their
 /// own tumor count. A prefix is cut when its bound is strictly below
@@ -109,9 +207,17 @@ inline constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
 /// a floor the result is the exact best of the range; with one it is exact
 /// whenever that best is >= floor, which the whole space's argmax always is
 /// when `floor` is the F of a combination in it (see greedy_floor).
+/// `carried`, when non-null, must have been readied by begin() for this
+/// scheme (std::invalid_argument otherwise): the kernel records its
+/// threads' bounds there and, once they are warm, also cuts a block or a
+/// thread whose bound is strictly below max(floor, best F), or equals the
+/// best F while every combination it owns ranks after the best's.
+/// Skipped threads count in KernelCounts::threads_skipped and their
+/// combinations in pruned. The ignored FContext::carried never enables it.
 EvalResult evaluate_range(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                           Scheme scheme, std::uint64_t begin, std::uint64_t end,
-                          double floor = kNoFloor, KernelCounts* counts = nullptr);
+                          double floor = kNoFloor, KernelCounts* counts = nullptr,
+                          CarriedBounds* carried = nullptr);
 
 /// The exact F of one h-gene combination built greedily: each step adds the
 /// gene keeping the most tumor TP (ties to the lowest index). It is a lower

@@ -1,6 +1,7 @@
 #include "core/serial.hpp"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "combinat/unrank.hpp"
 
@@ -8,8 +9,11 @@ namespace multihit {
 
 EvalResult serial_find_best(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                             std::uint32_t hits) {
-  assert(tumor.genes() == normal.genes());
-  assert(hits >= 1);
+  if (tumor.genes() != normal.genes()) {
+    throw std::invalid_argument("serial_find_best: tumor has " + std::to_string(tumor.genes()) +
+                                " genes, normal has " + std::to_string(normal.genes()));
+  }
+  if (hits == 0) throw std::invalid_argument("serial_find_best: hits must be >= 1");
   const std::uint32_t genes = tumor.genes();
   if (genes < hits) return {};
 

@@ -12,9 +12,9 @@
 namespace multihit {
 
 /// Scans every h-gene combination and returns the best (F desc, rank asc).
-/// Requires tumor and normal to have the same gene count and
-/// genes >= h >= 1. Returns an invalid result when the combination space is
-/// empty.
+/// Throws std::invalid_argument when tumor and normal gene counts differ or
+/// hits is 0. Returns an invalid result when the combination space is empty
+/// (genes < hits).
 EvalResult serial_find_best(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                             std::uint32_t hits);
 

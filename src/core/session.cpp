@@ -1,7 +1,7 @@
 #include "core/session.hpp"
 
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "combinat/unrank.hpp"
 #include "obs/recorder.hpp"
@@ -53,7 +53,7 @@ bool Engine::commit_one() {
     return config_.sim_clock ? config_.sim_clock() : fallback;
   };
   const double iter_begin = now(static_cast<double>(progress_.iterations.size()));
-  FContext ctx{config_.f_params, remaining_, normal_.samples()};
+  FContext ctx{config_.f_params, remaining_, normal_.samples(), &carried_};
   const EvalResult best = evaluator_(tumor_, normal_, ctx);
   if (!best.valid || best.tp == 0) {
     // No combination covers any remaining tumor sample; further iterations
@@ -81,9 +81,15 @@ bool Engine::commit_one() {
   record.tumor_remaining_before = remaining_;
 
   covered_.assign(tumor_.words_per_row(), 0);
+  // The evaluator's TP decides how many samples the exclusion removes; a
+  // wrong one would commit silently, so it is checked in every build.
   const std::uint64_t tp_check = tumor_.combine_rows(record.genes, covered_);
-  assert(tp_check == best.tp);
-  (void)tp_check;
+  if (tp_check != best.tp) {
+    throw std::logic_error("engine: iteration " + std::to_string(progress_.iterations.size()) +
+                           ": evaluator reported tp = " + std::to_string(best.tp) +
+                           " but the combination covers " + std::to_string(tp_check) +
+                           " remaining tumor samples");
+  }
 
   if (config_.bit_splicing) {
     remaining_ = tumor_.splice_covered(covered_);

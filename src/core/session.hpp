@@ -23,6 +23,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/engine.hpp"
+#include "core/schemes.hpp"
 
 namespace multihit {
 
@@ -84,6 +85,10 @@ class Engine {
   BitMatrix normal_;
   GreedyResult progress_;
   std::vector<std::uint64_t> covered_;
+  /// Lazy-greedy state handed to the evaluator each iteration
+  /// (FContext::carried). Both constructors start it cold and checkpoints
+  /// do not carry it, so a resumed session stays exact.
+  CarriedBounds carried_;
   std::uint32_t remaining_ = 0;
   bool done_ = false;
 };

@@ -86,6 +86,7 @@ void HostProfiler::record_worker(std::uint32_t worker, const HostWorkerSample& s
   HostWorkerStat& stat = profile_.worker_stats[worker];
   stat.sweeps += 1;
   stat.chunks += sample.chunks;
+  stat.skipped_chunks += sample.skipped_chunks;
   stat.candidates += sample.candidates;
   stat.combinations += sample.combinations;
   stat.empty_polls += sample.empty_polls;
@@ -102,6 +103,7 @@ void HostProfiler::record_worker(std::uint32_t worker, const HostWorkerSample& s
   current_.combinations += sample.combinations;
 
   profile_.total_chunks += sample.chunks;
+  profile_.total_skipped_chunks += sample.skipped_chunks;
   profile_.total_claims += sample.chunks;  // every successful poll is one chunk
   profile_.total_empty_polls += sample.empty_polls;
   profile_.total_candidates += sample.candidates;
@@ -184,6 +186,7 @@ JsonValue workload_json(const HostProfile& profile) {
 JsonValue totals_json(const HostProfile& profile) {
   JsonValue totals = JsonValue::object();
   totals.set("chunks", JsonValue(profile.total_chunks));
+  totals.set("skipped_chunks", JsonValue(profile.total_skipped_chunks));
   totals.set("claims", JsonValue(profile.total_claims));
   totals.set("empty_polls", JsonValue(profile.total_empty_polls));
   totals.set("candidates", JsonValue(profile.total_candidates));
@@ -284,6 +287,7 @@ JsonValue hostprof_report(const HostProfile& profile) {
     entry.set("worker", JsonValue(static_cast<std::uint64_t>(worker.worker)));
     entry.set("sweeps", JsonValue(worker.sweeps));
     entry.set("chunks", JsonValue(worker.chunks));
+    entry.set("skipped_chunks", JsonValue(worker.skipped_chunks));
     entry.set("candidates", JsonValue(worker.candidates));
     entry.set("combinations", JsonValue(worker.combinations));
     entry.set("empty_polls", JsonValue(worker.empty_polls));
@@ -345,6 +349,8 @@ HostProfile hostprof_from_json(const JsonValue& doc) {
 
   const JsonFields totals = root.object("totals");
   profile.total_chunks = totals.u64("chunks");
+  // Documents from before carried bounds skipped chunks have no such field.
+  profile.total_skipped_chunks = totals.has("skipped_chunks") ? totals.u64("skipped_chunks") : 0;
   profile.total_claims = totals.u64("claims");
   profile.total_empty_polls = totals.u64("empty_polls");
   profile.total_candidates = totals.u64("candidates");
@@ -365,6 +371,7 @@ HostProfile hostprof_from_json(const JsonValue& doc) {
     stat.worker = entry.u32("worker");
     stat.sweeps = entry.u64("sweeps");
     stat.chunks = entry.u64("chunks");
+    stat.skipped_chunks = entry.has("skipped_chunks") ? entry.u64("skipped_chunks") : 0;
     stat.candidates = entry.u64("candidates");
     stat.combinations = entry.u64("combinations");
     stat.empty_polls = entry.u64("empty_polls");
@@ -418,23 +425,29 @@ std::vector<std::string> hostprof_crosscheck(const HostProfile& profile) {
   };
 
   std::uint64_t worker_chunks = 0, worker_candidates = 0, worker_combinations = 0;
-  std::uint64_t worker_empty = 0;
+  std::uint64_t worker_empty = 0, worker_skipped = 0;
   HostBitopsCalls worker_calls;
   for (const HostWorkerStat& worker : profile.worker_stats) {
     worker_chunks += worker.chunks;
+    worker_skipped += worker.skipped_chunks;
     worker_candidates += worker.candidates;
     worker_combinations += worker.combinations;
     worker_empty += worker.empty_polls;
     worker_calls += worker.calls;
+    // Skipped chunks are claimed without a clock read, so only timed polls
+    // land in the histogram.
     std::uint64_t mass = 0;
     for (const std::uint64_t count : worker.claim_histogram) mass += count;
-    if (mass != worker.chunks + worker.empty_polls) {
+    if (worker.skipped_chunks > worker.chunks ||
+        mass != worker.chunks - worker.skipped_chunks + worker.empty_polls) {
       mismatches.push_back("worker " + std::to_string(worker.worker) + " claim histogram mass " +
-                           std::to_string(mass) + " != polls " +
-                           std::to_string(worker.chunks + worker.empty_polls));
+                           std::to_string(mass) + " != timed polls " +
+                           std::to_string(worker.chunks + worker.empty_polls) + " - " +
+                           std::to_string(worker.skipped_chunks) + " skipped");
     }
   }
   check_sum("totals.chunks", profile.total_chunks, worker_chunks, "workers");
+  check_sum("totals.skipped_chunks", profile.total_skipped_chunks, worker_skipped, "workers");
   check_sum("totals.candidates", profile.total_candidates, worker_candidates, "workers");
   check_sum("totals.combinations", profile.total_combinations, worker_combinations, "workers");
   check_sum("totals.empty_polls", profile.total_empty_polls, worker_empty, "workers");
@@ -510,6 +523,7 @@ std::string hostprof_text(const HostProfile& profile, bool summary) {
          std::to_string(profile.hits) + ", lambda_end " + std::to_string(profile.lambda_end) +
          "\n";
   out += "  totals: " + std::to_string(profile.total_chunks) + " chunks (" +
+         std::to_string(profile.total_skipped_chunks) + " skipped on carried bounds, " +
          std::to_string(profile.total_empty_polls) + " empty polls), " +
          std::to_string(profile.total_candidates) + " candidates, " +
          std::to_string(profile.total_combinations) + " combinations\n";

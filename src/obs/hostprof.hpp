@@ -76,6 +76,9 @@ struct HostBitopsCalls {
 /// counters), submitted to the profiler by the orchestrator after join.
 struct HostWorkerSample {
   std::uint64_t chunks = 0;
+  /// Of those, chunks the carried bounds skipped whole: no evaluation and
+  /// no clock read, so they add nothing to the claim histogram.
+  std::uint64_t skipped_chunks = 0;
   std::uint64_t candidates = 0;
   std::uint64_t combinations = 0;
   std::uint64_t empty_polls = 0;
@@ -123,6 +126,7 @@ struct HostProfile {
 
   // Deterministic totals.
   std::uint64_t total_chunks = 0;
+  std::uint64_t total_skipped_chunks = 0;
   std::uint64_t total_claims = 0;
   std::uint64_t total_empty_polls = 0;
   std::uint64_t total_candidates = 0;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -180,6 +181,111 @@ TEST(EngineSession, MismatchedEvaluatorRankFailsLoudly) {
   };
   Engine session(data.tumor, data.normal, config, wrong_space);
   EXPECT_THROW(session.step(1), std::logic_error);
+}
+
+TEST(EngineSession, MisreportedTpFailsInEveryBuild) {
+  // The evaluator's TP decides how many samples the exclusion removes. A
+  // wrong one must stop the session in release builds too, naming the
+  // iteration and both counts.
+  const Dataset data = make_data(908);
+  EngineConfig config;
+  config.hits = 4;
+  const Evaluator kernel = make_kernel_evaluator(4);
+  std::uint32_t calls = 0;
+  const Evaluator misreporting = [&](const BitMatrix& tumor, const BitMatrix& normal,
+                                     const FContext& ctx) {
+    EvalResult best = kernel(tumor, normal, ctx);
+    if (calls++ == 1) best.tp += 1;
+    return best;
+  };
+  Engine session(data.tumor, data.normal, config, misreporting);
+  ASSERT_EQ(session.step(1), 1u);
+  const std::uint64_t true_tp = [&] {
+    Engine reference(session.checkpoint(), data.normal, config, kernel);
+    reference.step(1);
+    return reference.result().iterations.back().tp;
+  }();
+  try {
+    session.step(1);
+    FAIL() << "a misreported tp was committed";
+  } catch (const std::logic_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("iteration 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("tp = " + std::to_string(true_tp + 1)), std::string::npos) << message;
+    EXPECT_NE(message.find("covers " + std::to_string(true_tp)), std::string::npos) << message;
+  }
+  EXPECT_EQ(session.iterations_committed(), 1u);
+}
+
+TEST(EngineSession, CarriedBoundsStartColdOnResumeAndStayExact) {
+  // The carried bounds are the session's own: a resumed session starts
+  // cold (checkpoints do not carry them) and still commits the
+  // uninterrupted run's iterations, through the kernel and the host sweep,
+  // in both exclusion modes.
+  const Dataset data = make_data(909);
+  HostSweepOptions sweep;
+  sweep.hits = 4;
+  sweep.threads = 2;
+  sweep.chunk = 64;
+  const std::vector<std::pair<const char*, Evaluator>> evaluators = {
+      {"kernel", make_kernel_evaluator(4)},
+      {"host-sweep", make_host_sweep_evaluator(sweep)},
+  };
+  for (const bool splicing : {true, false}) {
+    EngineConfig config;
+    config.hits = 4;
+    config.bit_splicing = splicing;
+    const GreedyResult serial =
+        run_greedy(data.tumor, data.normal, config, make_serial_evaluator(4));
+    ASSERT_GE(serial.iterations.size(), 3u);
+    for (const auto& [name, inner] : evaluators) {
+      std::vector<bool> warm;  // per evaluation: were the bounds warm going in
+      const Evaluator watched = [&, inner = inner](const BitMatrix& tumor,
+                                                   const BitMatrix& normal,
+                                                   const FContext& ctx) {
+        warm.push_back(ctx.carried != nullptr && ctx.carried->warm());
+        return inner(tumor, normal, ctx);
+      };
+      Engine first(data.tumor, data.normal, config, watched);
+      ASSERT_EQ(first.step(2), 2u) << name;
+      Engine resumed(first.checkpoint(), data.normal, config, watched);
+      first.run();
+      const std::size_t resumed_from = warm.size();
+      resumed.run();
+      expect_same_result(first.result(), serial, name);
+      expect_same_result(resumed.result(), serial, name);
+      ASSERT_GT(warm.size(), resumed_from) << name;
+      EXPECT_FALSE(warm[0]) << name;
+      EXPECT_TRUE(warm[1]) << name;
+      EXPECT_FALSE(warm[resumed_from]) << name << ": a resumed session must start cold";
+    }
+  }
+}
+
+TEST(EngineSession, OneEvaluatorServesInterleavedSessionsOnDifferentData) {
+  // Two datasets of the same shape, stepped alternately through one
+  // evaluator object: each session keeps its own carried bounds, so each
+  // commits its own serial reference.
+  const Dataset a = make_data(910);
+  const Dataset b = make_data(911);
+  EngineConfig config;
+  config.hits = 4;
+  const GreedyResult ref_a = run_greedy(a.tumor, a.normal, config, make_serial_evaluator(4));
+  const GreedyResult ref_b = run_greedy(b.tumor, b.normal, config, make_serial_evaluator(4));
+  HostSweepOptions sweep;
+  sweep.hits = 4;
+  sweep.threads = 2;
+  sweep.chunk = 128;
+  for (const Evaluator& evaluator : {make_kernel_evaluator(4), make_host_sweep_evaluator(sweep)}) {
+    Engine first(a.tumor, a.normal, config, evaluator);
+    Engine second(b.tumor, b.normal, config, evaluator);
+    while (!first.done() || !second.done()) {
+      (void)first.step(1);
+      (void)second.step(1);
+    }
+    expect_same_result(first.result(), ref_a, "dataset a");
+    expect_same_result(second.result(), ref_b, "dataset b");
+  }
 }
 
 TEST(EngineSession, ValidatesLikeRunGreedy) {

@@ -349,6 +349,112 @@ TEST(HostSweep, PruningIsThreadInvariantAtAFixedChunk) {
   }
 }
 
+// --- carried bounds -----------------------------------------------------------
+
+/// The host-sweep evaluator with the Engine's carried bounds withheld.
+Evaluator cold_sweep(HostSweepOptions options, HostSweepTelemetry* sink) {
+  return [inner = make_host_sweep_evaluator(options, sink)](
+             const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx) {
+    FContext cold = ctx;
+    cold.carried = nullptr;
+    return inner(tumor, normal, cold);
+  };
+}
+
+TEST(HostSweep, CarriedBoundsMatchColdAcrossThreadsAndChunks) {
+  // Chunks aligned to the 64-thread blocks and chunks that straddle them
+  // (whose straddled blocks are never lowered): every thread count selects
+  // the cold sweep's combinations, and at a fixed chunk what the bounds
+  // skip does not depend on the thread count.
+  for (const std::uint32_t hits : {2u, 3u, 4u}) {
+    SyntheticSpec spec;
+    spec.genes = 40;
+    spec.tumor_samples = 90;
+    spec.normal_samples = 60;
+    spec.hits = hits;
+    spec.num_combinations = 4;
+    spec.background_rate = 0.03;
+    spec.seed = 3100 + hits;
+    const Dataset data = generate_dataset(spec);
+    EngineConfig config;
+    config.hits = hits;
+    for (const std::uint64_t chunk : {1ull, 61ull, 64ull, 1024ull}) {
+      HostSweepOptions options;
+      options.hits = hits;
+      options.threads = 1;
+      options.chunk = chunk;
+      HostSweepTelemetry cold_total;
+      const GreedyResult cold =
+          run_greedy(data.tumor, data.normal, config, cold_sweep(options, &cold_total));
+      ASSERT_FALSE(cold.iterations.empty());
+      HostSweepTelemetry reference;
+      for (const std::uint32_t threads : {1u, 2u, 4u}) {
+        options.threads = threads;
+        HostSweepTelemetry total;
+        const GreedyResult warm = run_greedy(data.tumor, data.normal, config,
+                                             make_host_sweep_evaluator(options, &total));
+        EXPECT_EQ(warm.combinations(), cold.combinations())
+            << "hits=" << hits << " chunk=" << chunk << " threads=" << threads;
+        EXPECT_EQ(total.counts.combinations, cold_total.counts.combinations);
+        EXPECT_EQ(total.chunks, cold_total.chunks);
+        if (threads == 1u) {
+          reference = total;
+          if (chunk >= 64) {
+            EXPECT_GT(total.counts.threads_skipped, 0u) << "hits=" << hits;
+          }
+        } else {
+          EXPECT_EQ(total.counts.pruned, reference.counts.pruned);
+          EXPECT_EQ(total.counts.threads_skipped, reference.counts.threads_skipped);
+        }
+      }
+    }
+  }
+}
+
+TEST(HostSweep, ChunksSkippedOnCarriedBoundsReadNoClock) {
+  // A chunk its carried bounds rule out is tallied, not timed: the claim
+  // histograms hold the timed polls only, the crosscheck balances them
+  // against the skipped tally, and the report round-trips it.
+  SyntheticSpec spec;
+  spec.genes = 48;
+  spec.tumor_samples = 100;
+  spec.normal_samples = 70;
+  spec.hits = 3;
+  spec.num_combinations = 4;
+  spec.background_rate = 0.02;
+  spec.seed = 5150;
+  const Dataset data = generate_dataset(spec);
+  EngineConfig config;
+  config.hits = 3;
+  obs::HostProfiler profiler;
+  HostSweepOptions options;
+  options.hits = 3;
+  options.threads = 2;
+  options.chunk = 64;
+  options.profiler = &profiler;
+  const GreedyResult warm =
+      run_greedy(data.tumor, data.normal, config, make_host_sweep_evaluator(options));
+  EXPECT_EQ(warm.combinations(),
+            run_greedy(data.tumor, data.normal, config, make_serial_evaluator(3)).combinations());
+
+  const obs::HostProfile& profile = profiler.profile();
+  ASSERT_GT(profile.total_skipped_chunks, 0u);
+  for (const obs::HostWorkerStat& worker : profile.worker_stats) {
+    std::uint64_t mass = 0;
+    for (const std::uint64_t count : worker.claim_histogram) mass += count;
+    EXPECT_EQ(mass, worker.chunks - worker.skipped_chunks + worker.empty_polls);
+  }
+  EXPECT_TRUE(obs::hostprof_crosscheck(profile).empty());
+  const std::string report = obs::hostprof_report(profile).dump();
+  const obs::HostProfile parsed = obs::hostprof_from_json(obs::JsonValue::parse(report));
+  EXPECT_EQ(parsed.total_skipped_chunks, profile.total_skipped_chunks);
+  EXPECT_EQ(obs::hostprof_report(parsed).dump(), report);
+
+  obs::HostProfile corrupt = profile;
+  corrupt.worker_stats[0].skipped_chunks += 1;
+  EXPECT_FALSE(obs::hostprof_crosscheck(corrupt).empty());
+}
+
 // --- full greedy determinism ------------------------------------------------
 
 TEST(HostSweep, GreedySelectionsIdenticalAcrossThreadCountsAndToCluster) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -762,6 +764,271 @@ TEST(Schemes, FewerGenesThanHitsIsAnEmptySpace) {
     EXPECT_FALSE(evaluate_range(tumor, normal, ctx, scheme, 0, scheme_threads(scheme, 4)).valid)
         << scheme_name(scheme);
   }
+}
+
+TEST(Schemes, MismatchedGeneCountsAreRejected) {
+  // A normal matrix with fewer genes would be read past its last row; every
+  // build rejects it, not only those with asserts.
+  const auto f = make_fixture(15, 4, 3);
+  const BitMatrix short_normal(14, 50);
+  const Scheme scheme{4, 3};
+  EXPECT_THROW((void)evaluate_range(f.data.tumor, short_normal, f.ctx, scheme, 0,
+                                    scheme_threads(scheme, 15)),
+               std::invalid_argument);
+  EXPECT_THROW((void)serial_find_best(f.data.tumor, short_normal, f.ctx, 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)serial_find_best(f.data.tumor, f.data.normal, f.ctx, 0),
+               std::invalid_argument);
+}
+
+// --- carried bounds (lazy greedy) ------------------------------------------------
+
+/// `inner` with the Engine's carried bounds withheld: the cold reference a
+/// lazy run must match selection for selection.
+Evaluator without_carried(Evaluator inner) {
+  return [inner = std::move(inner)](const BitMatrix& tumor, const BitMatrix& normal,
+                                    const FContext& ctx) {
+    FContext cold = ctx;
+    cold.carried = nullptr;
+    return inner(tumor, normal, cold);
+  };
+}
+
+void expect_same_greedy(const GreedyResult& a, const GreedyResult& b, const std::string& what) {
+  ASSERT_EQ(a.iterations.size(), b.iterations.size()) << what;
+  EXPECT_EQ(a.uncovered_tumor, b.uncovered_tumor) << what;
+  for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+    EXPECT_EQ(a.iterations[i].genes, b.iterations[i].genes) << what << " iteration " << i;
+    EXPECT_EQ(a.iterations[i].f, b.iterations[i].f) << what << " iteration " << i;
+    EXPECT_EQ(a.iterations[i].tp, b.iterations[i].tp) << what << " iteration " << i;
+    EXPECT_EQ(a.iterations[i].tn, b.iterations[i].tn) << what << " iteration " << i;
+  }
+}
+
+/// The exact largest F numerator over thread λ's combinations of
+/// Scheme{h, h-1} (-inf for a thread with none).
+double exact_thread_numerator(const BitMatrix& tumor, const BitMatrix& normal,
+                              const FContext& ctx, std::uint32_t hits, u64 lambda) {
+  std::vector<std::uint32_t> combo = unrank_combination(lambda, hits - 1);
+  combo.push_back(0);
+  double best = -std::numeric_limits<double>::infinity();
+  for (std::uint32_t last = combo[hits - 2] + 1; last < tumor.genes(); ++last) {
+    combo.back() = last;
+    best = std::max(best, f_numerator(ctx, tumor.intersect_count(combo),
+                                      normal.intersect_count(combo)));
+  }
+  return best;
+}
+
+/// Every thread's and block's carried bound is at least its exact numerator
+/// on the matrices at hand.
+void expect_sound(const CarriedBounds& bounds, const BitMatrix& tumor, const BitMatrix& normal,
+                  const FContext& ctx, std::uint32_t hits, const std::string& where) {
+  const u64 span = u64{1} << bounds.block_shift();
+  for (u64 lambda = 0; lambda < bounds.threads(); ++lambda) {
+    const double exact = exact_thread_numerator(tumor, normal, ctx, hits, lambda);
+    ASSERT_GE(bounds.thread_bound(lambda), exact) << where << " thread " << lambda;
+    ASSERT_GE(bounds.block_bound(lambda / span), exact) << where << " thread " << lambda;
+  }
+}
+
+TEST(CarriedBounds, WarmRunsMatchColdOnAdversarialFixtures) {
+  // Full greedy runs through the kernel evaluator, with the Engine's
+  // carried bounds and without, on every adversarial fixture at h = 2..6
+  // in both exclusion modes: the same selections, the same combinations
+  // covered, and the bounds did skip threads.
+  for (std::uint32_t hits = 2; hits <= 6; ++hits) {
+    u64 skipped = 0;
+    const auto fixtures = adversarial_fixtures(hits);
+    for (std::size_t which = 0; which < fixtures.size(); ++which) {
+      const Fixture& f = fixtures[which];
+      for (const bool splicing : {true, false}) {
+        EngineConfig config;
+        config.hits = hits;
+        config.bit_splicing = splicing;
+        KernelCounts warm_counts, cold_counts;
+        const GreedyResult warm = run_greedy(f.data.tumor, f.data.normal, config,
+                                             make_kernel_evaluator(hits, &warm_counts));
+        const GreedyResult cold =
+            run_greedy(f.data.tumor, f.data.normal, config,
+                       without_carried(make_kernel_evaluator(hits, &cold_counts)));
+        const std::string what = "h=" + std::to_string(hits) + " fixture " +
+                                 std::to_string(which) + (splicing ? " splicing" : " zero-out");
+        expect_same_greedy(warm, cold, what);
+        EXPECT_EQ(warm_counts.combinations, cold_counts.combinations) << what;
+        EXPECT_EQ(cold_counts.threads_skipped, 0u) << what;
+        skipped += warm_counts.threads_skipped;
+      }
+    }
+    EXPECT_GT(skipped, 0u) << "h=" << hits << ": no carried bound ever skipped a thread";
+  }
+}
+
+TEST(CarriedBounds, BoundsNeverUnderstateAThread) {
+  // Before each evaluation the bounds carried from the last one, and after
+  // it the bounds it recorded, are at least every thread's exact F
+  // numerator on the current matrices: the soundness lazy greedy rests on.
+  for (const std::uint32_t hits : {2u, 3u, 4u}) {
+    const auto fixtures = adversarial_fixtures(hits);
+    for (std::size_t which = 0; which < fixtures.size(); ++which) {
+      const Fixture& f = fixtures[which];
+      for (const bool splicing : {true, false}) {
+        const std::string what = "h=" + std::to_string(hits) + " fixture " +
+                                 std::to_string(which) + (splicing ? " splicing" : " zero-out");
+        EngineConfig config;
+        config.hits = hits;
+        config.bit_splicing = splicing;
+        const Evaluator kernel = make_kernel_evaluator(hits);
+        std::size_t iteration = 0;
+        const Evaluator checked = [&](const BitMatrix& tumor, const BitMatrix& normal,
+                                      const FContext& ctx) {
+          const std::string at = what + " iteration " + std::to_string(iteration++);
+          if (ctx.carried->warm()) expect_sound(*ctx.carried, tumor, normal, ctx, hits, at);
+          const EvalResult best = kernel(tumor, normal, ctx);
+          expect_sound(*ctx.carried, tumor, normal, ctx, hits, at + " recorded");
+          return best;
+        };
+        (void)run_greedy(f.data.tumor, f.data.normal, config, checked);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(CarriedBounds, RescansLowerTheBounds) {
+  // Bounds recorded on a dense matrix are loose once most tumor samples are
+  // zeroed. The first evaluation there rescans what they do not rule out
+  // and lowers its bounds, so a repeat skips more threads.
+  const auto f = make_fixture(small_genes(4), 4, 4004, 2);
+  const Scheme scheme{4, 3};
+  const u64 threads = scheme_threads(scheme, f.data.genes());
+  CarriedBounds bounds;
+  ASSERT_TRUE(bounds.begin(f.data.tumor, f.ctx, 4));
+  (void)evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, 0, threads,
+                       greedy_floor(f.data.tumor, f.data.normal, f.ctx, 4), nullptr, &bounds);
+  bounds.finish();
+
+  BitMatrix sparse = f.data.tumor;
+  for (std::uint32_t g = 0; g < sparse.genes(); ++g) {
+    for (std::uint32_t s = 12; s < sparse.samples(); ++s) sparse.clear(g, s);
+  }
+  FContext ctx = f.ctx;
+  ctx.tumor_total = 12;
+  const double floor = greedy_floor(sparse, f.data.normal, ctx, 4);
+  const EvalResult exact = serial_find_best(sparse, f.data.normal, ctx, 4);
+  KernelCounts first, repeat;
+  ASSERT_TRUE(bounds.begin(sparse, ctx, 4));
+  expect_same(evaluate_range(sparse, f.data.normal, ctx, scheme, 0, threads, floor, &first,
+                             &bounds),
+              exact, "first");
+  ASSERT_TRUE(bounds.begin(sparse, ctx, 4));
+  expect_same(evaluate_range(sparse, f.data.normal, ctx, scheme, 0, threads, floor, &repeat,
+                             &bounds),
+              exact, "repeat");
+  EXPECT_GT(repeat.threads_skipped, first.threads_skipped);
+}
+
+TEST(CarriedBounds, NegativeAlphaStaysColdAndCutsNothing) {
+  // With α < 0 the numerator rises as TP falls, so nothing carries over:
+  // the bounds never apply and the run is the cold run, count for count.
+  for (const std::uint32_t hits : {2u, 3u, 4u}) {
+    for (const Fixture& f : adversarial_fixtures(hits)) {
+      EngineConfig config;
+      config.hits = hits;
+      config.f_params.alpha = -0.5;
+      KernelCounts warm_counts, cold_counts;
+      const GreedyResult warm = run_greedy(f.data.tumor, f.data.normal, config,
+                                           make_kernel_evaluator(hits, &warm_counts));
+      const GreedyResult cold =
+          run_greedy(f.data.tumor, f.data.normal, config,
+                     without_carried(make_kernel_evaluator(hits, &cold_counts)));
+      expect_same_greedy(warm, cold, "alpha = -0.5, h=" + std::to_string(hits));
+      EXPECT_EQ(warm_counts.threads_skipped, 0u);
+      EXPECT_EQ(warm_counts.pruned, cold_counts.pruned);
+      EXPECT_EQ(warm_counts.leaf_cut, cold_counts.leaf_cut);
+    }
+  }
+  const auto f = make_fixture(16, 4, 31);
+  CarriedBounds bounds;
+  for (const double alpha : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    FContext ctx = f.ctx;
+    ctx.params.alpha = alpha;
+    EXPECT_FALSE(bounds.begin(f.data.tumor, ctx, 4)) << alpha;
+  }
+  EXPECT_FALSE(bounds.begin(f.data.tumor, f.ctx, 1));
+  EXPECT_TRUE(bounds.begin(f.data.tumor, f.ctx, 4));
+  EXPECT_FALSE(bounds.warm());
+}
+
+TEST(CarriedBounds, BlockOnlyBoundsStayExact) {
+  // Capped at 4 blocks, every space here runs on blocks of more than
+  // kBlockThreads threads, over one range (the kernel evaluator's shape)
+  // and over ragged chunks that split them.
+  for (const std::uint32_t hits : {3u, 4u, 5u}) {
+    const auto fixtures = adversarial_fixtures(hits);
+    for (std::size_t which = 0; which < fixtures.size(); ++which) {
+      const Fixture& f = fixtures[which];
+      const Scheme scheme{hits, hits - 1};
+      EngineConfig config;
+      config.hits = hits;
+      const GreedyResult serial =
+          run_greedy(f.data.tumor, f.data.normal, config, make_serial_evaluator(hits));
+      for (const u64 chunk : {u64{0}, u64{37}}) {
+        CarriedBounds bounds(4);
+        const Evaluator lazy = [&](const BitMatrix& tumor, const BitMatrix& normal,
+                                   const FContext& ctx) {
+          EXPECT_TRUE(bounds.begin(tumor, ctx, hits));
+          EXPECT_LE(bounds.threads(), u64{4} << bounds.block_shift());
+          const u64 threads = scheme_threads(scheme, tumor.genes());
+          const double floor = greedy_floor(tumor, normal, ctx, hits);
+          EvalResult best;
+          KernelCounts counts;
+          for (u64 a = 0; a < threads; a += chunk == 0 ? threads : chunk) {
+            const u64 b = chunk == 0 ? threads : std::min(threads, a + chunk);
+            best = merge_results(
+                best, evaluate_range(tumor, normal, ctx, scheme, a, b, floor, &counts, &bounds));
+          }
+          bounds.finish();
+          EXPECT_EQ(counts.combinations, binomial(tumor.genes(), hits));
+          return best;
+        };
+        const GreedyResult result = run_greedy(f.data.tumor, f.data.normal, config, lazy);
+        expect_same_greedy(result, serial,
+                           "h=" + std::to_string(hits) + " fixture " + std::to_string(which) +
+                               " chunk " + std::to_string(chunk));
+      }
+    }
+  }
+}
+
+TEST(CarriedBounds, UnreadiedBoundsAreRejected) {
+  const auto f = make_fixture(15, 4, 3);
+  CarriedBounds bounds;
+  EXPECT_THROW((void)evaluate_range(f.data.tumor, f.data.normal, f.ctx, {4, 3}, 0, 1, kNoFloor,
+                                    nullptr, &bounds),
+               std::invalid_argument);
+  ASSERT_TRUE(bounds.begin(f.data.tumor, f.ctx, 4));
+  EXPECT_THROW((void)evaluate_range(f.data.tumor, f.data.normal, f.ctx, {4, 2}, 0, 1, kNoFloor,
+                                    nullptr, &bounds),
+               std::invalid_argument);
+}
+
+TEST(CarriedBounds, RangeWorkMatchesThreadWork) {
+  for (const Scheme scheme : all_schemes()) {
+    const std::uint32_t genes = small_genes(scheme.hits);
+    const u64 threads = scheme_threads(scheme, genes);
+    for (const auto& [a, b] : ragged_ranges(threads, scheme.hits * 7 + scheme.flat)) {
+      u64 work = 0;
+      for (u64 lambda = a; lambda < b; ++lambda) {
+        work += scheme_thread_work(scheme, genes, lambda);
+      }
+      EXPECT_EQ(scheme_range_work(scheme, genes, a, b), work)
+          << scheme_name(scheme) << " [" << a << "," << b << ")";
+    }
+  }
+  EXPECT_THROW((void)scheme_range_work({4, 3}, 15, 0, scheme_threads({4, 3}, 15) + 1),
+               std::invalid_argument);
 }
 
 // --- workload / scheduling --------------------------------------------------------
