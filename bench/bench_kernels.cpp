@@ -148,12 +148,15 @@ void BM_SerialReferenceThreeHit(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialReferenceThreeHit)->Unit(benchmark::kMillisecond);
 
-// greedy:0 is a random mask with ~25% of samples covered (the worst case for
-// the splice's runs); greedy:1 is what a cover2 greedy iteration splices:
-// 300 genes x 1600 tumor samples with one planted combination's TP samples
-// covered, so the mask has few holes.
+// greedy:0 is a random mask with ~25% of samples covered, so most words lose
+// bits; greedy:1 is what a cover2 greedy iteration splices: 300 genes x 1600
+// tumor samples with one planted combination's TP samples covered, so the
+// mask has few holes. avx2:0 runs the scalar compress, avx2:1 (registered
+// only where the CPU supports it) the PEXT one.
 void BM_BitSplice(benchmark::State& state) {
   const bool greedy = state.range(0) != 0;
+  const BitopsBackend backend =
+      state.range(1) != 0 ? BitopsBackend::kAvx2 : BitopsBackend::kScalar;
   Dataset data;
   std::vector<std::uint64_t> covered;
   if (greedy) {
@@ -174,14 +177,25 @@ void BM_BitSplice(benchmark::State& state) {
     covered.resize(data.tumor.words_per_row());
     for (auto& w : covered) w = rng() & rng();
   }
+  const BitopsBackend previous = active_backend();
+  set_backend(backend);
   for (auto _ : state) {
     state.PauseTiming();
     BitMatrix copy = data.tumor;
     state.ResumeTiming();
     benchmark::DoNotOptimize(copy.splice_covered(covered));
   }
+  set_backend(previous);
 }
-BENCHMARK(BM_BitSplice)->ArgName("greedy")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BitSplice)
+    ->ArgNames({"greedy", "avx2"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (const std::int64_t greedy : {0, 1}) {
+        b->Args({greedy, 0});
+        if (backend_supported(BitopsBackend::kAvx2)) b->Args({greedy, 1});
+      }
+    })
+    ->Unit(benchmark::kMicrosecond);
 
 // A full cover2-shaped greedy solve (300 genes, 1600/1000 samples, 60
 // planted pairs, the wallbench cover2 shape) through

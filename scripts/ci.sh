@@ -106,8 +106,9 @@ if command -v python3 > /dev/null; then
 fi
 # BitSplicing wall time, printed into the log without a gate (wall clock is
 # not gateable): the BM_BitSplice medians for a random ~25%-covered mask
-# (greedy:0, the worst case for the splice's run list) and the mask a cover2
-# greedy iteration splices (greedy:1).
+# (greedy:0, where most words lose bits) and the mask a cover2 greedy
+# iteration splices (greedy:1), each with the scalar compress (avx2:0) and,
+# where the CPU has it, the PEXT one (avx2:1).
 echo "=== bit splice timing ==="
 build/bench/bench_kernels --benchmark_filter='^BM_BitSplice/' --benchmark_repetitions=5 \
   --benchmark_report_aggregates_only=true 2> /dev/null | grep -E '^BM_BitSplice/.*_median'

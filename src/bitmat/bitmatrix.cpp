@@ -75,74 +75,12 @@ std::uint64_t BitMatrix::total_set_bits() const noexcept {
   return popcount_row(words_);
 }
 
-namespace {
-
-// One maximal run of kept samples inside one source word: `len` bits starting
-// at bit `shift` of source word `src_word` land at packed position `dst_bit`.
-struct SpliceRun {
-  std::uint64_t mask;  ///< low `len` bits set
-  std::uint32_t src_word;
-  std::uint32_t dst_bit;
-  std::uint32_t shift;
-  std::uint32_t len;
-};
-
-// Splits `keep` into its runs, in sample order; bits at positions >= samples
-// are dropped from the last word.
-std::vector<SpliceRun> splice_runs(std::span<const std::uint64_t> keep, std::uint32_t samples) {
-  std::vector<SpliceRun> runs;
-  std::uint32_t dst_bit = 0;
-  for (std::uint32_t w = 0; w < keep.size(); ++w) {
-    std::uint64_t bits = keep[w];
-    if (w == keep.size() - 1 && samples % kWordBits != 0) {
-      bits &= (std::uint64_t{1} << (samples % kWordBits)) - 1;
-    }
-    while (bits != 0) {
-      const auto shift = static_cast<std::uint32_t>(std::countr_zero(bits));
-      const auto len = static_cast<std::uint32_t>(std::countr_one(bits >> shift));
-      const std::uint64_t mask = len == kWordBits ? ~std::uint64_t{0}
-                                                  : (std::uint64_t{1} << len) - 1;
-      runs.push_back({mask, w, dst_bit, shift, len});
-      bits &= ~(mask << shift);
-      dst_bit += len;
-    }
-  }
-  return runs;
-}
-
-}  // namespace
-
-// Cache-line aligned: code-layout shifts from unrelated edits moved splice time up to 25%.
-__attribute__((aligned(64))) std::uint32_t BitMatrix::splice_columns(
-    std::span<const std::uint64_t> keep) {
+std::uint32_t BitMatrix::splice_columns(std::span<const std::uint64_t> keep) {
   if (keep.size() != words_per_row_) {
     throw std::invalid_argument("splice_columns: keep mask has " + std::to_string(keep.size()) +
                                 " words, rows have " + std::to_string(words_per_row_));
   }
-
-  // Every row shares the mask, so its runs are found once; each row then
-  // moves a run as one shift-and-mask block, ORed into at most two words.
-  const std::vector<SpliceRun> runs = splice_runs(keep, samples_);
-  const std::uint32_t kept = runs.empty() ? 0 : runs.back().dst_bit + runs.back().len;
-  const std::uint32_t new_words = words_for(kept);
-  std::vector<std::uint64_t> compacted(static_cast<std::size_t>(genes_) * new_words, 0);
-
-  for (std::uint32_t g = 0; g < genes_; ++g) {
-    const auto src = row(g);
-    std::uint64_t* dst = compacted.data() + static_cast<std::size_t>(g) * new_words;
-    for (const SpliceRun& run : runs) {
-      const std::uint64_t block = (src[run.src_word] >> run.shift) & run.mask;
-      const std::uint32_t word = run.dst_bit / kWordBits;
-      const std::uint32_t offset = run.dst_bit % kWordBits;
-      dst[word] |= block << offset;
-      if (offset + run.len > kWordBits) dst[word + 1] |= block >> (kWordBits - offset);
-    }
-  }
-
-  samples_ = kept;
-  words_per_row_ = new_words;
-  words_ = std::move(compacted);
-  return kept;
+  return splice(keep, 0);
 }
 
 std::uint32_t BitMatrix::splice_covered(std::span<const std::uint64_t> covered) {
@@ -151,9 +89,30 @@ std::uint32_t BitMatrix::splice_covered(std::span<const std::uint64_t> covered) 
                                 std::to_string(covered.size()) + " words, rows have " +
                                 std::to_string(words_per_row_));
   }
+  return splice(covered, ~std::uint64_t{0});
+}
+
+std::uint32_t BitMatrix::splice(std::span<const std::uint64_t> mask, std::uint64_t flip) {
+  // Every row shares the mask, so it is read once: each word flipped, the
+  // bits at or above samples() trimmed from the tail word, and counted.
+  const std::uint64_t tail = samples_ % kWordBits == 0
+                                 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << (samples_ % kWordBits)) - 1;
   std::vector<std::uint64_t> keep(words_per_row_);
-  for (std::uint32_t w = 0; w < words_per_row_; ++w) keep[w] = ~covered[w];
-  return splice_columns(keep);
+  std::vector<std::uint8_t> kept(words_per_row_);
+  std::uint32_t kept_total = 0;
+  for (std::uint32_t w = 0; w < words_per_row_; ++w) {
+    keep[w] = (mask[w] ^ flip) & (w + 1 == words_per_row_ ? tail : ~std::uint64_t{0});
+    kept[w] = static_cast<std::uint8_t>(std::popcount(keep[w]));
+    kept_total += kept[w];
+  }
+
+  // Packs in place: row g moves from g * old to g * new words, new <= old.
+  compress_rows(words_, keep, kept);
+  samples_ = kept_total;
+  words_per_row_ = words_for(kept_total);
+  words_.resize(static_cast<std::size_t>(genes_) * words_per_row_);
+  return kept_total;
 }
 
 }  // namespace multihit

@@ -74,11 +74,12 @@ class BitMatrix {
   std::uint64_t total_set_bits() const noexcept;
 
   /// BitSplicing: keep only the samples whose bit in `keep` (packed like a
-  /// row) is 1, compacting all rows. `keep` must span words_per_row() words
-  /// (std::invalid_argument otherwise); bits at positions >= samples() are
-  /// ignored. Returns the new sample count. The mask is split once into
-  /// maximal runs of kept bits within a word, and every row moves each run
-  /// as one block: O(genes x runs), where runs <= words + dropped samples.
+  /// row) is 1, compacting all rows in place. `keep` must span
+  /// words_per_row() words (std::invalid_argument otherwise); bits at
+  /// positions >= samples() are ignored. Returns the new sample count. Each
+  /// row streams its words through the active bitops backend's per-word
+  /// compress (compress_rows) and stores each packed word once:
+  /// O(genes x words).
   std::uint32_t splice_columns(std::span<const std::uint64_t> keep);
 
   /// Convenience: splice away the samples marked in `covered` (the samples
@@ -89,6 +90,9 @@ class BitMatrix {
   friend bool operator==(const BitMatrix&, const BitMatrix&) = default;
 
  private:
+  /// splice_columns with keep = mask ^ flip; `mask` is already length-checked.
+  std::uint32_t splice(std::span<const std::uint64_t> mask, std::uint64_t flip);
+
   std::uint32_t genes_ = 0;
   std::uint32_t samples_ = 0;
   std::uint32_t words_per_row_ = 0;

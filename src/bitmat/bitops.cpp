@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
+#include "bitmat/row_packer.hpp"
 #include "util/log.hpp"
 
 namespace multihit {
@@ -31,6 +33,50 @@ std::uint64_t popcount_row(std::span<const std::uint64_t> a) noexcept {
 // Scalar reference backend
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The portable compress. The keep mask is split once per splice into each
+/// word's maximal runs of kept bits (countr_zero / countr_one); compressing
+/// word w of a row then moves each of that word's runs as one shift-and-mask
+/// block. A greedy mask's words hold one or two runs.
+class RunCompress {
+ public:
+  explicit RunCompress(std::span<const std::uint64_t> keep) : first_(keep.size() + 1, 0) {
+    for (std::size_t w = 0; w < keep.size(); ++w) {
+      std::uint64_t bits = keep[w];
+      std::uint32_t pos = 0;
+      while (bits != 0) {
+        const auto shift = static_cast<std::uint32_t>(std::countr_zero(bits));
+        const auto len = static_cast<std::uint32_t>(std::countr_one(bits >> shift));
+        const std::uint64_t mask = len == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
+        runs_.push_back({mask, shift, pos});
+        bits &= ~(mask << shift);
+        pos += len;
+      }
+      first_[w + 1] = static_cast<std::uint32_t>(runs_.size());
+    }
+  }
+
+  std::uint64_t operator()(std::uint64_t x, std::size_t w) const noexcept {
+    std::uint64_t out = 0;
+    for (std::uint32_t i = first_[w]; i < first_[w + 1]; ++i) {
+      out |= ((x >> runs_[i].shift) & runs_[i].mask) << runs_[i].pos;
+    }
+    return out;
+  }
+
+ private:
+  struct Run {
+    std::uint64_t mask;  ///< low len bits set
+    std::uint32_t shift;
+    std::uint32_t pos;  ///< where the run lands in the compressed word
+  };
+  std::vector<Run> runs_;
+  std::vector<std::uint32_t> first_;  ///< word w's runs are [first_[w], first_[w + 1])
+};
+
+}  // namespace
+
 namespace bitops_scalar {
 
 std::uint64_t and_popcount2(std::span<const std::uint64_t> a,
@@ -47,6 +93,16 @@ void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
   for (std::size_t w = 0; w < dst.size(); ++w) dst[w] = a[w] & b[w];
 }
 
+// Cache-line aligned, like the enumeration kernels (see DESIGN.md).
+__attribute__((aligned(64))) void compress_rows(std::span<std::uint64_t> words,
+                                                std::span<const std::uint64_t> keep,
+                                                std::span<const std::uint8_t> kept) {
+  if (keep.empty()) return;
+  const RunCompress compress(keep);
+  bitops_detail::pack_rows(words.data(), words.size() / keep.size(), kept.data(), keep.size(),
+                           compress);
+}
+
 }  // namespace bitops_scalar
 
 // ---------------------------------------------------------------------------
@@ -60,13 +116,15 @@ struct Kernels {
   std::uint64_t (*and2)(std::span<const std::uint64_t>, std::span<const std::uint64_t>) noexcept;
   void (*and_rows)(std::span<std::uint64_t>, std::span<const std::uint64_t>,
                    std::span<const std::uint64_t>) noexcept;
+  void (*compress_rows)(std::span<std::uint64_t>, std::span<const std::uint64_t>,
+                        std::span<const std::uint8_t>);
 };
 
 constexpr Kernels kScalarKernels{BitopsBackend::kScalar, bitops_scalar::and_popcount2,
-                                 bitops_scalar::and_rows};
+                                 bitops_scalar::and_rows, bitops_scalar::compress_rows};
 
 constexpr Kernels kAvx2Kernels{BitopsBackend::kAvx2, bitops_avx2::and_popcount2,
-                               bitops_avx2::and_rows};
+                               bitops_avx2::and_rows, bitops_avx2::compress_rows};
 
 // -------------------------------------------------------------- call counting
 //
@@ -95,7 +153,8 @@ void counted_and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_
 
 template <const Kernels& kBase>
 constexpr Kernels counting_table() noexcept {
-  return Kernels{kBase.backend, counted_and2<kBase>, counted_and_rows<kBase>};
+  return Kernels{kBase.backend, counted_and2<kBase>, counted_and_rows<kBase>,
+                 kBase.compress_rows};
 }
 
 constexpr Kernels kScalarCounting = counting_table<kScalarKernels>();
@@ -155,8 +214,8 @@ bool backend_supported(BitopsBackend backend) noexcept {
       return true;
     case BitopsBackend::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
-      // BMI2 ships on every AVX2-era core (Haswell+); requiring both keeps
-      // the backend free to use shlx/pdep in future revisions. POPCNT too:
+      // BMI2 ships on every AVX2-era core (Haswell+) and the splice's
+      // compress is a PEXT, so the backend requires both. POPCNT too:
       // the AVX2 bodies are compiled with it, and the enumeration kernel's
       // target("popcnt") body runs whenever this backend is active, so a VM
       // whose CPUID masks it must fall back to scalar.
@@ -222,6 +281,12 @@ __attribute__((aligned(64))) void and_rows(std::span<std::uint64_t> dst,
                                            std::span<const std::uint64_t> b) noexcept {
   MULTIHIT_BITOPS_CHECK("and_rows", dst.size(), a.size(), b.size());
   kernels().and_rows(dst, a, b);
+}
+
+void compress_rows(std::span<std::uint64_t> words, std::span<const std::uint64_t> keep,
+                   std::span<const std::uint8_t> kept) {
+  MULTIHIT_BITOPS_CHECK("compress_rows", keep.size(), kept.size());
+  kernels().compress_rows(words, keep, kept);
 }
 
 }  // namespace multihit

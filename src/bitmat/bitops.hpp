@@ -7,12 +7,16 @@
 // with bitwise AND + popcount. Two kernels carry the enumeration in
 // core/schemes.cpp: every combination costs one two-row and_popcount per
 // matrix, and and_rows refolds a prefix slot when one of its genes changes.
-// They are the unit of scale the whole system is built around.
+// They are the unit of scale the whole system is built around. A third,
+// compress_rows, is BitSplicing's row packer (BitMatrix::splice_columns):
+// only its per-word compress differs between backends.
 //
 // Two implementations live behind the dispatched functions:
 //
 //   kScalar  portable word loop (std::popcount); the bit-exact reference
 //            every other backend is pinned to in tests/test_bitops_simd.cpp.
+//            Its compress moves each keep word's runs of kept bits, found
+//            once per splice.
 //   kAvx2    AVX2 bit-sliced kernels: 4 words per vector, nibble-LUT
 //            (vpshufb) popcount with Harley-Seal carry-save accumulation on
 //            long rows, unaligned loads throughout (rows are only 8-byte
@@ -22,14 +26,17 @@
 //            must also have POPCNT: the enumeration kernel runs a
 //            target("popcnt") body whenever this backend is active, and on
 //            rows of 1-2 words that body ANDs and counts them inline
-//            instead of calling the dispatched kernels.
+//            instead of calling the dispatched kernels. Its compress is one
+//            BMI2 PEXT per word, except on AMD families 15h and 17h, where
+//            PEXT is microcoded and the scalar compress is used instead.
 //
 // Dispatch is resolved once from CPUID (and the MULTIHIT_BITOPS environment
 // override: "scalar", "avx2", or "auto") on first use; set_backend() can
 // retarget it at any time. All backends produce bit-identical counts, so the
 // choice is invisible to everything above — only the wall clock moves.
 //
-// Length contract: both kernels require equal-length spans. In checked
+// Length contract: the AND kernels require equal-length spans, and
+// compress_rows one kept count per keep word. In checked
 // builds (!NDEBUG or MULTIHIT_CHECKS, the ASan preset) a mismatch aborts
 // with a diagnostic, in the dispatched kernels and in the enumeration
 // kernel's inline copies alike (MULTIHIT_BITOPS_CHECK); release builds
@@ -60,7 +67,7 @@ void check_span_lengths(const char* op, std::size_t a, std::size_t b,
 
 enum class BitopsBackend {
   kScalar,  ///< portable reference path
-  kAvx2,    ///< AVX2(+BMI2) vectorized popcount
+  kAvx2,    ///< AVX2 vectorized popcount, BMI2 PEXT splice compress
 };
 
 /// Human-readable backend name ("scalar", "avx2").
@@ -103,6 +110,17 @@ std::uint64_t and_popcount(std::span<const std::uint64_t> a,
 /// loop ANDs one staged row instead of re-reading every gene's row.
 void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
               std::span<const std::uint64_t> b) noexcept;
+
+/// BitSplicing's row packer: in every keep.size()-word row of `words`, keeps
+/// the bits that `keep` marks, packed to the front of the row, in place. Row
+/// r then occupies words [r * n', (r + 1) * n'), n' = ceil(sum(kept) / 64),
+/// with zeros above its last kept bit; the words after the last packed row
+/// are left unspecified. kept[w] must equal popcount(keep[w]) and
+/// words.size() must be a multiple of keep.size(). Not counted by call
+/// counting (it is no enumeration kernel). The scalar backend allocates a
+/// run table for the mask, so this may throw std::bad_alloc.
+void compress_rows(std::span<std::uint64_t> words, std::span<const std::uint64_t> keep,
+                   std::span<const std::uint8_t> kept);
 
 // ---------------------------------------------------------------------------
 // Kernel-call counting (host profiler support)
@@ -152,6 +170,8 @@ std::uint64_t and_popcount2(std::span<const std::uint64_t> a,
                             std::span<const std::uint64_t> b) noexcept;
 void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
               std::span<const std::uint64_t> b) noexcept;
+void compress_rows(std::span<std::uint64_t> words, std::span<const std::uint64_t> keep,
+                   std::span<const std::uint8_t> kept);
 }  // namespace bitops_scalar
 
 /// AVX2 entry points exist on every x86-64 build (per-function target
@@ -163,6 +183,8 @@ std::uint64_t and_popcount2(std::span<const std::uint64_t> a,
                             std::span<const std::uint64_t> b) noexcept;
 void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
               std::span<const std::uint64_t> b) noexcept;
+void compress_rows(std::span<std::uint64_t> words, std::span<const std::uint64_t> keep,
+                   std::span<const std::uint8_t> kept);
 }  // namespace bitops_avx2
 
 }  // namespace multihit

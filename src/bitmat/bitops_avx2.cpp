@@ -22,6 +22,11 @@
 // (_mm256_loadu_si256): rows are only 8-byte aligned, and BitSplicing and
 // the differential tests deliberately shift span offsets.
 //
+// compress_rows, BitSplicing's row packer, compresses each source word with
+// one PEXT (_pext_u64) under the shared packer loop (row_packer.hpp). PEXT
+// is microcoded on AMD families 15h and 17h (tens of cycles, varying with the
+// mask), so there the entry point runs the scalar compress instead.
+//
 // Everything is compiled with per-function target attributes
 // ("avx2,bmi2"), keeping the translation unit buildable at baseline x86-64;
 // callers must gate on backend_supported(BitopsBackend::kAvx2). On non-x86
@@ -34,6 +39,8 @@
 #include <immintrin.h>
 
 #include <bit>
+
+#include "bitmat/row_packer.hpp"
 
 #define MULTIHIT_TARGET_AVX2 __attribute__((target("avx2,bmi2,popcnt")))
 
@@ -180,6 +187,34 @@ MULTIHIT_TARGET_AVX2 void and_rows(std::span<std::uint64_t> dst, std::span<const
   for (; w < n; ++w) pd[w] = pa[w] & pb[w];
 }
 
+namespace {
+
+// Family check, not a feature check: CPUID reports BMI2 either way.
+bool pext_microcoded() noexcept {
+  static const bool microcoded = __builtin_cpu_is("amdfam15h") || __builtin_cpu_is("amdfam17h");
+  return microcoded;
+}
+
+struct PextCompress {
+  const std::uint64_t* keep;
+  MULTIHIT_TARGET_AVX2 std::uint64_t operator()(std::uint64_t x, std::size_t w) const noexcept {
+    return _pext_u64(x, keep[w]);
+  }
+};
+
+}  // namespace
+
+// Cache-line aligned, like the kernels above.
+__attribute__((aligned(64)))
+MULTIHIT_TARGET_AVX2 void compress_rows(std::span<std::uint64_t> words,
+                                        std::span<const std::uint64_t> keep,
+                                        std::span<const std::uint8_t> kept) {
+  if (pext_microcoded()) return bitops_scalar::compress_rows(words, keep, kept);
+  if (keep.empty()) return;
+  bitops_detail::pack_rows(words.data(), words.size() / keep.size(), kept.data(), keep.size(),
+                           PextCompress{keep.data()});
+}
+
 }  // namespace multihit::bitops_avx2
 
 #else  // non-x86: keep the entry points linkable; dispatch never selects them.
@@ -193,6 +228,10 @@ std::uint64_t and_popcount2(std::span<const std::uint64_t> a,
 void and_rows(std::span<std::uint64_t> dst, std::span<const std::uint64_t> a,
               std::span<const std::uint64_t> b) noexcept {
   bitops_scalar::and_rows(dst, a, b);
+}
+void compress_rows(std::span<std::uint64_t> words, std::span<const std::uint64_t> keep,
+                   std::span<const std::uint8_t> kept) {
+  bitops_scalar::compress_rows(words, keep, kept);
 }
 
 }  // namespace multihit::bitops_avx2

@@ -1,7 +1,8 @@
 #include "data/dataset.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -23,20 +24,23 @@ std::vector<std::uint64_t> make_mask(std::uint32_t samples,
   return mask;
 }
 
-std::vector<std::uint64_t> complement_mask(std::uint32_t samples,
-                                           const std::vector<std::uint64_t>& mask) {
+// splice_columns ignores bits beyond the sample count, so the final word
+// needs no trimming.
+std::vector<std::uint64_t> complement_mask(const std::vector<std::uint64_t>& mask) {
   std::vector<std::uint64_t> inverted(mask.size());
   for (std::size_t w = 0; w < mask.size(); ++w) inverted[w] = ~mask[w];
-  // splice_columns ignores bits beyond the sample count, so no trimming
-  // of the final word is needed here.
-  (void)samples;
   return inverted;
 }
 
 }  // namespace
 
 TrainTestSplit split_dataset(const Dataset& data, double train_fraction, std::uint64_t seed) {
-  assert(train_fraction > 0.0 && train_fraction < 1.0);
+  // Written so NaN fails too; a NaN or negative fraction must never reach
+  // the integer conversion below (undefined behaviour).
+  if (!(train_fraction > 0.0 && train_fraction < 1.0)) {
+    throw std::invalid_argument("split_dataset: train_fraction " + std::to_string(train_fraction) +
+                                " is not in (0, 1)");
+  }
   Rng rng(seed);
 
   auto pick = [&](std::uint32_t total) {
@@ -62,9 +66,8 @@ TrainTestSplit split_dataset(const Dataset& data, double train_fraction, std::ui
   split.train.planted = data.planted;
 
   split.test.name = data.name + "/test";
-  split.test.tumor = select_samples(data.tumor, complement_mask(data.tumor_samples(), tumor_mask));
-  split.test.normal =
-      select_samples(data.normal, complement_mask(data.normal_samples(), normal_mask));
+  split.test.tumor = select_samples(data.tumor, complement_mask(tumor_mask));
+  split.test.normal = select_samples(data.normal, complement_mask(normal_mask));
   split.test.planted = data.planted;
   return split;
 }

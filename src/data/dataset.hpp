@@ -34,6 +34,7 @@ struct TrainTestSplit {
 /// Randomly partitions tumor and normal samples into train and test sets.
 /// `train_fraction` of each class goes to train (rounded down, at least one
 /// sample per side when the class is non-empty). Deterministic given `seed`.
+/// Throws std::invalid_argument unless 0 < train_fraction < 1 (NaN included).
 TrainTestSplit split_dataset(const Dataset& data, double train_fraction, std::uint64_t seed);
 
 }  // namespace multihit

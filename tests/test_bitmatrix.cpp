@@ -299,8 +299,18 @@ void expect_splice_matches_reference(const BitMatrix& m, std::span<const std::ui
   EXPECT_EQ(got, want);
 }
 
-TEST(BitMatrix, SpliceMatchesBitLoopReference) {
+struct SpliceCase {
+  std::string name;
+  BitMatrix matrix;
+  std::vector<std::uint64_t> keep;
+};
+
+/// Matrices of 0-1600 samples, each with masks that stress the packer:
+/// empty, full (keep bits above samples() set), single holes, greedy holes,
+/// random, whole-word runs and runs that straddle destination words.
+std::vector<SpliceCase> reference_cases() {
   Rng rng(19);
+  std::vector<SpliceCase> cases;
   for (const std::uint32_t samples : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 129u, 1600u}) {
     const std::uint32_t words = (samples + 63) / 64;
     const BitMatrix m = random_matrix(5, samples, rng);
@@ -334,14 +344,24 @@ TEST(BitMatrix, SpliceMatchesBitLoopReference) {
                        std::vector<std::uint64_t>(words, (std::uint64_t{1} << 40) - 1));
     std::vector<std::uint64_t> high_runs(words, 0xFFFF'0000'0000'FF00ULL);
     masks.emplace_back("offset runs", high_runs);
-    for (const auto& [name, keep] : masks) {
-      SCOPED_TRACE(std::string(name) + ", samples " + std::to_string(samples));
-      expect_splice_matches_reference(m, keep);
+    for (auto& [name, keep] : masks) {
+      cases.push_back({std::string(name) + ", samples " + std::to_string(samples), m,
+                       std::move(keep)});
     }
+  }
+  return cases;
+}
+
+TEST(BitMatrix, SpliceMatchesBitLoopReference) {
+  for (const SpliceCase& c : reference_cases()) {
+    SCOPED_TRACE(c.name);
+    expect_splice_matches_reference(c.matrix, c.keep);
   }
 }
 
-TEST(BitMatrix, SuccessiveGreedySplicesMatchBitLoopReference) {
+/// 60 greedy-shaped splices of one 7 x 1600 matrix, each checked against
+/// the bit loop applied to the previous step's reference.
+void expect_greedy_splices_match_reference() {
   Rng rng(23);
   BitMatrix got = random_matrix(7, 1600, rng);
   BitMatrix want = reference_splice(got, std::vector<std::uint64_t>(got.words_per_row(),
@@ -358,6 +378,80 @@ TEST(BitMatrix, SuccessiveGreedySplicesMatchBitLoopReference) {
     ASSERT_EQ(got, want);
   }
   EXPECT_LT(got.samples(), 1600u);
+}
+
+TEST(BitMatrix, SuccessiveGreedySplicesMatchBitLoopReference) {
+  expect_greedy_splices_match_reference();
+}
+
+/// Restores the bitops backend that was active when it was made.
+class BackendRestorer {
+ public:
+  BackendRestorer() : previous_(active_backend()) {}
+  ~BackendRestorer() { set_backend(previous_); }
+  BackendRestorer(const BackendRestorer&) = delete;
+  BackendRestorer& operator=(const BackendRestorer&) = delete;
+
+ private:
+  BitopsBackend previous_;
+};
+
+TEST(BitMatrix, SpliceBackendsAgree) {
+  // The splice's per-word compress is the backend's (PEXT under avx2), so
+  // each supported backend must reproduce the bit loop on its own.
+  const BackendRestorer restore;
+  for (const BitopsBackend backend : {BitopsBackend::kScalar, BitopsBackend::kAvx2}) {
+    if (!backend_supported(backend)) continue;
+    SCOPED_TRACE(backend_name(backend));
+    ASSERT_TRUE(set_backend(backend));
+    for (const SpliceCase& c : reference_cases()) {
+      SCOPED_TRACE(c.name);
+      expect_splice_matches_reference(c.matrix, c.keep);
+    }
+    expect_greedy_splices_match_reference();
+  }
+}
+
+TEST(BitMatrix, SpliceInPlaceEdgeCases) {
+  // The splice packs every row inside the matrix's own storage, row g moving
+  // from g * old to g * new words: row boundaries, kept counts that end a
+  // row on a word boundary and the tail word are where that can go wrong.
+  Rng rng(29);
+  const std::uint64_t ones = ~std::uint64_t{0};
+  const std::uint64_t alternate = 0x5555'5555'5555'5555ULL;
+  struct Case {
+    const char* name;
+    std::uint32_t genes;
+    std::uint32_t samples;
+    std::vector<std::uint64_t> keep;
+  };
+  const std::vector<Case> cases = {
+      {"one gene", 1, 1600, greedy_keep(1600, 5, rng)},
+      {"one-word rows", 9, 50, {rng()}},
+      // 4 x 32 = 128 kept bits: each row ends exactly on a word boundary.
+      {"kept a multiple of 64", 6, 300, {alternate, alternate, alternate, alternate, 0}},
+      {"kept a multiple of 64, straddling", 6, 300,
+       {0xFFFF'FFFFULL, ones, 0xFFFF'FFFF'0000'0000ULL, 0, 0}},
+      {"keep none", 4, 200, std::vector<std::uint64_t>(4, 0)},
+      // Every keep bit set, including the 56 above samples() in the tail.
+      {"keep all, stale keep bits", 4, 200, std::vector<std::uint64_t>(4, ones)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // random_matrix sets junk above samples(): no splice may carry it.
+    const BitMatrix m = random_matrix(c.genes, c.samples, rng);
+    const BitMatrix want = reference_splice(m, c.keep);
+    BitMatrix got = m;
+    const std::uint64_t* storage = got.row(0).data();
+    ASSERT_EQ(got.splice_columns(c.keep), want.samples());
+    ASSERT_EQ(got, want);
+    if (got.words_per_row() == 0) continue;
+    EXPECT_EQ(got.row(0).data(), storage);  // packed in place, no reallocation
+    if (got.samples() % 64 == 0) continue;
+    for (std::uint32_t g = 0; g < got.genes(); ++g) {
+      EXPECT_EQ(got.row(g).back() >> (got.samples() % 64), 0u) << "gene " << g;
+    }
+  }
 }
 
 TEST(BitMatrix, EqualityComparison) {

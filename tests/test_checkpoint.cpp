@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "bitmat/bitops.hpp"
 #include "core/session.hpp"
 #include "data/generator.hpp"
 #include "util/rng.hpp"
@@ -151,6 +152,36 @@ TEST(Checkpoint, GoldenDigestOfCover2ShapedGreedy) {
   std::stringstream buffer;
   write_checkpoint(buffer, state);
   EXPECT_EQ(fnv1a_digest(buffer.str()), 0xf87f201a9f2e147fULL);
+}
+
+TEST(Checkpoint, GoldenDigestHoldsOnEveryBackend) {
+  // The cover2-shaped greedy above, once per supported bitops backend: the
+  // splice's compress and the enumeration kernels are the backend's, the
+  // checkpoint bytes may not be.
+  SyntheticSpec spec;
+  spec.genes = 300;
+  spec.tumor_samples = 1600;
+  spec.normal_samples = 1000;
+  spec.hits = 2;
+  spec.num_combinations = 60;
+  spec.background_rate = 0.01;
+  spec.seed = 501;
+  const Dataset data = generate_dataset(spec);
+  EngineConfig config;
+  config.hits = 2;
+  const BitopsBackend previous = active_backend();
+  for (const BitopsBackend backend : {BitopsBackend::kScalar, BitopsBackend::kAvx2}) {
+    if (!backend_supported(backend)) continue;
+    SCOPED_TRACE(backend_name(backend));
+    ASSERT_TRUE(set_backend(backend));
+    Engine session(data.tumor, data.normal, config, make_kernel_evaluator(2));
+    const std::size_t steps = session.step(40);
+    std::stringstream buffer;
+    write_checkpoint(buffer, session.checkpoint());
+    set_backend(previous);
+    ASSERT_EQ(steps, 40u);
+    EXPECT_EQ(fnv1a_digest(buffer.str()), 0xf87f201a9f2e147fULL);
+  }
 }
 
 TEST(Checkpoint, RejectsMalformedInput) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "data/dataset.hpp"
 
@@ -142,6 +144,23 @@ TEST(SplitDataset, DeterministicGivenSeed) {
   EXPECT_EQ(a.train.tumor, b.train.tumor);
   const auto c = split_dataset(data, 0.75, 6);
   EXPECT_NE(a.train.tumor, c.train.tumor);
+}
+
+TEST(SplitDataset, RejectsFractionsOutsideTheOpenUnitInterval) {
+  // Checked in every build: a NaN or negative fraction once reached a
+  // float-to-integer conversion (undefined behaviour) in release builds.
+  const Dataset data = generate_dataset(small_spec());
+  for (const double fraction : {std::nan(""), 0.0, 1.0, -0.5, 2.0}) {
+    SCOPED_TRACE(fraction);
+    try {
+      split_dataset(data, fraction, 1);
+      ADD_FAILURE() << "fraction accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("train_fraction " + std::to_string(fraction)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
