@@ -330,8 +330,9 @@ echo "serve SLO byte-identical offline replay, 4/4 planted pathologies detected,
 #  3. Planted regression: equi-area vs equi-distance must diff dirty (exit 1)
 #     with the makespan delta attributed to phase×rank cells, and the dirty
 #     report must be byte-identical across invocations too.
-#  4. bench_diff pins the engine's own invariants (attribution exactness,
-#     round-trip identity) against the committed baseline under --strict.
+#  4. bench_diff pins the engine's own invariants (self identity, regression
+#     detection, tolerance cover, attribution exactness) against the
+#     committed baseline under --strict.
 echo "=== cross-run diff gate ==="
 diff_dir="build/diff_smoke"
 rm -rf "$diff_dir"
@@ -375,3 +376,10 @@ build/examples/cancer_panel > /dev/null
 echo "cancer panel green (2-hit BRCA path included)"
 
 echo "=== all presets green ==="
+
+# Code size, printed and not gated: the simplicity aim in ROADMAP.md is
+# judged by these two figures, so they come from this one command.
+echo "=== source lines (.cpp + .hpp) ==="
+for dir in src src/obs; do
+  printf '%-8s %s\n' "$dir" "$(find "$dir" -name '*.cpp' -o -name '*.hpp' | xargs cat | wc -l)"
+done

@@ -9,11 +9,6 @@ namespace multihit {
 
 namespace {
 constexpr std::uint32_t kWordBits = 64;
-
-// In 64 bits (matrix_words): samples + 63 wraps u32 for counts near 2^32.
-std::uint32_t words_for(std::uint32_t samples) noexcept {
-  return static_cast<std::uint32_t>(matrix_words(1, samples));
-}
 }  // namespace
 
 BitMatrix::BitMatrix(std::uint32_t genes, std::uint32_t samples)

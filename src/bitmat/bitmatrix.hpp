@@ -31,6 +31,12 @@ constexpr std::uint64_t matrix_words(std::uint32_t genes, std::uint32_t samples)
   return std::uint64_t{genes} * ((std::uint64_t{samples} + 63) / 64);
 }
 
+/// Words one row of `samples` columns takes. Goes through matrix_words:
+/// `samples + 63` in 32 bits would wrap for counts within 63 of 2^32.
+constexpr std::uint32_t words_for(std::uint32_t samples) noexcept {
+  return static_cast<std::uint32_t>(matrix_words(1, samples));
+}
+
 class BitMatrix {
  public:
   BitMatrix() = default;

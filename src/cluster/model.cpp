@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "bitmat/bitmatrix.hpp"
 #include "gpusim/device.hpp"
 #include "obs/recorder.hpp"
 #include "sched/memaware.hpp"
@@ -12,10 +13,6 @@
 namespace multihit {
 
 namespace {
-
-constexpr std::uint32_t words_for(std::uint32_t samples) noexcept {
-  return (samples + 63) / 64;
-}
 
 Scheme scheme_for(const ModelInputs& inputs) noexcept {
   return Scheme{inputs.hits, inputs.hits - inputs.inner};

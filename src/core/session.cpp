@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "combinat/unrank.hpp"
 #include "obs/recorder.hpp"
@@ -31,7 +32,29 @@ Engine::Engine(CheckpointState state, BitMatrix normal, EngineConfig config, Eva
   validate();
   // With BitSplicing the matrix width IS the uncovered count; in the
   // zero-out ablation the width never shrinks, so the committed progress
-  // carries the true count.
+  // carries the true count. A count the matrix and the last iteration do not
+  // vouch for would wrap `remaining_ -= tp` and skew F's denominator.
+  if (!progress_.iterations.empty()) {
+    const std::uint32_t count = progress_.uncovered_tumor;
+    bool valid = count <= tumor_.samples() &&
+                 count == progress_.iterations.back().tumor_remaining_after;
+    if (config_.bit_splicing) {
+      valid = valid && count == tumor_.samples();
+    } else {
+      // Zero-out clears covered columns in every row, so each column with a
+      // bit left is uncovered; counting fewer would still wrap.
+      std::vector<std::uint64_t> mutated(tumor_.words_per_row(), 0);
+      for (std::uint32_t g = 0; g < tumor_.genes(); ++g) {
+        const auto row = tumor_.row(g);
+        for (std::size_t w = 0; w < row.size(); ++w) mutated[w] |= row[w];
+      }
+      valid = valid && count >= popcount_row(mutated);
+    }
+    if (!valid) {
+      throw std::invalid_argument("checkpoint uncovered count " + std::to_string(count) +
+                                  " disagrees with its tumor matrix or last iteration");
+    }
+  }
   remaining_ = progress_.iterations.empty() ? tumor_.samples() : progress_.uncovered_tumor;
   progress_.uncovered_tumor = remaining_;
   if (remaining_ == 0) done_ = true;

@@ -37,8 +37,10 @@ class Engine {
   /// Reopens a session from a checkpoint snapshot (the session-level resume:
   /// selections so far, the spliced tumor state, and the uncovered count are
   /// all restored; hits/bit_splicing come from the snapshot). `config`
-  /// supplies everything the snapshot does not carry (recorder, observer,
-  /// f_params, max_iterations).
+  /// supplies everything the snapshot does not carry (f_params,
+  /// max_iterations, recorder, sim_clock). Also throws std::invalid_argument
+  /// when the snapshot's uncovered count disagrees with its tumor matrix or
+  /// its last iteration.
   Engine(CheckpointState state, BitMatrix normal, EngineConfig config, Evaluator evaluator);
 
   /// Advances up to `limit` greedy iterations (0 = no per-call cap) and

@@ -26,6 +26,20 @@ double number_or(const JsonValue& obj, std::string_view key, double fallback) {
   return value && value->is_number() ? value->as_number() : fallback;
 }
 
+/// `obj[key]` as a u32 id, 0 when absent. A present id that is not an
+/// integer in [0, 2^32) throws, naming its path: `array`[`index`].`key`.
+std::uint32_t id_or_zero(const JsonValue& obj, std::string_view key, std::string_view array,
+                         std::size_t index) {
+  const JsonValue* value = obj.find(key);
+  if (!value) return 0;
+  const double id = value->is_number() ? value->as_number() : -1.0;
+  if (!(id >= 0.0 && id < 4294967296.0 && id == std::floor(id))) {
+    throw DiffError("diff: " + std::string(array) + "[" + std::to_string(index) + "]." +
+                    std::string(key) + " is not an integer in [0, 2^32)");
+  }
+  return static_cast<std::uint32_t>(id);
+}
+
 }  // namespace
 
 // --- tolerance grammar -----------------------------------------------------
@@ -103,20 +117,6 @@ const char* delta_class_name(DeltaClass cls) noexcept {
   }
   return "?";
 }
-
-namespace {
-
-DeltaClass delta_class_from_json(const JsonFields& entry) {
-  const std::string& name = entry.string("class");
-  for (DeltaClass cls : {DeltaClass::kIdentical, DeltaClass::kWithinTolerance,
-                         DeltaClass::kImproved, DeltaClass::kRegressed,
-                         DeltaClass::kAdded, DeltaClass::kRemoved}) {
-    if (name == delta_class_name(cls)) return cls;
-  }
-  entry.fail("class", "is \"" + name + "\", not a delta class");
-}
-
-}  // namespace
 
 bool lower_is_better(std::string_view series) {
   // Names where *more* is better; everything else (seconds, bytes, stalls,
@@ -404,10 +404,12 @@ CriticalPathDiff diff_critical_path(const JsonValue* a, const JsonValue* b) {
     const JsonValue* critical = doc.find("critical_path");
     const JsonValue* segments = critical ? critical->find("segments") : nullptr;
     if (!segments || !segments->is_array()) return;
-    for (const JsonValue& seg : segments->as_array()) {
+    const auto& segs = segments->as_array();
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      const JsonValue& seg = segs[i];
       const JsonValue* phase = seg.find("phase");
       if (!phase || !phase->is_string()) continue;
-      const auto lane = static_cast<std::uint32_t>(number_or(seg, "lane", 0.0));
+      const std::uint32_t lane = id_or_zero(seg, "lane", "analysis: critical_path.segments", i);
       const double seconds =
           number_or(seg, "end_seconds", 0.0) - number_or(seg, "begin_seconds", 0.0);
       auto& cell = cells[{phase->as_string(), lane}];
@@ -442,10 +444,12 @@ KernelDiff diff_kernels(const JsonValue* a, const JsonValue* b) {
   const auto accumulate = [&](const JsonValue& doc, bool side_b) {
     const JsonValue* kernels = doc.find("kernels");
     if (!kernels || !kernels->is_array()) return;
-    for (const JsonValue& k : kernels->as_array()) {
-      const Key key{static_cast<std::uint32_t>(number_or(k, "rank", 0.0)),
-                    static_cast<std::uint32_t>(number_or(k, "gpu", 0.0)),
-                    static_cast<std::uint32_t>(number_or(k, "iteration", 0.0))};
+    const auto& launches = kernels->as_array();
+    for (std::size_t i = 0; i < launches.size(); ++i) {
+      const JsonValue& k = launches[i];
+      constexpr std::string_view kPath = "profile: kernels";
+      const Key key{id_or_zero(k, "rank", kPath, i), id_or_zero(k, "gpu", kPath, i),
+                    id_or_zero(k, "iteration", kPath, i)};
       auto& pair = rows[key];
       for (KernelAggregate* agg : {side_b ? &pair.second : &pair.first,
                                    side_b ? &totals.second : &totals.first}) {
@@ -504,12 +508,14 @@ std::vector<IncidentKey> incident_keys(const JsonValue& doc) {
   std::vector<IncidentKey> out;
   const JsonValue* incidents = doc.find("incidents");
   if (!incidents || !incidents->is_array()) return out;
-  for (const JsonValue& inc : incidents->as_array()) {
+  const auto& entries = incidents->as_array();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const JsonValue& inc = entries[i];
     IncidentKey key;
     if (const JsonValue* v = inc.find("rule"); v && v->is_string()) key.rule = v->as_string();
     if (const JsonValue* v = inc.find("kind"); v && v->is_string()) key.kind = v->as_string();
     if (const JsonValue* v = inc.find("tenant"); v && v->is_string()) key.tenant = v->as_string();
-    key.lane = static_cast<std::uint32_t>(number_or(inc, "lane", 0.0));
+    key.lane = id_or_zero(inc, "lane", "health: incidents", i);
     key.fired = number_or(inc, "fired", 0.0);
     key.cleared = number_or(inc, "cleared", 0.0);
     key.value = number_or(inc, "value", 0.0);
@@ -1060,199 +1066,6 @@ JsonValue diff_report_json(const DiffReport& report) {
   doc.set("verdict", std::move(verdict));
   doc.set("summary", report.summary);
   return doc;
-}
-
-// --- JSON parsing ----------------------------------------------------------
-
-namespace {
-
-RunSummary run_side_from_json(const JsonFields& side) {
-  RunSummary out;
-  out.label = side.string("label");
-  out.driver = side.string("driver");
-  out.config = side.object("config").strings();
-  return out;
-}
-
-IncidentKey incident_from_json(const JsonFields& entry) {
-  IncidentKey out;
-  out.rule = entry.string("rule");
-  out.kind = entry.string("kind");
-  out.lane = entry.u32("lane");
-  out.tenant = entry.string("tenant");
-  out.fired = entry.number("fired");
-  out.cleared = entry.number("cleared");
-  out.value = entry.number("value");
-  return out;
-}
-
-}  // namespace
-
-DiffReport diff_from_json(const JsonValue& doc) {
-  const JsonFields root = require_schema<DiffError>(doc, kDiffSchema, "diff report");
-  DiffReport report;
-  const JsonFields runs = root.object("runs");
-  report.run_a = run_side_from_json(runs.object("a"));
-  report.run_b = run_side_from_json(runs.object("b"));
-
-  for (const JsonFields& entry : root.array("tolerances").objects()) {
-    ToleranceRule rule;
-    rule.glob = entry.string("glob");
-    const std::string& mode = entry.string("mode");
-    if (mode != "rel" && mode != "abs") {
-      entry.fail("mode", "is \"" + mode + "\", expected rel or abs");
-    }
-    rule.relative = mode == "rel";
-    rule.bound = entry.number("bound");
-    report.tolerances.push_back(std::move(rule));
-  }
-
-  for (const JsonFields& entry : root.array("config_changes").objects()) {
-    report.config_changes.push_back(
-        {entry.string("key"), {entry.string("a"), entry.string("b")}});
-  }
-
-  for (const JsonFields& entry : root.array("artifacts").objects()) {
-    ArtifactDelta artifact;
-    artifact.name = entry.string("name");
-    artifact.schema = entry.string("schema");
-    artifact.in_a = entry.boolean("in_a");
-    artifact.in_b = entry.boolean("in_b");
-    artifact.identical = entry.boolean("identical");
-    report.artifacts.push_back(std::move(artifact));
-  }
-
-  const JsonFields counts = root.object("counts");
-  report.counts.compared = counts.u32("compared");
-  report.counts.identical = counts.u32("identical");
-  report.counts.within_tolerance = counts.u32("within_tolerance");
-  report.counts.improved = counts.u32("improved");
-  report.counts.regressed = counts.u32("regressed");
-  report.counts.added = counts.u32("added");
-  report.counts.removed = counts.u32("removed");
-
-  for (const JsonFields& entry : root.array("series").objects()) {
-    SeriesDelta delta;
-    delta.series = entry.string("series");
-    delta.cls = delta_class_from_json(entry);
-    if (entry.has("a")) {
-      delta.has_a = true;
-      delta.a = entry.number("a");
-    }
-    if (entry.has("b")) {
-      delta.has_b = true;
-      delta.b = entry.number("b");
-    }
-    if (entry.has("tolerance")) delta.tolerance = entry.string("tolerance");
-    report.series.push_back(std::move(delta));
-  }
-
-  if (root.has("critical_path")) {
-    const JsonFields section = root.object("critical_path");
-    report.critical_path.present = true;
-    report.critical_path.makespan_a = section.number("makespan_a");
-    report.critical_path.makespan_b = section.number("makespan_b");
-    for (const JsonFields& entry : section.array("cells").objects()) {
-      AttributionCell cell;
-      cell.phase = entry.string("phase");
-      cell.lane = entry.u32("lane");
-      cell.a_seconds = entry.number("a_seconds");
-      cell.b_seconds = entry.number("b_seconds");
-      report.critical_path.cells.push_back(std::move(cell));
-    }
-  }
-
-  if (root.has("kernels")) {
-    const JsonFields section = root.object("kernels");
-    KernelDiff& k = report.kernels;
-    k.present = true;
-    k.launches_a = section.number("launches_a");
-    k.launches_b = section.number("launches_b");
-    k.seconds_a = section.number("seconds_a");
-    k.seconds_b = section.number("seconds_b");
-    k.dram_bytes_a = section.number("dram_bytes_a");
-    k.dram_bytes_b = section.number("dram_bytes_b");
-    k.memory_bound_fraction_a = section.number("memory_bound_fraction_a");
-    k.memory_bound_fraction_b = section.number("memory_bound_fraction_b");
-    for (const JsonFields& entry : section.array("rows").objects()) {
-      KernelRowDiff row;
-      row.rank = entry.u32("rank");
-      row.gpu = entry.u32("gpu");
-      row.iteration = entry.u32("iteration");
-      row.launches_a = entry.number("launches_a");
-      row.launches_b = entry.number("launches_b");
-      row.seconds_a = entry.number("seconds_a");
-      row.seconds_b = entry.number("seconds_b");
-      row.dram_bytes_a = entry.number("dram_bytes_a");
-      row.dram_bytes_b = entry.number("dram_bytes_b");
-      row.occupancy_a = entry.number("occupancy_a");
-      row.occupancy_b = entry.number("occupancy_b");
-      row.intensity_a = entry.number("intensity_a");
-      row.intensity_b = entry.number("intensity_b");
-      row.memory_bound_a = entry.number("memory_bound_a");
-      row.memory_bound_b = entry.number("memory_bound_b");
-      k.rows.push_back(std::move(row));
-    }
-  }
-
-  if (root.has("incidents")) {
-    const JsonFields section = root.object("incidents");
-    report.incidents.present = true;
-    report.incidents.matched = section.u32("matched");
-    for (const JsonFields& entry : section.array("added").objects()) {
-      report.incidents.added.push_back(incident_from_json(entry));
-    }
-    for (const JsonFields& entry : section.array("removed").objects()) {
-      report.incidents.removed.push_back(incident_from_json(entry));
-    }
-  }
-
-  if (root.has("slo")) {
-    const JsonFields section = root.object("slo");
-    report.slo.present = true;
-    report.slo_newly_violated = section.u32("newly_violated");
-    for (const JsonFields& entry : section.array("objectives").objects()) {
-      SloObjectiveDiff objective;
-      objective.tenant = entry.string("tenant");
-      objective.kind = entry.string("kind");
-      objective.percentile = entry.number("percentile");
-      objective.observed_a = entry.number("observed_a");
-      objective.observed_b = entry.number("observed_b");
-      objective.attainment_a = entry.number("attainment_a");
-      objective.attainment_b = entry.number("attainment_b");
-      objective.burn_a = entry.number("burn_a");
-      objective.burn_b = entry.number("burn_b");
-      objective.violated_a = entry.boolean("violated_a");
-      objective.violated_b = entry.boolean("violated_b");
-      report.slo.objectives.push_back(std::move(objective));
-    }
-  }
-
-  if (root.has("hostprof")) {
-    const JsonFields section = root.object("hostprof");
-    HostprofDiff& h = report.hostprof;
-    h.present = true;
-    h.wall_a = section.number("wall_a");
-    h.wall_b = section.number("wall_b");
-    h.eval_a = section.number("eval_a");
-    h.eval_b = section.number("eval_b");
-    h.tail_idle_a = section.number("tail_idle_a");
-    h.tail_idle_b = section.number("tail_idle_b");
-    h.combos_per_sec_a = section.number("combos_per_sec_a");
-    h.combos_per_sec_b = section.number("combos_per_sec_b");
-    for (const JsonFields& entry : section.array("phases").objects()) {
-      HostprofPhaseDiff phase;
-      phase.phase = entry.string("phase");
-      phase.max_over_mean_a = entry.number("max_over_mean_a");
-      phase.max_over_mean_b = entry.number("max_over_mean_b");
-      phase.straggler_lane_a = entry.number("straggler_lane_a");
-      phase.straggler_lane_b = entry.number("straggler_lane_b");
-      h.phases.push_back(std::move(phase));
-    }
-  }
-
-  report.summary = root.string("summary");
-  return report;
 }
 
 // --- human rendering -------------------------------------------------------

@@ -33,8 +33,8 @@
 //
 // Determinism contract: same inputs + tolerances => byte-identical
 // multihit.diff.v1 (series sorted by name, sections sorted by their keys,
-// derived quantities recomputed from stored doubles at render time), and
-// diff_from_json round-trips byte-identically like every other obs artifact.
+// derived quantities recomputed from stored doubles at render time). The
+// report is written, never read back: nothing parses multihit.diff.v1.
 
 #include <cstdint>
 #include <stdexcept>
@@ -49,7 +49,9 @@
 namespace multihit::obs {
 
 /// Raised on malformed inputs: unreadable files, wrong schemas, digest
-/// mismatches, and tolerance-grammar errors (naming the offending line).
+/// mismatches, tolerance-grammar errors (naming the offending line), and
+/// section ids (lane, rank, gpu, iteration) that are not integers in
+/// [0, 2^32) (naming their path).
 class DiffError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -285,11 +287,6 @@ DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& op
 /// Renders the multihit.diff.v1 document (stable field order; identical
 /// reports produce byte-identical documents).
 JsonValue diff_report_json(const DiffReport& report);
-
-/// Parses a multihit.diff.v1 document back; throws DiffError on the wrong
-/// schema (naming expected and found) or ill-shaped entries. Round-trip
-/// through diff_report_json is byte-identical.
-DiffReport diff_from_json(const JsonValue& doc);
 
 /// Human-readable rendering; `summary_only` stops after the verdict line.
 std::string diff_text(const DiffReport& report, bool summary_only = false);

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "bitmat/bitmatrix.hpp"
 #include "core/session.hpp"
 #include "data/registry.hpp"
 #include "obs/recorder.hpp"
@@ -25,8 +26,6 @@ namespace {
 /// simulated clock monotonically, so per-job iteration spans append in
 /// non-decreasing start order on each lane.
 constexpr std::uint32_t kJobLaneBase = obs::kSchedulerLane + 1;
-
-std::uint32_t words_for(std::uint32_t samples) noexcept { return (samples + 63) / 64; }
 
 std::uint32_t ceil_log2(std::uint32_t n) noexcept {
   std::uint32_t levels = 0;

@@ -109,68 +109,6 @@ std::string format_event(std::string_view event, const Fields& fields) {
   return out;
 }
 
-std::optional<ParsedEvent> parse_event(std::string_view record) {
-  constexpr std::size_t npos = std::string_view::npos;
-  ParsedEvent parsed;
-  std::size_t pos = record.find(' ');
-  parsed.event = std::string(record.substr(0, pos));
-  if (parsed.event.empty() || parsed.event.find('"') != std::string::npos ||
-      parsed.event.find('=') != std::string::npos) {
-    return std::nullopt;
-  }
-  if (pos == npos) return parsed;
-
-  while (pos < record.size()) {
-    if (record[pos] != ' ') return std::nullopt;
-    ++pos;  // exactly one separating space per field
-    const std::size_t eq = record.find('=', pos);
-    if (eq == npos || eq == pos) return std::nullopt;
-    std::string key(record.substr(pos, eq - pos));
-    if (key.find(' ') != std::string::npos || key.find('"') != std::string::npos) {
-      return std::nullopt;
-    }
-    pos = eq + 1;
-
-    std::string value;
-    if (pos < record.size() && record[pos] == '"') {
-      ++pos;
-      bool closed = false;
-      while (pos < record.size()) {
-        const char c = record[pos++];
-        if (c == '"') {
-          closed = true;
-          break;
-        }
-        if (c == '\\') {
-          if (pos >= record.size()) return std::nullopt;
-          switch (record[pos++]) {
-            case '"': value += '"'; break;
-            case '\\': value += '\\'; break;
-            case 'n': value += '\n'; break;
-            case 'r': value += '\r'; break;
-            case 't': value += '\t'; break;
-            default: return std::nullopt;
-          }
-        } else {
-          value += c;
-        }
-      }
-      if (!closed) return std::nullopt;
-      if (pos < record.size() && record[pos] != ' ') return std::nullopt;
-    } else {
-      std::size_t end = record.find(' ', pos);
-      if (end == npos) end = record.size();
-      value = std::string(record.substr(pos, end - pos));
-      if (value.find('"') != std::string::npos || value.find('=') != std::string::npos) {
-        return std::nullopt;
-      }
-      pos = end;
-    }
-    parsed.fields.emplace_back(std::move(key), std::move(value));
-  }
-  return parsed;
-}
-
 void emit_event(Level lvl, std::string_view event, const Fields& fields) {
   if (level() > lvl) return;
   emit(lvl, format_event(event, fields));

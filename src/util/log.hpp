@@ -61,20 +61,9 @@ std::pair<std::string, std::string> field(std::string_view key, const T& value) 
 
 /// Formats a structured record as `event key=value key=value ...`. Values
 /// containing spaces, quotes, `=`, backslashes, or control characters (or
-/// empty values) are double-quoted with `\`-escaping so every record parses
-/// back losslessly via parse_event.
+/// empty values) are double-quoted, with `"`, `\`, newline, carriage return
+/// and tab `\`-escaped, so a record stays one line and splits unambiguously.
 std::string format_event(std::string_view event, const Fields& fields);
-
-/// Parses a format_event record back into (event, fields). Returns nullopt
-/// for records that are not well-formed (unterminated quote, missing `=`,
-/// bad escape) — the round-trip contract is parse_event(format_event(e, f))
-/// == (e, f) for any field content.
-struct ParsedEvent {
-  std::string event;
-  Fields fields;
-  bool operator==(const ParsedEvent&) const = default;
-};
-std::optional<ParsedEvent> parse_event(std::string_view record);
 
 /// Emits one structured record (`event key=value ...`) at `level`. Used for
 /// machine-readable run records such as fault-injection events.

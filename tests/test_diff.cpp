@@ -297,63 +297,6 @@ TEST(DiffAttribution, CellsPlusResidualSumToMakespanDelta) {
 
 // ------------------------------------------------------------- round-tripping
 
-TEST(DiffReportJson, RoundTripsByteIdentically) {
-  const RunInput a =
-      metrics_run("runA", {{"engine.iterations", 5}, {"sweep.eval_seconds", 10}});
-  const RunInput b =
-      metrics_run("runB", {{"engine.iterations", 6}, {"sweep.eval_seconds", 9.5}});
-  DiffOptions options;
-  options.tolerances = obs::parse_tolerances("tol sweep.* rel 0.25\n");
-  const DiffReport report = obs::diff_runs(a, b, options);
-
-  const std::string first = obs::diff_report_json(report).dump();
-  const DiffReport reparsed = obs::diff_from_json(JsonValue::parse(first));
-  const std::string second = obs::diff_report_json(reparsed).dump();
-  EXPECT_EQ(first, second);
-}
-
-TEST(DiffReportJson, RejectsWrongSchema) {
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", std::string(obs::kMetricsSchema));
-  try {
-    obs::diff_from_json(doc);
-    FAIL() << "expected DiffError";
-  } catch (const DiffError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(std::string(obs::kDiffSchema)), std::string::npos);
-    EXPECT_NE(what.find(std::string(obs::kMetricsSchema)), std::string::npos);
-  }
-}
-
-TEST(DiffReportJson, RejectsHostileFieldsNamingTheirPath) {
-  RunInput a = metrics_run("runA", {{"engine.iterations", 5}});
-  RunInput b = metrics_run("runB", {{"engine.iterations", 6}});
-  obs::add_doc(a, "analysis", analysis_doc(2.0, {segment("compute", 0, 0.0, 2.0)}));
-  obs::add_doc(b, "analysis", analysis_doc(3.0, {segment("compute", 0, 0.0, 3.0)}));
-  DiffOptions options;
-  options.tolerances = obs::parse_tolerances("tol engine.* rel 0.5\n");
-  const std::string good = obs::diff_report_json(obs::diff_runs(a, b, options)).dump();
-  ASSERT_NO_THROW(obs::diff_from_json(JsonValue::parse(good)));
-
-  const auto reject = [](const std::string& text, const char* path) {
-    hostile::expect_rejected<DiffError>(obs::diff_from_json, text, path);
-  };
-  reject(hostile::plant(good, "compared", "4294967297"), "counts.compared");
-  reject(hostile::plant(good, "regressed", "-1"), "counts.regressed");
-  reject(hostile::plant(good, "improved", "1.5"), "counts.improved");
-  reject(hostile::plant(good, "added", "1e30"), "counts.added");
-  reject(hostile::drop(good, "label"), "runs.a.label");
-  reject(hostile::plant(good, "driver", "5", "\"b\":{"), "runs.b.driver");
-  reject(hostile::plant(good, "mode", "\"sideways\""), "tolerances[0].mode");
-  reject(hostile::plant(good, "class", "\"bogus\""), "series[0].class");
-  reject(hostile::plant(good, "a", "\"x\"", "\"series\":["), "series[0].a");
-  reject(hostile::plant(good, "lane", "4294967297", "\"critical_path\""),
-         "critical_path.cells[0].lane");
-  JsonValue summary = JsonValue::parse(good);
-  summary.set("summary", 5.0);
-  reject(summary.dump(), "summary");
-}
-
 TEST(RunManifestJson, RejectsHostileFieldsNamingTheirPath) {
   RunManifest manifest;
   manifest.driver = "brca_scaleout";
@@ -502,6 +445,56 @@ TEST(DiffIncidents, NewIncidentInBIsARegression) {
   EXPECT_EQ(matched.incidents.matched, 1u);
   EXPECT_TRUE(matched.incidents.added.empty());
   EXPECT_FALSE(obs::diff_regression(matched));
+}
+
+/// Diffing a run that holds `doc` as `role` against one whose copy has the
+/// first `key` set to `value` must throw DiffError naming `path`.
+void expect_bad_id_rejected(const char* role, const JsonValue& doc, const char* key,
+                            const char* value, const char* path) {
+  RunInput a;
+  a.label = "a";
+  obs::add_doc(a, role, doc);
+  const auto diff_against_a = [&](const JsonValue& other) {
+    RunInput b;
+    b.label = "b";
+    obs::add_doc(b, role, other);
+    return obs::diff_runs(a, b, DiffOptions{});
+  };
+  ASSERT_NO_THROW(diff_against_a(doc)) << role;
+  hostile::expect_rejected<DiffError>(diff_against_a, hostile::plant(doc.dump(), key, value),
+                                      path);
+}
+
+TEST(DiffSections, RejectIdsOutsideU32NamingTheirPath) {
+  // Regression: ids were cast to u32 unchecked, undefined behaviour for a
+  // health document carrying "lane": -1e20.
+  const JsonValue analysis = analysis_doc(2.0, {segment("compute", 1, 0.0, 2.0)});
+  expect_bad_id_rejected("analysis", analysis, "lane", "-1e20",
+                         "analysis: critical_path.segments[0].lane");
+
+  JsonValue kernel = JsonValue::object();
+  kernel.set("rank", 0);
+  kernel.set("gpu", 1);
+  kernel.set("iteration", 2);
+  kernel.set("sim_seconds", 1.0);
+  JsonValue kernels = JsonValue::array();
+  kernels.push_back(std::move(kernel));
+  JsonValue profile = JsonValue::object();
+  profile.set("schema", std::string(obs::kProfileSchema));
+  profile.set("kernels", std::move(kernels));
+  expect_bad_id_rejected("profile", profile, "rank", "4294967296", "profile: kernels[0].rank");
+  expect_bad_id_rejected("profile", profile, "gpu", "1.5", "profile: kernels[0].gpu");
+  expect_bad_id_rejected("profile", profile, "iteration", "-1", "profile: kernels[0].iteration");
+
+  JsonValue incident = JsonValue::object();
+  incident.set("rule", "straggler");
+  incident.set("lane", 3);
+  JsonValue incidents = JsonValue::array();
+  incidents.push_back(std::move(incident));
+  JsonValue health = JsonValue::object();
+  health.set("schema", std::string(obs::kHealthSchema));
+  health.set("incidents", std::move(incidents));
+  expect_bad_id_rejected("health", health, "lane", "-1e20", "health: incidents[0].lane");
 }
 
 }  // namespace

@@ -150,6 +150,43 @@ TEST(EngineSession, CheckpointResumeRoundTripIsExact) {
   }
 }
 
+TEST(EngineSession, ResumeRejectsAnUncoveredCountTheSnapshotDoesNotVouchFor) {
+  // Regression: a zero-out snapshot whose count was edited down resumed, and
+  // `remaining -= tp` wrapped to ~4.29e9 uncovered samples.
+  const Dataset data = make_data(904);
+  for (const bool splicing : {true, false}) {
+    EngineConfig config;
+    config.hits = 4;
+    config.bit_splicing = splicing;
+    const Evaluator evaluator = make_kernel_evaluator(4);
+    Engine first(data.tumor, data.normal, config, evaluator);
+    ASSERT_EQ(first.step(1), 1u);
+    const CheckpointState good = first.checkpoint();
+    ASSERT_NO_THROW(Engine(good, data.normal, config, evaluator)) << "splicing=" << splicing;
+    const std::uint32_t count = good.progress.uncovered_tumor;
+    ASSERT_GT(count, 3u);
+
+    const auto with_count = [&](std::uint32_t edited, bool edit_last_iteration) {
+      CheckpointState state = good;
+      state.progress.uncovered_tumor = edited;
+      if (edit_last_iteration) state.progress.iterations.back().tumor_remaining_after = edited;
+      return state;
+    };
+    // Disagrees with the last iteration's remaining count.
+    EXPECT_THROW(Engine(with_count(3, false), data.normal, config, evaluator),
+                 std::invalid_argument) << "splicing=" << splicing;
+    // More uncovered samples than the matrix has columns.
+    EXPECT_THROW(Engine(with_count(good.tumor.samples() + 1, true), data.normal, config,
+                        evaluator),
+                 std::invalid_argument) << "splicing=" << splicing;
+    // Under BitSplicing the matrix width is the count; under zero-out every
+    // column with a mutation left is uncovered, so 3 is too few.
+    EXPECT_THROW(Engine(with_count(splicing ? count - 1 : 3, true), data.normal, config,
+                        evaluator),
+                 std::invalid_argument) << "splicing=" << splicing;
+  }
+}
+
 TEST(EngineSession, MaxIterationsPausesWithoutMarkingDone) {
   const Dataset data = make_data(905);
   EngineConfig config;

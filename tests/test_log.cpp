@@ -112,34 +112,11 @@ TEST(Log, FormatEventQuotesAndEscapesHostileValues) {
             "note path=\"c:\\\\tmp\"");
   EXPECT_EQ(format_event("note", {field("text", std::string("line1\nline2"))}),
             "note text=\"line1\\nline2\"");
+  EXPECT_EQ(format_event("note", {field("text", std::string("cr\rtab\tend"))}),
+            "note text=\"cr\\rtab\\tend\"");
+  EXPECT_EQ(format_event("note", {field("mix", std::string("k=\"v\\w\""))}),
+            "note mix=\"k=\\\"v\\\\w\\\"\"");
   EXPECT_EQ(format_event("note", {field("empty", std::string())}), "note empty=\"\"");
-}
-
-TEST(Log, FormatParseEventRoundTrip) {
-  const std::vector<Fields> cases = {
-      {field("rank", 3u), field("t", 2.5)},
-      {field("msg", std::string("two words"))},
-      {field("msg", std::string("say \"hi\"")), field("expr", std::string("a=b"))},
-      {field("path", std::string("c:\\tmp\nnext"))},
-      {field("empty", std::string()), field("tab", std::string("a\tb"))},
-      {},
-  };
-  for (const Fields& fields : cases) {
-    const std::string record = format_event("evt.name", fields);
-    const auto parsed = parse_event(record);
-    ASSERT_TRUE(parsed.has_value()) << record;
-    EXPECT_EQ(parsed->event, "evt.name") << record;
-    EXPECT_EQ(parsed->fields, fields) << record;
-  }
-}
-
-TEST(Log, ParseEventRejectsMalformedRecords) {
-  EXPECT_EQ(parse_event(""), std::nullopt);
-  EXPECT_EQ(parse_event("evt k"), std::nullopt);              // no '='
-  EXPECT_EQ(parse_event("evt k=\"unterminated"), std::nullopt);
-  EXPECT_EQ(parse_event("evt k=a\"b"), std::nullopt);         // bare quote
-  EXPECT_EQ(parse_event("evt  k=v"), std::nullopt);           // double space
-  EXPECT_EQ(parse_event("evt k=\"bad\\q\""), std::nullopt);   // unknown escape
 }
 
 TEST(Log, EmitEventReachesSinkStructured) {
