@@ -5,10 +5,10 @@
 // Runs the Part 1b workload from brca_scaleout — the BRCA-shaped 4-hit
 // downscale (G=90, 120/80 samples, seed 911) — as a full greedy cover with
 // 4 host threads, plain and profiled. With the kernel's prefix cut one cover
-// takes about half a millisecond, so a single timed cover is mostly thread
-// start-up noise: each of the 5 rounds is one interleaved sample that runs
-// plain/profiled pairs of covers (order flipped every pair) until each
-// variant's covers span >= 100 ms. The overhead is the median over all pairs
+// takes about two milliseconds on a 4-vCPU VM, mostly thread start-up, so a
+// single timed cover is noise: each of the 5 rounds is one interleaved sample
+// that runs plain/profiled pairs of covers (order flipped every pair) until
+// each variant's covers span >= 100 ms. The overhead is the median over all pairs
 // of profiled/plain, so load drift between rounds cancels inside each pair.
 // Wall-clock numbers land only in gauges; the strict-gated series are
 // booleans and exact counts:
@@ -26,13 +26,15 @@
 //                          dataset (make_kernel_evaluator)
 //
 // The <5% budget is the host profiler's acceptance gate: the profiled loop
-// adds two steady_clock reads per 1024-λ chunk plus the kernel-call counts:
-// one thread_local increment per dispatched bitops call, and one credit per
-// evaluate_range call for the kernel calls made inline on rows of 1-2 words
-// (this workload's 120/80 samples are 2 words, so it takes that path). That
-// no longer amortizes to noise: a pruned chunk is a microsecond or two of
-// kernel work, and the two reads cost ~80 ns of it on a 4-vCPU VM, so the
-// gate measures a real cost close to its bound.
+// adds two steady_clock reads per evaluated chunk plus the kernel-call
+// counts: one thread_local increment per dispatched bitops call, and one
+// credit per evaluate_range call for the kernel calls made inline on rows of
+// 1-2 words (this workload's 120/80 samples are 2 words, so it takes that
+// path). The sweep derives its chunk from the space: at 4 workers the
+// C(90, 3) = 117,480 threads split into 16 block-aligned chunks of 7,360, so
+// a five-sweep cover claims 80 chunks where fixed 1024-λ chunks made it
+// claim 575. A 4-thread cover is then mostly thread start-up, so the reading
+// swings with the host's load more than with the profiler's own cost.
 
 #include <algorithm>
 #include <chrono>
@@ -81,7 +83,6 @@ int main() {
   HostSweepOptions options;
   options.hits = 4;
   options.threads = 4;
-  options.chunk = 1024;
 
   // One timed cover. A profiled cover gets a fresh profiler (built outside
   // the timed span), so every cover measures the same amount of collection

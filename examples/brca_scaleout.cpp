@@ -3,7 +3,7 @@
 //   $ ./examples/brca_scaleout [nodes] [--scheduler ea|ed|mem]
 //                              [--crash R@I[:F]] [--straggle R@I:F]
 //                              [--drop R@I:N] [--abort I] [--checkpoint N]
-//                              [--host-threads N] [--host-chunk C]
+//                              [--host-threads N] [--host-profile-out FILE]
 //                              [--trace-out FILE] [--metrics-out FILE]
 //                              [--report-out FILE] [--profile-out FILE]
 //                              [--health-out FILE] [--truth-out FILE]
@@ -33,8 +33,10 @@
 // enumeration kernels through the runtime-dispatched bitops backend
 // (MULTIHIT_BITOPS=scalar|avx2|auto). Selections must be bit-identical to
 // both the serial reference and the simulated cluster; the measured
-// combinations/sec is real wall clock, not model. `--host-chunk C` sets the
-// λ chunk size (default 1024).
+// combinations/sec is real wall clock, not model. The sweep derives its
+// chunk from the space: one worker takes the whole λ space, N workers about
+// four block-aligned chunks each. `--host-profile-out FILE` attaches the
+// host profiler and writes its multihit.hostprof.v1 report to FILE.
 //
 // Observability: `--trace-out run.trace.json` writes a Chrome trace-event
 // file of the functional run (open at https://ui.perfetto.dev — one lane per
@@ -105,8 +107,7 @@ namespace {
   std::cerr << "usage: brca_scaleout [nodes] [--scheduler ea|ed|mem]\n"
                "                     [--crash R@I[:F]] [--straggle R@I:F]\n"
                "                     [--drop R@I:N] [--abort I] [--checkpoint N]\n"
-               "                     [--host-threads N] [--host-chunk C]\n"
-               "                     [--host-profile-out FILE]\n"
+               "                     [--host-threads N] [--host-profile-out FILE]\n"
                "                     [--trace-out FILE] [--metrics-out FILE]\n"
                "                     [--report-out FILE] [--profile-out FILE]\n"
                "                     [--health-out FILE] [--truth-out FILE]\n"
@@ -122,7 +123,6 @@ int main(int argc, char** argv) {
   std::uint32_t nodes = 4;
   DistributedOptions options;  // 4-hit, 3x1, EA, both prefetches, splicing
   std::uint32_t host_threads = 0;  // 0 = skip the host-sweep part
-  std::uint64_t host_chunk = 1024;
   std::string host_profile_out;
   std::string trace_out, metrics_out, report_out, profile_out, health_out, truth_out;
   std::string manifest_out, artifacts_dir;
@@ -155,9 +155,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--host-threads") {
       host_threads = static_cast<std::uint32_t>(std::atoi(next()));
       if (host_threads == 0) usage();
-    } else if (arg == "--host-chunk") {
-      host_chunk = static_cast<std::uint64_t>(std::atoll(next()));
-      if (host_chunk == 0) usage();
     } else if (arg == "--host-profile-out") {
       host_profile_out = next();
     } else if (arg == "--trace-out") {
@@ -377,17 +374,15 @@ int main(int argc, char** argv) {
   }
   if (!identical) return 1;
 
+  HostSweepTelemetry total;  // the host sweep's accounting (chunk_size 0: not run)
   if (host_threads > 0) {
     HostSweepOptions sweep;
     sweep.hits = 4;
     sweep.threads = host_threads;
-    sweep.chunk = host_chunk;
     obs::HostProfiler host_profiler;
     if (!host_profile_out.empty()) sweep.profiler = &host_profiler;
     std::cout << "\nPart 1b — host-threaded sweep (real silicon): " << host_threads
-              << " thread(s), chunk " << host_chunk << ", bitops backend "
-              << backend_name(active_backend()) << ".\n";
-    HostSweepTelemetry total;
+              << " thread(s), bitops backend " << backend_name(active_backend()) << ".\n";
     const Evaluator sweep_eval = make_host_sweep_evaluator(sweep, &total);
     const auto t0 = std::chrono::steady_clock::now();
     const GreedyResult swept = run_greedy(data.tumor, data.normal, serial_config, sweep_eval);
@@ -400,8 +395,8 @@ int main(int argc, char** argv) {
               << " (vs serial and distributed)\n"
               << "  " << total.counts.combinations << " combinations in " << seconds
               << " s wall = " << static_cast<double>(total.counts.combinations) / seconds
-              << " combos/sec (" << total.chunks << " chunks across " << total.threads
-              << " worker(s))\n";
+              << " combos/sec (" << total.chunks << " chunks of " << total.chunk_size
+              << " λ across " << total.threads << " worker(s))\n";
     if (!sweep_identical) return 1;
     if (!host_profile_out.empty()) {
       const obs::HostProfile& profile = host_profiler.profile();
@@ -430,7 +425,7 @@ int main(int argc, char** argv) {
     obs::set_config(manifest, "dataset", data.name);
     obs::set_config(manifest, "bitops_backend", backend_name(active_backend()));
     obs::set_config(manifest, "host_threads", std::to_string(host_threads));
-    obs::set_config(manifest, "host_chunk", std::to_string(host_chunk));
+    obs::set_config(manifest, "host_chunk", std::to_string(total.chunk_size));
     obs::set_config(manifest, "checkpoint_every",
                     std::to_string(options.checkpoint_every));
     const std::string faults =

@@ -130,23 +130,25 @@ build/bench/bench_kernels --benchmark_filter='^BM_LazyGreedyCover2/' --benchmark
 # against the serial reference), and the multihit.hostprof.v1 document must
 # replay byte-identically offline. Deterministic projections must also agree
 # across repeat runs AND across bitops backends — wall clock is quarantined.
+# Four workers sweep block-aligned chunks; one worker sweeps the whole space
+# as one chunk, the path wallbench runs.
 hostprof_dir="build/hostprof_smoke"
 mkdir -p "$hostprof_dir"
-for backend in scalar auto; do
-  for run in 1 2; do
-    MULTIHIT_BITOPS="$backend" build/examples/brca_scaleout 1 --host-threads 4 \
-      --host-profile-out "$hostprof_dir/${backend}_$run.hostprof.json" > /dev/null
-    build/examples/multihit-obstool hostprof \
-      "$hostprof_dir/${backend}_$run.hostprof.json" \
-      --report-out "$hostprof_dir/${backend}_$run.replay.json" \
-      --deterministic-out "$hostprof_dir/${backend}_$run.det.json" > /dev/null
-    cmp "$hostprof_dir/${backend}_$run.hostprof.json" \
-        "$hostprof_dir/${backend}_$run.replay.json"
+for threads in 4 1; do
+  for backend in scalar auto; do
+    for run in 1 2; do
+      base="$hostprof_dir/${backend}_${threads}t_$run"
+      MULTIHIT_BITOPS="$backend" build/examples/brca_scaleout 1 --host-threads "$threads" \
+        --host-profile-out "$base.hostprof.json" > /dev/null
+      build/examples/multihit-obstool hostprof "$base.hostprof.json" \
+        --report-out "$base.replay.json" --deterministic-out "$base.det.json" > /dev/null
+      cmp "$base.hostprof.json" "$base.replay.json"
+    done
   done
+  cmp "$hostprof_dir/scalar_${threads}t_1.det.json" "$hostprof_dir/scalar_${threads}t_2.det.json"
+  cmp "$hostprof_dir/auto_${threads}t_1.det.json" "$hostprof_dir/auto_${threads}t_2.det.json"
+  cmp "$hostprof_dir/scalar_${threads}t_1.det.json" "$hostprof_dir/auto_${threads}t_1.det.json"
 done
-cmp "$hostprof_dir/scalar_1.det.json" "$hostprof_dir/scalar_2.det.json"
-cmp "$hostprof_dir/auto_1.det.json" "$hostprof_dir/auto_2.det.json"
-cmp "$hostprof_dir/scalar_1.det.json" "$hostprof_dir/auto_1.det.json"
 echo "host profiler overhead gated, replay byte-identical, projections pinned across backends"
 
 # Trace-analysis smoke: a faulty instrumented run, the obstool pipeline on

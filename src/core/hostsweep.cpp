@@ -52,12 +52,6 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
   std::uint32_t workers = options.threads;
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   const std::uint32_t requested = workers;
-  // No point spinning up more workers than there are chunks. An empty λ
-  // space (0 chunks, e.g. genes < hits at some scheme) still runs one
-  // worker, which drains nothing and leaves the result invalid.
-  ChunkQueue queue(0, lambda_end, options.chunk);
-  workers = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(workers, std::max<std::uint64_t>(1, queue.chunk_count())));
 
   // One floor for every chunk: each chunk's own incumbent starts empty, and
   // the floor lets it cut from its first prefix on. The Engine's carried
@@ -66,6 +60,16 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
   CarriedBounds* carried =
       ctx.carried != nullptr && ctx.carried->begin(tumor, ctx, options.hits) ? ctx.carried
                                                                              : nullptr;
+  // One worker takes the whole space as one chunk, so its incumbent carries
+  // across it. W workers get about kChunksPerWorker chunks each, of whole
+  // blocks (evaluate_range requires them): ⌈λ / (kChunksPerWorker·W·block)⌉.
+  const std::uint64_t block = carried != nullptr ? std::uint64_t{1} << carried->block_shift()
+                                                 : CarriedBounds::kBlockThreads;
+  const std::uint64_t unit = kChunksPerWorker * workers * block;  // one block per chunk
+  ChunkQueue queue(lambda_end, workers == 1 ? lambda_end : (lambda_end + unit - 1) / unit * block);
+  // At most one worker per chunk; at least one, which drains an empty space.
+  workers = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(workers, std::max<std::uint64_t>(1, queue.chunk_count())));
 
   obs::HostProfiler* profiler = options.profiler;
   // A profiled sweep always counts bitops calls. Swapping in the counting
@@ -134,8 +138,9 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     outputs[id] = std::move(out);
   };
 
-  const Clock::time_point sweep_start = Clock::now();
+  Clock::time_point sweep_start, joined_at;
   if (profiler != nullptr) {
+    sweep_start = Clock::now();
     obs::HostSweepSetup setup;
     setup.workers = workers;
     setup.chunk_size = queue.chunk_size();
@@ -155,7 +160,7 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     for (std::uint32_t id = 0; id < workers; ++id) pool.emplace_back(worker_body, id);
     for (std::thread& t : pool) t.join();
   }
-  const Clock::time_point joined_at = Clock::now();
+  if (profiler != nullptr) joined_at = Clock::now();
   if (carried != nullptr) carried->finish();
 
   // Deterministic merge: concatenate per-worker candidate lists, order by

@@ -4,20 +4,19 @@
 //
 // The simulated cluster partitions the λ space with the equi-area scheduler
 // and *models* time; this sweep runs the same enumeration kernels over the
-// same λ space with actual std::threads, pulling fixed-size chunks off a
-// lock-free ChunkQueue (core/workqueue.hpp) so stragglers self-balance —
-// the planar_mt.cpp shape: atomic work counter, per-worker accumulation,
+// same λ space with actual std::threads, pulling chunks sized from the space
+// off a lock-free ChunkQueue (core/workqueue.hpp) so stragglers self-balance
+// — the planar_mt.cpp shape: atomic work counter, per-worker accumulation,
 // merge at the end. Workers share nothing else: the kernel's fold scratch is
-// thread-local, so a worker allocates nothing after its first chunk, and of
-// an Engine's carried bounds a chunk writes only the ones its range holds.
+// thread-local, and of an Engine's carried bounds a chunk writes only the
+// whole blocks its range holds.
 //
 // Determinism: every chunk produces at most one candidate tagged with its
 // chunk-begin λ; workers append to private lists, and the final fold sorts
 // candidates by that linear index before merging. Together with the strict
 // (F desc, rank asc) total order of EvalResult, selections are bit-identical
-// across thread counts, chunk sizes, and backends — pinned by
-// tests/test_hostsweep.cpp against both the serial reference and the
-// simulated-cluster path.
+// across thread counts and backends (tests/test_hostsweep.cpp); what is
+// pruned depends on the data and the worker count, which fix the chunks.
 
 #include <cstdint>
 
@@ -33,12 +32,16 @@ class HostProfiler;
 
 namespace multihit {
 
+/// Chunks per worker in a multi-worker sweep: enough that early finishers
+/// take over a slow worker's share, few enough that few chunks restart
+/// their incumbent from the greedy floor.
+inline constexpr std::uint64_t kChunksPerWorker = 4;
+
 /// The sweep runs Scheme{hits, hits-1} — every loop but the innermost
 /// flattened, the paper's winning shape.
 struct HostSweepOptions {
   std::uint32_t hits = 4;       ///< any h >= 2 with C(genes, h) in u64
   std::uint32_t threads = 0;    ///< worker count; 0 = hardware_concurrency
-  std::uint64_t chunk = 1024;   ///< λ indices per queue grab (0 runs as 1)
   /// Optional wall-clock profiler (obs/hostprof.hpp). Null reads no clock;
   /// non-null adds two steady_clock reads per evaluated chunk (a chunk the
   /// carried bounds skip whole reads none) and never changes which
@@ -51,7 +54,7 @@ struct HostSweepOptions {
 struct HostSweepTelemetry {
   std::uint32_t threads = 0;            ///< workers actually launched (post-clamp)
   std::uint32_t threads_requested = 0;  ///< workers asked for, before the chunk-count clamp
-  std::uint64_t chunk_size = 0;         ///< λ indices per queue grab actually used
+  std::uint64_t chunk_size = 0;         ///< λ indices per queue grab (derived)
   std::uint64_t chunks = 0;             ///< chunks distributed
   std::uint64_t candidates = 0;         ///< valid per-chunk candidates merged
   KernelCounts counts;                  ///< summed over workers in index order
@@ -74,9 +77,9 @@ struct HostSweepTelemetry {
 /// distributed over host threads. When ctx.carried holds an Engine's
 /// carried bounds, the sweep readies them, skips a chunk whose blocks all
 /// bound below the greedy floor without evaluating it, and has every other
-/// chunk's kernel use and lower them (chunks write disjoint bounds). Throws
-/// std::invalid_argument when the gene counts differ or the scheme is
-/// invalid (see scheme_threads).
+/// chunk's kernel use and lower them (chunks hold disjoint, whole blocks).
+/// Throws std::invalid_argument when the gene counts differ or the scheme
+/// is invalid (see scheme_threads).
 EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
                                 const FContext& ctx, const HostSweepOptions& options,
                                 HostSweepTelemetry* telemetry = nullptr);

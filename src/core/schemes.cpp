@@ -290,19 +290,17 @@ template <bool kInline>
   const bool warm = lazy && carried->warm();
   const unsigned block_shift = lazy ? carried->block_shift() : 0;  // log2 threads per block
   const std::uint64_t block_span = std::uint64_t{1} << block_shift;
-  const std::uint64_t space = lazy ? carried->threads() : 0;
   const double denom = static_cast<double>(ctx.tumor_total + ctx.normal_total);
   std::uint64_t next_block = lazy ? begin : end;  // the next λ to test its block at
   std::uint64_t open_block = 0;  // the block the range last noted threads of
   bool open = false;
-  bool owned = false;  // the range holds all of the open block
   double acc = -kInf;  // the max bound noted in the open block
 
-  // Leaving the open block stores its bound when the range owns it: the
-  // lower of its old bound and the max noted in it, where every thread of
-  // it was noted or skipped on a bound that is itself noted.
+  // Leaving the open block stores its bound: the lower of its old bound and
+  // the max noted in it, where every thread of it was noted or skipped on a
+  // bound that is itself noted.
   const auto flush = [&]() __attribute__((always_inline)) {
-    if (open && owned) carried->lower_block(open_block, acc);
+    if (open) carried->lower_block(open_block, acc);
     open = false;
   };
   const auto enter = [&](std::uint64_t b) __attribute__((always_inline)) {
@@ -310,7 +308,6 @@ template <bool kInline>
     flush();
     open_block = b;
     open = true;
-    owned = b * block_span >= begin && std::min((b + 1) * block_span, space) <= end;
     acc = -kInf;
   };
   // Records that numerator bound v holds for thread t.
@@ -641,6 +638,12 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
     throw std::invalid_argument("evaluate_range: threads [" + std::to_string(begin) + ", " +
                                 std::to_string(end) + ") exceed the " + scheme_name(scheme) +
                                 " space of G = " + std::to_string(genes));
+  }
+  // A carried range holds whole blocks, so the kernel lowers every one it touches.
+  const std::uint64_t span = carried != nullptr ? std::uint64_t{1} << carried->block_shift() : 1;
+  if (begin % span != 0 || (end % span != 0 && end != carried->threads())) {
+    throw std::invalid_argument("evaluate_range: carried range [" + std::to_string(begin) + ", " +
+                                std::to_string(end) + ") splits blocks of " + std::to_string(span));
   }
   if (begin >= end) return EvalResult{};
   // The POPCNT bodies ride on the AVX2 gate, which also checks POPCNT, so

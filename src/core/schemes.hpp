@@ -129,10 +129,9 @@ inline constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
 /// threads are single genes tested before any fold, also keep one bound
 /// per thread (G of them); deeper spaces keep blocks only, since per-thread
 /// bounds there measured no faster and cost C(G, h-1) doubles a session. A
-/// bound only ever falls. A block's bound is written only by the
-/// evaluate_range call whose range holds the whole block, and a thread's
-/// only by the one whose range holds the thread, so host-sweep workers
-/// share the state without locks.
+/// bound only ever falls. Carried ranges hold whole blocks, so each block and
+/// thread is written by one evaluate_range call and host-sweep workers share
+/// the state without locks.
 ///
 /// Sound only for successive evaluations of one tumor matrix whose samples
 /// are removed or zeroed between them, at one α >= 0 and one normal matrix
@@ -208,9 +207,10 @@ class CarriedBounds {
 /// whenever that best is >= floor, which the whole space's argmax always is
 /// when `floor` is the F of a combination in it (see greedy_floor).
 /// `carried`, when non-null, must have been readied by begin() for this
-/// scheme (std::invalid_argument otherwise): the kernel records its
-/// threads' bounds there and, once they are warm, also cuts a block or a
-/// thread whose bound is strictly below max(floor, best F), or equals the
+/// scheme, and the range must start on a block boundary and end on one or
+/// at the space's end (std::invalid_argument otherwise): the kernel records
+/// its threads' bounds there and, once they are warm, also cuts a block or
+/// a thread whose bound is strictly below max(floor, best F), or equals the
 /// best F while every combination it owns ranks after the best's.
 /// Skipped threads count in KernelCounts::threads_skipped and their
 /// combinations in pruned. The ignored FContext::carried never enables it.

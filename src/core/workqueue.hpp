@@ -17,45 +17,33 @@ namespace multihit {
 
 class ChunkQueue {
  public:
-  /// Distributes [begin, end) in chunks of `chunk` indices (the final chunk
-  /// may be short). chunk must be >= 1.
-  ChunkQueue(std::uint64_t begin, std::uint64_t end, std::uint64_t chunk) noexcept
-      : begin_(begin), end_(end), chunk_(chunk < 1 ? 1 : chunk) {}
+  /// Distributes [0, end) in chunks of `chunk` indices (the final chunk may
+  /// be short; a chunk of 0 runs as 1).
+  ChunkQueue(std::uint64_t end, std::uint64_t chunk) noexcept
+      : end_(end), chunk_(chunk < 1 ? 1 : chunk) {}
 
   /// Claims the next chunk. Returns false when the range is exhausted.
   /// Wait-free: one fetch_add per claim.
   bool next(std::uint64_t* chunk_begin, std::uint64_t* chunk_end) noexcept {
     const std::uint64_t index = cursor_.fetch_add(1, std::memory_order_relaxed);
     if (index >= chunk_count()) return false;
-    *chunk_begin = begin_ + index * chunk_;
-    *chunk_end = std::min(end_, *chunk_begin + chunk_);
+    *chunk_begin = index * chunk_;
+    *chunk_end = *chunk_begin + std::min(chunk_, end_ - *chunk_begin);  // no u64 wrap
     return true;
   }
 
   std::uint64_t chunk_size() const noexcept { return chunk_; }
 
-  std::uint64_t chunk_count() const noexcept {
-    const std::uint64_t span = end_ > begin_ ? end_ - begin_ : 0;
-    return (span + chunk_ - 1) / chunk_;
-  }
+  std::uint64_t chunk_count() const noexcept { return end_ / chunk_ + (end_ % chunk_ != 0); }
 
-  // Starvation accounting for the host profiler, read for free off the
-  // existing cursor: every next() is one poll, polls past the chunk count
-  // came back empty. Each worker's drain loop fails exactly once, so at
-  // quiescence empty_polls() == worker count — a deterministic invariant the
-  // hostprof crosscheck pins.
-
-  /// next() calls so far (racy while workers run; exact after they join).
+  /// next() calls so far (racy while workers run; exact after they join):
+  /// the host profiler's starvation count, read for free off the cursor.
+  /// Each worker's drain loop fails exactly once, so at quiescence
+  /// polls() == chunk_count() + workers, an invariant the hostprof
+  /// crosscheck pins.
   std::uint64_t polls() const noexcept { return cursor_.load(std::memory_order_relaxed); }
 
-  /// Successful claims among polls().
-  std::uint64_t claimed() const noexcept { return std::min(polls(), chunk_count()); }
-
-  /// Failed claims among polls().
-  std::uint64_t empty_polls() const noexcept { return polls() - claimed(); }
-
  private:
-  const std::uint64_t begin_;
   const std::uint64_t end_;
   const std::uint64_t chunk_;
   std::atomic<std::uint64_t> cursor_{0};

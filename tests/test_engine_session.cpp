@@ -56,14 +56,19 @@ TEST(EngineSession, RunMatchesBatchForEveryEvaluator) {
   EngineConfig config;
   config.hits = 4;
 
-  HostSweepOptions sweep;
-  sweep.hits = 4;
-  sweep.threads = 2;
-  sweep.chunk = 97;
+  // One host-sweep worker takes the space as one chunk; three and eight
+  // split it into block-aligned chunks.
+  HostSweepOptions one, three, eight;
+  one.hits = three.hits = eight.hits = 4;
+  one.threads = 1;
+  three.threads = 3;
+  eight.threads = 8;
   const std::vector<std::pair<const char*, Evaluator>> evaluators = {
       {"serial", make_serial_evaluator(4)},
       {"kernel", make_kernel_evaluator(4)},
-      {"host-sweep", make_host_sweep_evaluator(sweep)},
+      {"host-sweep x1", make_host_sweep_evaluator(one)},
+      {"host-sweep x3", make_host_sweep_evaluator(three)},
+      {"host-sweep x8", make_host_sweep_evaluator(eight)},
   };
   for (const auto& [name, evaluator] : evaluators) {
     const GreedyResult batch = run_greedy(data.tumor, data.normal, config, evaluator);
@@ -260,13 +265,14 @@ TEST(EngineSession, CarriedBoundsStartColdOnResumeAndStayExact) {
   // uninterrupted run's iterations, through the kernel and the host sweep,
   // in both exclusion modes.
   const Dataset data = make_data(909);
-  HostSweepOptions sweep;
-  sweep.hits = 4;
-  sweep.threads = 2;
-  sweep.chunk = 64;
+  HostSweepOptions one, four;
+  one.hits = four.hits = 4;
+  one.threads = 1;
+  four.threads = 4;
   const std::vector<std::pair<const char*, Evaluator>> evaluators = {
       {"kernel", make_kernel_evaluator(4)},
-      {"host-sweep", make_host_sweep_evaluator(sweep)},
+      {"host-sweep x1", make_host_sweep_evaluator(one)},
+      {"host-sweep x4", make_host_sweep_evaluator(four)},
   };
   for (const bool splicing : {true, false}) {
     EngineConfig config;
@@ -312,7 +318,6 @@ TEST(EngineSession, OneEvaluatorServesInterleavedSessionsOnDifferentData) {
   HostSweepOptions sweep;
   sweep.hits = 4;
   sweep.threads = 2;
-  sweep.chunk = 128;
   for (const Evaluator& evaluator : {make_kernel_evaluator(4), make_host_sweep_evaluator(sweep)}) {
     Engine first(a.tumor, a.normal, config, evaluator);
     Engine second(b.tumor, b.normal, config, evaluator);

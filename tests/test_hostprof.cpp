@@ -52,12 +52,11 @@ Fixture make_fixture(std::uint32_t hits, std::uint64_t seed) {
   return f;
 }
 
-HostSweepOptions sweep_options(std::uint32_t hits, std::uint32_t threads, std::uint64_t chunk,
+HostSweepOptions sweep_options(std::uint32_t hits, std::uint32_t threads,
                                HostProfiler* profiler = nullptr) {
   HostSweepOptions options;
   options.hits = hits;
   options.threads = threads;
-  options.chunk = chunk;
   options.profiler = profiler;
   return options;
 }
@@ -66,12 +65,12 @@ HostSweepOptions sweep_options(std::uint32_t hits, std::uint32_t threads, std::u
 
 TEST(HostProf, ProfiledSweepSelectsIdenticallyToUnprofiled) {
   const Fixture f = make_fixture(3, 701);
-  for (const std::uint32_t threads : {1u, 4u}) {
+  for (const std::uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
     const EvalResult plain = host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx,
-                                                  sweep_options(3, threads, 57));
+                                                  sweep_options(3, threads));
     HostProfiler profiler;
     const EvalResult profiled = host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx,
-                                                     sweep_options(3, threads, 57, &profiler));
+                                                     sweep_options(3, threads, &profiler));
     ASSERT_TRUE(plain.valid);
     EXPECT_EQ(profiled.f, plain.f) << "threads=" << threads;
     EXPECT_EQ(profiled.combo_rank, plain.combo_rank) << "threads=" << threads;
@@ -83,10 +82,11 @@ TEST(HostProf, ProfiledSweepSelectsIdenticallyToUnprofiled) {
 // --- collection invariants ---------------------------------------------------
 
 TEST(HostProf, ProfileAccountsForEveryChunkPollAndCall) {
-  const Fixture f = make_fixture(2, 702);
+  // 378 λ at 3 hits: three workers split them into six 64-λ chunks.
+  const Fixture f = make_fixture(3, 702);
   HostProfiler profiler;
   const EvalResult best = host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx,
-                                               sweep_options(2, 3, 19, &profiler));
+                                               sweep_options(3, 3, &profiler));
   ASSERT_TRUE(best.valid);
 
   const HostProfile& profile = profiler.profile();
@@ -121,10 +121,10 @@ TEST(HostProf, ProfileAccountsForEveryChunkPollAndCall) {
 TEST(HostProf, WorkerClampAndMultiSweepAccumulation) {
   const Fixture f = make_fixture(2, 703);
   HostProfiler profiler;
-  // Chunk big enough that the whole λ space is a handful of chunks: the
+  // 28 λ at 2 hits are less than one 64-thread block, so one chunk: the
   // requested 8 workers clamp down, and the profile must report the clamped
   // count, not the request.
-  const HostSweepOptions options = sweep_options(2, 8, 100, &profiler);
+  const HostSweepOptions options = sweep_options(2, 8, &profiler);
   const EvalResult first = host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options);
   const EvalResult second = host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options);
   ASSERT_TRUE(first.valid);
@@ -152,7 +152,7 @@ TEST(HostProf, DeterministicProjectionIdenticalAcrossRunsAndBackends) {
     EngineConfig config;
     config.hits = 3;
     (void)run_greedy(f.data.tumor, f.data.normal, config,
-                     make_host_sweep_evaluator(sweep_options(3, 4, 41, &profiler)));
+                     make_host_sweep_evaluator(sweep_options(3, 4, &profiler)));
     return obs::hostprof_deterministic(profiler.profile()).dump();
   };
 
@@ -171,16 +171,18 @@ TEST(HostProf, DeterministicProjectionIdenticalAcrossRunsAndBackends) {
 
 TEST(HostProf, CallCountsAreDispatchLevelIdenticalAcrossThreadCounts) {
   // The counting wrappers count dispatched calls, not kernel work, so the
-  // totals depend only on the enumeration — not on how chunks land on
-  // workers.
-  const Fixture f = make_fixture(2, 705);
+  // totals depend only on the enumeration and the chunks — not on how chunks
+  // land on workers. 378 λ at 3 hits round to 64-λ chunks at 2, 3 and 5
+  // workers alike, which then claim them in different orders.
+  const Fixture f = make_fixture(3, 705);
   obs::HostBitopsCalls reference;
-  for (const std::uint32_t threads : {1u, 2u, 5u}) {
+  for (const std::uint32_t threads : {2u, 3u, 5u}) {
     HostProfiler profiler;
     (void)host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx,
-                               sweep_options(2, threads, 23, &profiler));
+                               sweep_options(3, threads, &profiler));
+    EXPECT_EQ(profiler.profile().chunk_size, 64u) << "threads=" << threads;
     const obs::HostBitopsCalls& calls = profiler.profile().total_calls;
-    if (threads == 1u) {
+    if (threads == 2u) {
       reference = calls;
       EXPECT_GT(calls.total(), 0u);
     } else {
@@ -198,7 +200,7 @@ HostProfile profiled_greedy(const Fixture& f) {
   EngineConfig config;
   config.hits = 3;
   (void)run_greedy(f.data.tumor, f.data.normal, config,
-                   make_host_sweep_evaluator(sweep_options(3, 3, 67, &profiler)));
+                   make_host_sweep_evaluator(sweep_options(3, 3, &profiler)));
   return profiler.profile();
 }
 
@@ -270,7 +272,17 @@ TEST(HostProf, FoldedExportIsSortedIntegerMicrosecondStacks) {
   const HostProfile profile = profiled_greedy(f);
   const std::string folded = obs::hostprof_folded(profile);
   ASSERT_FALSE(folded.empty());
-  EXPECT_NE(folded.find("hostsweep;worker 0;evaluate "), std::string::npos);
+  // Which workers evaluate depends on scheduling: an evaluate stack appears
+  // for exactly the worker slots that evaluated a chunk, and one at least did.
+  std::size_t evaluating = 0;
+  for (const obs::HostWorkerStat& worker : profile.worker_stats) {
+    const bool evaluated = worker.chunks > worker.skipped_chunks;
+    evaluating += evaluated ? 1 : 0;
+    const std::string stack =
+        "hostsweep;worker " + std::to_string(worker.worker) + ";evaluate ";
+    EXPECT_EQ(folded.find(stack) != std::string::npos, evaluated) << stack;
+  }
+  EXPECT_GT(evaluating, 0u);
 
   std::istringstream lines(folded);
   std::string line, previous_stack;

@@ -2,11 +2,12 @@
 // and its building block, the ChunkQueue.
 //
 // The load-bearing property: the sweep's selections are BIT-IDENTICAL across
-// thread counts {1, 2, 8}, chunk sizes (dividing and non-dividing), and to
-// both the serial reference and the simulated-cluster path — work stealing
-// off the lock-free queue may deliver chunks to workers in any order, but
-// the chunk-begin-sorted candidate fold plus EvalResult's strict total order
-// make the winner independent of that order.
+// thread counts {1, 2, 3, 4, 8} (and so across the chunk plans the sweep
+// derives from them), and to both the serial reference and the
+// simulated-cluster path — work stealing off the lock-free queue may deliver
+// chunks to workers in any order, but the chunk-begin-sorted candidate fold
+// plus EvalResult's strict total order make the winner independent of that
+// order.
 
 #include "core/hostsweep.hpp"
 
@@ -15,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,7 +34,7 @@ namespace {
 
 TEST(ChunkQueue, CoversRangeExactlyOnceWithNonDividingChunk) {
   // 0..103 in chunks of 10: eleven chunks, last one short.
-  ChunkQueue queue(0, 103, 10);
+  ChunkQueue queue(103, 10);
   EXPECT_EQ(queue.chunk_count(), 11u);
   std::vector<bool> seen(103, false);
   std::uint64_t begin = 0, end = 0;
@@ -53,23 +55,23 @@ TEST(ChunkQueue, CoversRangeExactlyOnceWithNonDividingChunk) {
 }
 
 TEST(ChunkQueue, EmptyAndSingleChunkRanges) {
-  ChunkQueue empty(5, 5, 8);
+  ChunkQueue empty(0, 8);
   std::uint64_t begin = 0, end = 0;
   EXPECT_EQ(empty.chunk_count(), 0u);
   EXPECT_FALSE(empty.next(&begin, &end));
 
-  ChunkQueue one(7, 12, 100);
+  ChunkQueue one(5, 100);
   EXPECT_EQ(one.chunk_count(), 1u);
   ASSERT_TRUE(one.next(&begin, &end));
-  EXPECT_EQ(begin, 7u);
-  EXPECT_EQ(end, 12u);
+  EXPECT_EQ(begin, 0u);
+  EXPECT_EQ(end, 5u);
   EXPECT_FALSE(one.next(&begin, &end));
 }
 
 TEST(ChunkQueue, ConcurrentClaimsArePartition) {
   // 4 threads hammer one queue; the union of claims must be an exact
   // partition (no loss, no duplication) — the fetch_add contract.
-  ChunkQueue queue(0, 10000, 7);
+  ChunkQueue queue(10000, 7);
   std::atomic<std::uint64_t> total{0};
   std::vector<std::thread> pool;
   for (int t = 0; t < 4; ++t) {
@@ -111,42 +113,48 @@ TEST(HostSweep, MatchesSerialAcrossThreadsChunksAndHits) {
         serial_find_best(f.data.tumor, f.data.normal, f.ctx, hits);
     ASSERT_TRUE(reference.valid);
 
-    for (const std::uint32_t threads : {1u, 2u, 8u}) {
-      // 64 divides most ranges here; 37 never does; 1'000'000 exceeds them.
-      for (const std::uint64_t chunk : {64ull, 37ull, 1000000ull}) {
-        HostSweepOptions options;
-        options.hits = hits;
-        options.threads = threads;
-        options.chunk = chunk;
-        HostSweepTelemetry telemetry;
-        const EvalResult swept =
-            host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options, &telemetry);
-        ASSERT_TRUE(swept.valid);
-        EXPECT_EQ(swept.combo_rank, reference.combo_rank)
-            << "hits=" << hits << " threads=" << threads << " chunk=" << chunk;
-        EXPECT_EQ(swept.f, reference.f);
-        EXPECT_EQ(swept.tp, reference.tp);
-        EXPECT_EQ(swept.tn, reference.tn);
-        EXPECT_LE(telemetry.threads, threads);
-        EXPECT_GE(telemetry.chunks, 1u);
-      }
+    for (const std::uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+      HostSweepOptions options;
+      options.hits = hits;
+      options.threads = threads;
+      HostSweepTelemetry telemetry;
+      const EvalResult swept =
+          host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options, &telemetry);
+      ASSERT_TRUE(swept.valid);
+      EXPECT_EQ(swept.combo_rank, reference.combo_rank)
+          << "hits=" << hits << " threads=" << threads;
+      EXPECT_EQ(swept.f, reference.f);
+      EXPECT_EQ(swept.tp, reference.tp);
+      EXPECT_EQ(swept.tn, reference.tn);
+      EXPECT_LE(telemetry.threads, threads);
+      EXPECT_GE(telemetry.chunks, 1u);
     }
   }
 }
 
 TEST(HostSweep, TelemetryCountsTheWholeSpace) {
   const Fixture f = make_fixture(4, 77);
-  HostSweepOptions options;
-  options.hits = 4;
-  options.threads = 3;
-  options.chunk = 50;
-  HostSweepTelemetry telemetry;
-  (void)host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options, &telemetry);
-  // Every λ chunk must be evaluated exactly once regardless of scheduling.
   const std::uint64_t lambdas = scheme_threads(Scheme{4, 3}, f.data.genes());
-  EXPECT_EQ(telemetry.chunks, (lambdas + options.chunk - 1) / options.chunk);
-  // 3x1 visits each 4-combination exactly once.
-  EXPECT_EQ(telemetry.counts.combinations, binomial(f.data.genes(), 4));
+  for (const std::uint32_t threads : {1u, 3u}) {
+    HostSweepOptions options;
+    options.hits = 4;
+    options.threads = threads;
+    HostSweepTelemetry telemetry;
+    (void)host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options, &telemetry);
+    // One worker takes the whole space; three split it into about
+    // kChunksPerWorker block-aligned chunks each.
+    if (threads == 1u) {
+      EXPECT_EQ(telemetry.chunk_size, lambdas);
+    } else {
+      EXPECT_EQ(telemetry.chunk_size % CarriedBounds::kBlockThreads, 0u);
+      EXPECT_LE(telemetry.chunks, kChunksPerWorker * threads);
+      EXPECT_GT(telemetry.chunks, threads);
+    }
+    // Every λ chunk must be evaluated exactly once regardless of scheduling.
+    EXPECT_EQ(telemetry.chunks, (lambdas + telemetry.chunk_size - 1) / telemetry.chunk_size);
+    // 3x1 visits each 4-combination exactly once.
+    EXPECT_EQ(telemetry.counts.combinations, binomial(f.data.genes(), 4));
+  }
 }
 
 TEST(HostSweep, RejectsInvalidConfigurations) {
@@ -183,7 +191,6 @@ TEST(HostSweep, FiveHitRoutesToTheFiveHitKernel) {
   HostSweepOptions options;
   options.hits = 5;
   options.threads = 2;
-  options.chunk = 61;
   HostSweepTelemetry telemetry;
   const EvalResult swept =
       host_sweep_find_best(data.tumor, data.normal, ctx, options, &telemetry);
@@ -217,11 +224,12 @@ TEST(HostSweep, EmptyLambdaSpaceRunsOneWorkerAndStaysInvalid) {
 }
 
 TEST(HostSweep, MoreWorkersThanChunksClampsAndReportsBothCounts) {
-  const Fixture f = make_fixture(4, 11);
+  // 32 genes at 2 hits are 32 λ, fewer than one 64-thread block: one chunk
+  // at any worker count.
+  const Fixture f = make_fixture(2, 11);
   HostSweepOptions options;
-  options.hits = 4;
+  options.hits = 2;
   options.threads = 8;
-  options.chunk = 1000000;  // swallows the whole λ space: one chunk
   HostSweepTelemetry telemetry;
   const EvalResult best =
       host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options, &telemetry);
@@ -229,33 +237,8 @@ TEST(HostSweep, MoreWorkersThanChunksClampsAndReportsBothCounts) {
   EXPECT_EQ(telemetry.chunks, 1u);
   EXPECT_EQ(telemetry.threads, 1u) << "8 workers for 1 chunk is 7 idle threads";
   EXPECT_EQ(telemetry.threads_requested, 8u);
-  // The telemetry must report the chunk size the queue actually used —
-  // before this field existed, consumers had to guess it from the options.
-  EXPECT_EQ(telemetry.chunk_size, 1000000u);
-}
-
-TEST(HostSweep, ZeroChunkRunsAndReportsChunkOne) {
-  // ChunkQueue clamps a chunk of 0 to 1; the telemetry and the profile must
-  // report the 1 the queue used, not the 0 that was asked for.
-  const Fixture f = make_fixture(4, 12);
-  HostSweepOptions options;
-  options.hits = 4;
-  options.threads = 2;
-  options.chunk = 0;
-  obs::HostProfiler profiler;
-  options.profiler = &profiler;
-  HostSweepTelemetry telemetry;
-  const EvalResult best =
-      host_sweep_find_best(f.data.tumor, f.data.normal, f.ctx, options, &telemetry);
-  ASSERT_TRUE(best.valid);
-  EXPECT_EQ(best.combo_rank,
-            serial_find_best(f.data.tumor, f.data.normal, f.ctx, 4).combo_rank);
-  const std::uint64_t lambdas = scheme_threads(Scheme{4, 3}, f.data.genes());
-  EXPECT_EQ(telemetry.chunk_size, 1u);
-  EXPECT_EQ(telemetry.chunks, lambdas);
-  EXPECT_EQ(profiler.profile().chunk_size, 1u);
-  EXPECT_EQ(profiler.profile().sweeps.at(0).chunk_size, 1u);
-  EXPECT_TRUE(obs::hostprof_crosscheck(profiler.profile()).empty());
+  // The telemetry reports the chunk size the queue used: one whole block.
+  EXPECT_EQ(telemetry.chunk_size, CarriedBounds::kBlockThreads);
 }
 
 // --- evaluator telemetry sink ----------------------------------------------
@@ -285,29 +268,31 @@ TEST(HostSweep, EvaluatorSinkAccumulatesWholeGreedyRunWithSerialParity) {
   HostSweepOptions options;
   options.hits = 4;
   options.threads = 3;
-  options.chunk = 113;
   HostSweepTelemetry total;
   const GreedyResult swept = run_greedy(data.tumor, data.normal, config,
                                         make_host_sweep_evaluator(options, &total));
   EXPECT_EQ(swept.combinations(), serial.combinations());
 
+  // Every sweep of the run splits the same space the same way.
   const std::uint64_t iterations = swept.iterations.size();
   const std::uint64_t lambdas = scheme_threads(Scheme{4, 3}, data.genes());
-  const std::uint64_t chunks_per_sweep = (lambdas + options.chunk - 1) / options.chunk;
+  ASSERT_GT(total.chunk_size, 0u);
+  const std::uint64_t chunks_per_sweep = (lambdas + total.chunk_size - 1) / total.chunk_size;
   EXPECT_EQ(total.counts.combinations, iterations * binomial(data.genes(), 4));
   EXPECT_EQ(total.chunks, iterations * chunks_per_sweep);
   EXPECT_GE(total.candidates, iterations);  // at least one valid candidate each
-  EXPECT_EQ(total.chunk_size, options.chunk);
+  EXPECT_EQ(total.chunk_size % CarriedBounds::kBlockThreads, 0u);
   EXPECT_EQ(total.threads_requested, 3u);
 }
 
 // --- prefix pruning -----------------------------------------------------------
 
-TEST(HostSweep, PruningIsThreadInvariantAtAFixedChunk) {
-  // A chunk cuts against the shared floor and its own incumbent only, so
-  // what it prunes depends on its bounds, never on which worker ran it or
-  // when: selections and the summed pruned count repeat across thread
-  // counts.
+TEST(HostSweep, PruningRepeatsAtEachWorkerCount) {
+  // A chunk cuts against the shared floor and its own incumbent only, and
+  // the chunks depend on the space and the worker count alone. So what is
+  // pruned depends on the data and the worker count, never on which worker
+  // ran a chunk or when: at each worker count two runs repeat every count,
+  // and every worker count selects the serial reference's combinations.
   for (const std::uint32_t hits : {2u, 3u, 4u}) {
     SyntheticSpec spec;
     spec.genes = 36;
@@ -324,27 +309,26 @@ TEST(HostSweep, PruningIsThreadInvariantAtAFixedChunk) {
         run_greedy(data.tumor, data.normal, config, make_serial_evaluator(hits));
     ASSERT_FALSE(serial.iterations.empty());
 
-    HostSweepTelemetry reference;
-    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    for (const std::uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
       HostSweepOptions options;
       options.hits = hits;
       options.threads = threads;
-      options.chunk = 61;
-      HostSweepTelemetry total;
+      HostSweepTelemetry first, second;
       const GreedyResult swept = run_greedy(data.tumor, data.normal, config,
-                                            make_host_sweep_evaluator(options, &total));
-      EXPECT_EQ(swept.combinations(), serial.combinations())
-          << "hits=" << hits << " threads=" << threads;
-      EXPECT_EQ(total.counts.combinations,
+                                            make_host_sweep_evaluator(options, &first));
+      (void)run_greedy(data.tumor, data.normal, config,
+                       make_host_sweep_evaluator(options, &second));
+      const std::string what = "hits=" + std::to_string(hits) +
+                               " threads=" + std::to_string(threads);
+      EXPECT_EQ(swept.combinations(), serial.combinations()) << what;
+      EXPECT_EQ(first.counts.combinations,
                 swept.iterations.size() * binomial(data.genes(), hits));
-      if (threads == 1u) {
-        reference = total;
-        EXPECT_GT(total.counts.pruned, 0u) << "hits=" << hits;
-        EXPECT_LT(total.counts.pruned, total.counts.combinations) << "hits=" << hits;
-      } else {
-        EXPECT_EQ(total.counts.pruned, reference.counts.pruned)
-            << "hits=" << hits << " threads=" << threads;
-      }
+      EXPECT_GT(first.counts.pruned, 0u) << what;
+      EXPECT_LT(first.counts.pruned, first.counts.combinations) << what;
+      EXPECT_EQ(second.chunks, first.chunks) << what;
+      EXPECT_EQ(second.counts.pruned, first.counts.pruned) << what;
+      EXPECT_EQ(second.counts.leaf_cut, first.counts.leaf_cut) << what;
+      EXPECT_EQ(second.counts.threads_skipped, first.counts.threads_skipped) << what;
     }
   }
 }
@@ -362,10 +346,9 @@ Evaluator cold_sweep(HostSweepOptions options, HostSweepTelemetry* sink) {
 }
 
 TEST(HostSweep, CarriedBoundsMatchColdAcrossThreadsAndChunks) {
-  // Chunks aligned to the 64-thread blocks and chunks that straddle them
-  // (whose straddled blocks are never lowered): every thread count selects
-  // the cold sweep's combinations, and at a fixed chunk what the bounds
-  // skip does not depend on the thread count.
+  // One worker sweeps the space as one chunk, more workers in block-aligned
+  // chunks: at every worker count the warm sweep selects the cold sweep's
+  // combinations over the same chunks, and its bounds skip threads.
   for (const std::uint32_t hits : {2u, 3u, 4u}) {
     SyntheticSpec spec;
     spec.genes = 40;
@@ -378,35 +361,76 @@ TEST(HostSweep, CarriedBoundsMatchColdAcrossThreadsAndChunks) {
     const Dataset data = generate_dataset(spec);
     EngineConfig config;
     config.hits = hits;
-    for (const std::uint64_t chunk : {1ull, 61ull, 64ull, 1024ull}) {
+    for (const std::uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
       HostSweepOptions options;
       options.hits = hits;
-      options.threads = 1;
-      options.chunk = chunk;
-      HostSweepTelemetry cold_total;
+      options.threads = threads;
+      HostSweepTelemetry cold_total, total;
       const GreedyResult cold =
           run_greedy(data.tumor, data.normal, config, cold_sweep(options, &cold_total));
       ASSERT_FALSE(cold.iterations.empty());
-      HostSweepTelemetry reference;
-      for (const std::uint32_t threads : {1u, 2u, 4u}) {
-        options.threads = threads;
-        HostSweepTelemetry total;
-        const GreedyResult warm = run_greedy(data.tumor, data.normal, config,
-                                             make_host_sweep_evaluator(options, &total));
-        EXPECT_EQ(warm.combinations(), cold.combinations())
-            << "hits=" << hits << " chunk=" << chunk << " threads=" << threads;
-        EXPECT_EQ(total.counts.combinations, cold_total.counts.combinations);
-        EXPECT_EQ(total.chunks, cold_total.chunks);
-        if (threads == 1u) {
-          reference = total;
-          if (chunk >= 64) {
-            EXPECT_GT(total.counts.threads_skipped, 0u) << "hits=" << hits;
-          }
-        } else {
-          EXPECT_EQ(total.counts.pruned, reference.counts.pruned);
-          EXPECT_EQ(total.counts.threads_skipped, reference.counts.threads_skipped);
-        }
+      const GreedyResult warm = run_greedy(data.tumor, data.normal, config,
+                                           make_host_sweep_evaluator(options, &total));
+      const std::string what = "hits=" + std::to_string(hits) +
+                               " threads=" + std::to_string(threads);
+      EXPECT_EQ(warm.combinations(), cold.combinations()) << what;
+      EXPECT_EQ(total.counts.combinations, cold_total.counts.combinations) << what;
+      EXPECT_EQ(total.chunks, cold_total.chunks) << what;
+      EXPECT_EQ(cold_total.counts.threads_skipped, 0u) << what;
+      EXPECT_GT(total.counts.threads_skipped, 0u) << what;
+    }
+  }
+}
+
+TEST(HostSweep, MultiWorkerSweepsSkipOnWarmIterations) {
+  // A 4-hit greedy solve through 2- and 4-worker sweeps, over the default
+  // 64-thread blocks and over bounds capped at 4 blocks (of 4096 threads
+  // here): the first iteration is cold, and the warm ones skip threads.
+  SyntheticSpec spec;
+  spec.genes = 40;
+  spec.tumor_samples = 90;
+  spec.normal_samples = 60;
+  spec.hits = 4;
+  spec.num_combinations = 4;
+  spec.background_rate = 0.03;
+  spec.seed = 3104;
+  const Dataset data = generate_dataset(spec);
+  EngineConfig config;
+  config.hits = 4;
+  const GreedyResult serial =
+      run_greedy(data.tumor, data.normal, config, make_serial_evaluator(4));
+  ASSERT_GE(serial.iterations.size(), 2u);
+  for (const std::uint32_t threads : {2u, 4u}) {
+    for (const bool capped : {false, true}) {
+      HostSweepOptions options;
+      options.hits = 4;
+      options.threads = threads;
+      CarriedBounds capped_bounds(4);
+      std::vector<KernelCounts> per_iteration;
+      const Evaluator sweep = [&](const BitMatrix& tumor, const BitMatrix& normal,
+                                  const FContext& ctx) {
+        FContext swept = ctx;
+        if (capped) swept.carried = &capped_bounds;
+        HostSweepTelemetry telemetry;
+        const EvalResult best = host_sweep_find_best(tumor, normal, swept, options, &telemetry);
+        EXPECT_GT(telemetry.threads, 1u);
+        per_iteration.push_back(telemetry.counts);
+        return best;
+      };
+      const std::string what =
+          "threads=" + std::to_string(threads) + (capped ? " capped" : " default");
+      const GreedyResult result = run_greedy(data.tumor, data.normal, config, sweep);
+      EXPECT_EQ(result.combinations(), serial.combinations()) << what;
+      ASSERT_EQ(per_iteration.size(), result.iterations.size()) << what;
+      if (capped) {
+        EXPECT_EQ(capped_bounds.block_shift(), 12u) << what;
       }
+      EXPECT_EQ(per_iteration[0].threads_skipped, 0u) << what;
+      std::uint64_t warm_skipped = 0;
+      for (std::size_t i = 1; i < per_iteration.size(); ++i) {
+        warm_skipped += per_iteration[i].threads_skipped;
+      }
+      EXPECT_GT(warm_skipped, 0u) << what;
     }
   }
 }
@@ -429,8 +453,7 @@ TEST(HostSweep, ChunksSkippedOnCarriedBoundsReadNoClock) {
   obs::HostProfiler profiler;
   HostSweepOptions options;
   options.hits = 3;
-  options.threads = 2;
-  options.chunk = 64;
+  options.threads = 8;  // 1,128 λ in 64-λ chunks
   options.profiler = &profiler;
   const GreedyResult warm =
       run_greedy(data.tumor, data.normal, config, make_host_sweep_evaluator(options));
@@ -474,18 +497,14 @@ TEST(HostSweep, GreedySelectionsIdenticalAcrossThreadCountsAndToCluster) {
       run_greedy(data.tumor, data.normal, config, make_serial_evaluator(4));
   ASSERT_FALSE(serial.iterations.empty());
 
-  for (const std::uint32_t threads : {1u, 2u, 8u}) {
-    for (const std::uint64_t chunk : {128ull, 97ull}) {
-      HostSweepOptions options;
-      options.hits = 4;
-      options.threads = threads;
-      options.chunk = chunk;
-      const GreedyResult swept =
-          run_greedy(data.tumor, data.normal, config, make_host_sweep_evaluator(options));
-      EXPECT_EQ(swept.combinations(), serial.combinations())
-          << "threads=" << threads << " chunk=" << chunk;
-      EXPECT_EQ(swept.uncovered_tumor, serial.uncovered_tumor);
-    }
+  for (const std::uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    HostSweepOptions options;
+    options.hits = 4;
+    options.threads = threads;
+    const GreedyResult swept =
+        run_greedy(data.tumor, data.normal, config, make_host_sweep_evaluator(options));
+    EXPECT_EQ(swept.combinations(), serial.combinations()) << "threads=" << threads;
+    EXPECT_EQ(swept.uncovered_tumor, serial.uncovered_tumor);
   }
 
   // The simulated-cluster path must agree with the host sweep too: same

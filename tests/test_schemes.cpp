@@ -964,7 +964,8 @@ TEST(CarriedBounds, NegativeAlphaStaysColdAndCutsNothing) {
 TEST(CarriedBounds, BlockOnlyBoundsStayExact) {
   // Capped at 4 blocks, every space here runs on blocks of more than
   // kBlockThreads threads, over one range (the kernel evaluator's shape)
-  // and over ragged chunks that split them.
+  // and over block-aligned chunks of one and of three blocks, whose last
+  // chunk ends at the space's end. A range that splits a block is rejected.
   for (const std::uint32_t hits : {3u, 4u, 5u}) {
     const auto fixtures = adversarial_fixtures(hits);
     for (std::size_t which = 0; which < fixtures.size(); ++which) {
@@ -974,18 +975,27 @@ TEST(CarriedBounds, BlockOnlyBoundsStayExact) {
       config.hits = hits;
       const GreedyResult serial =
           run_greedy(f.data.tumor, f.data.normal, config, make_serial_evaluator(hits));
-      for (const u64 chunk : {u64{0}, u64{37}}) {
+      for (const u64 blocks : {u64{0}, u64{1}, u64{3}}) {
         CarriedBounds bounds(4);
         const Evaluator lazy = [&](const BitMatrix& tumor, const BitMatrix& normal,
                                    const FContext& ctx) {
           EXPECT_TRUE(bounds.begin(tumor, ctx, hits));
-          EXPECT_LE(bounds.threads(), u64{4} << bounds.block_shift());
+          const u64 span = u64{1} << bounds.block_shift();
+          EXPECT_GT(span, CarriedBounds::kBlockThreads);
+          EXPECT_LE(bounds.threads(), 4 * span);
           const u64 threads = scheme_threads(scheme, tumor.genes());
+          const u64 chunk = blocks == 0 ? threads : blocks * span;
           const double floor = greedy_floor(tumor, normal, ctx, hits);
+          EXPECT_THROW((void)evaluate_range(tumor, normal, ctx, scheme, 0, span - 1, floor,
+                                            nullptr, &bounds),
+                       std::invalid_argument);
+          EXPECT_THROW((void)evaluate_range(tumor, normal, ctx, scheme, 1, span, floor, nullptr,
+                                            &bounds),
+                       std::invalid_argument);
           EvalResult best;
           KernelCounts counts;
-          for (u64 a = 0; a < threads; a += chunk == 0 ? threads : chunk) {
-            const u64 b = chunk == 0 ? threads : std::min(threads, a + chunk);
+          for (u64 a = 0; a < threads; a += chunk) {
+            const u64 b = std::min(threads, a + chunk);
             best = merge_results(
                 best, evaluate_range(tumor, normal, ctx, scheme, a, b, floor, &counts, &bounds));
           }
@@ -996,7 +1006,7 @@ TEST(CarriedBounds, BlockOnlyBoundsStayExact) {
         const GreedyResult result = run_greedy(f.data.tumor, f.data.normal, config, lazy);
         expect_same_greedy(result, serial,
                            "h=" + std::to_string(hits) + " fixture " + std::to_string(which) +
-                               " chunk " + std::to_string(chunk));
+                               " blocks per chunk " + std::to_string(blocks));
       }
     }
   }
@@ -1054,6 +1064,68 @@ TEST(KernelEvaluator, MatchesSerialForAllHitCounts) {
   }
 }
 
+TEST(KernelEvaluator, EqualsTheOneWorkerHostSweep) {
+  // One worker sweeps the whole space as one chunk, which is the kernel
+  // evaluator's one range: through full greedy runs on every adversarial
+  // fixture at h = 2..5, warm and with the carried bounds withheld, every
+  // iteration gives the same result and the same KernelCounts.
+  struct Step {
+    EvalResult best;
+    KernelCounts counts;
+  };
+  for (std::uint32_t hits = 2; hits <= 5; ++hits) {
+    const auto fixtures = adversarial_fixtures(hits);
+    for (std::size_t which = 0; which < fixtures.size(); ++which) {
+      const Fixture& f = fixtures[which];
+      for (const bool warm : {true, false}) {
+        const std::string what = "h=" + std::to_string(hits) + " fixture " +
+                                 std::to_string(which) + (warm ? " warm" : " cold");
+        EngineConfig config;
+        config.hits = hits;
+        // Each iteration's result and counts through `evaluate`.
+        const auto steps = [&](auto evaluate) {
+          std::vector<Step> out;
+          (void)run_greedy(f.data.tumor, f.data.normal, config,
+                           [&](const BitMatrix& tumor, const BitMatrix& normal,
+                               const FContext& ctx) {
+                             FContext at = ctx;
+                             if (!warm) at.carried = nullptr;
+                             Step step;
+                             step.best = evaluate(tumor, normal, at, &step.counts);
+                             out.push_back(step);
+                             return step.best;
+                           });
+          return out;
+        };
+        const std::vector<Step> kernel = steps([&](const BitMatrix& tumor, const BitMatrix& normal,
+                                                   const FContext& ctx, KernelCounts* counts) {
+          return make_kernel_evaluator(hits, counts)(tumor, normal, ctx);
+        });
+        HostSweepOptions options;
+        options.hits = hits;
+        options.threads = 1;
+        const std::vector<Step> swept = steps([&](const BitMatrix& tumor, const BitMatrix& normal,
+                                                  const FContext& ctx, KernelCounts* counts) {
+          HostSweepTelemetry telemetry;
+          const EvalResult best = host_sweep_find_best(tumor, normal, ctx, options, &telemetry);
+          EXPECT_EQ(telemetry.chunks, 1u) << what;
+          *counts = telemetry.counts;
+          return best;
+        });
+        ASSERT_EQ(swept.size(), kernel.size()) << what;
+        for (std::size_t i = 0; i < kernel.size(); ++i) {
+          const std::string at = what + " iteration " + std::to_string(i);
+          expect_same(swept[i].best, kernel[i].best, at);
+          EXPECT_EQ(swept[i].counts.combinations, kernel[i].counts.combinations) << at;
+          EXPECT_EQ(swept[i].counts.pruned, kernel[i].counts.pruned) << at;
+          EXPECT_EQ(swept[i].counts.leaf_cut, kernel[i].counts.leaf_cut) << at;
+          EXPECT_EQ(swept[i].counts.threads_skipped, kernel[i].counts.threads_skipped) << at;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelEvaluator, FallsBackToSerialBelowTwoHits) {
   const auto f = make_fixture(14, 3, 905);
   const EvalResult serial = serial_find_best(f.data.tumor, f.data.normal, f.ctx, 1);
@@ -1073,15 +1145,16 @@ TEST(SixHit, GreedyThroughKernelAndSweepMatchesSerial) {
   ASSERT_FALSE(serial.iterations.empty());
   const GreedyResult kernel =
       run_greedy(f.data.tumor, f.data.normal, config, make_kernel_evaluator(6));
-  HostSweepOptions sweep;
-  sweep.hits = 6;
-  sweep.threads = 3;
-  sweep.chunk = 97;
-  const GreedyResult swept =
-      run_greedy(f.data.tumor, f.data.normal, config, make_host_sweep_evaluator(sweep));
   EXPECT_EQ(kernel.combinations(), serial.combinations());
-  EXPECT_EQ(swept.combinations(), serial.combinations());
-  EXPECT_EQ(swept.uncovered_tumor, serial.uncovered_tumor);
+  for (const std::uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    HostSweepOptions sweep;
+    sweep.hits = 6;
+    sweep.threads = threads;
+    const GreedyResult swept =
+        run_greedy(f.data.tumor, f.data.normal, config, make_host_sweep_evaluator(sweep));
+    EXPECT_EQ(swept.combinations(), serial.combinations()) << "threads=" << threads;
+    EXPECT_EQ(swept.uncovered_tumor, serial.uncovered_tumor) << "threads=" << threads;
+  }
 }
 
 TEST(ClusterHits, DistributedTwoHitMatchesSerialEngine) {
