@@ -1,6 +1,6 @@
 // Host-profiler overhead gate: how much wall clock does attaching the
-// profiler (span timing + claim histograms + counted bitops dispatch) add to
-// the real host-threaded sweep?
+// profiler (claim/evaluate spans on a Chrome trace, hostsweep.* counters and
+// counted bitops dispatch) add to the real host-threaded sweep?
 //
 // Runs the Part 1b workload from brca_scaleout — the BRCA-shaped 4-hit
 // downscale (G=90, 120/80 samples, seed 911) — as a full greedy cover with
@@ -16,21 +16,25 @@
 //   profiled_identical     profiled and unprofiled greedy runs select the
 //                          same combinations (bit-identical cover)
 //   overhead_lt_5pct       median profiled/plain pair ratio < 1.05
-//   replay_identity        report -> parse -> re-render is byte-identical
-//   deterministic_stable   two profiled runs project byte-identical
-//                          deterministic documents
-//   crosscheck_clean       the profile reconciles against itself
+//   replay_identity        the host trace -> tracer_from_chrome -> re-export
+//                          is byte-identical
+//   deterministic_stable   the profiled covers' hostsweep.* counters render
+//                          byte-identical metrics documents
+//   crosscheck_clean       the trace's span counts match the counters:
+//                          evaluate == claim == chunks - skipped chunks,
+//                          tail_idle == empty polls, sweep == sweeps
 //   pruned_fraction.<code> share of the combinations the kernel cut without
 //                          a kernel call (KernelCounts::pruned) over a full
 //                          greedy cover of each registry type's serve
 //                          dataset (make_kernel_evaluator)
 //
 // The <5% budget is the host profiler's acceptance gate: the profiled loop
-// adds two steady_clock reads per evaluated chunk plus the kernel-call
-// counts: one thread_local increment per dispatched bitops call, and one
-// credit per evaluate_range call for the kernel calls made inline on rows of
-// 1-2 words (this workload's 120/80 samples are 2 words, so it takes that
-// path). The sweep derives its chunk from the space: at 4 workers the
+// adds two steady_clock reads and one recorded (claimed, evaluated) pair per
+// evaluated chunk, turned into trace spans after the join, plus the
+// kernel-call counts: one thread_local increment per dispatched bitops call,
+// and one credit per evaluate_range call for the kernel calls made inline on
+// rows of 1-2 words (this workload's 120/80 samples are 2 words, so it takes
+// that path). The sweep derives its chunk from the space: at 4 workers the
 // C(90, 3) = 117,480 threads split into 16 block-aligned chunks of 7,360, so
 // a five-sweep cover claims 80 chunks where fixed 1024-λ chunks made it
 // claim 575. A 4-thread cover is then mostly thread start-up, so the reading
@@ -39,6 +43,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,6 +52,7 @@
 #include "core/hostsweep.hpp"
 #include "data/generator.hpp"
 #include "data/registry.hpp"
+#include "obs/analyze.hpp"
 #include "obs/bench.hpp"
 #include "obs/hostprof.hpp"
 #include "serve/cache.hpp"
@@ -60,6 +66,28 @@ constexpr double kMinSampleSeconds = 0.1;
 double median(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   return values[values.size() / 2];
+}
+
+/// One profiled cover's collection: the counters' registry and the profiler
+/// writing into it.
+struct Profiled {
+  multihit::obs::MetricsRegistry metrics;
+  multihit::obs::HostProfiler profiler{&metrics};
+};
+
+/// True when the trace holds one claim and one evaluate span per evaluated
+/// chunk, one tail_idle span per worker drain and one sweep span per sweep.
+bool spans_match_counters(Profiled& run) {
+  std::map<std::string, double> spans;
+  const multihit::obs::Tracer trace = run.profiler.trace();
+  for (const multihit::obs::TraceEvent& event : trace.events()) {
+    spans[event.name] += 1.0;
+  }
+  const auto counter = [&run](const char* name) { return run.metrics.counter(name).value(); };
+  const double evaluated = counter("hostsweep.chunks") - counter("hostsweep.skipped_chunks");
+  return spans["evaluate"] == evaluated && spans["claim"] == evaluated &&
+         spans["tail_idle"] == counter("hostsweep.empty_polls") &&
+         spans["sweep"] == counter("hostsweep.sweeps") && evaluated > 0.0;
 }
 
 }  // namespace
@@ -84,12 +112,12 @@ int main() {
   options.hits = 4;
   options.threads = 4;
 
-  // One timed cover. A profiled cover gets a fresh profiler (built outside
-  // the timed span), so every cover measures the same amount of collection
-  // work.
-  const auto cover = [&](std::optional<obs::HostProfiler>* profiler, GreedyResult* result) {
+  // One timed cover. A profiled cover gets a fresh profiler and registry
+  // (built outside the timed span), so every cover measures the same amount
+  // of collection work.
+  const auto cover = [&](std::optional<Profiled>* profiled, GreedyResult* result) {
     HostSweepOptions sweep = options;
-    if (profiler != nullptr) sweep.profiler = &profiler->emplace();
+    if (profiled != nullptr) sweep.profiler = &profiled->emplace().profiler;
     const auto t0 = Clock::now();
     *result = run_greedy(data.tumor, data.normal, config, make_host_sweep_evaluator(sweep));
     return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -102,7 +130,7 @@ int main() {
   std::string deterministic_first;
   bool deterministic_stable = true;
   for (int round = 0; round < 5; ++round) {
-    std::optional<obs::HostProfiler> last_profiled;
+    std::optional<Profiled> last_profiled;
     double plain_total = 0.0, profiled_total = 0.0;
     while (plain_total < kMinSampleSeconds || profiled_total < kMinSampleSeconds) {
       const bool profiled_first = pair_ratios.size() % 2 == 1;
@@ -116,20 +144,19 @@ int main() {
       plain_total += plain_seconds;
       profiled_total += profiled_seconds;
     }
-    const obs::HostProfiler& profiler = *last_profiled;
+    Profiled& run = *last_profiled;
 
-    const std::string projection = obs::hostprof_deterministic(profiler.profile()).dump();
+    const std::string counters = run.metrics.to_json();
     if (round == 0) {
-      deterministic_first = projection;
-    } else if (projection != deterministic_first) {
+      deterministic_first = counters;
+    } else if (counters != deterministic_first) {
       deterministic_stable = false;
     }
     if (round == 4) {
-      const std::string report = obs::hostprof_report(profiler.profile()).dump();
-      const obs::HostProfile parsed = obs::hostprof_from_json(obs::JsonValue::parse(report));
-      const bool replay_identity = obs::hostprof_report(parsed).dump() == report;
-      const bool crosscheck_clean = obs::hostprof_crosscheck(profiler.profile()).empty() &&
-                                    obs::hostprof_crosscheck(parsed).empty();
+      const std::string trace = run.profiler.trace().to_chrome_json();
+      const bool replay_identity =
+          obs::tracer_from_chrome(obs::JsonValue::parse(trace)).to_chrome_json() == trace;
+      const bool crosscheck_clean = spans_match_counters(run);
 
       const bool profiled_identical = profiled.combinations() == plain.combinations();
       const double overhead = median(pair_ratios) - 1.0;
@@ -163,7 +190,7 @@ int main() {
       bench.metrics().gauge("hostprof.profiled_seconds").set(profiled_median);
       bench.metrics()
           .gauge("hostprof.combos_per_sec")
-          .set(static_cast<double>(profiler.profile().total_combinations) / profiled_median);
+          .set(run.metrics.counter("hostsweep.combinations").value() / profiled_median);
       bench.write();
 
       std::cout << "  plain:    " << plain_median << " s per cover (median of "
@@ -172,10 +199,9 @@ int main() {
                 << profiled_s.size() << ")\n"
                 << "  overhead: " << overhead * 100.0 << "% (median pair ratio; gate: < 5%)\n"
                 << "  selections identical: " << (profiled_identical ? "yes" : "NO") << "\n"
-                << "  replay byte-identical: " << (replay_identity ? "yes" : "NO") << "\n"
-                << "  deterministic projection stable: "
-                << (deterministic_stable ? "yes" : "NO") << "\n"
-                << "  crosscheck clean: " << (crosscheck_clean ? "yes" : "NO") << "\n";
+                << "  trace replay byte-identical: " << (replay_identity ? "yes" : "NO") << "\n"
+                << "  counters stable: " << (deterministic_stable ? "yes" : "NO") << "\n"
+                << "  span counts match counters: " << (crosscheck_clean ? "yes" : "NO") << "\n";
 
       const bool gates = profiled_identical && overhead_ok && replay_identity &&
                          deterministic_stable && crosscheck_clean;

@@ -19,8 +19,7 @@
 // artifact above that was not explicitly routed elsewhere is written under
 // DIR with its standard name (run.trace.json, run.metrics.json,
 // run.analysis.json, run.profile.json, run.health.json, plus
-// run.truth.json when faults are injected and run.hostprof.json when
-// --host-threads is on), and a multihit.run.v1 manifest (DIR/manifest.json,
+// run.truth.json when faults are injected), and a multihit.run.v1 manifest (DIR/manifest.json,
 // or --manifest-out) inventories the run configuration plus every emitted
 // file with a content digest — two such directories are diffable with
 // `multihit-obstool diff A/manifest.json B/manifest.json`. `--manifest-out`
@@ -35,8 +34,12 @@
 // both the serial reference and the simulated cluster; the measured
 // combinations/sec is real wall clock, not model. The sweep derives its
 // chunk from the space: one worker takes the whole λ space, N workers about
-// four block-aligned chunks each. `--host-profile-out FILE` attaches the
-// host profiler and writes its multihit.hostprof.v1 report to FILE.
+// four block-aligned chunks each; N is at most 256. `--host-profile-out FILE`
+// attaches the host profiler and writes its wall-clock Chrome trace to FILE
+// (one lane per worker: claim, evaluate and tail_idle spans; read it with
+// `multihit-obstool analyze`). The profiler's exact hostsweep.* counters
+// (chunks, claims, candidates, combinations, bitops calls) go into the run's
+// metrics, so --metrics-out and --artifacts-dir carry them.
 //
 // Observability: `--trace-out run.trace.json` writes a Chrome trace-event
 // file of the functional run (open at https://ui.perfetto.dev — one lane per
@@ -56,7 +59,7 @@
 // and `--truth-out run.truth.json` exports the injected-fault ground truth
 // (multihit.truth.v1) the monitor's detectors can be scored against.
 // All are deterministic: timestamps are simulated seconds, so identical runs
-// produce byte-identical files.
+// produce byte-identical files. The host trace alone is wall clock.
 //
 // Part 1 runs the *functional* distributed pipeline (equi-area schedule ->
 // per-GPU maxF + parallelReduceMax -> node merge -> MPI reduce) on a
@@ -100,6 +103,7 @@
 #include "obs/schema.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
+#include "parse_number.hpp"
 
 namespace {
 
@@ -133,6 +137,12 @@ int main(int argc, char** argv) {
       if (a + 1 >= argc) usage();
       return argv[++a];
     };
+    const auto number = [&](const char* flag, const char* text, std::uint32_t lo,
+                            std::uint32_t hi) {
+      const auto value = cli::parse_number<std::uint32_t>(flag, text, lo, hi);
+      if (!value) usage();
+      return *value;
+    };
     unsigned rank = 0, iter = 0, count = 0;
     double value = 0.0;
     if (arg == "--crash") {
@@ -151,10 +161,9 @@ int main(int argc, char** argv) {
       if (std::sscanf(next(), "%u", &iter) != 1) usage();
       options.faults.events.push_back({FaultKind::kJobAbort, 0, iter, 0.0, 1});
     } else if (arg == "--checkpoint") {
-      options.checkpoint_every = static_cast<std::uint32_t>(std::atoi(next()));
+      options.checkpoint_every = number("--checkpoint", next(), 0, UINT32_MAX);
     } else if (arg == "--host-threads") {
-      host_threads = static_cast<std::uint32_t>(std::atoi(next()));
-      if (host_threads == 0) usage();
+      host_threads = number("--host-threads", next(), 1, 256);
     } else if (arg == "--host-profile-out") {
       host_profile_out = next();
     } else if (arg == "--trace-out") {
@@ -194,14 +203,10 @@ int main(int argc, char** argv) {
       }
       log::set_level(*level);
     } else if (arg[0] != '-') {
-      nodes = static_cast<std::uint32_t>(std::atoi(arg.c_str()));
+      nodes = number("nodes", argv[a], 1, 1024);
     } else {
       usage();
     }
-  }
-  if (nodes == 0 || nodes > 1024) {
-    std::cerr << "nodes must be in [1, 1024]\n";
-    return 1;
   }
   if (!host_profile_out.empty() && host_threads == 0) {
     std::cerr << "--host-profile-out requires --host-threads (it profiles the host sweep)\n";
@@ -223,12 +228,8 @@ int main(int argc, char** argv) {
     if (report_out.empty()) report_out = standard("run.analysis.json");
     if (profile_out.empty()) profile_out = standard("run.profile.json");
     if (health_out.empty()) health_out = standard("run.health.json");
-    // Ground truth only means something with injected faults, and the host
-    // profile only exists when the host sweep runs.
+    // Ground truth only means something with injected faults.
     if (truth_out.empty() && !options.faults.empty()) truth_out = standard("run.truth.json");
-    if (host_profile_out.empty() && host_threads > 0) {
-      host_profile_out = standard("run.hostprof.json");
-    }
     if (manifest_out.empty()) manifest_out = standard("manifest.json");
   }
 
@@ -286,14 +287,6 @@ int main(int argc, char** argv) {
     }
     std::cout << "  trace written to " << trace_out << " ("
               << recorder.trace.size() << " events; open at https://ui.perfetto.dev)\n";
-  }
-  if (!metrics_out.empty()) {
-    if (!recorder.write_metrics(metrics_out)) {
-      std::cerr << "error: cannot write metrics to " << metrics_out << "\n";
-      return 1;
-    }
-    std::cout << "  metrics written to " << metrics_out << " ("
-              << recorder.metrics.series_count() << " series)\n";
   }
   if (!report_out.empty()) {
     const obs::TraceAnalysis analysis = obs::analyze_trace(recorder.trace);
@@ -379,8 +372,9 @@ int main(int argc, char** argv) {
     HostSweepOptions sweep;
     sweep.hits = 4;
     sweep.threads = host_threads;
-    obs::HostProfiler host_profiler;
-    if (!host_profile_out.empty()) sweep.profiler = &host_profiler;
+    // The profiler's counters land in the run's metrics.
+    obs::HostProfiler host_profiler(&recorder.metrics);
+    if (!host_profile_out.empty() || !metrics_out.empty()) sweep.profiler = &host_profiler;
     std::cout << "\nPart 1b — host-threaded sweep (real silicon): " << host_threads
               << " thread(s), bitops backend " << backend_name(active_backend()) << ".\n";
     const Evaluator sweep_eval = make_host_sweep_evaluator(sweep, &total);
@@ -399,18 +393,26 @@ int main(int argc, char** argv) {
               << " λ across " << total.threads << " worker(s))\n";
     if (!sweep_identical) return 1;
     if (!host_profile_out.empty()) {
-      const obs::HostProfile& profile = host_profiler.profile();
+      const obs::Tracer host_trace = host_profiler.trace();
       std::ofstream out(host_profile_out);
-      if (out) out << obs::hostprof_report(profile).dump() << '\n';
+      if (out) out << host_trace.to_chrome_json() << '\n';
       if (!out) {
-        std::cerr << "error: cannot write host profile to " << host_profile_out << "\n";
+        std::cerr << "error: cannot write host trace to " << host_profile_out << "\n";
         return 1;
       }
-      std::cout << "  host profile written to " << host_profile_out << " ("
-                << profile.sweeps.size() << " sweep(s), "
-                << profile.total_calls.total()
-                << " bitops call(s); read with multihit-obstool hostprof)\n";
+      std::cout << "  host trace written to " << host_profile_out << " ("
+                << host_profiler.profile().sweeps.size() << " sweep(s), "
+                << host_trace.size()
+                << " events; read with multihit-obstool analyze)\n";
     }
+  }
+  if (!metrics_out.empty()) {
+    if (!recorder.write_metrics(metrics_out)) {
+      std::cerr << "error: cannot write metrics to " << metrics_out << "\n";
+      return 1;
+    }
+    std::cout << "  metrics written to " << metrics_out << " ("
+              << recorder.metrics.series_count() << " series)\n";
   }
 
   if (!manifest_out.empty()) {
@@ -451,7 +453,6 @@ int main(int argc, char** argv) {
       add("profile", obs::kProfileSchema, profile_out);
       add("health", obs::kHealthSchema, health_out);
       add("truth", obs::kTruthSchema, truth_out);
-      add("hostprof", obs::kHostprofSchema, host_profile_out);
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";
       return 1;

@@ -14,8 +14,10 @@
 // state — the workflow Summit's allocation time limit forces; `resume`
 // continues from such a file.
 
+#include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "core/checkpoint.hpp"
@@ -23,15 +25,26 @@
 #include "core/session.hpp"
 #include "data/generator.hpp"
 #include "data/io.hpp"
+#include "parse_number.hpp"
 #include "util/log.hpp"
 
 namespace {
 
 using namespace multihit;
 
-std::uint64_t flag_value(int argc, char** argv, const char* flag, std::uint64_t fallback) {
+/// A numeric flag that does not parse; main answers it with the usage text.
+struct BadFlag {};
+
+constexpr std::uint64_t kAnySeed = std::numeric_limits<std::uint64_t>::max();
+
+std::uint64_t flag_value(int argc, char** argv, const char* flag, std::uint64_t fallback,
+                         std::uint64_t hi = std::numeric_limits<std::uint32_t>::max()) {
   for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::stoull(argv[i + 1]);
+    if (std::strcmp(argv[i], flag) == 0) {
+      const auto value = cli::parse_number<std::uint64_t>(flag, argv[i + 1], 0, hi);
+      if (!value) throw BadFlag{};
+      return *value;
+    }
   }
   return fallback;
 }
@@ -44,7 +57,7 @@ int cmd_generate(int argc, char** argv) {
   spec.normal_samples = static_cast<std::uint32_t>(flag_value(argc, argv, "--normal", 80));
   spec.hits = static_cast<std::uint32_t>(flag_value(argc, argv, "--hits", 3));
   spec.num_combinations = static_cast<std::uint32_t>(flag_value(argc, argv, "--combos", 3));
-  spec.seed = flag_value(argc, argv, "--seed", 42);
+  spec.seed = flag_value(argc, argv, "--seed", 42, kAnySeed);
   Dataset data = generate_dataset(spec);
   data.name = argv[2];
   save_dataset(argv[2], data);
@@ -73,8 +86,9 @@ int cmd_info(int argc, char** argv) {
 
 int cmd_split(int argc, char** argv) {
   if (argc < 5) return 1;
+  const std::uint64_t seed = flag_value(argc, argv, "--seed", 7, kAnySeed);
   const Dataset data = load_dataset(argv[2]);
-  const auto split = split_dataset(data, 0.75, flag_value(argc, argv, "--seed", 7));
+  const auto split = split_dataset(data, 0.75, seed);
   save_dataset(argv[3], split.train);
   save_dataset(argv[4], split.test);
   std::cout << "train: " << split.train.tumor_samples() << "+"
@@ -105,15 +119,15 @@ void print_progress(const GreedyResult& result) {
 
 int cmd_solve(int argc, char** argv) {
   if (argc < 3) return 1;
-  const Dataset data = load_dataset(argv[2]);
   const auto hits = static_cast<std::uint32_t>(flag_value(argc, argv, "--hits", 3));
+  const auto iters = static_cast<std::uint32_t>(flag_value(argc, argv, "--iters", 1));
+  const Dataset data = load_dataset(argv[2]);
   const Evaluator evaluator = make_kernel_evaluator(hits);
 
   EngineConfig config;
   config.hits = hits;
 
   if (const char* checkpoint_path = flag_string(argc, argv, "--checkpoint")) {
-    const auto iters = static_cast<std::uint32_t>(flag_value(argc, argv, "--iters", 1));
     Engine session(data.tumor, data.normal, config, evaluator);
     session.step(iters);
     const CheckpointState state = session.checkpoint();
@@ -130,9 +144,9 @@ int cmd_solve(int argc, char** argv) {
 
 int cmd_resume(int argc, char** argv) {
   if (argc < 4) return 1;
+  const auto iters = static_cast<std::uint32_t>(flag_value(argc, argv, "--iters", 0));
   const Dataset data = load_dataset(argv[2]);
   CheckpointState snapshot = load_checkpoint(argv[3]);
-  const auto iters = static_cast<std::uint32_t>(flag_value(argc, argv, "--iters", 0));
   const Evaluator evaluator = make_kernel_evaluator(snapshot.hits);
   Engine session(std::move(snapshot), data.normal, EngineConfig{}, evaluator);
   session.step(iters);
@@ -180,6 +194,9 @@ int main(int argc, char** argv) {
     else if (cmd == "resume") rc = cmd_resume(argc, argv);
     if (rc != 0) std::cerr << usage;
     return rc;
+  } catch (const BadFlag&) {
+    std::cerr << usage;
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

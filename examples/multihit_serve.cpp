@@ -70,6 +70,7 @@
 #include "obs/recorder.hpp"
 #include "obs/runinfo.hpp"
 #include "obs/schema.hpp"
+#include "parse_number.hpp"
 #include "serve/cache.hpp"
 #include "serve/job.hpp"
 #include "serve/service.hpp"
@@ -136,22 +137,28 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A bad number is a usage error naming its flag (exits 2, before any work).
+    const auto number = [&](auto lo) {
+      const auto parsed = cli::parse_number(arg, value(), lo);
+      if (!parsed) std::exit(usage());
+      return *parsed;
+    };
     if (arg == "--mix") {
       const auto mix = parse_mix(value());
       if (!mix) return usage();
       spec.mix = *mix;
     } else if (arg == "--jobs") {
-      spec.jobs = static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      spec.jobs = number(std::uint32_t{0});
     } else if (arg == "--seed") {
-      spec.seed = std::strtoull(value(), nullptr, 10);
+      spec.seed = number(std::uint64_t{0});
     } else if (arg == "--gpus") {
-      options.gpus = static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      options.gpus = number(std::uint32_t{1});
     } else if (arg == "--concurrent") {
-      options.max_concurrent = static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      options.max_concurrent = number(std::uint32_t{1});
     } else if (arg == "--queue-cap") {
-      options.queue_capacity = static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      options.queue_capacity = number(std::uint32_t{1});
     } else if (arg == "--quota") {
-      options.tenant_quota = static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      options.tenant_quota = number(std::uint32_t{0});
     } else if (arg == "--invalidate-rate") {
       spec.invalidate_rate = std::strtod(value(), nullptr);
     } else if (arg == "--no-cache") {

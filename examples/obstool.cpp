@@ -12,9 +12,6 @@
 //                      [--summary] [--quiet]
 //   $ multihit-obstool slo SERVE.json --spec FILE
 //                      [--report-out FILE] [--summary] [--quiet]
-//   $ multihit-obstool hostprof HOSTPROF.json
-//                      [--report-out FILE] [--folded-out FILE]
-//                      [--deterministic-out FILE] [--summary] [--quiet]
 //   $ multihit-obstool diff A B [--tol FILE]
 //                      [--report-out FILE] [--summary] [--quiet]
 //
@@ -23,7 +20,10 @@
 // imbalance, comm overhead — see src/obs/analyze.hpp), and prints the
 // human-readable summary. `--report-out` writes the multihit.analysis.v1
 // JSON report, `--folded-out` writes collapsed flamegraph stacks
-// (flamegraph.pl / speedscope format).
+// (flamegraph.pl / speedscope format). A host trace (brca_scaleout
+// --host-profile-out) reads the same way: its worker lanes are the rank
+// lanes, so the phase table gives each of claim / evaluate / tail_idle with
+// its straggler worker, and the folded stacks read "worker N;evaluate".
 //
 // `profile` loads a --profile-out multihit.profile.v1 artifact and prints
 // the per-kernel occupancy/stall/roofline rollups (`--summary` truncates the
@@ -57,17 +57,6 @@
 // run, the in-process-vs-replay determinism gate in scripts/ci.sh. Any
 // violated objective exits 1.
 //
-// `hostprof` loads a multihit.hostprof.v1 host-sweep profile (from
-// brca_scaleout --host-profile-out) and prints the wall-clock breakdown
-// (`--summary` drops the per-worker table). `--report-out` re-renders the
-// document — byte-identical to the in-process emission, the offline-replay
-// gate in scripts/ci.sh. `--folded-out` writes collapsed flamegraph stacks
-// of the per-worker claim/evaluate/tail-idle split, `--deterministic-out`
-// the wall-clock-free projection (byte-identical across runs and bitops
-// backends of the same configuration). The profile's internal consistency
-// (totals vs per-worker and per-sweep sums, claim-histogram mass, ChunkQueue
-// poll invariants) is always crosschecked; any mismatch exits 1.
-//
 // `diff` is the cross-run regression engine (src/obs/diff.hpp): A and B are
 // either multihit.run.v1 manifests (from brca_scaleout / multihit-serve
 // --manifest-out or --artifacts-dir; every inventoried artifact is loaded
@@ -77,11 +66,11 @@
 // regressed / added / removed; `--tol FILE` loads a
 // `tol <series-glob> rel|abs <bound>` spec relaxing named series. On top of
 // the generic pass: critical-path makespan attribution by phase×rank cell,
-// per-kernel profile deltas, incident matching, per-tenant SLO movement,
-// and hostprof wall-clock deltas (informational). `--report-out` writes the
-// multihit.diff.v1 document, byte-identical across repeated invocations. A
-// regression verdict (regressed or removed series, a new incident in B, a
-// newly violated SLO objective) exits 1.
+// per-kernel profile deltas, incident matching, and per-tenant SLO
+// movement. `--report-out` writes the multihit.diff.v1 document,
+// byte-identical across repeated invocations. A regression verdict
+// (regressed or removed series, a new incident in B, a newly violated SLO
+// objective) exits 1.
 //
 // All outputs are deterministic: processing the same files twice produces
 // byte-identical artifacts, which scripts/ci.sh uses as the determinism
@@ -101,9 +90,9 @@
 
 #include "obs/analyze.hpp"
 #include "obs/diff.hpp"
-#include "obs/hostprof.hpp"
 #include "obs/monitor.hpp"
 #include "obs/profile.hpp"
+#include "parse_number.hpp"
 
 namespace {
 
@@ -120,9 +109,6 @@ namespace {
                "                        [--summary] [--quiet]\n"
                "       multihit-obstool slo SERVE.json --spec FILE\n"
                "                        [--report-out FILE] [--summary] [--quiet]\n"
-               "       multihit-obstool hostprof HOSTPROF.json\n"
-               "                        [--report-out FILE] [--folded-out FILE]\n"
-               "                        [--deterministic-out FILE] [--summary] [--quiet]\n"
                "       multihit-obstool diff A B [--tol FILE]\n"
                "                        [--report-out FILE] [--summary] [--quiet]\n";
   std::exit(2);
@@ -306,7 +292,10 @@ int run_monitor(int argc, char** argv) {
     } else if (arg == "--sample-every") {
       options.sample_every = std::atof(next());
     } else if (arg == "--window-samples") {
-      options.window_samples = static_cast<std::uint32_t>(std::atoi(next()));
+      const auto samples =
+          multihit::cli::parse_number<std::uint32_t>("--window-samples", next());
+      if (!samples) usage();
+      options.window_samples = *samples;
     } else if (arg == "--truth") {
       truth_path = next();
     } else if (arg == "--truth-window") {
@@ -431,75 +420,6 @@ int run_slo(int argc, char** argv) {
   return 0;
 }
 
-int run_hostprof(int argc, char** argv) {
-  using namespace multihit::obs;
-  std::string profile_path, report_out, folded_out, deterministic_out;
-  bool summary = false, quiet = false;
-  for (int a = 2; a < argc; ++a) {
-    const std::string arg = argv[a];
-    const auto next = [&]() -> const char* {
-      if (a + 1 >= argc) usage();
-      return argv[++a];
-    };
-    if (arg == "--report-out") {
-      report_out = next();
-    } else if (arg == "--folded-out") {
-      folded_out = next();
-    } else if (arg == "--deterministic-out") {
-      deterministic_out = next();
-    } else if (arg == "--summary") {
-      summary = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage();
-    } else if (profile_path.empty()) {
-      profile_path = arg;
-    } else {
-      usage();
-    }
-  }
-  if (profile_path.empty()) usage();
-
-  try {
-    const JsonValue doc = JsonValue::parse(read_file(profile_path));
-    const HostProfile profile = hostprof_from_json(doc);
-
-    if (!report_out.empty() &&
-        !write_file(report_out, hostprof_report(profile).dump() + "\n")) {
-      std::cerr << "error: cannot write host profile report to " << report_out << "\n";
-      return 1;
-    }
-    if (!folded_out.empty() && !write_file(folded_out, hostprof_folded(profile))) {
-      std::cerr << "error: cannot write folded stacks to " << folded_out << "\n";
-      return 1;
-    }
-    if (!deterministic_out.empty() &&
-        !write_file(deterministic_out, hostprof_deterministic(profile).dump() + "\n")) {
-      std::cerr << "error: cannot write deterministic projection to " << deterministic_out
-                << "\n";
-      return 1;
-    }
-    if (!quiet) std::cout << hostprof_text(profile, summary);
-
-    // The stored totals, the per-worker table, and the per-sweep table all
-    // describe the same run; disagreement means a corrupt document or an
-    // instrumentation bug.
-    const std::vector<std::string> mismatches = hostprof_crosscheck(profile);
-    if (!mismatches.empty()) {
-      for (const std::string& mismatch : mismatches) {
-        std::cerr << "reconciliation mismatch: " << mismatch << "\n";
-      }
-      return 1;
-    }
-    if (!quiet) std::cout << "reconciliation: totals agree with worker and sweep tables\n";
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
-}
-
 int run_diff(int argc, char** argv) {
   using namespace multihit::obs;
   std::string path_a, path_b, tol_path, report_out;
@@ -566,7 +486,6 @@ int main(int argc, char** argv) {
   if (command == "profile") return run_profile(argc, argv);
   if (command == "monitor") return run_monitor(argc, argv);
   if (command == "slo") return run_slo(argc, argv);
-  if (command == "hostprof") return run_hostprof(argc, argv);
   if (command == "diff") return run_diff(argc, argv);
   usage();
 }

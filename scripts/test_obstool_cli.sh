@@ -112,34 +112,23 @@ expect slo_clean 0 slo "$TMP/serve.json" --spec "$TMP/ok.slo" --quiet
 printf 'slo t latency p99 below 0.5\n' > "$TMP/tight.slo"
 expect slo_violation 1 slo "$TMP/serve.json" --spec "$TMP/tight.slo" --quiet
 
-# --- hostprof subcommand --------------------------------------------------
-expect hostprof_missing_operand 2 hostprof
-expect_usage_on_stderr hostprof_missing_operand_usage hostprof
-expect hostprof_unknown_flag 2 hostprof hostprof.json --bogus
-expect hostprof_flag_missing_value 2 hostprof hostprof.json --report-out
-expect hostprof_extra_operand 2 hostprof a.json b.json
-
-# Runtime errors: unreadable/malformed inputs and wrong-schema documents.
-expect hostprof_nonexistent_input 1 hostprof "$TMP/no-such-hostprof.json"
-expect hostprof_malformed_input 1 hostprof "$TMP/garbage.json"
-expect hostprof_wrong_schema 1 hostprof "$TMP/metrics.json"
-
-# A minimal (empty-run) document replays cleanly; corrupting a total must
-# trip the reconciliation pass (exit 1), not render a wrong report.
-zero_calls='{"and2":0,"and_rows":0}'
-hostprof_doc() {
-  printf '{"schema":"multihit.hostprof.v1","workload":{"hits":2,"scheme":"scheme2","lambda_end":0,"chunk_size":64,"workers":0,"sweeps":0,"bitops_counted":true},"totals":{"chunks":%s,"claims":0,"empty_polls":0,"candidates":0,"combinations":0,"bitops_calls":%s},"backend":{"name":"scalar"},"wallclock":{"wall_seconds":0,"eval_seconds":0,"claim_seconds":0,"merge_seconds":0,"tail_idle_seconds":0},"workers":[],"sweeps":[]}' \
-    "$1" "$zero_calls"
-}
-hostprof_doc 0 > "$TMP/empty.hostprof.json"
-expect hostprof_empty_profile 0 hostprof "$TMP/empty.hostprof.json" --quiet
-hostprof_doc 5 > "$TMP/corrupt.hostprof.json"
-expect hostprof_corrupted_totals 1 hostprof "$TMP/corrupt.hostprof.json" --quiet
-# Hostile values are refused with the field's path, never cast: an
-# out-of-range hit count must not come back as 0.
-hostprof_doc 0 | sed 's/"hits":2/"hits":1e30/' > "$TMP/hostile.hostprof.json"
-expect_error_naming hostprof_hostile_hits workload.hits \
-  hostprof "$TMP/hostile.hostprof.json" --quiet
+# --- analyze on a host trace ---------------------------------------------
+# A host-sweep trace (brca_scaleout --host-profile-out) is a Chrome trace
+# whose worker lanes are the rank lanes: analyze names each host phase with
+# its straggler worker, and the folded stacks read "worker N;evaluate".
+printf '%s' '{"displayTimeUnit":"ms","traceEvents":[{"ph":"M","name":"thread_name","pid":0,"tid":0,"args":{"name":"worker 0"}},{"ph":"M","name":"thread_name","pid":0,"tid":1,"args":{"name":"worker 1"}},{"ph":"M","name":"thread_name","pid":0,"tid":1048576,"args":{"name":"host sweep"}},{"name":"claim","cat":"queue","ph":"X","pid":0,"tid":0,"ts":1,"dur":1},{"name":"evaluate","cat":"compute","ph":"X","pid":0,"tid":0,"ts":2,"dur":4},{"name":"tail_idle","cat":"idle","ph":"X","pid":0,"tid":0,"ts":6,"dur":3},{"name":"claim","cat":"queue","ph":"X","pid":0,"tid":1,"ts":1,"dur":2},{"name":"evaluate","cat":"compute","ph":"X","pid":0,"tid":1,"ts":3,"dur":6},{"name":"tail_idle","cat":"idle","ph":"X","pid":0,"tid":1,"ts":9,"dur":0},{"name":"sweep","cat":"sweep","ph":"X","pid":0,"tid":1048576,"ts":0,"dur":10},{"name":"merge","cat":"sweep","ph":"X","pid":0,"tid":1048576,"ts":9,"dur":1}]}' \
+  > "$TMP/host.trace.json"
+expect analyze_host_trace 0 analyze "$TMP/host.trace.json" --folded-out "$TMP/host.folded"
+for phase in 'claim: .*(lane 1)' 'evaluate: .*(lane 1)' 'tail_idle: .*(lane 0)'; do
+  if ! grep -q "$phase" "$TMP/out"; then
+    echo "FAIL analyze_host_trace: no '$phase' line in the phase table" >&2
+    fails=$((fails + 1))
+  fi
+done
+if ! grep -qx 'worker 1;evaluate 6' "$TMP/host.folded"; then
+  echo "FAIL analyze_host_trace: no 'worker 1;evaluate 6' folded stack" >&2
+  fails=$((fails + 1))
+fi
 
 # --- diff subcommand ------------------------------------------------------
 # Usage: exactly two run operands.

@@ -1,7 +1,6 @@
 #include "core/hostsweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -14,28 +13,18 @@ namespace multihit {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_between(Clock::time_point begin, Clock::time_point end) {
-  return std::chrono::duration<double>(end - begin).count();
-}
-
-/// One per-chunk winner, tagged with the chunk's begin λ for the
-/// deterministic index-ordered fold.
-struct Candidate {
-  std::uint64_t chunk_begin = 0;
-  EvalResult result;
-};
+using Clock = obs::HostClock;
 
 /// Everything one worker produces. Workers fill a stack copy and store it
 /// once when they drain the queue: adjacent vector elements share cache
 /// lines, and per-chunk writes to them would bounce those lines between
 /// workers on every (often tiny, once pruned) chunk.
 struct WorkerOutput {
-  std::vector<Candidate> candidates;
+  EvalResult best;  ///< merge_results over the worker's chunk bests
   KernelCounts counts;
   std::uint64_t chunks = 0;
   std::uint64_t skipped_chunks = 0;  ///< of those, skipped on carried bounds
+  std::uint64_t candidates = 0;      ///< evaluated chunks with a valid best
 };
 
 }  // namespace
@@ -80,76 +69,65 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
 
   std::vector<WorkerOutput> outputs(workers);
   std::vector<obs::HostWorkerSample> samples(profiler != nullptr ? workers : 0);
-  std::vector<Clock::time_point> finish_at(profiler != nullptr ? workers : 0);
+  // Sized here so a worker's per-chunk record never allocates.
+  for (obs::HostWorkerSample& sample : samples) sample.evaluated.reserve(queue.chunk_count());
 
   const auto worker_body = [&](std::uint32_t id) {
     WorkerOutput out;
-    // Under a profiler, two steady_clock reads per chunk (claim edge,
-    // evaluate edge) feed the claim-latency histogram and the busy/idle
-    // split; everything that decides the selection is untouched.
+    // Under a profiler, two steady_clock reads per evaluated chunk (claimed,
+    // evaluated) become its claim and evaluate spans; everything that
+    // decides the selection is untouched.
     obs::HostWorkerSample sample;
+    if (profiler != nullptr) sample = std::move(samples[id]);
     const BitopsCallCounts calls_before = thread_bitops_calls();
-    Clock::time_point mark, claimed_at;
-    if (profiler != nullptr) mark = Clock::now();
+    if (profiler != nullptr) sample.started = Clock::now();
     std::uint64_t begin = 0, end = 0;
-    for (;;) {
-      const bool claimed = queue.next(&begin, &end);
-      if (claimed && carried != nullptr && carried->skips(begin, end, floor, ctx)) {
+    while (queue.next(&begin, &end)) {
+      ++out.chunks;
+      if (carried != nullptr && carried->skips(begin, end, floor, ctx)) {
         // A chunk its carried bounds rule out costs no kernel call and no
-        // clock read; the profiler tallies it apart from timed claims.
+        // clock read.
         const std::uint64_t work = scheme_range_work(scheme, tumor.genes(), begin, end);
         out.counts.combinations += work;
         out.counts.pruned += work;
         out.counts.threads_skipped += end - begin;
-        ++out.chunks;
         ++out.skipped_chunks;
         continue;
       }
-      if (profiler != nullptr) {
-        claimed_at = Clock::now();
-        const double claim_latency = seconds_between(mark, claimed_at);
-        sample.claim_seconds += claim_latency;
-        ++sample.claim_histogram[obs::claim_bucket(claim_latency)];
-      }
-      if (!claimed) break;
+      Clock::time_point claimed_at;
+      if (profiler != nullptr) claimed_at = Clock::now();
       const EvalResult best =
           evaluate_range(tumor, normal, ctx, scheme, begin, end, floor, &out.counts, carried);
-      if (profiler != nullptr) {
-        mark = Clock::now();
-        sample.eval_seconds += seconds_between(claimed_at, mark);
+      if (profiler != nullptr) sample.evaluated.emplace_back(claimed_at, Clock::now());
+      if (best.valid) {
+        ++out.candidates;
+        out.best = merge_results(out.best, best);
       }
-      ++out.chunks;
-      if (best.valid) out.candidates.push_back({begin, best});
     }
 
     if (profiler != nullptr) {
-      // The one failed poll every worker's drain ends on.
-      sample.empty_polls = 1;
-      finish_at[id] = claimed_at;
       const BitopsCallCounts delta = thread_bitops_calls() - calls_before;
-      sample.calls.and2 = delta.and2;
-      sample.calls.and_rows = delta.and_rows;
+      sample.and2_calls = delta.and2;
+      sample.and_rows_calls = delta.and_rows;
       sample.chunks = out.chunks;
       sample.skipped_chunks = out.skipped_chunks;
-      sample.candidates = static_cast<std::uint64_t>(out.candidates.size());
+      sample.candidates = out.candidates;
       sample.combinations = out.counts.combinations;
-      samples[id] = sample;
+      samples[id] = std::move(sample);
     }
-    outputs[id] = std::move(out);
+    outputs[id] = out;
   };
 
-  Clock::time_point sweep_start, joined_at;
   if (profiler != nullptr) {
-    sweep_start = Clock::now();
     obs::HostSweepSetup setup;
     setup.workers = workers;
     setup.chunk_size = queue.chunk_size();
-    setup.chunk_count = queue.chunk_count();
     setup.lambda_end = lambda_end;
     setup.hits = options.hits;
     setup.scheme = scheme_name(scheme);
     setup.backend = backend_name(active_backend());
-    profiler->begin_sweep(setup);
+    setup.started = Clock::now();
+    profiler->begin_sweep(std::move(setup));
   }
 
   if (workers <= 1) {
@@ -160,36 +138,21 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     for (std::uint32_t id = 0; id < workers; ++id) pool.emplace_back(worker_body, id);
     for (std::thread& t : pool) t.join();
   }
-  if (profiler != nullptr) joined_at = Clock::now();
+  obs::HostSweepClose close;
+  if (profiler != nullptr) close.joined = Clock::now();
   if (carried != nullptr) carried->finish();
 
-  // Deterministic merge: concatenate per-worker candidate lists, order by
-  // chunk-begin λ (chunks are disjoint, so the key is unique), fold with
-  // merge_results. The sort makes the fold order independent of which worker
-  // happened to grab which chunk; merge_results' total order already makes
-  // the *result* order-independent — both layers are pinned by tests.
-  std::vector<Candidate> merged;
-  for (const WorkerOutput& out : outputs) {
-    merged.insert(merged.end(), out.candidates.begin(), out.candidates.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Candidate& a, const Candidate& b) { return a.chunk_begin < b.chunk_begin; });
+  // merge_results is associative and commutative (core/result.hpp), so
+  // folding the per-worker bests in slot order selects the same winner
+  // whichever worker evaluated which chunk.
   EvalResult best;
-  for (const Candidate& candidate : merged) best = merge_results(best, candidate.result);
+  for (const WorkerOutput& out : outputs) best = merge_results(best, out.best);
 
   if (profiler != nullptr) {
-    const Clock::time_point merged_at = Clock::now();
-    set_call_counting(counting_before);
-    for (std::uint32_t id = 0; id < workers; ++id) {
-      // Tail idle: the gap between this worker draining the queue and the
-      // last worker joining — the end-of-sweep load-imbalance cost.
-      samples[id].tail_idle_seconds = seconds_between(finish_at[id], joined_at);
-      profiler->record_worker(id, samples[id]);
-    }
-    obs::HostSweepClose close;
-    close.wall_seconds = seconds_between(sweep_start, merged_at);
-    close.merge_seconds = seconds_between(joined_at, merged_at);
+    close.merged = Clock::now();
     close.polls = queue.polls();
+    set_call_counting(counting_before);
+    for (std::uint32_t id = 0; id < workers; ++id) profiler->record_worker(id, samples[id]);
     profiler->end_sweep(close);
   }
 
@@ -197,11 +160,12 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     telemetry->threads = workers;
     telemetry->threads_requested = requested;
     telemetry->chunk_size = queue.chunk_size();
-    telemetry->candidates = static_cast<std::uint64_t>(merged.size());
     telemetry->chunks = 0;
+    telemetry->candidates = 0;
     telemetry->counts = {};
     for (const WorkerOutput& out : outputs) {
       telemetry->chunks += out.chunks;
+      telemetry->candidates += out.candidates;
       telemetry->counts += out.counts;
     }
   }

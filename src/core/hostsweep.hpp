@@ -11,12 +11,12 @@
 // thread-local, and of an Engine's carried bounds a chunk writes only the
 // whole blocks its range holds.
 //
-// Determinism: every chunk produces at most one candidate tagged with its
-// chunk-begin λ; workers append to private lists, and the final fold sorts
-// candidates by that linear index before merging. Together with the strict
-// (F desc, rank asc) total order of EvalResult, selections are bit-identical
-// across thread counts and backends (tests/test_hostsweep.cpp); what is
-// pruned depends on the data and the worker count, which fix the chunks.
+// Determinism: each worker keeps one running best over the chunks it
+// evaluates, and the final fold merges the workers' bests. merge_results is
+// associative and commutative under the strict (F desc, rank asc) total
+// order of EvalResult, so selections are bit-identical across thread counts,
+// chunk claim orders and backends (tests/test_hostsweep.cpp); what is pruned
+// depends on the data and the worker count, which fix the chunks.
 
 #include <cstdint>
 
@@ -44,9 +44,10 @@ struct HostSweepOptions {
   std::uint32_t threads = 0;    ///< worker count; 0 = hardware_concurrency
   /// Optional wall-clock profiler (obs/hostprof.hpp). Null reads no clock;
   /// non-null adds two steady_clock reads per evaluated chunk (a chunk the
-  /// carried bounds skip whole reads none) and never changes which
-  /// combination is selected — profiled and unprofiled sweeps are
-  /// bit-identical (pinned by tests and the ci.sh hostprof smoke).
+  /// carried bounds skip whole reads none), one per worker and three per
+  /// sweep, and never changes which combination is selected — profiled and
+  /// unprofiled sweeps are bit-identical (pinned by tests and the ci.sh
+  /// host-profiler smoke).
   obs::HostProfiler* profiler = nullptr;
 };
 
@@ -56,7 +57,7 @@ struct HostSweepTelemetry {
   std::uint32_t threads_requested = 0;  ///< workers asked for, before the chunk-count clamp
   std::uint64_t chunk_size = 0;         ///< λ indices per queue grab (derived)
   std::uint64_t chunks = 0;             ///< chunks distributed
-  std::uint64_t candidates = 0;         ///< valid per-chunk candidates merged
+  std::uint64_t candidates = 0;         ///< evaluated chunks with a valid best
   KernelCounts counts;                  ///< summed over workers in index order
 
   /// Accumulates another sweep's accounting (one greedy run = one sweep per

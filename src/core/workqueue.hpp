@@ -39,8 +39,7 @@ class ChunkQueue {
   /// next() calls so far (racy while workers run; exact after they join):
   /// the host profiler's starvation count, read for free off the cursor.
   /// Each worker's drain loop fails exactly once, so at quiescence
-  /// polls() == chunk_count() + workers, an invariant the hostprof
-  /// crosscheck pins.
+  /// polls() == chunk_count() + workers (pinned in tests/test_hostprof.cpp).
   std::uint64_t polls() const noexcept { return cursor_.load(std::memory_order_relaxed); }
 
  private:

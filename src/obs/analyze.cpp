@@ -327,8 +327,10 @@ std::string folded_stacks(const Tracer& tracer) {
   std::map<std::uint32_t, std::string> names;
   for (const auto& [lane, name] : tracer.lane_names()) names[lane] = name;
 
-  // Self time per distinct stack, in integer microseconds for stable text.
-  std::map<std::string, std::int64_t> folded;
+  // Self time per distinct stack, summed before it is rounded to integer
+  // microseconds for stable text: a host trace's claim spans last well under
+  // a microsecond each, and rounding span by span would drop them all.
+  std::map<std::string, double> folded;
   std::vector<std::string> stacks;  // reused per lane: stack string per span
   for (const auto& [lane, spans] : lanes) {
     const auto name_it = names.find(lane);
@@ -342,14 +344,14 @@ std::string folded_stacks(const Tracer& tracer) {
       if (spans[i].depth > 0) child_time[spans[i].parent] += spans[i].event->duration();
     }
     for (std::uint32_t i = 0; i < spans.size(); ++i) {
-      const double self = spans[i].event->duration() - child_time[i];
-      const auto micros = static_cast<std::int64_t>(std::llround(std::max(self, 0.0) * kMicros));
-      if (micros > 0) folded[stacks[i]] += micros;
+      folded[stacks[i]] += std::max(spans[i].event->duration() - child_time[i], 0.0);
     }
   }
 
   std::string out;
-  for (const auto& [stack, micros] : folded) {
+  for (const auto& [stack, seconds] : folded) {
+    const std::int64_t micros = std::llround(seconds * kMicros);
+    if (micros <= 0) continue;
     out += stack;
     out += ' ';
     out += std::to_string(micros);

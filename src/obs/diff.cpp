@@ -264,8 +264,7 @@ void flatten_metrics(const JsonValue& doc, SeriesMap& out) {
 
 /// Flattens one artifact document into role-prefixed series. Sections with
 /// specialized diff semantics (critical-path segments, per-launch kernels,
-/// incidents, sampler rings) are excluded here; hostprof keeps only its
-/// deterministic projection so wall-clock noise cannot trip the exact gate.
+/// incidents, sampler rings) are excluded here.
 void flatten_role(const std::string& role, const JsonValue& doc, SeriesMap& out) {
   if (role == "metrics") {
     flatten_metrics(doc, out);
@@ -276,22 +275,18 @@ void flatten_role(const std::string& role, const JsonValue& doc, SeriesMap& out)
   static const std::vector<std::string_view> kProfileSkip = {"profile.kernels"};
   static const std::vector<std::string_view> kHealthSkip = {
       "health.incidents", "health.series[*].window"};
-  static const std::vector<std::string_view> kHostprofSkip = {
-      "hostprof.wallclock", "hostprof.imbalance", "hostprof.claim_latency",
-      "hostprof.workers",   "hostprof.sweeps"};
   static const std::vector<std::string_view> kNoSkip;
   const std::vector<std::string_view>* skip = &kNoSkip;
   if (role == "analysis") skip = &kAnalysisSkip;
   if (role == "profile") skip = &kProfileSkip;
   if (role == "health") skip = &kHealthSkip;
-  if (role == "hostprof") skip = &kHostprofSkip;
   Flattener{out, *skip}.walk(role, doc);
 }
 
 bool diffable_kind(std::string_view kind) {
   return kind == "metrics" || kind == "analysis" || kind == "profile" ||
          kind == "health" || kind == "serve" || kind == "slo" ||
-         kind == "hostprof" || kind == "truth" || kind == "bench";
+         kind == "truth" || kind == "bench";
 }
 
 const JsonValue* find_doc(const RunInput& run, std::string_view role) {
@@ -605,50 +600,6 @@ SloDiff diff_slo(const JsonValue* a, const JsonValue* b) {
   return out;
 }
 
-HostprofDiff diff_hostprof(const JsonValue* a, const JsonValue* b) {
-  HostprofDiff out;
-  if (!a || !b) return out;
-  const JsonValue* wall_a = a->find("wallclock");
-  const JsonValue* wall_b = b->find("wallclock");
-  if (!wall_a || !wall_b) return out;  // deterministic projections carry none
-  out.present = true;
-  out.wall_a = number_or(*wall_a, "wall_seconds", 0.0);
-  out.wall_b = number_or(*wall_b, "wall_seconds", 0.0);
-  out.eval_a = number_or(*wall_a, "eval_seconds", 0.0);
-  out.eval_b = number_or(*wall_b, "eval_seconds", 0.0);
-  out.tail_idle_a = number_or(*wall_a, "tail_idle_seconds", 0.0);
-  out.tail_idle_b = number_or(*wall_b, "tail_idle_seconds", 0.0);
-  out.combos_per_sec_a = number_or(*wall_a, "combos_per_sec", 0.0);
-  out.combos_per_sec_b = number_or(*wall_b, "combos_per_sec", 0.0);
-  std::map<std::string, std::pair<const JsonValue*, const JsonValue*>> phases;
-  const auto collect = [&phases](const JsonValue& doc, bool side_b) {
-    const JsonValue* imbalance = doc.find("imbalance");
-    if (!imbalance || !imbalance->is_array()) return;
-    for (const JsonValue& entry : imbalance->as_array()) {
-      const JsonValue* phase = entry.find("phase");
-      if (!phase || !phase->is_string()) continue;
-      auto& slot = phases[phase->as_string()];
-      (side_b ? slot.second : slot.first) = &entry;
-    }
-  };
-  collect(*a, false);
-  collect(*b, true);
-  for (const auto& [phase, sides] : phases) {
-    HostprofPhaseDiff diff;
-    diff.phase = phase;
-    if (sides.first) {
-      diff.max_over_mean_a = number_or(*sides.first, "max_over_mean", 0.0);
-      diff.straggler_lane_a = number_or(*sides.first, "straggler_lane", 0.0);
-    }
-    if (sides.second) {
-      diff.max_over_mean_b = number_or(*sides.second, "max_over_mean", 0.0);
-      diff.straggler_lane_b = number_or(*sides.second, "straggler_lane", 0.0);
-    }
-    out.phases.push_back(std::move(diff));
-  }
-  return out;
-}
-
 RunSummary summarize_run(const RunInput& run) {
   RunSummary out;
   out.label = run.label;
@@ -825,7 +776,6 @@ DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& op
   report.kernels = diff_kernels(find_doc(a, "profile"), find_doc(b, "profile"));
   report.incidents = diff_incidents(find_doc(a, "health"), find_doc(b, "health"));
   report.slo = diff_slo(find_doc(a, "slo"), find_doc(b, "slo"));
-  report.hostprof = diff_hostprof(find_doc(a, "hostprof"), find_doc(b, "hostprof"));
   for (const SloObjectiveDiff& objective : report.slo.objectives) {
     if (!objective.violated_a && objective.violated_b) ++report.slo_newly_violated;
   }
@@ -1030,31 +980,6 @@ JsonValue diff_report_json(const DiffReport& report) {
     doc.set("slo", std::move(section));
   }
 
-  if (report.hostprof.present) {
-    const HostprofDiff& h = report.hostprof;
-    JsonValue section = JsonValue::object();
-    section.set("wall_a", h.wall_a);
-    section.set("wall_b", h.wall_b);
-    section.set("eval_a", h.eval_a);
-    section.set("eval_b", h.eval_b);
-    section.set("tail_idle_a", h.tail_idle_a);
-    section.set("tail_idle_b", h.tail_idle_b);
-    section.set("combos_per_sec_a", h.combos_per_sec_a);
-    section.set("combos_per_sec_b", h.combos_per_sec_b);
-    JsonValue phases = JsonValue::array();
-    for (const HostprofPhaseDiff& phase : h.phases) {
-      JsonValue entry = JsonValue::object();
-      entry.set("phase", phase.phase);
-      entry.set("max_over_mean_a", phase.max_over_mean_a);
-      entry.set("max_over_mean_b", phase.max_over_mean_b);
-      entry.set("straggler_lane_a", phase.straggler_lane_a);
-      entry.set("straggler_lane_b", phase.straggler_lane_b);
-      phases.push_back(std::move(entry));
-    }
-    section.set("phases", std::move(phases));
-    doc.set("hostprof", std::move(section));
-  }
-
   JsonValue verdict = JsonValue::object();
   verdict.set("regression", diff_regression(report));
   verdict.set("regressed_series", static_cast<std::uint64_t>(report.counts.regressed));
@@ -1154,10 +1079,6 @@ std::string diff_text(const DiffReport& report, bool summary_only) {
   if (report.slo.present) {
     out += fmt("  slo: %zu objective(s) compared, %u newly violated\n",
                report.slo.objectives.size(), report.slo_newly_violated);
-  }
-  if (report.hostprof.present) {
-    out += "  hostprof wall: " + json_number(report.hostprof.wall_a) + " s -> " +
-           json_number(report.hostprof.wall_b) + " s (informational)\n";
   }
   return out;
 }

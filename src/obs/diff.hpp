@@ -19,11 +19,7 @@
 //     cells (the cells plus an explicit residual sum to the delta exactly),
 //     per-kernel profile deltas (duration, DRAM bytes, occupancy, roofline
 //     movement), incident matching by rule+lane+overlapping window,
-//     per-tenant SLO attainment/burn deltas, and hostprof wall-clock /
-//     worker-imbalance deltas. Hostprof is special-cased on the series side
-//     too: only its deterministic projection (workload + totals + backend
-//     attribution) is flattened, so wall-clock noise lands here instead of
-//     tripping the exact gate.
+//     and per-tenant SLO attainment/burn deltas.
 //
 //  3. A verdict: regression iff any series regressed or disappeared, an
 //     incident appeared in B that A does not have, or an SLO objective is
@@ -185,23 +181,6 @@ struct SloDiff {
   std::vector<SloObjectiveDiff> objectives;  ///< sorted by (tenant, kind, percentile)
 };
 
-/// Hostprof wall-clock + imbalance movement: informational by design (wall
-/// clock is the one number the simulator does not control).
-struct HostprofPhaseDiff {
-  std::string phase;
-  double max_over_mean_a = 0.0, max_over_mean_b = 0.0;
-  double straggler_lane_a = 0.0, straggler_lane_b = 0.0;
-};
-
-struct HostprofDiff {
-  bool present = false;
-  double wall_a = 0.0, wall_b = 0.0;
-  double eval_a = 0.0, eval_b = 0.0;
-  double tail_idle_a = 0.0, tail_idle_b = 0.0;
-  double combos_per_sec_a = 0.0, combos_per_sec_b = 0.0;
-  std::vector<HostprofPhaseDiff> phases;  ///< sorted by phase
-};
-
 // --- run inputs ------------------------------------------------------------
 
 /// One side of a diff, fully in memory: a label (the CLI operand or a bench
@@ -273,7 +252,6 @@ struct DiffReport {
   KernelDiff kernels;
   IncidentDiff incidents;
   SloDiff slo;
-  HostprofDiff hostprof;
   std::uint32_t slo_newly_violated = 0;
   std::string summary;  ///< one human sentence, embedded verbatim in the doc
 };

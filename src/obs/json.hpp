@@ -120,8 +120,8 @@ class JsonValue {
 /// name and the dotted path to it. Every accessor checks presence, kind, and
 /// for integers integrality and range, before it converts; every failure
 /// throws the reader's own documented error type with a message naming the
-/// path, e.g. "hostprof document: workers[3].claim_histogram[2] is -1,
-/// expected a non-negative integer below 2^64".
+/// path, e.g. "run manifest: artifacts[3].bytes is -1, expected a
+/// non-negative integer below 2^64".
 class JsonFields {
  public:
   /// Views `doc`, which must be an object; failures throw `Error(message)`.

@@ -33,9 +33,6 @@ inline constexpr std::string_view kServeSchema = "multihit.serve.v1";
 /// Per-tenant SLO evaluations (obstool slo --report-out, multihit_serve
 /// --slo-out).
 inline constexpr std::string_view kSloSchema = "multihit.slo.v1";
-/// Host-threaded sweep wall-clock profiles (brca_scaleout
-/// --host-profile-out, obstool hostprof --report-out).
-inline constexpr std::string_view kHostprofSchema = "multihit.hostprof.v1";
 /// Per-invocation run manifests (--manifest-out / --artifacts-dir): the
 /// driver's configuration plus a digest inventory of every emitted artifact.
 inline constexpr std::string_view kRunSchema = "multihit.run.v1";
@@ -62,8 +59,8 @@ inline constexpr SchemaEntry kSchemaRegistry[] = {
     {kProfileSchema, "profile"}, {kBenchSchema, "bench"},
     {kHealthSchema, "health"},   {kTruthSchema, "truth"},
     {kServeSchema, "serve"},     {kSloSchema, "slo"},
-    {kHostprofSchema, "hostprof"}, {kRunSchema, "run"},
-    {kDiffSchema, "diff"},       {kChromeTraceTag, "trace"},
+    {kRunSchema, "run"},         {kDiffSchema, "diff"},
+    {kChromeTraceTag, "trace"},
 };
 
 /// Short kind for a schema tag ("" when the tag is not in the registry).

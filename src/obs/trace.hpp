@@ -5,6 +5,9 @@
 // clocks in SimComm / the cluster model, never from wall time, so traces
 // are deterministic: two identical runs produce byte-identical trace files,
 // and a diff between two trace files is a meaningful performance diff.
+// The one exception is the host-sweep profiler's trace (obs/hostprof.hpp),
+// in steady-clock seconds of a real run: a host trace is never
+// byte-compared with another run's, only with its own re-export.
 //
 // Lanes: each trace event carries a lane id (`tid` in Chrome terms). MPI
 // ranks trace on lane == rank; the greedy engine and driver-level phases

@@ -25,6 +25,7 @@
 #include "core/serial.hpp"
 #include "core/workqueue.hpp"
 #include "data/generator.hpp"
+#include "obs/analyze.hpp"
 #include "obs/hostprof.hpp"
 
 namespace multihit {
@@ -436,9 +437,9 @@ TEST(HostSweep, MultiWorkerSweepsSkipOnWarmIterations) {
 }
 
 TEST(HostSweep, ChunksSkippedOnCarriedBoundsReadNoClock) {
-  // A chunk its carried bounds rule out is tallied, not timed: the claim
-  // histograms hold the timed polls only, the crosscheck balances them
-  // against the skipped tally, and the report round-trips it.
+  // A chunk its carried bounds rule out is tallied, not timed: the trace
+  // holds claim and evaluate spans for the evaluated chunks only, and it
+  // round-trips through the offline reader with them.
   SyntheticSpec spec;
   spec.genes = 48;
   spec.tumor_samples = 100;
@@ -450,7 +451,8 @@ TEST(HostSweep, ChunksSkippedOnCarriedBoundsReadNoClock) {
   const Dataset data = generate_dataset(spec);
   EngineConfig config;
   config.hits = 3;
-  obs::HostProfiler profiler;
+  obs::MetricsRegistry metrics;
+  obs::HostProfiler profiler(&metrics);
   HostSweepOptions options;
   options.hits = 3;
   options.threads = 8;  // 1,128 λ in 64-λ chunks
@@ -460,22 +462,19 @@ TEST(HostSweep, ChunksSkippedOnCarriedBoundsReadNoClock) {
   EXPECT_EQ(warm.combinations(),
             run_greedy(data.tumor, data.normal, config, make_serial_evaluator(3)).combinations());
 
-  const obs::HostProfile& profile = profiler.profile();
-  ASSERT_GT(profile.total_skipped_chunks, 0u);
-  for (const obs::HostWorkerStat& worker : profile.worker_stats) {
-    std::uint64_t mass = 0;
-    for (const std::uint64_t count : worker.claim_histogram) mass += count;
-    EXPECT_EQ(mass, worker.chunks - worker.skipped_chunks + worker.empty_polls);
+  const double skipped = metrics.counter("hostsweep.skipped_chunks").value();
+  ASSERT_GT(skipped, 0.0);
+  const double evaluated = metrics.counter("hostsweep.chunks").value() - skipped;
+  const obs::Tracer trace = profiler.trace();
+  double claims = 0.0, evaluates = 0.0;
+  for (const obs::TraceEvent& event : trace.events()) {
+    claims += event.name == "claim" ? 1.0 : 0.0;
+    evaluates += event.name == "evaluate" ? 1.0 : 0.0;
   }
-  EXPECT_TRUE(obs::hostprof_crosscheck(profile).empty());
-  const std::string report = obs::hostprof_report(profile).dump();
-  const obs::HostProfile parsed = obs::hostprof_from_json(obs::JsonValue::parse(report));
-  EXPECT_EQ(parsed.total_skipped_chunks, profile.total_skipped_chunks);
-  EXPECT_EQ(obs::hostprof_report(parsed).dump(), report);
-
-  obs::HostProfile corrupt = profile;
-  corrupt.worker_stats[0].skipped_chunks += 1;
-  EXPECT_FALSE(obs::hostprof_crosscheck(corrupt).empty());
+  EXPECT_EQ(evaluates, evaluated);
+  EXPECT_EQ(claims, evaluated);
+  const std::string chrome = trace.to_chrome_json();
+  EXPECT_EQ(obs::tracer_from_chrome(obs::JsonValue::parse(chrome)).to_chrome_json(), chrome);
 }
 
 // --- full greedy determinism ------------------------------------------------
