@@ -21,7 +21,6 @@
 #include "core/engine.hpp"
 #include "data/generator.hpp"
 #include "obs/bench.hpp"
-#include "obs/profile.hpp"
 #include "obs/recorder.hpp"
 #include "util/table.hpp"
 
@@ -64,10 +63,10 @@ BENCHMARK(BM_Fig5_BitSplicing)->Unit(benchmark::kMillisecond);
 
 void print_modeled_fig5() {
   // Single-GPU 3-hit BRCA under the V100 model, cumulative optimizations.
-  // Each stage runs with the kernel profiler attached: the stage's DRAM and
-  // prefetch traffic in the BENCH record comes from the multihit.profile.v1
-  // rollups, so the figure bench and the profiler cannot silently diverge
-  // (tests/test_profile.cpp re-derives both from a saved artifact).
+  // Each stage runs with a recorder attached: the stage's DRAM and prefetch
+  // traffic in the BENCH record are the launch metrics' gpu.dram_bytes_post_l2
+  // and gpu.prefetch_bytes counters, so the figure bench and the metrics
+  // cannot silently diverge (tests/test_obs.cpp pins both against the model).
   ModelInputs inputs;
   inputs.hits = 3;
   struct Stage {
@@ -96,22 +95,19 @@ void print_modeled_fig5() {
     staged.mem_opts = stage.opts;
     staged.bit_splicing = stage.splice;
     obs::Recorder recorder;
-    recorder.profile.enable();
     staged.recorder = &recorder;
     const double t = model_single_gpu_time(DeviceSpec::v100(), staged);
     if (baseline == 0.0) baseline = t;
     table.add_row({std::string(stage.name), t, baseline / t});
 
-    const obs::JsonValue profile = obs::profile_report(recorder.profile);
-    const obs::JsonValue& totals = *profile.find("totals");
-    const double dram_bytes = totals.find("dram_bytes")->as_number();
+    const double dram_bytes = recorder.metrics.counter("gpu.dram_bytes_post_l2").value();
     if (baseline_dram == 0.0) baseline_dram = dram_bytes;
     const std::string key = stage.key;
     reporter.series("modeled_time_" + key, t, "s");
     reporter.series("speedup_" + key, baseline / t, "x");
     reporter.series("profile_dram_bytes_" + key, dram_bytes, "B");
     reporter.series("profile_local_bytes_" + key,
-                    totals.find("local_bytes")->as_number(), "B");
+                    recorder.metrics.counter("gpu.prefetch_bytes").value(), "B");
     reporter.series("profile_dram_reduction_" + key, baseline_dram / dram_bytes, "x");
   }
   table.print(std::cout);

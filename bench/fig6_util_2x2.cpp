@@ -19,7 +19,6 @@
 #include "cluster/model.hpp"
 #include "data/registry.hpp"
 #include "obs/bench.hpp"
-#include "obs/profile.hpp"
 #include "obs/recorder.hpp"
 #include "util/table.hpp"
 
@@ -38,7 +37,6 @@ int main() {
   inputs.inner = 2;
   inputs.first_iteration_only = true;
   obs::Recorder recorder;
-  recorder.profile.enable();
   inputs.recorder = &recorder;
 
   std::cout << "Reproduces paper Fig. 6 (per-GPU utilization, 2x2 scheme, ACC, "
@@ -78,8 +76,9 @@ int main() {
                "transition), after which utilization flattens instead of tracking it.\n";
 
   // BENCH record: the headline figure values plus the same quantities read
-  // back from the run's multihit.profile.v1 rollups, so bench_compare.py can
-  // catch drift in either the model or the profiler independently.
+  // back from the run's gpu.* launch metrics, so bench_compare.py can catch
+  // drift in either the model or the metrics independently. The stall
+  // shares are time-weighted: stall seconds over placed seconds.
   {
     const auto first_stalls = stall_breakdown(first);
     obs::BenchReporter reporter("fig6_util_2x2");
@@ -89,20 +88,23 @@ int main() {
     reporter.series("stall_mem_dep_gpu0_pct", 100.0 * first_stalls.memory_dependency, "%");
     reporter.series("throughput_rise_ratio", last.dram_throughput / first.dram_throughput,
                     "x");
-    const obs::JsonValue profile = obs::profile_report(recorder.profile);
-    const obs::JsonValue& roofline = *profile.find("roofline");
-    reporter.series("profile_kernels", profile.find("totals")->find("kernels")->as_number(),
-                    "kernels");
+    obs::MetricsRegistry& m = recorder.metrics;
+    const obs::Histogram& occupancy = m.histogram("gpu.occupancy");
+    const double kernels = static_cast<double>(occupancy.count());
+    const double placed = m.counter("gpu.placed_seconds").value();
+    const auto stall_seconds = [&m](const char* reason) {
+      return m.counter("gpu.stall_seconds", {{"reason", reason}}).value();
+    };
+    reporter.series("profile_kernels", kernels, "kernels");
     reporter.series("profile_memory_bound_kernels",
-                    roofline.find("memory_bound_kernels")->as_number(), "kernels");
-    reporter.series("profile_mean_occupancy_pct",
-                    100.0 * roofline.find("mean_occupancy")->as_number(), "%");
+                    m.counter("gpu.launches_memory_bound").value(), "kernels");
+    reporter.series("profile_mean_occupancy_pct", 100.0 * (occupancy.sum() / kernels), "%");
     reporter.series("profile_peak_dram_throughput_gbs",
-                    roofline.find("peak_dram_throughput")->as_number() / 1e9, "GB/s");
+                    m.histogram("gpu.dram_throughput_bytes_per_sec").max() / 1e9, "GB/s");
     reporter.series("profile_stall_mem_dep_pct",
-                    100.0 * roofline.find("stall_memory_dependency")->as_number(), "%");
+                    100.0 * (stall_seconds("memory_dependency") / placed), "%");
     reporter.series("profile_stall_mem_throttle_pct",
-                    100.0 * roofline.find("stall_memory_throttle")->as_number(), "%");
+                    100.0 * (stall_seconds("memory_throttle") / placed), "%");
     reporter.write();
   }
   return 0;

@@ -8,7 +8,6 @@
 
 #include "cluster/model.hpp"
 #include "obs/bench.hpp"
-#include "obs/profile.hpp"
 #include "obs/recorder.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -21,7 +20,6 @@ int main() {
   ModelInputs inputs;  // BRCA defaults
   inputs.first_iteration_only = true;
   obs::Recorder recorder;
-  recorder.profile.enable();
   inputs.recorder = &recorder;
 
   std::cout << "Reproduces paper Fig. 7 (per-GPU utilization, 3x1 scheme, BRCA, "
@@ -50,24 +48,21 @@ int main() {
             << "Shape check vs paper: near-uniform utilization across all GPUs "
                "(contrast with Fig. 6's 2x2 decay).\n";
 
-  // BENCH record: figure statistics plus the profiler's view of the same run
-  // (utilization re-derivable from per-kernel gpu_seconds — see
-  // tests/test_profile.cpp crosscheck).
+  // BENCH record: figure statistics plus the launch metrics' view of the
+  // same run (tests/test_obs.cpp pins both against the model).
   {
     obs::BenchReporter reporter("fig7_util_3x1");
     reporter.series("util_mean_pct", stats::mean(utilization), "%");
     reporter.series("util_min_pct", stats::min(utilization), "%");
     reporter.series("util_stddev_pct", stats::stddev(utilization), "%");
-    const obs::JsonValue profile = obs::profile_report(recorder.profile);
-    const obs::JsonValue& roofline = *profile.find("roofline");
-    reporter.series("profile_kernels", profile.find("totals")->find("kernels")->as_number(),
-                    "kernels");
-    reporter.series("profile_mean_occupancy_pct",
-                    100.0 * roofline.find("mean_occupancy")->as_number(), "%");
+    obs::MetricsRegistry& m = recorder.metrics;
+    const obs::Histogram& occupancy = m.histogram("gpu.occupancy");
+    const double kernels = static_cast<double>(occupancy.count());
+    reporter.series("profile_kernels", kernels, "kernels");
+    reporter.series("profile_mean_occupancy_pct", 100.0 * (occupancy.sum() / kernels), "%");
     reporter.series("profile_memory_bound_kernels",
-                    roofline.find("memory_bound_kernels")->as_number(), "kernels");
-    reporter.series("profile_gpu_seconds",
-                    profile.find("totals")->find("gpu_seconds")->as_number(), "s");
+                    m.counter("gpu.launches_memory_bound").value(), "kernels");
+    reporter.series("profile_gpu_seconds", m.counter("gpu.placed_seconds").value(), "s");
     reporter.write();
   }
   return 0;

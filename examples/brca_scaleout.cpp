@@ -5,8 +5,8 @@
 //                              [--drop R@I:N] [--abort I] [--checkpoint N]
 //                              [--host-threads N] [--host-profile-out FILE]
 //                              [--trace-out FILE] [--metrics-out FILE]
-//                              [--report-out FILE] [--profile-out FILE]
-//                              [--health-out FILE] [--truth-out FILE]
+//                              [--report-out FILE] [--health-out FILE]
+//                              [--truth-out FILE]
 //                              [--manifest-out FILE] [--artifacts-dir DIR]
 //                              [--log-level LEVEL]
 //
@@ -18,9 +18,9 @@
 // `--artifacts-dir DIR` is the one-flag observability bundle: every
 // artifact above that was not explicitly routed elsewhere is written under
 // DIR with its standard name (run.trace.json, run.metrics.json,
-// run.analysis.json, run.profile.json, run.health.json, plus
-// run.truth.json when faults are injected), and a multihit.run.v1 manifest (DIR/manifest.json,
-// or --manifest-out) inventories the run configuration plus every emitted
+// run.analysis.json, run.health.json, plus run.truth.json when faults are
+// injected), and a multihit.run.v1 manifest (DIR/manifest.json, or
+// --manifest-out) inventories the run configuration plus every emitted
 // file with a content digest — two such directories are diffable with
 // `multihit-obstool diff A/manifest.json B/manifest.json`. `--manifest-out`
 // also works without --artifacts-dir, inventorying whatever --*-out
@@ -45,14 +45,13 @@
 // file of the functional run (open at https://ui.perfetto.dev — one lane per
 // MPI rank plus engine/scheduler lanes, message-flow arrows between ranks,
 // and per-rank occupancy/DRAM-throughput counter tracks),
-// `--metrics-out run.metrics.json` writes the metrics-registry snapshot,
-// `--report-out run.report.json` runs the trace analytics engine in-process
-// and writes the multihit.analysis.v1 report (critical path, per-phase
-// imbalance, comm overhead — same engine as `multihit-obstool analyze`), and
-// `--profile-out run.profile.json` enables the per-launch kernel profiler
-// and writes the multihit.profile.v1 artifact (read it with
-// `multihit-obstool profile`). `--profile-out` requires instrumentation:
-// pass it together with at least one of the other three output flags.
+// `--metrics-out run.metrics.json` writes the metrics-registry snapshot
+// (among it the simulated kernel counters: gpu.* launches, DRAM and
+// prefetch bytes, occupancy, placed seconds and the Fig. 6c
+// gpu.stall_seconds{reason}), and `--report-out run.report.json` runs the
+// trace analytics engine in-process and writes the multihit.analysis.v1
+// report (critical path, per-phase imbalance, comm overhead — same engine
+// as `multihit-obstool analyze`).
 // `--health-out run.health.json` replays the run's trace through the health
 // monitor (src/obs/monitor.hpp) and writes the multihit.health.v1 incident
 // report — the same document `multihit-obstool monitor` produces offline —
@@ -68,11 +67,14 @@
 // serial engine's combinations.
 //
 // Fault flags inject failures into the run (repeatable): `--crash 1@0` kills
-// rank 1 mid-compute in iteration 0 (optional :F = fraction of its compute
-// finished before dying), `--straggle 2@1:4` slows rank 2 by 4x from
-// iteration 1, `--drop 3@0:2` loses two of rank 3's tree messages in
-// iteration 0, and `--checkpoint 2` snapshots every 2 iterations (enables
-// kJobAbort-style recovery accounting). Whatever is injected, the selected
+// rank 1 mid-compute in iteration 0 (optional :F in (0, 1] = fraction of its
+// compute finished before dying, default 0.5), `--straggle 2@1:4` slows
+// rank 2 by 4x (F >= 1) from iteration 1, `--drop 3@0:2` loses two of
+// rank 3's tree messages in iteration 0, `--abort 1` bounces the whole
+// allocation in iteration 1, and `--checkpoint 2` snapshots every 2
+// iterations (enables kJobAbort-style recovery accounting). Each value is
+// one whole token, read as strictly as the numeric flags: `--drop 1@0:2x`
+// is a usage error. Whatever is injected, the selected
 // combinations must remain IDENTICAL to the serial reference — faults only
 // stretch the modeled clock.
 //
@@ -81,12 +83,13 @@
 // strong-scaling curve.
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
+#include <string_view>
 
 #include "bitmat/bitops.hpp"
 #include "cluster/distributed.hpp"
@@ -113,11 +116,37 @@ namespace {
                "                     [--drop R@I:N] [--abort I] [--checkpoint N]\n"
                "                     [--host-threads N] [--host-profile-out FILE]\n"
                "                     [--trace-out FILE] [--metrics-out FILE]\n"
-               "                     [--report-out FILE] [--profile-out FILE]\n"
-               "                     [--health-out FILE] [--truth-out FILE]\n"
+               "                     [--report-out FILE] [--health-out FILE]\n"
+               "                     [--truth-out FILE]\n"
                "                     [--manifest-out FILE] [--artifacts-dir DIR]\n"
                "                     [--log-level LEVEL]\n";
   std::exit(1);
+}
+
+/// A fault flag's whole `R@I[:V]` token: rank R and iteration I as strict
+/// u32s (cli::parse_number), plus the text after ':' when there is one. Any
+/// other shape is a usage error naming the flag.
+struct FaultToken {
+  std::uint32_t rank = 0;
+  std::uint32_t iteration = 0;
+  std::optional<std::string_view> value;
+};
+
+FaultToken fault_token(const char* flag, std::string_view text, bool needs_value) {
+  const std::size_t at = text.find('@');
+  const std::size_t colon = text.find(':');
+  if (at == std::string_view::npos || (needs_value && colon == std::string_view::npos)) {
+    std::cerr << flag << ": expected R@I" << (needs_value ? ":V" : "[:V]") << ", got '" << text
+              << "'\n";
+    usage();
+  }
+  const auto rank = multihit::cli::parse_number<std::uint32_t>(flag, text.substr(0, at));
+  const auto iteration =
+      multihit::cli::parse_number<std::uint32_t>(flag, text.substr(at + 1, colon - at - 1));
+  if (!rank || !iteration) usage();
+  FaultToken token{*rank, *iteration, std::nullopt};
+  if (colon != std::string_view::npos) token.value = text.substr(colon + 1);
+  return token;
 }
 
 }  // namespace
@@ -128,7 +157,7 @@ int main(int argc, char** argv) {
   DistributedOptions options;  // 4-hit, 3x1, EA, both prefetches, splicing
   std::uint32_t host_threads = 0;  // 0 = skip the host-sweep part
   std::string host_profile_out;
-  std::string trace_out, metrics_out, report_out, profile_out, health_out, truth_out;
+  std::string trace_out, metrics_out, report_out, health_out, truth_out;
   std::string manifest_out, artifacts_dir;
 
   for (int a = 1; a < argc; ++a) {
@@ -137,29 +166,34 @@ int main(int argc, char** argv) {
       if (a + 1 >= argc) usage();
       return argv[++a];
     };
-    const auto number = [&](const char* flag, const char* text, std::uint32_t lo,
+    const auto number = [&](const char* flag, std::string_view text, std::uint32_t lo,
                             std::uint32_t hi) {
       const auto value = cli::parse_number<std::uint32_t>(flag, text, lo, hi);
       if (!value) usage();
       return *value;
     };
-    unsigned rank = 0, iter = 0, count = 0;
-    double value = 0.0;
+    const auto real = [&](const char* flag, std::string_view text, double lo, bool open_lo,
+                          double hi) {
+      const auto value = cli::parse_real(flag, text, lo, open_lo, hi);
+      if (!value) usage();
+      return *value;
+    };
     if (arg == "--crash") {
-      const char* s = next();
-      value = 0.5;
-      if (std::sscanf(s, "%u@%u:%lf", &rank, &iter, &value) < 2) usage();
-      options.faults.events.push_back(
-          {FaultKind::kRankCrash, rank, iter, value, 1});
+      const FaultToken t = fault_token("--crash", next(), false);
+      const double finished = t.value ? real("--crash", *t.value, 0.0, true, 1.0) : 0.5;
+      options.faults.events.push_back({FaultKind::kRankCrash, t.rank, t.iteration, finished, 1});
     } else if (arg == "--straggle") {
-      if (std::sscanf(next(), "%u@%u:%lf", &rank, &iter, &value) != 3) usage();
-      options.faults.events.push_back({FaultKind::kStraggler, rank, iter, value, 2});
+      const FaultToken t = fault_token("--straggle", next(), true);
+      const double factor =
+          real("--straggle", *t.value, 1.0, false, std::numeric_limits<double>::infinity());
+      options.faults.events.push_back({FaultKind::kStraggler, t.rank, t.iteration, factor, 2});
     } else if (arg == "--drop") {
-      if (std::sscanf(next(), "%u@%u:%u", &rank, &iter, &count) != 3) usage();
-      options.faults.events.push_back({FaultKind::kMessageDrop, rank, iter, 0.0, count});
+      const FaultToken t = fault_token("--drop", next(), true);
+      const std::uint32_t count = number("--drop", *t.value, 1, UINT32_MAX);
+      options.faults.events.push_back({FaultKind::kMessageDrop, t.rank, t.iteration, 0.0, count});
     } else if (arg == "--abort") {
-      if (std::sscanf(next(), "%u", &iter) != 1) usage();
-      options.faults.events.push_back({FaultKind::kJobAbort, 0, iter, 0.0, 1});
+      const std::uint32_t iteration = number("--abort", next(), 0, UINT32_MAX);
+      options.faults.events.push_back({FaultKind::kJobAbort, 0, iteration, 0.0, 1});
     } else if (arg == "--checkpoint") {
       options.checkpoint_every = number("--checkpoint", next(), 0, UINT32_MAX);
     } else if (arg == "--host-threads") {
@@ -172,8 +206,6 @@ int main(int argc, char** argv) {
       metrics_out = next();
     } else if (arg == "--report-out") {
       report_out = next();
-    } else if (arg == "--profile-out") {
-      profile_out = next();
     } else if (arg == "--health-out") {
       health_out = next();
     } else if (arg == "--truth-out") {
@@ -226,7 +258,6 @@ int main(int argc, char** argv) {
     if (trace_out.empty()) trace_out = standard("run.trace.json");
     if (metrics_out.empty()) metrics_out = standard("run.metrics.json");
     if (report_out.empty()) report_out = standard("run.analysis.json");
-    if (profile_out.empty()) profile_out = standard("run.profile.json");
     if (health_out.empty()) health_out = standard("run.health.json");
     // Ground truth only means something with injected faults.
     if (truth_out.empty() && !options.faults.empty()) truth_out = standard("run.truth.json");
@@ -262,17 +293,6 @@ int main(int argc, char** argv) {
       !health_out.empty()) {
     options.recorder = &recorder;
   }
-  if (!profile_out.empty()) {
-    // The kernel profiler piggybacks on the recorder seam: without at least
-    // one instrumented output there is no recorder attached to the run, so
-    // the profile would silently come out empty. Reject instead.
-    if (!options.recorder) {
-      std::cerr << "error: --profile-out requires instrumentation; pass at least one of "
-                   "--trace-out, --metrics-out, or --report-out\n";
-      return 1;
-    }
-    recorder.profile.enable();
-  }
   ClusterRunResult distributed;
   try {
     distributed = runner.run(data, options);
@@ -300,15 +320,6 @@ int main(int argc, char** argv) {
     std::cout << "  analysis report written to " << report_out << " (critical path "
               << analysis.critical_total << " s, comm overhead "
               << analysis.comm_fraction * 100.0 << "%)\n";
-  }
-  if (!profile_out.empty()) {
-    if (!recorder.write_profile(profile_out)) {
-      std::cerr << "error: cannot write kernel profile to " << profile_out << "\n";
-      return 1;
-    }
-    std::cout << "  kernel profile written to " << profile_out << " ("
-              << recorder.profile.size()
-              << " launch records; read with multihit-obstool profile)\n";
   }
   if (!health_out.empty()) {
     // Monitor the trace exactly as the offline tool will see it — serialized
@@ -450,7 +461,6 @@ int main(int argc, char** argv) {
       add("trace", obs::kChromeTraceTag, trace_out);
       add("metrics", obs::kMetricsSchema, metrics_out);
       add("analysis", obs::kAnalysisSchema, report_out);
-      add("profile", obs::kProfileSchema, profile_out);
       add("health", obs::kHealthSchema, health_out);
       add("truth", obs::kTruthSchema, truth_out);
     } catch (const std::exception& e) {

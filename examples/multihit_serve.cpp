@@ -160,7 +160,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--quota") {
       options.tenant_quota = number(std::uint32_t{0});
     } else if (arg == "--invalidate-rate") {
-      spec.invalidate_rate = std::strtod(value(), nullptr);
+      const auto rate = cli::parse_real(arg, value(), 0.0);
+      if (!rate) return usage();
+      spec.invalidate_rate = *rate;
     } else if (arg == "--no-cache") {
       options.result_cache = false;
     } else if (arg == "--no-verify") {
@@ -228,7 +230,15 @@ int main(int argc, char** argv) {
   obs::Recorder recorder;
   if (!trace_path.empty() || !metrics_path.empty()) options.recorder = &recorder;
 
-  const RequestTrace trace = generate_trace(spec);
+  // The spec comes from the flags, so a spec the generator refuses (say
+  // --jobs 0, or an --invalidate-rate whose count overflows) is a usage error.
+  RequestTrace trace;
+  try {
+    trace = generate_trace(spec);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "multihit-serve: %s\n", e.what());
+    return usage();
+  }
   JobService service(options);
   const ServeResult result = service.replay(trace);
 

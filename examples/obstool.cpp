@@ -2,9 +2,6 @@
 //
 //   $ multihit-obstool analyze run.trace.json [run.metrics.json]
 //                      [--report-out FILE] [--folded-out FILE] [--quiet]
-//   $ multihit-obstool profile run.profile.json [run.trace.json] [run.metrics.json]
-//                      [--report-out FILE] [--roofline-out FILE]
-//                      [--heatmap-out FILE] [--summary] [--quiet]
 //   $ multihit-obstool monitor run.trace.json [run.metrics.json]
 //                      [--health-out FILE] [--rules FILE] [--sample-every S]
 //                      [--window-samples N] [--slo-spec FILE]
@@ -25,24 +22,15 @@
 // lanes, so the phase table gives each of claim / evaluate / tail_idle with
 // its straggler worker, and the folded stacks read "worker N;evaluate".
 //
-// `profile` loads a --profile-out multihit.profile.v1 artifact and prints
-// the per-kernel occupancy/stall/roofline rollups (`--summary` truncates the
-// per-rank×iteration table). `--report-out` re-renders the normalized
-// profile document, `--roofline-out`/`--heatmap-out` write CSV views of the
-// roofline scatter and the per-GPU workload heatmap. When the run's trace
-// and/or metrics files are also given, the profile is reconciled against
-// them — per-rank kernel counts, counted DRAM bytes, and traced durations
-// must agree exactly (see DESIGN.md §10) — and any mismatch exits 1.
-//
 // `monitor` replays the trace through the health monitor (sampler, alert
 // rules, built-in failure-mode detectors — see src/obs/monitor.hpp) and
 // prints the incident log (`--summary` stops after the per-rule counts).
 // `--health-out` writes the multihit.health.v1 document, `--rules` loads a
 // declarative alert-rule file, `--sample-every` overrides the boundary
-// cadence. With a metrics snapshot the incidents are cross-checked against
+// cadence (seconds > 0). With a metrics snapshot the incidents are cross-checked against
 // its counters (mismatch exits 1). `--truth FILE` scores the incidents
 // against an injected-fault ground-truth document (multihit.truth.v1, from
-// brca_scaleout --truth-out) within `--truth-window` seconds, exiting 1
+// brca_scaleout --truth-out) within `--truth-window` seconds (> 0), exiting 1
 // unless recall is total and no built-in detector false-fired.
 // `--annotate-out` writes a copy of the trace with one "health.<rule>"
 // instant per incident for the Chrome/Perfetto viewer. `--slo-spec` loads an
@@ -66,8 +54,7 @@
 // regressed / added / removed; `--tol FILE` loads a
 // `tol <series-glob> rel|abs <bound>` spec relaxing named series. On top of
 // the generic pass: critical-path makespan attribution by phase×rank cell,
-// per-kernel profile deltas, incident matching, and per-tenant SLO
-// movement. `--report-out` writes the multihit.diff.v1 document,
+// incident matching, and per-tenant SLO movement. `--report-out` writes the multihit.diff.v1 document,
 // byte-identical across repeated invocations. A regression verdict
 // (regressed or removed series, a new incident in B, a newly violated SLO
 // objective) exits 1.
@@ -78,9 +65,8 @@
 //
 // Exit status: 0 on success; 2 on a usage error (unknown subcommand, missing
 // operand, bad flag — usage goes to stderr); 1 on runtime failures
-// (unreadable/malformed/ill-shaped inputs, unwritable outputs, failed
-// profile reconciliation, health crosscheck mismatches, imperfect truth
-// scores).
+// (unreadable/malformed/ill-shaped inputs, unwritable outputs, health
+// crosscheck mismatches, imperfect truth scores).
 
 #include <cstdlib>
 #include <fstream>
@@ -91,7 +77,6 @@
 #include "obs/analyze.hpp"
 #include "obs/diff.hpp"
 #include "obs/monitor.hpp"
-#include "obs/profile.hpp"
 #include "parse_number.hpp"
 
 namespace {
@@ -99,9 +84,6 @@ namespace {
 [[noreturn]] void usage() {
   std::cerr << "usage: multihit-obstool analyze TRACE.json [METRICS.json]\n"
                "                        [--report-out FILE] [--folded-out FILE] [--quiet]\n"
-               "       multihit-obstool profile PROFILE.json [TRACE.json] [METRICS.json]\n"
-               "                        [--report-out FILE] [--roofline-out FILE]\n"
-               "                        [--heatmap-out FILE] [--summary] [--quiet]\n"
                "       multihit-obstool monitor TRACE.json [METRICS.json]\n"
                "                        [--health-out FILE] [--rules FILE] [--sample-every S]\n"
                "                        [--window-samples N] [--slo-spec FILE]\n"
@@ -184,92 +166,6 @@ int run_analyze(int argc, char** argv) {
   return 0;
 }
 
-int run_profile(int argc, char** argv) {
-  using namespace multihit::obs;
-  std::string profile_path, trace_path, metrics_path;
-  std::string report_out, roofline_out, heatmap_out;
-  bool summary = false, quiet = false;
-  for (int a = 2; a < argc; ++a) {
-    const std::string arg = argv[a];
-    const auto next = [&]() -> const char* {
-      if (a + 1 >= argc) usage();
-      return argv[++a];
-    };
-    if (arg == "--report-out") {
-      report_out = next();
-    } else if (arg == "--roofline-out") {
-      roofline_out = next();
-    } else if (arg == "--heatmap-out") {
-      heatmap_out = next();
-    } else if (arg == "--summary") {
-      summary = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage();
-    } else if (profile_path.empty()) {
-      profile_path = arg;
-    } else if (trace_path.empty()) {
-      trace_path = arg;
-    } else if (metrics_path.empty()) {
-      metrics_path = arg;
-    } else {
-      usage();
-    }
-  }
-  if (profile_path.empty()) usage();
-
-  try {
-    const JsonValue profile_doc = JsonValue::parse(read_file(profile_path));
-    const Profiler profiler = profiler_from_json(profile_doc);
-
-    Tracer tracer;
-    if (!trace_path.empty()) {
-      tracer = tracer_from_chrome(JsonValue::parse(read_file(trace_path)));
-    }
-    JsonValue metrics_doc;
-    if (!metrics_path.empty()) metrics_doc = JsonValue::parse(read_file(metrics_path));
-
-    if (!report_out.empty() &&
-        !write_file(report_out, profile_report(profiler).dump() + "\n")) {
-      std::cerr << "error: cannot write profile report to " << report_out << "\n";
-      return 1;
-    }
-    if (!roofline_out.empty() && !write_file(roofline_out, roofline_csv(profiler))) {
-      std::cerr << "error: cannot write roofline CSV to " << roofline_out << "\n";
-      return 1;
-    }
-    if (!heatmap_out.empty() && !write_file(heatmap_out, heatmap_csv(profiler))) {
-      std::cerr << "error: cannot write heatmap CSV to " << heatmap_out << "\n";
-      return 1;
-    }
-    if (!quiet) std::cout << profile_text(profiler, summary);
-
-    // Reconciliation: the profile, the trace, and the metrics snapshot
-    // describe the same run — any disagreement is a telemetry bug.
-    const std::vector<std::string> mismatches = profile_crosscheck(
-        profiler, trace_path.empty() ? nullptr : &tracer,
-        metrics_path.empty() ? nullptr : &metrics_doc);
-    if (!mismatches.empty()) {
-      for (const std::string& mismatch : mismatches) {
-        std::cerr << "reconciliation mismatch: " << mismatch << "\n";
-      }
-      return 1;
-    }
-    if (!quiet && (!trace_path.empty() || !metrics_path.empty())) {
-      std::cout << "reconciliation: profile totals agree with "
-                << (!trace_path.empty() && !metrics_path.empty()
-                        ? "trace spans and metrics counters"
-                        : (!trace_path.empty() ? "trace spans" : "metrics counters"))
-                << "\n";
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
-}
-
 int run_monitor(int argc, char** argv) {
   using namespace multihit::obs;
   std::string trace_path, metrics_path;
@@ -290,7 +186,9 @@ int run_monitor(int argc, char** argv) {
     } else if (arg == "--slo-spec") {
       slo_path = next();
     } else if (arg == "--sample-every") {
-      options.sample_every = std::atof(next());
+      const auto every = multihit::cli::parse_real("--sample-every", next(), 0.0, true);
+      if (!every) usage();
+      options.sample_every = *every;
     } else if (arg == "--window-samples") {
       const auto samples =
           multihit::cli::parse_number<std::uint32_t>("--window-samples", next());
@@ -299,7 +197,9 @@ int run_monitor(int argc, char** argv) {
     } else if (arg == "--truth") {
       truth_path = next();
     } else if (arg == "--truth-window") {
-      truth_window = std::atof(next());
+      const auto window = multihit::cli::parse_real("--truth-window", next(), 0.0, true);
+      if (!window) usage();
+      truth_window = *window;
     } else if (arg == "--annotate-out") {
       annotate_out = next();
     } else if (arg == "--summary") {
@@ -483,7 +383,6 @@ int main(int argc, char** argv) {
   if (argc < 3) usage();
   const std::string command = argv[1];
   if (command == "analyze") return run_analyze(argc, argv);
-  if (command == "profile") return run_profile(argc, argv);
   if (command == "monitor") return run_monitor(argc, argv);
   if (command == "slo") return run_slo(argc, argv);
   if (command == "diff") return run_diff(argc, argv);

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Numeric command-line flags of the example programs are strict: a value that
-# is not one whole base-10 integer in the flag's range is a usage error that
-# names the flag and stops the tool before any work (nothing on stdout).
+# is not one whole base-10 integer (or, for a real-valued flag, one whole
+# finite decimal number) in the flag's range is a usage error that names the
+# flag and stops the tool before any work (nothing on stdout). The fault
+# flags' R@I[:V] tokens are read the same way, part by part.
 #
 # Usage: test_numeric_flags.sh BRCA_SCALEOUT DATASET_TOOL MULTIHIT_SERVE OBSTOOL
 set -u
@@ -47,6 +49,15 @@ rejects nodes_zero 1 nodes "$BRCA" 0
 rejects nodes_too_many 1 nodes "$BRCA" 1025
 rejects checkpoint_garbage 1 --checkpoint "$BRCA" 1 --checkpoint 2x
 rejects checkpoint_overflow 1 --checkpoint "$BRCA" 1 --checkpoint 4294967296
+# Fault plans: sscanf once ran `--drop 1@0:2junk` as a two-drop plan.
+rejects drop_trailing 1 --drop "$BRCA" 2 --checkpoint 2 --drop 1@0:2junk
+rejects drop_missing_count 1 --drop "$BRCA" 2 --drop 1@0
+rejects crash_trailing 1 --crash "$BRCA" 2 --crash 1@0x
+rejects crash_no_iteration 1 --crash "$BRCA" 2 --crash 1
+rejects crash_fraction_range 1 --crash "$BRCA" 2 --crash 1@0:1.5
+rejects straggle_missing_factor 1 --straggle "$BRCA" 2 --straggle 1@0
+rejects straggle_nan 1 --straggle "$BRCA" 2 --straggle 1@0:nan
+rejects abort_garbage 1 --abort "$BRCA" 2 --abort 1x
 
 # --- dataset_tool: usage errors exit 1 -----------------------------------
 rejects genes_garbage 1 --genes "$DATASET" generate "$TMP/d.txt" --genes abc
@@ -68,6 +79,13 @@ rejects concurrent_trailing 2 --concurrent "$SERVE" --concurrent 8.5
 rejects queue_cap_empty 2 --queue-cap "$SERVE" --queue-cap ''
 rejects quota_exponent 2 --quota "$SERVE" --quota 1e3
 rejects seed_overflow 2 --seed "$SERVE" --seed 18446744073709551616
+# strtod once ran all three: abc as 0, -3, and 1e300 into an out-of-range
+# cast to the u32 invalidation count (refused by the trace generator).
+rejects invalidate_rate_garbage 2 --invalidate-rate "$SERVE" --invalidate-rate abc
+rejects invalidate_rate_negative 2 --invalidate-rate "$SERVE" --invalidate-rate -3
+rejects invalidate_rate_overflow 2 invalidate_rate "$SERVE" --invalidate-rate 1e300
+# A spec the trace generator refuses is a usage error, not std::terminate.
+rejects jobs_zero 2 "jobs must be > 0" "$SERVE" --jobs 0
 
 # --- multihit-obstool: usage errors exit 2 -------------------------------
 printf '{"traceEvents":[],"displayTimeUnit":"ms"}' > "$TMP/empty.trace.json"
@@ -75,6 +93,15 @@ rejects window_samples_garbage 2 --window-samples \
   "$OBSTOOL" monitor "$TMP/empty.trace.json" --window-samples x
 rejects window_samples_negative 2 --window-samples \
   "$OBSTOOL" monitor "$TMP/empty.trace.json" --window-samples -16
+# atof once read `--truth-window abc` as a 0 s window and exited 0.
+rejects sample_every_garbage 2 --sample-every \
+  "$OBSTOOL" monitor "$TMP/empty.trace.json" --sample-every abc
+rejects sample_every_zero 2 --sample-every \
+  "$OBSTOOL" monitor "$TMP/empty.trace.json" --sample-every 0
+rejects truth_window_garbage 2 --truth-window \
+  "$OBSTOOL" monitor "$TMP/empty.trace.json" --truth-window abc
+rejects truth_window_infinite 2 --truth-window \
+  "$OBSTOOL" monitor "$TMP/empty.trace.json" --truth-window inf
 
 # A valid value still parses.
 if ! "$DATASET" generate "$TMP/ok.txt" --genes 12 --tumor 20 --normal 16 --hits 2 \

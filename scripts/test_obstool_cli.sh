@@ -55,22 +55,20 @@ expect no_arguments 2
 expect unknown_subcommand 2 frobnicate trace.json
 expect_usage_on_stderr unknown_subcommand_usage frobnicate trace.json
 expect analyze_missing_operand 2 analyze
-expect profile_missing_operand 2 profile
 expect monitor_missing_operand 2 monitor
 expect analyze_unknown_flag 2 analyze trace.json --bogus
-expect profile_unknown_flag 2 profile profile.json --bogus
 expect monitor_unknown_flag 2 monitor trace.json --bogus
 expect monitor_flag_missing_value 2 monitor trace.json --rules
 expect_usage_on_stderr analyze_missing_operand_usage analyze
+# The kernel profile is the run's gpu.* metrics now: no profile subcommand.
+expect profile_unknown_command 2 profile run.profile.json
 
 # --- runtime errors: exit 1 ----------------------------------------------
 expect analyze_nonexistent_input 1 analyze "$TMP/no-such-trace.json"
-expect profile_nonexistent_input 1 profile "$TMP/no-such-profile.json"
 expect monitor_nonexistent_input 1 monitor "$TMP/no-such-trace.json"
 
 printf 'not json' > "$TMP/garbage.json"
 expect analyze_malformed_input 1 analyze "$TMP/garbage.json"
-expect profile_malformed_input 1 profile "$TMP/garbage.json"
 expect monitor_malformed_input 1 monitor "$TMP/garbage.json"
 
 # A metrics document where a trace belongs: the schema check must reject it

@@ -40,7 +40,7 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
   const std::uint32_t gpn = config_.gpus_per_node;
   const std::uint32_t total_units = config_.units();
   obs::Recorder* const rec = options.recorder;
-  const GpuDevice device(config_.device, rec);
+  const GpuDevice device(config_.device);
 
   // The workload model depends only on G, which never changes across
   // iterations (BitSplicing removes samples, not genes) — built once,
@@ -73,7 +73,6 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
   injector.set_recorder(rec);
 
   if (rec) {
-    if (rec->profile.enabled()) rec->profile.set_device(profile_device_info(config_.device));
     rec->trace.set_lane_name(obs::kEngineLane, "engine");
     rec->trace.set_lane_name(obs::kSchedulerLane, "scheduler");
     for (std::uint32_t r = 0; r < config_.nodes; ++r) {
@@ -182,7 +181,6 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
       double occupancy_peak = 0.0, throughput_sum = 0.0;  // counter-track samples
       for (std::uint32_t g = 0; g < gpn; ++g) {
         const std::uint32_t unit = pos * gpn + g;
-        if (rec) rec->profile.set_context({node, unit, iter, /*recovery=*/false});
         const DeviceRunResult run =
             device.run(tumor, normal, ctx, scheme, schedule[unit], options.mem_opts);
         GpuTiming timing = run.timing;
@@ -193,9 +191,11 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
         telemetry.combinations += run.stats.combinations;
         node_best = merge_results(node_best, run.best);
         node_time = std::max(node_time, timing.time);
-        // An empty partition never launches: run_pipeline returned without
-        // recording, so there is no profile row to place on the clock.
-        if (rec && run.blocks > 0) rec->profile.annotate_last(c0, timing.time);
+        // An empty partition never launches, so it records nothing.
+        if (rec && run.blocks > 0) {
+          record_launch(rec->metrics, config_.device, run.stats, run.timing, run.blocks,
+                        timing.time);
+        }
         if (rec && timing.time > 0.0) {
           // The node's GPUs run concurrently: each kernel span starts at the
           // rank clock, nested inside the compute span emitted below.
@@ -235,9 +235,6 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
         crashed.emplace_back(node, comm.clock(node));
         ++result.ranks_lost;
         if (rec) {
-          // The partial work died with the rank: flag its launch records so
-          // the profile's lost_kernels rollups line up with ranks_lost.
-          rec->profile.mark_node_lost(node, iter);
           rec->metrics.counter("cluster.ranks_lost").add(1.0);
           rec->trace.complete(node, "compute", "compute", c0,
                               c0 + crash_frac * node_time, {{"crashed", "true"}});
@@ -308,14 +305,14 @@ ClusterRunResult ClusterRunner::run(const Dataset& data,
           for (const Partition& range : lost) {
             const Partition segment = intersect(next_schedule[unit], range);
             if (segment.size() == 0) continue;
-            if (rec) rec->profile.set_context({node, unit, iter, /*recovery=*/true});
             const DeviceRunResult run =
                 device.run(tumor, normal, ctx, scheme, segment, options.mem_opts);
             recovery[node] = merge_results(recovery[node], run.best);
             const double segment_time = run.timing.time * config_.jitter_factor(unit) *
                                         config_.noise_factor() * straggle;
             if (rec && run.blocks > 0) {
-              rec->profile.annotate_last(r0 + gpu_time, segment_time);
+              record_launch(rec->metrics, config_.device, run.stats, run.timing, run.blocks,
+                            segment_time);
               if (segment_time > 0.0) {
                 pending.push_back(
                     {r0 + gpu_time, r0 + gpu_time + segment_time, g,

@@ -21,7 +21,7 @@ Scheme scheme_for(const ModelInputs& inputs) noexcept {
 // One modeled distributed iteration at the given tumor width.
 ModeledIteration model_iteration(const SummitConfig& config, const ModelInputs& inputs,
                                  const std::vector<Partition>& schedule,
-                                 std::uint32_t tumor_samples, std::uint32_t iteration_index) {
+                                 std::uint32_t tumor_samples) {
   const std::uint32_t units = config.units();
   const std::uint32_t wt = words_for(tumor_samples);
   const std::uint32_t wn = words_for(inputs.normal_samples);
@@ -40,24 +40,18 @@ ModeledIteration model_iteration(const SummitConfig& config, const ModelInputs& 
       const KernelStats stats = scheme_stats(scheme_for(inputs), inputs.genes,
                                              schedule[unit].begin, schedule[unit].end,
                                              inputs.mem_opts, wt, wn);
-      GpuTiming timing = model_gpu_time(config.device, stats, schedule[unit].size());
-      // The profile keeps the device-model view (un-jittered) in the modeled
-      // fields and the jittered placement in sim_seconds — the same split the
-      // functional cluster path records.
-      if (inputs.recorder && inputs.recorder->profile.enabled() &&
-          schedule[unit].size() > 0) {
-        inputs.recorder->profile.set_context({node, unit, iteration_index, false});
-        inputs.recorder->profile.record(
-            kernel_profile_from(config.device, stats, timing, schedule[unit]));
-      }
+      const GpuTiming modeled = model_gpu_time(config.device, stats, schedule[unit].size());
+      GpuTiming timing = modeled;
       timing.time *= config.jitter_factor(unit) * config.noise_factor();
-      if (inputs.recorder && inputs.recorder->profile.enabled() &&
-          schedule[unit].size() > 0) {
-        inputs.recorder->profile.annotate_last(0.0, timing.time);
-      }
       iteration.gpus[unit] = timing;
       const std::uint64_t blocks =
           (schedule[unit].size() + config.device.block_size - 1) / config.device.block_size;
+      // The same launch record the functional cluster run writes: the
+      // device-model (un-jittered) view placed at the jittered duration.
+      if (inputs.recorder && blocks > 0) {
+        record_launch(inputs.recorder->metrics, config.device, stats, modeled, blocks,
+                      timing.time);
+      }
       iteration.candidate_bytes_total += blocks * kCandidateBytes;
       node_time = std::max(node_time, timing.time);
     }
@@ -104,17 +98,12 @@ ModeledRun model_cluster_run(const SummitConfig& config, const ModelInputs& inpu
   run.schedule_time =
       static_cast<double>(model.levels().size()) * config.schedule_seconds_per_level;
 
-  if (inputs.recorder && inputs.recorder->profile.enabled()) {
-    inputs.recorder->profile.set_device(profile_device_info(config.device));
-  }
   double remaining = inputs.tumor_samples;
   std::uint32_t iterations = 0;
   while (remaining >= 1.0) {
     const auto width = static_cast<std::uint32_t>(std::ceil(remaining));
-    run.iterations.push_back(model_iteration(config, inputs, schedule,
-                                             inputs.bit_splicing ? width
-                                                                 : inputs.tumor_samples,
-                                             iterations));
+    run.iterations.push_back(model_iteration(
+        config, inputs, schedule, inputs.bit_splicing ? width : inputs.tumor_samples));
     ++iterations;
     if (inputs.first_iteration_only) break;
     if (inputs.max_iterations != 0 && iterations >= inputs.max_iterations) break;

@@ -49,9 +49,9 @@ struct ModelInputs {
   /// Auto-checkpoint period in modeled seconds (0 = no checkpointing).
   double checkpoint_every_seconds = 0.0;
   /// Optional observability context. The analytic path prices launches
-  /// without a GpuDevice, so only the kernel profiler is fed (one
-  /// KernelProfile per modeled launch when recorder->profile is enabled);
-  /// metrics/trace stay untouched. Never affects modeled times.
+  /// without a GpuDevice and records each one with record_launch (the gpu.*
+  /// metrics, placed at its jittered duration); the trace stays untouched.
+  /// Never affects modeled times.
   obs::Recorder* recorder = nullptr;
 };
 

@@ -1,8 +1,9 @@
 #include "gpusim/device.hpp"
 
 #include <algorithm>
+#include <utility>
 
-#include "obs/recorder.hpp"
+#include "obs/metrics.hpp"
 
 namespace multihit {
 
@@ -47,90 +48,38 @@ DeviceRunResult GpuDevice::run(const BitMatrix& tumor, const BitMatrix& normal,
   // Kernel 2: multi-stage reduction over the block candidates.
   result.best = parallel_reduce_max(std::move(block_candidates));
   result.timing = model_gpu_time(spec_, result.stats, span);
-  if (recorder_) record_launch(result, partition);
   return result;
 }
 
-void GpuDevice::record_launch(const DeviceRunResult& result, const Partition& partition) const {
-  if (recorder_->profile.enabled()) {
-    recorder_->profile.record(
-        kernel_profile_from(spec_, result.stats, result.timing, partition));
-  }
-  obs::MetricsRegistry& m = recorder_->metrics;
+void record_launch(obs::MetricsRegistry& m, const DeviceSpec& spec, const KernelStats& stats,
+                   const GpuTiming& timing, std::uint64_t blocks, double placed_seconds) {
+  const double global_bytes = static_cast<double>(stats.global_words) * 8.0;
   // Two launches per pipeline: maxF and parallelReduceMax.
   m.counter("gpu.kernel_launches").add(2.0);
-  m.counter("gpu.blocks").add(static_cast<double>(result.blocks));
-  m.counter("gpu.combinations").add(static_cast<double>(result.stats.combinations));
-  m.counter("gpu.word_ops").add(static_cast<double>(result.stats.word_ops));
-  m.counter("gpu.dram_bytes").add(static_cast<double>(result.stats.global_words) * 8.0);
-  m.counter("gpu.candidate_bytes").add(static_cast<double>(result.candidate_bytes));
-  m.counter(result.timing.memory_bound ? "gpu.launches_memory_bound"
-                                       : "gpu.launches_compute_bound")
+  m.counter("gpu.blocks").add(static_cast<double>(blocks));
+  m.counter("gpu.combinations").add(static_cast<double>(stats.combinations));
+  m.counter("gpu.word_ops").add(static_cast<double>(stats.word_ops));
+  m.counter("gpu.dram_bytes").add(global_bytes);
+  m.counter("gpu.dram_bytes_post_l2")
+      .add(spec.l2_reuse > 0.0 ? global_bytes / spec.l2_reuse : global_bytes);
+  m.counter("gpu.prefetch_bytes").add(static_cast<double>(stats.local_words) * 8.0);
+  m.counter("gpu.candidate_bytes").add(static_cast<double>(blocks * kCandidateBytes));
+  m.counter(timing.memory_bound ? "gpu.launches_memory_bound" : "gpu.launches_compute_bound")
       .add(1.0);
-  m.histogram("gpu.kernel_seconds").observe(result.timing.time);
-  m.histogram("gpu.occupancy").observe(result.timing.occupancy);
-  m.histogram("gpu.mem_efficiency").observe(result.timing.mem_efficiency);
-  m.histogram("gpu.dram_throughput_bytes_per_sec").observe(result.timing.dram_throughput);
-  const StallBreakdown stalls = stall_breakdown(result.timing);
-  m.histogram("gpu.stall_fraction", {{"reason", "memory_dependency"}})
-      .observe(stalls.memory_dependency);
-  m.histogram("gpu.stall_fraction", {{"reason", "memory_throttle"}})
-      .observe(stalls.memory_throttle);
-  m.histogram("gpu.stall_fraction", {{"reason", "execution_dependency"}})
-      .observe(stalls.execution_dependency);
-  m.histogram("gpu.stall_fraction", {{"reason", "other"}}).observe(stalls.other);
-}
-
-obs::ProfileDevice profile_device_info(const DeviceSpec& spec) {
-  obs::ProfileDevice info;
-  info.sm_count = spec.sm_count;
-  info.max_threads_per_sm = spec.max_threads_per_sm;
-  info.block_size = spec.block_size;
-  info.warp_size = spec.warp_size;
-  info.dram_bandwidth = spec.dram_bandwidth;
-  info.word_op_rate = spec.word_op_rate;
-  info.l2_reuse = spec.l2_reuse;
-  return info;
-}
-
-obs::KernelProfile kernel_profile_from(const DeviceSpec& spec, const KernelStats& stats,
-                                       const GpuTiming& timing, const Partition& partition) {
-  obs::KernelProfile k;
-  k.lambda_begin = partition.begin;
-  k.lambda_end = partition.end;
-  k.combinations = stats.combinations;
-  k.blocks = (partition.size() + spec.block_size - 1) / spec.block_size;
-  k.candidate_bytes = k.blocks * kCandidateBytes;
-  // parallelReduceMax halves the candidate list per stage until one remains.
-  for (std::uint64_t active = k.blocks; active > 1; active = (active + 1) / 2) {
-    ++k.reduce_stages;
-  }
-  k.word_ops = stats.word_ops;
-  // gpu.dram_bytes (the metrics counter) counts what the kernel *requested*;
-  // the profile splits it into the counted pre-reuse traffic and what the
-  // L2 / row broadcast lets through to DRAM.
-  k.global_bytes = static_cast<double>(stats.global_words) * 8.0;
-  k.dram_bytes = spec.l2_reuse > 0.0 ? k.global_bytes / spec.l2_reuse : k.global_bytes;
-  k.local_bytes = static_cast<double>(stats.local_words) * 8.0;
-  k.occupancy = timing.occupancy;
-  k.resident_warps = timing.occupancy * static_cast<double>(spec.resident_capacity()) /
-                     static_cast<double>(spec.warp_size);
-  k.mem_efficiency = timing.mem_efficiency;
-  k.compute_seconds = timing.compute_time;
-  k.memory_seconds = timing.memory_time;
-  k.reduce_seconds = timing.reduce_time;
-  k.overhead_seconds = timing.overhead;
-  k.modeled_seconds = timing.time;
-  k.memory_bound = timing.memory_bound;
-  k.dram_throughput = timing.dram_throughput;
-  k.arithmetic_intensity =
-      k.dram_bytes > 0.0 ? static_cast<double>(stats.word_ops) / k.dram_bytes : 0.0;
+  m.counter("gpu.placed_seconds").add(placed_seconds);
+  m.histogram("gpu.kernel_seconds").observe(timing.time);
+  m.histogram("gpu.occupancy").observe(timing.occupancy);
+  m.histogram("gpu.mem_efficiency").observe(timing.mem_efficiency);
+  m.histogram("gpu.dram_throughput_bytes_per_sec").observe(timing.dram_throughput);
   const StallBreakdown stalls = stall_breakdown(timing);
-  k.stall_memory_dependency = stalls.memory_dependency;
-  k.stall_memory_throttle = stalls.memory_throttle;
-  k.stall_execution_dependency = stalls.execution_dependency;
-  k.stall_other = stalls.other;
-  return k;
+  for (const auto& [reason, fraction] :
+       {std::pair{"memory_dependency", stalls.memory_dependency},
+        std::pair{"memory_throttle", stalls.memory_throttle},
+        std::pair{"execution_dependency", stalls.execution_dependency},
+        std::pair{"other", stalls.other}}) {
+    m.histogram("gpu.stall_fraction", {{"reason", reason}}).observe(fraction);
+    m.counter("gpu.stall_seconds", {{"reason", reason}}).add(placed_seconds * fraction);
+  }
 }
 
 }  // namespace multihit

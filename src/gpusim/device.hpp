@@ -20,11 +20,10 @@
 #include "bitmat/bitmatrix.hpp"
 #include "core/schemes.hpp"
 #include "gpusim/perfmodel.hpp"
-#include "obs/profile.hpp"
 #include "sched/schedule.hpp"
 
 namespace multihit::obs {
-struct Recorder;
+class MetricsRegistry;
 }  // namespace multihit::obs
 
 namespace multihit {
@@ -40,16 +39,9 @@ struct DeviceRunResult {
 
 class GpuDevice {
  public:
-  explicit GpuDevice(DeviceSpec spec = DeviceSpec::v100(), obs::Recorder* recorder = nullptr)
-      : spec_(spec), recorder_(recorder) {}
+  explicit GpuDevice(DeviceSpec spec = DeviceSpec::v100()) : spec_(spec) {}
 
   const DeviceSpec& spec() const noexcept { return spec_; }
-
-  /// Attaches (or detaches, with nullptr) an observability recorder: every
-  /// launch then lands kernel metrics (gpu.kernel_launches, gpu.dram_bytes,
-  /// occupancy/throughput/stall histograms) in its registry. Never affects
-  /// results or modeled times.
-  void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
 
   /// Runs the maxF + parallelReduceMax pipeline over threads
   /// [partition.begin, partition.end) of `scheme`.
@@ -57,10 +49,7 @@ class GpuDevice {
                       Scheme scheme, const Partition& partition, const MemOpts& opts = {}) const;
 
  private:
-  void record_launch(const DeviceRunResult& result, const Partition& partition) const;
-
   DeviceSpec spec_;
-  obs::Recorder* recorder_ = nullptr;
 };
 
 /// The multi-stage pairwise reduction of kernel 2, exposed for testing:
@@ -71,17 +60,29 @@ EvalResult parallel_reduce_max(std::vector<EvalResult> candidates);
 /// Bytes per stored candidate: four gene ids + one F value (paper: 20 B).
 inline constexpr std::uint64_t kCandidateBytes = 20;
 
-/// DeviceSpec constants mirrored into the profile artifact's device section.
-obs::ProfileDevice profile_device_info(const DeviceSpec& spec);
-
-/// Builds the NVPROF-style launch record for one pipeline execution: modeled
-/// traffic before/after L2 reuse, prefetch-served bytes, occupancy/resident
-/// warps, the roofline decomposition, reduce stages, and the stall taxonomy.
-/// Shared by GpuDevice and the paper-scale analytic model, which both price
-/// launches with scheme_stats, so both paths profile identically. The traced
-/// placement (sim_begin/sim_seconds) is left for Profiler::record /
-/// annotate_last.
-obs::KernelProfile kernel_profile_from(const DeviceSpec& spec, const KernelStats& stats,
-                                       const GpuTiming& timing, const Partition& partition);
+/// Records one pipeline launch (maxF + parallelReduceMax, priced by
+/// scheme_stats into `stats` and `timing`) into `metrics`. Called by the
+/// drivers that place the launch on the simulated clock: the functional
+/// cluster run and the analytic model. `placed_seconds` is the launch's
+/// jittered (noise, straggle) duration; every other value is the
+/// un-jittered device model.
+///
+/// The gpu.* series it feeds, one add or observe per launch in launch order:
+///  - counters kernel_launches (2 per pipeline), blocks, combinations,
+///    word_ops, candidate_bytes, launches_memory_bound /
+///    launches_compute_bound;
+///  - dram_bytes, the counted global-memory bytes before L2 reuse (the
+///    gpu_kernel spans' global_bytes arg); dram_bytes_post_l2, what reaches
+///    DRAM after L2 / row-broadcast reuse; prefetch_bytes, the MemOpt1/2
+///    prefetch-served bytes;
+///  - placed_seconds and stall_seconds{reason}, placed seconds times the
+///    Fig. 6c stall fraction: stall_seconds / placed_seconds is the
+///    time-weighted stall share;
+///  - histograms kernel_seconds (modeled), occupancy, mem_efficiency,
+///    dram_throughput_bytes_per_sec and stall_fraction{reason}.
+/// Never affects results or modeled times.
+void record_launch(obs::MetricsRegistry& metrics, const DeviceSpec& spec,
+                   const KernelStats& stats, const GpuTiming& timing, std::uint64_t blocks,
+                   double placed_seconds);
 
 }  // namespace multihit

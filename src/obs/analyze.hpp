@@ -108,8 +108,8 @@ Tracer tracer_from_chrome(const JsonValue& doc);
 
 /// Counter totals from a parsed multihit.metrics.v1 snapshot, summed over
 /// label sets. Throws AnalysisError on wrong-schema or ill-shaped documents.
-/// Shared by the analysis report's cross-check section and the profiler and
-/// health reconciliations.
+/// Shared by the analysis report's cross-check section and the health
+/// reconciliation.
 std::map<std::string, double> metrics_counter_totals(const JsonValue& metrics);
 
 // ------------------------------------------------------------------ reports

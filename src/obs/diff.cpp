@@ -263,8 +263,8 @@ void flatten_metrics(const JsonValue& doc, SeriesMap& out) {
 }
 
 /// Flattens one artifact document into role-prefixed series. Sections with
-/// specialized diff semantics (critical-path segments, per-launch kernels,
-/// incidents, sampler rings) are excluded here.
+/// specialized diff semantics (critical-path segments, incidents, sampler
+/// rings) are excluded here.
 void flatten_role(const std::string& role, const JsonValue& doc, SeriesMap& out) {
   if (role == "metrics") {
     flatten_metrics(doc, out);
@@ -272,21 +272,18 @@ void flatten_role(const std::string& role, const JsonValue& doc, SeriesMap& out)
   }
   static const std::vector<std::string_view> kAnalysisSkip = {
       "analysis.critical_path.segments"};
-  static const std::vector<std::string_view> kProfileSkip = {"profile.kernels"};
   static const std::vector<std::string_view> kHealthSkip = {
       "health.incidents", "health.series[*].window"};
   static const std::vector<std::string_view> kNoSkip;
   const std::vector<std::string_view>* skip = &kNoSkip;
   if (role == "analysis") skip = &kAnalysisSkip;
-  if (role == "profile") skip = &kProfileSkip;
   if (role == "health") skip = &kHealthSkip;
   Flattener{out, *skip}.walk(role, doc);
 }
 
 bool diffable_kind(std::string_view kind) {
-  return kind == "metrics" || kind == "analysis" || kind == "profile" ||
-         kind == "health" || kind == "serve" || kind == "slo" ||
-         kind == "truth" || kind == "bench";
+  return kind == "metrics" || kind == "analysis" || kind == "health" ||
+         kind == "serve" || kind == "slo" || kind == "truth" || kind == "bench";
 }
 
 const JsonValue* find_doc(const RunInput& run, std::string_view role) {
@@ -421,81 +418,6 @@ CriticalPathDiff diff_critical_path(const JsonValue* a, const JsonValue* b) {
     cell.b_seconds = seconds.second;
     out.cells.push_back(std::move(cell));
   }
-  return out;
-}
-
-struct KernelAggregate {
-  double launches = 0, seconds = 0, dram_bytes = 0;
-  double occupancy = 0, intensity = 0, memory_bound = 0;
-};
-
-KernelDiff diff_kernels(const JsonValue* a, const JsonValue* b) {
-  KernelDiff out;
-  if (!a || !b) return out;
-  out.present = true;
-  using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
-  std::map<Key, std::pair<KernelAggregate, KernelAggregate>> rows;
-  std::pair<KernelAggregate, KernelAggregate> totals;
-  const auto accumulate = [&](const JsonValue& doc, bool side_b) {
-    const JsonValue* kernels = doc.find("kernels");
-    if (!kernels || !kernels->is_array()) return;
-    const auto& launches = kernels->as_array();
-    for (std::size_t i = 0; i < launches.size(); ++i) {
-      const JsonValue& k = launches[i];
-      constexpr std::string_view kPath = "profile: kernels";
-      const Key key{id_or_zero(k, "rank", kPath, i), id_or_zero(k, "gpu", kPath, i),
-                    id_or_zero(k, "iteration", kPath, i)};
-      auto& pair = rows[key];
-      for (KernelAggregate* agg : {side_b ? &pair.second : &pair.first,
-                                   side_b ? &totals.second : &totals.first}) {
-        agg->launches += 1;
-        agg->seconds += number_or(k, "sim_seconds", 0.0);
-        agg->dram_bytes += number_or(k, "dram_bytes", 0.0);
-        agg->occupancy += number_or(k, "occupancy", 0.0);
-        agg->intensity += number_or(k, "arithmetic_intensity", 0.0);
-        const JsonValue* bound = k.find("memory_bound");
-        if (bound && bound->is_bool() && bound->as_bool()) agg->memory_bound += 1;
-      }
-    }
-  };
-  accumulate(*a, false);
-  accumulate(*b, true);
-  const auto mean = [](double sum, double count) { return count > 0 ? sum / count : 0.0; };
-  for (const auto& [key, pair] : rows) {
-    const KernelAggregate& ka = pair.first;
-    const KernelAggregate& kb = pair.second;
-    KernelRowDiff row;
-    row.rank = std::get<0>(key);
-    row.gpu = std::get<1>(key);
-    row.iteration = std::get<2>(key);
-    row.launches_a = ka.launches;
-    row.launches_b = kb.launches;
-    row.seconds_a = ka.seconds;
-    row.seconds_b = kb.seconds;
-    row.dram_bytes_a = ka.dram_bytes;
-    row.dram_bytes_b = kb.dram_bytes;
-    row.occupancy_a = mean(ka.occupancy, ka.launches);
-    row.occupancy_b = mean(kb.occupancy, kb.launches);
-    row.intensity_a = mean(ka.intensity, ka.launches);
-    row.intensity_b = mean(kb.intensity, kb.launches);
-    row.memory_bound_a = ka.memory_bound;
-    row.memory_bound_b = kb.memory_bound;
-    const bool moved = row.launches_a != row.launches_b ||
-                       row.seconds_a != row.seconds_b ||
-                       row.dram_bytes_a != row.dram_bytes_b ||
-                       row.occupancy_a != row.occupancy_b ||
-                       row.intensity_a != row.intensity_b ||
-                       row.memory_bound_a != row.memory_bound_b;
-    if (moved) out.rows.push_back(std::move(row));
-  }
-  out.launches_a = totals.first.launches;
-  out.launches_b = totals.second.launches;
-  out.seconds_a = totals.first.seconds;
-  out.seconds_b = totals.second.seconds;
-  out.dram_bytes_a = totals.first.dram_bytes;
-  out.dram_bytes_b = totals.second.dram_bytes;
-  out.memory_bound_fraction_a = mean(totals.first.memory_bound, totals.first.launches);
-  out.memory_bound_fraction_b = mean(totals.second.memory_bound, totals.second.launches);
   return out;
 }
 
@@ -773,7 +695,6 @@ DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& op
   }
 
   report.critical_path = diff_critical_path(find_doc(a, "analysis"), find_doc(b, "analysis"));
-  report.kernels = diff_kernels(find_doc(a, "profile"), find_doc(b, "profile"));
   report.incidents = diff_incidents(find_doc(a, "health"), find_doc(b, "health"));
   report.slo = diff_slo(find_doc(a, "slo"), find_doc(b, "slo"));
   for (const SloObjectiveDiff& objective : report.slo.objectives) {
@@ -906,41 +827,6 @@ JsonValue diff_report_json(const DiffReport& report) {
     doc.set("critical_path", std::move(section));
   }
 
-  if (report.kernels.present) {
-    const KernelDiff& k = report.kernels;
-    JsonValue section = JsonValue::object();
-    section.set("launches_a", k.launches_a);
-    section.set("launches_b", k.launches_b);
-    section.set("seconds_a", k.seconds_a);
-    section.set("seconds_b", k.seconds_b);
-    section.set("dram_bytes_a", k.dram_bytes_a);
-    section.set("dram_bytes_b", k.dram_bytes_b);
-    section.set("memory_bound_fraction_a", k.memory_bound_fraction_a);
-    section.set("memory_bound_fraction_b", k.memory_bound_fraction_b);
-    JsonValue rows = JsonValue::array();
-    for (const KernelRowDiff& row : k.rows) {
-      JsonValue entry = JsonValue::object();
-      entry.set("rank", static_cast<double>(row.rank));
-      entry.set("gpu", static_cast<double>(row.gpu));
-      entry.set("iteration", static_cast<double>(row.iteration));
-      entry.set("launches_a", row.launches_a);
-      entry.set("launches_b", row.launches_b);
-      entry.set("seconds_a", row.seconds_a);
-      entry.set("seconds_b", row.seconds_b);
-      entry.set("dram_bytes_a", row.dram_bytes_a);
-      entry.set("dram_bytes_b", row.dram_bytes_b);
-      entry.set("occupancy_a", row.occupancy_a);
-      entry.set("occupancy_b", row.occupancy_b);
-      entry.set("intensity_a", row.intensity_a);
-      entry.set("intensity_b", row.intensity_b);
-      entry.set("memory_bound_a", row.memory_bound_a);
-      entry.set("memory_bound_b", row.memory_bound_b);
-      rows.push_back(std::move(entry));
-    }
-    section.set("rows", std::move(rows));
-    doc.set("kernels", std::move(section));
-  }
-
   if (report.incidents.present) {
     JsonValue section = JsonValue::object();
     section.set("matched", static_cast<std::uint64_t>(report.incidents.matched));
@@ -1060,13 +946,6 @@ std::string diff_text(const DiffReport& report, bool summary_only) {
     }
   }
 
-  if (report.kernels.present &&
-      (report.kernels.seconds_a != report.kernels.seconds_b ||
-       !report.kernels.rows.empty())) {
-    out += fmt("  kernels: %g launches, %s s -> %s s, %zu row(s) moved\n",
-               report.kernels.launches_b, json_number(report.kernels.seconds_a).c_str(),
-               json_number(report.kernels.seconds_b).c_str(), report.kernels.rows.size());
-  }
   if (report.incidents.present) {
     out += fmt("  incidents: %u matched, %zu added, %zu removed\n",
                report.incidents.matched, report.incidents.added.size(),

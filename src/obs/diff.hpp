@@ -17,9 +17,8 @@
 //  2. Specialized sections that know artifact semantics: critical-path
 //     segment diffing that attributes the makespan delta to phase×lane
 //     cells (the cells plus an explicit residual sum to the delta exactly),
-//     per-kernel profile deltas (duration, DRAM bytes, occupancy, roofline
-//     movement), incident matching by rule+lane+overlapping window,
-//     and per-tenant SLO attainment/burn deltas.
+//     incident matching by rule+lane+overlapping window, and per-tenant SLO
+//     attainment/burn deltas.
 //
 //  3. A verdict: regression iff any series regressed or disappeared, an
 //     incident appeared in B that A does not have, or an SLO objective is
@@ -119,29 +118,6 @@ struct CriticalPathDiff {
   double makespan_a = 0.0;
   double makespan_b = 0.0;
   std::vector<AttributionCell> cells;  ///< sorted by (phase, lane)
-};
-
-/// Per-(rank, gpu, iteration) kernel aggregate deltas; only rows where some
-/// field moved are listed, totals always.
-struct KernelRowDiff {
-  std::uint32_t rank = 0;
-  std::uint32_t gpu = 0;
-  std::uint32_t iteration = 0;
-  double launches_a = 0.0, launches_b = 0.0;
-  double seconds_a = 0.0, seconds_b = 0.0;
-  double dram_bytes_a = 0.0, dram_bytes_b = 0.0;
-  double occupancy_a = 0.0, occupancy_b = 0.0;      ///< launch-mean
-  double intensity_a = 0.0, intensity_b = 0.0;      ///< launch-mean flop/byte
-  double memory_bound_a = 0.0, memory_bound_b = 0.0;  ///< bound-launch count
-};
-
-struct KernelDiff {
-  bool present = false;
-  double launches_a = 0.0, launches_b = 0.0;
-  double seconds_a = 0.0, seconds_b = 0.0;
-  double dram_bytes_a = 0.0, dram_bytes_b = 0.0;
-  double memory_bound_fraction_a = 0.0, memory_bound_fraction_b = 0.0;
-  std::vector<KernelRowDiff> rows;  ///< sorted by (rank, gpu, iteration)
 };
 
 /// One health incident as the matcher sees it.
@@ -249,7 +225,6 @@ struct DiffReport {
   DiffCounts counts;
   std::vector<SeriesDelta> series;  ///< non-identical only, sorted by name
   CriticalPathDiff critical_path;
-  KernelDiff kernels;
   IncidentDiff incidents;
   SloDiff slo;
   std::uint32_t slo_newly_violated = 0;

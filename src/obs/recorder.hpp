@@ -11,7 +11,6 @@
 #include <string_view>
 
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace multihit::obs {
@@ -19,10 +18,6 @@ namespace multihit::obs {
 struct Recorder {
   MetricsRegistry metrics;
   Tracer trace;
-  /// Kernel-launch profiler; collects nothing until profile.enable() — the
-  /// per-launch records cost more than counters, so they are opt-in even
-  /// when a recorder is attached.
-  Profiler profile;
 
   /// Writes the metrics snapshot JSON; returns false on I/O failure.
   bool write_metrics(std::string_view path) const {
@@ -37,14 +32,6 @@ struct Recorder {
     std::ofstream out{std::string(path)};
     if (!out) return false;
     out << trace.to_chrome_json() << '\n';
-    return static_cast<bool>(out);
-  }
-
-  /// Writes the multihit.profile.v1 JSON; returns false on I/O failure.
-  bool write_profile(std::string_view path) const {
-    std::ofstream out{std::string(path)};
-    if (!out) return false;
-    out << profile_report(profile).dump() << '\n';
     return static_cast<bool>(out);
   }
 };

@@ -4,10 +4,10 @@
 // Every JSON artifact written by this project carries a top-level
 // `"schema": "multihit.<kind>.v1"` tag so offline tools can refuse the wrong
 // file with a useful message instead of mis-parsing it. The constants used
-// to live next to their writers (metrics.hpp, analyze.hpp, profile.hpp,
-// bench.hpp); they are collected here so the full artifact surface is
-// visible in one place and parsers share one mismatch-error shape that
-// names both the expected and the found schema.
+// to live next to their writers (metrics.hpp, analyze.hpp, bench.hpp); they
+// are collected here so the full artifact surface is visible in one place
+// and parsers share one mismatch-error shape that names both the expected
+// and the found schema.
 
 #include <string>
 #include <string_view>
@@ -20,8 +20,6 @@ namespace multihit::obs {
 inline constexpr std::string_view kMetricsSchema = "multihit.metrics.v1";
 /// Trace-analysis reports (obstool analyze --report-out).
 inline constexpr std::string_view kAnalysisSchema = "multihit.analysis.v1";
-/// Kernel-profiler artifacts (--profile-out).
-inline constexpr std::string_view kProfileSchema = "multihit.profile.v1";
 /// BenchReporter records (BENCH_*.json under $MULTIHIT_BENCH_DIR).
 inline constexpr std::string_view kBenchSchema = "multihit.bench.v1";
 /// Health-monitor reports (obstool monitor --health-out).
@@ -56,11 +54,10 @@ struct SchemaEntry {
 /// means adding a row here, not teaching another tool a new string.
 inline constexpr SchemaEntry kSchemaRegistry[] = {
     {kMetricsSchema, "metrics"}, {kAnalysisSchema, "analysis"},
-    {kProfileSchema, "profile"}, {kBenchSchema, "bench"},
-    {kHealthSchema, "health"},   {kTruthSchema, "truth"},
-    {kServeSchema, "serve"},     {kSloSchema, "slo"},
-    {kRunSchema, "run"},         {kDiffSchema, "diff"},
-    {kChromeTraceTag, "trace"},
+    {kBenchSchema, "bench"},     {kHealthSchema, "health"},
+    {kTruthSchema, "truth"},     {kServeSchema, "serve"},
+    {kSloSchema, "slo"},         {kRunSchema, "run"},
+    {kDiffSchema, "diff"},       {kChromeTraceTag, "trace"},
 };
 
 /// Short kind for a schema tag ("" when the tag is not in the registry).
@@ -94,7 +91,7 @@ inline std::string_view document_schema(const JsonValue& doc) {
 
 /// Validates `doc`'s top-level "schema" tag and throws `Error` on mismatch
 /// with a message naming both the expected and the found schema — the found
-/// half is what turns "is not a profile" into "you handed me the metrics
+/// half is what turns "is not a trace" into "you handed me the metrics
 /// file". Returns the typed field view the reader takes every other field
 /// through, failing with the same `Error` and `what` prefix.
 template <typename Error>

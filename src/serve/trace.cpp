@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "data/registry.hpp"
@@ -106,6 +108,12 @@ RequestTrace generate_trace(const TraceSpec& spec_in) {
   }
   if (spec.mix == ArrivalMix::kBursty && spec.burst_size == 0) {
     throw std::invalid_argument("trace: bursty mix needs burst_size > 0");
+  }
+  // The invalidation count below is a u32: a rate that overflows it (or is
+  // not a number) is refused here rather than cast out of range.
+  if (!(spec.invalidate_rate * static_cast<double>(spec.jobs) <=
+        static_cast<double>(std::numeric_limits<std::uint32_t>::max()))) {
+    throw std::invalid_argument("trace: invalidate_rate x jobs must fit a 32-bit count");
   }
   if (spec.tenants.empty()) {
     spec.tenants = {{"gold", 2, 1.0}, {"silver", 1, 2.0}, {"bronze", 0, 3.0}};

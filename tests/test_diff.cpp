@@ -242,7 +242,7 @@ TEST(DiffClassify, LowerIsBetterHeuristic) {
   EXPECT_TRUE(obs::lower_is_better("serve.aggregate.p99_latency"));
   EXPECT_FALSE(obs::lower_is_better("slo.tenants.attainment"));
   EXPECT_FALSE(obs::lower_is_better("hostprof.totals.combos_per_sec"));
-  EXPECT_FALSE(obs::lower_is_better("profile.totals.occupancy"));
+  EXPECT_FALSE(obs::lower_is_better("metrics.histogram.gpu.occupancy.sum"));
 }
 
 // --------------------------------------------------------------- attribution
@@ -471,20 +471,6 @@ TEST(DiffSections, RejectIdsOutsideU32NamingTheirPath) {
   const JsonValue analysis = analysis_doc(2.0, {segment("compute", 1, 0.0, 2.0)});
   expect_bad_id_rejected("analysis", analysis, "lane", "-1e20",
                          "analysis: critical_path.segments[0].lane");
-
-  JsonValue kernel = JsonValue::object();
-  kernel.set("rank", 0);
-  kernel.set("gpu", 1);
-  kernel.set("iteration", 2);
-  kernel.set("sim_seconds", 1.0);
-  JsonValue kernels = JsonValue::array();
-  kernels.push_back(std::move(kernel));
-  JsonValue profile = JsonValue::object();
-  profile.set("schema", std::string(obs::kProfileSchema));
-  profile.set("kernels", std::move(kernels));
-  expect_bad_id_rejected("profile", profile, "rank", "4294967296", "profile: kernels[0].rank");
-  expect_bad_id_rejected("profile", profile, "gpu", "1.5", "profile: kernels[0].gpu");
-  expect_bad_id_rejected("profile", profile, "iteration", "-1", "profile: kernels[0].iteration");
 
   JsonValue incident = JsonValue::object();
   incident.set("rule", "straggler");

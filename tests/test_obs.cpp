@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "cluster/distributed.hpp"
+#include "cluster/model.hpp"
 #include "data/generator.hpp"
+#include "data/registry.hpp"
+#include "gpusim/perfmodel.hpp"
 #include "obs/bench.hpp"
 #include "util/stats.hpp"
 
@@ -549,6 +554,202 @@ TEST(ObsDifferential, RepeatedInstrumentedRunsAreByteIdentical) {
   const auto [metrics_b, trace_b] = artifacts();
   EXPECT_EQ(metrics_a, metrics_b);
   EXPECT_EQ(trace_a, trace_b);
+}
+
+TEST(Profile, CrosscheckReconcilesFaultyRunInProcess) {
+  // A launch is recorded twice, as a gpu_kernel span and in the gpu.*
+  // metrics. Through a crash, its recovery re-runs and checkpoints the two
+  // agree: one span per pipeline launch (maxF + reduce = two kernel
+  // launches) and the spans' global_bytes args sum to gpu.dram_bytes.
+  const Dataset data = obs_dataset(901);
+  SummitConfig config;
+  config.nodes = 4;
+  obs::Recorder rec;
+  DistributedOptions options;
+  options.recorder = &rec;
+  options.faults.events.push_back({FaultKind::kRankCrash, 1, 0, 0.5, 1});
+  options.checkpoint_every = 2;
+  const ClusterRunResult result = ClusterRunner(config).run(data, options);
+  ASSERT_EQ(result.ranks_lost, 1u);
+
+  double spans = 0.0, recovery_spans = 0.0, global_bytes = 0.0;
+  for (const obs::TraceEvent& event : rec.trace.events()) {
+    if (event.name != "gpu_kernel") continue;
+    ++spans;
+    for (const auto& [key, value] : event.args) {
+      if (key == "global_bytes") global_bytes += std::strtod(value.c_str(), nullptr);
+      if (key == "recovery") ++recovery_spans;
+    }
+  }
+  EXPECT_GT(recovery_spans, 0.0);
+  EXPECT_EQ(spans, rec.metrics.counter("gpu.kernel_launches").value() / 2.0);
+  const double dram_bytes = rec.metrics.counter("gpu.dram_bytes").value();
+  ASSERT_GT(dram_bytes, 0.0);
+  EXPECT_NEAR(global_bytes, dram_bytes, 1e-12 * dram_bytes);
+}
+
+// ------------------------------------------- paper figures from the metrics
+
+/// Sum of `value(t)` over the model's per-GPU timings, in launch order.
+template <typename F>
+double sum_over(const std::vector<GpuTiming>& gpus, F value) {
+  double sum = 0.0;
+  for (const GpuTiming& t : gpus) sum += value(t);
+  return sum;
+}
+
+TEST(ProfileFigures, Fig6ReproducesFromSavedProfile) {
+  // Fig. 6 (2x2 on ACC, 100 nodes): the launch metrics fig6_util_2x2 reads
+  // are, bit for bit, the statistics of the model's per-GPU timings — mean
+  // occupancy, memory-bound count, peak DRAM throughput, and the Fig. 6c
+  // stall shares weighted by each launch's placed (jittered) seconds.
+  const auto acc = find_cancer_type("ACC");
+  ASSERT_TRUE(acc.has_value());
+  SummitConfig config;
+  config.nodes = 100;
+  ModelInputs inputs;
+  inputs.genes = acc->paper_genes;
+  inputs.tumor_samples = acc->paper_tumor_samples;
+  inputs.normal_samples = acc->paper_normal_samples;
+  inputs.inner = 2;
+  inputs.first_iteration_only = true;
+  obs::Recorder rec;
+  inputs.recorder = &rec;
+  const ModeledRun run = model_cluster_run(config, inputs);
+  const std::vector<GpuTiming>& gpus = run.iterations.front().gpus;
+  ASSERT_EQ(gpus.size(), 600u);
+
+  obs::MetricsRegistry& m = rec.metrics;
+  const obs::Histogram& occupancy = m.histogram("gpu.occupancy");
+  ASSERT_EQ(occupancy.count(), gpus.size());  // one launch per GPU
+  EXPECT_DOUBLE_EQ(occupancy.sum() / 600.0,
+                   sum_over(gpus, [](const GpuTiming& t) { return t.occupancy; }) / 600.0);
+  EXPECT_DOUBLE_EQ(m.counter("gpu.launches_memory_bound").value(),
+                   sum_over(gpus, [](const GpuTiming& t) { return t.memory_bound ? 1.0 : 0.0; }));
+  double peak = 0.0;
+  for (const GpuTiming& t : gpus) peak = std::max(peak, t.dram_throughput);
+  EXPECT_DOUBLE_EQ(m.histogram("gpu.dram_throughput_bytes_per_sec").max(), peak);
+
+  const double placed = sum_over(gpus, [](const GpuTiming& t) { return t.time; });
+  EXPECT_DOUBLE_EQ(m.counter("gpu.placed_seconds").value(), placed);
+  const double mem_dep = sum_over(
+      gpus, [](const GpuTiming& t) { return t.time * stall_breakdown(t).memory_dependency; });
+  const double throttle = sum_over(
+      gpus, [](const GpuTiming& t) { return t.time * stall_breakdown(t).memory_throttle; });
+  const double read_mem_dep =
+      m.counter("gpu.stall_seconds", {{"reason", "memory_dependency"}}).value();
+  const double read_throttle =
+      m.counter("gpu.stall_seconds", {{"reason", "memory_throttle"}}).value();
+  EXPECT_DOUBLE_EQ(read_mem_dep, mem_dep);
+  EXPECT_DOUBLE_EQ(read_throttle, throttle);
+
+  // The figure's headline shape: GPU 0 is the starved,
+  // memory-dependency-dominated straggler, throughput rises with GPU index,
+  // and memory dependency leads the fleet's time-weighted stalls.
+  EXPECT_LT(gpus.front().occupancy, 0.3);
+  EXPECT_GT(stall_breakdown(gpus.front()).memory_dependency, 0.6);
+  EXPECT_GT(gpus.back().dram_throughput, 2.0 * gpus.front().dram_throughput);
+  EXPECT_GT(read_mem_dep / placed, read_throttle / placed);
+}
+
+TEST(ProfileFigures, Fig7ReproducesFromSavedProfile) {
+  // Fig. 7 (3x1 on BRCA, 100 nodes): the launch metrics fig7_util_3x1 reads
+  // equal the model's per-GPU statistics, and the mean utilization the bench
+  // prints follows from the summed placed seconds.
+  SummitConfig config;
+  config.nodes = 100;
+  ModelInputs inputs;  // BRCA defaults, 3x1
+  inputs.first_iteration_only = true;
+  obs::Recorder rec;
+  inputs.recorder = &rec;
+  const ModeledRun run = model_cluster_run(config, inputs);
+  const std::vector<GpuTiming>& gpus = run.iterations.front().gpus;
+
+  obs::MetricsRegistry& m = rec.metrics;
+  const obs::Histogram& occupancy = m.histogram("gpu.occupancy");
+  ASSERT_EQ(occupancy.count(), gpus.size());
+  const double kernels = static_cast<double>(gpus.size());
+  EXPECT_DOUBLE_EQ(occupancy.sum() / kernels,
+                   sum_over(gpus, [](const GpuTiming& t) { return t.occupancy; }) / kernels);
+  EXPECT_DOUBLE_EQ(m.counter("gpu.launches_memory_bound").value(),
+                   sum_over(gpus, [](const GpuTiming& t) { return t.memory_bound ? 1.0 : 0.0; }));
+  const double placed = m.counter("gpu.placed_seconds").value();
+  EXPECT_DOUBLE_EQ(placed, sum_over(gpus, [](const GpuTiming& t) { return t.time; }));
+
+  double max_time = 0.0;
+  std::vector<double> utilization;
+  for (const GpuTiming& t : gpus) max_time = std::max(max_time, t.time);
+  for (const GpuTiming& t : gpus) utilization.push_back(100.0 * t.time / max_time);
+  EXPECT_NEAR(100.0 * placed / (kernels * max_time), stats::mean(utilization), 1e-9);
+  // The paper's balanced-3x1 claim.
+  EXPECT_GT(stats::min(utilization), 95.0);
+  EXPECT_LT(stats::stddev(utilization), 1.5);
+}
+
+TEST(ProfileFigures, Fig5SpeedupsTrackProfiledTrafficReduction) {
+  // Fig. 5: each stage's gpu.dram_bytes_post_l2 and gpu.prefetch_bytes are
+  // the scheme_stats traffic of its modeled iterations, and the
+  // memory-bound stages' modeled speedups track their DRAM-traffic
+  // reductions — the metrics and the perf model describe one roofline.
+  struct Stage {
+    MemOpts opts;
+    bool splice;
+  };
+  const std::vector<Stage> stages{
+      {MemOpts{}, false},
+      {MemOpts{.prefetch_i = true}, false},
+      {MemOpts{.prefetch_i = true, .prefetch_j = true}, false},
+      {MemOpts{.prefetch_i = true, .prefetch_j = true}, true},
+  };
+  // model_single_gpu_time's machine: one un-jittered GPU, no job overhead.
+  SummitConfig single;
+  single.nodes = 1;
+  single.gpus_per_node = 1;
+  single.job_fixed_overhead = 0.0;
+  single.job_log_overhead = 0.0;
+  single.gpu_jitter = 0.0;
+
+  std::vector<double> times, dram, local;
+  for (const Stage& stage : stages) {
+    ModelInputs inputs;
+    inputs.hits = 3;
+    inputs.mem_opts = stage.opts;
+    inputs.bit_splicing = stage.splice;
+    const double single_gpu_time = model_single_gpu_time(DeviceSpec::v100(), inputs);
+    obs::Recorder rec;
+    inputs.recorder = &rec;
+    const ModeledRun run = model_cluster_run(single, inputs);
+    EXPECT_DOUBLE_EQ(run.total_time, single_gpu_time);
+    times.push_back(run.total_time);
+    dram.push_back(rec.metrics.counter("gpu.dram_bytes_post_l2").value());
+    local.push_back(rec.metrics.counter("gpu.prefetch_bytes").value());
+
+    const Scheme scheme{inputs.hits, inputs.hits - inputs.inner};
+    double direct_dram = 0.0, direct_local = 0.0;
+    for (const ModeledIteration& it : run.iterations) {
+      const KernelStats kernel = scheme_stats(
+          scheme, inputs.genes, 0, scheme_threads(scheme, inputs.genes), stage.opts,
+          words_for(it.tumor_samples), words_for(inputs.normal_samples));
+      direct_dram += static_cast<double>(kernel.global_words) * 8.0 / single.device.l2_reuse;
+      direct_local += static_cast<double>(kernel.local_words) * 8.0;
+    }
+    EXPECT_DOUBLE_EQ(dram.back(), direct_dram);
+    EXPECT_DOUBLE_EQ(local.back(), direct_local);
+  }
+
+  EXPECT_DOUBLE_EQ(local[0], 0.0);        // baseline: no prefetch traffic
+  EXPECT_GT(local[1], 0.0);               // MemOpt1 serves bytes locally
+  EXPECT_GT(local[2], local[1] * 0.99);   // MemOpt2 serves at least as many
+  for (std::size_t s = 1; s < stages.size(); ++s) {
+    const double speedup = times[0] / times[s];
+    const double traffic_reduction = dram[0] / dram[s];
+    EXPECT_GT(speedup, 1.0) << s;
+    // Memory-bound stages: time ratio tracks DRAM-byte ratio to within 1%
+    // (launch overheads and reduce costs are the only divergence).
+    EXPECT_NEAR(speedup / traffic_reduction, 1.0, 0.01) << s;
+  }
+  // The paper's combined ~3x from the two prefetch optimizations.
+  EXPECT_NEAR(times[0] / times[2], 3.0, 0.1);
 }
 
 }  // namespace

@@ -98,10 +98,10 @@ TEST(PerfModel, MemoryDependencyDominatesWhenStarved) {
 }
 
 TEST(PerfModel, StallBreakdownIsAPartitionOnRandomizedTimings) {
-  // Property: for ANY GpuTiming — including adversarial hand-built profiles a
-  // corrupted multihit.profile.v1 artifact could replay through the offline
-  // tooling (negative times, occupancy outside [0,1]) — the taxonomy stays a
-  // partition: every fraction in [0,1] and the four summing to 1 (+-1e-9).
+  // Property: for ANY GpuTiming — including adversarial hand-built ones
+  // that no model run produces (negative times, occupancy outside [0,1]) —
+  // the taxonomy stays a partition: every fraction in [0,1] and the four
+  // summing to 1 (+-1e-9).
   Rng rng(0xF16C5ULL);
   for (int trial = 0; trial < 2000; ++trial) {
     GpuTiming t;

@@ -107,6 +107,11 @@ TEST(TraceGen, ValidatesSpecs) {
   no_burst.mix = ArrivalMix::kBursty;
   no_burst.burst_size = 0;
   EXPECT_THROW(generate_trace(no_burst), std::invalid_argument);
+
+  // invalidate_rate x jobs must fit the u32 invalidation count.
+  TraceSpec flood;
+  flood.invalidate_rate = 1e300;
+  EXPECT_THROW(generate_trace(flood), std::invalid_argument);
 }
 
 // --- cancer cache ------------------------------------------------------------

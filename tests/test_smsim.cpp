@@ -127,7 +127,7 @@ TEST(SmSim, CrossValidatesAnalyticLatencyHidingShape) {
 }
 
 TEST(SmSim, StallAttributionMatchesAnalyticTaxonomyOrdering) {
-  // Satellite crosscheck for the profiler's stall taxonomy: on the
+  // Crosscheck for the gpu.stall_* metrics' stall taxonomy: on the
   // tab_sm_latency_hiding sweep (V100-shaped SM, the 3x1 kernels' ~24-ops-
   // per-load mix), the cycle-level scheduler and the analytic
   // stall_breakdown must agree on the SHAPE of Fig. 6c — memory-dependency
