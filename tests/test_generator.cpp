@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "data/dataset.hpp"
+#include "data/registry.hpp"
+#include "serve/cache.hpp"
 
 namespace multihit {
 namespace {
@@ -161,6 +165,164 @@ TEST(SplitDataset, RejectsFractionsOutsideTheOpenUnitInterval) {
           << e.what();
     }
   }
+}
+
+// ------------------------------------------------------------ golden digests
+
+/// FNV-1a over a dataset's dimensions, every packed word of its tumor and
+/// normal rows (tail bits included) and its planted combinations.
+class DatasetDigest {
+ public:
+  explicit DatasetDigest(const Dataset& data) {
+    add(data.genes());
+    add(data.tumor_samples());
+    add(data.normal_samples());
+    for (const BitMatrix* matrix : {&data.tumor, &data.normal}) {
+      for (std::uint32_t g = 0; g < matrix->genes(); ++g) {
+        for (const std::uint64_t word : matrix->row(g)) add(word);
+      }
+    }
+    add(data.planted.size());
+    for (const auto& combo : data.planted) {
+      add(combo.size());
+      for (const std::uint32_t gene : combo) add(gene);
+    }
+  }
+
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  void add(std::uint64_t v) noexcept {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (v >> (8 * byte)) & 0xff;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+struct GoldenCase {
+  std::string name;
+  SyntheticSpec spec;
+  std::uint64_t digest;
+};
+
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llxULL", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+void expect_golden(const std::vector<GoldenCase>& cases) {
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(hex(DatasetDigest(generate_dataset(c.spec)).value()), hex(c.digest));
+  }
+}
+
+SyntheticSpec sweep4_spec(std::uint64_t seed) {
+  SyntheticSpec spec;
+  spec.genes = 72;
+  spec.tumor_samples = 120;
+  spec.normal_samples = 80;
+  spec.hits = 4;
+  spec.num_combinations = 5;
+  spec.background_rate = 0.012;
+  spec.seed = seed;
+  return spec;
+}
+
+SyntheticSpec cover2_spec(std::uint64_t seed) {
+  SyntheticSpec spec;
+  spec.genes = 300;
+  spec.tumor_samples = 1600;
+  spec.normal_samples = 1000;
+  spec.hits = 2;
+  spec.num_combinations = 60;
+  spec.background_rate = 0.01;
+  spec.seed = seed;
+  return spec;
+}
+
+// The expected digests were taken from the generator's per-bit reference
+// loop and are never re-taken: a generator change that moves one draw, one
+// bit or one planted gene of any of these datasets fails here.
+TEST(Generator, GoldenDigestWallbenchSpecs) {
+  expect_golden({
+      {"sweep4 seed 7", sweep4_spec(7), 0xba61d8074c1d14a8ULL},
+      {"sweep4 seed 8", sweep4_spec(8), 0x3e1b3c0584bc960aULL},
+      {"cover2 seed 7", cover2_spec(7), 0xfda869739f4af1c4ULL},
+      {"cover2 seed 8", cover2_spec(8), 0x45d69bfe8acb4844ULL},
+  });
+}
+
+TEST(Generator, GoldenDigestRegistrySpecs) {
+  const std::vector<std::uint64_t> functional = {
+      0x712706156c300ddbULL, 0x99834bde553cb48eULL, 0x3be690ec8a555697ULL,
+      0x9e335db8a2aa381eULL, 0x3d4517776f2e14e2ULL, 0xd31e0b81dfefc39aULL,
+      0x33c493b93bfd7023ULL, 0x07a0ac97f3f82090ULL, 0x4d79f6eef0ed1a04ULL,
+      0x6050f5b767a1e745ULL, 0xf1ac992a5a239b11ULL, 0xe7cf7dddee994ae4ULL,
+  };
+  const std::vector<std::uint64_t> served = {
+      0x5748b4311c512d18ULL, 0x34c046d2840f3e2cULL, 0x3ae2ef0a474174b0ULL,
+      0xdb8543c5514a8bcdULL, 0x020b4aaeb89ceabfULL, 0x25743341f2284247ULL,
+      0x66012bc71720eb62ULL, 0xcf16ae619b825034ULL, 0x6441acdb0678aeb7ULL,
+      0x2a136c9f9435ff23ULL, 0x753962105908353eULL, 0xe7b67495afe936edULL,
+  };
+  const auto& registry = cancer_registry();
+  ASSERT_EQ(registry.size(), functional.size());
+  ASSERT_EQ(registry.size(), served.size());
+  std::vector<GoldenCase> cases;
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    cases.push_back({registry[i].code + " functional", registry[i].functional, functional[i]});
+    cases.push_back(
+        {registry[i].code + " served", serve::CancerCache::serve_spec(registry[i]), served[i]});
+  }
+  expect_golden(cases);
+}
+
+/// small_spec() with its rates and sample counts replaced.
+SyntheticSpec edge_spec(double detect, double contamination, double background, double excess,
+                        std::uint32_t tumor = 40, std::uint32_t normal = 30) {
+  SyntheticSpec spec = small_spec();
+  spec.driver_detect_rate = detect;
+  spec.normal_contamination = contamination;
+  spec.background_rate = background;
+  spec.tumor_excess_rate = excess;
+  spec.tumor_samples = tumor;
+  spec.normal_samples = normal;
+  return spec;
+}
+
+TEST(Generator, GoldenDigestEdgeSpecs) {
+  // Rates at and past the ends of [0, 1] (no draw), NaN (one draw, never
+  // set), partial and exact 64-sample words, and empty sample sets.
+  const double nan = std::nan("");
+  expect_golden({
+      {"detect 0.97", edge_spec(0.97, 0.0, 0.02, 0.0), 0x6bccfbb112fd0296ULL},
+      {"contamination 0", edge_spec(1.0, 0.0, 0.02, 0.0), 0xd370d2e3caa29850ULL},
+      {"contamination 0.03", edge_spec(1.0, 0.03, 0.02, 0.0), 0x47622328acaae8b5ULL},
+      {"contamination 1", edge_spec(1.0, 1.0, 0.02, 0.0), 0x0b4653cc835725e2ULL},
+      {"contamination 1 detect 0.97", edge_spec(0.97, 1.0, 0.02, 0.0), 0xd8de29412f39f933ULL},
+      {"contamination NaN", edge_spec(1.0, nan, 0.02, 0.0), 0x47622328acaae8b5ULL},
+      {"background 0", edge_spec(1.0, 0.0, 0.0, 0.0), 0x817c27526e14676cULL},
+      {"background 1", edge_spec(1.0, 0.0, 1.0, 0.0), 0xe74d3af18b47c8dbULL},
+      {"background 0 excess 0.3", edge_spec(1.0, 0.0, 0.0, 0.3), 0x4a4f82e3f62f3118ULL},
+      {"background 0.5 excess 0.6", edge_spec(1.0, 0.0, 0.5, 0.6), 0xac01340768fa8ad9ULL},
+      {"background NaN", edge_spec(1.0, 0.0, nan, 0.0), 0x817c27526e14676cULL},
+      {"excess NaN", edge_spec(1.0, 0.0, 0.02, nan), 0x522b0f03dffd06b2ULL},
+      {"tumor 0", edge_spec(1.0, 0.03, 0.02, 0.0, 0, 30), 0x5784219c0b65bd20ULL},
+      {"tumor 1", edge_spec(1.0, 0.03, 0.02, 0.0, 1, 30), 0x0fe6580849805623ULL},
+      {"tumor 63", edge_spec(1.0, 0.03, 0.02, 0.0, 63, 30), 0x77e8e6de137e8dc3ULL},
+      {"tumor 64", edge_spec(1.0, 0.03, 0.02, 0.0, 64, 30), 0x0498d661672fdc65ULL},
+      {"tumor 65", edge_spec(1.0, 0.03, 0.02, 0.0, 65, 30), 0xfe50b6ef31e90e25ULL},
+      {"normal 0", edge_spec(1.0, 0.03, 0.02, 0.0, 40, 0), 0x7dd158e56c32d2cbULL},
+      {"normal 1", edge_spec(1.0, 0.03, 0.02, 0.0, 40, 1), 0x6af9eb6432541c3cULL},
+      {"normal 63", edge_spec(1.0, 0.03, 0.02, 0.0, 40, 63), 0xc5991166d831d366ULL},
+      {"normal 64", edge_spec(1.0, 0.03, 0.02, 0.0, 40, 64), 0xc5747d92f284983dULL},
+      {"normal 65", edge_spec(1.0, 0.03, 0.02, 0.0, 40, 65), 0x93609c7732d56bc3ULL},
+  });
 }
 
 }  // namespace

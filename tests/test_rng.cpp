@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace multihit {
@@ -163,6 +167,69 @@ TEST(Rng, SplitmixAdvancesState) {
   const auto b = splitmix64(s);
   EXPECT_NE(a, b);
   EXPECT_NE(s, 0u);
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llxULL", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string hexfloat(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+// The first values of every drawing call for two seeds, taken from the
+// out-of-line generator and never re-taken: raw words, bounded integers,
+// unit doubles, and Bernoulli outcomes whose probabilities include the
+// no-draw ends (0, 1) and NaN (one draw), followed by one raw word that
+// shows where the stream stands afterwards.
+TEST(Rng, GoldenStream) {
+  struct Golden {
+    std::uint64_t seed;
+    std::array<std::uint64_t, 4> raw;
+    std::array<std::uint64_t, 5> bounded;
+    std::array<double, 3> unit;
+    std::uint64_t bernoulli_bits;
+    std::uint64_t after;
+  };
+  const std::array<Golden, 2> golden = {{
+      {42,
+       {0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL, 0xae17533239e499a1ULL,
+        0xecb8ad4703b360a1ULL},
+       {0, 7, 0xaf99c, 0xd99a2743ebULL, 0x40f87a2624dd217fULL},
+       {0x1.2aacc2beeebf7p-1, 0x1.5d6a766818207p-1, 0x1.29a76e61cebe2p-2},
+       0x38b2,
+       0x5061938da99c7af0ULL},
+      {0x9e3779b97f4a7c15ULL,
+       {0x422ea740d0977210ULL, 0xe062b061b42e2928ULL, 0x5a071fc5930841b6ULL,
+        0x01334ef8ed3cc2bdULL},
+       {0, 2, 0x5b8da, 0xa0aee00b5bULL, 0x34b69847c5c4526fULL},
+       {0x1.f8f36ceb434edp-1, 0x1.a860f2fd632a4p-1, 0x1.763078e3010bcp-2},
+       0x70b0,
+       0x45ffb16b9099ad54ULL},
+  }};
+  constexpr std::array<std::uint64_t, 5> kBounds = {1, 10, 1000003, 1ULL << 40, ~0ULL / 3};
+  const double nan = std::nan("");
+  const std::array<double, 16> probabilities = {0.3, 0.5,  0.0,  0.01, 0.99, 1.0, nan, 0.97,
+                                                0.012, 0.03, -0.5, 0.5, 1.5,  0.7, 0.25, 0.5};
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(g.seed);
+    Rng rng(g.seed);
+    for (const std::uint64_t raw : g.raw) EXPECT_EQ(hex(rng()), hex(raw));
+    for (std::size_t i = 0; i < kBounds.size(); ++i) {
+      EXPECT_EQ(hex(rng.uniform(kBounds[i])), hex(g.bounded[i]));
+    }
+    for (const double unit : g.unit) EXPECT_EQ(hexfloat(rng.uniform_double()), hexfloat(unit));
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < probabilities.size(); ++i) {
+      bits |= static_cast<std::uint64_t>(rng.bernoulli(probabilities[i])) << i;
+    }
+    EXPECT_EQ(hex(bits), hex(g.bernoulli_bits));
+    EXPECT_EQ(hex(rng()), hex(g.after));
+  }
 }
 
 }  // namespace
