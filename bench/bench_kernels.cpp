@@ -7,6 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+
 #include "bitmat/bitops.hpp"
 #include "combinat/linearize.hpp"
 #include "core/engine.hpp"
@@ -33,6 +37,20 @@ Dataset kernel_dataset(std::uint32_t genes, std::uint32_t tumor_samples = 911,
   spec.background_rate = 0.02;
   spec.seed = 7;
   return generate_dataset(spec);
+}
+
+/// The wallbench cover2 shape: 300 genes, 1600/1000 samples, 60 planted
+/// pairs.
+SyntheticSpec cover2_spec() {
+  SyntheticSpec spec;
+  spec.genes = 300;
+  spec.tumor_samples = 1600;
+  spec.normal_samples = 1000;
+  spec.hits = 2;
+  spec.num_combinations = 60;
+  spec.background_rate = 0.01;
+  spec.seed = 7;
+  return spec;
 }
 
 void BM_AndPopcount2(benchmark::State& state) {
@@ -160,15 +178,7 @@ void BM_BitSplice(benchmark::State& state) {
   Dataset data;
   std::vector<std::uint64_t> covered;
   if (greedy) {
-    SyntheticSpec spec;
-    spec.genes = 300;
-    spec.tumor_samples = 1600;
-    spec.normal_samples = 1000;
-    spec.hits = 2;
-    spec.num_combinations = 60;
-    spec.background_rate = 0.01;
-    spec.seed = 7;
-    data = generate_dataset(spec);
+    data = generate_dataset(cover2_spec());
     covered.resize(data.tumor.words_per_row());
     data.tumor.combine_rows(data.planted.front(), covered);
   } else {
@@ -197,8 +207,7 @@ BENCHMARK(BM_BitSplice)
     })
     ->Unit(benchmark::kMicrosecond);
 
-// A full cover2-shaped greedy solve (300 genes, 1600/1000 samples, 60
-// planted pairs, the wallbench cover2 shape) through
+// A full cover2-shaped greedy solve (cover2_spec) through
 // make_host_sweep_evaluator on one thread. lazy:1 lets the Engine carry its
 // thread bounds from iteration to iteration; lazy:0 withholds them, so every
 // iteration scans cold. The counters give the threads each iteration
@@ -206,15 +215,7 @@ BENCHMARK(BM_BitSplice)
 // cold iteration) and the iterations per solve.
 void BM_LazyGreedyCover2(benchmark::State& state) {
   const bool lazy = state.range(0) != 0;
-  SyntheticSpec spec;
-  spec.genes = 300;
-  spec.tumor_samples = 1600;
-  spec.normal_samples = 1000;
-  spec.hits = 2;
-  spec.num_combinations = 60;
-  spec.background_rate = 0.01;
-  spec.seed = 7;
-  const Dataset data = generate_dataset(spec);
+  const Dataset data = generate_dataset(cover2_spec());
   EngineConfig config;
   config.hits = 2;
   HostSweepOptions options;
@@ -245,6 +246,60 @@ void BM_LazyGreedyCover2(benchmark::State& state) {
   state.counters["iterations"] = static_cast<double>(iterations);
 }
 BENCHMARK(BM_LazyGreedyCover2)->ArgName("lazy")->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Dataset generation against its floor. BM_GenerateDatasetCover2 is one
+// generate_dataset call on the cover2 spec, as a wallbench cover2 set-up
+// builds six of them. BM_XoshiroFloor is that call's background work alone:
+// the same 300 x 2,600 = 780k draws from the same seeded xoshiro256**
+// stream, written out locally and inline, each turned into a bit by
+// bernoulli's integer test and ORed into 64-sample words. items/s is
+// draws/s in both.
+void BM_GenerateDatasetCover2(benchmark::State& state) {
+  const SyntheticSpec spec = cover2_spec();
+  for (auto _ : state) benchmark::DoNotOptimize(generate_dataset(spec));
+  state.SetItemsProcessed(state.iterations() * spec.genes *
+                          (std::int64_t{spec.tumor_samples} + spec.normal_samples));
+}
+BENCHMARK(BM_GenerateDatasetCover2)->Unit(benchmark::kMillisecond);
+
+void BM_XoshiroFloor(benchmark::State& state) {
+  const SyntheticSpec spec = cover2_spec();
+  const std::uint64_t threshold = Rng::bernoulli_threshold(spec.background_rate);
+  std::vector<std::uint64_t> words(
+      matrix_words(spec.genes, spec.tumor_samples) + matrix_words(spec.genes, spec.normal_samples));
+  for (auto _ : state) {
+    std::uint64_t sm = spec.seed;
+    std::array<std::uint64_t, 4> s{};
+    for (auto& x : s) x = splitmix64(sm);
+    std::fill(words.begin(), words.end(), 0);
+    std::uint64_t* out = words.data();
+    for (std::uint32_t g = 0; g < spec.genes; ++g) {
+      for (const std::uint32_t samples : {spec.tumor_samples, spec.normal_samples}) {
+        for (std::uint32_t base = 0; base < samples; base += 64) {
+          const std::uint32_t n = std::min<std::uint32_t>(64, samples - base);
+          std::uint64_t word = 0;
+          for (std::uint32_t b = 0; b < n; ++b) {
+            const std::uint64_t x = std::rotl(s[1] * 5, 7) * 9;
+            const std::uint64_t t = s[1] << 17;
+            s[2] ^= s[0];
+            s[3] ^= s[1];
+            s[1] ^= s[2];
+            s[0] ^= s[3];
+            s[2] ^= t;
+            s[3] = std::rotl(s[3], 45);
+            word |= static_cast<std::uint64_t>((x >> 11) < threshold) << b;
+          }
+          *out++ |= word;
+        }
+      }
+    }
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * spec.genes *
+                          (std::int64_t{spec.tumor_samples} + spec.normal_samples));
+}
+BENCHMARK(BM_XoshiroFloor)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -125,6 +125,13 @@ build/bench/bench_kernels --benchmark_filter='^BM_KernelFourHit3x1Terminal' \
 echo "=== lazy greedy timing ==="
 build/bench/bench_kernels --benchmark_filter='^BM_LazyGreedyCover2/' --benchmark_repetitions=5 \
   --benchmark_report_aggregates_only=true 2> /dev/null | grep -E '^BM_LazyGreedyCover2/.*_median'
+# Dataset generation, printed without a gate: one cover2-shaped
+# generate_dataset call, and its floor, the same 780k background draws through
+# a local inline xoshiro256** that ORs each bit into its word.
+echo "=== dataset generation timing ==="
+build/bench/bench_kernels --benchmark_filter='^BM_(GenerateDatasetCover2|XoshiroFloor)$' \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true 2> /dev/null |
+  grep -E '^BM_(GenerateDatasetCover2|XoshiroFloor)_median'
 # Profiling must be a pure observer: attaching --host-profile-out cannot
 # change a byte of the sweep's selections (the binary itself enforces that
 # against the serial reference). The host trace is wall clock, so it is

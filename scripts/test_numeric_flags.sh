@@ -3,7 +3,8 @@
 # is not one whole base-10 integer (or, for a real-valued flag, one whole
 # finite decimal number) in the flag's range is a usage error that names the
 # flag and stops the tool before any work (nothing on stdout). The fault
-# flags' R@I[:V] tokens are read the same way, part by part.
+# flags' R@I[:V] tokens are read the same way, part by part. A dataset spec
+# whose parsed sizes pass a cap is refused the same way, naming the cap.
 #
 # Usage: test_numeric_flags.sh BRCA_SCALEOUT DATASET_TOOL MULTIHIT_SERVE OBSTOOL
 set -u
@@ -63,6 +64,14 @@ rejects abort_garbage 1 --abort "$BRCA" 2 --abort 1x
 rejects genes_garbage 1 --genes "$DATASET" generate "$TMP/d.txt" --genes abc
 rejects genes_overflow 1 --genes "$DATASET" generate "$TMP/d.txt" --genes 4294967296
 rejects seed_negative 1 --seed "$DATASET" generate "$TMP/d.txt" --seed -1
+# A parsed spec past the matrix caps is an error naming the cap, before any
+# allocation; it once sized genes x words unchecked. Hits x combos also
+# break the planted-combination rule, so without the cap check the tool
+# would still stop cheaply, but name that rule instead.
+rejects genes_over_cap 1 kMaxGenes "$DATASET" generate "$TMP/d.txt" \
+  --genes 10000001 --tumor 1 --normal 1 --hits 2 --combos 10000001
+rejects tumor_over_cap 1 kMaxSamples "$DATASET" generate "$TMP/d.txt" \
+  --genes 1 --tumor 100000001 --normal 1 --hits 2 --combos 1
 if [ -e "$TMP/d.txt" ]; then
   echo "FAIL dataset_tool wrote a dataset despite a bad flag" >&2
   fails=$((fails + 1))

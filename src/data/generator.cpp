@@ -1,14 +1,56 @@
 #include "data/generator.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/rng.hpp"
 
 namespace multihit {
 
+void or_bernoulli_row(Rng& rng, double p, BitMatrix& matrix, std::uint32_t gene) {
+  if (p <= 0.0) return;
+  const std::span<std::uint64_t> row = matrix.row(gene);
+  const std::uint32_t samples = matrix.samples();
+  const auto width = [samples](std::size_t w) {
+    return static_cast<unsigned>(std::min<std::uint64_t>(64, samples - 64 * std::uint64_t{w}));
+  };
+  if (p >= 1.0) {
+    for (std::size_t w = 0; w < row.size(); ++w) row[w] |= ~std::uint64_t{0} >> (64 - width(w));
+    return;
+  }
+  const std::uint64_t threshold = Rng::bernoulli_threshold(p);
+  for (std::size_t w = 0; w < row.size(); ++w) {
+    const unsigned n = width(w);
+    std::uint64_t word = 0;
+    for (unsigned b = 0; b < n; ++b) {
+      word |= static_cast<std::uint64_t>((rng() >> 11) < threshold) << b;
+    }
+    row[w] |= word;
+  }
+}
+
 Dataset generate_dataset(const SyntheticSpec& spec) {
+  // Sizes first: nothing below may allocate from an unchecked dimension.
+  if (spec.genes > kMaxGenes) {
+    throw std::invalid_argument("SyntheticSpec genes " + std::to_string(spec.genes) +
+                                " exceeds kMaxGenes " + std::to_string(kMaxGenes));
+  }
+  for (const auto& [name, samples] : {std::pair{"tumor_samples", spec.tumor_samples},
+                                      std::pair{"normal_samples", spec.normal_samples}}) {
+    if (samples > kMaxSamples) {
+      throw std::invalid_argument(std::string("SyntheticSpec ") + name + " " +
+                                  std::to_string(samples) + " exceeds kMaxSamples " +
+                                  std::to_string(kMaxSamples));
+    }
+    if (matrix_words(spec.genes, samples) > kMaxMatrixWords) {
+      throw std::invalid_argument(std::string("SyntheticSpec genes x ") + name + " needs " +
+                                  std::to_string(matrix_words(spec.genes, samples)) +
+                                  " words, exceeds kMaxMatrixWords " +
+                                  std::to_string(kMaxMatrixWords));
+    }
+  }
   if (spec.hits == 0 || spec.num_combinations == 0) {
     throw std::invalid_argument("SyntheticSpec requires hits >= 1 and num_combinations >= 1");
   }
@@ -65,12 +107,8 @@ Dataset generate_dataset(const SyntheticSpec& spec) {
   // an extra load.
   const double tumor_rate = spec.background_rate + spec.tumor_excess_rate;
   for (std::uint32_t g = 0; g < spec.genes; ++g) {
-    for (std::uint32_t s = 0; s < spec.tumor_samples; ++s) {
-      if (rng.bernoulli(tumor_rate)) data.tumor.set(g, s);
-    }
-    for (std::uint32_t s = 0; s < spec.normal_samples; ++s) {
-      if (rng.bernoulli(spec.background_rate)) data.normal.set(g, s);
-    }
+    or_bernoulli_row(rng, tumor_rate, data.tumor, g);
+    or_bernoulli_row(rng, spec.background_rate, data.normal, g);
   }
 
   return data;

@@ -37,9 +37,27 @@ struct SyntheticSpec {
   std::uint64_t seed = 42;
 };
 
+class Rng;
+
 /// Generates a Dataset per `spec`. Planted combinations use disjoint gene
 /// sets (requires hits * num_combinations <= genes); every tumor sample is
-/// assigned one planted combination round-robin-randomly.
+/// assigned one planted combination round-robin-randomly. Throws
+/// std::invalid_argument naming the bound, before allocating anything, when
+/// genes exceeds kMaxGenes, a sample count exceeds kMaxSamples or a matrix
+/// would exceed kMaxMatrixWords (bitmat/bitmatrix.hpp).
+///
+/// The dataset is a pure function of `spec`: one Rng seeded with spec.seed
+/// draws, in this order, the planted genes, the shuffled assignment, each
+/// tumor sample's driver bits, each normal sample's contamination, then per
+/// gene its tumor row and its normal row (or_bernoulli_row).
 Dataset generate_dataset(const SyntheticSpec& spec);
+
+/// ORs a Bernoulli(p) row into row `gene` of `matrix`: sample s gets set iff
+/// the s-th of matrix.samples() consecutive rng.bernoulli(p) calls would
+/// succeed, and the row's other bits, tail included, are left as they were.
+/// It takes exactly the draws those calls take, in sample order (none when
+/// p <= 0 or p >= 1, one per sample otherwise, NaN included), but builds
+/// each 64-sample word from 64 inline draws and ORs it in once.
+void or_bernoulli_row(Rng& rng, double p, BitMatrix& matrix, std::uint32_t gene);
 
 }  // namespace multihit

@@ -7,6 +7,8 @@
 // avoided — its seeding is implementation-dependent across stdlib versions.
 
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -25,20 +27,64 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0. Uses Lemire's
   /// nearly-divisionless rejection method; unbiased.
-  std::uint64_t uniform(std::uint64_t bound) noexcept;
+  std::uint64_t uniform(std::uint64_t bound) noexcept {
+    using u128 = unsigned __int128;
+    std::uint64_t x = (*this)();
+    u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<u128>(x) * static_cast<u128>(bound);
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_range(std::int64_t lo, std::int64_t hi) noexcept;
 
-  /// Uniform double in [0, 1).
-  double uniform_double() noexcept;
+  /// Uniform double in [0, 1): the top 53 bits of one draw, times 2^-53.
+  double uniform_double() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
+  /// Bernoulli trial with success probability p (clamped to [0,1]). Takes
+  /// no draw when p <= 0 or p >= 1, and exactly one otherwise, NaN included
+  /// (a NaN p always fails).
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform_double() < p;
+  }
+
+  /// The integer form of bernoulli's test: a draw x succeeds iff
+  /// (x >> 11) < bernoulli_threshold(p). For 0 < p < 1 this is
+  /// ceil(p * 2^53), exact because scaling by 2^53 is; it is 0 for p <= 0
+  /// and NaN (no cast of a NaN) and 2^53 for p >= 1, so the outcome matches
+  /// bernoulli(p) for every p. Whether a draw is taken is still bernoulli's
+  /// rule above.
+  static std::uint64_t bernoulli_threshold(double p) noexcept {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
 
   /// Standard normal variate (Box-Muller, one value per call).
   double normal() noexcept;

@@ -241,8 +241,22 @@ TEST(DiffClassify, LowerIsBetterHeuristic) {
   EXPECT_TRUE(obs::lower_is_better("analysis.makespan_seconds"));
   EXPECT_TRUE(obs::lower_is_better("serve.aggregate.p99_latency"));
   EXPECT_FALSE(obs::lower_is_better("slo.tenants.attainment"));
-  EXPECT_FALSE(obs::lower_is_better("hostprof.totals.combos_per_sec"));
+  EXPECT_FALSE(obs::lower_is_better("serve.summary.jobs_per_sec"));
   EXPECT_FALSE(obs::lower_is_better("metrics.histogram.gpu.occupancy.sum"));
+  // The per_sec row names a series a run really emits: the serve summary's
+  // jobs_per_sec, as the diff flattens it, rising is an improvement.
+  RunInput slow, fast;
+  for (auto [run, rate] : {std::pair{&slow, 1.0}, std::pair{&fast, 2.0}}) {
+    JsonValue summary = JsonValue::object();
+    summary.set("jobs_per_sec", rate);
+    JsonValue doc = JsonValue::object();
+    doc.set("summary", std::move(summary));
+    obs::add_doc(*run, "serve", std::move(doc));
+  }
+  const DiffReport report = obs::diff_runs(slow, fast, DiffOptions{});
+  const SeriesDelta* delta = find_series(report, "serve.summary.jobs_per_sec");
+  ASSERT_NE(delta, nullptr);
+  EXPECT_EQ(delta->cls, DeltaClass::kImproved);
 }
 
 // --------------------------------------------------------------- attribution

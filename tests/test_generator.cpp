@@ -4,15 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bitmat/bitmatrix.hpp"
 #include "data/dataset.hpp"
 #include "data/registry.hpp"
 #include "serve/cache.hpp"
+#include "util/rng.hpp"
 
 namespace multihit {
 namespace {
@@ -121,6 +122,70 @@ TEST(Generator, RejectsImpossibleSpecs) {
   EXPECT_THROW(generate_dataset(spec), std::invalid_argument);
 }
 
+TEST(Generator, RejectsOversizedSpecsBeforeAllocating) {
+  // Each spec also breaks the planted-combination rule (hits x combinations
+  // > genes), so were a size check missing the call would still throw,
+  // cheaply, but name that rule instead of the bound.
+  const auto oversized = [](std::uint32_t genes, std::uint32_t tumor, std::uint32_t normal) {
+    SyntheticSpec spec;
+    spec.genes = genes;
+    spec.tumor_samples = tumor;
+    spec.normal_samples = normal;
+    spec.hits = 2;
+    spec.num_combinations = genes;
+    return spec;
+  };
+  const std::uint32_t wide = 64 * 64 + 1;  // 65 words: 2^22 rows exceed 2^28 words
+  const struct {
+    SyntheticSpec spec;
+    std::vector<std::string> named;
+  } cases[] = {
+      {oversized(kMaxGenes + 1, 1, 1), {"genes", "kMaxGenes"}},
+      {oversized(1, kMaxSamples + 1, 1), {"tumor_samples", "kMaxSamples"}},
+      {oversized(1, 1, kMaxSamples + 1), {"normal_samples", "kMaxSamples"}},
+      {oversized(1u << 22, wide, 1), {"tumor_samples", "kMaxMatrixWords"}},
+      {oversized(1u << 22, 1, wide), {"normal_samples", "kMaxMatrixWords"}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.named.back());
+    try {
+      generate_dataset(c.spec);
+      ADD_FAILURE() << "oversized spec accepted";
+    } catch (const std::invalid_argument& e) {
+      for (const std::string& word : c.named) {
+        EXPECT_NE(std::string(e.what()).find(word), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
+TEST(Generator, RowFillerMatchesPerBitBernoulli) {
+  // or_bernoulli_row against the per-bit loop it replaced, on one seed: the
+  // same rows, the same draws consumed (the next raw draw agrees), and the
+  // bits set before it ran kept.
+  const double nan = std::nan("");
+  for (const std::uint32_t samples : {0u, 1u, 63u, 64u, 65u, 1000u, 1600u}) {
+    for (const double p : {0.0, 0.012, 0.3, 0.97, 1.0, -0.5, 1.5, nan}) {
+      SCOPED_TRACE(std::to_string(samples) + " samples, p " + std::to_string(p));
+      BitMatrix filled(3, samples);
+      BitMatrix reference(3, samples);
+      for (std::uint32_t s = 0; s < samples; s += 7) {
+        filled.set(1, s);
+        reference.set(1, s);
+      }
+      Rng a(samples + 101), b(samples + 101);
+      for (std::uint32_t g = 0; g < 3; ++g) {
+        or_bernoulli_row(a, p, filled, g);
+        for (std::uint32_t s = 0; s < samples; ++s) {
+          if (b.bernoulli(p)) reference.set(g, s);
+        }
+      }
+      EXPECT_EQ(filled, reference);
+      EXPECT_EQ(a(), b());
+    }
+  }
+}
+
 TEST(SplitDataset, PartitionSizes) {
   const Dataset data = generate_dataset(small_spec());
   const auto split = split_dataset(data, 0.75, 99);
@@ -171,36 +236,29 @@ TEST(SplitDataset, RejectsFractionsOutsideTheOpenUnitInterval) {
 
 /// FNV-1a over a dataset's dimensions, every packed word of its tumor and
 /// normal rows (tail bits included) and its planted combinations.
-class DatasetDigest {
- public:
-  explicit DatasetDigest(const Dataset& data) {
-    add(data.genes());
-    add(data.tumor_samples());
-    add(data.normal_samples());
-    for (const BitMatrix* matrix : {&data.tumor, &data.normal}) {
-      for (std::uint32_t g = 0; g < matrix->genes(); ++g) {
-        for (const std::uint64_t word : matrix->row(g)) add(word);
-      }
-    }
-    add(data.planted.size());
-    for (const auto& combo : data.planted) {
-      add(combo.size());
-      for (const std::uint32_t gene : combo) add(gene);
-    }
-  }
-
-  std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  void add(std::uint64_t v) noexcept {
+std::uint64_t dataset_digest(const Dataset& data) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto add = [&hash](std::uint64_t v) {
     for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (v >> (8 * byte)) & 0xff;
-      hash_ *= 1099511628211ULL;
+      hash ^= (v >> (8 * byte)) & 0xff;
+      hash *= 1099511628211ULL;
+    }
+  };
+  add(data.genes());
+  add(data.tumor_samples());
+  add(data.normal_samples());
+  for (const BitMatrix* matrix : {&data.tumor, &data.normal}) {
+    for (std::uint32_t g = 0; g < matrix->genes(); ++g) {
+      for (const std::uint64_t word : matrix->row(g)) add(word);
     }
   }
-
-  std::uint64_t hash_ = 14695981039346656037ULL;
-};
+  add(data.planted.size());
+  for (const auto& combo : data.planted) {
+    add(combo.size());
+    for (const std::uint32_t gene : combo) add(gene);
+  }
+  return hash;
+}
 
 struct GoldenCase {
   std::string name;
@@ -208,16 +266,10 @@ struct GoldenCase {
   std::uint64_t digest;
 };
 
-std::string hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llxULL", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 void expect_golden(const std::vector<GoldenCase>& cases) {
   for (const GoldenCase& c : cases) {
     SCOPED_TRACE(c.name);
-    EXPECT_EQ(hex(DatasetDigest(generate_dataset(c.spec)).value()), hex(c.digest));
+    EXPECT_EQ(dataset_digest(generate_dataset(c.spec)), c.digest);
   }
 }
 

@@ -5,9 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
+#include <limits>
 #include <set>
-#include <string>
 #include <vector>
 
 namespace multihit {
@@ -95,6 +94,63 @@ TEST(Rng, BernoulliEdgeCases) {
   }
 }
 
+TEST(Rng, BernoulliAtTheEndsTakesNoDraw) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double p : {0.0, -0.0, 1.0, -0.5, 1.5, -inf, inf}) {
+    SCOPED_TRACE(p);
+    Rng rng(59), twin(59);
+    EXPECT_EQ(rng.bernoulli(p), p >= 1.0);
+    EXPECT_EQ(rng(), twin()) << "bernoulli(" << p << ") advanced the stream";
+  }
+}
+
+TEST(Rng, BernoulliNaNTakesOneDrawAndFails) {
+  const double nan = std::nan("");
+  Rng rng(61), twin(61);
+  EXPECT_FALSE(rng.bernoulli(nan));
+  twin();
+  EXPECT_EQ(rng(), twin());
+  EXPECT_EQ(Rng::bernoulli_threshold(nan), 0u);
+}
+
+TEST(Rng, IntegerBernoulliTestMatchesTheDoubleTest) {
+  // At p = k * 2^-53 and its nextafter neighbours, the integer test
+  // (x >> 11) < bernoulli_threshold(p) accepts exactly the draws whose
+  // uniform_double() value, (x >> 11) * 2^-53, is below p: checked on the
+  // draws around the boundary, with the low 11 bits (which uniform_double
+  // drops) both clear and set.
+  constexpr std::uint64_t kOne = std::uint64_t{1} << 53;
+  for (const std::uint64_t k : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+                                std::uint64_t{1} << 20, (std::uint64_t{1} << 20) + 1,
+                                kOne / 3, kOne / 2 - 1, kOne / 2, kOne / 2 + 1, kOne - 2,
+                                kOne - 1}) {
+    const double p = static_cast<double>(k) * 0x1.0p-53;
+    for (const double q : {std::nextafter(p, 0.0), p, std::nextafter(p, 1.0)}) {
+      SCOPED_TRACE(q);
+      const std::uint64_t threshold = Rng::bernoulli_threshold(q);
+      for (std::uint64_t j = k - 1; j <= k + 2 && j < kOne; ++j) {
+        for (const std::uint64_t low : {std::uint64_t{0}, std::uint64_t{0x7ff}}) {
+          const std::uint64_t x = (j << 11) | low;
+          EXPECT_EQ((x >> 11) < threshold, static_cast<double>(x >> 11) * 0x1.0p-53 < q)
+              << "top bits " << j;
+        }
+      }
+    }
+  }
+  // The smallest positive p admits only the all-zero top bits, the largest
+  // p below 1 rejects only the all-one top bits.
+  EXPECT_EQ(Rng::bernoulli_threshold(std::numeric_limits<double>::denorm_min()), 1u);
+  EXPECT_EQ(Rng::bernoulli_threshold(std::nextafter(1.0, 0.0)), kOne - 1);
+  // And on live streams: twin generators, one testing uniform_double() < p,
+  // the other the integer form, agree on every draw.
+  for (const double p : {0.3, 0.012, 0.97, 1.0 / 3.0, 0x1.0p-40}) {
+    SCOPED_TRACE(p);
+    Rng a(71), b(71);
+    const std::uint64_t threshold = Rng::bernoulli_threshold(p);
+    for (int i = 0; i < 20000; ++i) ASSERT_EQ(a.uniform_double() < p, (b() >> 11) < threshold);
+  }
+}
+
 TEST(Rng, BernoulliMatchesProbability) {
   Rng rng(23);
   int hits = 0;
@@ -169,18 +225,6 @@ TEST(Rng, SplitmixAdvancesState) {
   EXPECT_NE(s, 0u);
 }
 
-std::string hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llxULL", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
 // The first values of every drawing call for two seeds, taken from the
 // out-of-line generator and never re-taken: raw words, bounded integers,
 // unit doubles, and Bernoulli outcomes whose probabilities include the
@@ -218,17 +262,17 @@ TEST(Rng, GoldenStream) {
   for (const Golden& g : golden) {
     SCOPED_TRACE(g.seed);
     Rng rng(g.seed);
-    for (const std::uint64_t raw : g.raw) EXPECT_EQ(hex(rng()), hex(raw));
+    for (const std::uint64_t raw : g.raw) EXPECT_EQ(rng(), raw);
     for (std::size_t i = 0; i < kBounds.size(); ++i) {
-      EXPECT_EQ(hex(rng.uniform(kBounds[i])), hex(g.bounded[i]));
+      EXPECT_EQ(rng.uniform(kBounds[i]), g.bounded[i]);
     }
-    for (const double unit : g.unit) EXPECT_EQ(hexfloat(rng.uniform_double()), hexfloat(unit));
+    for (const double unit : g.unit) EXPECT_EQ(rng.uniform_double(), unit);
     std::uint64_t bits = 0;
     for (std::size_t i = 0; i < probabilities.size(); ++i) {
       bits |= static_cast<std::uint64_t>(rng.bernoulli(probabilities[i])) << i;
     }
-    EXPECT_EQ(hex(bits), hex(g.bernoulli_bits));
-    EXPECT_EQ(hex(rng()), hex(g.after));
+    EXPECT_EQ(bits, g.bernoulli_bits);
+    EXPECT_EQ(rng(), g.after);
   }
 }
 
