@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <span>
+#include <vector>
 
 #include "bitmat/bitops.hpp"
 #include "combinat/linearize.hpp"
@@ -246,6 +248,49 @@ void BM_LazyGreedyCover2(benchmark::State& state) {
   state.counters["iterations"] = static_cast<double>(iterations);
 }
 BENCHMARK(BM_LazyGreedyCover2)->ArgName("lazy")->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One greedy_floor on the tumor matrix of a cover2 solve's 30th iteration
+// (of ~60), spliced by the 29 combinations selected before it. given:1
+// passes the iteration's tumor_row_counts table, as the evaluators do;
+// given:0 has the floor count the rows itself. The and2_calls counter is
+// the dispatched and_popcount calls one floor makes (G·h = 600 when every
+// step scores every gene).
+void BM_GreedyFloorCover2(benchmark::State& state) {
+  const bool given = state.range(0) != 0;
+  const Dataset data = generate_dataset(cover2_spec());
+  EngineConfig config;
+  config.hits = 2;
+  const Evaluator kernel = make_kernel_evaluator(2);
+  BitMatrix tumor;
+  FContext ctx;
+  std::uint32_t evaluations = 0;
+  (void)run_greedy(data.tumor, data.normal, config,
+                   [&](const BitMatrix& spliced, const BitMatrix& normal, const FContext& at) {
+                     if (++evaluations == 30) {
+                       tumor = spliced;
+                       ctx = at;
+                       ctx.carried = nullptr;  // the session's, gone after run_greedy
+                     }
+                     return kernel(spliced, normal, at);
+                   });
+  if (evaluations < 30) {
+    state.SkipWithError("the cover2 solve ended before its 30th iteration");
+    return;
+  }
+  std::vector<std::uint64_t> table(tumor.genes());
+  tumor_row_counts(tumor, table);
+  const std::span<const std::uint64_t> row_counts =
+      given ? std::span<const std::uint64_t>(table) : std::span<const std::uint64_t>();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(greedy_floor(tumor, data.normal, ctx, 2, row_counts));
+  }
+  const bool counting = set_call_counting(true);
+  const BitopsCallCounts before = thread_bitops_calls();
+  benchmark::DoNotOptimize(greedy_floor(tumor, data.normal, ctx, 2, row_counts));
+  state.counters["and2_calls"] = static_cast<double>((thread_bitops_calls() - before).and2);
+  set_call_counting(counting);
+}
+BENCHMARK(BM_GreedyFloorCover2)->ArgName("given")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // Dataset generation against its floor. BM_GenerateDatasetCover2 is one
 // generate_dataset call on the cover2 spec, as a wallbench cover2 set-up

@@ -121,10 +121,13 @@ build/bench/bench_kernels --benchmark_filter='^BM_KernelFourHit3x1Terminal' \
   grep -E '^BM_KernelFourHit3x1Terminal_median'
 # Lazy greedy, printed without a gate: the median of a full cover2-shaped
 # solve with the Engine's carried bounds (lazy:1) and without (lazy:0), each
-# line with the threads an iteration rescans on average.
+# line with the threads an iteration rescans on average; beside it one greedy
+# floor of a mid-solve cover2 iteration, given its row-count table (given:1)
+# or counting the rows itself (given:0), with the and_popcount calls it makes.
 echo "=== lazy greedy timing ==="
-build/bench/bench_kernels --benchmark_filter='^BM_LazyGreedyCover2/' --benchmark_repetitions=5 \
-  --benchmark_report_aggregates_only=true 2> /dev/null | grep -E '^BM_LazyGreedyCover2/.*_median'
+build/bench/bench_kernels --benchmark_filter='^BM_(LazyGreedyCover2|GreedyFloorCover2)/' \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true 2> /dev/null |
+  grep -E '^BM_(LazyGreedyCover2|GreedyFloorCover2)/.*_median'
 # Dataset generation, printed without a gate: one cover2-shaped
 # generate_dataset call, and its floor, the same 780k background draws through
 # a local inline xoshiro256** that ORs each bit into its word.

@@ -1,5 +1,7 @@
 #include "core/engine.hpp"
 
+#include <vector>
+
 #include "core/schemes.hpp"
 #include "core/serial.hpp"
 
@@ -29,9 +31,13 @@ Evaluator make_kernel_evaluator(std::uint32_t hits, KernelCounts* counts_sink) {
     CarriedBounds* carried =
         ctx.carried != nullptr && ctx.carried->begin(tumor, ctx, scheme.hits) ? ctx.carried
                                                                               : nullptr;
+    // One row-count pass for the floor and the kernel.
+    std::vector<std::uint64_t> row_counts(tumor.genes());
+    tumor_row_counts(tumor, row_counts);
+    const double floor = greedy_floor(tumor, normal, ctx, scheme.hits, row_counts);
     const EvalResult best =
         evaluate_range(tumor, normal, ctx, scheme, 0, scheme_threads(scheme, tumor.genes()),
-                       greedy_floor(tumor, normal, ctx, scheme.hits), counts_sink, carried);
+                       floor, counts_sink, carried, row_counts);
     if (carried != nullptr) carried->finish();
     return best;
   };

@@ -1,6 +1,7 @@
 #include "core/hostsweep.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -29,6 +30,29 @@ struct WorkerOutput {
 
 }  // namespace
 
+void run_workers(std::uint32_t workers, const std::function<void(std::uint32_t)>& body) {
+  if (workers <= 1) {
+    body(0);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(workers);
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::uint32_t id = 0; id < workers; ++id) {
+    pool.emplace_back([&body, &errors, id] {
+      try {
+        body(id);
+      } catch (...) {
+        errors[id] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
 EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
                                 const FContext& ctx, const HostSweepOptions& options,
                                 HostSweepTelemetry* telemetry) {
@@ -42,10 +66,13 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   const std::uint32_t requested = workers;
 
-  // One floor for every chunk: each chunk's own incumbent starts empty, and
-  // the floor lets it cut from its first prefix on. The Engine's carried
-  // bounds, when they apply, let a chunk skip whole against it.
-  const double floor = greedy_floor(tumor, normal, ctx, options.hits);
+  // One row-count table and one floor for every chunk: each chunk's own
+  // incumbent starts empty, and the floor lets it cut from its first prefix
+  // on. The Engine's carried bounds, when they apply, let a chunk skip whole
+  // against it.
+  std::vector<std::uint64_t> row_counts(tumor.genes());
+  tumor_row_counts(tumor, row_counts);
+  const double floor = greedy_floor(tumor, normal, ctx, options.hits, row_counts);
   CarriedBounds* carried =
       ctx.carried != nullptr && ctx.carried->begin(tumor, ctx, options.hits) ? ctx.carried
                                                                              : nullptr;
@@ -96,8 +123,8 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
       }
       Clock::time_point claimed_at;
       if (profiler != nullptr) claimed_at = Clock::now();
-      const EvalResult best =
-          evaluate_range(tumor, normal, ctx, scheme, begin, end, floor, &out.counts, carried);
+      const EvalResult best = evaluate_range(tumor, normal, ctx, scheme, begin, end, floor,
+                                             &out.counts, carried, row_counts);
       if (profiler != nullptr) sample.evaluated.emplace_back(claimed_at, Clock::now());
       if (best.valid) {
         ++out.candidates;
@@ -130,13 +157,11 @@ EvalResult host_sweep_find_best(const BitMatrix& tumor, const BitMatrix& normal,
     profiler->begin_sweep(std::move(setup));
   }
 
-  if (workers <= 1) {
-    worker_body(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t id = 0; id < workers; ++id) pool.emplace_back(worker_body, id);
-    for (std::thread& t : pool) t.join();
+  try {
+    run_workers(workers, worker_body);
+  } catch (...) {
+    if (profiler != nullptr) set_call_counting(counting_before);
+    throw;
   }
   obs::HostSweepClose close;
   if (profiler != nullptr) close.joined = Clock::now();

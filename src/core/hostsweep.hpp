@@ -19,6 +19,7 @@
 // depends on the data and the worker count, which fix the chunks.
 
 #include <cstdint>
+#include <functional>
 
 #include "bitmat/bitmatrix.hpp"
 #include "core/engine.hpp"
@@ -73,6 +74,12 @@ struct HostSweepTelemetry {
     return *this;
   }
 };
+
+/// Runs body(id) for every worker id in [0, workers): inline on the caller
+/// for one worker, else on one std::thread each. A worker's exception is
+/// caught into its own slot; once every thread is joined, the lowest-id
+/// worker's exception is rethrown on the caller.
+void run_workers(std::uint32_t workers, const std::function<void(std::uint32_t)>& body);
 
 /// One maxF evaluation over the full λ space of Scheme{hits, hits-1},
 /// distributed over host threads. When ctx.carried holds an Engine's

@@ -57,6 +57,16 @@ void check_scheme(Scheme scheme, std::uint32_t genes) {
   }
 }
 
+// A given row-count table must have one count per gene; empty means none.
+void check_row_counts(const char* who, std::span<const std::uint64_t> row_counts,
+                      std::uint32_t genes) {
+  if (!row_counts.empty() && row_counts.size() != genes) {
+    throw std::invalid_argument(std::string(who) + ": row-count table has " +
+                                std::to_string(row_counts.size()) + " entries for " +
+                                std::to_string(genes) + " genes");
+  }
+}
+
 // scheme_range_work without the checks: Σ C(G-1-top, d) over the levels
 // of threads sharing their top flat gene.
 std::uint64_t range_work(Scheme scheme, std::uint32_t genes, std::uint64_t begin,
@@ -238,7 +248,8 @@ template <bool kInline>
                                               const FContext& ctx, Scheme scheme,
                                               std::uint64_t begin, std::uint64_t end,
                                               double floor, KernelCounts* counts,
-                                              CarriedBounds* carried) {
+                                              CarriedBounds* carried,
+                                              std::span<const std::uint64_t> row_counts) {
   const std::uint32_t genes = tumor.genes();
   const std::uint32_t h = scheme.hits;
   const std::uint32_t f = scheme.flat;
@@ -273,15 +284,17 @@ template <bool kInline>
   const std::span<const std::uint64_t> npre = nslot[h - 2];
 
   // Row-count bound: a combination's TP is at most its innermost gene's
-  // tumor row count. On rows of 3+ words each row is counted once per range
-  // and a leaf whose row count is below need is skipped before its AND.
-  // Decided by row width alone, so every body cuts the same leaves; on
-  // narrower rows the table would cost more than the ANDs it saves.
+  // tumor row count. On rows of 3+ words a leaf whose row count is below
+  // need is skipped before its AND, reading the evaluation's table (counted
+  // here when the caller gave none). Decided by row width alone, so every
+  // body cuts the same leaves; on narrower rows a per-range table cost more
+  // than the ANDs it saved, and the cut stays off there.
   const bool row_bound = wt >= 3;
-  thread_local std::vector<std::uint64_t> row_count;
-  if (row_bound) {
-    if (row_count.size() < genes) row_count.resize(genes);
-    for (std::uint32_t g = 0; g < genes; ++g) row_count[g] = ops.count(tumor.row(g));
+  thread_local std::vector<std::uint64_t> own_counts;
+  if (row_bound && row_counts.empty()) {
+    own_counts.resize(genes);
+    tumor_row_counts(tumor, own_counts);
+    row_counts = own_counts;
   }
 
   // Carried bounds (CarriedBounds). evaluate_range passes them only for
@@ -391,9 +404,9 @@ template <bool kInline>
   std::uint64_t cut_max = 0;
   const auto leaf = [&](std::uint32_t last, auto&& low,
                         auto&& rank) __attribute__((always_inline)) {
-    if (row_bound && row_count[last] < best.need()) {
+    if (row_bound && row_counts[last] < best.need()) {
       ++cut_row;
-      cut_max = std::max(cut_max, row_count[last] + 1);
+      cut_max = std::max(cut_max, row_counts[last] + 1);
       return;
     }
     const std::uint64_t tp = ops.and_popcount(tpre, tumor.row(last));
@@ -562,8 +575,9 @@ template <bool kInline>
 __attribute__((aligned(64))) MULTIHIT_TARGET_POPCNT EvalResult
 scan_popcnt_inline(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                    Scheme scheme, std::uint64_t begin, std::uint64_t end, double floor,
-                   KernelCounts* counts, CarriedBounds* carried) {
-  return scan<true>(tumor, normal, ctx, scheme, begin, end, floor, counts, carried);
+                   KernelCounts* counts, CarriedBounds* carried,
+                   std::span<const std::uint64_t> row_counts) {
+  return scan<true>(tumor, normal, ctx, scheme, begin, end, floor, counts, carried, row_counts);
 }
 
 // POPCNT, any other width (0 or 3+ words, or a mix) through the dispatched
@@ -571,8 +585,8 @@ scan_popcnt_inline(const BitMatrix& tumor, const BitMatrix& normal, const FConte
 __attribute__((aligned(64))) MULTIHIT_TARGET_POPCNT EvalResult
 scan_popcnt(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx, Scheme scheme,
             std::uint64_t begin, std::uint64_t end, double floor, KernelCounts* counts,
-            CarriedBounds* carried) {
-  return scan<false>(tumor, normal, ctx, scheme, begin, end, floor, counts, carried);
+            CarriedBounds* carried, std::span<const std::uint64_t> row_counts) {
+  return scan<false>(tumor, normal, ctx, scheme, begin, end, floor, counts, carried, row_counts);
 }
 
 // Baseline target, every width through the dispatched kernels: the portable
@@ -582,8 +596,39 @@ __attribute__((aligned(64))) EvalResult scan_portable(const BitMatrix& tumor,
                                                       const FContext& ctx, Scheme scheme,
                                                       std::uint64_t begin, std::uint64_t end,
                                                       double floor, KernelCounts* counts,
-                                                      CarriedBounds* carried) {
-  return scan<false>(tumor, normal, ctx, scheme, begin, end, floor, counts, carried);
+                                                      CarriedBounds* carried,
+                                                      std::span<const std::uint64_t> row_counts) {
+  return scan<false>(tumor, normal, ctx, scheme, begin, end, floor, counts, carried, row_counts);
+}
+
+// tumor_row_counts' loop, compiled for POPCNT and for the baseline target
+// like the scan bodies above. Four accumulators keep four popcounts in
+// flight; one chain measured about twice as slow on 25-word rows.
+[[gnu::always_inline]] inline void count_rows(const BitMatrix& tumor,
+                                              std::span<std::uint64_t> counts) {
+  const std::uint32_t genes = tumor.genes();
+  const std::size_t words = tumor.words_per_row();
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    const std::uint64_t* row = tumor.row(g).data();
+    std::uint64_t n[4] = {0, 0, 0, 0};
+    std::size_t w = 0;
+    for (; w + 4 <= words; w += 4) {
+      for (std::size_t k = 0; k < 4; ++k) {
+        n[k] += static_cast<std::uint64_t>(std::popcount(row[w + k]));
+      }
+    }
+    for (; w < words; ++w) n[0] += static_cast<std::uint64_t>(std::popcount(row[w]));
+    counts[g] = n[0] + n[1] + n[2] + n[3];
+  }
+}
+
+MULTIHIT_TARGET_POPCNT void count_rows_popcnt(const BitMatrix& tumor,
+                                              std::span<std::uint64_t> counts) {
+  count_rows(tumor, counts);
+}
+
+void count_rows_portable(const BitMatrix& tumor, std::span<std::uint64_t> counts) {
+  count_rows(tumor, counts);
 }
 
 }  // namespace
@@ -620,9 +665,11 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
                                                        const FContext& ctx, Scheme scheme,
                                                        std::uint64_t begin, std::uint64_t end,
                                                        double floor, KernelCounts* counts,
-                                                       CarriedBounds* carried) {
+                                                       CarriedBounds* carried,
+                                                       std::span<const std::uint64_t> row_counts) {
   const std::uint32_t genes = tumor.genes();
   check_scheme(scheme, genes);
+  check_row_counts("evaluate_range", row_counts, genes);
   // A normal matrix with fewer genes would be read past its last row.
   if (normal.genes() != genes) {
     throw std::invalid_argument("evaluate_range: tumor has " + std::to_string(genes) +
@@ -655,28 +702,66 @@ __attribute__((aligned(64))) EvalResult evaluate_range(const BitMatrix& tumor,
     body = narrow(tumor.words_per_row()) && narrow(normal.words_per_row()) ? scan_popcnt_inline
                                                                            : scan_popcnt;
   }
-  return body(tumor, normal, ctx, scheme, begin, end, floor, counts, carried);
+  return body(tumor, normal, ctx, scheme, begin, end, floor, counts, carried, row_counts);
+}
+
+void tumor_row_counts(const BitMatrix& tumor, std::span<std::uint64_t> counts) {
+  if (counts.size() != tumor.genes()) {
+    throw std::invalid_argument("tumor_row_counts: table has " + std::to_string(counts.size()) +
+                                " entries for " + std::to_string(tumor.genes()) + " genes");
+  }
+  // The POPCNT loop rides on the AVX2 gate, as the scan bodies do.
+  if (active_backend() == BitopsBackend::kAvx2) {
+    count_rows_popcnt(tumor, counts);
+  } else {
+    count_rows_portable(tumor, counts);
+  }
 }
 
 double greedy_floor(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                    std::uint32_t hits) {
+                    std::uint32_t hits, std::span<const std::uint64_t> row_counts) {
   const std::uint32_t genes = tumor.genes();
+  check_row_counts("greedy_floor", row_counts, genes);
   if (hits == 0 || genes < hits) return kNoFloor;
-  std::vector<std::uint64_t> prefix(tumor.words_per_row(), ~std::uint64_t{0});
-  std::vector<std::uint32_t> combo;
-  std::uint64_t tp = 0;
-  for (std::uint32_t step = 0; step < hits; ++step) {
-    std::uint32_t pick = genes;
-    for (std::uint32_t g = 0; g < genes; ++g) {
-      if (std::find(combo.begin(), combo.end(), g) != combo.end()) continue;
-      const std::uint64_t kept = and_popcount(prefix, tumor.row(g));
-      if (pick == genes || kept > tp) {
-        pick = g;
-        tp = kept;
+  std::vector<std::uint64_t> own;
+  if (row_counts.empty()) {
+    own.resize(genes);
+    tumor_row_counts(tumor, own);
+    row_counts = own;
+  }
+  // Step 0 keeps a whole row: the pick is the largest row count, the lowest
+  // index on ties.
+  std::uint32_t pick = static_cast<std::uint32_t>(
+      std::max_element(row_counts.begin(), row_counts.end()) - row_counts.begin());
+  std::uint64_t tp = row_counts[pick];
+  std::vector<std::uint32_t> combo{pick};
+  if (hits > 1) {
+    // Later steps visit genes by row count descending, ties by index
+    // ascending: a stable counting sort keyed on tp - count.
+    std::vector<std::uint32_t> start(tp + 2, 0);
+    for (const std::uint64_t n : row_counts) ++start[tp - n + 1];
+    for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+    std::vector<std::uint32_t> order(genes);
+    for (std::uint32_t g = 0; g < genes; ++g) order[start[tp - row_counts[g]]++] = g;
+
+    const auto first = tumor.row(pick);
+    std::vector<std::uint64_t> prefix(first.begin(), first.end());
+    for (std::uint32_t step = 1; step < hits; ++step) {
+      // A gene keeps at most its row count, so once counts fall below the
+      // best kept so far no later gene can beat or tie the pick.
+      pick = genes;
+      for (const std::uint32_t g : order) {
+        if (pick != genes && row_counts[g] < tp) break;
+        if (std::find(combo.begin(), combo.end(), g) != combo.end()) continue;
+        const std::uint64_t kept = and_popcount(prefix, tumor.row(g));
+        if (pick == genes || kept > tp || (kept == tp && g < pick)) {
+          pick = g;
+          tp = kept;
+        }
       }
+      combo.push_back(pick);
+      and_rows(prefix, prefix, tumor.row(pick));
     }
-    combo.push_back(pick);
-    and_rows(prefix, prefix, tumor.row(pick));
   }
   return f_score(ctx, tp, normal.intersect_count(combo));
 }

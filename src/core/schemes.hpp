@@ -194,6 +194,15 @@ class CarriedBounds {
   bool warm_ = false;
 };
 
+/// The tumor popcount of every gene's row, in gene order: the one row-count
+/// pass of an evaluation, which greedy_floor and evaluate_range both read.
+/// The evaluators (make_kernel_evaluator, host_sweep_find_best) fill it once
+/// per evaluation; the host sweep fills it before its workers start. Counted
+/// with POPCNT under the AVX2 bitops backend (whose CPU check includes it),
+/// by the portable loop otherwise; no bitops call is counted. Throws
+/// std::invalid_argument when counts.size() != tumor.genes(), naming both.
+void tumor_row_counts(const BitMatrix& tumor, std::span<std::uint64_t> counts);
+
 /// maxF kernel over threads [begin, end) of `scheme`. Throws
 /// std::invalid_argument when the matrices' gene counts differ, like
 /// scheme_threads, or when a non-empty range ends past scheme_threads().
@@ -214,17 +223,36 @@ class CarriedBounds {
 /// best F while every combination it owns ranks after the best's.
 /// Skipped threads count in KernelCounts::threads_skipped and their
 /// combinations in pruned. The ignored FContext::carried never enables it.
+/// `row_counts` is the evaluation's tumor_row_counts table, which the
+/// kernel's row-count cut reads on tumor rows of 3+ words; empty, the call
+/// counts the rows itself through tumor_row_counts, so a chunked
+/// evaluation that passes its table counts them once rather than once per
+/// chunk. Either way the result and every count are the same. A non-empty
+/// table whose size is not genes() throws std::invalid_argument.
 EvalResult evaluate_range(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                           Scheme scheme, std::uint64_t begin, std::uint64_t end,
                           double floor = kNoFloor, KernelCounts* counts = nullptr,
-                          CarriedBounds* carried = nullptr);
+                          CarriedBounds* carried = nullptr,
+                          std::span<const std::uint64_t> row_counts = {});
 
 /// The exact F of one h-gene combination built greedily: each step adds the
 /// gene keeping the most tumor TP (ties to the lowest index). It is a lower
 /// bound on the space's best F, computed by the kernel's own expression, so
 /// it is a sound `floor` for evaluate_range. kNoFloor when genes < hits.
+///
+/// Cost: no dispatched call for step 0, whose pick is the argmax of the row
+/// counts; each later step visits the genes in descending row count (ties
+/// by ascending index, one stable counting sort per call) and stops at the
+/// first gene whose row count is below the best kept count so far. A gene
+/// keeps at most its row count, so no unvisited gene can beat or tie the
+/// pick, and the value is bit-identical to scoring all G genes at every
+/// step: a cover2 solve (G = 300, h = 2) averages 61 and_popcount calls per
+/// floor where scoring every gene makes 599. `row_counts` is the
+/// evaluation's tumor_row_counts table; empty, the call counts the rows
+/// itself. A non-empty table whose size is not genes() throws
+/// std::invalid_argument.
 double greedy_floor(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
-                    std::uint32_t hits);
+                    std::uint32_t hits, std::span<const std::uint64_t> row_counts = {});
 
 /// Closed-form KernelStats of the modeled GPU kernel over threads
 /// [begin, end). `tumor_words` / `normal_words` are the packed row widths.

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,6 +170,30 @@ TEST(HostSweep, RejectsInvalidConfigurations) {
                  std::invalid_argument)
         << "hits=" << hits;
   }
+}
+
+TEST(HostSweep, WorkerExceptionsReachTheCaller) {
+  // run_workers joins every worker before it rethrows, and rethrows the
+  // lowest-id worker's exception: worker 1 of 3 throws, and then workers 1
+  // and 2 both do.
+  std::atomic<std::uint32_t> ran{0};
+  try {
+    run_workers(3, [&](std::uint32_t id) {
+      ++ran;
+      if (id == 1) throw std::runtime_error("worker 1");
+    });
+    FAIL() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "worker 1");
+  }
+  EXPECT_EQ(ran.load(), 3u);
+  EXPECT_THROW(run_workers(3,
+                           [](std::uint32_t id) {
+                             if (id == 2) throw std::logic_error("worker 2");
+                             if (id == 1) throw std::runtime_error("worker 1");
+                           }),
+               std::runtime_error);
+  EXPECT_NO_THROW(run_workers(3, [](std::uint32_t) {}));
 }
 
 TEST(HostSweep, FiveHitRoutesToTheFiveHitKernel) {

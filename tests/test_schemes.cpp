@@ -232,6 +232,21 @@ void expect_same(const EvalResult& a, const EvalResult& b, const std::string& co
   EXPECT_EQ(a.tn, b.tn) << context;
 }
 
+/// Turns call counting on and restores the backend and the counting state
+/// on scope exit, failed assertions included.
+class CountingScope {
+ public:
+  CountingScope() : backend_(active_backend()), counting_(set_call_counting(true)) {}
+  ~CountingScope() {
+    set_call_counting(counting_);
+    set_backend(backend_);
+  }
+
+ private:
+  BitopsBackend backend_;
+  bool counting_;
+};
+
 /// Ragged λ ranges over [0, total): empty, single-thread, the zero-work
 /// tail, and random spans.
 std::vector<std::pair<u64, u64>> ragged_ranges(u64 total, std::uint64_t seed) {
@@ -554,6 +569,55 @@ TEST_P(AllSchemes, CountedCombinationsMatchSchemeStats) {
   }
 }
 
+TEST_P(AllSchemes, SharedRowCountsLeaveEveryResultAndCount) {
+  // evaluate_range given the evaluation's tumor_row_counts table (what the
+  // evaluators pass) against the same call counting rows itself: the same
+  // winner, the same KernelCounts and the same dispatched calls, with and
+  // without the greedy floor, on tumor rows of 2 words (no row-count cut)
+  // and of 3 (the cut reads the table). The call identity rides along.
+  const Scheme scheme = GetParam();
+  const CountingScope scope;
+  for (const std::uint32_t tumor_samples : {70u, 150u}) {
+    const auto f = make_fixture(small_genes(scheme.hits), scheme.hits, 91, 2, tumor_samples);
+    std::vector<std::uint64_t> table(f.data.genes());
+    tumor_row_counts(f.data.tumor, table);
+    const u64 total = scheme_threads(scheme, f.data.genes());
+    const double greedy = greedy_floor(f.data.tumor, f.data.normal, f.ctx, scheme.hits, table);
+    for (const double floor : {kNoFloor, greedy}) {
+      for (const auto& [a, b] : ragged_ranges(total, 11 + scheme.flat)) {
+        const std::string where = std::to_string(tumor_samples) + " samples" +
+                                  (floor == kNoFloor ? "" : ", floor") + " [" +
+                                  std::to_string(a) + "," + std::to_string(b) + ")";
+        KernelCounts own, shared;
+        BitopsCallCounts before = thread_bitops_calls();
+        const EvalResult counted =
+            evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b, floor, &own);
+        const BitopsCallCounts own_calls = thread_bitops_calls() - before;
+        before = thread_bitops_calls();
+        const EvalResult given = evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, a, b,
+                                                floor, &shared, nullptr, table);
+        const BitopsCallCounts shared_calls = thread_bitops_calls() - before;
+        expect_same(given, counted, where);
+        EXPECT_EQ(shared.combinations, own.combinations) << where;
+        EXPECT_EQ(shared.pruned, own.pruned) << where;
+        EXPECT_EQ(shared.leaf_cut, own.leaf_cut) << where;
+        EXPECT_EQ(shared.threads_skipped, own.threads_skipped) << where;
+        EXPECT_EQ(shared_calls.and2, own_calls.and2) << where;
+        EXPECT_EQ(shared_calls.and_rows, own_calls.and_rows) << where;
+        EXPECT_EQ(shared_calls.and2, 2 * (shared.combinations - shared.pruned) - shared.leaf_cut)
+            << where;
+      }
+    }
+    for (const std::size_t size : {table.size() - 1, table.size() + 1}) {
+      const std::vector<std::uint64_t> wrong(size);
+      EXPECT_THROW((void)evaluate_range(f.data.tumor, f.data.normal, f.ctx, scheme, 0, total,
+                                        kNoFloor, nullptr, nullptr, wrong),
+                   std::invalid_argument)
+          << size << " counts";
+    }
+  }
+}
+
 TEST_P(AllSchemes, MemOptsNeverChangeTheResult) {
   // MemOpts only price a modeled launch (GpuDevice::run hands them to
   // scheme_stats); the device's winner is the kernel's under every option.
@@ -646,21 +710,6 @@ BodyRun run_body(BitopsBackend backend, const Fixture& f, Scheme scheme, u64 beg
   return run;
 }
 
-/// Turns call counting on and restores the backend and the counting state
-/// on scope exit, failed assertions included.
-class CountingScope {
- public:
-  CountingScope() : backend_(active_backend()), counting_(set_call_counting(true)) {}
-  ~CountingScope() {
-    set_call_counting(counting_);
-    set_backend(backend_);
-  }
-
- private:
-  BitopsBackend backend_;
-  bool counting_;
-};
-
 TEST(KernelBodies, EveryBodyAgreesAtEveryRowWidth) {
   // The scalar backend runs the portable body. The AVX2 backend runs a
   // POPCNT body that scores and folds inline when both matrices' rows are
@@ -707,6 +756,169 @@ TEST(KernelBodies, EveryBodyAgreesAtEveryRowWidth) {
         }
       }
     }
+  }
+}
+
+// --- the greedy floor -------------------------------------------------------------
+
+/// greedy_floor as it was before it read row counts: every step scores
+/// every gene not yet picked. The bounded floor must return this value
+/// bit for bit.
+double reference_greedy_floor(const BitMatrix& tumor, const BitMatrix& normal,
+                              const FContext& ctx, std::uint32_t hits) {
+  const std::uint32_t genes = tumor.genes();
+  if (hits == 0 || genes < hits) return kNoFloor;
+  std::vector<std::uint64_t> prefix(tumor.words_per_row(), ~std::uint64_t{0});
+  std::vector<std::uint32_t> combo;
+  std::uint64_t tp = 0;
+  for (std::uint32_t step = 0; step < hits; ++step) {
+    std::uint32_t pick = genes;
+    for (std::uint32_t g = 0; g < genes; ++g) {
+      if (std::find(combo.begin(), combo.end(), g) != combo.end()) continue;
+      const std::uint64_t kept = and_popcount(prefix, tumor.row(g));
+      if (pick == genes || kept > tp) {
+        pick = g;
+        tp = kept;
+      }
+    }
+    combo.push_back(pick);
+    and_rows(prefix, prefix, tumor.row(pick));
+  }
+  return f_score(ctx, tp, normal.intersect_count(combo));
+}
+
+/// Floor-oracle matrices at `samples` tumor samples: random rows at three
+/// densities; tie-heavy rows (copies of a few rows, and rotations of one
+/// row, so that many genes share one count); a step-1 tie that only a gene
+/// whose row count equals the best kept count wins; and rows that are
+/// mostly or entirely zero.
+std::vector<Fixture> floor_fixtures(std::uint32_t genes, std::uint32_t samples,
+                                    std::uint64_t seed) {
+  std::vector<Fixture> fixtures;
+  Rng rng(seed);
+  const auto blank = [&] {
+    Fixture f{{}, FContext{FParams{}, samples, 40}};
+    f.data.tumor = BitMatrix(genes, samples);
+    f.data.normal = BitMatrix(genes, 40);
+    for (std::uint32_t g = 0; g < genes; ++g) {
+      for (std::uint32_t s = 0; s < 40; ++s) {
+        if (rng.bernoulli(0.1)) f.data.normal.set(g, s);
+      }
+    }
+    return f;
+  };
+  for (const double density : {0.05, 0.3, 0.7}) {
+    Fixture f = blank();
+    for (std::uint32_t g = 0; g < genes; ++g) {
+      for (std::uint32_t s = 0; s < samples; ++s) {
+        if (rng.bernoulli(density)) f.data.tumor.set(g, s);
+      }
+    }
+    fixtures.push_back(std::move(f));
+  }
+  Fixture copies = blank();
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    const std::uint32_t source = static_cast<std::uint32_t>(rng.uniform(3));
+    for (std::uint32_t s = 0; s < samples; ++s) {
+      if ((s * (source + 2) + source) % 5 < 2) copies.data.tumor.set(g, s);
+    }
+  }
+  fixtures.push_back(std::move(copies));
+  Fixture rotations = blank();
+  for (std::uint32_t g = 0; g < genes; ++g) {
+    for (std::uint32_t s = 0; s < samples; ++s) {
+      if (((s + g) % samples) % 3 == 0) rotations.data.tumor.set(g, s);
+    }
+  }
+  fixtures.push_back(std::move(rotations));
+  // Gene 1 = [0, S/2) is step 0's pick. At step 1 gene 2 = [0, S/8) ∪
+  // [S/2, 3S/4) is visited first and keeps S/8; gene 0 = [0, S/8) keeps as
+  // much with a row count of exactly S/8 and wins on index, so a step may
+  // stop only below the best kept count, not at it. The normal rows make
+  // the two picks' F differ.
+  Fixture subset_tie{{}, FContext{FParams{}, samples, 40}};
+  subset_tie.data.tumor = BitMatrix(genes, samples);
+  subset_tie.data.normal = BitMatrix(genes, 40);
+  for (std::uint32_t s = 0; s < samples; ++s) {
+    if (s < samples / 8) subset_tie.data.tumor.set(0, s);
+    if (s < samples / 2) subset_tie.data.tumor.set(1, s);
+    if (s < samples / 8 || (s >= samples / 2 && s < 3 * samples / 4)) {
+      subset_tie.data.tumor.set(2, s);
+    }
+  }
+  for (std::uint32_t s = 0; s < 10; ++s) {
+    subset_tie.data.normal.set(1, s);
+    subset_tie.data.normal.set(2, s);
+  }
+  fixtures.push_back(std::move(subset_tie));
+  Fixture sparse_rows = blank();
+  for (std::uint32_t g = 0; g < genes; g += 3) {
+    for (std::uint32_t s = 0; s < samples; ++s) {
+      if (rng.bernoulli(0.4)) sparse_rows.data.tumor.set(g, s);
+    }
+  }
+  fixtures.push_back(std::move(sparse_rows));
+  fixtures.push_back(blank());  // every tumor row zero
+  return fixtures;
+}
+
+TEST(GreedyFloor, MatchesTheScoreEveryGeneFloorBitForBit) {
+  // The bounded floor against the reference on tumor rows of 1, 2, 3 and
+  // 25 words at hits 2-5, with and without a given row-count table, under
+  // every supported backend (the table's count loop is dispatched with it).
+  // At 3 genes, hits 4 and 5 have no floor.
+  const BitopsBackend previous = active_backend();
+  std::vector<BitopsBackend> backends = {BitopsBackend::kScalar};
+  if (backend_supported(BitopsBackend::kAvx2)) backends.push_back(BitopsBackend::kAvx2);
+  std::uint64_t seed = 0;
+  for (const std::uint32_t samples : {40u, 100u, 150u, 1600u}) {
+    for (const std::uint32_t genes : {3u, 7u, 30u}) {
+      const auto fixtures = floor_fixtures(genes, samples, ++seed);
+      for (std::size_t which = 0; which < fixtures.size(); ++which) {
+        const Fixture& f = fixtures[which];
+        for (const BitopsBackend backend : backends) {
+          ASSERT_TRUE(set_backend(backend));
+          std::vector<std::uint64_t> table(genes);
+          tumor_row_counts(f.data.tumor, table);
+          for (std::uint32_t g = 0; g < genes; ++g) {
+            ASSERT_EQ(table[g], popcount_row(f.data.tumor.row(g))) << "gene " << g;
+          }
+          for (std::uint32_t hits = 2; hits <= 5; ++hits) {
+            const std::string where = std::to_string(samples) + " samples, " +
+                                      std::to_string(genes) + " genes, fixture " +
+                                      std::to_string(which) + ", " + backend_name(backend) +
+                                      ", hits " + std::to_string(hits);
+            const double expected =
+                reference_greedy_floor(f.data.tumor, f.data.normal, f.ctx, hits);
+            if (hits > genes) EXPECT_EQ(expected, kNoFloor) << where;
+            EXPECT_EQ(greedy_floor(f.data.tumor, f.data.normal, f.ctx, hits), expected) << where;
+            EXPECT_EQ(greedy_floor(f.data.tumor, f.data.normal, f.ctx, hits, table), expected)
+                << where;
+          }
+        }
+      }
+    }
+  }
+  set_backend(previous);
+}
+
+TEST(GreedyFloor, WrongSizeRowCountTablesAreRejected) {
+  const auto f = make_fixture(15, 3, 8);
+  for (const std::size_t size : {std::size_t{14}, std::size_t{16}}) {
+    std::vector<std::uint64_t> table(size);
+    EXPECT_THROW(tumor_row_counts(f.data.tumor, table), std::invalid_argument) << size;
+    EXPECT_THROW((void)greedy_floor(f.data.tumor, f.data.normal, f.ctx, 3, table),
+                 std::invalid_argument)
+        << size;
+  }
+  std::vector<std::uint64_t> table(14);
+  try {
+    (void)greedy_floor(f.data.tumor, f.data.normal, f.ctx, 3, table);
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("14"), std::string::npos) << what;
+    EXPECT_NE(what.find("15"), std::string::npos) << what;
   }
 }
 
