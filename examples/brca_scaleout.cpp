@@ -5,8 +5,7 @@
 //                              [--drop R@I:N] [--abort I] [--checkpoint N]
 //                              [--host-threads N] [--host-profile-out FILE]
 //                              [--trace-out FILE] [--metrics-out FILE]
-//                              [--report-out FILE] [--health-out FILE]
-//                              [--truth-out FILE]
+//                              [--report-out FILE] [--truth-out FILE]
 //                              [--manifest-out FILE] [--artifacts-dir DIR]
 //                              [--log-level LEVEL]
 //
@@ -18,8 +17,8 @@
 // `--artifacts-dir DIR` is the one-flag observability bundle: every
 // artifact above that was not explicitly routed elsewhere is written under
 // DIR with its standard name (run.trace.json, run.metrics.json,
-// run.analysis.json, run.health.json, plus run.truth.json when faults are
-// injected), and a multihit.run.v1 manifest (DIR/manifest.json, or
+// run.analysis.json, plus run.truth.json when faults are injected), and a
+// multihit.run.v1 manifest (DIR/manifest.json, or
 // --manifest-out) inventories the run configuration plus every emitted
 // file with a content digest — two such directories are diffable with
 // `multihit-obstool diff A/manifest.json B/manifest.json`. `--manifest-out`
@@ -52,10 +51,11 @@
 // trace analytics engine in-process and writes the multihit.analysis.v1
 // report (critical path, per-phase imbalance, comm overhead — same engine
 // as `multihit-obstool analyze`).
-// `--health-out run.health.json` replays the run's trace through the health
-// monitor (src/obs/monitor.hpp) and writes the multihit.health.v1 incident
-// report — the same document `multihit-obstool monitor` produces offline —
-// and `--truth-out run.truth.json` exports the injected-fault ground truth
+// Whenever metrics are written, the run's trace is also replayed through the
+// health monitor (src/obs/monitor.hpp) and its incidents land in the metrics
+// as `health.incidents` counters — the same counters `multihit-obstool
+// monitor TRACE METRICS` checks against its own replay — and `--truth-out
+// run.truth.json` exports the injected-fault ground truth
 // (multihit.truth.v1) the monitor's detectors can be scored against.
 // All are deterministic: timestamps are simulated seconds, so identical runs
 // produce byte-identical files. The host trace alone is wall clock.
@@ -116,8 +116,7 @@ namespace {
                "                     [--drop R@I:N] [--abort I] [--checkpoint N]\n"
                "                     [--host-threads N] [--host-profile-out FILE]\n"
                "                     [--trace-out FILE] [--metrics-out FILE]\n"
-               "                     [--report-out FILE] [--health-out FILE]\n"
-               "                     [--truth-out FILE]\n"
+               "                     [--report-out FILE] [--truth-out FILE]\n"
                "                     [--manifest-out FILE] [--artifacts-dir DIR]\n"
                "                     [--log-level LEVEL]\n";
   std::exit(1);
@@ -157,7 +156,7 @@ int main(int argc, char** argv) {
   DistributedOptions options;  // 4-hit, 3x1, EA, both prefetches, splicing
   std::uint32_t host_threads = 0;  // 0 = skip the host-sweep part
   std::string host_profile_out;
-  std::string trace_out, metrics_out, report_out, health_out, truth_out;
+  std::string trace_out, metrics_out, report_out, truth_out;
   std::string manifest_out, artifacts_dir;
 
   for (int a = 1; a < argc; ++a) {
@@ -206,8 +205,6 @@ int main(int argc, char** argv) {
       metrics_out = next();
     } else if (arg == "--report-out") {
       report_out = next();
-    } else if (arg == "--health-out") {
-      health_out = next();
     } else if (arg == "--truth-out") {
       truth_out = next();
     } else if (arg == "--manifest-out") {
@@ -258,7 +255,6 @@ int main(int argc, char** argv) {
     if (trace_out.empty()) trace_out = standard("run.trace.json");
     if (metrics_out.empty()) metrics_out = standard("run.metrics.json");
     if (report_out.empty()) report_out = standard("run.analysis.json");
-    if (health_out.empty()) health_out = standard("run.health.json");
     // Ground truth only means something with injected faults.
     if (truth_out.empty() && !options.faults.empty()) truth_out = standard("run.truth.json");
     if (manifest_out.empty()) manifest_out = standard("manifest.json");
@@ -289,8 +285,7 @@ int main(int argc, char** argv) {
   config.nodes = nodes;
   const ClusterRunner runner(config);
   obs::Recorder recorder;
-  if (!trace_out.empty() || !metrics_out.empty() || !report_out.empty() ||
-      !health_out.empty()) {
+  if (!trace_out.empty() || !metrics_out.empty() || !report_out.empty()) {
     options.recorder = &recorder;
   }
   ClusterRunResult distributed;
@@ -321,22 +316,16 @@ int main(int argc, char** argv) {
               << analysis.critical_total << " s, comm overhead "
               << analysis.comm_fraction * 100.0 << "%)\n";
   }
-  if (!health_out.empty()) {
+  if (!metrics_out.empty()) {
     // Monitor the trace exactly as the offline tool will see it — serialized
     // to Chrome format (microsecond timestamps) and parsed back — so the
-    // in-process document is byte-identical to an obstool monitor replay.
+    // recorded counters equal what an obstool monitor replay records.
     const obs::Tracer replay =
         obs::tracer_from_chrome(obs::JsonValue::parse(recorder.trace.to_chrome_json()));
     const obs::HealthReport health = obs::monitor_trace(replay);
-    std::ofstream out(health_out);
-    if (out) out << obs::health_report(health).dump() << '\n';
-    if (!out) {
-      std::cerr << "error: cannot write health report to " << health_out << "\n";
-      return 1;
-    }
-    std::cout << "  health report written to " << health_out << " ("
-              << health.incidents.size()
-              << " incident(s); read with multihit-obstool monitor)\n";
+    obs::record_health(health, recorder.metrics);
+    std::cout << "  health monitor: " << health.incidents.size()
+              << " incident(s), recorded as health.incidents metrics\n";
   }
   if (!truth_out.empty()) {
     std::ofstream out(truth_out);
@@ -461,7 +450,6 @@ int main(int argc, char** argv) {
       add("trace", obs::kChromeTraceTag, trace_out);
       add("metrics", obs::kMetricsSchema, metrics_out);
       add("analysis", obs::kAnalysisSchema, report_out);
-      add("health", obs::kHealthSchema, health_out);
       add("truth", obs::kTruthSchema, truth_out);
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";

@@ -3,8 +3,7 @@
 //   $ multihit-obstool analyze run.trace.json [run.metrics.json]
 //                      [--report-out FILE] [--folded-out FILE] [--quiet]
 //   $ multihit-obstool monitor run.trace.json [run.metrics.json]
-//                      [--health-out FILE] [--rules FILE] [--sample-every S]
-//                      [--window-samples N] [--slo-spec FILE]
+//                      [--sample-every S] [--window-samples N] [--slo-spec FILE]
 //                      [--truth FILE] [--truth-window S] [--annotate-out FILE]
 //                      [--summary] [--quiet]
 //   $ multihit-obstool slo SERVE.json --spec FILE
@@ -22,16 +21,17 @@
 // lanes, so the phase table gives each of claim / evaluate / tail_idle with
 // its straggler worker, and the folded stacks read "worker N;evaluate".
 //
-// `monitor` replays the trace through the health monitor (sampler, alert
-// rules, built-in failure-mode detectors — see src/obs/monitor.hpp) and
-// prints the incident log (`--summary` stops after the per-rule counts).
-// `--health-out` writes the multihit.health.v1 document, `--rules` loads a
-// declarative alert-rule file, `--sample-every` overrides the boundary
-// cadence (seconds > 0). With a metrics snapshot the incidents are cross-checked against
-// its counters (mismatch exits 1). `--truth FILE` scores the incidents
-// against an injected-fault ground-truth document (multihit.truth.v1, from
-// brca_scaleout --truth-out) within `--truth-window` seconds (> 0), exiting 1
-// unless recall is total and no built-in detector false-fired.
+// `monitor` replays the trace through the health monitor (sampler and
+// built-in failure-mode detectors — see src/obs/monitor.hpp) and prints the
+// incident log (`--summary` stops after the per-rule counts).
+// `--sample-every` overrides the boundary cadence (seconds > 0). With a
+// metrics snapshot the incidents are cross-checked against its counters,
+// and any `health.incidents` series in it (brca_scaleout records them) must
+// equal what this replay records (mismatch exits 1). `--truth FILE` scores
+// the incidents against an injected-fault ground-truth document
+// (multihit.truth.v1, from brca_scaleout --truth-out) within `--truth-window`
+// seconds (> 0), exiting 1 unless recall is total and no detector
+// false-fired.
 // `--annotate-out` writes a copy of the trace with one "health.<rule>"
 // instant per incident for the Chrome/Perfetto viewer. `--slo-spec` loads an
 // SLO spec whose budget objectives arm the serve burn detectors (serve-scale
@@ -53,11 +53,11 @@
 // exactly and classified identical / within-tolerance / improved /
 // regressed / added / removed; `--tol FILE` loads a
 // `tol <series-glob> rel|abs <bound>` spec relaxing named series. On top of
-// the generic pass: critical-path makespan attribution by phase×rank cell,
-// incident matching, and per-tenant SLO movement. `--report-out` writes the multihit.diff.v1 document,
-// byte-identical across repeated invocations. A regression verdict
-// (regressed or removed series, a new incident in B, a newly violated SLO
-// objective) exits 1.
+// the generic pass: critical-path makespan attribution by phase×rank cell
+// and per-tenant SLO movement. A new health incident is a regressed
+// `health.incidents` counter. `--report-out` writes the multihit.diff.v1
+// document, byte-identical across repeated invocations. A regression verdict
+// (regressed or removed series, a newly violated SLO objective) exits 1.
 //
 // All outputs are deterministic: processing the same files twice produces
 // byte-identical artifacts, which scripts/ci.sh uses as the determinism
@@ -85,8 +85,7 @@ namespace {
   std::cerr << "usage: multihit-obstool analyze TRACE.json [METRICS.json]\n"
                "                        [--report-out FILE] [--folded-out FILE] [--quiet]\n"
                "       multihit-obstool monitor TRACE.json [METRICS.json]\n"
-               "                        [--health-out FILE] [--rules FILE] [--sample-every S]\n"
-               "                        [--window-samples N] [--slo-spec FILE]\n"
+               "                        [--sample-every S] [--window-samples N] [--slo-spec FILE]\n"
                "                        [--truth FILE] [--truth-window S] [--annotate-out FILE]\n"
                "                        [--summary] [--quiet]\n"
                "       multihit-obstool slo SERVE.json --spec FILE\n"
@@ -169,7 +168,7 @@ int run_analyze(int argc, char** argv) {
 int run_monitor(int argc, char** argv) {
   using namespace multihit::obs;
   std::string trace_path, metrics_path;
-  std::string health_out, rules_path, slo_path, truth_path, annotate_out;
+  std::string slo_path, truth_path, annotate_out;
   MonitorOptions options;
   double truth_window = 0.25;
   bool summary = false, quiet = false;
@@ -179,11 +178,7 @@ int run_monitor(int argc, char** argv) {
       if (a + 1 >= argc) usage();
       return argv[++a];
     };
-    if (arg == "--health-out") {
-      health_out = next();
-    } else if (arg == "--rules") {
-      rules_path = next();
-    } else if (arg == "--slo-spec") {
+    if (arg == "--slo-spec") {
       slo_path = next();
     } else if (arg == "--sample-every") {
       const auto every = multihit::cli::parse_real("--sample-every", next(), 0.0, true);
@@ -220,16 +215,10 @@ int run_monitor(int argc, char** argv) {
 
   try {
     Tracer tracer = tracer_from_chrome(JsonValue::parse(read_file(trace_path)));
-    if (!rules_path.empty()) options.rules = parse_rules(read_file(rules_path));
     if (!slo_path.empty()) options.slo = parse_slo(read_file(slo_path));
 
     const HealthReport report = monitor_trace(tracer, options);
 
-    if (!health_out.empty() &&
-        !write_file(health_out, health_report(report).dump() + "\n")) {
-      std::cerr << "error: cannot write health report to " << health_out << "\n";
-      return 1;
-    }
     if (!annotate_out.empty()) {
       annotate_trace(tracer, report);
       if (!write_file(annotate_out, tracer.to_chrome_json())) {
@@ -366,7 +355,6 @@ int run_diff(int argc, char** argv) {
     if (diff_regression(report)) {
       std::cerr << "error: regression: " << report.counts.regressed << " regressed, "
                 << report.counts.removed << " removed series, "
-                << report.incidents.added.size() << " new incident(s), "
                 << report.slo_newly_violated << " newly violated SLO objective(s)\n";
       return 1;
     }

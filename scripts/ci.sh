@@ -206,28 +206,27 @@ build/examples/multihit-obstool analyze "$obs_dir/run1.trace.json"
 echo "trace analysis deterministic (in-process and offline), kernel metrics pinned"
 
 # Health-monitor smoke: inject one crash, require exactly one dead-rank
-# incident, score the incidents against the emitted ground truth (obstool
-# exits 1 on anything short of full recall / zero false positives), and gate
-# the multihit.health.v1 byte-identity invariant — the in-process document
-# (--health-out, which monitors the Chrome-replayed trace) must be
-# byte-identical to an offline `obstool monitor` replay of the same trace.
+# incident, and score the incidents against the emitted ground truth. The
+# run's metrics carry its incidents as health.incidents counters (recorded
+# in-process from the Chrome-replayed trace); `obstool monitor TRACE
+# METRICS` exits 1 unless they equal what its offline replay records, and
+# on anything short of full recall / zero false positives.
 echo "=== health monitor smoke ==="
 build/examples/brca_scaleout 4 --crash 1@1 --checkpoint 2 \
   --trace-out "$obs_dir/health.trace.json" \
   --metrics-out "$obs_dir/health.metrics.json" \
-  --health-out "$obs_dir/inproc.health.json" \
   --truth-out "$obs_dir/health.truth.json" > /dev/null
 build/examples/multihit-obstool monitor \
   "$obs_dir/health.trace.json" "$obs_dir/health.metrics.json" \
-  --health-out "$obs_dir/offline.health.json" \
   --truth "$obs_dir/health.truth.json" > "$obs_dir/health.summary.txt"
-cmp "$obs_dir/inproc.health.json" "$obs_dir/offline.health.json"
 if [ "$(grep -c 'dead_rank: 1 incident' "$obs_dir/health.summary.txt")" -ne 1 ]; then
   echo "ERROR: expected exactly one dead-rank incident:" >&2
   cat "$obs_dir/health.summary.txt" >&2
   exit 1
 fi
-echo "health monitor byte-identical (in-process and offline), truth score perfect"
+grep -q '"name":"health.incidents","labels":{"lane":"1","rule":"dead_rank"},"value":1}' \
+  "$obs_dir/health.metrics.json"
+echo "health counters equal the offline replay, truth score perfect"
 
 # Job-service smoke: replay one seeded multi-tenant trace (24 jobs, bursty
 # arrivals, cache invalidations) twice per bitops backend. The
@@ -328,7 +327,10 @@ echo "serve SLO byte-identical offline replay, 4/4 planted pathologies detected,
 #  3. Planted regression: equi-area vs equi-distance must diff dirty (exit 1)
 #     with the makespan delta attributed to phase×rank cells, and the dirty
 #     report must be byte-identical across invocations too.
-#  4. bench_diff pins the engine's own invariants (self identity, regression
+#  4. An incident is a regression: a crashed run (the health smoke's fault
+#     flags) must diff dirty against the clean one, with its
+#     health.incidents counter regressed.
+#  5. bench_diff pins the engine's own invariants (self identity, regression
 #     detection, tolerance cover, attribution exactness) against the
 #     committed baseline under --strict.
 echo "=== cross-run diff gate ==="
@@ -358,11 +360,21 @@ for pass in 1 2; do
 done
 cmp "$diff_dir/sched_1.diff.json" "$diff_dir/sched_2.diff.json"
 grep -q 'attributed to' "$diff_dir/sched_1.diff.json"
+build/examples/brca_scaleout 2 --crash 1@1 --checkpoint 2 \
+  --artifacts-dir "$diff_dir/crash" > /dev/null
+if build/examples/multihit-obstool diff \
+  "$diff_dir/ea_1/manifest.json" "$diff_dir/crash/manifest.json" \
+  --report-out "$diff_dir/crash.diff.json" --quiet > /dev/null 2>&1; then
+  echo "ERROR: a crashed run should diff dirty against a clean one" >&2
+  exit 1
+fi
+grep -q '"series":"metrics.counter.health.incidents","class":"regressed"' \
+  "$diff_dir/crash.diff.json"
 MULTIHIT_BENCH_DIR="$bench_dir" build/bench/bench_diff > /dev/null
 if command -v python3 > /dev/null; then
   python3 scripts/bench_compare.py --strict "$bench_dir"/BENCH_diff.json
 fi
-echo "cross-run diff gate green (self clean, backend swap exact, scheduler swap attributed)"
+echo "cross-run diff gate green (self clean, backend swap exact, scheduler swap attributed, incident regressed)"
 
 # The registry's lone 2-hit type once crashed cancer_panel (a 4-hit kernel's
 # ranks unranked as 2-hit combinations → wild gene indices); the default

@@ -58,7 +58,10 @@ expect analyze_missing_operand 2 analyze
 expect monitor_missing_operand 2 monitor
 expect analyze_unknown_flag 2 analyze trace.json --bogus
 expect monitor_unknown_flag 2 monitor trace.json --bogus
-expect monitor_flag_missing_value 2 monitor trace.json --rules
+expect monitor_flag_missing_value 2 monitor trace.json --truth
+# Incidents are health.incidents metrics now: no rules file, no health document.
+expect monitor_rules_unknown_flag 2 monitor trace.json --rules r.rules
+expect monitor_health_out_unknown_flag 2 monitor trace.json --health-out h.json
 expect_usage_on_stderr analyze_missing_operand_usage analyze
 # The kernel profile is the run's gpu.* metrics now: no profile subcommand.
 expect profile_unknown_command 2 profile run.profile.json
@@ -81,9 +84,12 @@ printf '{"traceEvents":[],"displayTimeUnit":"ms"}' > "$TMP/empty.trace.json"
 expect monitor_empty_trace 0 monitor "$TMP/empty.trace.json" --quiet
 expect analyze_empty_trace 0 analyze "$TMP/empty.trace.json" --quiet
 
-# Malformed rules files are runtime errors too.
-printf 'rule bad bogus series above 1\n' > "$TMP/bad.rules"
-expect monitor_bad_rules 1 monitor "$TMP/empty.trace.json" --rules "$TMP/bad.rules"
+# Metrics whose health.incidents total disagrees with the replay (an empty
+# trace fires nothing) fail the crosscheck.
+printf '{"schema":"multihit.metrics.v1","counters":[{"name":"health.incidents","labels":{},"value":1}],"gauges":[],"histograms":[]}' \
+  > "$TMP/health.metrics.json"
+expect_error_naming monitor_health_mismatch 'health.incidents' \
+  monitor "$TMP/empty.trace.json" "$TMP/health.metrics.json" --quiet
 
 # --- slo subcommand -------------------------------------------------------
 # Usage: needs both the serve report operand and --spec.

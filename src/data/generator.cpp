@@ -1,6 +1,7 @@
 #include "data/generator.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -49,6 +50,17 @@ Dataset generate_dataset(const SyntheticSpec& spec) {
                                   std::to_string(matrix_words(spec.genes, samples)) +
                                   " words, exceeds kMaxMatrixWords " +
                                   std::to_string(kMaxMatrixWords));
+    }
+  }
+  for (const auto& [name, rate] : {std::pair{"driver_detect_rate", spec.driver_detect_rate},
+                                   std::pair{"background_rate", spec.background_rate},
+                                   std::pair{"tumor_excess_rate", spec.tumor_excess_rate},
+                                   std::pair{"normal_contamination", spec.normal_contamination}}) {
+    if (!(rate >= 0.0 && rate <= 1.0)) {
+      char value[32];
+      std::snprintf(value, sizeof value, "%g", rate);
+      throw std::invalid_argument(std::string("SyntheticSpec ") + name + " " + value +
+                                  " is not in [0, 1]");
     }
   }
   if (spec.hits == 0 || spec.num_combinations == 0) {

@@ -44,7 +44,10 @@ class Rng;
 /// assigned one planted combination round-robin-randomly. Throws
 /// std::invalid_argument naming the bound, before allocating anything, when
 /// genes exceeds kMaxGenes, a sample count exceeds kMaxSamples or a matrix
-/// would exceed kMaxMatrixWords (bitmat/bitmatrix.hpp).
+/// would exceed kMaxMatrixWords (bitmat/bitmatrix.hpp), and naming the
+/// field and its value when a rate is NaN or outside [0, 1]. The tumor
+/// rate background_rate + tumor_excess_rate may exceed 1 (every tumor bit
+/// set).
 ///
 /// The dataset is a pure function of `spec`: one Rng seeded with spec.seed
 /// draws, in this order, the planted genes, the shuffled assignment, each

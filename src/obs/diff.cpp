@@ -139,9 +139,9 @@ namespace {
 /// Identity fields used to key array elements, tried in this order; every
 /// one present contributes to the element key.
 constexpr std::string_view kIdentityFields[] = {
-    "name", "phase",  "rule", "series", "tenant", "op",        "cancer",
-    "worker", "client", "id",  "gpu",    "rank",   "lane",      "iteration",
-    "index", "kind",
+    "name",   "phase",  "series", "tenant", "op",   "cancer",    "worker",
+    "client", "id",     "gpu",    "rank",   "lane", "iteration", "index",
+    "kind",
 };
 
 std::string element_key(const JsonValue& element) {
@@ -262,9 +262,8 @@ void flatten_metrics(const JsonValue& doc, SeriesMap& out) {
   }
 }
 
-/// Flattens one artifact document into role-prefixed series. Sections with
-/// specialized diff semantics (critical-path segments, incidents, sampler
-/// rings) are excluded here.
+/// Flattens one artifact document into role-prefixed series. Critical-path
+/// segments have specialized diff semantics and are excluded here.
 void flatten_role(const std::string& role, const JsonValue& doc, SeriesMap& out) {
   if (role == "metrics") {
     flatten_metrics(doc, out);
@@ -272,18 +271,15 @@ void flatten_role(const std::string& role, const JsonValue& doc, SeriesMap& out)
   }
   static const std::vector<std::string_view> kAnalysisSkip = {
       "analysis.critical_path.segments"};
-  static const std::vector<std::string_view> kHealthSkip = {
-      "health.incidents", "health.series[*].window"};
   static const std::vector<std::string_view> kNoSkip;
   const std::vector<std::string_view>* skip = &kNoSkip;
   if (role == "analysis") skip = &kAnalysisSkip;
-  if (role == "health") skip = &kHealthSkip;
   Flattener{out, *skip}.walk(role, doc);
 }
 
 bool diffable_kind(std::string_view kind) {
-  return kind == "metrics" || kind == "analysis" || kind == "health" ||
-         kind == "serve" || kind == "slo" || kind == "truth" || kind == "bench";
+  return kind == "metrics" || kind == "analysis" || kind == "serve" || kind == "slo" ||
+         kind == "truth" || kind == "bench";
 }
 
 const JsonValue* find_doc(const RunInput& run, std::string_view role) {
@@ -421,56 +417,6 @@ CriticalPathDiff diff_critical_path(const JsonValue* a, const JsonValue* b) {
   return out;
 }
 
-std::vector<IncidentKey> incident_keys(const JsonValue& doc) {
-  std::vector<IncidentKey> out;
-  const JsonValue* incidents = doc.find("incidents");
-  if (!incidents || !incidents->is_array()) return out;
-  const auto& entries = incidents->as_array();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const JsonValue& inc = entries[i];
-    IncidentKey key;
-    if (const JsonValue* v = inc.find("rule"); v && v->is_string()) key.rule = v->as_string();
-    if (const JsonValue* v = inc.find("kind"); v && v->is_string()) key.kind = v->as_string();
-    if (const JsonValue* v = inc.find("tenant"); v && v->is_string()) key.tenant = v->as_string();
-    key.lane = id_or_zero(inc, "lane", "health: incidents", i);
-    key.fired = number_or(inc, "fired", 0.0);
-    key.cleared = number_or(inc, "cleared", 0.0);
-    key.value = number_or(inc, "value", 0.0);
-    out.push_back(std::move(key));
-  }
-  return out;
-}
-
-IncidentDiff diff_incidents(const JsonValue* a, const JsonValue* b) {
-  IncidentDiff out;
-  if (!a || !b) return out;
-  out.present = true;
-  std::vector<IncidentKey> in_a = incident_keys(*a);
-  std::vector<IncidentKey> in_b = incident_keys(*b);
-  std::vector<bool> used(in_b.size(), false);
-  for (const IncidentKey& ka : in_a) {
-    bool matched = false;
-    for (std::size_t i = 0; i < in_b.size(); ++i) {
-      if (used[i]) continue;
-      const IncidentKey& kb = in_b[i];
-      if (ka.rule != kb.rule || ka.kind != kb.kind || ka.lane != kb.lane ||
-          ka.tenant != kb.tenant) {
-        continue;
-      }
-      if (ka.fired > kb.cleared || kb.fired > ka.cleared) continue;  // windows disjoint
-      used[i] = true;
-      matched = true;
-      ++out.matched;
-      break;
-    }
-    if (!matched) out.removed.push_back(ka);
-  }
-  for (std::size_t i = 0; i < in_b.size(); ++i) {
-    if (!used[i]) out.added.push_back(in_b[i]);
-  }
-  return out;
-}
-
 SloDiff diff_slo(const JsonValue* a, const JsonValue* b) {
   SloDiff out;
   if (!a || !b) return out;
@@ -571,7 +517,7 @@ std::string summary_sentence(const DiffReport& report) {
 
 bool diff_regression(const DiffReport& report) noexcept {
   return report.counts.regressed > 0 || report.counts.removed > 0 ||
-         !report.incidents.added.empty() || report.slo_newly_violated > 0;
+         report.slo_newly_violated > 0;
 }
 
 DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& options) {
@@ -695,7 +641,6 @@ DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& op
   }
 
   report.critical_path = diff_critical_path(find_doc(a, "analysis"), find_doc(b, "analysis"));
-  report.incidents = diff_incidents(find_doc(a, "health"), find_doc(b, "health"));
   report.slo = diff_slo(find_doc(a, "slo"), find_doc(b, "slo"));
   for (const SloObjectiveDiff& objective : report.slo.objectives) {
     if (!objective.violated_a && objective.violated_b) ++report.slo_newly_violated;
@@ -715,18 +660,6 @@ JsonValue run_side_json(const RunSummary& side) {
   JsonValue config = JsonValue::object();
   for (const auto& [key, value] : side.config) config.set(key, value);
   out.set("config", std::move(config));
-  return out;
-}
-
-JsonValue incident_json(const IncidentKey& incident) {
-  JsonValue out = JsonValue::object();
-  out.set("rule", incident.rule);
-  out.set("kind", incident.kind);
-  out.set("lane", static_cast<double>(incident.lane));
-  out.set("tenant", incident.tenant);
-  out.set("fired", incident.fired);
-  out.set("cleared", incident.cleared);
-  out.set("value", incident.value);
   return out;
 }
 
@@ -827,22 +760,6 @@ JsonValue diff_report_json(const DiffReport& report) {
     doc.set("critical_path", std::move(section));
   }
 
-  if (report.incidents.present) {
-    JsonValue section = JsonValue::object();
-    section.set("matched", static_cast<std::uint64_t>(report.incidents.matched));
-    JsonValue added = JsonValue::array();
-    for (const IncidentKey& incident : report.incidents.added) {
-      added.push_back(incident_json(incident));
-    }
-    section.set("added", std::move(added));
-    JsonValue removed = JsonValue::array();
-    for (const IncidentKey& incident : report.incidents.removed) {
-      removed.push_back(incident_json(incident));
-    }
-    section.set("removed", std::move(removed));
-    doc.set("incidents", std::move(section));
-  }
-
   if (report.slo.present) {
     JsonValue section = JsonValue::object();
     section.set("newly_violated", static_cast<std::uint64_t>(report.slo_newly_violated));
@@ -870,8 +787,6 @@ JsonValue diff_report_json(const DiffReport& report) {
   verdict.set("regression", diff_regression(report));
   verdict.set("regressed_series", static_cast<std::uint64_t>(report.counts.regressed));
   verdict.set("removed_series", static_cast<std::uint64_t>(report.counts.removed));
-  verdict.set("incidents_added",
-              static_cast<std::uint64_t>(report.incidents.added.size()));
   verdict.set("slo_newly_violated",
               static_cast<std::uint64_t>(report.slo_newly_violated));
   doc.set("verdict", std::move(verdict));
@@ -946,15 +861,6 @@ std::string diff_text(const DiffReport& report, bool summary_only) {
     }
   }
 
-  if (report.incidents.present) {
-    out += fmt("  incidents: %u matched, %zu added, %zu removed\n",
-               report.incidents.matched, report.incidents.added.size(),
-               report.incidents.removed.size());
-    for (const IncidentKey& incident : report.incidents.added) {
-      out += fmt("    added %s (%s) lane %u at %s s\n", incident.rule.c_str(),
-                 incident.kind.c_str(), incident.lane, json_number(incident.fired).c_str());
-    }
-  }
   if (report.slo.present) {
     out += fmt("  slo: %zu objective(s) compared, %u newly violated\n",
                report.slo.objectives.size(), report.slo_newly_violated);

@@ -17,14 +17,15 @@
 //  2. Specialized sections that know artifact semantics: critical-path
 //     segment diffing that attributes the makespan delta to phase×lane
 //     cells (the cells plus an explicit residual sum to the delta exactly),
-//     incident matching by rule+lane+overlapping window, and per-tenant SLO
-//     attainment/burn deltas.
+//     and per-tenant SLO attainment/burn deltas. Health incidents need no
+//     section: they are `health.incidents` counters in the metrics (one more
+//     incident raises the lower-is-better total; one that moved lane or rule
+//     leaves a removed series).
 //
-//  3. A verdict: regression iff any series regressed or disappeared, an
-//     incident appeared in B that A does not have, or an SLO objective is
-//     newly violated. Config changes and artifact-coverage differences are
-//     reported but informational — comparing an EA run against an ED run is
-//     the point, not an error.
+//  3. A verdict: regression iff any series regressed or disappeared, or an
+//     SLO objective is newly violated. Config changes and artifact-coverage
+//     differences are reported but informational — comparing an EA run
+//     against an ED run is the point, not an error.
 //
 // Determinism contract: same inputs + tolerances => byte-identical
 // multihit.diff.v1 (series sorted by name, sections sorted by their keys,
@@ -120,27 +121,6 @@ struct CriticalPathDiff {
   std::vector<AttributionCell> cells;  ///< sorted by (phase, lane)
 };
 
-/// One health incident as the matcher sees it.
-struct IncidentKey {
-  std::string rule;
-  std::string kind;
-  std::uint32_t lane = 0;
-  std::string tenant;
-  double fired = 0.0;
-  double cleared = 0.0;
-  double value = 0.0;
-};
-
-/// Incidents matched by (rule, kind, lane, tenant) + overlapping
-/// [fired, cleared] windows; unmatched ones in B are `added` (a new alert
-/// fired — that is a regression), unmatched in A are `removed`.
-struct IncidentDiff {
-  bool present = false;
-  std::uint32_t matched = 0;
-  std::vector<IncidentKey> added;
-  std::vector<IncidentKey> removed;
-};
-
 /// Per-(tenant, objective) SLO movement.
 struct SloObjectiveDiff {
   std::string tenant;
@@ -225,7 +205,6 @@ struct DiffReport {
   DiffCounts counts;
   std::vector<SeriesDelta> series;  ///< non-identical only, sorted by name
   CriticalPathDiff critical_path;
-  IncidentDiff incidents;
   SloDiff slo;
   std::uint32_t slo_newly_violated = 0;
   std::string summary;  ///< one human sentence, embedded verbatim in the doc

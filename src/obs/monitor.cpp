@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <set>
-#include <sstream>
 #include <tuple>
 
 #include "obs/analyze.hpp"
@@ -42,26 +41,6 @@ void validate_options(const MonitorOptions& o) {
     bad("sample_every must be positive and finite");
   }
   if (o.window_samples < 2) bad("window_samples must be at least 2");
-  if (!(o.heartbeat_timeout > 0.0)) bad("heartbeat_timeout must be positive");
-  if (!(o.straggler_ratio > 1.0)) bad("straggler_ratio must exceed 1");
-  if (!(o.collapse_fraction > 0.0) || o.collapse_fraction >= 1.0) {
-    bad("collapse_fraction must be in (0, 1)");
-  }
-  if (!(o.comm_overhead_threshold > 0.0)) bad("comm_overhead_threshold must be positive");
-  // A drop_window narrower than the cadence degrades gracefully (the rate
-  // check spans one full sampling interval), so only positivity is required.
-  if (!(o.drop_window > 0.0)) bad("drop_window must be positive");
-  if (!(o.queue_saturation_fraction > 0.0)) bad("queue_saturation_fraction must be positive");
-  if (!(o.starvation_ratio > 1.0)) bad("starvation_ratio must exceed 1");
-  if (!(o.starvation_min_age > 0.0)) bad("starvation_min_age must be positive");
-  // thrash_window wider than the retained history degrades gracefully
-  // (value_at clamps to the oldest snapshot), and the default cluster
-  // cadence retains far less than 60 s — so only positivity is required.
-  if (!(o.thrash_window > 0.0)) bad("thrash_window must be positive");
-  if (o.thrash_rebuilds == 0) bad("thrash_rebuilds must be at least 1");
-  if (!(o.fast_burn_threshold > 0.0)) bad("fast_burn_threshold must be positive");
-  if (!(o.slow_burn_threshold > 0.0)) bad("slow_burn_threshold must be positive");
-  if (o.burn_min_events == 0) bad("burn_min_events must be at least 1");
   // Burn windows must fit inside the retained ring, or a burn older than the
   // window would be silently under-counted instead of detected. (SLO specs
   // are opt-in, so serve-scale windows never constrain cluster monitoring.)
@@ -77,19 +56,11 @@ void validate_options(const MonitorOptions& o) {
           " s (window_samples * sample_every); raise --window-samples");
     }
   }
-  for (const AlertRule& r : o.rules) {
-    if (r.name.empty() || r.series.empty()) bad("rule needs a name and a series");
-    if ((r.kind == RuleKind::kRate || r.kind == RuleKind::kAbsence) && !(r.window > 0.0)) {
-      bad("rule '" + r.name + "' needs a positive window");
-    }
-    if (r.hold == 0) bad("rule '" + r.name + "' hold must be at least 1");
-  }
 }
 
-/// Lifetime stats + ring window for one (series, lane).
+/// Newest raw sample + ring window for one (series, lane).
 struct SeriesState {
-  std::uint64_t samples = 0;
-  double last_at = 0.0, last = 0.0, min = 0.0, max = 0.0;
+  double last_at = 0.0, last = 0.0;
   std::vector<std::pair<double, double>> ring;  ///< boundary snapshots, oldest first
   bool truncated = false;                       ///< ring has dropped old snapshots
 
@@ -130,58 +101,6 @@ struct CumTimeline {
   }
 };
 
-const char* cmp_name(RuleCmp cmp) { return cmp == RuleCmp::kAbove ? "above" : "below"; }
-
-const char* kind_name(RuleKind kind) {
-  switch (kind) {
-    case RuleKind::kThreshold:
-      return "threshold";
-    case RuleKind::kRate:
-      return "rate";
-    case RuleKind::kAbsence:
-      return "absence";
-    case RuleKind::kImbalance:
-      return "imbalance";
-  }
-  return "?";
-}
-
-bool compare(RuleCmp cmp, double value, double against) {
-  return cmp == RuleCmp::kAbove ? value > against : value < against;
-}
-
-/// The built-in detector names — the incident classes score_incidents knows.
-/// The serve detectors key off serve.* counters, so they are inert on
-/// cluster traces and never dilute the fault-injection scoring.
-const char* const kBuiltinRules[] = {"dead_rank",        "straggler",
-                                     "message_drop",     "comm_overhead",
-                                     "gpu_collapse",     "job_abort",
-                                     "queue_saturation", "tenant_starvation",
-                                     "slo_fast_burn",    "slo_slow_burn",
-                                     "cache_thrash"};
-
-bool is_builtin_rule(const std::string& name) {
-  for (const char* b : kBuiltinRules) {
-    if (name == b) return true;
-  }
-  return false;
-}
-
-/// True when every selector label appears verbatim among the series' labels.
-bool labels_match(const SeriesLabels& want, const SeriesLabels& have) {
-  for (const auto& w : want) {
-    bool found = false;
-    for (const auto& h : have) {
-      if (h == w) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
-  }
-  return true;
-}
-
 /// The "tenant" label value ("" when absent).
 std::string tenant_label(const SeriesLabels& labels) {
   for (const auto& [k, v] : labels) {
@@ -191,96 +110,6 @@ std::string tenant_label(const SeriesLabels& labels) {
 }
 
 }  // namespace
-
-std::vector<AlertRule> parse_rules(std::string_view text) {
-  std::vector<AlertRule> rules;
-  std::istringstream lines{std::string(text)};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    const auto fail = [&](const std::string& what) {
-      throw MonitorError("rules line " + std::to_string(line_no) + ": " + what);
-    };
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream words(line);
-    std::vector<std::string> tok;
-    for (std::string w; words >> w;) tok.push_back(w);
-    if (tok.empty()) continue;
-    if (tok[0] != "rule" || tok.size() < 4) {
-      fail("expected: rule NAME threshold|rate|absence|imbalance SERIES ...");
-    }
-    AlertRule rule;
-    rule.name = tok[1];
-    const std::string& kind = tok[2];
-    // The SERIES token may carry a label selector ("serve.wait_age{tenant=gold}");
-    // a malformed selector is a parse error naming this line, not a rule that
-    // silently matches nothing.
-    try {
-      auto parts = split_series_labels(tok[3]);
-      rule.series = std::move(parts.first);
-      rule.labels = std::move(parts.second);
-    } catch (const SloError& e) {
-      fail(e.what());
-    }
-    const auto parse_cmp = [&](const std::string& word) {
-      if (word == "above") return RuleCmp::kAbove;
-      if (word == "below") return RuleCmp::kBelow;
-      fail("expected above|below, got '" + word + "'");
-      return RuleCmp::kAbove;  // unreachable
-    };
-    const auto parse_num = [&](const std::string& word) {
-      char* end = nullptr;
-      const double v = std::strtod(word.c_str(), &end);
-      if (end != word.c_str() + word.size() || !std::isfinite(v)) {
-        fail("expected a number, got '" + word + "'");
-      }
-      return v;
-    };
-    if (kind == "threshold") {
-      if (tok.size() != 6 && tok.size() != 8) {
-        fail("expected: rule NAME threshold SERIES above|below VALUE [hold N]");
-      }
-      rule.kind = RuleKind::kThreshold;
-      rule.cmp = parse_cmp(tok[4]);
-      rule.value = parse_num(tok[5]);
-      if (tok.size() == 8) {
-        if (tok[6] != "hold") fail("expected 'hold', got '" + tok[6] + "'");
-        const double n = parse_num(tok[7]);
-        if (n < 1.0 || n != std::floor(n) || n >= 4294967296.0) {
-          fail("hold must be an integer in [1, 2^32)");
-        }
-        rule.hold = static_cast<std::uint32_t>(n);
-      }
-    } else if (kind == "rate") {
-      if (tok.size() != 8 || tok[6] != "window") {
-        fail("expected: rule NAME rate SERIES above|below DELTA window SECONDS");
-      }
-      rule.kind = RuleKind::kRate;
-      rule.cmp = parse_cmp(tok[4]);
-      rule.value = parse_num(tok[5]);
-      rule.window = parse_num(tok[7]);
-      if (!(rule.window > 0.0)) fail("window must be positive");
-    } else if (kind == "absence") {
-      if (tok.size() != 6 || tok[4] != "window") {
-        fail("expected: rule NAME absence SERIES window SECONDS");
-      }
-      rule.kind = RuleKind::kAbsence;
-      rule.window = parse_num(tok[5]);
-      if (!(rule.window > 0.0)) fail("window must be positive");
-    } else if (kind == "imbalance") {
-      if (tok.size() != 6) fail("expected: rule NAME imbalance SERIES above|below RATIO");
-      rule.kind = RuleKind::kImbalance;
-      rule.cmp = parse_cmp(tok[4]);
-      rule.value = parse_num(tok[5]);
-    } else {
-      fail("unknown rule kind '" + kind + "'");
-    }
-    rules.push_back(std::move(rule));
-  }
-  return rules;
-}
 
 HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options) {
   validate_options(options);
@@ -396,16 +225,14 @@ HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options) {
   // share the scheduler lane, so the tenant must discriminate or one tenant's
   // clear would close another tenant's incident.
   std::map<std::tuple<std::string, std::uint32_t, std::string>, std::size_t> open;
-  const auto set_condition = [&](const std::string& rule, const char* kind,
-                                 std::uint32_t lane, const std::string& tenant,
-                                 bool breached, double value, double t,
-                                 std::int64_t iter_hint) {
+  const auto set_condition = [&](const std::string& rule, std::uint32_t lane,
+                                 const std::string& tenant, bool breached, double value,
+                                 double t, std::int64_t iter_hint) {
     const auto key = std::make_tuple(rule, lane, tenant);
     const auto it = open.find(key);
     if (breached && it == open.end()) {
       Incident inc;
       inc.rule = rule;
-      inc.kind = kind;
       inc.lane = lane;
       inc.tenant = tenant;
       inc.fired = t;
@@ -430,8 +257,8 @@ HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options) {
   // Decompose label-suffixed series names once per distinct name. Serve
   // counters are well-formed by construction; any other name containing '{'
   // (a user counter, say) is lenient here — treated as an unlabeled base —
-  // because strictness belongs to the rule *parser*, not to telemetry that
-  // merely flows past the detectors.
+  // because telemetry that merely flows past the detectors is not an input
+  // to reject.
   std::map<std::string, std::pair<std::string, SeriesLabels>> split_cache;
   const auto split_of =
       [&](const std::string& name) -> const std::pair<std::string, SeriesLabels>& {
@@ -470,10 +297,6 @@ HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options) {
   std::size_t next_window = 0;
   std::size_t next_restart = 0;
 
-  // Keyed by (rule index, matched series key): two labeled variants of one
-  // base series on the same lane must hold their breach runs independently.
-  std::map<std::pair<std::size_t, SeriesKey>, std::uint32_t> hold_counts;
-
   double t = 0.0;
   for (std::uint64_t k = 1; k <= boundaries; ++k) {
     t = static_cast<double>(k) * dt;
@@ -482,13 +305,6 @@ HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options) {
     while (obs_ptr < counter_obs.size() && counter_obs[obs_ptr].at <= t) {
       const CounterObs& ob = counter_obs[obs_ptr++];
       SeriesState& st = series[{*ob.name, ob.lane}];
-      if (st.samples == 0) {
-        st.min = st.max = ob.value;
-      } else {
-        st.min = std::min(st.min, ob.value);
-        st.max = std::max(st.max, ob.value);
-      }
-      ++st.samples;
       st.last = ob.value;
       st.last_at = ob.at;
     }
@@ -538,7 +354,7 @@ HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options) {
         std::vector<double>& hist = straggler_baseline[lane];
         const bool breached =
             !hist.empty() &&
-            r >= options.straggler_ratio * std::max(1.0, median_of(hist));
+            r >= kStragglerRatio * std::max(1.0, median_of(hist));
         LaneFlag& flag = straggler_state[lane];
         flag.breached = breached;
         flag.value = r;
@@ -554,256 +370,184 @@ HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options) {
       }
     }
 
-    if (options.builtin_detectors) {
-      // dead_rank: heartbeat silence relative to the fleet's newest
-      // heartbeat. Alive ranks all heartbeat at each collective's completion
-      // time, so a live lane's gap is exactly zero.
-      double fleet_last = -1.0;
-      const SeriesKey hb_lo{"heartbeat", 0};
-      const SeriesKey hb_hi{"heartbeat", kEngineLane};
+    // dead_rank: heartbeat silence relative to the fleet's newest
+    // heartbeat. Alive ranks all heartbeat at each collective's completion
+    // time, so a live lane's gap is exactly zero.
+    double fleet_last = -1.0;
+    const SeriesKey hb_lo{"heartbeat", 0};
+    const SeriesKey hb_hi{"heartbeat", kEngineLane};
+    for (auto it = series.lower_bound(hb_lo); it != series.end() && it->first < hb_hi;
+         ++it) {
+      fleet_last = std::max(fleet_last, it->second.last_at);
+    }
+    if (fleet_last >= 0.0) {
       for (auto it = series.lower_bound(hb_lo); it != series.end() && it->first < hb_hi;
            ++it) {
-        fleet_last = std::max(fleet_last, it->second.last_at);
-      }
-      if (fleet_last >= 0.0) {
-        for (auto it = series.lower_bound(hb_lo); it != series.end() && it->first < hb_hi;
-             ++it) {
-          const double gap = fleet_last - it->second.last_at;
-          set_condition("dead_rank", "detector", it->first.second, {},
-                        gap > options.heartbeat_timeout, gap, t, -1);
-        }
-      }
-
-      // straggler: the per-iteration deviation flags computed above. A latch
-      // set by an interval-interior breach fires this boundary and (if the
-      // newest iteration is clean again) clears at the next one.
-      for (auto& [lane, flag] : straggler_state) {
-        const bool breached = flag.latched || flag.breached;
-        set_condition("straggler", "detector", lane, {}, breached,
-                      flag.latched ? flag.latched_value : flag.value, t,
-                      flag.latched ? flag.latched_iteration : flag.iteration);
-        flag.latched = false;
-      }
-
-      // message_drop: the retransmit counter grew within the trailing window.
-      const SeriesKey rt_lo{"comm_retransmits", 0};
-      const SeriesKey rt_hi{"comm_retransmits", kEngineLane};
-      for (auto it = series.lower_bound(rt_lo); it != series.end() && it->first < rt_hi;
-           ++it) {
-        const double delta = it->second.last - it->second.value_at(t - options.drop_window);
-        set_condition("message_drop", "detector", it->first.second, {}, delta > 0.0, delta,
-                      t, -1);
-      }
-
-      // comm_overhead: cumulative comm fraction of busy time (Fig. 8).
-      const double busy = busy_time.at(t);
-      const double comm = comm_time.at(t);
-      const double frac = busy > 0.0 ? comm / busy : 0.0;
-      set_condition("comm_overhead", "detector", kEngineLane, {},
-                    busy > 0.0 && frac > options.comm_overhead_threshold, frac, t, -1);
-
-      // gpu_collapse: a computing lane whose DRAM throughput sits far below
-      // the fleet median — the telemetry shadow of a throttled or straggling
-      // device. Idle lanes (value 0) are out of both the median and the
-      // check, so ordinary end-of-iteration stagger never fires.
-      const SeriesKey dr_lo{"gpu_dram_throughput", 0};
-      const SeriesKey dr_hi{"gpu_dram_throughput", kEngineLane};
-      std::vector<std::pair<std::uint32_t, double>> computing;
-      for (auto it = series.lower_bound(dr_lo); it != series.end() && it->first < dr_hi;
-           ++it) {
-        if (it->second.last > 0.0) computing.emplace_back(it->first.second, it->second.last);
-      }
-      double med = 0.0;
-      if (computing.size() >= 2) {
-        std::vector<double> values;
-        values.reserve(computing.size());
-        for (const auto& [lane, v] : computing) values.push_back(v);
-        med = median_of(std::move(values));
-      }
-      for (auto it = series.lower_bound(dr_lo); it != series.end() && it->first < dr_hi;
-           ++it) {
-        const double v = it->second.last;
-        const bool breached = computing.size() >= 2 && v > 0.0 && med > 0.0 &&
-                              v < options.collapse_fraction * med;
-        set_condition("gpu_collapse", "detector", it->first.second, {}, breached,
-                      med > 0.0 ? v / med : 0.0, t, -1);
-      }
-
-      // job_abort: the driver's job_restart instant (it genuinely knows the
-      // allocation bounced — that is operational telemetry, not ground
-      // truth). Fires for exactly one boundary per restart.
-      std::uint32_t bounced = 0;
-      while (next_restart < restarts.size() && restarts[next_restart] <= t) {
-        ++next_restart;
-        ++bounced;
-      }
-      set_condition("job_abort", "detector", kEngineLane, {}, bounced > 0,
-                    static_cast<double>(bounced), t, -1);
-
-      // --- serve-layer detectors -------------------------------------------
-      // These key off the serve scheduler's (possibly label-suffixed)
-      // counters; cluster traces never emit serve.* series, so on them every
-      // check below is a no-op.
-
-      // queue_saturation: the admission queue pinned at (a fraction of) its
-      // declared capacity. Needs the serve.queue_capacity counter the
-      // service emits once at t=0.
-      const SeriesKey qd_lo{"serve.queue_depth", 0};
-      for (auto it = series.lower_bound(qd_lo);
-           it != series.end() && it->first.first == "serve.queue_depth"; ++it) {
-        const auto cap_it = series.find({"serve.queue_capacity", it->first.second});
-        const double cap = cap_it != series.end() ? cap_it->second.last : 0.0;
-        const double depth = it->second.last;
-        set_condition("queue_saturation", "detector", it->first.second, {},
-                      cap > 0.0 && depth >= options.queue_saturation_fraction * cap,
-                      cap > 0.0 ? depth / cap : 0.0, t, -1);
-      }
-
-      // tenant_starvation: one tenant's oldest admitted-but-not-scheduled
-      // job has aged far past the *other* tenants' mean wait age. The
-      // fleet-relative baseline is the point — a global backlog ages every
-      // tenant together and stays silent; only asymmetry fires.
-      std::map<std::uint32_t, std::vector<std::pair<std::string, double>>> waits;
-      for (const auto& [key, st] : series) {
-        const auto& parts = split_of(key.first);
-        if (parts.first != "serve.wait_age") continue;
-        waits[key.second].emplace_back(tenant_label(parts.second), st.last);
-      }
-      for (const auto& [lane, entries] : waits) {
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-          double others = 0.0;
-          for (std::size_t j = 0; j < entries.size(); ++j) {
-            if (j != i) others += entries[j].second;
-          }
-          const bool enough = entries.size() >= 2;
-          const double mean_others =
-              enough ? others / static_cast<double>(entries.size() - 1) : 0.0;
-          const double age = entries[i].second;
-          set_condition("tenant_starvation", "detector", lane, entries[i].first,
-                        enough && age >= options.starvation_min_age &&
-                            age > options.starvation_ratio * mean_others,
-                        age, t, -1);
-        }
-      }
-
-      // slo_fast_burn / slo_slow_burn: windowed bad fraction over budget,
-      // the SRE multi-window pattern on the simulated clock. Driven by the
-      // cumulative serve.slo_total / serve.slo_bad counters plus the budget
-      // objectives handed in via options.slo (first matching objective per
-      // tenant). A window needs burn_min_events resolved requests before it
-      // can fire, so one stray rejection is not a burn.
-      if (!options.slo.empty()) {
-        for (auto it = series.begin(); it != series.end(); ++it) {
-          const auto& parts = split_of(it->first.first);
-          if (parts.first != "serve.slo_total") continue;
-          const std::string tenant = tenant_label(parts.second);
-          const SloObjective* budget = nullptr;
-          for (const SloObjective& o : options.slo) {
-            if (o.kind != SloKind::kBudget) continue;
-            if (o.tenant == "*" || o.tenant == tenant) {
-              budget = &o;
-              break;
-            }
-          }
-          if (!budget) continue;
-          const SeriesState& total = it->second;
-          const auto bad_it =
-              series.find({series_with_labels("serve.slo_bad", parts.second),
-                           it->first.second});
-          const SeriesState* bad = bad_it != series.end() ? &bad_it->second : nullptr;
-          const auto burn_over = [&](double window) {
-            const double dtotal = total.last - total.value_at(t - window);
-            if (dtotal < static_cast<double>(options.burn_min_events)) return 0.0;
-            const double dbad = bad ? bad->last - bad->value_at(t - window) : 0.0;
-            return (dbad / dtotal) / budget->target;
-          };
-          const double fast = burn_over(budget->fast_window);
-          const double slow = burn_over(budget->window);
-          set_condition("slo_fast_burn", "detector", it->first.second, tenant,
-                        fast >= options.fast_burn_threshold, fast, t, -1);
-          set_condition("slo_slow_burn", "detector", it->first.second, tenant,
-                        slow >= options.slow_burn_threshold, slow, t, -1);
-        }
-      }
-
-      // cache_thrash: invalidation-driven dataset rebuilds clustering inside
-      // the trailing window — the cache is being churned faster than it can
-      // amortize.
-      const SeriesKey cr_lo{"serve.cache_rebuilds", 0};
-      for (auto it = series.lower_bound(cr_lo);
-           it != series.end() && it->first.first == "serve.cache_rebuilds"; ++it) {
-        const double delta = it->second.last - it->second.value_at(t - options.thrash_window);
-        set_condition("cache_thrash", "detector", it->first.second, {},
-                      delta >= static_cast<double>(options.thrash_rebuilds), delta, t, -1);
+        const double gap = fleet_last - it->second.last_at;
+        set_condition("dead_rank", it->first.second, {}, gap > kHeartbeatTimeout, gap, t, -1);
       }
     }
 
-    // User rules, in declaration order. A rule matches every series whose
-    // *base* name equals the rule's SERIES and whose labels are a superset of
-    // the rule's selector (an unlabeled rule over "serve.wait_age" spans all
-    // tenant variants). Label-suffixed names do not sort adjacent to their
-    // base, so rules scan the whole series map — it is small.
-    std::vector<std::pair<const SeriesKey*, const SeriesState*>> matched;
-    for (std::size_t ri = 0; ri < options.rules.size(); ++ri) {
-      const AlertRule& rule = options.rules[ri];
-      matched.clear();
-      for (const auto& [key, st] : series) {
-        const auto& parts = split_of(key.first);
-        if (parts.first != rule.series) continue;
-        if (!labels_match(rule.labels, parts.second)) continue;
-        matched.emplace_back(&key, &st);
+    // straggler: the per-iteration deviation flags computed above. A latch
+    // set by an interval-interior breach fires this boundary and (if the
+    // newest iteration is clean again) clears at the next one.
+    for (auto& [lane, flag] : straggler_state) {
+      const bool breached = flag.latched || flag.breached;
+      set_condition("straggler", lane, {}, breached,
+                    flag.latched ? flag.latched_value : flag.value, t,
+                    flag.latched ? flag.latched_iteration : flag.iteration);
+      flag.latched = false;
+    }
+
+    // message_drop: the retransmit counter grew within the trailing window.
+    const SeriesKey rt_lo{"comm_retransmits", 0};
+    const SeriesKey rt_hi{"comm_retransmits", kEngineLane};
+    for (auto it = series.lower_bound(rt_lo); it != series.end() && it->first < rt_hi;
+         ++it) {
+      const double delta = it->second.last - it->second.value_at(t - kDropWindow);
+      set_condition("message_drop", it->first.second, {}, delta > 0.0, delta, t, -1);
+    }
+
+    // comm_overhead: cumulative comm fraction of busy time (Fig. 8).
+    const double busy = busy_time.at(t);
+    const double comm = comm_time.at(t);
+    const double frac = busy > 0.0 ? comm / busy : 0.0;
+    set_condition("comm_overhead", kEngineLane, {},
+                  busy > 0.0 && frac > kCommOverheadThreshold, frac, t, -1);
+
+    // gpu_collapse: a computing lane whose DRAM throughput sits far below
+    // the fleet median — the telemetry shadow of a throttled or straggling
+    // device. Idle lanes (value 0) are out of both the median and the
+    // check, so ordinary end-of-iteration stagger never fires.
+    const SeriesKey dr_lo{"gpu_dram_throughput", 0};
+    const SeriesKey dr_hi{"gpu_dram_throughput", kEngineLane};
+    std::vector<std::pair<std::uint32_t, double>> computing;
+    for (auto it = series.lower_bound(dr_lo); it != series.end() && it->first < dr_hi;
+         ++it) {
+      if (it->second.last > 0.0) computing.emplace_back(it->first.second, it->second.last);
+    }
+    double med = 0.0;
+    if (computing.size() >= 2) {
+      std::vector<double> values;
+      values.reserve(computing.size());
+      for (const auto& [lane, v] : computing) values.push_back(v);
+      med = median_of(std::move(values));
+    }
+    for (auto it = series.lower_bound(dr_lo); it != series.end() && it->first < dr_hi;
+         ++it) {
+      const double v = it->second.last;
+      const bool breached = computing.size() >= 2 && v > 0.0 && med > 0.0 &&
+                            v < kCollapseFraction * med;
+      set_condition("gpu_collapse", it->first.second, {}, breached,
+                    med > 0.0 ? v / med : 0.0, t, -1);
+    }
+
+    // job_abort: the driver's job_restart instant (it genuinely knows the
+    // allocation bounced — that is operational telemetry, not ground
+    // truth). Fires for exactly one boundary per restart.
+    std::uint32_t bounced = 0;
+    while (next_restart < restarts.size() && restarts[next_restart] <= t) {
+      ++next_restart;
+      ++bounced;
+    }
+    set_condition("job_abort", kEngineLane, {}, bounced > 0, static_cast<double>(bounced), t,
+                  -1);
+
+    // --- serve-layer detectors -------------------------------------------
+    // These key off the serve scheduler's (possibly label-suffixed)
+    // counters; cluster traces never emit serve.* series, so on them every
+    // check below is a no-op.
+
+    // queue_saturation: the admission queue pinned at (a fraction of) its
+    // declared capacity. Needs the serve.queue_capacity counter the
+    // service emits once at t=0.
+    const SeriesKey qd_lo{"serve.queue_depth", 0};
+    for (auto it = series.lower_bound(qd_lo);
+         it != series.end() && it->first.first == "serve.queue_depth"; ++it) {
+      const auto cap_it = series.find({"serve.queue_capacity", it->first.second});
+      const double cap = cap_it != series.end() ? cap_it->second.last : 0.0;
+      const double depth = it->second.last;
+      set_condition("queue_saturation", it->first.second, {},
+                    cap > 0.0 && depth >= kQueueSaturationFraction * cap,
+                    cap > 0.0 ? depth / cap : 0.0, t, -1);
+    }
+
+    // tenant_starvation: one tenant's oldest admitted-but-not-scheduled
+    // job has aged far past the *other* tenants' mean wait age. The
+    // fleet-relative baseline is the point — a global backlog ages every
+    // tenant together and stays silent; only asymmetry fires.
+    std::map<std::uint32_t, std::vector<std::pair<std::string, double>>> waits;
+    for (const auto& [key, st] : series) {
+      const auto& parts = split_of(key.first);
+      if (parts.first != "serve.wait_age") continue;
+      waits[key.second].emplace_back(tenant_label(parts.second), st.last);
+    }
+    for (const auto& [lane, entries] : waits) {
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        double others = 0.0;
+        for (std::size_t j = 0; j < entries.size(); ++j) {
+          if (j != i) others += entries[j].second;
+        }
+        const bool enough = entries.size() >= 2;
+        const double mean_others =
+            enough ? others / static_cast<double>(entries.size() - 1) : 0.0;
+        const double age = entries[i].second;
+        set_condition("tenant_starvation", lane, entries[i].first,
+                      enough && age >= kStarvationMinAge &&
+                          age > kStarvationRatio * mean_others,
+                      age, t, -1);
       }
-      const auto tenant_of = [&](const SeriesKey& key) {
-        return tenant_label(split_of(key.first).second);
-      };
-      switch (rule.kind) {
-        case RuleKind::kThreshold: {
-          for (const auto& [key, st] : matched) {
-            const bool breach = compare(rule.cmp, st->last, rule.value);
-            std::uint32_t& run = hold_counts[{ri, *key}];
-            run = breach ? run + 1 : 0;
-            set_condition(rule.name, kind_name(rule.kind), key->second, tenant_of(*key),
-                          run >= rule.hold, st->last, t, -1);
+    }
+
+    // slo_fast_burn / slo_slow_burn: windowed bad fraction over budget,
+    // the SRE multi-window pattern on the simulated clock. Driven by the
+    // cumulative serve.slo_total / serve.slo_bad counters plus the budget
+    // objectives handed in via options.slo (first matching objective per
+    // tenant). A window needs kBurnMinEvents resolved requests before it
+    // can fire, so one stray rejection is not a burn.
+    if (!options.slo.empty()) {
+      for (auto it = series.begin(); it != series.end(); ++it) {
+        const auto& parts = split_of(it->first.first);
+        if (parts.first != "serve.slo_total") continue;
+        const std::string tenant = tenant_label(parts.second);
+        const SloObjective* budget = nullptr;
+        for (const SloObjective& o : options.slo) {
+          if (o.kind != SloKind::kBudget) continue;
+          if (o.tenant == "*" || o.tenant == tenant) {
+            budget = &o;
+            break;
           }
-          break;
         }
-        case RuleKind::kRate: {
-          for (const auto& [key, st] : matched) {
-            const double delta = st->last - st->value_at(t - rule.window);
-            set_condition(rule.name, kind_name(rule.kind), key->second, tenant_of(*key),
-                          compare(rule.cmp, delta, rule.value), delta, t, -1);
-          }
-          break;
-        }
-        case RuleKind::kAbsence: {
-          double fleet_last = -1.0;
-          for (const auto& [key, st] : matched) {
-            fleet_last = std::max(fleet_last, st->last_at);
-          }
-          if (fleet_last < 0.0) break;
-          for (const auto& [key, st] : matched) {
-            const double gap = fleet_last - st->last_at;
-            set_condition(rule.name, kind_name(rule.kind), key->second, tenant_of(*key),
-                          gap > rule.window, gap, t, -1);
-          }
-          break;
-        }
-        case RuleKind::kImbalance: {
-          for (const auto& [key, st] : matched) {
-            double others = 0.0;
-            for (const auto& [okey, ost] : matched) {
-              if (okey != key) others += ost->last;
-            }
-            const bool enough = matched.size() >= 2;
-            others = enough ? others / static_cast<double>(matched.size() - 1) : 0.0;
-            const double ratio = others > 0.0 ? st->last / others : 0.0;
-            set_condition(rule.name, kind_name(rule.kind), key->second, tenant_of(*key),
-                          enough && others > 0.0 && compare(rule.cmp, ratio, rule.value),
-                          ratio, t, -1);
-          }
-          break;
-        }
+        if (!budget) continue;
+        const SeriesState& total = it->second;
+        const auto bad_it =
+            series.find({series_with_labels("serve.slo_bad", parts.second),
+                         it->first.second});
+        const SeriesState* bad = bad_it != series.end() ? &bad_it->second : nullptr;
+        const auto burn_over = [&](double window) {
+          const double dtotal = total.last - total.value_at(t - window);
+          if (dtotal < static_cast<double>(kBurnMinEvents)) return 0.0;
+          const double dbad = bad ? bad->last - bad->value_at(t - window) : 0.0;
+          return (dbad / dtotal) / budget->target;
+        };
+        const double fast = burn_over(budget->fast_window);
+        const double slow = burn_over(budget->window);
+        set_condition("slo_fast_burn", it->first.second, tenant,
+                      fast >= kFastBurnThreshold, fast, t, -1);
+        set_condition("slo_slow_burn", it->first.second, tenant,
+                      slow >= kSlowBurnThreshold, slow, t, -1);
       }
+    }
+
+    // cache_thrash: invalidation-driven dataset rebuilds clustering inside
+    // the trailing window — the cache is being churned faster than it can
+    // amortize.
+    const SeriesKey cr_lo{"serve.cache_rebuilds", 0};
+    for (auto it = series.lower_bound(cr_lo);
+         it != series.end() && it->first.first == "serve.cache_rebuilds"; ++it) {
+      const double delta = it->second.last - it->second.value_at(t - kThrashWindow);
+      set_condition("cache_thrash", it->first.second, {},
+                    delta >= static_cast<double>(kThrashRebuilds), delta, t, -1);
     }
   }
 
@@ -811,133 +555,25 @@ HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options) {
   // pinned to the final boundary.
   for (const auto& [key, index] : open) report.incidents[index].cleared = t;
 
-  report.series.reserve(series.size());
-  for (const auto& [key, st] : series) {
-    SeriesStat stat;
-    stat.series = key.first;
-    stat.lane = key.second;
-    stat.samples = st.samples;
-    stat.last_at = st.last_at;
-    stat.min = st.min;
-    stat.max = st.max;
-    stat.last = st.last;
-    stat.window = st.ring;
-    report.series.push_back(std::move(stat));
-  }
   return report;
 }
 
-JsonValue health_report(const HealthReport& report) {
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", JsonValue(kHealthSchema));
-  doc.set("sample_every_seconds", JsonValue(report.options.sample_every));
-  doc.set("window_samples", JsonValue(static_cast<double>(report.options.window_samples)));
-  doc.set("boundaries", JsonValue(static_cast<double>(report.boundaries)));
-  doc.set("makespan_seconds", JsonValue(report.makespan));
-  doc.set("rank_lanes", JsonValue(static_cast<double>(report.rank_lanes)));
-
-  JsonValue detectors = JsonValue::object();
-  detectors.set("builtin", JsonValue(report.options.builtin_detectors));
-  detectors.set("heartbeat_timeout", JsonValue(report.options.heartbeat_timeout));
-  detectors.set("straggler_ratio", JsonValue(report.options.straggler_ratio));
-  detectors.set("collapse_fraction", JsonValue(report.options.collapse_fraction));
-  detectors.set("comm_overhead_threshold",
-                JsonValue(report.options.comm_overhead_threshold));
-  detectors.set("drop_window", JsonValue(report.options.drop_window));
-  detectors.set("queue_saturation_fraction",
-                JsonValue(report.options.queue_saturation_fraction));
-  detectors.set("starvation_ratio", JsonValue(report.options.starvation_ratio));
-  detectors.set("starvation_min_age", JsonValue(report.options.starvation_min_age));
-  detectors.set("thrash_window", JsonValue(report.options.thrash_window));
-  detectors.set("thrash_rebuilds",
-                JsonValue(static_cast<double>(report.options.thrash_rebuilds)));
-  detectors.set("fast_burn_threshold", JsonValue(report.options.fast_burn_threshold));
-  detectors.set("slow_burn_threshold", JsonValue(report.options.slow_burn_threshold));
-  detectors.set("burn_min_events",
-                JsonValue(static_cast<double>(report.options.burn_min_events)));
-  detectors.set("slo_objectives",
-                JsonValue(static_cast<double>(report.options.slo.size())));
-  doc.set("detectors", std::move(detectors));
-
-  JsonValue rules = JsonValue::array();
-  for (const AlertRule& r : report.options.rules) {
-    JsonValue entry = JsonValue::object();
-    entry.set("name", JsonValue(r.name));
-    entry.set("kind", JsonValue(kind_name(r.kind)));
-    entry.set("series", JsonValue(series_with_labels(r.series, r.labels)));
-    entry.set("cmp", JsonValue(cmp_name(r.cmp)));
-    entry.set("value", JsonValue(r.value));
-    entry.set("window", JsonValue(r.window));
-    entry.set("hold", JsonValue(static_cast<double>(r.hold)));
-    rules.push_back(std::move(entry));
-  }
-  doc.set("rules", std::move(rules));
-
-  JsonValue series = JsonValue::array();
-  for (const SeriesStat& s : report.series) {
-    JsonValue entry = JsonValue::object();
-    entry.set("series", JsonValue(s.series));
-    entry.set("lane", JsonValue(static_cast<double>(s.lane)));
-    entry.set("samples", JsonValue(static_cast<double>(s.samples)));
-    entry.set("last_at", JsonValue(s.last_at));
-    entry.set("min", JsonValue(s.min));
-    entry.set("max", JsonValue(s.max));
-    entry.set("last", JsonValue(s.last));
-    JsonValue window = JsonValue::array();
-    for (const auto& [at, value] : s.window) {
-      JsonValue point = JsonValue::object();
-      point.set("t", JsonValue(at));
-      point.set("value", JsonValue(value));
-      window.push_back(std::move(point));
-    }
-    entry.set("window", std::move(window));
-    series.push_back(std::move(entry));
-  }
-  doc.set("series", std::move(series));
-
-  JsonValue incidents = JsonValue::array();
-  std::map<std::string, std::uint32_t> by_rule;
-  std::uint32_t open_count = 0;
+void record_health(const HealthReport& report, MetricsRegistry& metrics) {
+  Counter& total = metrics.counter("health.incidents");
   for (const Incident& inc : report.incidents) {
-    JsonValue entry = JsonValue::object();
-    entry.set("rule", JsonValue(inc.rule));
-    entry.set("kind", JsonValue(inc.kind));
-    entry.set("lane", JsonValue(static_cast<double>(inc.lane)));
-    entry.set("tenant", JsonValue(inc.tenant));
-    entry.set("fired", JsonValue(inc.fired));
-    entry.set("cleared", JsonValue(inc.cleared));
-    entry.set("open", JsonValue(inc.open));
-    entry.set("value", JsonValue(inc.value));
-    entry.set("span", JsonValue(inc.span));
-    entry.set("iteration", JsonValue(static_cast<double>(inc.iteration)));
-    incidents.push_back(std::move(entry));
-    ++by_rule[inc.rule];
-    if (inc.open) ++open_count;
+    Labels labels{{"lane", std::to_string(inc.lane)}, {"rule", inc.rule}};
+    if (!inc.tenant.empty()) labels.emplace_back("tenant", inc.tenant);
+    metrics.counter("health.incidents", std::move(labels)).add();
+    total.add();
   }
-  doc.set("incidents", std::move(incidents));
-
-  JsonValue summary = JsonValue::object();
-  summary.set("incidents", JsonValue(static_cast<double>(report.incidents.size())));
-  summary.set("open", JsonValue(static_cast<double>(open_count)));
-  JsonValue counts = JsonValue::array();
-  for (const auto& [rule, count] : by_rule) {
-    JsonValue entry = JsonValue::object();
-    entry.set("rule", JsonValue(rule));
-    entry.set("count", JsonValue(static_cast<double>(count)));
-    counts.push_back(std::move(entry));
-  }
-  summary.set("by_rule", std::move(counts));
-  doc.set("summary", std::move(summary));
-  return doc;
 }
 
 std::string health_text(const HealthReport& report, bool summary_only) {
-  std::string out = "multihit health monitor (" + std::string(kHealthSchema) + ")\n";
+  std::string out = "multihit health monitor\n";
   out += "  makespan " + json_number(report.makespan) + " s, " +
          std::to_string(report.boundaries) + " boundaries @ " +
          json_number(report.options.sample_every) + " s cadence\n";
-  out += "  telemetry: " + std::to_string(report.series.size()) + " series over " +
-         std::to_string(report.rank_lanes) + " rank lane(s)\n";
+  out += "  telemetry from " + std::to_string(report.rank_lanes) + " rank lane(s)\n";
   std::map<std::string, std::uint32_t> by_rule;
   std::uint32_t open_count = 0;
   for (const Incident& inc : report.incidents) {
@@ -1002,6 +638,33 @@ std::vector<std::string> health_crosscheck(const HealthReport& report,
     mismatches.push_back(std::string("message_drop incidents ") +
                          (any_drop_incident ? "fired" : "absent") +
                          " but metrics count comm.retransmits=" + json_number(retransmits));
+  }
+
+  // The health.incidents series, when the snapshot holds any, must be what
+  // record_health writes for this report: compare the two snapshots' entries
+  // in their (name, labels) order and name the first one that differs.
+  // metrics_counter_totals has already checked every counter's shape.
+  const auto health_entries = [](const JsonValue& doc) {
+    std::vector<const JsonValue*> out;
+    for (const JsonValue& entry : doc.find("counters")->as_array()) {
+      if (entry.find("name")->as_string() == "health.incidents") out.push_back(&entry);
+    }
+    return out;
+  };
+  const std::vector<const JsonValue*> recorded = health_entries(metrics);
+  if (recorded.empty()) return mismatches;
+  MetricsRegistry replayed;
+  record_health(report, replayed);
+  const JsonValue replay_doc = replayed.snapshot();
+  const std::vector<const JsonValue*> expected = health_entries(replay_doc);
+  for (std::size_t i = 0; i < std::max(recorded.size(), expected.size()); ++i) {
+    const JsonValue* in_metrics = i < recorded.size() ? recorded[i] : nullptr;
+    const JsonValue* in_replay = i < expected.size() ? expected[i] : nullptr;
+    if (in_metrics && in_replay && in_metrics->dump() == in_replay->dump()) continue;
+    mismatches.push_back("metrics hold " + (in_metrics ? in_metrics->dump() : "nothing") +
+                         " where the replay records " +
+                         (in_replay ? in_replay->dump() : "nothing"));
+    break;
   }
   return mismatches;
 }
@@ -1122,7 +785,7 @@ HealthScore score_incidents(const HealthReport& report,
 
   for (std::size_t i = 0; i < report.incidents.size(); ++i) {
     const Incident& inc = report.incidents[i];
-    if (matched[i] || !is_builtin_rule(inc.rule)) continue;
+    if (matched[i]) continue;
     ++score.false_positives;
     score.spurious.push_back(inc.rule + " lane " + std::to_string(inc.lane) + " fired t=" +
                              json_number(inc.fired) + " s (value " +

@@ -9,26 +9,24 @@
 // is that layer for the simulator. It replays a run's trace in simulated-
 // time order (the simulation is serial, so "online" means: every decision
 // at sample boundary t uses only observations with timestamp <= t) and
-// produces a deterministic `multihit.health.v1` artifact.
+// records what fired as `health.incidents` counters (record_health).
 //
-// Three parts:
-//   1. a time-series sampler that snapshots every counter track in the
-//      trace (heartbeats, GPU occupancy / DRAM throughput, retransmit
-//      counts) at a configurable simulated-time cadence, keeping an exact
-//      ring-buffered window per (series, lane) — values are copied, never
-//      re-derived, so there is no float drift across runs;
-//   2. a declarative alert-rule engine (threshold / rate-of-change /
-//      absence / cross-rank-imbalance rule kinds, parse_rules grammar
-//      below) evaluated at sample boundaries, emitting Incident records
-//      with fire/clear timestamps on the simulated clock, the offending
-//      lane, the observed value, and the enclosing span;
-//   3. built-in detectors keyed to the paper's failure modes: dead-rank
-//      via heartbeat loss within the SimComm detection window, straggler
-//      via per-iteration lane-duration deviation across ranks (baselined
-//      per lane so a deliberately imbalanced equi-distance schedule does
-//      not false-fire), message-drop via retransmit-rate bursts,
-//      comm-overhead-fraction breach (Fig. 8), and GPU DRAM-throughput
-//      collapse from the PR 4 counter tracks.
+// Two parts:
+//   1. a sampler that snapshots every counter track in the trace
+//      (heartbeats, GPU occupancy / DRAM throughput, retransmit counts) at a
+//      configurable simulated-time cadence, keeping an exact ring-buffered
+//      window per (series, lane) — values are copied, never re-derived, so
+//      there is no float drift across runs;
+//   2. built-in detectors keyed to the paper's failure modes, evaluated at
+//      every sample boundary and emitting Incident records with fire/clear
+//      timestamps on the simulated clock, the offending lane, the observed
+//      value, and the enclosing span: dead-rank via heartbeat loss within
+//      the SimComm detection window, straggler via per-iteration
+//      lane-duration deviation across ranks (baselined per lane so a
+//      deliberately imbalanced equi-distance schedule does not false-fire),
+//      message-drop via retransmit-rate bursts, comm-overhead-fraction
+//      breach (Fig. 8), and GPU DRAM-throughput collapse from the
+//      per-rank counter tracks. Their thresholds are the k* constants below.
 //
 // Detection must come from telemetry alone: trace events in the "fault"
 // category (the injector's ground-truth instants) are invisible to the
@@ -37,142 +35,102 @@
 // positives, and detection latency — which is what makes detector quality
 // a testable property rather than a vibe.
 //
-// Rule grammar (one rule per line, '#' comments, words split on blanks):
-//
-//   rule NAME threshold SERIES above|below VALUE [hold N]
-//   rule NAME rate      SERIES above|below DELTA window SECONDS
-//   rule NAME absence   SERIES window SECONDS
-//   rule NAME imbalance SERIES above|below RATIO
-//
-// threshold fires while a lane's sampled value compares true against VALUE
-// for N consecutive boundaries (default 1); rate compares the value change
-// over the trailing window; absence fires while a lane's newest raw sample
-// is more than SECONDS older than the newest sample of the same series on
-// any lane (fleet-relative, so a globally idle series never fires);
-// imbalance fires while a lane's value compares true against RATIO times
-// the mean of the other lanes carrying the series.
-//
-// SERIES may carry a label selector: `serve.wait_age{tenant=gold}` matches
-// every sampled series whose base name is `serve.wait_age` AND whose
-// embedded labels (see slo.hpp's series_with_labels) include tenant=gold; a
-// bare base name matches all labeled variants, so imbalance rules compare
-// across tenants. A malformed selector (unclosed brace, empty key/value) is
-// a parse error naming the offending line.
-//
-// PR 8 adds serve-lane detectors over the job service's scheduler-lane
-// telemetry (src/serve/service.cpp): queue_saturation (serve.queue_depth
-// at/above the declared serve.queue_capacity), tenant_starvation (a
-// tenant's admitted-but-not-scheduled age vs the other tenants' mean — the
+// Serve-lane detectors watch the job service's scheduler-lane telemetry
+// (src/serve/service.cpp): queue_saturation (serve.queue_depth at/above the
+// declared serve.queue_capacity), tenant_starvation (a tenant's
+// admitted-but-not-scheduled age vs the other tenants' mean — the
 // fleet-relative baseline, so a global backlog is overload, not
 // starvation), cache_thrash (invalidation-driven dataset rebuilds within a
 // trailing window), and — when MonitorOptions::slo carries budget
 // objectives — slo_fast_burn / slo_slow_burn (windowed bad-request
 // fraction over budget, the SRE multi-window burn alert). Their incidents
-// land on the scheduler lane with the tenant label filled in. The burn and
-// thrash windows must fit inside the sampler's retained history
-// (window_samples * sample_every); serve traces are monitored at coarse
-// cadences (~0.5-1 s), not the default 5 ms.
+// land on the scheduler lane with the tenant label filled in. The burn
+// windows must fit inside the sampler's retained history (window_samples *
+// sample_every); serve traces are monitored at coarse cadences (~0.5-1 s),
+// not the default 5 ms.
 
 #include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/schema.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 
 namespace multihit::obs {
 
-/// Raised on invalid monitor options, malformed rule files, and ill-shaped
-/// truth documents. (Malformed JSON raises JsonParseError earlier.)
+/// Raised on invalid monitor options and ill-shaped truth documents.
+/// (Malformed JSON raises JsonParseError earlier.)
 class MonitorError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-enum class RuleKind { kThreshold, kRate, kAbsence, kImbalance };
-enum class RuleCmp { kAbove, kBelow };
+// --- detector thresholds ---------------------------------------------------
 
-/// One declarative alert rule (see the grammar above).
-struct AlertRule {
-  std::string name;
-  RuleKind kind = RuleKind::kThreshold;
-  std::string series;      ///< base series name (selector labels split off)
-  SeriesLabels labels;     ///< label selector; empty matches every variant
-  RuleCmp cmp = RuleCmp::kAbove;
-  double value = 0.0;      ///< threshold / minimum delta / imbalance ratio
-  double window = 0.0;     ///< trailing seconds (rate, absence)
-  std::uint32_t hold = 1;  ///< consecutive breached boundaries before firing
-};
-
-/// Parses the rule grammar; throws MonitorError naming the offending line.
-std::vector<AlertRule> parse_rules(std::string_view text);
+/// dead_rank: heartbeat silence beyond this vs the fleet's newest
+/// heartbeat. Matches CommCostModel::detection_window.
+inline constexpr double kHeartbeatTimeout = 0.05;
+/// straggler: a lane fires when its per-iteration compute duration,
+/// normalized by the other lanes' mean, exceeds this multiple of its own
+/// cross-iteration baseline ratio.
+inline constexpr double kStragglerRatio = 1.6;
+/// gpu_collapse: a computing lane fires while its DRAM throughput sits
+/// below this fraction of the fleet median.
+inline constexpr double kCollapseFraction = 0.5;
+/// comm_overhead: fires while cumulative comm seconds across rank lanes
+/// exceed this fraction of cumulative busy seconds (a Fig. 8 breach —
+/// communication dominating instead of hiding under compute). The value
+/// sits well above the functional-scale runs' natural ~20% fraction;
+/// paper-scale traces, where Fig. 8 reports single-digit percentages,
+/// would want 0.1-0.15.
+inline constexpr double kCommOverheadThreshold = 0.5;
+/// message_drop: fires while the retransmit count grew within this
+/// trailing window (seconds). A window narrower than the cadence degrades
+/// gracefully: the rate check spans one full sampling interval.
+inline constexpr double kDropWindow = 0.05;
+/// queue_saturation: fires while serve.queue_depth sits at or above this
+/// fraction of the declared serve.queue_capacity.
+inline constexpr double kQueueSaturationFraction = 1.0;
+/// tenant_starvation: a tenant's oldest admitted-but-not-scheduled age
+/// fires when it exceeds this multiple of the other tenants' mean wait
+/// age AND the absolute floor below (so a brief fair backlog is silent).
+inline constexpr double kStarvationRatio = 4.0;
+inline constexpr double kStarvationMinAge = 30.0;
+/// cache_thrash: fires while at least kThrashRebuilds invalidation-driven
+/// dataset rebuilds landed within the trailing kThrashWindow seconds. A
+/// window wider than the retained history degrades gracefully (value_at
+/// clamps to the oldest snapshot).
+inline constexpr double kThrashWindow = 60.0;
+inline constexpr std::uint32_t kThrashRebuilds = 3;
+/// slo_fast_burn / slo_slow_burn: windowed bad fraction over budget
+/// (burn rate) at or above these multiples fires; windows come from the
+/// budget objectives in MonitorOptions::slo. These are the SRE fast/slow
+/// page thresholds. A window needs at least kBurnMinEvents resolved
+/// requests before it can fire (one stray rejection is not a burn).
+inline constexpr double kFastBurnThreshold = 14.4;
+inline constexpr double kSlowBurnThreshold = 6.0;
+inline constexpr std::uint32_t kBurnMinEvents = 4;
 
 struct MonitorOptions {
   /// Sample-boundary cadence in simulated seconds.
   double sample_every = 0.005;
   /// Ring-buffer depth per (series, lane): boundaries of history retained.
   std::uint32_t window_samples = 16;
-  /// Master switch for the built-in failure-mode detectors.
-  bool builtin_detectors = true;
-  /// dead_rank: heartbeat silence beyond this vs the fleet's newest
-  /// heartbeat. Matches CommCostModel::detection_window by default.
-  double heartbeat_timeout = 0.05;
-  /// straggler: a lane fires when its per-iteration compute duration,
-  /// normalized by the other lanes' mean, exceeds this multiple of its own
-  /// cross-iteration baseline ratio.
-  double straggler_ratio = 1.6;
-  /// gpu_collapse: a computing lane fires while its DRAM throughput sits
-  /// below this fraction of the fleet median.
-  double collapse_fraction = 0.5;
-  /// comm_overhead: fires while cumulative comm seconds across rank lanes
-  /// exceed this fraction of cumulative busy seconds (a Fig. 8 breach —
-  /// communication dominating instead of hiding under compute). The default
-  /// sits well above the functional-scale runs' natural ~20% fraction;
-  /// paper-scale traces, where Fig. 8 reports single-digit percentages,
-  /// would configure 0.1-0.15.
-  double comm_overhead_threshold = 0.5;
-  /// message_drop: fires while the retransmit count grew within this
-  /// trailing window (seconds).
-  double drop_window = 0.05;
-  /// queue_saturation: fires while serve.queue_depth sits at or above this
-  /// fraction of the declared serve.queue_capacity.
-  double queue_saturation_fraction = 1.0;
-  /// tenant_starvation: a tenant's oldest admitted-but-not-scheduled age
-  /// fires when it exceeds this multiple of the other tenants' mean wait
-  /// age AND the absolute floor below (so a brief fair backlog is silent).
-  double starvation_ratio = 4.0;
-  double starvation_min_age = 30.0;
-  /// cache_thrash: fires while at least thrash_rebuilds invalidation-driven
-  /// dataset rebuilds landed within the trailing thrash_window seconds.
-  double thrash_window = 60.0;
-  std::uint32_t thrash_rebuilds = 3;
-  /// slo_fast_burn / slo_slow_burn: windowed bad fraction over budget
-  /// (burn rate) at or above these multiples fires; windows come from the
-  /// budget objectives in `slo`. The defaults are the SRE fast/slow page
-  /// thresholds. A window needs at least burn_min_events resolved requests
-  /// before it can fire (one stray rejection is not a burn).
-  double fast_burn_threshold = 14.4;
-  double slow_burn_threshold = 6.0;
-  std::uint32_t burn_min_events = 4;
   /// SLO objectives (parse_slo). Budget objectives arm the burn detectors;
   /// their windows must fit the retained history (window_samples *
   /// sample_every), validated up front.
   std::vector<SloObjective> slo;
-  /// User rules, evaluated after the built-in detectors each boundary.
-  std::vector<AlertRule> rules;
 };
 
 /// One fired alert. `cleared` is the boundary the condition stopped holding
 /// (== the final boundary, with `open` set, when it never stopped).
 struct Incident {
-  std::string rule;  ///< detector or rule name ("dead_rank", ...)
-  std::string kind;  ///< "detector" or the rule kind keyword
+  std::string rule;  ///< detector name ("dead_rank", ...)
   std::uint32_t lane = 0;
   std::string tenant;  ///< tenant label on serve-lane incidents ("" none)
   double fired = 0.0;
@@ -183,45 +141,33 @@ struct Incident {
   std::int64_t iteration = -1;  ///< greedy iteration context (-1 none)
 };
 
-/// Sampler inventory for one (series, lane): lifetime stats over the raw
-/// samples plus the trailing ring window of boundary snapshots.
-struct SeriesStat {
-  std::string series;
-  std::uint32_t lane = 0;
-  std::uint64_t samples = 0;  ///< raw counter samples observed
-  double last_at = 0.0;       ///< timestamp of the newest raw sample
-  double min = 0.0;
-  double max = 0.0;
-  double last = 0.0;
-  /// Trailing (boundary, value) ring, oldest first, <= window_samples deep.
-  std::vector<std::pair<double, double>> window;
-};
-
 struct HealthReport {
   MonitorOptions options;  ///< echo of the evaluated configuration
   double makespan = 0.0;
   std::uint64_t boundaries = 0;
   std::uint32_t rank_lanes = 0;  ///< rank lanes seen carrying telemetry
-  std::vector<SeriesStat> series;
   std::vector<Incident> incidents;  ///< in fire order (boundary, detector, lane)
 };
 
-/// Replays `trace` through the sampler + rule engine + detectors. Pure and
+/// Replays `trace` through the sampler and detectors. Pure and
 /// deterministic: same trace + options => identical report, and running it
 /// never touches the trace (bit-identical-off falls out for free).
 HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options = {});
 
-/// Renders the multihit.health.v1 JSON document (stable field order; two
-/// identical runs produce byte-identical documents).
-JsonValue health_report(const HealthReport& report);
+/// Adds the report's incidents to `metrics` as counters: `health.incidents`
+/// (unlabeled, the total; registered even when it is 0) and one
+/// `health.incidents{lane=L, rule=R[, tenant=T]}` per group. Counters add,
+/// so record one report per registry.
+void record_health(const HealthReport& report, MetricsRegistry& metrics);
 
 /// Human-readable rendering; `summary_only` stops after the per-rule counts.
 std::string health_text(const HealthReport& report, bool summary_only = false);
 
 /// Consistency of the incidents against a --metrics-out snapshot: lanes with
-/// dead_rank incidents must match cluster.ranks_lost, and message_drop
-/// incidents must appear iff comm.retransmits counted any. Returns
-/// human-readable mismatches (empty = consistent).
+/// dead_rank incidents must match cluster.ranks_lost, message_drop incidents
+/// must appear iff comm.retransmits counted any, and when the snapshot holds
+/// `health.incidents` series they must equal what record_health writes for
+/// `report`. Returns human-readable mismatches (empty = consistent).
 std::vector<std::string> health_crosscheck(const HealthReport& report,
                                            const JsonValue& metrics);
 
@@ -262,7 +208,7 @@ struct ClassScore {
 struct HealthScore {
   /// Keyed by truth kind ("crash", "straggler", "drop", "abort").
   std::map<std::string, ClassScore> by_class;
-  /// Built-in detector incidents no truth event accounts for.
+  /// Incidents no truth event accounts for.
   std::uint32_t false_positives = 0;
   std::vector<std::string> misses;    ///< truth events never detected
   std::vector<std::string> spurious;  ///< the false-positive incidents
@@ -275,8 +221,7 @@ struct HealthScore {
 /// job_abort) on the matching lane overlaps [sim_time, sim_time +
 /// detection_window]; corroborating classes (gpu_collapse for stragglers,
 /// comm_overhead for drops) absorb matching incidents without counting as
-/// detections. Unmatched built-in incidents are false positives; custom-rule
-/// incidents are never scored.
+/// detections. Unmatched incidents are false positives.
 HealthScore score_incidents(const HealthReport& report,
                             const std::vector<TruthEvent>& truth,
                             double detection_window);

@@ -22,8 +22,6 @@ inline constexpr std::string_view kMetricsSchema = "multihit.metrics.v1";
 inline constexpr std::string_view kAnalysisSchema = "multihit.analysis.v1";
 /// BenchReporter records (BENCH_*.json under $MULTIHIT_BENCH_DIR).
 inline constexpr std::string_view kBenchSchema = "multihit.bench.v1";
-/// Health-monitor reports (obstool monitor --health-out).
-inline constexpr std::string_view kHealthSchema = "multihit.health.v1";
 /// Fault-injection ground-truth exports (brca_scaleout --truth-out).
 inline constexpr std::string_view kTruthSchema = "multihit.truth.v1";
 /// Job-service trace-replay reports (multihit_serve --out).
@@ -54,10 +52,10 @@ struct SchemaEntry {
 /// means adding a row here, not teaching another tool a new string.
 inline constexpr SchemaEntry kSchemaRegistry[] = {
     {kMetricsSchema, "metrics"}, {kAnalysisSchema, "analysis"},
-    {kBenchSchema, "bench"},     {kHealthSchema, "health"},
-    {kTruthSchema, "truth"},     {kServeSchema, "serve"},
-    {kSloSchema, "slo"},         {kRunSchema, "run"},
-    {kDiffSchema, "diff"},       {kChromeTraceTag, "trace"},
+    {kBenchSchema, "bench"},     {kTruthSchema, "truth"},
+    {kServeSchema, "serve"},     {kSloSchema, "slo"},
+    {kRunSchema, "run"},         {kDiffSchema, "diff"},
+    {kChromeTraceTag, "trace"},
 };
 
 /// Short kind for a schema tag ("" when the tag is not in the registry).

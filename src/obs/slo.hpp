@@ -4,7 +4,7 @@
 // The job service (src/serve) turned the reproduction into a multi-tenant
 // system; this header is how that system gets *judged*: per tenant, per
 // objective, the way a production fleet is. Three objective kinds, declared
-// in a text grammar shaped like the monitor's parse_rules:
+// in a line grammar:
 //
 //   slo TENANT latency pP below SECONDS
 //   slo TENANT admission above FRACTION
@@ -79,8 +79,8 @@ double latency_target(const std::vector<SloObjective>& spec, std::string_view te
 // Trace counter series are keyed (name, lane) with no label concept, so the
 // serve layer embeds tenant labels in the name itself: "serve.wait_age" with
 // {tenant=gold} becomes "serve.wait_age{tenant=gold}" (keys sorted, comma
-// separated). The monitor's rule engine and serve detectors split names back
-// apart with split_series_labels.
+// separated). The monitor's serve detectors split names back apart with
+// split_series_labels.
 
 using SeriesLabels = std::vector<std::pair<std::string, std::string>>;
 

@@ -418,47 +418,46 @@ TEST(DiffLoadRun, ContentDigestIsStable) {
 // ----------------------------------------------------------------- incidents
 
 TEST(DiffIncidents, NewIncidentInBIsARegression) {
-  const auto health = [](bool with_incident) {
-    JsonValue doc = JsonValue::object();
-    doc.set("schema", std::string(obs::kHealthSchema));
-    JsonValue incidents = JsonValue::array();
-    if (with_incident) {
-      JsonValue incident = JsonValue::object();
-      incident.set("rule", "straggler");
-      incident.set("kind", "imbalance");
-      incident.set("lane", 3);
-      incident.set("tenant", "");
-      incident.set("fired", 1.5);
-      incident.set("cleared", 2.5);
-      incident.set("value", 2.0);
-      incidents.push_back(std::move(incident));
+  // Incidents are health.incidents counters (obs::record_health): the
+  // unlabeled total plus one series per (lane, rule) group.
+  const auto health = [](const std::vector<std::string>& lanes) {
+    JsonValue counters = JsonValue::array();
+    counters.push_back(metric_entry("health.incidents", static_cast<double>(lanes.size())));
+    for (const std::string& lane : lanes) {
+      JsonValue entry = metric_entry("health.incidents", 1.0);
+      JsonValue labels = JsonValue::object();
+      labels.set("lane", lane);
+      labels.set("rule", "straggler");
+      entry.set("labels", std::move(labels));
+      counters.push_back(std::move(entry));
     }
-    doc.set("incidents", std::move(incidents));
-    doc.set("series", JsonValue::array());
-    return doc;
+    JsonValue doc = metrics_doc({});
+    doc.set("counters", std::move(counters));
+    RunInput run;
+    run.label = "run";
+    obs::add_doc(run, "metrics", std::move(doc));
+    return run;
   };
-  RunInput a;
-  a.label = "a";
-  obs::add_doc(a, "health", health(false));
-  RunInput b;
-  b.label = "b";
-  obs::add_doc(b, "health", health(true));
 
-  const DiffReport report = obs::diff_runs(a, b, DiffOptions{});
-  ASSERT_TRUE(report.incidents.present);
-  ASSERT_EQ(report.incidents.added.size(), 1u);
-  EXPECT_EQ(report.incidents.added[0].rule, "straggler");
-  EXPECT_EQ(report.incidents.added[0].lane, 3u);
-  EXPECT_TRUE(obs::diff_regression(report));
+  // One more incident in B raises the lower-is-better total.
+  const DiffReport added = obs::diff_runs(health({}), health({"3"}), DiffOptions{});
+  const SeriesDelta* total = find_series(added, "metrics.counter.health.incidents");
+  ASSERT_NE(total, nullptr);
+  EXPECT_EQ(total->cls, DeltaClass::kRegressed);
+  const SeriesDelta* group =
+      find_series(added, "metrics.counter.health.incidents{lane=3,rule=straggler}");
+  ASSERT_NE(group, nullptr);
+  EXPECT_EQ(group->cls, DeltaClass::kAdded);
+  EXPECT_TRUE(obs::diff_regression(added));
 
-  // Same incident on both sides matches and is no longer a regression.
-  RunInput a2;
-  a2.label = "a2";
-  obs::add_doc(a2, "health", health(true));
-  const DiffReport matched = obs::diff_runs(a2, b, DiffOptions{});
-  EXPECT_EQ(matched.incidents.matched, 1u);
-  EXPECT_TRUE(matched.incidents.added.empty());
-  EXPECT_FALSE(obs::diff_regression(matched));
+  // The same count on another lane leaves a removed series.
+  const DiffReport moved = obs::diff_runs(health({"3"}), health({"4"}), DiffOptions{});
+  EXPECT_EQ(moved.counts.regressed, 0u);
+  EXPECT_EQ(moved.counts.removed, 1u);
+  EXPECT_TRUE(obs::diff_regression(moved));
+
+  // The same incidents on both sides diff clean.
+  EXPECT_FALSE(obs::diff_regression(obs::diff_runs(health({"3"}), health({"3"}), DiffOptions{})));
 }
 
 /// Diffing a run that holds `doc` as `role` against one whose copy has the
@@ -481,20 +480,10 @@ void expect_bad_id_rejected(const char* role, const JsonValue& doc, const char* 
 
 TEST(DiffSections, RejectIdsOutsideU32NamingTheirPath) {
   // Regression: ids were cast to u32 unchecked, undefined behaviour for a
-  // health document carrying "lane": -1e20.
+  // critical-path segment carrying "lane": -1e20.
   const JsonValue analysis = analysis_doc(2.0, {segment("compute", 1, 0.0, 2.0)});
   expect_bad_id_rejected("analysis", analysis, "lane", "-1e20",
                          "analysis: critical_path.segments[0].lane");
-
-  JsonValue incident = JsonValue::object();
-  incident.set("rule", "straggler");
-  incident.set("lane", 3);
-  JsonValue incidents = JsonValue::array();
-  incidents.push_back(std::move(incident));
-  JsonValue health = JsonValue::object();
-  health.set("schema", std::string(obs::kHealthSchema));
-  health.set("incidents", std::move(incidents));
-  expect_bad_id_rejected("health", health, "lane", "-1e20", "health: incidents[0].lane");
 }
 
 }  // namespace

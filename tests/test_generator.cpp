@@ -120,6 +120,31 @@ TEST(Generator, RejectsImpossibleSpecs) {
   spec = small_spec();
   spec.hits = 0;
   EXPECT_THROW(generate_dataset(spec), std::invalid_argument);
+
+  // A rate that is NaN or outside [0, 1] is named with its value.
+  const double nan = std::nan("");
+  const struct {
+    double SyntheticSpec::*rate;
+    double value;
+    const char* named;
+  } rates[] = {
+      {&SyntheticSpec::driver_detect_rate, -0.1, "driver_detect_rate -0.1"},
+      {&SyntheticSpec::driver_detect_rate, 1.5, "driver_detect_rate 1.5"},
+      {&SyntheticSpec::normal_contamination, nan, "normal_contamination nan"},
+      {&SyntheticSpec::normal_contamination, 2.0, "normal_contamination 2"},
+      {&SyntheticSpec::background_rate, -0.5, "background_rate -0.5"},
+      {&SyntheticSpec::tumor_excess_rate, 1.01, "tumor_excess_rate 1.01"},
+  };
+  for (const auto& r : rates) {
+    spec = small_spec();
+    spec.*r.rate = r.value;
+    try {
+      generate_dataset(spec);
+      ADD_FAILURE() << "accepted " << r.named;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(r.named), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Generator, RejectsOversizedSpecsBeforeAllocating) {
@@ -348,8 +373,9 @@ SyntheticSpec edge_spec(double detect, double contamination, double background, 
 }
 
 TEST(Generator, GoldenDigestEdgeSpecs) {
-  // Rates at and past the ends of [0, 1] (no draw), NaN (one draw, never
-  // set), partial and exact 64-sample words, and empty sample sets.
+  // Rates at the ends of [0, 1] (no draw), a tumor rate past 1 (background
+  // 0.5 + excess 0.6), partial and exact 64-sample words, and empty sample
+  // sets.
   const double nan = std::nan("");
   expect_golden({
       {"detect 0.97", edge_spec(0.97, 0.0, 0.02, 0.0), 0x6bccfbb112fd0296ULL},
@@ -357,13 +383,10 @@ TEST(Generator, GoldenDigestEdgeSpecs) {
       {"contamination 0.03", edge_spec(1.0, 0.03, 0.02, 0.0), 0x47622328acaae8b5ULL},
       {"contamination 1", edge_spec(1.0, 1.0, 0.02, 0.0), 0x0b4653cc835725e2ULL},
       {"contamination 1 detect 0.97", edge_spec(0.97, 1.0, 0.02, 0.0), 0xd8de29412f39f933ULL},
-      {"contamination NaN", edge_spec(1.0, nan, 0.02, 0.0), 0x47622328acaae8b5ULL},
       {"background 0", edge_spec(1.0, 0.0, 0.0, 0.0), 0x817c27526e14676cULL},
       {"background 1", edge_spec(1.0, 0.0, 1.0, 0.0), 0xe74d3af18b47c8dbULL},
       {"background 0 excess 0.3", edge_spec(1.0, 0.0, 0.0, 0.3), 0x4a4f82e3f62f3118ULL},
       {"background 0.5 excess 0.6", edge_spec(1.0, 0.0, 0.5, 0.6), 0xac01340768fa8ad9ULL},
-      {"background NaN", edge_spec(1.0, 0.0, nan, 0.0), 0x817c27526e14676cULL},
-      {"excess NaN", edge_spec(1.0, 0.0, 0.02, nan), 0x522b0f03dffd06b2ULL},
       {"tumor 0", edge_spec(1.0, 0.03, 0.02, 0.0, 0, 30), 0x5784219c0b65bd20ULL},
       {"tumor 1", edge_spec(1.0, 0.03, 0.02, 0.0, 1, 30), 0x0fe6580849805623ULL},
       {"tumor 63", edge_spec(1.0, 0.03, 0.02, 0.0, 63, 30), 0x77e8e6de137e8dc3ULL},
@@ -375,6 +398,13 @@ TEST(Generator, GoldenDigestEdgeSpecs) {
       {"normal 64", edge_spec(1.0, 0.03, 0.02, 0.0, 40, 64), 0xc5747d92f284983dULL},
       {"normal 65", edge_spec(1.0, 0.03, 0.02, 0.0, 40, 65), 0x93609c7732d56bc3ULL},
   });
+  // NaN rates are rejected before any draw.
+  EXPECT_THROW(generate_dataset(edge_spec(1.0, nan, 0.02, 0.0)), std::invalid_argument)
+      << "contamination NaN";
+  EXPECT_THROW(generate_dataset(edge_spec(1.0, 0.0, nan, 0.0)), std::invalid_argument)
+      << "background NaN";
+  EXPECT_THROW(generate_dataset(edge_spec(1.0, 0.0, 0.02, nan)), std::invalid_argument)
+      << "excess NaN";
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Health-monitor tests: sampler/rule-engine/detector units on hand-built
-// traces, a ground-truth sweep (4 injected fault classes x {EA, ED}
-// schedulers) asserting full recall with zero false positives and bounded
-// detection latency, fault-free runs that must stay silent, the
-// bit-identical-off differential, and incident well-formedness properties
-// over random fault plans.
+// Health-monitor tests: sampler/detector units on hand-built traces, a
+// ground-truth sweep (4 injected fault classes x {EA, ED} schedulers)
+// asserting full recall with zero false positives and bounded detection
+// latency, fault-free runs that must stay silent, the bit-identical-off
+// differential, incident well-formedness properties over random fault
+// plans, and the health.incidents metrics form.
 
 #include "obs/monitor.hpp"
 
@@ -25,7 +25,6 @@
 namespace multihit {
 namespace {
 
-using obs::AlertRule;
 using obs::HealthReport;
 using obs::HealthScore;
 using obs::Incident;
@@ -33,8 +32,6 @@ using obs::JsonValue;
 using obs::kEngineLane;
 using obs::MonitorError;
 using obs::MonitorOptions;
-using obs::RuleCmp;
-using obs::RuleKind;
 using obs::Tracer;
 using obs::TruthEvent;
 
@@ -72,122 +69,6 @@ Tracer replay(const Tracer& trace) {
   return obs::tracer_from_chrome(JsonValue::parse(trace.to_chrome_json()));
 }
 
-// ---------------------------------------------------------------- rule parse
-
-TEST(MonitorRules, ParsesEveryKindAndIgnoresComments) {
-  const std::vector<AlertRule> rules = obs::parse_rules(
-      "# alerting for the scale-out run\n"
-      "rule deep threshold queue_depth above 10 hold 2\n"
-      "\n"
-      "rule surge rate comm_retransmits above 5 window 0.5  # bursts\n"
-      "rule stale absence heartbeat window 0.25\n"
-      "rule skew imbalance gpu_dram_throughput below 0.5\n");
-  ASSERT_EQ(rules.size(), 4u);
-  EXPECT_EQ(rules[0].name, "deep");
-  EXPECT_EQ(rules[0].kind, RuleKind::kThreshold);
-  EXPECT_EQ(rules[0].series, "queue_depth");
-  EXPECT_EQ(rules[0].cmp, RuleCmp::kAbove);
-  EXPECT_DOUBLE_EQ(rules[0].value, 10.0);
-  EXPECT_EQ(rules[0].hold, 2u);
-  EXPECT_EQ(rules[1].kind, RuleKind::kRate);
-  EXPECT_DOUBLE_EQ(rules[1].window, 0.5);
-  EXPECT_EQ(rules[2].kind, RuleKind::kAbsence);
-  EXPECT_DOUBLE_EQ(rules[2].window, 0.25);
-  EXPECT_EQ(rules[3].kind, RuleKind::kImbalance);
-  EXPECT_EQ(rules[3].cmp, RuleCmp::kBelow);
-}
-
-TEST(MonitorRules, RejectsMalformedLinesNamingTheLine) {
-  try {
-    obs::parse_rules("rule ok threshold s above 1\nrule bad bogus s above 1\n");
-    FAIL() << "expected MonitorError";
-  } catch (const MonitorError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos) << e.what();
-  }
-  EXPECT_THROW(obs::parse_rules("rule x threshold s sideways 1\n"), MonitorError);
-  EXPECT_THROW(obs::parse_rules("rule x threshold s above eleven\n"), MonitorError);
-  EXPECT_THROW(obs::parse_rules("rule x rate s above 1\n"), MonitorError);
-  EXPECT_THROW(obs::parse_rules("rule x absence s window -1\n"), MonitorError);
-  EXPECT_THROW(obs::parse_rules("rule x threshold s above 1 hold 0\n"), MonitorError);
-  EXPECT_THROW(obs::parse_rules("rule x threshold s above 1 hold 1e30\n"), MonitorError);
-  EXPECT_THROW(obs::parse_rules("rule x threshold s above 1 hold 4294967296\n"), MonitorError);
-  EXPECT_EQ(obs::parse_rules("rule x threshold s above 1 hold 4294967295\n")[0].hold,
-            4294967295u);
-  EXPECT_THROW(obs::parse_rules("nonsense\n"), MonitorError);
-}
-
-TEST(MonitorRules, SeriesSelectorsParseAndMalformedOnesNameTheLine) {
-  const std::vector<AlertRule> rules = obs::parse_rules(
-      "rule hot threshold serve.wait_age{tenant=bronze} above 30 hold 2\n");
-  ASSERT_EQ(rules.size(), 1u);
-  EXPECT_EQ(rules[0].series, "serve.wait_age");
-  ASSERT_EQ(rules[0].labels.size(), 1u);
-  EXPECT_EQ(rules[0].labels[0],
-            (std::pair<std::string, std::string>{"tenant", "bronze"}));
-
-  try {
-    obs::parse_rules(
-        "rule ok threshold serve.queue_depth above 10\n"
-        "rule bad threshold serve.wait_age{tenant= above 30\n");
-    FAIL() << "expected MonitorError";
-  } catch (const MonitorError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("serve.wait_age{tenant="), std::string::npos)
-        << e.what();
-  }
-  EXPECT_THROW(obs::parse_rules("rule x threshold s{} above 1\n"), MonitorError);
-  EXPECT_THROW(obs::parse_rules("rule x threshold s{a=b,} above 1\n"), MonitorError);
-}
-
-TEST(MonitorRules, SelectorRulesMatchLabeledSerieAndCarryTheTenant) {
-  // Two tenants on the scheduler lane: bronze's wait age climbs, gold's
-  // stays flat. A selector rule must fire on bronze only; an unselected rule
-  // over the base name matches both series but only bronze breaches.
-  Tracer trace;
-  const std::uint32_t lane = obs::kSchedulerLane;
-  for (int i = 0; i <= 20; ++i) {
-    const double t = 0.1 * static_cast<double>(i);
-    trace.counter(lane, "serve.wait_age{tenant=bronze}", t, i >= 10 ? 50.0 : 1.0);
-    trace.counter(lane, "serve.wait_age{tenant=gold}", t, 1.0);
-  }
-  MonitorOptions options;
-  options.sample_every = 0.1;
-  options.builtin_detectors = false;
-  options.rules = obs::parse_rules(
-      "rule bronze_age threshold serve.wait_age{tenant=bronze} above 30 hold 2\n"
-      "rule any_age threshold serve.wait_age above 30 hold 2\n"
-      "rule gold_age threshold serve.wait_age{tenant=gold} above 30 hold 2\n");
-  const HealthReport report = obs::monitor_trace(trace, options);
-  int bronze_named = 0;
-  int any_named = 0;
-  for (const Incident& inc : report.incidents) {
-    EXPECT_EQ(inc.tenant, "bronze") << inc.rule;
-    if (inc.rule == "bronze_age") ++bronze_named;
-    if (inc.rule == "any_age") ++any_named;
-    EXPECT_NE(inc.rule, "gold_age") << "gold never breaches";
-  }
-  EXPECT_EQ(bronze_named, 1);
-  EXPECT_EQ(any_named, 1);
-}
-
-TEST(MonitorRules, ThresholdRuleBitesOnServeQueueDepth) {
-  Tracer trace;
-  for (int i = 0; i <= 10; ++i) {
-    trace.counter(obs::kSchedulerLane, "serve.queue_depth", 0.1 * static_cast<double>(i),
-                  i < 5 ? 2.0 : 12.0);
-  }
-  MonitorOptions options;
-  options.sample_every = 0.1;
-  options.builtin_detectors = false;
-  options.rules = obs::parse_rules("rule deep threshold serve.queue_depth above 10 hold 2\n");
-  const HealthReport report = obs::monitor_trace(trace, options);
-  ASSERT_EQ(report.incidents.size(), 1u);
-  EXPECT_EQ(report.incidents[0].rule, "deep");
-  EXPECT_EQ(report.incidents[0].tenant, "");
-  EXPECT_DOUBLE_EQ(report.incidents[0].value, 12.0);
-}
-
 TEST(MonitorOptionsValidation, RejectsIllFormedConfigurations) {
   const Tracer empty;
   const auto with = [&](auto mutate) {
@@ -199,137 +80,59 @@ TEST(MonitorOptionsValidation, RejectsIllFormedConfigurations) {
                MonitorError);
   EXPECT_THROW(obs::monitor_trace(empty, with([](MonitorOptions& o) { o.window_samples = 1; })),
                MonitorError);
-  EXPECT_THROW(
-      obs::monitor_trace(empty, with([](MonitorOptions& o) { o.straggler_ratio = 1.0; })),
-      MonitorError);
-  EXPECT_THROW(
-      obs::monitor_trace(empty, with([](MonitorOptions& o) { o.collapse_fraction = 1.5; })),
-      MonitorError);
-  EXPECT_THROW(obs::monitor_trace(empty, with([](MonitorOptions& o) {
-                 o.rules.push_back({"r", RuleKind::kRate, "s", {}, RuleCmp::kAbove, 1.0, 0.0, 1});
-               })),
-               MonitorError);
 }
 
 // ------------------------------------------------------------------- sampler
+// The ring's trailing-window arithmetic, pinned through the two detectors
+// that read it: message_drop (value_at one interval back) and cache_thrash
+// (a window wider than the retained history).
 
 TEST(MonitorSampler, SnapshotsExactValuesAtBoundaries) {
+  // kDropWindow (0.05 s) is narrower than the 0.25 s cadence, so each
+  // boundary compares the newest value with the previous boundary's
+  // snapshot. A sample stamped exactly on a boundary belongs to it.
   Tracer trace;
-  trace.counter(0, "queue_depth", 0.25, 4.0);
-  trace.counter(0, "queue_depth", 0.75, 9.0);
-  trace.counter(0, "queue_depth", 1.25, 2.0);
+  trace.counter(0, "comm_retransmits", 0.125, 0.0);
+  trace.counter(0, "comm_retransmits", 0.5, 3.0);
+  trace.counter(0, "comm_retransmits", 1.0, 3.0);
   MonitorOptions options;
-  options.sample_every = 0.5;
-  options.builtin_detectors = false;
+  options.sample_every = 0.25;
   const HealthReport report = obs::monitor_trace(trace, options);
-  ASSERT_EQ(report.series.size(), 1u);
-  const obs::SeriesStat& s = report.series[0];
-  EXPECT_EQ(s.series, "queue_depth");
-  EXPECT_EQ(s.lane, 0u);
-  EXPECT_EQ(s.samples, 3u);
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-  EXPECT_DOUBLE_EQ(s.last, 2.0);
-  EXPECT_DOUBLE_EQ(s.last_at, 1.25);
-  // Boundaries at 0.5, 1.0, 1.5: the ring holds the value as of each.
-  ASSERT_EQ(s.window.size(), 3u);
-  EXPECT_DOUBLE_EQ(s.window[0].first, 0.5);
-  EXPECT_DOUBLE_EQ(s.window[0].second, 4.0);
-  EXPECT_DOUBLE_EQ(s.window[1].second, 9.0);
-  EXPECT_DOUBLE_EQ(s.window[2].second, 2.0);
+  ASSERT_EQ(report.incidents.size(), 1u);
+  const Incident& inc = report.incidents[0];
+  EXPECT_EQ(inc.rule, "message_drop");
+  EXPECT_DOUBLE_EQ(inc.fired, 0.5);    // 3 now, 0 at the 0.25 snapshot
+  EXPECT_DOUBLE_EQ(inc.cleared, 0.75);  // 3 now, 3 at the 0.5 snapshot
+  EXPECT_DOUBLE_EQ(inc.value, 3.0);
+  EXPECT_FALSE(inc.open);
 }
 
 TEST(MonitorSampler, RingWindowDropsOldestBeyondDepth) {
+  // Rebuilds reach 3 by t=4 against a 60 s kThrashWindow. A ring that still
+  // holds the series' first snapshot reads 0 before it (counters count from
+  // zero), so the delta is 3 = kThrashRebuilds and cache_thrash fires — also
+  // when the ring is exactly full. Once the ring has dropped a snapshot, a
+  // read older than it clamps to the oldest value kept (1 at t=2), so the
+  // delta is only 2.
   Tracer trace;
-  for (int i = 1; i <= 8; ++i) {
-    trace.counter(0, "ticks", 0.25 * i, static_cast<double>(i));
+  for (int i = 0; i <= 3; ++i) {
+    trace.counter(obs::kSchedulerLane, "serve.cache_rebuilds", 0.5 + i, static_cast<double>(i));
   }
-  MonitorOptions options;
-  options.sample_every = 0.25;
-  options.window_samples = 3;
-  options.builtin_detectors = false;
-  const HealthReport report = obs::monitor_trace(trace, options);
-  ASSERT_EQ(report.series.size(), 1u);
-  const obs::SeriesStat& s = report.series[0];
-  ASSERT_EQ(s.window.size(), 3u);
-  EXPECT_DOUBLE_EQ(s.window[0].first, 1.5);
-  EXPECT_DOUBLE_EQ(s.window[2].first, 2.0);
-  EXPECT_DOUBLE_EQ(s.window[2].second, 8.0);
-}
-
-// ---------------------------------------------------------------- user rules
-
-MonitorOptions rules_only(std::string_view text, double sample_every = 0.25) {
-  MonitorOptions options;
-  options.sample_every = sample_every;
-  options.builtin_detectors = false;
-  options.rules = obs::parse_rules(text);
-  return options;
-}
-
-TEST(MonitorUserRules, ThresholdHoldsBeforeFiringAndClears) {
-  Tracer trace;
-  trace.complete(0, "phase_a", "compute", 0.0, 2.0);
-  trace.counter(0, "queue_depth", 0.125, 20.0);  // above from the start
-  trace.counter(0, "queue_depth", 1.125, 5.0);   // back below
-  trace.counter(0, "queue_depth", 1.875, 5.0);
-  const HealthReport report =
-      obs::monitor_trace(trace, rules_only("rule deep threshold queue_depth above 10 hold 2\n"));
-  ASSERT_EQ(report.incidents.size(), 1u);
-  const Incident& inc = report.incidents[0];
-  EXPECT_EQ(inc.rule, "deep");
-  EXPECT_EQ(inc.kind, "threshold");
-  EXPECT_EQ(inc.lane, 0u);
-  // Breached at boundaries 0.25 and 0.5 -> hold 2 satisfied at 0.5; value
-  // drops below by the 1.25 boundary.
-  EXPECT_DOUBLE_EQ(inc.fired, 0.5);
-  EXPECT_DOUBLE_EQ(inc.cleared, 1.25);
-  EXPECT_FALSE(inc.open);
-  EXPECT_DOUBLE_EQ(inc.value, 20.0);
-  EXPECT_EQ(inc.span, "phase_a");
-}
-
-TEST(MonitorUserRules, RateDetectsGrowthInsideTrailingWindow) {
-  Tracer trace;
-  trace.counter(0, "retries", 0.125, 1.0);
-  trace.counter(0, "retries", 1.125, 9.0);  // +8 in one sampling interval
-  trace.counter(0, "retries", 2.5, 9.0);
-  const HealthReport report =
-      obs::monitor_trace(trace, rules_only("rule surge rate retries above 5 window 0.5\n"));
-  ASSERT_EQ(report.incidents.size(), 1u);
-  EXPECT_EQ(report.incidents[0].kind, "rate");
-  EXPECT_DOUBLE_EQ(report.incidents[0].fired, 1.25);
-  EXPECT_DOUBLE_EQ(report.incidents[0].value, 8.0);
-  EXPECT_FALSE(report.incidents[0].open);
-}
-
-TEST(MonitorUserRules, AbsenceIsFleetRelative) {
-  Tracer trace;
-  for (int i = 1; i <= 8; ++i) {
-    trace.counter(0, "beat", 0.25 * i, static_cast<double>(i));
-    if (i <= 4) trace.counter(1, "beat", 0.25 * i, static_cast<double>(i));
+  trace.counter(obs::kSchedulerLane, "serve.cache_rebuilds", 10.0, 3.0);
+  const auto thrash_incidents = [&](std::uint32_t window_samples) {
+    MonitorOptions options;
+    options.sample_every = 1.0;
+    options.window_samples = window_samples;
+    return obs::monitor_trace(trace, options).incidents;
+  };
+  for (const std::uint32_t depth : {4u, 16u}) {
+    const std::vector<Incident> fired = thrash_incidents(depth);
+    ASSERT_EQ(fired.size(), 1u) << "depth " << depth;
+    EXPECT_EQ(fired[0].rule, "cache_thrash");
+    EXPECT_DOUBLE_EQ(fired[0].fired, 4.0);
+    EXPECT_DOUBLE_EQ(fired[0].value, 3.0);
   }
-  const HealthReport report =
-      obs::monitor_trace(trace, rules_only("rule stale absence beat window 0.5\n"));
-  ASSERT_EQ(report.incidents.size(), 1u);
-  const Incident& inc = report.incidents[0];
-  EXPECT_EQ(inc.lane, 1u);
-  // Lane 1's newest sample is 1.0; the fleet reaches 1.75 at the 1.75
-  // boundary, putting lane 1's gap (0.75) past the 0.5 window.
-  EXPECT_DOUBLE_EQ(inc.fired, 1.75);
-  EXPECT_TRUE(inc.open);
-}
-
-TEST(MonitorUserRules, ImbalanceComparesAgainstOtherLanes) {
-  Tracer trace;
-  trace.counter(0, "load", 0.125, 10.0);
-  trace.counter(1, "load", 0.125, 2.0);
-  trace.counter(2, "load", 0.125, 2.0);
-  const HealthReport report =
-      obs::monitor_trace(trace, rules_only("rule skew imbalance load above 2\n"));
-  ASSERT_EQ(report.incidents.size(), 1u);
-  EXPECT_EQ(report.incidents[0].lane, 0u);
-  EXPECT_DOUBLE_EQ(report.incidents[0].value, 5.0);  // 10 / mean(2, 2)
+  EXPECT_TRUE(thrash_incidents(3).empty());
 }
 
 // ----------------------------------------------------------------- detectors
@@ -342,13 +145,14 @@ TEST(MonitorDetectors, DeadRankFiresOnTheSilentLaneOnly) {
   }
   MonitorOptions options;
   options.sample_every = 0.25;
-  options.heartbeat_timeout = 0.25;
   const HealthReport report = obs::monitor_trace(trace, options);
   ASSERT_EQ(report.incidents.size(), 1u);
   const Incident& inc = report.incidents[0];
   EXPECT_EQ(inc.rule, "dead_rank");
   EXPECT_EQ(inc.lane, 1u);
-  EXPECT_DOUBLE_EQ(inc.fired, 1.5);  // fleet at 1.5, lane 1 at 1.0: gap 0.5
+  // Lane 1 last beats at 1.0. At the next boundary the fleet is at 1.25: the
+  // 0.25 s gap already exceeds kHeartbeatTimeout (0.05 s).
+  EXPECT_DOUBLE_EQ(inc.fired, 1.25);
   EXPECT_TRUE(inc.open);
 }
 
@@ -518,17 +322,21 @@ TEST(MonitorDifferential, MonitoringNeverPerturbsTheRun) {
   const ClusterRunResult on = recorded_run(data, 3, SchedulerKind::kEquiArea, plan, rec);
   const std::string trace_before = rec.trace.to_chrome_json();
   const std::string metrics_before = rec.metrics.to_json();
-  const HealthReport report = obs::monitor_trace(replay(rec.trace));
-  const std::string health = obs::health_report(report).dump();
+  const auto health_metrics = [&rec] {
+    obs::MetricsRegistry metrics;
+    obs::record_health(obs::monitor_trace(replay(rec.trace)), metrics);
+    return metrics.to_json();
+  };
+  const std::string health = health_metrics();
 
   // Selections are bit-identical with monitoring off.
   EXPECT_EQ(on.greedy.combinations(), off.greedy.combinations());
   EXPECT_DOUBLE_EQ(on.total_time, off.total_time);
   // Monitoring is a pure read: the primary artifacts are byte-identical
-  // before and after, and a second replay renders a byte-identical document.
+  // before and after, and a second replay records byte-identical counters.
   EXPECT_EQ(rec.trace.to_chrome_json(), trace_before);
   EXPECT_EQ(rec.metrics.to_json(), metrics_before);
-  EXPECT_EQ(obs::health_report(obs::monitor_trace(replay(rec.trace))).dump(), health);
+  EXPECT_EQ(health_metrics(), health);
 }
 
 // ------------------------------------------------------ incident properties
@@ -569,18 +377,54 @@ TEST(MonitorProperties, IncidentsAreWellFormedUnderRandomFaultPlans) {
   }
 }
 
-// ------------------------------------------------------------ schema + docs
+// ------------------------------------------------------------ metrics + docs
 
-TEST(MonitorSchema, HealthDocumentIsStableAndTagged) {
+TEST(MonitorMetrics, RecordHealthCountsEveryGroupAndTheTotal) {
+  HealthReport groups;
+  groups.incidents.resize(3);
+  groups.incidents[0].rule = "dead_rank";
+  groups.incidents[0].lane = 1;
+  groups.incidents[1] = groups.incidents[0];
+  groups.incidents[2].rule = "tenant_starvation";
+  groups.incidents[2].lane = obs::kSchedulerLane;
+  groups.incidents[2].tenant = "bronze";
+  obs::MetricsRegistry metrics;
+  obs::record_health(groups, metrics);
+  EXPECT_EQ(metrics.series_count(), 3u);
+  EXPECT_DOUBLE_EQ(metrics.counter("health.incidents").value(), 3.0);
+  EXPECT_DOUBLE_EQ(
+      metrics.counter("health.incidents", {{"lane", "1"}, {"rule", "dead_rank"}}).value(), 2.0);
+  EXPECT_DOUBLE_EQ(metrics
+                       .counter("health.incidents",
+                                {{"lane", std::to_string(obs::kSchedulerLane)},
+                                 {"rule", "tenant_starvation"},
+                                 {"tenant", "bronze"}})
+                       .value(),
+                   1.0);
+  EXPECT_EQ(metrics.series_count(), 3u) << "every lookup above hit a recorded series";
+
+  // A silent trace still records the total, at 0.
+  obs::MetricsRegistry silent;
+  obs::record_health(obs::monitor_trace(Tracer{}), silent);
+  EXPECT_EQ(silent.to_json(),
+            "{\"schema\":\"multihit.metrics.v1\",\"counters\":[{\"name\":\"health.incidents\","
+            "\"labels\":{},\"value\":0}],\"gauges\":[],\"histograms\":[]}");
+
+  // A monitored crash run: the total is the incident count, and two
+  // replays record byte-identical snapshots.
   const Dataset data = small_dataset(811);
+  FaultPlan plan;
+  plan.events.push_back({FaultKind::kRankCrash, 1, 1, 0.5, 1});
   obs::Recorder rec;
-  recorded_run(data, 3, SchedulerKind::kEquiArea, {}, rec);
+  recorded_run(data, 3, SchedulerKind::kEquiArea, plan, rec);
   const HealthReport report = obs::monitor_trace(replay(rec.trace));
-  const JsonValue doc = obs::health_report(report);
-  EXPECT_EQ(doc.find("schema")->as_string(), obs::kHealthSchema);
-  // dump -> parse -> dump is a fixed point, and re-rendering is idempotent.
-  EXPECT_EQ(JsonValue::parse(doc.dump()).dump(), doc.dump());
-  EXPECT_EQ(obs::health_report(report).dump(), doc.dump());
+  ASSERT_FALSE(report.incidents.empty());
+  obs::MetricsRegistry once, again;
+  obs::record_health(report, once);
+  obs::record_health(obs::monitor_trace(replay(rec.trace)), again);
+  EXPECT_DOUBLE_EQ(once.counter("health.incidents").value(),
+                   static_cast<double>(report.incidents.size()));
+  EXPECT_EQ(once.to_json(), again.to_json());
 }
 
 TEST(MonitorSchema, TruthRoundTripsAndNamesBothSchemasOnMismatch) {
@@ -642,6 +486,25 @@ TEST(MonitorCrosscheck, AgreesWithConsistentMetricsAndFlagsTampering) {
   const std::vector<std::string> mismatches = obs::health_crosscheck(report, tampered);
   ASSERT_EQ(mismatches.size(), 1u);
   EXPECT_NE(mismatches[0].find("dead_rank"), std::string::npos) << mismatches[0];
+
+  // The health.incidents series, once recorded, must equal the replay's.
+  obs::record_health(report, rec.metrics);
+  EXPECT_TRUE(obs::health_crosscheck(report, rec.metrics.snapshot()).empty());
+
+  // A group the replay never records is named.
+  rec.metrics.counter("health.incidents", {{"lane", "2"}, {"rule", "dead_rank"}}).add();
+  const std::vector<std::string> stray = obs::health_crosscheck(report, rec.metrics.snapshot());
+  ASSERT_EQ(stray.size(), 1u);
+  EXPECT_NE(stray[0].find("\"lane\":\"2\""), std::string::npos) << stray[0];
+
+  // So is a total above the replay's; the unlabeled total sorts first.
+  rec.metrics.counter("health.incidents").add();
+  const std::vector<std::string> extra = obs::health_crosscheck(report, rec.metrics.snapshot());
+  ASSERT_EQ(extra.size(), 1u);
+  EXPECT_NE(extra[0].find("\"labels\":{},\"value\":" +
+                          std::to_string(report.incidents.size() + 1)),
+            std::string::npos)
+      << extra[0];
 }
 
 TEST(MonitorAnnotate, AddsOneHealthInstantPerIncident) {

@@ -248,7 +248,7 @@ TEST(SloReport, SchemaAndDeterministicDump) {
 
 TEST(SloInputJson, RejectsWrongSchemaAndIllShapedJobs) {
   JsonValue doc = JsonValue::object();
-  doc.set("schema", std::string("multihit.health.v1"));
+  doc.set("schema", std::string(obs::kMetricsSchema));
   EXPECT_THROW(obs::slo_input_from_serve_json(doc), SloError);
 
   doc.set("schema", std::string(obs::kServeSchema));
