@@ -15,6 +15,7 @@
 
 #include "bitmat/bitops.hpp"
 #include "combinat/linearize.hpp"
+#include "combinat/unrank.hpp"
 #include "core/engine.hpp"
 #include "core/hostsweep.hpp"
 #include "core/schemes.hpp"
@@ -87,6 +88,22 @@ void BM_UnrankTripleLogExp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnrankTripleLogExp);
+
+// unrank_combination of λ into 3 digits, the kernel's reposition after a
+// block skip on a 3x1 space: λ cycles through 1024 uniform ranks of the
+// sweep4 shape's C(72, 3) threads.
+void BM_UnrankFlat3(benchmark::State& state) {
+  Rng rng(6);
+  std::vector<std::uint64_t> lambdas(1024);
+  for (auto& lambda : lambdas) lambda = rng.uniform(tetrahedral(72));
+  std::array<std::uint32_t, 3> digits{};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    unrank_combination(lambdas[i++ & 1023], std::span<std::uint32_t>(digits));
+    benchmark::DoNotOptimize(digits);
+  }
+}
+BENCHMARK(BM_UnrankFlat3);
 
 /// Full-range kernel passes over `data`; items/s is combinations/s on one
 /// thread, pruned ones included.
@@ -248,6 +265,93 @@ void BM_LazyGreedyCover2(benchmark::State& state) {
   state.counters["iterations"] = static_cast<double>(iterations);
 }
 BENCHMARK(BM_LazyGreedyCover2)->ArgName("lazy")->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The wallbench sweep4 shape: 72 genes, 120/80 samples, 5 planted
+/// 4-gene combinations.
+SyntheticSpec sweep4_spec() {
+  SyntheticSpec spec;
+  spec.genes = 72;
+  spec.tumor_samples = 120;
+  spec.normal_samples = 80;
+  spec.hits = 4;
+  spec.num_combinations = 5;
+  spec.background_rate = 0.012;
+  spec.seed = 7;
+  return spec;
+}
+
+// One whole-space 3x1 evaluation of a sweep4 dataset the way the kernel
+// evaluator runs a session's first iteration: the row-count table and the
+// greedy floor are taken once outside the loop, and the kernel scans cold.
+// carried:1 hands it fresh CarriedBounds (reset to cold each call), which
+// it fills as it goes; carried:0 passes none.
+void BM_ColdEvaluateSweep4(benchmark::State& state) {
+  const bool with_bounds = state.range(0) != 0;
+  const Dataset data = generate_dataset(sweep4_spec());
+  const FContext ctx{FParams{}, data.tumor_samples(), data.normal_samples()};
+  const Scheme scheme{4, 3};
+  const u64 total = scheme_threads(scheme, data.genes());
+  std::vector<std::uint64_t> row_counts(data.genes());
+  tumor_row_counts(data.tumor, row_counts);
+  const double floor = greedy_floor(data.tumor, data.normal, ctx, 4, row_counts);
+  KernelCounts counts;
+  for (auto _ : state) {
+    CarriedBounds bounds;
+    CarriedBounds* carried = with_bounds && bounds.begin(data.tumor, ctx, 4) ? &bounds : nullptr;
+    counts = {};
+    benchmark::DoNotOptimize(evaluate_range(data.tumor, data.normal, ctx, scheme, 0, total,
+                                            floor, &counts, carried, row_counts));
+  }
+  state.counters["combinations"] = static_cast<double>(counts.combinations);
+  state.counters["pruned"] = static_cast<double>(counts.pruned);
+}
+BENCHMARK(BM_ColdEvaluateSweep4)->ArgName("carried")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The second evaluation of a sweep4 greedy solve, the first with warm
+// carried bounds: its spliced tumor matrix, context and the bounds the
+// first evaluation left are captured once; each call evaluates the whole
+// 3x1 space on a fresh copy of those bounds (copying them is timed too),
+// with the iteration's floor and row-count table taken outside the loop.
+void BM_WarmEvaluateSweep4(benchmark::State& state) {
+  const Dataset data = generate_dataset(sweep4_spec());
+  EngineConfig config;
+  config.hits = 4;
+  const Evaluator kernel = make_kernel_evaluator(4);
+  BitMatrix tumor;
+  FContext ctx;
+  CarriedBounds captured;
+  std::uint32_t evaluations = 0;
+  (void)run_greedy(data.tumor, data.normal, config,
+                   [&](const BitMatrix& spliced, const BitMatrix& normal, const FContext& at) {
+                     if (++evaluations == 2) {
+                       tumor = spliced;
+                       ctx = at;
+                       ctx.carried = nullptr;  // the session's, gone after run_greedy
+                       captured = *at.carried;
+                     }
+                     return kernel(spliced, normal, at);
+                   });
+  if (evaluations < 2 || !captured.warm()) {
+    state.SkipWithError("the sweep4 solve has no warm second evaluation");
+    return;
+  }
+  const Scheme scheme{4, 3};
+  const u64 total = scheme_threads(scheme, tumor.genes());
+  std::vector<std::uint64_t> row_counts(tumor.genes());
+  tumor_row_counts(tumor, row_counts);
+  const double floor = greedy_floor(tumor, data.normal, ctx, 4, row_counts);
+  KernelCounts counts;
+  for (auto _ : state) {
+    CarriedBounds bounds = captured;
+    if (!bounds.begin(tumor, ctx, 4)) state.SkipWithError("the captured bounds do not apply");
+    counts = {};
+    benchmark::DoNotOptimize(evaluate_range(tumor, data.normal, ctx, scheme, 0, total, floor,
+                                            &counts, &bounds, row_counts));
+  }
+  state.counters["threads_skipped"] = static_cast<double>(counts.threads_skipped);
+  state.counters["pruned"] = static_cast<double>(counts.pruned);
+}
+BENCHMARK(BM_WarmEvaluateSweep4)->Unit(benchmark::kMicrosecond);
 
 // One greedy_floor on the tumor matrix of a cover2 solve's 30th iteration
 // (of ~60), spliced by the 29 combinations selected before it. given:1

@@ -9,7 +9,7 @@ namespace multihit {
 u64 rank_combination(std::span<const std::uint32_t> combo) noexcept {
   u64 lambda = 0;
   for (std::size_t t = 0; t < combo.size(); ++t) {
-    lambda += binomial(combo[t], static_cast<u64>(t) + 1);
+    lambda += choose(combo[t], static_cast<u64>(t) + 1);
   }
   return lambda;
 }
@@ -25,6 +25,8 @@ std::uint32_t colex_top(u64 lambda, std::uint32_t k) noexcept {
       return tetrahedral_level(lambda);
     case 4:
       return quartic_level(lambda);
+    case 5:
+      return quintic_level(lambda);
     default:
       break;
   }
@@ -58,7 +60,7 @@ void unrank_combination(u64 lambda, std::span<std::uint32_t> combo) noexcept {
   for (auto t = static_cast<std::uint32_t>(combo.size()); t >= 1; --t) {
     const std::uint32_t c = colex_top(rem, t);
     combo[t - 1] = c;
-    rem -= binomial(c, t);
+    rem -= choose(c, t);
   }
 }
 

@@ -16,30 +16,6 @@ namespace multihit {
 
 namespace {
 
-// C(n, k) with closed forms up to k = 5; beyond that the checked generic
-// loop runs. Ranks and their bounds are computed on every F tie, which is
-// common on real data, so the closed forms (inlined into the tie path)
-// matter. Each is exact whenever C(n, k) fits u64, and callers only ask for
-// values bounded by C(G, hits), which check_scheme proved fits.
-[[gnu::always_inline]] inline u64 choose(u64 n, std::uint32_t k) noexcept {
-  switch (k) {
-    case 0:
-      return 1;
-    case 1:
-      return n;
-    case 2:
-      return triangular(n);
-    case 3:
-      return tetrahedral(n);
-    case 4:
-      return quartic(n);
-    case 5:
-      return quintic(n);
-    default:
-      return binomial(n, k);
-  }
-}
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 void check_scheme(Scheme scheme, std::uint32_t genes) {
@@ -67,14 +43,28 @@ void check_row_counts(const char* who, std::span<const std::uint64_t> row_counts
   }
 }
 
+// The first thread of the zero-work tail, C(G - d, f): from it on the top
+// flat gene leaves fewer than d = hits - flat genes above it, so the thread
+// owns no combination. The top flat gene never decreases along λ, so the
+// tail runs to the end of the space; with d = 0 it is empty.
+std::uint64_t tail_begin(Scheme scheme, std::uint32_t genes) noexcept {
+  const std::uint32_t d = scheme.hits - scheme.flat;
+  if (d == 0) return choose(genes, scheme.flat);
+  return genes >= d ? choose(genes - d, scheme.flat) : 0;
+}
+
 // scheme_range_work without the checks: Σ C(G-1-top, d) over the levels
-// of threads sharing their top flat gene.
+// of threads sharing their top flat gene, up to the zero-work tail.
 std::uint64_t range_work(Scheme scheme, std::uint32_t genes, std::uint64_t begin,
                          std::uint64_t end) noexcept {
-  if (begin >= end) return 0;
   const std::uint32_t f = scheme.flat;
   const std::uint32_t d = scheme.hits - f;
-  if (d == 0) return end - begin;
+  if (d == 0) return begin < end ? end - begin : 0;
+  const std::uint64_t tail = tail_begin(scheme, genes);
+  end = std::min(end, tail);
+  if (begin >= end) return 0;
+  // Every h-combination belongs to exactly one thread.
+  if (begin == 0 && end == tail) return choose(genes, scheme.hits);
   // One thread per level: Σ_{t in [begin, end)} C(G-1-t, d), hockey stick.
   if (f == 1) return choose(genes - begin, d + 1) - choose(genes - end, d + 1);
   std::uint64_t work = 0;
@@ -197,12 +187,29 @@ class BestTracker {
 #define MULTIHIT_TARGET_POPCNT
 #endif
 
+// A row's popcount with four accumulators, which keep four popcounts in
+// flight; one dependency chain measured about twice as slow on 25-word rows.
+// Inlined into each compiled body below, so it runs as POPCNT in theirs.
+[[gnu::always_inline]] inline std::uint64_t count_words(
+    std::span<const std::uint64_t> row) noexcept {
+  std::uint64_t n[4] = {0, 0, 0, 0};
+  std::size_t w = 0;
+  for (; w + 4 <= row.size(); w += 4) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      n[k] += static_cast<std::uint64_t>(std::popcount(row[w + k]));
+    }
+  }
+  for (; w < row.size(); ++w) n[0] += static_cast<std::uint64_t>(std::popcount(row[w]));
+  return n[0] + n[1] + n[2] + n[3];
+}
+
 // The kernel's row operations for one row-width class. kInline (both
 // matrices' rows are 1-2 words): AND and count in place, tallying the calls
 // the dispatched kernels would have counted so the range can credit them
 // once; otherwise the dispatched and_popcount / and_rows. The one-row count
-// of the prefix bound is always inline: std::popcount is a single
-// instruction in the target("popcnt") bodies.
+// of the prefix bound is always inline, with four accumulators on wider
+// rows: std::popcount is a single instruction in the target("popcnt")
+// bodies.
 template <bool kInline>
 struct RowOps {
   BitopsCallCounts calls;
@@ -234,9 +241,13 @@ struct RowOps {
   }
 
   [[gnu::always_inline]] static std::uint64_t count(std::span<const std::uint64_t> row) noexcept {
-    std::uint64_t n = 0;
-    for (const std::uint64_t word : row) n += static_cast<std::uint64_t>(std::popcount(word));
-    return n;
+    if constexpr (kInline) {
+      std::uint64_t n = static_cast<std::uint64_t>(std::popcount(row[0]));
+      if (row.size() > 1) n += static_cast<std::uint64_t>(std::popcount(row[1]));
+      return n;
+    } else {
+      return count_words(row);
+    }
   }
 };
 
@@ -256,6 +267,7 @@ template <bool kInline>
   const std::uint32_t d = h - f;  // inner loops
   const std::size_t wt = tumor.words_per_row();
   const std::size_t wn = normal.words_per_row();
+  const std::uint64_t tail = tail_begin(scheme, genes);  // threads from here own nothing
   RowOps<kInline> ops;
   BestTracker best(ctx, floor, 64 * wt);
   std::uint64_t reached = 0;     // combinations that reach the innermost gene
@@ -381,7 +393,9 @@ template <bool kInline>
       } else {
         ops.and_rows(tslot[s], tslot[s - 1], trow);
       }
-      const std::uint64_t tp = ops.count(tslot[s]);
+      // Slot 0 holds one gene's row: its count is in the evaluation's table.
+      const std::uint64_t tp =
+          s == 0 && !row_counts.empty() ? row_counts[genes_at[0]] : ops.count(tslot[s]);
       slot_count = tp;
       if (tp < best.need_win() && (tp < best.need() || best.outranks(rho(s)))) return s;
       const auto nrow = normal.row(genes_at[s]);
@@ -461,94 +475,102 @@ template <bool kInline>
         continue;
       }
     }
+    if (lambda >= tail) {
+      // The zero-work tail: no thread from here to the end owns a
+      // combination. Cold, nothing is left to do. With carried bounds each
+      // block still opens, so its bound is stored, and the jump lands on
+      // the next block boundary, whose warm block test runs and counts the
+      // threads it skips as the per-thread walk did.
+      if (!lazy) break;
+      enter(lambda >> block_shift);
+      lambda = next_block;
+      positioned = false;
+      continue;
+    }
     if (!positioned) {
       unrank_combination(lambda, std::span<std::uint32_t>(c.data(), f));
       for (std::uint32_t k = 0; k < f; ++k) genes_at[f - 1 - k] = c[k];
       stale = 0;
       positioned = true;
     }
-    if (d == 0 || genes - 1 - c[f - 1] >= d) {
-      // Warm, the thread is tested on its bound once the slots a cut run
-      // would share are folded, before the last flat slot, whose cut skips
-      // this thread alone. Its combinations rank at least λ + C(top + 1, h)
-      // (d == 1).
-      const std::uint32_t shared = warm ? f - 1 : flat_slots;
-      std::uint32_t cut = fold(stale, shared);
-      if (cut == shared && shared < flat_slots) {
-        const double bound = carried->thread_bound(lambda);
-        if (best.cuts(bound / denom, [&] { return lambda + choose(c[f - 1] + 1, h); })) {
-          enter(lambda >> block_shift);
-          acc = std::max(acc, bound);
-          ++skipped;
-          stale = shared;
-          advance();
-          continue;
-        }
-        cut = fold(shared, flat_slots);
+    // Warm, the thread is tested on its bound once the slots a cut run
+    // would share are folded, before the last flat slot, whose cut skips
+    // this thread alone. Its combinations rank at least λ + C(top + 1, h)
+    // (d == 1).
+    const std::uint32_t shared = warm ? f - 1 : flat_slots;
+    std::uint32_t cut = fold(stale, shared);
+    if (cut == shared && shared < flat_slots) {
+      const double bound = carried->thread_bound(lambda);
+      if (best.cuts(bound / denom, [&] { return lambda + choose(c[f - 1] + 1, h); })) {
+        enter(lambda >> block_shift);
+        acc = std::max(acc, bound);
+        ++skipped;
+        stale = shared;
+        advance();
+        continue;
       }
-      stale = cut;
-      if (cut < flat_slots) {
-        // Every thread sharing genes_at[0..cut] is cut: jump the colex
-        // digits below the cut slot's gene to their last values (the run's
-        // last λ).
-        const std::uint32_t low = f - 1 - cut;
-        std::uint64_t run_last = lambda;
-        for (std::uint32_t j = 0; j < low; ++j) {
-          const std::uint32_t top = c[low] - low + j;
-          run_last += choose(top, j + 1) - choose(c[j], j + 1);
-          c[j] = top;
-          genes_at[f - 1 - j] = top;
-        }
-        // Every combination of the run extends the cut prefix.
-        if (lazy) note_run(lambda, std::min(run_last, end - 1), f_numerator(ctx, slot_count, 0));
-        lambda = run_last;
-      } else if (d == 0) {
-        // One combination per thread, of rank λ; its smallest gene is the
-        // innermost.
-        ++reached;
-        leaf(c[0], [&] { return lambda; }, [&] { return lambda; });
-      } else {
-        x[0] = c[f - 1];
-        for (std::uint32_t l = 1; l < d; ++l) genes_at[f - 1 + l] = x[l] = x[0] + l;
-        std::uint32_t inner_stale = f;  // first inner slot to refold
-        scored_max = -kInf;
-        cut_max = 0;
-        for (;;) {
-          const std::uint32_t inner_cut = fold(inner_stale, h - 1);
-          // l: the deepest inner digit whose subtree is finished.
-          std::uint32_t l = d - 1;
-          if (inner_cut < h - 1) {
-            l = inner_cut - (f - 1);
-          } else {
-            for (std::uint32_t last = x[d - 1] + 1; last < genes; ++last) {
-              // Flat genes are the f smallest, so their colex digits sum to λ.
-              leaf(last, [&] { return lambda + choose(last, h); }, [&] {
-                std::uint64_t rank = lambda + choose(last, h);
-                for (std::uint32_t k = 1; k < d; ++k) rank += choose(x[k], f + k);
-                return rank;
-              });
-            }
-            reached += genes - 1 - x[d - 1];
+      cut = fold(shared, flat_slots);
+    }
+    stale = cut;
+    if (cut < flat_slots) {
+      // Every thread sharing genes_at[0..cut] is cut: jump the colex
+      // digits below the cut slot's gene to their last values (the run's
+      // last λ).
+      const std::uint32_t low = f - 1 - cut;
+      std::uint64_t run_last = lambda;
+      for (std::uint32_t j = 0; j < low; ++j) {
+        const std::uint32_t top = c[low] - low + j;
+        run_last += choose(top, j + 1) - choose(c[j], j + 1);
+        c[j] = top;
+        genes_at[f - 1 - j] = top;
+      }
+      // Every combination of the run extends the cut prefix.
+      if (lazy) note_run(lambda, std::min(run_last, end - 1), f_numerator(ctx, slot_count, 0));
+      lambda = run_last;
+    } else if (d == 0) {
+      // One combination per thread, of rank λ; its smallest gene is the
+      // innermost.
+      ++reached;
+      leaf(c[0], [&] { return lambda; }, [&] { return lambda; });
+    } else {
+      x[0] = c[f - 1];
+      for (std::uint32_t l = 1; l < d; ++l) genes_at[f - 1 + l] = x[l] = x[0] + l;
+      std::uint32_t inner_stale = f;  // first inner slot to refold
+      scored_max = -kInf;
+      cut_max = 0;
+      for (;;) {
+        const std::uint32_t inner_cut = fold(inner_stale, h - 1);
+        // l: the deepest inner digit whose subtree is finished.
+        std::uint32_t l = d - 1;
+        if (inner_cut < h - 1) {
+          l = inner_cut - (f - 1);
+        } else {
+          for (std::uint32_t last = x[d - 1] + 1; last < genes; ++last) {
+            // Flat genes are the f smallest, so their colex digits sum to λ.
+            leaf(last, [&] { return lambda + choose(last, h); }, [&] {
+              std::uint64_t rank = lambda + choose(last, h);
+              for (std::uint32_t k = 1; k < d; ++k) rank += choose(x[k], f + k);
+              return rank;
+            });
           }
-          // Lexicographic successor of the inner prefix, x[l] <= G-1-(d-l),
-          // from digit l (the digits below a cut digit are skipped whole).
-          while (l >= 1 && x[l] == genes - 1 - (d - l)) --l;
-          if (l == 0) break;
-          ++x[l];
-          for (std::uint32_t k = l + 1; k < d; ++k) x[k] = x[k - 1] + 1;
-          for (std::uint32_t k = l; k < d; ++k) genes_at[f - 1 + k] = x[k];
-          inner_stale = f - 1 + l;
+          reached += genes - 1 - x[d - 1];
         }
-        if (lazy) {
-          // No leaf covers more than the prefix, whose count bounds a row
-          // count the tumor AND was skipped on.
-          const double cut_bound =
-              cut_max == 0 ? -kInf : f_numerator(ctx, std::min(cut_max - 1, slot_count), 0);
-          note_thread(lambda, std::max(scored_max, cut_bound));
-        }
+        // Lexicographic successor of the inner prefix, x[l] <= G-1-(d-l),
+        // from digit l (the digits below a cut digit are skipped whole).
+        while (l >= 1 && x[l] == genes - 1 - (d - l)) --l;
+        if (l == 0) break;
+        ++x[l];
+        for (std::uint32_t k = l + 1; k < d; ++k) x[k] = x[k - 1] + 1;
+        for (std::uint32_t k = l; k < d; ++k) genes_at[f - 1 + k] = x[k];
+        inner_stale = f - 1 + l;
       }
-    } else if (lazy) {
-      enter(lambda >> block_shift);  // a thread with no combinations
+      if (lazy) {
+        // No leaf covers more than the prefix, whose count bounds a row
+        // count the tumor AND was skipped on.
+        const double cut_bound =
+            cut_max == 0 ? -kInf : f_numerator(ctx, std::min(cut_max - 1, slot_count), 0);
+        note_thread(lambda, std::max(scored_max, cut_bound));
+      }
     }
 
     advance();
@@ -602,24 +624,10 @@ __attribute__((aligned(64))) EvalResult scan_portable(const BitMatrix& tumor,
 }
 
 // tumor_row_counts' loop, compiled for POPCNT and for the baseline target
-// like the scan bodies above. Four accumulators keep four popcounts in
-// flight; one chain measured about twice as slow on 25-word rows.
+// like the scan bodies above.
 [[gnu::always_inline]] inline void count_rows(const BitMatrix& tumor,
                                               std::span<std::uint64_t> counts) {
-  const std::uint32_t genes = tumor.genes();
-  const std::size_t words = tumor.words_per_row();
-  for (std::uint32_t g = 0; g < genes; ++g) {
-    const std::uint64_t* row = tumor.row(g).data();
-    std::uint64_t n[4] = {0, 0, 0, 0};
-    std::size_t w = 0;
-    for (; w + 4 <= words; w += 4) {
-      for (std::size_t k = 0; k < 4; ++k) {
-        n[k] += static_cast<std::uint64_t>(std::popcount(row[w + k]));
-      }
-    }
-    for (; w < words; ++w) n[0] += static_cast<std::uint64_t>(std::popcount(row[w]));
-    counts[g] = n[0] + n[1] + n[2] + n[3];
-  }
+  for (std::uint32_t g = 0; g < tumor.genes(); ++g) counts[g] = count_words(tumor.row(g));
 }
 
 MULTIHIT_TARGET_POPCNT void count_rows_popcnt(const BitMatrix& tumor,
@@ -629,6 +637,81 @@ MULTIHIT_TARGET_POPCNT void count_rows_popcnt(const BitMatrix& tumor,
 
 void count_rows_portable(const BitMatrix& tumor, std::span<std::uint64_t> counts) {
   count_rows(tumor, counts);
+}
+
+// greedy_floor's working buffers: kept per thread, like the kernel's fold
+// scratch, so no floor allocates after a thread's first at a given size.
+struct FloorScratch {
+  std::vector<std::uint64_t> counts;  // the row-count table, when none is given
+  std::vector<std::uint32_t> start;   // counting-sort bucket starts
+  std::vector<std::uint32_t> order;   // genes by row count descending
+  std::vector<std::uint64_t> prefix;  // AND of the picked genes' tumor rows
+  std::vector<std::uint32_t> combo;   // the picked genes
+};
+
+// greedy_floor once its row-count table is at hand, for one row-width class
+// (RowOps): kInline ANDs and counts 1-2-word tumor rows in place and credits
+// the calls the dispatched kernels would have counted.
+template <bool kInline>
+[[gnu::always_inline]] inline double floor_body(const BitMatrix& tumor, const BitMatrix& normal,
+                                                const FContext& ctx, std::uint32_t hits,
+                                                std::span<const std::uint64_t> row_counts,
+                                                FloorScratch& scratch) {
+  const std::uint32_t genes = tumor.genes();
+  RowOps<kInline> ops;
+  // Step 0 keeps a whole row: the pick is the largest row count, the lowest
+  // index on ties.
+  std::uint32_t pick = static_cast<std::uint32_t>(
+      std::max_element(row_counts.begin(), row_counts.end()) - row_counts.begin());
+  std::uint64_t tp = row_counts[pick];
+  std::vector<std::uint32_t>& combo = scratch.combo;
+  combo.assign(1, pick);
+  if (hits > 1) {
+    // Later steps visit genes by row count descending, ties by index
+    // ascending: a stable counting sort keyed on tp - count.
+    std::vector<std::uint32_t>& start = scratch.start;
+    start.assign(tp + 2, 0);
+    for (const std::uint64_t n : row_counts) ++start[tp - n + 1];
+    for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+    std::vector<std::uint32_t>& order = scratch.order;
+    order.resize(genes);
+    for (std::uint32_t g = 0; g < genes; ++g) order[start[tp - row_counts[g]]++] = g;
+
+    const auto first = tumor.row(pick);
+    std::vector<std::uint64_t>& prefix = scratch.prefix;
+    prefix.assign(first.begin(), first.end());
+    for (std::uint32_t step = 1; step < hits; ++step) {
+      // A gene keeps at most its row count, so once counts fall below the
+      // best kept so far no later gene can beat or tie the pick.
+      pick = genes;
+      for (const std::uint32_t g : order) {
+        if (pick != genes && row_counts[g] < tp) break;
+        if (std::find(combo.begin(), combo.end(), g) != combo.end()) continue;
+        const std::uint64_t kept = ops.and_popcount(prefix, tumor.row(g));
+        if (pick == genes || kept > tp || (kept == tp && g < pick)) {
+          pick = g;
+          tp = kept;
+        }
+      }
+      combo.push_back(pick);
+      ops.and_rows(prefix, prefix, tumor.row(pick));
+    }
+  }
+  if constexpr (kInline) credit_inline_calls(ops.calls);
+  return f_score(ctx, tp, normal.intersect_count(combo));
+}
+
+MULTIHIT_TARGET_POPCNT double floor_popcnt_inline(const BitMatrix& tumor, const BitMatrix& normal,
+                                                  const FContext& ctx, std::uint32_t hits,
+                                                  std::span<const std::uint64_t> row_counts,
+                                                  FloorScratch& scratch) {
+  return floor_body<true>(tumor, normal, ctx, hits, row_counts, scratch);
+}
+
+double floor_dispatched(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
+                        std::uint32_t hits, std::span<const std::uint64_t> row_counts,
+                        FloorScratch& scratch) {
+  return floor_body<false>(tumor, normal, ctx, hits, row_counts, scratch);
 }
 
 }  // namespace
@@ -723,47 +806,18 @@ double greedy_floor(const BitMatrix& tumor, const BitMatrix& normal, const FCont
   const std::uint32_t genes = tumor.genes();
   check_row_counts("greedy_floor", row_counts, genes);
   if (hits == 0 || genes < hits) return kNoFloor;
-  std::vector<std::uint64_t> own;
+  thread_local FloorScratch scratch;
   if (row_counts.empty()) {
-    own.resize(genes);
-    tumor_row_counts(tumor, own);
-    row_counts = own;
+    scratch.counts.resize(genes);
+    tumor_row_counts(tumor, scratch.counts);
+    row_counts = std::span<const std::uint64_t>(scratch.counts.data(), genes);
   }
-  // Step 0 keeps a whole row: the pick is the largest row count, the lowest
-  // index on ties.
-  std::uint32_t pick = static_cast<std::uint32_t>(
-      std::max_element(row_counts.begin(), row_counts.end()) - row_counts.begin());
-  std::uint64_t tp = row_counts[pick];
-  std::vector<std::uint32_t> combo{pick};
-  if (hits > 1) {
-    // Later steps visit genes by row count descending, ties by index
-    // ascending: a stable counting sort keyed on tp - count.
-    std::vector<std::uint32_t> start(tp + 2, 0);
-    for (const std::uint64_t n : row_counts) ++start[tp - n + 1];
-    for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
-    std::vector<std::uint32_t> order(genes);
-    for (std::uint32_t g = 0; g < genes; ++g) order[start[tp - row_counts[g]]++] = g;
-
-    const auto first = tumor.row(pick);
-    std::vector<std::uint64_t> prefix(first.begin(), first.end());
-    for (std::uint32_t step = 1; step < hits; ++step) {
-      // A gene keeps at most its row count, so once counts fall below the
-      // best kept so far no later gene can beat or tie the pick.
-      pick = genes;
-      for (const std::uint32_t g : order) {
-        if (pick != genes && row_counts[g] < tp) break;
-        if (std::find(combo.begin(), combo.end(), g) != combo.end()) continue;
-        const std::uint64_t kept = and_popcount(prefix, tumor.row(g));
-        if (pick == genes || kept > tp || (kept == tp && g < pick)) {
-          pick = g;
-          tp = kept;
-        }
-      }
-      combo.push_back(pick);
-      and_rows(prefix, prefix, tumor.row(pick));
-    }
+  // The inline body rides on the AVX2 gate, as the scan bodies do.
+  const std::size_t words = tumor.words_per_row();
+  if (active_backend() == BitopsBackend::kAvx2 && words >= 1 && words <= 2) {
+    return floor_popcnt_inline(tumor, normal, ctx, hits, row_counts, scratch);
   }
-  return f_score(ctx, tp, normal.intersect_count(combo));
+  return floor_dispatched(tumor, normal, ctx, hits, row_counts, scratch);
 }
 
 bool CarriedBounds::begin(const BitMatrix& tumor, const FContext& ctx, std::uint32_t hits) {

@@ -109,8 +109,10 @@ std::uint64_t scheme_threads(Scheme scheme, std::uint32_t genes);
 std::uint64_t scheme_thread_work(Scheme scheme, std::uint32_t genes, std::uint64_t lambda);
 
 /// Combinations owned by threads [begin, end): the sum of
-/// scheme_thread_work over the range, in closed form per level. Requires a
-/// valid scheme and end <= scheme_threads().
+/// scheme_thread_work over the range, in closed form per level, clipped at
+/// the zero-work tail (threads from C(genes - (hits - flat), flat) on own
+/// nothing). The whole space is C(genes, hits), in O(1). Requires a valid
+/// scheme and end <= scheme_threads().
 std::uint64_t scheme_range_work(Scheme scheme, std::uint32_t genes, std::uint64_t begin,
                                 std::uint64_t end);
 
@@ -229,6 +231,18 @@ void tumor_row_counts(const BitMatrix& tumor, std::span<std::uint64_t> counts);
 /// evaluation that passes its table counts them once rather than once per
 /// chunk. Either way the result and every count are the same. A non-empty
 /// table whose size is not genes() throws std::invalid_argument.
+///
+/// Cost: the scan visits only threads that own combinations. With
+/// d = hits - flat >= 1, threads from C(genes - d, flat) on own none (their
+/// top flat gene leaves fewer than d genes above it) and the top flat gene
+/// never decreases along λ, so that zero-work tail runs to the end of the
+/// space: without `carried` the scan stops there; with it, it steps from
+/// block boundary to block boundary, storing each tail block's bound and
+/// running the warm block test at each, so threads_skipped counts the tail
+/// blocks it skips as a thread-by-thread walk would. Repositioning after a
+/// block skip unranks λ with closed-form binomials (no 128-bit division),
+/// and the range's combination count is scheme_range_work, O(1) for the
+/// whole space.
 EvalResult evaluate_range(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                           Scheme scheme, std::uint64_t begin, std::uint64_t end,
                           double floor = kNoFloor, KernelCounts* counts = nullptr,
@@ -251,6 +265,13 @@ EvalResult evaluate_range(const BitMatrix& tumor, const BitMatrix& normal, const
 /// evaluation's tumor_row_counts table; empty, the call counts the rows
 /// itself. A non-empty table whose size is not genes() throws
 /// std::invalid_argument.
+///
+/// No call allocates after a thread's first at a given size: the buffers
+/// (sort order, prefix row, picks, own row counts) are thread-local, for
+/// any `hits`. Under the AVX2 bitops backend, on tumor rows of 1-2 words,
+/// the ANDs and counts run inline and their calls are credited through
+/// credit_inline_calls, so thread_bitops_calls reads the same under every
+/// backend.
 double greedy_floor(const BitMatrix& tumor, const BitMatrix& normal, const FContext& ctx,
                     std::uint32_t hits, std::span<const std::uint64_t> row_counts = {});
 

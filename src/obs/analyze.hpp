@@ -106,8 +106,11 @@ TraceAnalysis analyze_trace(const Tracer& tracer);
 /// id. Throws AnalysisError on documents that do not have that shape.
 Tracer tracer_from_chrome(const JsonValue& doc);
 
-/// Counter totals from a parsed multihit.metrics.v1 snapshot, summed over
-/// label sets. Throws AnalysisError on wrong-schema or ill-shaped documents.
+/// Counter totals from a parsed multihit.metrics.v1 snapshot, one per name:
+/// the name's unlabeled series where it has one (that series is the total,
+/// as health.incidents writes it beside its per-lane and per-rule parts),
+/// otherwise the sum of its labeled series. Throws AnalysisError on
+/// wrong-schema or ill-shaped documents.
 /// Shared by the analysis report's cross-check section and the health
 /// reconciliation.
 std::map<std::string, double> metrics_counter_totals(const JsonValue& metrics);
@@ -117,8 +120,9 @@ std::map<std::string, double> metrics_counter_totals(const JsonValue& metrics);
 
 /// The multihit.analysis.v1 report document. `metrics` is an optional
 /// parsed multihit.metrics.v1 snapshot; when present its counters are
-/// aggregated over label sets and embedded for cross-checking (message and
-/// collective counts next to the trace-derived seconds).
+/// totalled per name (metrics_counter_totals) and embedded for
+/// cross-checking (message and collective counts next to the trace-derived
+/// seconds).
 JsonValue analysis_report(const TraceAnalysis& analysis, const JsonValue* metrics = nullptr);
 
 /// Collapsed-stack ("folded") flamegraph lines over the span containment

@@ -13,10 +13,15 @@ namespace multihit::obs {
 std::map<std::string, double> metrics_counter_totals(const JsonValue& metrics) {
   const JsonFields root =
       require_schema<AnalysisError>(metrics, kMetricsSchema, "metrics document");
+  // A name's unlabeled series is its total (record_health writes one beside
+  // its per-lane parts); its labeled parts are summed only when it has none.
   std::map<std::string, double> totals;
+  std::map<std::string, double> unlabeled;
   for (const JsonFields& entry : root.array("counters").objects()) {
-    totals[entry.string("name")] += entry.number("value");
+    const bool plain = !entry.has("labels") || entry.object("labels").size() == 0;
+    (plain ? unlabeled : totals)[entry.string("name")] += entry.number("value");
   }
+  for (const auto& [name, value] : unlabeled) totals[name] = value;
   return totals;
 }
 

@@ -9,6 +9,8 @@
 #include "cluster/distributed.hpp"
 #include "data/generator.hpp"
 #include "hostile_json.hpp"
+#include "obs/metrics.hpp"
+#include "obs/monitor.hpp"
 #include "obs/recorder.hpp"
 
 namespace multihit {
@@ -223,7 +225,8 @@ TEST(AnalyzeOffline, MetricsCounterTotalsRejectHostileEntries) {
   const std::string good =
       R"({"schema":"multihit.metrics.v1","counters":[{"name":"a","labels":{},"value":5},)"
       R"({"name":"a","labels":{"op":"x"},"value":2}],"gauges":[],"histograms":[]})";
-  EXPECT_DOUBLE_EQ(obs::metrics_counter_totals(JsonValue::parse(good)).at("a"), 7.0);
+  // The unlabeled series is the name's total; its labeled part is not added.
+  EXPECT_DOUBLE_EQ(obs::metrics_counter_totals(JsonValue::parse(good)).at("a"), 5.0);
   const auto reject = [](const std::string& text, const char* path) {
     hostile::expect_rejected<obs::AnalysisError>(obs::metrics_counter_totals, text, path);
   };
@@ -231,6 +234,24 @@ TEST(AnalyzeOffline, MetricsCounterTotalsRejectHostileEntries) {
   reject(hostile::plant(good, "value", "\"x\""), "counters[0].value");
   reject(hostile::plant(good, "value", "1e999"), "counters[0].value");
   reject(hostile::plant(good, "value", "true", "\"op\""), "counters[1].value");
+}
+
+TEST(AnalyzeOffline, MetricsCounterTotalsSumLabeledPartsOnlyWithoutATotal) {
+  const std::string parts =
+      R"({"schema":"multihit.metrics.v1","counters":[{"name":"b","labels":{"op":"x"},"value":2},)"
+      R"({"name":"b","labels":{"op":"y"},"value":3}],"gauges":[],"histograms":[]})";
+  EXPECT_DOUBLE_EQ(obs::metrics_counter_totals(JsonValue::parse(parts)).at("b"), 5.0);
+}
+
+TEST(AnalyzeOffline, HealthIncidentTotalsCountEachIncidentOnce) {
+  // record_health writes an unlabeled total beside one series per lane and
+  // rule; a 2-incident report totals 2, not 4.
+  obs::HealthReport report;
+  report.incidents.push_back({"dead_rank", 1, "", 0.5, 0.0, true, 0.0, "", -1});
+  report.incidents.push_back({"straggler", 2, "", 0.7, 0.9, false, 3.0, "", 0});
+  obs::MetricsRegistry metrics;
+  obs::record_health(report, metrics);
+  EXPECT_DOUBLE_EQ(obs::metrics_counter_totals(metrics.snapshot()).at("health.incidents"), 2.0);
 }
 
 // --------------------------------------------------- cluster-model crosscheck

@@ -67,8 +67,47 @@ TEST(Binomial, QuarticMatchesBinomial) {
 TEST(Binomial, FiguratesAreConstexpr) {
   static_assert(triangular(4) == 6);
   static_assert(tetrahedral(5) == 10);
+  static_assert(tetrahedral128(5) == 10);
   static_assert(quartic(6) == 15);
   SUCCEED();
+}
+
+/// n(n-1)(n-2)/6 by the naive 128-bit expression, exact while the product
+/// fits 128 bits (n < 2^42).
+u128 naive_tetrahedral128(u64 n) {
+  if (n < 3) return 0;
+  return static_cast<u128>(n) * (n - 1) * (n - 2) / 6;
+}
+
+TEST(Binomial, Tetrahedral128MatchesTheNaiveExpression) {
+  // Every n up to 2^21, and edge values: around 2^32, around the largest n
+  // whose C(n, 3) fits u64 (4801280), and at the naive expression's limit.
+  std::uint64_t mismatches = 0;
+  u64 first = 0;
+  for (u64 n = 0; n <= (u64{1} << 21); ++n) {
+    if (tetrahedral128(n) != naive_tetrahedral128(n) && mismatches++ == 0) first = n;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first at n = " << first;
+  for (const u64 centre : {u64{4801280}, u64{1} << 32, (u64{1} << 42) - 3}) {
+    for (u64 n = centre - 3; n <= centre + 2; ++n) {
+      EXPECT_TRUE(tetrahedral128(n) == naive_tetrahedral128(n)) << "n = " << n;
+    }
+  }
+  // The u64 form agrees wherever C(n, 3) fits.
+  EXPECT_TRUE(tetrahedral128(4801280) <= ~u64{0});
+  EXPECT_TRUE(tetrahedral128(4801281) > ~u64{0});
+  EXPECT_TRUE(tetrahedral(4801280) == tetrahedral128(4801280));
+  EXPECT_EQ(tetrahedral(4801280), binomial(4801280, 3));
+}
+
+TEST(Binomial, ChooseMatchesBinomial) {
+  for (u64 k = 0; k <= 8; ++k) {
+    for (u64 n = 0; n <= 300; ++n) EXPECT_EQ(choose(n, k), binomial(n, k)) << n << " " << k;
+  }
+  // The largest arguments whose values fit u64 at k = 3, 4, 5.
+  EXPECT_EQ(choose(4801280, 3), binomial(4801280, 3));
+  EXPECT_EQ(choose(145056, 4), binomial(145056, 4));
+  EXPECT_EQ(choose(18580, 5), binomial(18580, 5));
 }
 
 }  // namespace

@@ -902,6 +902,38 @@ TEST(GreedyFloor, MatchesTheScoreEveryGeneFloorBitForBit) {
   set_backend(previous);
 }
 
+TEST(GreedyFloor, EveryBackendCountsTheSameCalls) {
+  // The AVX2 backend ANDs and counts 1-2-word tumor rows inline and credits
+  // the calls; the value and the kernel calls it reports match the scalar
+  // backend's at every width, at hits past the kernel's depth limit too
+  // (the floor keeps no fixed-size buffer).
+  if (!backend_supported(BitopsBackend::kAvx2)) GTEST_SKIP() << "no AVX2 backend";
+  const CountingScope scope;
+  std::uint64_t seed = 100;
+  for (const std::uint32_t samples : {40u, 100u, 150u, 1600u}) {
+    for (const Fixture& f : floor_fixtures(40, samples, ++seed)) {
+      for (const std::uint32_t hits : {2u, 3u, 5u, kMaxSchemeHits + 4}) {
+        const std::string where =
+            std::to_string(samples) + " samples, hits " + std::to_string(hits);
+        double value[2];
+        BitopsCallCounts calls[2];
+        for (const int avx2 : {0, 1}) {
+          ASSERT_TRUE(set_backend(avx2 != 0 ? BitopsBackend::kAvx2 : BitopsBackend::kScalar));
+          const BitopsCallCounts before = thread_bitops_calls();
+          value[avx2] = greedy_floor(f.data.tumor, f.data.normal, f.ctx, hits);
+          calls[avx2] = thread_bitops_calls() - before;
+        }
+        EXPECT_EQ(value[1], value[0]) << where;
+        EXPECT_EQ(value[0], reference_greedy_floor(f.data.tumor, f.data.normal, f.ctx, hits))
+            << where;
+        EXPECT_EQ(calls[1].and2, calls[0].and2) << where;
+        EXPECT_EQ(calls[1].and_rows, calls[0].and_rows) << where;
+        EXPECT_GT(calls[0].and2, 0u) << where;
+      }
+    }
+  }
+}
+
 TEST(GreedyFloor, WrongSizeRowCountTablesAreRejected) {
   const auto f = make_fixture(15, 3, 8);
   for (const std::size_t size : {std::size_t{14}, std::size_t{16}}) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "combinat/linearize.hpp"
+#include "util/rng.hpp"
 
 namespace multihit {
 namespace {
@@ -75,6 +76,91 @@ TEST(Unrank, ColexSuccessorVisitsAllInRankOrder) {
       ++lambda;
     } while (next_combination_colex(combo, universe));
     EXPECT_EQ(lambda, binomial(universe, h));
+  }
+}
+
+// --- the closed forms against the generic binomial ---------------------------
+
+/// λ by the generic binomial: Σ_t C(c_t, t+1).
+u64 reference_rank(const std::vector<std::uint32_t>& combo) {
+  u64 lambda = 0;
+  for (std::size_t t = 0; t < combo.size(); ++t) lambda += binomial(combo[t], t + 1);
+  return lambda;
+}
+
+/// The size-k combination of rank λ by the generic binomial: each digit is
+/// the largest c with C(c, t) <= the remaining rank, found by bisection over
+/// binomial128.
+std::vector<std::uint32_t> reference_unrank(u64 lambda, std::uint32_t k) {
+  std::vector<std::uint32_t> combo(k);
+  u64 rem = lambda;
+  for (std::uint32_t t = k; t >= 1; --t) {
+    u64 lo = t - 1;            // C(t-1, t) = 0 <= rem
+    u64 hi = u64{1} << 33;     // C(2^33, t) > 2^64 > rem for t >= 2
+    if (t == 1) lo = hi = rem;
+    while (lo < hi) {
+      const u64 mid = lo + (hi - lo + 1) / 2;
+      const auto v = binomial128(mid, t);
+      if (v && *v <= static_cast<u128>(rem)) {
+        lo = mid;
+      } else {
+        hi = mid - 1;
+      }
+    }
+    combo[t - 1] = static_cast<std::uint32_t>(lo);
+    rem -= binomial(lo, t);
+  }
+  return combo;
+}
+
+TEST(Unrank, ClosedFormsMatchTheGenericBinomialOnEverySmallSpace) {
+  // Every λ < C(60, k) for k <= 5, which holds every space of G <= 60 genes
+  // (colex ranks of a smaller space are a prefix of a larger one's). The
+  // reference combination is the colex walk, pinned rank by rank to the
+  // generic binomial.
+  constexpr std::uint32_t kGenes = 60;
+  u64 table[6][kGenes];  // table[t][c] = C(c, t) by the generic binomial
+  for (std::uint32_t t = 0; t <= 5; ++t) {
+    for (std::uint32_t c = 0; c < kGenes; ++c) table[t][c] = binomial(c, t);
+  }
+  for (std::uint32_t k = 1; k <= 5; ++k) {
+    std::vector<std::uint32_t> walk = first_combination(k);
+    std::vector<std::uint32_t> combo(k);
+    const u64 total = binomial(kGenes, k);
+    u64 mismatches = 0;
+    u64 first = 0;
+    for (u64 lambda = 0; lambda < total; ++lambda) {
+      u64 expected_rank = 0;
+      for (std::uint32_t t = 0; t < k; ++t) expected_rank += table[t + 1][walk[t]];
+      unrank_combination(lambda, std::span<std::uint32_t>(combo));
+      const bool same = expected_rank == lambda && combo == walk &&
+                        rank_combination(walk) == lambda && colex_top(lambda, k) == walk.back();
+      if (!same && mismatches++ == 0) first = lambda;
+      next_combination_colex(walk, kGenes);
+    }
+    EXPECT_EQ(mismatches, 0u) << "k = " << k << ", first at lambda = " << first;
+    EXPECT_EQ(reference_unrank(total - 1, k), unrank_combination(total - 1, k)) << k;
+  }
+}
+
+TEST(Unrank, ClosedFormsMatchTheGenericBinomialNearTheU64Limit) {
+  // The last ranks below 2^64 at k = 3, 4, 5, and random ones in its top
+  // 2^40; at k = 2, whose digits must fit 32 bits, the same below
+  // C(2^32, 2).
+  Rng rng(11);
+  const u64 pair_end = triangular(u64{1} << 32);
+  for (std::uint32_t k = 2; k <= 5; ++k) {
+    const u64 limit = k == 2 ? pair_end - 1 : ~u64{0};
+    std::vector<u64> lambdas;
+    for (u64 back = 0; back < 64; ++back) lambdas.push_back(limit - back);
+    for (int i = 0; i < 200; ++i) lambdas.push_back(limit - rng.uniform(u64{1} << 40));
+    for (const u64 lambda : lambdas) {
+      const std::vector<std::uint32_t> expected = reference_unrank(lambda, k);
+      ASSERT_EQ(unrank_combination(lambda, k), expected) << "k = " << k << ", lambda " << lambda;
+      ASSERT_EQ(colex_top(lambda, k), expected.back()) << "k = " << k << ", lambda " << lambda;
+      ASSERT_EQ(rank_combination(expected), lambda) << "k = " << k << ", lambda " << lambda;
+      ASSERT_EQ(reference_rank(expected), lambda) << "k = " << k << ", lambda " << lambda;
+    }
   }
 }
 
