@@ -307,6 +307,37 @@ void BM_ColdEvaluateSweep4(benchmark::State& state) {
 }
 BENCHMARK(BM_ColdEvaluateSweep4)->ArgName("carried")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
+/// The `n`-th evaluation of a greedy solve of `data` at `hits` through the
+/// kernel evaluator: its spliced tumor matrix, its context (without the
+/// session's carried bounds, gone after the solve) and a copy of those
+/// bounds as the evaluation received them.
+struct CapturedEvaluation {
+  BitMatrix tumor;
+  FContext ctx;
+  CarriedBounds carried;
+  bool found = false;  // false when the solve ended before its n-th evaluation
+};
+
+CapturedEvaluation capture_evaluation(const Dataset& data, std::uint32_t hits, std::uint32_t n) {
+  EngineConfig config;
+  config.hits = hits;
+  const Evaluator kernel = make_kernel_evaluator(hits);
+  CapturedEvaluation out;
+  std::uint32_t evaluations = 0;
+  (void)run_greedy(data.tumor, data.normal, config,
+                   [&](const BitMatrix& spliced, const BitMatrix& normal, const FContext& at) {
+                     if (++evaluations == n) {
+                       out.tumor = spliced;
+                       out.ctx = at;
+                       out.ctx.carried = nullptr;
+                       if (at.carried != nullptr) out.carried = *at.carried;
+                       out.found = true;
+                     }
+                     return kernel(spliced, normal, at);
+                   });
+  return out;
+}
+
 // The second evaluation of a sweep4 greedy solve, the first with warm
 // carried bounds: its spliced tumor matrix, context and the bounds the
 // first evaluation left are captured once; each call evaluates the whole
@@ -314,87 +345,79 @@ BENCHMARK(BM_ColdEvaluateSweep4)->ArgName("carried")->Arg(0)->Arg(1)->Unit(bench
 // with the iteration's floor and row-count table taken outside the loop.
 void BM_WarmEvaluateSweep4(benchmark::State& state) {
   const Dataset data = generate_dataset(sweep4_spec());
-  EngineConfig config;
-  config.hits = 4;
-  const Evaluator kernel = make_kernel_evaluator(4);
-  BitMatrix tumor;
-  FContext ctx;
-  CarriedBounds captured;
-  std::uint32_t evaluations = 0;
-  (void)run_greedy(data.tumor, data.normal, config,
-                   [&](const BitMatrix& spliced, const BitMatrix& normal, const FContext& at) {
-                     if (++evaluations == 2) {
-                       tumor = spliced;
-                       ctx = at;
-                       ctx.carried = nullptr;  // the session's, gone after run_greedy
-                       captured = *at.carried;
-                     }
-                     return kernel(spliced, normal, at);
-                   });
-  if (evaluations < 2 || !captured.warm()) {
+  const CapturedEvaluation at = capture_evaluation(data, 4, 2);
+  if (!at.found || !at.carried.warm()) {
     state.SkipWithError("the sweep4 solve has no warm second evaluation");
     return;
   }
   const Scheme scheme{4, 3};
-  const u64 total = scheme_threads(scheme, tumor.genes());
-  std::vector<std::uint64_t> row_counts(tumor.genes());
-  tumor_row_counts(tumor, row_counts);
-  const double floor = greedy_floor(tumor, data.normal, ctx, 4, row_counts);
+  const u64 total = scheme_threads(scheme, at.tumor.genes());
+  std::vector<std::uint64_t> row_counts(at.tumor.genes());
+  tumor_row_counts(at.tumor, row_counts);
+  const double floor = greedy_floor(at.tumor, data.normal, at.ctx, 4, row_counts);
   KernelCounts counts;
   for (auto _ : state) {
-    CarriedBounds bounds = captured;
-    if (!bounds.begin(tumor, ctx, 4)) state.SkipWithError("the captured bounds do not apply");
+    CarriedBounds bounds = at.carried;
+    if (!bounds.begin(at.tumor, at.ctx, 4)) {
+      state.SkipWithError("the captured bounds do not apply");
+      break;
+    }
     counts = {};
-    benchmark::DoNotOptimize(evaluate_range(tumor, data.normal, ctx, scheme, 0, total, floor,
-                                            &counts, &bounds, row_counts));
+    benchmark::DoNotOptimize(evaluate_range(at.tumor, data.normal, at.ctx, scheme, 0, total,
+                                            floor, &counts, &bounds, row_counts));
   }
   state.counters["threads_skipped"] = static_cast<double>(counts.threads_skipped);
   state.counters["pruned"] = static_cast<double>(counts.pruned);
 }
 BENCHMARK(BM_WarmEvaluateSweep4)->Unit(benchmark::kMicrosecond);
 
-// One greedy_floor on the tumor matrix of a cover2 solve's 30th iteration
-// (of ~60), spliced by the 29 combinations selected before it. given:1
-// passes the iteration's tumor_row_counts table, as the evaluators do;
-// given:0 has the floor count the rows itself. The and2_calls counter is
-// the dispatched and_popcount calls one floor makes (G·h = 600 when every
+// One greedy_floor on a captured evaluation's tumor matrix. given:1 passes
+// the evaluation's tumor_row_counts table, as the evaluators do; given:0
+// has the floor count the rows itself. The and2_calls counter is the
+// and_popcount calls one floor makes, dispatched or inline (G·h when every
 // step scores every gene).
-void BM_GreedyFloorCover2(benchmark::State& state) {
+void time_floor(benchmark::State& state, const CapturedEvaluation& at, const BitMatrix& normal,
+                std::uint32_t hits) {
   const bool given = state.range(0) != 0;
-  const Dataset data = generate_dataset(cover2_spec());
-  EngineConfig config;
-  config.hits = 2;
-  const Evaluator kernel = make_kernel_evaluator(2);
-  BitMatrix tumor;
-  FContext ctx;
-  std::uint32_t evaluations = 0;
-  (void)run_greedy(data.tumor, data.normal, config,
-                   [&](const BitMatrix& spliced, const BitMatrix& normal, const FContext& at) {
-                     if (++evaluations == 30) {
-                       tumor = spliced;
-                       ctx = at;
-                       ctx.carried = nullptr;  // the session's, gone after run_greedy
-                     }
-                     return kernel(spliced, normal, at);
-                   });
-  if (evaluations < 30) {
-    state.SkipWithError("the cover2 solve ended before its 30th iteration");
-    return;
-  }
-  std::vector<std::uint64_t> table(tumor.genes());
-  tumor_row_counts(tumor, table);
+  std::vector<std::uint64_t> table(at.tumor.genes());
+  tumor_row_counts(at.tumor, table);
   const std::span<const std::uint64_t> row_counts =
       given ? std::span<const std::uint64_t>(table) : std::span<const std::uint64_t>();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(greedy_floor(tumor, data.normal, ctx, 2, row_counts));
+    benchmark::DoNotOptimize(greedy_floor(at.tumor, normal, at.ctx, hits, row_counts));
   }
   const bool counting = set_call_counting(true);
   const BitopsCallCounts before = thread_bitops_calls();
-  benchmark::DoNotOptimize(greedy_floor(tumor, data.normal, ctx, 2, row_counts));
+  benchmark::DoNotOptimize(greedy_floor(at.tumor, normal, at.ctx, hits, row_counts));
   state.counters["and2_calls"] = static_cast<double>((thread_bitops_calls() - before).and2);
   set_call_counting(counting);
 }
+
+// The floor of a cover2 solve's 30th iteration (of ~60), spliced by the 29
+// combinations selected before it: 25-word rows, dispatched calls.
+void BM_GreedyFloorCover2(benchmark::State& state) {
+  const Dataset data = generate_dataset(cover2_spec());
+  const CapturedEvaluation at = capture_evaluation(data, 2, 30);
+  if (!at.found) {
+    state.SkipWithError("the cover2 solve ended before its 30th iteration");
+    return;
+  }
+  time_floor(state, at, data.normal, 2);
+}
 BENCHMARK(BM_GreedyFloorCover2)->ArgName("given")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The floor of a sweep4 solve's second iteration: 2-word rows, which the
+// AVX2 backend ANDs and counts inline.
+void BM_GreedyFloorSweep4(benchmark::State& state) {
+  const Dataset data = generate_dataset(sweep4_spec());
+  const CapturedEvaluation at = capture_evaluation(data, 4, 2);
+  if (!at.found) {
+    state.SkipWithError("the sweep4 solve ended before its second iteration");
+    return;
+  }
+  time_floor(state, at, data.normal, 4);
+}
+BENCHMARK(BM_GreedyFloorSweep4)->ArgName("given")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // Dataset generation against its floor. BM_GenerateDatasetCover2 is one
 // generate_dataset call on the cover2 spec, as a wallbench cover2 set-up

@@ -84,25 +84,20 @@ constexpr u64 quartic(u64 n) noexcept {
   return static_cast<u64>(quartic128(n));
 }
 
-/// C(n, 5) in 128 bits for the (un)ranking fix-up probes, exact while
-/// C(n, 4) fits u64 (n <= 145056). C(n, 4)·(n-4) is divisible by 5, so the
-/// prime 5 divides n-4 or C(n, 4): it is divided out of that factor before
-/// multiplying, and no 128-bit division runs.
-constexpr u128 quintic128(u64 n) noexcept {
-  if (n < 5) return 0;
-  const u64 q = quartic(n);
-  const u64 m = n - 4;
-  return m % 5 == 0 ? static_cast<u128>(q) * (m / 5) : static_cast<u128>(q / 5) * m;
-}
-
 /// Pentatope number = C(n, 5), for the 5-hit extension. C(n,5) itself
 /// overflows u64 for n > 18580, so callers must bound n (the checked
 /// variant reports overflow; see binomial_checked).
-constexpr u64 quintic(u64 n) noexcept { return static_cast<u64>(quintic128(n)); }
+constexpr u64 quintic(u64 n) noexcept {
+  if (n < 5) return 0;
+  // C(n,5)·5 = C(n,4)·(n-4) is exact; the intermediate needs 128 bits at
+  // large n even when the result fits 64.
+  return static_cast<u64>(static_cast<u128>(quartic(n)) * (n - 4) / 5);
+}
 
 /// C(n, k) through the closed forms above for k <= 5 and the generic
 /// binomial beyond: what the kernel and the (un)ranking compute on every
-/// reposition, rank and rank bound, with no 128-bit division.
+/// reposition, rank and rank bound. Up to k = 4 no 128-bit division runs
+/// (quartic's divisor 4 is a shift); quintic still divides by 5.
 /// Exact whenever C(n, k) fits u64 and, for k = 2, n < 2^32 (every caller
 /// passes a gene index).
 [[gnu::always_inline]] inline u64 choose(u64 n, u64 k) noexcept {

@@ -66,16 +66,6 @@ std::uint32_t quartic_level(u64 lambda) noexcept {
   return static_cast<std::uint32_t>(l);
 }
 
-std::uint32_t quintic_level(u64 lambda) noexcept {
-  // Initial guess from m^5/120 ≈ λ, then exact fix-up in 128 bits. Every
-  // probe stays below 18600, where quintic128 is exact.
-  const auto guess = static_cast<u64>(std::pow(120.0 * static_cast<double>(lambda), 0.2)) + 3;
-  u64 m = guess;
-  while (m > 0 && quintic128(m) > lambda) --m;
-  while (quintic128(m + 1) <= lambda) ++m;
-  return static_cast<std::uint32_t>(m);
-}
-
 Quad unrank_quad(u64 lambda) noexcept {
   const std::uint32_t l = quartic_level(lambda);
   const u64 rem = lambda - quartic(l);

@@ -79,7 +79,4 @@ Quad unrank_quad(u64 lambda) noexcept;
 /// Largest l with C(l,4) <= lambda (the 5-hit scheduler's workload level).
 std::uint32_t quartic_level(u64 lambda) noexcept;
 
-/// Largest m with C(m,5) <= lambda (the top digit of a 5-gene rank).
-std::uint32_t quintic_level(u64 lambda) noexcept;
-
 }  // namespace multihit

@@ -25,8 +25,6 @@ std::uint32_t colex_top(u64 lambda, std::uint32_t k) noexcept {
       return tetrahedral_level(lambda);
     case 4:
       return quartic_level(lambda);
-    case 5:
-      return quintic_level(lambda);
     default:
       break;
   }

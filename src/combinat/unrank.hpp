@@ -27,7 +27,7 @@ std::vector<std::uint32_t> unrank_combination(u64 lambda, std::uint32_t h);
 /// Allocation-free form: writes the size-combo.size() combination of rank
 /// `lambda` into `combo` (combo must be non-empty). Each digit subtracts a
 /// closed-form C(c, t) for t <= 5 (see choose), so repositioning a kernel
-/// thread runs no 128-bit division.
+/// thread of up to 4 flat digits runs no 128-bit division.
 void unrank_combination(u64 lambda, std::span<std::uint32_t> combo) noexcept;
 
 /// Largest c with C(c, k) <= lambda: the top element of the size-k
