@@ -7,7 +7,7 @@
 //                               [--invalidate-rate F] [--no-cache]
 //                               [--no-verify] [--out FILE]
 //                               [--trace-out FILE] [--metrics-out FILE]
-//                               [--slo-spec FILE] [--slo-out FILE]
+//                               [--slo-spec FILE]
 //                               [--scenario none|overload|starvation|burn|thrash]
 //                               [--manifest-out FILE] [--artifacts-dir DIR]
 //                               [--bench]
@@ -36,9 +36,10 @@
 // the scripts/bench_compare.py regression gate.
 //
 // --slo-spec loads per-tenant SLO objectives (obs::parse_slo grammar); the
-// run is then evaluated against them in-process and --slo-out writes the
-// multihit.slo.v1 report — byte-identical to an offline `obstool slo` replay
-// of the saved --out document. With --bench, a BENCH_serve_slo.json record
+// run is then evaluated against them in-process and the verdict lands in
+// the --metrics-out snapshot as `slo.*` series (obs::record_slo) — equal to
+// what an offline `obstool slo SERVE --spec FILE METRICS` replay of the
+// saved --out document records. With --bench, a BENCH_serve_slo.json record
 // (per-tenant p99 attainment, worst burn rate) rides along. --scenario
 // plants one serve pathology (see serve::apply_scenario) on top of the other
 // flags, for detector-quality sweeps; violations never change this tool's
@@ -47,9 +48,8 @@
 // --manifest-out writes a multihit.run.v1 manifest (obs/runinfo.hpp): the
 // run configuration plus a digest inventory of every artifact the
 // invocation emitted, the unit `obstool diff` compares. --artifacts-dir DIR
-// is the one-flag spelling: it defaults --out/--trace-out/--metrics-out
-// (and --slo-out when --slo-spec is given) to standard names under DIR and
-// writes DIR/manifest.json.
+// is the one-flag spelling: it defaults --out/--trace-out/--metrics-out to
+// standard names under DIR and writes DIR/manifest.json.
 
 #include <cstdio>
 #include <cstdlib>
@@ -87,7 +87,6 @@ int usage() {
                "                      [--invalidate-rate F] [--no-cache] [--no-verify]\n"
                "                      [--out FILE] [--trace-out FILE]\n"
                "                      [--metrics-out FILE] [--slo-spec FILE]\n"
-               "                      [--slo-out FILE]\n"
                "                      [--scenario none|overload|starvation|burn|thrash]\n"
                "                      [--manifest-out FILE] [--artifacts-dir DIR]\n"
                "                      [--bench]\n";
@@ -125,7 +124,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_path;
   std::string slo_path;
-  std::string slo_out;
   std::string manifest_out;
   std::string artifacts_dir;
 
@@ -175,8 +173,6 @@ int main(int argc, char** argv) {
       metrics_path = value();
     } else if (arg == "--slo-spec") {
       slo_path = value();
-    } else if (arg == "--slo-out") {
-      slo_out = value();
     } else if (arg == "--scenario") {
       const auto parsed = parse_scenario(value());
       if (!parsed) return usage();
@@ -192,7 +188,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!slo_out.empty() && slo_path.empty()) return usage();
   if (!artifacts_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(artifacts_dir, ec);
@@ -207,7 +202,6 @@ int main(int argc, char** argv) {
     if (out_path.empty()) out_path = standard("run.serve.json");
     if (trace_path.empty()) trace_path = standard("run.trace.json");
     if (metrics_path.empty()) metrics_path = standard("run.metrics.json");
-    if (slo_out.empty() && !slo_path.empty()) slo_out = standard("run.slo.json");
     if (manifest_out.empty()) manifest_out = standard("manifest.json");
   }
   apply_scenario(spec, options, scenario);
@@ -283,6 +277,15 @@ int main(int argc, char** argv) {
     std::printf("  verified: %u served results bit-identical to standalone runs\n", checked);
   }
 
+  obs::SloReport slo;
+  if (!options.slo.empty()) {
+    slo = obs::evaluate_slo(slo_input(result), options.slo);
+    obs::record_slo(slo, recorder.metrics);
+    std::printf("  slo: %u objective(s), %u violated, worst burn %.3fx, "
+                "worst p99 attainment %.3f\n",
+                slo.objectives, slo.violated, slo.worst_burn, slo.worst_p99_attainment);
+  }
+
   if (!out_path.empty()) {
     std::ofstream out(out_path);
     if (!out) {
@@ -298,22 +301,6 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty() && !recorder.write_metrics(metrics_path)) {
     std::fprintf(stderr, "multihit-serve: cannot write %s\n", metrics_path.c_str());
     return 2;
-  }
-
-  obs::SloReport slo;
-  if (!options.slo.empty()) {
-    slo = obs::evaluate_slo(slo_input(result), options.slo);
-    std::printf("  slo: %u objective(s), %u violated, worst burn %.3fx, "
-                "worst p99 attainment %.3f\n",
-                slo.objectives, slo.violated, slo.worst_burn, slo.worst_p99_attainment);
-    if (!slo_out.empty()) {
-      std::ofstream out(slo_out);
-      if (!out) {
-        std::fprintf(stderr, "multihit-serve: cannot write %s\n", slo_out.c_str());
-        return 2;
-      }
-      out << obs::slo_report_json(slo).dump() << '\n';
-    }
   }
 
   if (!manifest_out.empty()) {
@@ -344,7 +331,6 @@ int main(int argc, char** argv) {
       add("serve", obs::kServeSchema, out_path);
       add("trace", obs::kChromeTraceTag, trace_path);
       add("metrics", obs::kMetricsSchema, metrics_path);
-      add("slo", obs::kSloSchema, slo_out);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "multihit-serve: %s\n", e.what());
       return 1;

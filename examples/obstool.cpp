@@ -6,8 +6,8 @@
 //                      [--sample-every S] [--window-samples N] [--slo-spec FILE]
 //                      [--truth FILE] [--truth-window S] [--annotate-out FILE]
 //                      [--summary] [--quiet]
-//   $ multihit-obstool slo SERVE.json --spec FILE
-//                      [--report-out FILE] [--summary] [--quiet]
+//   $ multihit-obstool slo SERVE.json --spec FILE [METRICS.json]
+//                      [--summary] [--quiet]
 //   $ multihit-obstool diff A B [--tol FILE]
 //                      [--report-out FILE] [--summary] [--quiet]
 //
@@ -40,10 +40,11 @@
 //
 // `slo` replays a saved multihit.serve.v1 report through the per-tenant SLO
 // evaluator (src/obs/slo.hpp) against a --spec objective file and prints the
-// per-objective verdicts. `--report-out` writes the multihit.slo.v1 document
-// — byte-identical to what `multihit-serve --slo-out` wrote for the same
-// run, the in-process-vs-replay determinism gate in scripts/ci.sh. Any
-// violated objective exits 1.
+// per-objective verdicts. With a metrics snapshot (multihit-serve
+// --metrics-out of the same run and spec), its `slo.*` series must equal
+// what this replay records (obs::record_slo), compared entry by entry; the
+// first entry that differs is named and exits 1 — the in-process-vs-replay
+// determinism gate in scripts/ci.sh. Any violated objective exits 1.
 //
 // `diff` is the cross-run regression engine (src/obs/diff.hpp): A and B are
 // either multihit.run.v1 manifests (from brca_scaleout / multihit-serve
@@ -53,11 +54,11 @@
 // exactly and classified identical / within-tolerance / improved /
 // regressed / added / removed; `--tol FILE` loads a
 // `tol <series-glob> rel|abs <bound>` spec relaxing named series. On top of
-// the generic pass: critical-path makespan attribution by phase×rank cell
-// and per-tenant SLO movement. A new health incident is a regressed
-// `health.incidents` counter. `--report-out` writes the multihit.diff.v1
-// document, byte-identical across repeated invocations. A regression verdict
-// (regressed or removed series, a newly violated SLO objective) exits 1.
+// the generic pass: critical-path makespan attribution by phase×rank cell.
+// A new health incident is a regressed `health.incidents` counter, a newly
+// violated SLO objective a regressed `slo.violated` counter. `--report-out`
+// writes the multihit.diff.v1 document, byte-identical across repeated
+// invocations. A regression verdict (regressed or removed series) exits 1.
 //
 // All outputs are deterministic: processing the same files twice produces
 // byte-identical artifacts, which scripts/ci.sh uses as the determinism
@@ -65,8 +66,8 @@
 //
 // Exit status: 0 on success; 2 on a usage error (unknown subcommand, missing
 // operand, bad flag — usage goes to stderr); 1 on runtime failures
-// (unreadable/malformed/ill-shaped inputs, unwritable outputs, health
-// crosscheck mismatches, imperfect truth scores).
+// (unreadable/malformed/ill-shaped inputs, unwritable outputs, health or
+// SLO crosscheck mismatches, imperfect truth scores).
 
 #include <cstdlib>
 #include <fstream>
@@ -88,8 +89,8 @@ namespace {
                "                        [--sample-every S] [--window-samples N] [--slo-spec FILE]\n"
                "                        [--truth FILE] [--truth-window S] [--annotate-out FILE]\n"
                "                        [--summary] [--quiet]\n"
-               "       multihit-obstool slo SERVE.json --spec FILE\n"
-               "                        [--report-out FILE] [--summary] [--quiet]\n"
+               "       multihit-obstool slo SERVE.json --spec FILE [METRICS.json]\n"
+               "                        [--summary] [--quiet]\n"
                "       multihit-obstool diff A B [--tol FILE]\n"
                "                        [--report-out FILE] [--summary] [--quiet]\n";
   std::exit(2);
@@ -259,7 +260,7 @@ int run_monitor(int argc, char** argv) {
 
 int run_slo(int argc, char** argv) {
   using namespace multihit::obs;
-  std::string serve_path, spec_path, report_out;
+  std::string serve_path, spec_path, metrics_path;
   bool summary = false, quiet = false;
   for (int a = 2; a < argc; ++a) {
     const std::string arg = argv[a];
@@ -269,8 +270,6 @@ int run_slo(int argc, char** argv) {
     };
     if (arg == "--spec") {
       spec_path = next();
-    } else if (arg == "--report-out") {
-      report_out = next();
     } else if (arg == "--summary") {
       summary = true;
     } else if (arg == "--quiet") {
@@ -279,6 +278,8 @@ int run_slo(int argc, char** argv) {
       usage();
     } else if (serve_path.empty()) {
       serve_path = arg;
+    } else if (metrics_path.empty()) {
+      metrics_path = arg;
     } else {
       usage();
     }
@@ -291,12 +292,18 @@ int run_slo(int argc, char** argv) {
     const SloInput input = slo_input_from_serve_json(serve_doc);
     const SloReport report = evaluate_slo(input, spec);
 
-    if (!report_out.empty() &&
-        !write_file(report_out, slo_report_json(report).dump() + "\n")) {
-      std::cerr << "error: cannot write SLO report to " << report_out << "\n";
-      return 1;
-    }
     if (!quiet) std::cout << slo_text(report, summary);
+    if (!metrics_path.empty()) {
+      MetricsRegistry replayed;
+      record_slo(report, replayed);
+      const std::string mismatch = metrics_family_mismatch(
+          JsonValue::parse(read_file(metrics_path)), replayed.snapshot(), "slo");
+      if (!mismatch.empty()) {
+        std::cerr << "slo crosscheck mismatch: " << mismatch << "\n";
+        return 1;
+      }
+      if (!quiet) std::cout << "crosscheck: verdicts agree with metrics series\n";
+    }
     if (report.violated > 0) {
       std::cerr << "error: " << report.violated << " of " << report.objectives
                 << " objective(s) violated\n";
@@ -354,8 +361,7 @@ int run_diff(int argc, char** argv) {
     if (!quiet) std::cout << diff_text(report, summary);
     if (diff_regression(report)) {
       std::cerr << "error: regression: " << report.counts.regressed << " regressed, "
-                << report.counts.removed << " removed series, "
-                << report.slo_newly_violated << " newly violated SLO objective(s)\n";
+                << report.counts.removed << " removed series\n";
       return 1;
     }
   } catch (const std::exception& e) {

@@ -237,8 +237,9 @@ echo "health counters equal the offline replay, truth score perfect"
 
 # Job-service smoke: replay one seeded multi-tenant trace (24 jobs, bursty
 # arrivals, cache invalidations) twice per bitops backend. The
-# multihit.serve.v1 report, Chrome trace, and metrics snapshot must be
-# byte-identical across runs AND across backends, and the driver itself
+# multihit.serve.v1 report, Chrome trace, and metrics snapshot (with the
+# SLO verdict's slo.* series) must be byte-identical across runs AND across
+# backends, and the driver itself
 # exits non-zero unless every served job's selections are bit-identical to a
 # standalone single-job run. The latency/throughput BENCH series are fully
 # modeled (simulated clock), so --strict pins them against the committed
@@ -252,7 +253,6 @@ for backend in scalar auto; do
       build/examples/multihit-serve --mix bursty --jobs 24 --seed 7 \
       --invalidate-rate 0.2 --bench \
       --slo-spec examples/serve.slo \
-      --slo-out "$serve_dir/${backend}_$run.slo.json" \
       --out "$serve_dir/${backend}_$run.serve.json" \
       --trace-out "$serve_dir/${backend}_$run.trace.json" \
       --metrics-out "$serve_dir/${backend}_$run.metrics.json" > /dev/null
@@ -263,18 +263,17 @@ cmp "$serve_dir/auto_1.serve.json" "$serve_dir/auto_2.serve.json"
 cmp "$serve_dir/scalar_1.serve.json" "$serve_dir/auto_1.serve.json"
 cmp "$serve_dir/scalar_1.trace.json" "$serve_dir/auto_1.trace.json"
 cmp "$serve_dir/scalar_1.metrics.json" "$serve_dir/auto_1.metrics.json"
-cmp "$serve_dir/scalar_1.slo.json" "$serve_dir/scalar_2.slo.json"
-cmp "$serve_dir/scalar_1.slo.json" "$serve_dir/auto_1.slo.json"
 if command -v python3 > /dev/null; then
   python3 scripts/bench_compare.py --strict "$bench_dir"/BENCH_serve_latency.json
   python3 scripts/bench_compare.py --strict "$bench_dir"/BENCH_serve_slo.json
 fi
 echo "job service byte-identical (runs and backends), served answers pinned standalone"
 
-# SLO smoke: the multihit.slo.v1 verdict layer over the serve run above.
+# SLO smoke: the per-tenant verdict layer over the serve run above.
 #  1. Offline replay identity: `obstool slo` over the saved multihit.serve.v1
-#     report must reproduce the in-process --slo-out document byte for byte,
-#     and the clean trace passes (exit 0).
+#     report must record exactly the slo.* series the run wrote into its
+#     metrics (entry by entry; a difference exits 1), and the clean trace
+#     passes (exit 0).
 #  2. Detector ground truth: every planted --scenario pathology fires its
 #     monitor detector class at the serve cadence, and the clean trace fires
 #     nothing. overload/starvation/burn also fail the offline verdict
@@ -282,8 +281,7 @@ echo "job service byte-identical (runs and backends), served answers pinned stan
 #     latency or admission, which is exactly why cache_thrash exists.
 echo "=== serve SLO smoke ==="
 build/examples/multihit-obstool slo "$serve_dir/scalar_1.serve.json" \
-  --spec examples/serve.slo --report-out "$serve_dir/replay.slo.json" > /dev/null
-cmp "$serve_dir/scalar_1.slo.json" "$serve_dir/replay.slo.json"
+  --spec examples/serve.slo "$serve_dir/scalar_1.metrics.json" > /dev/null
 build/examples/multihit-obstool monitor "$serve_dir/scalar_1.trace.json" \
   --sample-every 0.5 --window-samples 256 --slo-spec examples/serve.slo \
   --summary > "$serve_dir/clean.health.txt"
@@ -321,7 +319,7 @@ for scenario in overload starvation burn thrash; do
     exit 1
   fi
 done
-echo "serve SLO byte-identical offline replay, 4/4 planted pathologies detected, clean trace silent"
+echo "serve SLO offline replay equals the run's slo.* metrics, 4/4 planted pathologies detected, clean trace silent"
 
 # Cross-run regression gate: run manifests + `obstool diff`.
 #  1. Self-identity: two identical equi-area runs (--artifacts-dir writes the
@@ -337,7 +335,10 @@ echo "serve SLO byte-identical offline replay, 4/4 planted pathologies detected,
 #  4. An incident is a regression: a crashed run (the health smoke's fault
 #     flags) must diff dirty against the clean one, with its
 #     health.incidents counter regressed.
-#  5. bench_diff pins the engine's own invariants (self identity, regression
+#  5. A violated SLO is a regression: a served run with the burn scenario
+#     planted must diff dirty against the clean one under the same spec,
+#     with its slo.violated counter regressed.
+#  6. bench_diff pins the engine's own invariants (self identity, regression
 #     detection, tolerance cover, attribution exactness) against the
 #     committed baseline under --strict.
 echo "=== cross-run diff gate ==="
@@ -377,11 +378,23 @@ if build/examples/multihit-obstool diff \
 fi
 grep -q '"series":"metrics.counter.health.incidents","class":"regressed"' \
   "$diff_dir/crash.diff.json"
+for scenario in none burn; do
+  build/examples/multihit-serve --jobs 24 --seed 7 --scenario "$scenario" \
+    --slo-spec examples/serve.slo --artifacts-dir "$diff_dir/serve_$scenario" > /dev/null
+done
+if build/examples/multihit-obstool diff \
+  "$diff_dir/serve_none/manifest.json" "$diff_dir/serve_burn/manifest.json" \
+  --report-out "$diff_dir/burn.diff.json" --quiet > /dev/null 2>&1; then
+  echo "ERROR: a burning serve run should diff dirty against a clean one" >&2
+  exit 1
+fi
+grep -q '"series":"metrics.counter.slo.violated","class":"regressed"' \
+  "$diff_dir/burn.diff.json"
 MULTIHIT_BENCH_DIR="$bench_dir" build/bench/bench_diff > /dev/null
 if command -v python3 > /dev/null; then
   python3 scripts/bench_compare.py --strict "$bench_dir"/BENCH_diff.json
 fi
-echo "cross-run diff gate green (self clean, backend swap exact, scheduler swap attributed, incident regressed)"
+echo "cross-run diff gate green (self clean, backend swap exact, scheduler swap attributed, incident and SLO violation regressed)"
 
 # The registry's lone 2-hit type once crashed cancer_panel (a 4-hit kernel's
 # ranks unranked as 2-hit combinations → wild gene indices); the default

@@ -95,6 +95,11 @@ rejects invalidate_rate_negative 2 --invalidate-rate "$SERVE" --invalidate-rate 
 rejects invalidate_rate_overflow 2 invalidate_rate "$SERVE" --invalidate-rate 1e300
 # A spec the trace generator refuses is a usage error, not std::terminate.
 rejects jobs_zero 2 "jobs must be > 0" "$SERVE" --jobs 0
+# The SLO verdict is slo.* series in --metrics-out: --slo-out is an unknown
+# flag, a usage error before any work.
+printf 'slo * admission above 0.5\n' > "$TMP/ok.slo"
+rejects slo_out_unknown_flag 2 "usage:" "$SERVE" --slo-spec "$TMP/ok.slo" \
+  --slo-out "$TMP/slo.json"
 
 # --- multihit-obstool: usage errors exit 2 -------------------------------
 printf '{"traceEvents":[],"displayTimeUnit":"ms"}' > "$TMP/empty.trace.json"

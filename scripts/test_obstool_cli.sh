@@ -88,6 +88,8 @@ expect analyze_empty_trace 0 analyze "$TMP/empty.trace.json" --quiet
 # trace fires nothing) fail the crosscheck.
 printf '{"schema":"multihit.metrics.v1","counters":[{"name":"health.incidents","labels":{},"value":1}],"gauges":[],"histograms":[]}' \
   > "$TMP/health.metrics.json"
+printf '{"schema":"multihit.metrics.v1","counters":[{"name":"engine.iterations","labels":{},"value":5}],"gauges":[],"histograms":[]}' \
+  > "$TMP/metrics_a.json"
 expect_error_naming monitor_health_mismatch 'health.incidents' \
   monitor "$TMP/empty.trace.json" "$TMP/health.metrics.json" --quiet
 
@@ -115,6 +117,20 @@ expect slo_bad_spec 1 slo "$TMP/serve.json" --spec "$TMP/bad.slo"
 expect slo_clean 0 slo "$TMP/serve.json" --spec "$TMP/ok.slo" --quiet
 printf 'slo t latency p99 below 0.5\n' > "$TMP/tight.slo"
 expect slo_violation 1 slo "$TMP/serve.json" --spec "$TMP/tight.slo" --quiet
+
+# The verdict is slo.* metrics now: no SLO document to write.
+expect slo_report_out_unknown_flag 2 slo "$TMP/serve.json" --spec "$TMP/ok.slo" \
+  --report-out "$TMP/slo.json"
+# A METRICS operand must hold the replay's slo.* series: a violated total
+# the replay does not record, or no slo.* series at all, fails the
+# crosscheck naming the first entry that differs.
+printf '{"schema":"multihit.metrics.v1","counters":[{"name":"slo.objectives","labels":{},"value":2},{"name":"slo.violated","labels":{},"value":1}],"gauges":[],"histograms":[]}' \
+  > "$TMP/slo.metrics.json"
+expect_error_naming slo_metrics_violated_mismatch '"slo.violated"' \
+  slo "$TMP/serve.json" --spec "$TMP/ok.slo" "$TMP/slo.metrics.json" --quiet
+expect_error_naming slo_metrics_without_slo_series '"slo.objectives"' \
+  slo "$TMP/serve.json" --spec "$TMP/ok.slo" "$TMP/metrics_a.json" --quiet
+expect slo_extra_operand 2 slo "$TMP/serve.json" --spec "$TMP/ok.slo" a.json b.json
 
 # --- analyze on a host trace ---------------------------------------------
 # A host-sweep trace (brca_scaleout --host-profile-out) is a Chrome trace
@@ -158,8 +174,6 @@ printf '{"schema":"multihit.run.v1","driver":5,"config":{},"artifacts":[]}' \
 expect_error_naming diff_hostile_manifest 'run manifest: driver' \
   diff "$TMP/hostile.run.json" "$TMP/hostile.run.json"
 
-printf '{"schema":"multihit.metrics.v1","counters":[{"name":"engine.iterations","labels":{},"value":5}],"gauges":[],"histograms":[]}' \
-  > "$TMP/metrics_a.json"
 printf 'tol metrics.* sideways 0.1\n' > "$TMP/bad.tol"
 expect diff_bad_tol 1 diff "$TMP/metrics_a.json" "$TMP/metrics_a.json" --tol "$TMP/bad.tol"
 

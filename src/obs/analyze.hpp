@@ -34,6 +34,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -114,6 +115,16 @@ Tracer tracer_from_chrome(const JsonValue& doc);
 /// Shared by the analysis report's cross-check section and the health
 /// reconciliation.
 std::map<std::string, double> metrics_counter_totals(const JsonValue& metrics);
+
+/// Compares one family of series — every counter, gauge and histogram named
+/// `family` or `family.*` — of a parsed multihit.metrics.v1 snapshot against
+/// a replay's snapshot, entry by entry in their (name, labels) order. Returns
+/// "" when they are equal, else a sentence naming the first entry that
+/// differs (an entry one side lacks reads "nothing"). Throws AnalysisError
+/// on wrong-schema or ill-shaped documents. Shared by the health and SLO
+/// crosschecks, which replay record_health / record_slo.
+std::string metrics_family_mismatch(const JsonValue& metrics, const JsonValue& replay,
+                                    std::string_view family);
 
 // ------------------------------------------------------------------ reports
 // (implemented in report.cpp)

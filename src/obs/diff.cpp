@@ -119,8 +119,14 @@ const char* delta_class_name(DeltaClass cls) noexcept {
 }
 
 bool lower_is_better(std::string_view series) {
+  // A count of violations is lower-is-better whatever its labels carry:
+  // slo.violated{kind=admission,...} must not read the kind as a direction.
+  if (series.substr(0, series.find('{')).find("violated") != std::string_view::npos) {
+    return true;
+  }
   // Names where *more* is better; everything else (seconds, bytes, stalls,
   // rejections, burn rates, incident counts) defaults to lower-is-better.
+  // Labels count: slo.observed{kind=admission,...} is an admission rate.
   static constexpr std::string_view kHigherBetter[] = {
       "attainment", "admission",  "occupancy",    "efficiency",
       "throughput", "per_sec",    "speedup",      "cache_hit",
@@ -278,8 +284,8 @@ void flatten_role(const std::string& role, const JsonValue& doc, SeriesMap& out)
 }
 
 bool diffable_kind(std::string_view kind) {
-  return kind == "metrics" || kind == "analysis" || kind == "serve" || kind == "slo" ||
-         kind == "truth" || kind == "bench";
+  return kind == "metrics" || kind == "analysis" || kind == "serve" || kind == "truth" ||
+         kind == "bench";
 }
 
 const JsonValue* find_doc(const RunInput& run, std::string_view role) {
@@ -377,7 +383,7 @@ RunInput load_run(const std::string& path) {
   return run;
 }
 
-// --- specialized sections --------------------------------------------------
+// --- the critical-path section --------------------------------------------
 
 namespace {
 
@@ -413,57 +419,6 @@ CriticalPathDiff diff_critical_path(const JsonValue* a, const JsonValue* b) {
     cell.a_seconds = seconds.first;
     cell.b_seconds = seconds.second;
     out.cells.push_back(std::move(cell));
-  }
-  return out;
-}
-
-SloDiff diff_slo(const JsonValue* a, const JsonValue* b) {
-  SloDiff out;
-  if (!a || !b) return out;
-  out.present = true;
-  struct Entry {
-    double observed = 0, attainment = 0, burn = 0;
-    bool violated = false;
-  };
-  std::map<std::tuple<std::string, std::string, double>, std::pair<const JsonValue*, const JsonValue*>> matched;
-  const auto collect = [&matched](const JsonValue& doc, bool side_b) {
-    const JsonValue* tenants = doc.find("tenants");
-    if (!tenants || !tenants->is_array()) return;
-    for (const JsonValue& tenant : tenants->as_array()) {
-      const JsonValue* name = tenant.find("tenant");
-      const JsonValue* objectives = tenant.find("objectives");
-      if (!name || !name->is_string() || !objectives || !objectives->is_array()) continue;
-      for (const JsonValue& objective : objectives->as_array()) {
-        const JsonValue* kind = objective.find("kind");
-        if (!kind || !kind->is_string()) continue;
-        auto& slot = matched[{name->as_string(), kind->as_string(),
-                              number_or(objective, "percentile", 0.0)}];
-        // First unclaimed slot per key side; duplicate objectives of the same
-        // shape pair up through the generic series diff instead.
-        if (!side_b && !slot.first) slot.first = &objective;
-        if (side_b && !slot.second) slot.second = &objective;
-      }
-    }
-  };
-  collect(*a, false);
-  collect(*b, true);
-  for (const auto& [key, sides] : matched) {
-    if (!sides.first || !sides.second) continue;
-    SloObjectiveDiff diff;
-    diff.tenant = std::get<0>(key);
-    diff.kind = std::get<1>(key);
-    diff.percentile = std::get<2>(key);
-    const auto fill = [](const JsonValue& objective, double& observed,
-                         double& attainment, double& burn, bool& violated) {
-      observed = number_or(objective, "observed", 0.0);
-      attainment = number_or(objective, "attainment", 0.0);
-      burn = number_or(objective, "max_slow_burn", 0.0);
-      const JsonValue* v = objective.find("violated");
-      violated = v && v->is_bool() && v->as_bool();
-    };
-    fill(*sides.first, diff.observed_a, diff.attainment_a, diff.burn_a, diff.violated_a);
-    fill(*sides.second, diff.observed_b, diff.attainment_b, diff.burn_b, diff.violated_b);
-    out.objectives.push_back(std::move(diff));
   }
   return out;
 }
@@ -516,8 +471,7 @@ std::string summary_sentence(const DiffReport& report) {
 }  // namespace
 
 bool diff_regression(const DiffReport& report) noexcept {
-  return report.counts.regressed > 0 || report.counts.removed > 0 ||
-         report.slo_newly_violated > 0;
+  return report.counts.regressed > 0 || report.counts.removed > 0;
 }
 
 DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& options) {
@@ -641,10 +595,6 @@ DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& op
   }
 
   report.critical_path = diff_critical_path(find_doc(a, "analysis"), find_doc(b, "analysis"));
-  report.slo = diff_slo(find_doc(a, "slo"), find_doc(b, "slo"));
-  for (const SloObjectiveDiff& objective : report.slo.objectives) {
-    if (!objective.violated_a && objective.violated_b) ++report.slo_newly_violated;
-  }
   report.summary = summary_sentence(report);
   return report;
 }
@@ -760,35 +710,10 @@ JsonValue diff_report_json(const DiffReport& report) {
     doc.set("critical_path", std::move(section));
   }
 
-  if (report.slo.present) {
-    JsonValue section = JsonValue::object();
-    section.set("newly_violated", static_cast<std::uint64_t>(report.slo_newly_violated));
-    JsonValue objectives = JsonValue::array();
-    for (const SloObjectiveDiff& objective : report.slo.objectives) {
-      JsonValue entry = JsonValue::object();
-      entry.set("tenant", objective.tenant);
-      entry.set("kind", objective.kind);
-      entry.set("percentile", objective.percentile);
-      entry.set("observed_a", objective.observed_a);
-      entry.set("observed_b", objective.observed_b);
-      entry.set("attainment_a", objective.attainment_a);
-      entry.set("attainment_b", objective.attainment_b);
-      entry.set("burn_a", objective.burn_a);
-      entry.set("burn_b", objective.burn_b);
-      entry.set("violated_a", objective.violated_a);
-      entry.set("violated_b", objective.violated_b);
-      objectives.push_back(std::move(entry));
-    }
-    section.set("objectives", std::move(objectives));
-    doc.set("slo", std::move(section));
-  }
-
   JsonValue verdict = JsonValue::object();
   verdict.set("regression", diff_regression(report));
   verdict.set("regressed_series", static_cast<std::uint64_t>(report.counts.regressed));
   verdict.set("removed_series", static_cast<std::uint64_t>(report.counts.removed));
-  verdict.set("slo_newly_violated",
-              static_cast<std::uint64_t>(report.slo_newly_violated));
   doc.set("verdict", std::move(verdict));
   doc.set("summary", report.summary);
   return doc;
@@ -859,11 +784,6 @@ std::string diff_text(const DiffReport& report, bool summary_only) {
       if (delta != 0.0) out += fmt(" (%.0f%% of makespan delta)", cell_delta / delta * 100.0);
       out += "\n";
     }
-  }
-
-  if (report.slo.present) {
-    out += fmt("  slo: %zu objective(s) compared, %u newly violated\n",
-               report.slo.objectives.size(), report.slo_newly_violated);
   }
   return out;
 }

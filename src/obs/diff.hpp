@@ -14,18 +14,21 @@
 //     deterministic simulator is *exact* — every relaxation should be a
 //     committed, reviewable line.
 //
-//  2. Specialized sections that know artifact semantics: critical-path
+//  2. One specialized section that knows artifact semantics: critical-path
 //     segment diffing that attributes the makespan delta to phase×lane
-//     cells (the cells plus an explicit residual sum to the delta exactly),
-//     and per-tenant SLO attainment/burn deltas. Health incidents need no
-//     section: they are `health.incidents` counters in the metrics (one more
-//     incident raises the lower-is-better total; one that moved lane or rule
-//     leaves a removed series).
+//     cells (the cells plus an explicit residual sum to the delta exactly).
+//     Health incidents and SLO verdicts need no section: they are metrics.
+//     One more incident raises the lower-is-better `health.incidents` total;
+//     a newly violated objective raises `slo.violated`, both the total and
+//     its {objective, kind, tenant} series; a falling attainment, or a
+//     falling observed admission rate, regresses through the name's
+//     higher-is-better token. An incident that moved lane or rule leaves a
+//     removed series.
 //
-//  3. A verdict: regression iff any series regressed or disappeared, or an
-//     SLO objective is newly violated. Config changes and artifact-coverage
-//     differences are reported but informational — comparing an EA run
-//     against an ED run is the point, not an error.
+//  3. A verdict: regression iff any series regressed or disappeared. Config
+//     changes and artifact-coverage differences are reported but
+//     informational — comparing an EA run against an ED run is the point,
+//     not an error.
 //
 // Determinism contract: same inputs + tolerances => byte-identical
 // multihit.diff.v1 (series sorted by name, sections sorted by their keys,
@@ -95,14 +98,15 @@ struct SeriesDelta {
 };
 
 /// True when smaller values of `series` are better (seconds, bytes, stalls,
-/// rejections...). Higher-is-better names (attainment, occupancy,
-/// throughput, admission, ...) return false. The heuristic only picks the
+/// rejections, violations...). Higher-is-better names (attainment,
+/// occupancy, throughput, admission, ...) return false; the label suffix
+/// counts, except on a violation count. The heuristic only picks the
 /// improved/regressed label — the *gate* treats any uncovered delta on a
 /// lower-is-better=false series as regression-worthy via kRegressed when it
 /// moves down.
 bool lower_is_better(std::string_view series);
 
-// --- specialized sections --------------------------------------------------
+// --- the critical-path section --------------------------------------------
 
 /// One phase×lane cell of the makespan attribution: total critical-path
 /// seconds attributed to (phase, lane) on each side. delta = b - a; the sum
@@ -119,22 +123,6 @@ struct CriticalPathDiff {
   double makespan_a = 0.0;
   double makespan_b = 0.0;
   std::vector<AttributionCell> cells;  ///< sorted by (phase, lane)
-};
-
-/// Per-(tenant, objective) SLO movement.
-struct SloObjectiveDiff {
-  std::string tenant;
-  std::string kind;
-  double percentile = 0.0;
-  double observed_a = 0.0, observed_b = 0.0;
-  double attainment_a = 0.0, attainment_b = 0.0;
-  double burn_a = 0.0, burn_b = 0.0;  ///< max slow-window burn (budget only)
-  bool violated_a = false, violated_b = false;
-};
-
-struct SloDiff {
-  bool present = false;
-  std::vector<SloObjectiveDiff> objectives;  ///< sorted by (tenant, kind, percentile)
 };
 
 // --- run inputs ------------------------------------------------------------
@@ -205,8 +193,6 @@ struct DiffReport {
   DiffCounts counts;
   std::vector<SeriesDelta> series;  ///< non-identical only, sorted by name
   CriticalPathDiff critical_path;
-  SloDiff slo;
-  std::uint32_t slo_newly_violated = 0;
   std::string summary;  ///< one human sentence, embedded verbatim in the doc
 };
 

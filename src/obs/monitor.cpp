@@ -641,30 +641,16 @@ std::vector<std::string> health_crosscheck(const HealthReport& report,
   }
 
   // The health.incidents series, when the snapshot holds any, must be what
-  // record_health writes for this report: compare the two snapshots' entries
-  // in their (name, labels) order and name the first one that differs.
-  // metrics_counter_totals has already checked every counter's shape.
-  const auto health_entries = [](const JsonValue& doc) {
-    std::vector<const JsonValue*> out;
-    for (const JsonValue& entry : doc.find("counters")->as_array()) {
-      if (entry.find("name")->as_string() == "health.incidents") out.push_back(&entry);
-    }
-    return out;
-  };
-  const std::vector<const JsonValue*> recorded = health_entries(metrics);
-  if (recorded.empty()) return mismatches;
+  // record_health writes for this report.
+  if (totals.count("health.incidents") == 0) return mismatches;
   MetricsRegistry replayed;
   record_health(report, replayed);
-  const JsonValue replay_doc = replayed.snapshot();
-  const std::vector<const JsonValue*> expected = health_entries(replay_doc);
-  for (std::size_t i = 0; i < std::max(recorded.size(), expected.size()); ++i) {
-    const JsonValue* in_metrics = i < recorded.size() ? recorded[i] : nullptr;
-    const JsonValue* in_replay = i < expected.size() ? expected[i] : nullptr;
-    if (in_metrics && in_replay && in_metrics->dump() == in_replay->dump()) continue;
-    mismatches.push_back("metrics hold " + (in_metrics ? in_metrics->dump() : "nothing") +
-                         " where the replay records " +
-                         (in_replay ? in_replay->dump() : "nothing"));
-    break;
+  try {
+    std::string differs =
+        metrics_family_mismatch(metrics, replayed.snapshot(), "health.incidents");
+    if (!differs.empty()) mismatches.push_back(std::move(differs));
+  } catch (const AnalysisError& e) {
+    mismatches.push_back(e.what());
   }
   return mismatches;
 }

@@ -3,6 +3,7 @@
 // pure functions of TraceAnalysis (plus an optional metrics snapshot), so
 // byte-identical analyses render byte-identical artifacts.
 
+#include <algorithm>
 #include <map>
 
 #include "obs/analyze.hpp"
@@ -23,6 +24,37 @@ std::map<std::string, double> metrics_counter_totals(const JsonValue& metrics) {
   }
   for (const auto& [name, value] : unlabeled) totals[name] = value;
   return totals;
+}
+
+std::string metrics_family_mismatch(const JsonValue& metrics, const JsonValue& replay,
+                                    std::string_view family) {
+  const auto entries = [family](const JsonValue& doc) {
+    const JsonFields root =
+        require_schema<AnalysisError>(doc, kMetricsSchema, "metrics document");
+    std::vector<const JsonValue*> out;
+    for (const char* section : {"counters", "gauges", "histograms"}) {
+      if (!root.has(section)) continue;
+      const std::vector<JsonFields> typed = root.array(section).objects();
+      for (std::size_t i = 0; i < typed.size(); ++i) {
+        const std::string_view name = typed[i].string("name");
+        if (name.substr(0, family.size()) == family &&
+            (name.size() == family.size() || name[family.size()] == '.')) {
+          out.push_back(&doc.find(section)->at(i));
+        }
+      }
+    }
+    return out;
+  };
+  const std::vector<const JsonValue*> recorded = entries(metrics);
+  const std::vector<const JsonValue*> expected = entries(replay);
+  for (std::size_t i = 0; i < std::max(recorded.size(), expected.size()); ++i) {
+    const JsonValue* in_metrics = i < recorded.size() ? recorded[i] : nullptr;
+    const JsonValue* in_replay = i < expected.size() ? expected[i] : nullptr;
+    if (in_metrics && in_replay && in_metrics->dump() == in_replay->dump()) continue;
+    return "metrics hold " + (in_metrics ? in_metrics->dump() : "nothing") +
+           " where the replay records " + (in_replay ? in_replay->dump() : "nothing");
+  }
+  return {};
 }
 
 JsonValue analysis_report(const TraceAnalysis& analysis, const JsonValue* metrics) {

@@ -26,9 +26,6 @@ inline constexpr std::string_view kBenchSchema = "multihit.bench.v1";
 inline constexpr std::string_view kTruthSchema = "multihit.truth.v1";
 /// Job-service trace-replay reports (multihit_serve --out).
 inline constexpr std::string_view kServeSchema = "multihit.serve.v1";
-/// Per-tenant SLO evaluations (obstool slo --report-out, multihit_serve
-/// --slo-out).
-inline constexpr std::string_view kSloSchema = "multihit.slo.v1";
 /// Per-invocation run manifests (--manifest-out / --artifacts-dir): the
 /// driver's configuration plus a digest inventory of every emitted artifact.
 inline constexpr std::string_view kRunSchema = "multihit.run.v1";
@@ -53,9 +50,8 @@ struct SchemaEntry {
 inline constexpr SchemaEntry kSchemaRegistry[] = {
     {kMetricsSchema, "metrics"}, {kAnalysisSchema, "analysis"},
     {kBenchSchema, "bench"},     {kTruthSchema, "truth"},
-    {kServeSchema, "serve"},     {kSloSchema, "slo"},
-    {kRunSchema, "run"},         {kDiffSchema, "diff"},
-    {kChromeTraceTag, "trace"},
+    {kServeSchema, "serve"},     {kRunSchema, "run"},
+    {kDiffSchema, "diff"},       {kChromeTraceTag, "trace"},
 };
 
 /// Short kind for a schema tag ("" when the tag is not in the registry).

@@ -198,7 +198,13 @@ SloInput slo_input_from_serve_json(const JsonValue& doc) {
     job.tenant = entry.string("tenant");
     job.arrival = entry.number("arrival");
     job.finish = entry.number("finish");
-    job.rejected = entry.string("outcome") != "completed";
+    const std::string& outcome = entry.string("outcome");
+    if (outcome != "completed" && outcome != "rejected_queue_full" &&
+        outcome != "rejected_quota") {
+      entry.fail("outcome", "is \"" + outcome +
+                                "\", expected completed, rejected_queue_full or rejected_quota");
+    }
+    job.rejected = outcome != "completed";
     job.cache_hit = entry.boolean("cache_hit");
     if (!job.rejected) job.latency = entry.number("latency");
     input.jobs.push_back(std::move(job));
@@ -237,7 +243,6 @@ double max_burn(const std::vector<BudgetEvent>& events, double window, double bu
 
 SloReport evaluate_slo(const SloInput& input, const std::vector<SloObjective>& spec) {
   SloReport report;
-  report.spec = spec;
 
   std::set<std::string> tenant_names;
   for (const SloJob& job : input.jobs) tenant_names.insert(job.tenant);
@@ -272,11 +277,13 @@ SloReport evaluate_slo(const SloInput& input, const std::vector<SloObjective>& s
                      [](const BudgetEvent& a, const BudgetEvent& b) { return a.at < b.at; });
     const auto total = static_cast<std::uint32_t>(events.size());
 
-    for (const SloObjective& o : spec) {
+    for (std::uint32_t index = 0; index < spec.size(); ++index) {
+      const SloObjective& o = spec[index];
       if (o.tenant != "*" && o.tenant != name) continue;
       SloObjectiveResult res;
       res.objective = o;
       res.objective.tenant = name;
+      res.index = index;
       switch (o.kind) {
         case SloKind::kLatency: {
           res.observed = latencies.percentile(o.percentile);
@@ -324,67 +331,28 @@ SloReport evaluate_slo(const SloInput& input, const std::vector<SloObjective>& s
   return report;
 }
 
-JsonValue slo_report_json(const SloReport& report) {
-  const auto objective_fields = [](JsonValue& entry, const SloObjective& o) {
-    entry.set("tenant", o.tenant);
-    entry.set("kind", std::string(slo_kind_name(o.kind)));
-    if (o.kind == SloKind::kLatency) entry.set("percentile", o.percentile);
-    entry.set("target", o.target);
-    if (o.kind == SloKind::kBudget) {
-      entry.set("window", o.window);
-      entry.set("fast_window", o.fast_window);
-    }
-  };
-
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", std::string(kSloSchema));
-
-  JsonValue spec = JsonValue::array();
-  for (const SloObjective& o : report.spec) {
-    JsonValue entry = JsonValue::object();
-    objective_fields(entry, o);
-    spec.push_back(std::move(entry));
-  }
-  doc.set("objectives", std::move(spec));
-
-  JsonValue tenants = JsonValue::array();
+void record_slo(const SloReport& report, MetricsRegistry& metrics) {
+  metrics.counter("slo.objectives").add(report.objectives);
+  Counter& total = metrics.counter("slo.violated");
   for (const SloTenantReport& tenant : report.tenants) {
-    JsonValue entry = JsonValue::object();
-    entry.set("tenant", tenant.tenant);
-    entry.set("completed", static_cast<std::uint64_t>(tenant.completed));
-    entry.set("rejected", static_cast<std::uint64_t>(tenant.rejected));
-    entry.set("cache_hits", static_cast<std::uint64_t>(tenant.cache_hits));
-    entry.set("bad", static_cast<std::uint64_t>(tenant.bad));
-    JsonValue results = JsonValue::array();
     for (const SloObjectiveResult& res : tenant.objectives) {
-      JsonValue r = JsonValue::object();
-      objective_fields(r, res.objective);
-      r.set("observed", res.observed);
-      r.set("attainment", res.attainment);
+      const Labels labels{{"objective", std::to_string(res.index)},
+                          {"kind", slo_kind_name(res.objective.kind)},
+                          {"tenant", tenant.tenant}};
+      metrics.gauge("slo.observed", labels).set(res.observed);
+      metrics.gauge("slo.attainment", labels).set(res.attainment);
+      metrics.counter("slo.violated", labels).add(res.violated ? 1.0 : 0.0);
       if (res.objective.kind == SloKind::kBudget) {
-        r.set("max_fast_burn", res.max_fast_burn);
-        r.set("max_slow_burn", res.max_slow_burn);
+        metrics.gauge("slo.fast_burn", labels).set(res.max_fast_burn);
+        metrics.gauge("slo.slow_burn", labels).set(res.max_slow_burn);
       }
-      r.set("violated", res.violated);
-      results.push_back(std::move(r));
+      if (res.violated) total.add();
     }
-    entry.set("objectives", std::move(results));
-    tenants.push_back(std::move(entry));
   }
-  doc.set("tenants", std::move(tenants));
-
-  JsonValue summary = JsonValue::object();
-  summary.set("tenants", static_cast<std::uint64_t>(report.tenants.size()));
-  summary.set("objectives", static_cast<std::uint64_t>(report.objectives));
-  summary.set("violated", static_cast<std::uint64_t>(report.violated));
-  summary.set("worst_burn", report.worst_burn);
-  summary.set("worst_p99_attainment", report.worst_p99_attainment);
-  doc.set("summary", std::move(summary));
-  return doc;
 }
 
 std::string slo_text(const SloReport& report, bool summary_only) {
-  std::string out = "multihit serve SLO (" + std::string(kSloSchema) + ")\n";
+  std::string out = "multihit serve SLO\n";
   out += "  tenants " + std::to_string(report.tenants.size()) + ", objectives " +
          std::to_string(report.objectives) + " (" + std::to_string(report.violated) +
          " violated)\n";

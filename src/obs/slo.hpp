@@ -26,10 +26,10 @@
 // request) that can be built two ways: in-process from a live ServeResult
 // (serve::slo_input), or offline by parsing a multihit.serve.v1 report
 // (slo_input_from_serve_json). Both paths carry bit-identical doubles (the
-// JSON layer prints shortest round-trippable numbers), so the emitted
-// `multihit.slo.v1` document is byte-identical between `multihit-serve
-// --slo-out` and an `obstool slo` replay of the saved report —
-// scripts/ci.sh pins it with cmp.
+// JSON layer prints shortest round-trippable numbers), so the verdict
+// record_slo writes into `multihit-serve --metrics-out` equals what an
+// `obstool slo SERVE --spec FILE METRICS` replay records, series for
+// series — scripts/ci.sh pins it.
 //
 // The monitor-side companions (queue-saturation / tenant-starvation /
 // burn-rate / cache-thrash detectors over serve trace lanes) live in
@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 
 namespace multihit::obs {
 
@@ -114,13 +115,15 @@ struct SloInput {
 
 /// Builds an SloInput from a parsed multihit.serve.v1 document; throws
 /// SloError on the wrong schema (naming expected and found) or ill-shaped
-/// job records. Doubles round-trip exactly, so this input is bit-identical
+/// job records, an `outcome` other than completed, rejected_queue_full or
+/// rejected_quota included. Doubles round-trip exactly, so this input is bit-identical
 /// to the in-process serve::slo_input of the run that wrote the report.
 SloInput slo_input_from_serve_json(const JsonValue& doc);
 
 /// One objective's verdict for one tenant.
 struct SloObjectiveResult {
   SloObjective objective;      ///< tenant materialized ('*' expanded)
+  std::uint32_t index = 0;     ///< the objective's declaration index in the spec
   double observed = 0.0;       ///< pP latency / admission rate / budget consumed
   double attainment = 1.0;     ///< fraction of events meeting the target
   double max_fast_burn = 0.0;  ///< budget only: worst fast-window burn rate
@@ -138,7 +141,6 @@ struct SloTenantReport {
 };
 
 struct SloReport {
-  std::vector<SloObjective> spec;          ///< echo, in declaration order
   std::vector<SloTenantReport> tenants;    ///< sorted by tenant name
   std::uint32_t objectives = 0;            ///< evaluated (tenant, objective) pairs
   std::uint32_t violated = 0;
@@ -151,9 +153,13 @@ struct SloReport {
 /// input (plus explicitly named tenants), in sorted order.
 SloReport evaluate_slo(const SloInput& input, const std::vector<SloObjective>& spec);
 
-/// Renders the multihit.slo.v1 JSON document (stable field order; two
-/// identical evaluations produce byte-identical documents).
-JsonValue slo_report_json(const SloReport& report);
+/// Adds the report's verdict to `metrics`: counter `slo.objectives`, an
+/// unlabeled counter `slo.violated` (the total; registered even when it is
+/// 0), and per evaluated (tenant, objective), labeled {objective=<declaration
+/// index>, kind, tenant}: gauges `slo.observed` and `slo.attainment`, a 0/1
+/// counter `slo.violated`, and for budget objectives gauges `slo.fast_burn`
+/// and `slo.slow_burn`. Counters add, so record one report per registry.
+void record_slo(const SloReport& report, MetricsRegistry& metrics);
 
 /// Human-readable rendering; `summary_only` stops after the totals.
 std::string slo_text(const SloReport& report, bool summary_only = false);

@@ -25,8 +25,10 @@
 #include <vector>
 
 #include "hostile_json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/runinfo.hpp"
 #include "obs/schema.hpp"
+#include "obs/slo.hpp"
 
 namespace multihit {
 namespace {
@@ -240,7 +242,12 @@ TEST(DiffClassify, ToleranceCoversDriftAndLastRuleWins) {
 TEST(DiffClassify, LowerIsBetterHeuristic) {
   EXPECT_TRUE(obs::lower_is_better("analysis.makespan_seconds"));
   EXPECT_TRUE(obs::lower_is_better("serve.aggregate.p99_latency"));
-  EXPECT_FALSE(obs::lower_is_better("slo.tenants.attainment"));
+  EXPECT_FALSE(
+      obs::lower_is_better("metrics.gauge.slo.attainment{kind=latency,objective=0,tenant=gold}"));
+  EXPECT_FALSE(
+      obs::lower_is_better("metrics.gauge.slo.observed{kind=admission,objective=1,tenant=gold}"));
+  EXPECT_TRUE(obs::lower_is_better(
+      "metrics.counter.slo.violated{kind=admission,objective=1,tenant=gold}"));
   EXPECT_FALSE(obs::lower_is_better("serve.summary.jobs_per_sec"));
   EXPECT_FALSE(obs::lower_is_better("metrics.histogram.gpu.occupancy.sum"));
   // The per_sec row names a series a run really emits: the serve summary's
@@ -458,6 +465,51 @@ TEST(DiffIncidents, NewIncidentInBIsARegression) {
 
   // The same incidents on both sides diff clean.
   EXPECT_FALSE(obs::diff_regression(obs::diff_runs(health({"3"}), health({"3"}), DiffOptions{})));
+}
+
+// ---------------------------------------------------------------------- SLOs
+
+TEST(DiffSlo, NewlyViolatedObjectiveIsARegression) {
+  // SLO verdicts are slo.* metrics (obs::record_slo). Run B sheds one of
+  // gold's two requests, so its admission objective is newly violated.
+  const std::vector<obs::SloObjective> spec =
+      obs::parse_slo("slo * latency p99 below 5\nslo * admission above 0.9\n");
+  const auto slo_run = [&spec](bool shed_one) {
+    obs::SloInput input;
+    for (int i = 0; i < 2; ++i) {
+      obs::SloJob job;
+      job.tenant = "gold";
+      job.arrival = 10.0 * i;
+      job.rejected = shed_one && i == 1;
+      job.finish = job.rejected ? -1.0 : job.arrival + 1.0;
+      job.latency = job.rejected ? 0.0 : 1.0;
+      input.jobs.push_back(job);
+    }
+    obs::MetricsRegistry metrics;
+    obs::record_slo(obs::evaluate_slo(input, spec), metrics);
+    RunInput run;
+    run.label = shed_one ? "b" : "a";
+    obs::add_doc(run, "metrics", metrics.snapshot());
+    return run;
+  };
+
+  const DiffReport report = obs::diff_runs(slo_run(false), slo_run(true), DiffOptions{});
+  for (const char* name :
+       {"metrics.counter.slo.violated",
+        "metrics.counter.slo.violated{kind=admission,objective=1,tenant=gold}",
+        // A falling admission rate: the label's `admission` token makes the
+        // series higher-is-better.
+        "metrics.gauge.slo.observed{kind=admission,objective=1,tenant=gold}"}) {
+    const SeriesDelta* delta = find_series(report, name);
+    ASSERT_NE(delta, nullptr) << name;
+    EXPECT_EQ(delta->cls, DeltaClass::kRegressed) << name;
+  }
+  EXPECT_EQ(
+      find_series(report, "metrics.counter.slo.violated{kind=latency,objective=0,tenant=gold}"),
+      nullptr);
+  EXPECT_TRUE(obs::diff_regression(report));
+
+  EXPECT_FALSE(obs::diff_regression(obs::diff_runs(slo_run(true), slo_run(true), DiffOptions{})));
 }
 
 /// Diffing a run that holds `doc` as `role` against one whose copy has the

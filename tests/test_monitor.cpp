@@ -370,9 +370,13 @@ TEST(MonitorProperties, IncidentsAreWellFormedUnderRandomFaultPlans) {
       // clock: a new one can only open after the previous cleared.
       const auto key = std::make_pair(inc.rule, inc.lane);
       const auto it = last_cleared.find(key);
-      if (it != last_cleared.end()) EXPECT_GT(inc.fired, it->second) << inc.rule;
+      if (it != last_cleared.end()) {
+        EXPECT_GT(inc.fired, it->second) << inc.rule;
+      }
       last_cleared[key] = inc.cleared;
-      if (inc.open) EXPECT_DOUBLE_EQ(inc.cleared, dt * static_cast<double>(report.boundaries));
+      if (inc.open) {
+        EXPECT_DOUBLE_EQ(inc.cleared, dt * static_cast<double>(report.boundaries));
+      }
     }
   }
 }

@@ -890,7 +890,9 @@ TEST(GreedyFloor, MatchesTheScoreEveryGeneFloorBitForBit) {
                                       ", hits " + std::to_string(hits);
             const double expected =
                 reference_greedy_floor(f.data.tumor, f.data.normal, f.ctx, hits);
-            if (hits > genes) EXPECT_EQ(expected, kNoFloor) << where;
+            if (hits > genes) {
+              EXPECT_EQ(expected, kNoFloor) << where;
+            }
             EXPECT_EQ(greedy_floor(f.data.tumor, f.data.normal, f.ctx, hits), expected) << where;
             EXPECT_EQ(greedy_floor(f.data.tumor, f.data.normal, f.ctx, hits, table), expected)
                 << where;

@@ -1,8 +1,8 @@
 // Per-tenant serve SLO suite (src/obs/slo + the monitor's serve detectors).
 //
 // The load-bearing properties, in order of importance:
-//   1. Replay identity: the multihit.slo.v1 report computed in-process from a
-//      live ServeResult is byte-identical to one recomputed offline from the
+//   1. Replay identity: the slo.* metrics recorded in-process from a live
+//      ServeResult are byte-identical to those recomputed offline from the
 //      run's multihit.serve.v1 document — the contract `obstool slo` rests on.
 //   2. Detector ground truth: every planted --scenario pathology fires its
 //      detector class (100% recall on the pinned seeds), and clean traces
@@ -229,21 +229,82 @@ TEST(SloEvaluate, BurnRateIsWindowedNotCumulative) {
   EXPECT_DOUBLE_EQ(report.worst_burn, 4.0);
 }
 
-// ------------------------------------------------------------ report document
+// ------------------------------------------------------------ metrics form
 
-TEST(SloReport, SchemaAndDeterministicDump) {
+/// The labels record_slo puts on one evaluated (tenant, objective).
+obs::Labels objective_labels(int index, const char* kind, const char* tenant) {
+  return {{"objective", std::to_string(index)}, {"kind", kind}, {"tenant", tenant}};
+}
+
+TEST(SloMetrics, RecordSloWritesEveryObjectiveAndTheTotals) {
   SloInput input;
   input.jobs = {completed("a", 0.0, 1.0), shed("b", 2.0)};
   const std::vector<SloObjective> spec = obs::parse_slo(std::string(kServeSlo));
-  const JsonValue doc = obs::slo_report_json(obs::evaluate_slo(input, spec));
-  EXPECT_EQ(doc.find("schema")->as_string(), obs::kSloSchema);
-  ASSERT_NE(doc.find("tenants"), nullptr);
-  ASSERT_NE(doc.find("summary"), nullptr);
-  EXPECT_EQ(doc.find("summary")->find("violated")->as_number(), 2.0);  // b: admission+budget
+  const SloReport report = obs::evaluate_slo(input, spec);
+  obs::MetricsRegistry metrics;
+  obs::record_slo(report, metrics);
 
-  // Same input + spec => byte-identical documents.
-  const std::string again = obs::slo_report_json(obs::evaluate_slo(input, spec)).dump();
-  EXPECT_EQ(doc.dump(), again);
+  // Two totals, then per (tenant, objective) observed + attainment + violated,
+  // and the two burn gauges on the budget objective only: 2 + 6 * 3 + 2 * 2.
+  // No per-tenant counts: the serve.* metrics carry those.
+  constexpr std::size_t kSeries = 24;
+  ASSERT_EQ(metrics.series_count(), kSeries);
+  // Looking a series up registers it when absent, so the count staying at
+  // kSeries below proves every series read here was recorded.
+  EXPECT_EQ(metrics.counter("slo.objectives").value(), 6.0);
+  EXPECT_EQ(metrics.counter("slo.violated").value(), 2.0);  // b: admission + budget
+  for (const char* tenant : {"a", "b"}) {
+    int index = 0;
+    for (const char* kind : {"latency", "admission", "budget"}) {
+      const obs::Labels labels = objective_labels(index++, kind, tenant);
+      const bool violated = std::string_view(tenant) == "b" && std::string_view(kind) != "latency";
+      EXPECT_EQ(metrics.counter("slo.violated", labels).value(), violated ? 1.0 : 0.0)
+          << tenant << " " << kind;
+      metrics.gauge("slo.observed", labels);
+      metrics.gauge("slo.attainment", labels);
+    }
+    metrics.gauge("slo.fast_burn", objective_labels(2, "budget", tenant));
+    metrics.gauge("slo.slow_burn", objective_labels(2, "budget", tenant));
+  }
+  EXPECT_EQ(metrics.series_count(), kSeries);
+  EXPECT_EQ(metrics.gauge("slo.observed", objective_labels(0, "latency", "a")).value(), 1.0);
+  EXPECT_EQ(metrics.gauge("slo.observed", objective_labels(1, "admission", "b")).value(), 0.0);
+  EXPECT_EQ(metrics.gauge("slo.slow_burn", objective_labels(2, "budget", "b")).value(), 10.0);
+
+  // Two records of one report give byte-equal snapshots.
+  obs::MetricsRegistry once, again;
+  obs::record_slo(report, once);
+  obs::record_slo(obs::evaluate_slo(input, spec), again);
+  EXPECT_EQ(once.to_json(), again.to_json());
+
+  // A report with nothing violated still registers the total, at 0.
+  obs::MetricsRegistry clean;
+  obs::record_slo(obs::evaluate_slo(SloInput{{completed("a", 0.0, 1.0)}}, spec), clean);
+  EXPECT_NE(clean.to_json().find(R"({"name":"slo.violated","labels":{},"value":0})"),
+            std::string::npos);
+}
+
+TEST(SloMetrics, OverlappingObjectivesOfOneTenantGetDistinctSeries) {
+  // Two p99 objectives and a p50 one apply to gold; the declaration index
+  // keeps the two p99 series apart.
+  SloInput input;
+  input.jobs = {completed("gold", 0.0, 4.0), completed("gold", 10.0, 14.0)};
+  const SloReport report = obs::evaluate_slo(
+      input, obs::parse_slo("slo gold latency p50 below 5\n"
+                            "slo gold latency p99 below 3\n"
+                            "slo * latency p99 below 4\n"));
+  obs::MetricsRegistry metrics;
+  obs::record_slo(report, metrics);
+  ASSERT_EQ(metrics.series_count(), 2u + 3u * 3u);
+  for (int index = 0; index < 3; ++index) {
+    EXPECT_EQ(metrics.gauge("slo.observed", objective_labels(index, "latency", "gold")).value(),
+              4.0)
+        << index;
+  }
+  EXPECT_EQ(metrics.counter("slo.violated", objective_labels(0, "latency", "gold")).value(), 0.0);
+  EXPECT_EQ(metrics.counter("slo.violated", objective_labels(1, "latency", "gold")).value(), 1.0);
+  EXPECT_EQ(metrics.counter("slo.violated", objective_labels(2, "latency", "gold")).value(), 0.0);
+  EXPECT_EQ(metrics.series_count(), 2u + 3u * 3u);
 }
 
 TEST(SloInputJson, RejectsWrongSchemaAndIllShapedJobs) {
@@ -274,6 +335,8 @@ TEST(SloInputJson, RejectsWrongSchemaAndIllShapedJobs) {
   reject(hostile::plant(good, "tenant", "5"), "jobs[0].tenant");
   reject(hostile::plant(good, "finish", "1e999"), "jobs[0].finish");
   reject(good.substr(0, good.find(",\"latency\"")) + "}]}", "jobs[0].latency");
+  // A misspelt outcome is not a rejection: it would burn error budget.
+  reject(hostile::plant(good, "outcome", "\"completd\""), "jobs[0].outcome");
 }
 
 // ---------------------------------------------------------- replay identity
@@ -300,8 +363,22 @@ TEST(SloReplay, OfflineServeJsonReproducesInProcessBytes) {
   const SloInput parsed = obs::slo_input_from_serve_json(JsonValue::parse(serve_doc));
   const SloReport offline = obs::evaluate_slo(parsed, options.slo);
 
-  EXPECT_EQ(obs::slo_report_json(live).dump(), obs::slo_report_json(offline).dump());
+  obs::MetricsRegistry live_metrics, offline_metrics;
+  obs::record_slo(live, live_metrics);
+  obs::record_slo(offline, offline_metrics);
+  EXPECT_EQ(live_metrics.to_json(), offline_metrics.to_json());
   EXPECT_GT(live.objectives, 0u);
+
+  // The `obstool slo SERVE --spec FILE METRICS` crosscheck: the live snapshot,
+  // read back from text, agrees with the replay; one more violation in it is
+  // named by the first entry that differs.
+  EXPECT_EQ(obs::metrics_family_mismatch(JsonValue::parse(live_metrics.to_json()),
+                                         offline_metrics.snapshot(), "slo"),
+            "");
+  live_metrics.counter("slo.violated").add();
+  const std::string mismatch = obs::metrics_family_mismatch(
+      JsonValue::parse(live_metrics.to_json()), offline_metrics.snapshot(), "slo");
+  EXPECT_NE(mismatch.find("\"slo.violated\""), std::string::npos) << mismatch;
 }
 
 // ------------------------------------------------- planted-pathology ground truth
