@@ -78,14 +78,16 @@ int main() {
     options.checkpoint_every = c.checkpoint_every;
     obs::Recorder recorder;
     options.recorder = &recorder;
-    const ClusterRunResult result = runner.run(data, options);
+    runner.run(data, options);
 
     // Monitor the microsecond-rounded Chrome replay — exactly what an
     // offline `multihit-obstool monitor` invocation would see.
     const obs::Tracer replay = obs::tracer_from_chrome(
         obs::JsonValue::parse(recorder.trace.to_chrome_json()));
     const obs::HealthReport health = obs::monitor_trace(replay);
-    const std::vector<obs::TruthEvent> truth = truth_events(result.fault_events);
+    // Ground truth: the injector's fault instants in the in-memory trace,
+    // at their exact simulated times.
+    const std::vector<obs::TruthEvent> truth = obs::truth_from_trace(recorder.trace);
     const obs::HealthScore score =
         obs::score_incidents(health, truth, kDetectionWindow);
 

@@ -5,7 +5,6 @@
 //                              [--drop R@I:N] [--abort I] [--checkpoint N]
 //                              [--host-threads N] [--host-profile-out FILE]
 //                              [--trace-out FILE] [--metrics-out FILE]
-//                              [--report-out FILE] [--truth-out FILE]
 //                              [--manifest-out FILE] [--artifacts-dir DIR]
 //                              [--log-level LEVEL]
 //
@@ -14,16 +13,15 @@
 // three, only the modeled schedule changes, which makes an ea-vs-ed pair
 // the canonical `multihit-obstool diff` regression-triage exercise.
 //
-// `--artifacts-dir DIR` is the one-flag observability bundle: every
-// artifact above that was not explicitly routed elsewhere is written under
-// DIR with its standard name (run.trace.json, run.metrics.json,
-// run.analysis.json, plus run.truth.json when faults are injected), and a
-// multihit.run.v1 manifest (DIR/manifest.json, or
-// --manifest-out) inventories the run configuration plus every emitted
-// file with a content digest — two such directories are diffable with
-// `multihit-obstool diff A/manifest.json B/manifest.json`. `--manifest-out`
-// also works without --artifacts-dir, inventorying whatever --*-out
-// artifacts were requested.
+// `--artifacts-dir DIR` is the one-flag observability bundle: the trace and
+// the metrics, unless explicitly routed elsewhere, are written under DIR
+// with their standard names (run.trace.json, run.metrics.json), and a
+// multihit.run.v1 manifest (DIR/manifest.json, or --manifest-out)
+// inventories the run configuration plus every emitted file with a content
+// digest — two such directories are diffable with `multihit-obstool diff
+// A/manifest.json B/manifest.json`, which derives each run's critical-path
+// analysis from its trace. `--manifest-out` also works without
+// --artifacts-dir, inventorying whatever --*-out artifacts were requested.
 //
 // `--host-threads N` additionally runs the full greedy cover as a host-side
 // multithreaded sweep on real silicon (src/core/hostsweep.hpp): N worker
@@ -47,16 +45,15 @@
 // `--metrics-out run.metrics.json` writes the metrics-registry snapshot
 // (among it the simulated kernel counters: gpu.* launches, DRAM and
 // prefetch bytes, occupancy, placed seconds and the Fig. 6c
-// gpu.stall_seconds{reason}), and `--report-out run.report.json` runs the
-// trace analytics engine in-process and writes the multihit.analysis.v1
-// report (critical path, per-phase imbalance, comm overhead — same engine
-// as `multihit-obstool analyze`).
-// Whenever metrics are written, the run's trace is also replayed through the
-// health monitor (src/obs/monitor.hpp) and its incidents land in the metrics
-// as `health.incidents` counters — the same counters `multihit-obstool
-// monitor TRACE METRICS` checks against its own replay — and `--truth-out
-// run.truth.json` exports the injected-fault ground truth
-// (multihit.truth.v1) the monitor's detectors can be scored against.
+// gpu.stall_seconds{reason}). Everything else is a view of those two files:
+// `multihit-obstool analyze run.trace.json --report-out F` writes the
+// multihit.analysis.v1 report (critical path, per-phase imbalance, comm
+// overhead), and the trace's "fault.<kind>" instants are the injected-fault
+// ground truth. Whenever metrics are written, the run's trace is also
+// replayed through the health monitor (src/obs/monitor.hpp) and its
+// incidents land in the metrics as `health.incidents` counters — the same
+// counters `multihit-obstool monitor TRACE METRICS` checks against its own
+// replay, which it also scores against the trace's fault instants.
 // All are deterministic: timestamps are simulated seconds, so identical runs
 // produce byte-identical files. The host trace alone is wall clock.
 //
@@ -116,7 +113,6 @@ namespace {
                "                     [--drop R@I:N] [--abort I] [--checkpoint N]\n"
                "                     [--host-threads N] [--host-profile-out FILE]\n"
                "                     [--trace-out FILE] [--metrics-out FILE]\n"
-               "                     [--report-out FILE] [--truth-out FILE]\n"
                "                     [--manifest-out FILE] [--artifacts-dir DIR]\n"
                "                     [--log-level LEVEL]\n";
   std::exit(1);
@@ -156,7 +152,7 @@ int main(int argc, char** argv) {
   DistributedOptions options;  // 4-hit, 3x1, EA, both prefetches, splicing
   std::uint32_t host_threads = 0;  // 0 = skip the host-sweep part
   std::string host_profile_out;
-  std::string trace_out, metrics_out, report_out, truth_out;
+  std::string trace_out, metrics_out;
   std::string manifest_out, artifacts_dir;
 
   for (int a = 1; a < argc; ++a) {
@@ -203,10 +199,6 @@ int main(int argc, char** argv) {
       trace_out = next();
     } else if (arg == "--metrics-out") {
       metrics_out = next();
-    } else if (arg == "--report-out") {
-      report_out = next();
-    } else if (arg == "--truth-out") {
-      truth_out = next();
     } else if (arg == "--manifest-out") {
       manifest_out = next();
     } else if (arg == "--artifacts-dir") {
@@ -254,9 +246,6 @@ int main(int argc, char** argv) {
     };
     if (trace_out.empty()) trace_out = standard("run.trace.json");
     if (metrics_out.empty()) metrics_out = standard("run.metrics.json");
-    if (report_out.empty()) report_out = standard("run.analysis.json");
-    // Ground truth only means something with injected faults.
-    if (truth_out.empty() && !options.faults.empty()) truth_out = standard("run.truth.json");
     if (manifest_out.empty()) manifest_out = standard("manifest.json");
   }
 
@@ -285,7 +274,7 @@ int main(int argc, char** argv) {
   config.nodes = nodes;
   const ClusterRunner runner(config);
   obs::Recorder recorder;
-  if (!trace_out.empty() || !metrics_out.empty() || !report_out.empty()) {
+  if (!trace_out.empty() || !metrics_out.empty()) {
     options.recorder = &recorder;
   }
   ClusterRunResult distributed;
@@ -303,19 +292,6 @@ int main(int argc, char** argv) {
     std::cout << "  trace written to " << trace_out << " ("
               << recorder.trace.size() << " events; open at https://ui.perfetto.dev)\n";
   }
-  if (!report_out.empty()) {
-    const obs::TraceAnalysis analysis = obs::analyze_trace(recorder.trace);
-    const obs::JsonValue metrics_doc = recorder.metrics.snapshot();
-    std::ofstream out(report_out);
-    if (out) out << obs::analysis_report(analysis, &metrics_doc).dump() << '\n';
-    if (!out) {
-      std::cerr << "error: cannot write analysis report to " << report_out << "\n";
-      return 1;
-    }
-    std::cout << "  analysis report written to " << report_out << " (critical path "
-              << analysis.critical_total << " s, comm overhead "
-              << analysis.comm_fraction * 100.0 << "%)\n";
-  }
   if (!metrics_out.empty()) {
     // Monitor the trace exactly as the offline tool will see it — serialized
     // to Chrome format (microsecond timestamps) and parsed back — so the
@@ -327,17 +303,6 @@ int main(int argc, char** argv) {
     std::cout << "  health monitor: " << health.incidents.size()
               << " incident(s), recorded as health.incidents metrics\n";
   }
-  if (!truth_out.empty()) {
-    std::ofstream out(truth_out);
-    if (out) out << obs::truth_json(truth_events(distributed.fault_events)).dump() << '\n';
-    if (!out) {
-      std::cerr << "error: cannot write fault ground truth to " << truth_out << "\n";
-      return 1;
-    }
-    std::cout << "  fault ground truth written to " << truth_out << " ("
-              << distributed.fault_events.size() << " event(s))\n";
-  }
-
   EngineConfig serial_config;
   serial_config.hits = 4;
   const GreedyResult serial =
@@ -449,8 +414,6 @@ int main(int argc, char** argv) {
       };
       add("trace", obs::kChromeTraceTag, trace_out);
       add("metrics", obs::kMetricsSchema, metrics_out);
-      add("analysis", obs::kAnalysisSchema, report_out);
-      add("truth", obs::kTruthSchema, truth_out);
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";
       return 1;

@@ -1,21 +1,21 @@
 // multihit-obstool: offline analysis of saved observability artifacts.
 //
-//   $ multihit-obstool analyze run.trace.json [run.metrics.json]
+//   $ multihit-obstool analyze run.trace.json
 //                      [--report-out FILE] [--folded-out FILE] [--quiet]
 //   $ multihit-obstool monitor run.trace.json [run.metrics.json]
 //                      [--sample-every S] [--window-samples N] [--slo-spec FILE]
-//                      [--truth FILE] [--truth-window S] [--annotate-out FILE]
+//                      [--truth-window S] [--annotate-out FILE]
 //                      [--summary] [--quiet]
 //   $ multihit-obstool slo SERVE.json --spec FILE [METRICS.json]
 //                      [--summary] [--quiet]
 //   $ multihit-obstool diff A B [--tol FILE]
 //                      [--report-out FILE] [--summary] [--quiet]
 //
-// `analyze` loads a --trace-out Chrome trace (and optionally a --metrics-out
-// snapshot), runs the trace analytics engine (critical path, per-phase
-// imbalance, comm overhead — see src/obs/analyze.hpp), and prints the
-// human-readable summary. `--report-out` writes the multihit.analysis.v1
-// JSON report, `--folded-out` writes collapsed flamegraph stacks
+// `analyze` loads a --trace-out Chrome trace, runs the trace analytics
+// engine (critical path, per-phase imbalance, comm overhead — see
+// src/obs/analyze.hpp), and prints the human-readable summary.
+// `--report-out` writes the multihit.analysis.v1 JSON report (a run writes
+// none of its own), `--folded-out` writes collapsed flamegraph stacks
 // (flamegraph.pl / speedscope format). A host trace (brca_scaleout
 // --host-profile-out) reads the same way: its worker lanes are the rank
 // lanes, so the phase table gives each of claim / evaluate / tail_idle with
@@ -24,12 +24,13 @@
 // `monitor` replays the trace through the health monitor (sampler and
 // built-in failure-mode detectors — see src/obs/monitor.hpp) and prints the
 // incident log (`--summary` stops after the per-rule counts).
-// `--sample-every` overrides the boundary cadence (seconds > 0). With a
+// `--sample-every` overrides the boundary cadence (seconds > 0) and
+// `--window-samples` the retained history (boundaries, at least 2). With a
 // metrics snapshot the incidents are cross-checked against its counters,
 // and any `health.incidents` series in it (brca_scaleout records them) must
-// equal what this replay records (mismatch exits 1). `--truth FILE` scores
-// the incidents against an injected-fault ground-truth document
-// (multihit.truth.v1, from brca_scaleout --truth-out) within `--truth-window`
+// equal what this replay records (mismatch exits 1). Whenever the trace
+// holds the fault injector's "fault.<kind>" instants — the run's ground
+// truth — the incidents are scored against them within `--truth-window`
 // seconds (> 0), exiting 1 unless recall is total and no detector
 // false-fired.
 // `--annotate-out` writes a copy of the trace with one "health.<rule>"
@@ -67,7 +68,7 @@
 // Exit status: 0 on success; 2 on a usage error (unknown subcommand, missing
 // operand, bad flag — usage goes to stderr); 1 on runtime failures
 // (unreadable/malformed/ill-shaped inputs, unwritable outputs, health or
-// SLO crosscheck mismatches, imperfect truth scores).
+// SLO crosscheck mismatches, imperfect scores against the fault instants).
 
 #include <cstdlib>
 #include <fstream>
@@ -83,11 +84,11 @@
 namespace {
 
 [[noreturn]] void usage() {
-  std::cerr << "usage: multihit-obstool analyze TRACE.json [METRICS.json]\n"
+  std::cerr << "usage: multihit-obstool analyze TRACE.json\n"
                "                        [--report-out FILE] [--folded-out FILE] [--quiet]\n"
                "       multihit-obstool monitor TRACE.json [METRICS.json]\n"
                "                        [--sample-every S] [--window-samples N] [--slo-spec FILE]\n"
-               "                        [--truth FILE] [--truth-window S] [--annotate-out FILE]\n"
+               "                        [--truth-window S] [--annotate-out FILE]\n"
                "                        [--summary] [--quiet]\n"
                "       multihit-obstool slo SERVE.json --spec FILE [METRICS.json]\n"
                "                        [--summary] [--quiet]\n"
@@ -113,7 +114,7 @@ bool write_file(const std::string& path, const std::string& content) {
 
 int run_analyze(int argc, char** argv) {
   using namespace multihit::obs;
-  std::string trace_path, metrics_path, report_out, folded_out;
+  std::string trace_path, report_out, folded_out;
   bool quiet = false;
   for (int a = 2; a < argc; ++a) {
     const std::string arg = argv[a];
@@ -131,8 +132,6 @@ int run_analyze(int argc, char** argv) {
       usage();
     } else if (trace_path.empty()) {
       trace_path = arg;
-    } else if (metrics_path.empty()) {
-      metrics_path = arg;
     } else {
       usage();
     }
@@ -140,15 +139,9 @@ int run_analyze(int argc, char** argv) {
   if (trace_path.empty()) usage();
 
   try {
-    const JsonValue trace_doc = JsonValue::parse(read_file(trace_path));
-    const Tracer tracer = tracer_from_chrome(trace_doc);
-
-    JsonValue metrics_doc;
-    if (!metrics_path.empty()) metrics_doc = JsonValue::parse(read_file(metrics_path));
-
+    const Tracer tracer = tracer_from_chrome(JsonValue::parse(read_file(trace_path)));
     const TraceAnalysis analysis = analyze_trace(tracer);
-    const JsonValue report =
-        analysis_report(analysis, metrics_path.empty() ? nullptr : &metrics_doc);
+    const JsonValue report = analysis_report(analysis);
 
     if (!report_out.empty() && !write_file(report_out, report.dump() + "\n")) {
       std::cerr << "error: cannot write report to " << report_out << "\n";
@@ -169,7 +162,7 @@ int run_analyze(int argc, char** argv) {
 int run_monitor(int argc, char** argv) {
   using namespace multihit::obs;
   std::string trace_path, metrics_path;
-  std::string slo_path, truth_path, annotate_out;
+  std::string slo_path, annotate_out;
   MonitorOptions options;
   double truth_window = 0.25;
   bool summary = false, quiet = false;
@@ -187,11 +180,9 @@ int run_monitor(int argc, char** argv) {
       options.sample_every = *every;
     } else if (arg == "--window-samples") {
       const auto samples =
-          multihit::cli::parse_number<std::uint32_t>("--window-samples", next());
+          multihit::cli::parse_number<std::uint32_t>("--window-samples", next(), 2);
       if (!samples) usage();
       options.window_samples = *samples;
-    } else if (arg == "--truth") {
-      truth_path = next();
     } else if (arg == "--truth-window") {
       const auto window = multihit::cli::parse_real("--truth-window", next(), 0.0, true);
       if (!window) usage();
@@ -219,6 +210,7 @@ int run_monitor(int argc, char** argv) {
     if (!slo_path.empty()) options.slo = parse_slo(read_file(slo_path));
 
     const HealthReport report = monitor_trace(tracer, options);
+    const std::vector<TruthEvent> truth = truth_from_trace(tracer);
 
     if (!annotate_out.empty()) {
       annotate_trace(tracer, report);
@@ -241,9 +233,7 @@ int run_monitor(int argc, char** argv) {
       if (!quiet) std::cout << "crosscheck: incidents agree with metrics counters\n";
     }
 
-    if (!truth_path.empty()) {
-      const std::vector<TruthEvent> truth =
-          truth_from_json(JsonValue::parse(read_file(truth_path)));
+    if (!truth.empty()) {
       const HealthScore score = score_incidents(report, truth, truth_window);
       if (!quiet) std::cout << score_text(score);
       if (!score.perfect()) {

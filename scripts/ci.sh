@@ -179,9 +179,10 @@ done
 echo "host profiler overhead gated, host traces analyzed deterministically, counters pinned across backends"
 
 # Trace-analysis smoke: a faulty instrumented run, the obstool pipeline on
-# its artifacts, and the determinism gate — analyzing the same trace twice
-# (and re-running the instrumented binary) must produce byte-identical
-# reports and folded files. Any parse/schema error fails (obstool exits 1).
+# its trace, and the determinism gate — re-running the instrumented binary
+# must produce a byte-identical trace, and analyzing it twice byte-identical
+# reports and folded files (the analysis is a view of the trace; the run
+# writes none of its own). Any parse/schema error fails (obstool exits 1).
 # The run's metrics carry the simulated kernel counters (the gpu.* series
 # fig5/fig6/fig7 read, the Fig. 6c gpu.stall_seconds among them): they too
 # must be byte-identical across the two runs.
@@ -191,41 +192,40 @@ echo "=== trace analysis smoke ==="
 for run in 1 2; do
   build/examples/brca_scaleout 4 --crash 1@0 --checkpoint 2 \
     --trace-out "$obs_dir/run$run.trace.json" \
-    --metrics-out "$obs_dir/run$run.metrics.json" \
-    --report-out "$obs_dir/run$run.report.json" > /dev/null
+    --metrics-out "$obs_dir/run$run.metrics.json" > /dev/null
 done
 cmp "$obs_dir/run1.trace.json" "$obs_dir/run2.trace.json"
 cmp "$obs_dir/run1.metrics.json" "$obs_dir/run2.metrics.json"
-cmp "$obs_dir/run1.report.json" "$obs_dir/run2.report.json"
 for reason in memory_dependency memory_throttle execution_dependency other; do
   grep -q "\"name\":\"gpu.stall_seconds\",\"labels\":{\"reason\":\"$reason\"}" \
     "$obs_dir/run1.metrics.json"
 done
 for pass in 1 2; do
-  build/examples/multihit-obstool analyze \
-    "$obs_dir/run1.trace.json" "$obs_dir/run1.metrics.json" \
+  build/examples/multihit-obstool analyze "$obs_dir/run1.trace.json" \
     --report-out "$obs_dir/pass$pass.report.json" \
     --folded-out "$obs_dir/pass$pass.folded" > /dev/null
 done
 cmp "$obs_dir/pass1.report.json" "$obs_dir/pass2.report.json"
 cmp "$obs_dir/pass1.folded" "$obs_dir/pass2.folded"
 build/examples/multihit-obstool analyze "$obs_dir/run1.trace.json"
-echo "trace analysis deterministic (in-process and offline), kernel metrics pinned"
+echo "trace analysis deterministic (runs and offline passes), kernel metrics pinned"
 
 # Health-monitor smoke: inject one crash, require exactly one dead-rank
-# incident, and score the incidents against the emitted ground truth. The
-# run's metrics carry its incidents as health.incidents counters (recorded
-# in-process from the Chrome-replayed trace); `obstool monitor TRACE
-# METRICS` exits 1 unless they equal what its offline replay records, and
-# on anything short of full recall / zero false positives.
+# incident, and score the incidents against the ground truth — the trace's
+# own fault instants. The run's metrics carry its incidents as
+# health.incidents counters (recorded in-process from the Chrome-replayed
+# trace); `obstool monitor TRACE METRICS` exits 1 unless they equal what its
+# offline replay records, and on anything short of full recall / zero false
+# positives. The PERFECT verdict must be printed, so a scoring path that
+# never runs fails here.
 echo "=== health monitor smoke ==="
 build/examples/brca_scaleout 4 --crash 1@1 --checkpoint 2 \
   --trace-out "$obs_dir/health.trace.json" \
-  --metrics-out "$obs_dir/health.metrics.json" \
-  --truth-out "$obs_dir/health.truth.json" > /dev/null
+  --metrics-out "$obs_dir/health.metrics.json" > /dev/null
 build/examples/multihit-obstool monitor \
   "$obs_dir/health.trace.json" "$obs_dir/health.metrics.json" \
-  --truth "$obs_dir/health.truth.json" > "$obs_dir/health.summary.txt"
+  > "$obs_dir/health.summary.txt"
+grep -q 'verdict: PERFECT' "$obs_dir/health.summary.txt"
 if [ "$(grep -c 'dead_rank: 1 incident' "$obs_dir/health.summary.txt")" -ne 1 ]; then
   echo "ERROR: expected exactly one dead-rank incident:" >&2
   cat "$obs_dir/health.summary.txt" >&2
@@ -323,9 +323,10 @@ echo "serve SLO offline replay equals the run's slo.* metrics, 4/4 planted patho
 
 # Cross-run regression gate: run manifests + `obstool diff`.
 #  1. Self-identity: two identical equi-area runs (--artifacts-dir writes the
-#     standard artifact set plus a multihit.run.v1 manifest) must diff clean
-#     (exit 0), and the multihit.diff.v1 report must be byte-identical across
-#     repeated diff invocations.
+#     trace and the metrics plus a multihit.run.v1 manifest inventorying
+#     exactly those two; diff derives the critical-path analysis from the
+#     trace) must diff clean (exit 0), and the multihit.diff.v1 report must
+#     be byte-identical across repeated diff invocations.
 #  2. Backend swap: scalar vs auto with a host-threaded sweep must diff clean
 #     with no tolerance: every simulated series and every hostsweep.*
 #     counter exact (the host trace, wall clock, is in no manifest).
@@ -378,6 +379,13 @@ if build/examples/multihit-obstool diff \
 fi
 grep -q '"series":"metrics.counter.health.incidents","class":"regressed"' \
   "$diff_dir/crash.diff.json"
+for run in ea_1 ea_2 ed_1 scalar auto crash; do
+  names=$(grep -o '"name":"[^"]*"' "$diff_dir/$run/manifest.json" | tr '\n' ' ')
+  if [ "$names" != '"name":"metrics" "name":"trace" ' ]; then
+    echo "ERROR: $run manifest inventories $names; want exactly metrics and trace" >&2
+    exit 1
+  fi
+done
 for scenario in none burn; do
   build/examples/multihit-serve --jobs 24 --seed 7 --scenario "$scenario" \
     --slo-spec examples/serve.slo --artifacts-dir "$diff_dir/serve_$scenario" > /dev/null

@@ -96,7 +96,11 @@ rejects invalidate_rate_overflow 2 invalidate_rate "$SERVE" --invalidate-rate 1e
 # A spec the trace generator refuses is a usage error, not std::terminate.
 rejects jobs_zero 2 "jobs must be > 0" "$SERVE" --jobs 0
 # The SLO verdict is slo.* series in --metrics-out: --slo-out is an unknown
-# flag, a usage error before any work.
+# flag, a usage error before any work.# The analysis report and the fault ground truth are views of the trace:
+# brca_scaleout writes neither.
+rejects report_out_unknown_flag 1 "usage:" "$BRCA" 1 --report-out "$TMP/r.json"
+rejects truth_out_unknown_flag 1 "usage:" "$BRCA" 1 --truth-out "$TMP/t.json"
+
 printf 'slo * admission above 0.5\n' > "$TMP/ok.slo"
 rejects slo_out_unknown_flag 2 "usage:" "$SERVE" --slo-spec "$TMP/ok.slo" \
   --slo-out "$TMP/slo.json"
@@ -107,6 +111,11 @@ rejects window_samples_garbage 2 --window-samples \
   "$OBSTOOL" monitor "$TMP/empty.trace.json" --window-samples x
 rejects window_samples_negative 2 --window-samples \
   "$OBSTOOL" monitor "$TMP/empty.trace.json" --window-samples -16
+# A ring needs two boundaries: 0 and 1 once exited 1 after reading the trace.
+rejects window_samples_zero 2 --window-samples \
+  "$OBSTOOL" monitor "$TMP/empty.trace.json" --window-samples 0
+rejects window_samples_one 2 --window-samples \
+  "$OBSTOOL" monitor "$TMP/empty.trace.json" --window-samples 1
 # atof once read `--truth-window abc` as a 0 s window and exited 0.
 rejects sample_every_garbage 2 --sample-every \
   "$OBSTOOL" monitor "$TMP/empty.trace.json" --sample-every abc

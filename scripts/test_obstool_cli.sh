@@ -58,7 +58,11 @@ expect analyze_missing_operand 2 analyze
 expect monitor_missing_operand 2 monitor
 expect analyze_unknown_flag 2 analyze trace.json --bogus
 expect monitor_unknown_flag 2 monitor trace.json --bogus
-expect monitor_flag_missing_value 2 monitor trace.json --truth
+expect monitor_flag_missing_value 2 monitor trace.json --truth-window
+# The ground truth is the trace's own fault instants: no truth file.
+expect monitor_truth_unknown_flag 2 monitor trace.json --truth truth.json
+# The analysis report is a view of the trace alone: no METRICS operand.
+expect analyze_extra_operand 2 analyze trace.json metrics.json
 # Incidents are health.incidents metrics now: no rules file, no health document.
 expect monitor_rules_unknown_flag 2 monitor trace.json --rules r.rules
 expect monitor_health_out_unknown_flag 2 monitor trace.json --health-out h.json
@@ -92,6 +96,16 @@ printf '{"schema":"multihit.metrics.v1","counters":[{"name":"engine.iterations",
   > "$TMP/metrics_a.json"
 expect_error_naming monitor_health_mismatch 'health.incidents' \
   monitor "$TMP/empty.trace.json" "$TMP/health.metrics.json" --quiet
+
+# A trace holding one injected crash (a "fault.crash" instant) but no
+# telemetry: the monitor scores against that instant, misses it, and fails.
+printf '%s' '{"displayTimeUnit":"ms","traceEvents":[{"name":"fault.crash","cat":"fault","ph":"i","s":"t","pid":0,"tid":1,"ts":1000,"args":{"iteration":"1"}}]}' \
+  > "$TMP/crash.trace.json"
+expect monitor_missed_fault 1 monitor "$TMP/crash.trace.json"
+if ! grep -q 'MISS: crash rank 1 @ iteration 1' "$TMP/out"; then
+  echo "FAIL monitor_missed_fault: no MISS line on stdout" >&2
+  fails=$((fails + 1))
+fi
 
 # --- slo subcommand -------------------------------------------------------
 # Usage: needs both the serve report operand and --spec.

@@ -66,13 +66,4 @@ void FaultInjector::record(const FaultRecord& rec) {
   }
 }
 
-std::vector<obs::TruthEvent> truth_events(std::span<const FaultRecord> records) {
-  std::vector<obs::TruthEvent> events;
-  events.reserve(records.size());
-  for (const FaultRecord& rec : records) {
-    events.push_back({fault_kind_name(rec.kind), rec.rank, rec.iteration, rec.sim_time});
-  }
-  return events;
-}
-
 }  // namespace multihit

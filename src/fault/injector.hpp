@@ -5,11 +5,9 @@
 // structured logger as `fault.crash rank=.. iter=.. t=.. cost=..` events).
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "fault/plan.hpp"
-#include "obs/monitor.hpp"
 
 namespace multihit::obs {
 struct Recorder;
@@ -53,8 +51,10 @@ class FaultInjector {
 
   /// Appends a fired-fault record and emits the structured log event; with a
   /// recorder attached, also counts the fault (fault.events{kind}), observes
-  /// its cost (fault.cost_seconds{kind}), and drops an instant trace event on
-  /// the rank's lane at the fault's simulated time.
+  /// its cost (fault.cost_seconds{kind}), and drops a "fault.<kind>" instant
+  /// (category "fault", arg "iteration") on the rank's lane — the engine
+  /// lane for a job abort — at the fault's simulated time. Those instants
+  /// are the health monitor's ground truth (obs::truth_from_trace).
   void record(const FaultRecord& rec);
 
   /// Attaches (or detaches, with nullptr) the observability recorder.
@@ -68,11 +68,5 @@ class FaultInjector {
   std::vector<FaultRecord> records_;
   obs::Recorder* recorder_ = nullptr;
 };
-
-/// Exports fired-fault records as the neutral ground-truth shape the health
-/// monitor's scorer consumes (kind names via fault_kind_name: "crash",
-/// "straggler", "drop", "abort"). The conversion lives here — not in obs —
-/// because obs must not depend on the fault layer.
-std::vector<obs::TruthEvent> truth_events(std::span<const FaultRecord> records);
 
 }  // namespace multihit

@@ -111,9 +111,7 @@ Tracer tracer_from_chrome(const JsonValue& doc);
 /// the name's unlabeled series where it has one (that series is the total,
 /// as health.incidents writes it beside its per-lane and per-rule parts),
 /// otherwise the sum of its labeled series. Throws AnalysisError on
-/// wrong-schema or ill-shaped documents.
-/// Shared by the analysis report's cross-check section and the health
-/// reconciliation.
+/// wrong-schema or ill-shaped documents. health_crosscheck reads it.
 std::map<std::string, double> metrics_counter_totals(const JsonValue& metrics);
 
 /// Compares one family of series — every counter, gauge and histogram named
@@ -129,12 +127,9 @@ std::string metrics_family_mismatch(const JsonValue& metrics, const JsonValue& r
 // ------------------------------------------------------------------ reports
 // (implemented in report.cpp)
 
-/// The multihit.analysis.v1 report document. `metrics` is an optional
-/// parsed multihit.metrics.v1 snapshot; when present its counters are
-/// totalled per name (metrics_counter_totals) and embedded for
-/// cross-checking (message and collective counts next to the trace-derived
-/// seconds).
-JsonValue analysis_report(const TraceAnalysis& analysis, const JsonValue* metrics = nullptr);
+/// The multihit.analysis.v1 report document, a pure function of the trace's
+/// analysis (obstool analyze --report-out; obstool diff derives it on load).
+JsonValue analysis_report(const TraceAnalysis& analysis);
 
 /// Collapsed-stack ("folded") flamegraph lines over the span containment
 /// tree: one "laneName;outer;inner <self-microseconds>" line per distinct

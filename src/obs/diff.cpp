@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 
+#include "obs/analyze.hpp"
 #include "obs/schema.hpp"
 
 namespace multihit::obs {
@@ -284,8 +285,7 @@ void flatten_role(const std::string& role, const JsonValue& doc, SeriesMap& out)
 }
 
 bool diffable_kind(std::string_view kind) {
-  return kind == "metrics" || kind == "analysis" || kind == "serve" || kind == "truth" ||
-         kind == "bench";
+  return kind == "metrics" || kind == "analysis" || kind == "serve" || kind == "bench";
 }
 
 const JsonValue* find_doc(const RunInput& run, std::string_view role) {
@@ -365,13 +365,25 @@ RunInput load_run(const std::string& path) {
       throw DiffError("diff: artifact \"" + artifact.name +
                       "\" carries unknown schema \"" + artifact.schema + "\"");
     }
-    if (!diffable_kind(kind)) continue;
+    if (!diffable_kind(kind) && kind != "trace") continue;
     JsonValue parsed;
     try {
       parsed = JsonValue::parse(bytes);
     } catch (const JsonParseError& error) {
       throw DiffError("diff: artifact \"" + artifact.name + "\" (" +
                       artifact_path.string() + "): " + error.what());
+    }
+    if (kind == "trace") {
+      // The run's analysis is a view of its trace, derived here; a trace
+      // without rank lanes (a serve run's) derives nothing.
+      try {
+        const TraceAnalysis analysis = analyze_trace(tracer_from_chrome(parsed));
+        if (analysis.rank_lanes > 0) insert_doc(run, "analysis", analysis_report(analysis));
+      } catch (const std::exception& error) {
+        throw DiffError("diff: artifact \"" + artifact.name + "\" (" +
+                        artifact_path.string() + "): " + error.what());
+      }
+      continue;
     }
     if (document_schema(parsed) != artifact.schema) {
       throw DiffError("diff: artifact \"" + artifact.name +

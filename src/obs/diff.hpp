@@ -119,7 +119,7 @@ struct AttributionCell {
 };
 
 struct CriticalPathDiff {
-  bool present = false;  ///< both runs carried an analysis artifact
+  bool present = false;  ///< both runs carried an analysis (report or trace)
   double makespan_a = 0.0;
   double makespan_b = 0.0;
   std::vector<AttributionCell> cells;  ///< sorted by (phase, lane)
@@ -146,10 +146,11 @@ void add_doc(RunInput& run, std::string role, JsonValue doc);
 
 /// Loads one side from disk. A multihit.run.v1 file loads every inventoried
 /// artifact (paths resolved relative to the manifest's directory) and
-/// verifies each digest; any other registered schema loads as a
+/// verifies each digest; a trace with rank lanes adds its analysis_report
+/// under role "analysis". Any other registered schema loads as a
 /// single-artifact run under its registry kind. Throws DiffError on
-/// unreadable files, unknown schemas, schema/inventory mismatches, and
-/// digest mismatches.
+/// unreadable files, unknown schemas, schema/inventory mismatches, digest
+/// mismatches, and traces that do not analyse.
 RunInput load_run(const std::string& path);
 
 // --- the report ------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "obs/monitor.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <set>
@@ -22,6 +23,16 @@ const std::string* find_arg(const TraceEvent& ev, std::string_view key) {
   for (const auto& [k, v] : ev.args) {
     if (k == key) return &v;
   }
+  return nullptr;
+}
+
+/// The detector whose incident detects an injected fault of `kind`
+/// (nullptr for a kind the fault layer does not inject).
+const char* primary_rule(std::string_view kind) {
+  if (kind == "crash") return "dead_rank";
+  if (kind == "straggler") return "straggler";
+  if (kind == "drop") return "message_drop";
+  if (kind == "abort") return "job_abort";
   return nullptr;
 }
 
@@ -664,30 +675,34 @@ void annotate_trace(Tracer& trace, const HealthReport& report) {
   }
 }
 
-JsonValue truth_json(const std::vector<TruthEvent>& events) {
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", JsonValue(kTruthSchema));
-  JsonValue list = JsonValue::array();
-  for (const TruthEvent& e : events) {
-    JsonValue entry = JsonValue::object();
-    entry.set("kind", JsonValue(e.kind));
-    entry.set("rank", JsonValue(static_cast<double>(e.rank)));
-    entry.set("iteration", JsonValue(static_cast<double>(e.iteration)));
-    entry.set("sim_time", JsonValue(e.sim_time));
-    list.push_back(std::move(entry));
+std::vector<TruthEvent> truth_from_trace(const Tracer& trace) {
+  std::vector<const TraceEvent*> faults;
+  for (const TraceEvent& ev : trace.events()) {
+    if (ev.instant && ev.category == "fault") faults.push_back(&ev);
   }
-  doc.set("events", std::move(list));
-  return doc;
-}
-
-std::vector<TruthEvent> truth_from_json(const JsonValue& doc) {
-  const JsonFields events =
-      require_schema<MonitorError>(doc, kTruthSchema, "truth document").array("events");
+  std::stable_sort(faults.begin(), faults.end(), [](const TraceEvent* a, const TraceEvent* b) {
+    return std::tie(a->begin, a->lane) < std::tie(b->begin, b->lane);
+  });
   std::vector<TruthEvent> out;
-  out.reserve(events.size());
-  for (const JsonFields& entry : events.objects()) {
-    out.push_back({entry.string("kind"), entry.u32("rank"), entry.u32("iteration"),
-                   entry.number("sim_time")});
+  for (const TraceEvent* ev : faults) {
+    const std::string kind = ev->name.rfind("fault.", 0) == 0 ? ev->name.substr(6) : "";
+    const std::string* arg = find_arg(*ev, "iteration");
+    const std::string text = arg ? *arg : "";
+    std::uint32_t iteration = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), iteration);
+    std::string why;
+    if (!primary_rule(kind)) {
+      why = "unknown fault kind";
+    } else if (!arg) {
+      why = "no iteration arg";
+    } else if (ec != std::errc() || end != text.data() + text.size()) {
+      why = "iteration '" + text + "' is not an integer in [0, 2^32)";
+    }
+    if (!why.empty()) {
+      throw MonitorError("fault instant '" + ev->name + "' on lane " + std::to_string(ev->lane) +
+                         " at t=" + json_number(ev->begin) + " s: " + why);
+    }
+    out.push_back({kind, ev->lane == kEngineLane ? 0 : ev->lane, iteration, ev->begin});
   }
   return out;
 }
@@ -706,17 +721,9 @@ HealthScore score_incidents(const HealthReport& report,
   if (!(detection_window > 0.0)) {
     throw MonitorError("score_incidents needs a positive detection window");
   }
-  // Primary detector per fault class, plus the corroborating classes a fault
-  // legitimately drags along (a crash's detection windows and a straggler's
-  // reduce skew both really are comm overhead; a straggler's slow device
-  // really is a throughput collapse).
-  const auto primary = [](const std::string& kind) -> const char* {
-    if (kind == "crash") return "dead_rank";
-    if (kind == "straggler") return "straggler";
-    if (kind == "drop") return "message_drop";
-    if (kind == "abort") return "job_abort";
-    return nullptr;
-  };
+  // The corroborating classes a fault legitimately drags along (a crash's
+  // detection windows and a straggler's reduce skew both really are comm
+  // overhead; a straggler's slow device really is a throughput collapse).
   const auto corroborates = [](const std::string& kind, const std::string& rule) {
     if (kind == "crash") return rule == "gpu_collapse" || rule == "comm_overhead";
     if (kind == "straggler") return rule == "gpu_collapse" || rule == "comm_overhead";
@@ -729,7 +736,7 @@ HealthScore score_incidents(const HealthReport& report,
   std::map<std::string, std::vector<double>> latencies;
 
   for (const TruthEvent& e : truth) {
-    const char* want = primary(e.kind);
+    const char* want = primary_rule(e.kind);
     if (!want) throw MonitorError("unknown truth kind '" + e.kind + "'");
     ClassScore& cls = score.by_class[e.kind];
     ++cls.injected;

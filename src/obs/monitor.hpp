@@ -30,7 +30,7 @@
 //
 // Detection must come from telemetry alone: trace events in the "fault"
 // category (the injector's ground-truth instants) are invisible to the
-// monitor. The injected plan is instead exported as TruthEvents and scored
+// monitor. The same instants are the ground truth (truth_from_trace), scored
 // against the incidents with score_incidents — per-class recall, false
 // positives, and detection latency — which is what makes detector quality
 // a testable property rather than a vibe.
@@ -57,14 +57,12 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/schema.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 
 namespace multihit::obs {
 
-/// Raised on invalid monitor options and ill-shaped truth documents.
-/// (Malformed JSON raises JsonParseError earlier.)
+/// Raised on invalid monitor options and malformed fault instants.
 class MonitorError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -178,9 +176,8 @@ std::vector<std::string> health_crosscheck(const HealthReport& report,
 void annotate_trace(Tracer& trace, const HealthReport& report);
 
 // ---------------------------------------------------------------------------
-// Ground truth. The neutral event shape lives here (not in src/fault)
-// because fault links against obs; src/fault converts its FaultRecords into
-// TruthEvents for export.
+// Ground truth: the fault injector's "fault.<kind>" instants (src/fault),
+// read back from the trace.
 
 /// One injected fault, as the scorer sees it. `kind` uses the fault layer's
 /// names: "crash", "straggler", "drop", "abort".
@@ -191,12 +188,12 @@ struct TruthEvent {
   double sim_time = 0.0;  ///< injection time on the simulated clock
 };
 
-/// multihit.truth.v1 document for a --truth-out file.
-JsonValue truth_json(const std::vector<TruthEvent>& events);
-
-/// Parses a multihit.truth.v1 document; throws MonitorError on the wrong
-/// schema (naming expected and found) or ill-shaped events.
-std::vector<TruthEvent> truth_from_json(const JsonValue& doc);
+/// One TruthEvent per "fault"-category instant of `trace`, in stable
+/// (time, lane) order: kind = the name after "fault.", rank = the lane (0 on
+/// kEngineLane), iteration = arg "iteration", sim_time = the instant's time.
+/// Throws MonitorError naming the event on a missing or non-u32 iteration or
+/// a kind score_incidents does not know.
+std::vector<TruthEvent> truth_from_trace(const Tracer& trace);
 
 struct ClassScore {
   std::uint32_t injected = 0;

@@ -1,7 +1,7 @@
 // Rendering for the trace analysis: the multihit.analysis.v1 JSON report
 // and the human-readable summary `multihit-obstool analyze` prints. Both are
-// pure functions of TraceAnalysis (plus an optional metrics snapshot), so
-// byte-identical analyses render byte-identical artifacts.
+// pure functions of TraceAnalysis, so byte-identical analyses render
+// byte-identical artifacts.
 
 #include <algorithm>
 #include <map>
@@ -57,7 +57,7 @@ std::string metrics_family_mismatch(const JsonValue& metrics, const JsonValue& r
   return {};
 }
 
-JsonValue analysis_report(const TraceAnalysis& analysis, const JsonValue* metrics) {
+JsonValue analysis_report(const TraceAnalysis& analysis) {
   JsonValue doc = JsonValue::object();
   doc.set("schema", JsonValue(kAnalysisSchema));
   doc.set("makespan_seconds", JsonValue(analysis.makespan));
@@ -120,18 +120,6 @@ JsonValue analysis_report(const TraceAnalysis& analysis, const JsonValue* metric
   }
   doc.set("iterations", std::move(iterations));
 
-  if (metrics) {
-    JsonValue totals = JsonValue::array();
-    for (const auto& [name, value] : metrics_counter_totals(*metrics)) {
-      JsonValue entry = JsonValue::object();
-      entry.set("name", JsonValue(name));
-      entry.set("value", JsonValue(value));
-      totals.push_back(std::move(entry));
-    }
-    JsonValue section = JsonValue::object();
-    section.set("counter_totals", std::move(totals));
-    doc.set("metrics", std::move(section));
-  }
   return doc;
 }
 

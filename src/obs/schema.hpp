@@ -22,8 +22,6 @@ inline constexpr std::string_view kMetricsSchema = "multihit.metrics.v1";
 inline constexpr std::string_view kAnalysisSchema = "multihit.analysis.v1";
 /// BenchReporter records (BENCH_*.json under $MULTIHIT_BENCH_DIR).
 inline constexpr std::string_view kBenchSchema = "multihit.bench.v1";
-/// Fault-injection ground-truth exports (brca_scaleout --truth-out).
-inline constexpr std::string_view kTruthSchema = "multihit.truth.v1";
 /// Job-service trace-replay reports (multihit_serve --out).
 inline constexpr std::string_view kServeSchema = "multihit.serve.v1";
 /// Per-invocation run manifests (--manifest-out / --artifacts-dir): the
@@ -49,9 +47,9 @@ struct SchemaEntry {
 /// means adding a row here, not teaching another tool a new string.
 inline constexpr SchemaEntry kSchemaRegistry[] = {
     {kMetricsSchema, "metrics"}, {kAnalysisSchema, "analysis"},
-    {kBenchSchema, "bench"},     {kTruthSchema, "truth"},
-    {kServeSchema, "serve"},     {kRunSchema, "run"},
-    {kDiffSchema, "diff"},       {kChromeTraceTag, "trace"},
+    {kBenchSchema, "bench"},     {kServeSchema, "serve"},
+    {kRunSchema, "run"},         {kDiffSchema, "diff"},
+    {kChromeTraceTag, "trace"},
 };
 
 /// Short kind for a schema tag ("" when the tag is not in the registry).

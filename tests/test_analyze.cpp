@@ -158,7 +158,7 @@ TEST(AnalyzeOffline, ChromeRoundTripIsLossless) {
 
   // Re-export, re-analysis, and flamegraph of the reconstructed tracer are
   // byte-identical to the live ones — obstool on a saved trace must agree
-  // with the in-process report path.
+  // with an analysis of the live tracer.
   EXPECT_EQ(offline.to_chrome_json(), chrome);
   EXPECT_EQ(obs::folded_stacks(offline), obs::folded_stacks(live));
   const obs::TraceAnalysis a = obs::analyze_trace(live);
@@ -306,7 +306,7 @@ TEST(AnalyzeCluster, ReportAgreesWithClusterModelClocks) {
 
   // The report renders, carries the schema, and the critical-path fractions
   // sum to one.
-  const JsonValue report = obs::analysis_report(a, nullptr);
+  const JsonValue report = obs::analysis_report(a);
   EXPECT_EQ(report.find("schema")->as_string(), obs::kAnalysisSchema);
   const JsonValue* by_phase = report.find("critical_path")->find("by_phase");
   ASSERT_NE(by_phase, nullptr);
@@ -329,9 +329,7 @@ TEST(AnalyzeCluster, ReportsAreByteIdenticalAcrossRuns) {
     options.recorder = &rec;
     options.max_iterations = 3;
     runner.run(data, options);
-    const obs::TraceAnalysis a = obs::analyze_trace(rec.trace);
-    const JsonValue metrics = rec.metrics.snapshot();
-    return std::pair{obs::analysis_report(a, &metrics).dump(),
+    return std::pair{obs::analysis_report(obs::analyze_trace(rec.trace)).dump(),
                      obs::folded_stacks(rec.trace)};
   };
   const auto [report_a, folded_a] = artifacts();

@@ -24,8 +24,11 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/distributed.hpp"
+#include "data/generator.hpp"
 #include "hostile_json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/runinfo.hpp"
 #include "obs/schema.hpp"
 #include "obs/slo.hpp"
@@ -420,6 +423,111 @@ TEST(DiffLoadRun, ContentDigestIsStable) {
   EXPECT_EQ(obs::content_digest("a"), obs::content_digest("a"));
   EXPECT_NE(obs::content_digest("a"), obs::content_digest("b"));
   EXPECT_EQ(obs::content_digest("x").size(), 16u);
+}
+
+// ------------------------------------------------- analysis from the trace
+
+/// Writes a run shaped like `brca_scaleout --artifacts-dir`: a cluster run's
+/// Chrome trace and metrics under `dir`, inventoried by `<tag>.manifest.json`
+/// (returned) with manifest-relative paths.
+std::string write_cluster_run(const TempDir& dir, const std::string& tag,
+                              SchedulerKind scheduler) {
+  SyntheticSpec spec;
+  spec.genes = 30;
+  spec.tumor_samples = 70;
+  spec.normal_samples = 50;
+  spec.hits = 4;
+  spec.num_combinations = 3;
+  spec.background_rate = 0.015;
+  spec.seed = 907;
+  SummitConfig config;
+  config.nodes = 3;
+  obs::Recorder rec;
+  DistributedOptions options;
+  options.scheduler = scheduler;
+  options.recorder = &rec;
+  ClusterRunner(config).run(generate_dataset(spec), options);
+
+  RunManifest manifest;
+  manifest.driver = "brca_scaleout";
+  // In name order: the inventory stays sorted, so each entry lands last.
+  for (const auto& [name, schema] :
+       {std::pair<std::string, std::string_view>{"metrics", obs::kMetricsSchema},
+        {"trace", obs::kChromeTraceTag}}) {
+    const std::string file = tag + ".run." + name + ".json";
+    const std::string contents =
+        name == "trace" ? rec.trace.to_chrome_json() : rec.metrics.to_json();
+    obs::add_artifact_from_file(manifest, name, std::string(schema),
+                                dir.file(file.c_str(), contents + "\n"));
+    manifest.artifacts.back().path = file;
+  }
+  const std::string path = (dir.path / (tag + ".manifest.json")).string();
+  EXPECT_TRUE(obs::write_manifest(manifest, path));
+  return path;
+}
+
+TEST(DiffLoadRun, ManifestTraceDerivesTheCriticalPath) {
+  // A manifest inventories only the trace and the metrics; the analysis is
+  // a view of the trace, derived on load, so an EA-vs-ED pair still gets the
+  // critical-path section and the analysis.* series.
+  TempDir dir("trace_analysis");
+  const RunInput ea = obs::load_run(write_cluster_run(dir, "ea", SchedulerKind::kEquiArea));
+  const RunInput ed = obs::load_run(write_cluster_run(dir, "ed", SchedulerKind::kEquiDistance));
+  for (const RunInput* run : {&ea, &ed}) {
+    ASSERT_EQ(run->docs.size(), 2u);
+    EXPECT_EQ(run->docs[0].first, "analysis");
+    EXPECT_EQ(run->docs[1].first, "metrics");
+    ASSERT_EQ(run->digests.size(), 2u);  // the files, not the derived view
+    EXPECT_EQ(run->digests[0].first, "metrics");
+    EXPECT_EQ(run->digests[1].first, "trace");
+  }
+
+  const DiffReport report = obs::diff_runs(ea, ed, DiffOptions{});
+  ASSERT_TRUE(report.critical_path.present);
+  EXPECT_NE(report.critical_path.makespan_a, report.critical_path.makespan_b);
+  EXPECT_NE(report.summary.find("attributed to"), std::string::npos) << report.summary;
+  EXPECT_NE(find_series(report, "analysis.makespan_seconds"), nullptr);
+
+  const JsonValue doc = obs::diff_report_json(report);
+  const JsonValue* critical = doc.find("critical_path");
+  ASSERT_NE(critical, nullptr);
+  double cell_sum = 0.0;
+  for (const JsonValue& cell : critical->find("cells")->as_array()) {
+    cell_sum += cell.find("delta")->as_number();
+  }
+  EXPECT_EQ(cell_sum + critical->find("residual")->as_number(),
+            critical->find("delta")->as_number());
+}
+
+TEST(DiffLoadRun, TraceWithoutRankLanesDerivesNothingAndABadTraceIsNamed) {
+  TempDir dir("trace_lanes");
+  const auto manifest_of = [&dir](const char* tag, const std::string& trace) {
+    RunManifest manifest;
+    manifest.driver = "multihit-serve";
+    const std::string file = std::string(tag) + ".trace.json";
+    obs::add_artifact_from_file(manifest, "trace", std::string(obs::kChromeTraceTag),
+                                dir.file(file.c_str(), trace));
+    manifest.artifacts.back().path = file;
+    const std::string path = (dir.path / (std::string(tag) + ".manifest.json")).string();
+    EXPECT_TRUE(obs::write_manifest(manifest, path));
+    return path;
+  };
+
+  // A serve-shaped trace: spans on driver lanes only, no rank lane.
+  obs::Tracer serve;
+  serve.complete(obs::kSchedulerLane, "job", "serve", 0.0, 1.0);
+  serve.complete(obs::kEngineLane, "greedy_iteration", "engine", 0.0, 0.5);
+  const RunInput run = obs::load_run(manifest_of("serve", serve.to_chrome_json()));
+  EXPECT_TRUE(run.docs.empty());
+  ASSERT_EQ(run.digests.size(), 1u);
+  EXPECT_EQ(run.digests[0].first, "trace");
+
+  try {
+    obs::load_run(manifest_of("bad", R"({"traceEvents":5})"));
+    FAIL() << "expected DiffError";
+  } catch (const DiffError& e) {
+    EXPECT_NE(std::string(e.what()).find("artifact \"trace\""), std::string::npos) << e.what();
+  }
 }
 
 // ----------------------------------------------------------------- incidents

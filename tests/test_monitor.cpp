@@ -3,7 +3,8 @@
 // asserting full recall with zero false positives and bounded detection
 // latency, fault-free runs that must stay silent, the bit-identical-off
 // differential, incident well-formedness properties over random fault
-// plans, and the health.incidents metrics form.
+// plans, the health.incidents metrics form, and the ground truth read back
+// from the trace's fault instants.
 
 #include "obs/monitor.hpp"
 
@@ -20,7 +21,6 @@
 #include "fault/plan.hpp"
 #include "obs/analyze.hpp"
 #include "obs/recorder.hpp"
-#include "hostile_json.hpp"
 
 namespace multihit {
 namespace {
@@ -220,37 +220,48 @@ struct SweepCase {
   SchedulerKind scheduler;
 };
 
-class MonitorGroundTruth : public ::testing::TestWithParam<SweepCase> {};
-
-TEST_P(MonitorGroundTruth, DetectsInjectedFaultsPerfectly) {
-  const SweepCase& param = GetParam();
+/// One injected fault of `kind`, as the sweep plants it (an abort needs a
+/// checkpoint cadence to restart from).
+struct FaultCase {
   FaultPlan plan;
   std::uint32_t checkpoint_every = 0;
-  switch (param.kind) {
+};
+
+FaultCase one_fault(FaultKind kind) {
+  FaultCase out;
+  switch (kind) {
     case FaultKind::kRankCrash:
-      plan.events.push_back({FaultKind::kRankCrash, 1, 1, 0.5, 1});
+      out.plan.events.push_back({FaultKind::kRankCrash, 1, 1, 0.5, 1});
       break;
     case FaultKind::kStraggler:
       // Iteration >= 1 (iteration 0 is the detector's baseline warm-up) and
       // factor >= 2.5 so the deviation clears the 1.6x fire ratio.
-      plan.events.push_back({FaultKind::kStraggler, 2, 1, 3.0, 2});
+      out.plan.events.push_back({FaultKind::kStraggler, 2, 1, 3.0, 2});
       break;
     case FaultKind::kMessageDrop:
-      plan.events.push_back({FaultKind::kMessageDrop, 2, 1, 0.0, 2});
+      out.plan.events.push_back({FaultKind::kMessageDrop, 2, 1, 0.0, 2});
       break;
     case FaultKind::kJobAbort:
-      plan.events.push_back({FaultKind::kJobAbort, 0, 2, 0.0, 1});
-      checkpoint_every = 1;
+      out.plan.events.push_back({FaultKind::kJobAbort, 0, 2, 0.0, 1});
+      out.checkpoint_every = 1;
       break;
   }
+  return out;
+}
+
+class MonitorGroundTruth : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(MonitorGroundTruth, DetectsInjectedFaultsPerfectly) {
+  const SweepCase& param = GetParam();
+  const FaultCase fault = one_fault(param.kind);
   const Dataset data = small_dataset(601);
   obs::Recorder rec;
   const ClusterRunResult result =
-      recorded_run(data, 4, param.scheduler, plan, rec, checkpoint_every);
+      recorded_run(data, 4, param.scheduler, fault.plan, rec, fault.checkpoint_every);
   ASSERT_FALSE(result.fault_events.empty());
 
   const HealthReport report = obs::monitor_trace(replay(rec.trace));
-  const std::vector<TruthEvent> truth = truth_events(result.fault_events);
+  const std::vector<TruthEvent> truth = obs::truth_from_trace(rec.trace);
   const HealthScore score = obs::score_incidents(report, truth, 0.25);
 
   EXPECT_TRUE(score.perfect()) << obs::score_text(score) << obs::health_text(report);
@@ -431,46 +442,76 @@ TEST(MonitorMetrics, RecordHealthCountsEveryGroupAndTheTotal) {
   EXPECT_EQ(once.to_json(), again.to_json());
 }
 
-TEST(MonitorSchema, TruthRoundTripsAndNamesBothSchemasOnMismatch) {
-  const std::vector<TruthEvent> events{{"crash", 1, 2, 0.125}, {"abort", 0, 3, 0.5}};
-  const JsonValue doc = obs::truth_json(events);
-  const std::vector<TruthEvent> back = obs::truth_from_json(JsonValue::parse(doc.dump()));
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].kind, "crash");
-  EXPECT_EQ(back[0].rank, 1u);
-  EXPECT_EQ(back[1].iteration, 3u);
-  EXPECT_DOUBLE_EQ(back[1].sim_time, 0.5);
-
-  JsonValue wrong = JsonValue::object();
-  wrong.set("schema", JsonValue("multihit.metrics.v1"));
-  try {
-    obs::truth_from_json(wrong);
-    FAIL() << "expected MonitorError";
-  } catch (const MonitorError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("multihit.truth.v1"), std::string::npos) << what;
-    EXPECT_NE(what.find("multihit.metrics.v1"), std::string::npos) << what;
-  }
-  try {
-    obs::truth_from_json(JsonValue::object());
-    FAIL() << "expected MonitorError";
-  } catch (const MonitorError& e) {
-    EXPECT_NE(std::string(e.what()).find("(missing)"), std::string::npos) << e.what();
+TEST(MonitorTruth, FromTraceEqualsFaultRecords) {
+  // The injector's fault instants are the ground truth: read back from the
+  // in-memory trace they equal the run's FaultRecords field for field (an
+  // abort, traced on the engine lane, reads as rank 0), and from the Chrome
+  // replay an offline monitor reads, equal up to microsecond rounding.
+  const Dataset data = small_dataset(601);
+  for (const FaultKind kind : {FaultKind::kRankCrash, FaultKind::kStraggler,
+                               FaultKind::kMessageDrop, FaultKind::kJobAbort}) {
+    const FaultCase fault = one_fault(kind);
+    obs::Recorder rec;
+    const ClusterRunResult result = recorded_run(data, 4, SchedulerKind::kEquiArea, fault.plan,
+                                                 rec, fault.checkpoint_every);
+    const std::vector<TruthEvent> truth = obs::truth_from_trace(rec.trace);
+    const std::vector<TruthEvent> offline = obs::truth_from_trace(replay(rec.trace));
+    ASSERT_FALSE(truth.empty()) << fault_kind_name(kind);
+    ASSERT_EQ(truth.size(), result.fault_events.size()) << fault_kind_name(kind);
+    ASSERT_EQ(offline.size(), truth.size()) << fault_kind_name(kind);
+    for (std::size_t i = 0; i < truth.size(); ++i) {
+      const FaultRecord& want = result.fault_events[i];
+      EXPECT_EQ(truth[i].kind, fault_kind_name(want.kind));
+      EXPECT_EQ(truth[i].rank, want.rank);
+      EXPECT_EQ(truth[i].iteration, want.iteration);
+      EXPECT_EQ(truth[i].sim_time, want.sim_time);
+      EXPECT_EQ(offline[i].kind, truth[i].kind);
+      EXPECT_EQ(offline[i].rank, truth[i].rank);
+      EXPECT_EQ(offline[i].iteration, truth[i].iteration);
+      EXPECT_NEAR(offline[i].sim_time, truth[i].sim_time, 1e-6);
+    }
   }
 }
 
-TEST(MonitorSchema, TruthRejectsHostileEvents) {
-  const std::string good = obs::truth_json({{"crash", 1, 2, 0.125}}).dump();
-  const auto reject = [](const std::string& text, const char* path) {
-    hostile::expect_rejected<MonitorError>(obs::truth_from_json, text, path);
+TEST(MonitorTruth, RejectsHostileFaultInstantsNamingTheEvent) {
+  const auto expect_rejected = [](std::uint32_t lane, const char* name, obs::SpanArgs args,
+                                  const char* why) {
+    Tracer trace;
+    trace.instant(lane, name, "fault", 0.5, std::move(args));
+    try {
+      obs::truth_from_trace(trace);
+      ADD_FAILURE() << "accepted fault instant " << name << " (" << why << ")";
+    } catch (const MonitorError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + name + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
   };
-  reject(hostile::drop(good, "kind"), "events[0].kind");
-  reject(hostile::plant(good, "kind", "5"), "events[0].kind");
-  reject(hostile::plant(good, "rank", "-1"), "events[0].rank");
-  reject(hostile::plant(good, "rank", "4294967297"), "events[0].rank");
-  reject(hostile::plant(good, "iteration", "1.5"), "events[0].iteration");
-  reject(hostile::plant(good, "iteration", "1e30"), "events[0].iteration");
-  reject(hostile::plant(good, "sim_time", "\"soon\""), "events[0].sim_time");
+  expect_rejected(1, "fault.crash", {}, "no iteration");
+  expect_rejected(1, "fault.crash", {{"cost_s", "0.1"}}, "no iteration");
+  expect_rejected(1, "fault.crash", {{"iteration", "x"}}, "iteration 'x'");
+  expect_rejected(1, "fault.crash", {{"iteration", "-1"}}, "iteration '-1'");
+  expect_rejected(1, "fault.crash", {{"iteration", "4294967296"}}, "iteration '4294967296'");
+  expect_rejected(1, "fault.crash", {{"iteration", "1.5"}}, "iteration '1.5'");
+  expect_rejected(1, "fault.crash", {{"iteration", ""}}, "iteration ''");
+  expect_rejected(1, "fault.meteor", {{"iteration", "1"}}, "unknown fault kind");
+  expect_rejected(1, "crash", {{"iteration", "1"}}, "unknown fault kind");
+
+  // Well-formed instants read back in (time, lane) order, an abort on the
+  // engine lane as rank 0; instants of other categories are not truth.
+  Tracer trace;
+  trace.instant(kEngineLane, "fault.abort", "fault", 0.5, {{"iteration", "4294967295"}});
+  trace.instant(2, "fault.drop", "fault", 0.5, {{"iteration", "0"}});
+  trace.instant(3, "fault.straggler", "fault", 0.25, {{"iteration", "1"}});
+  trace.instant(3, "health.straggler", "health", 0.25, {{"iteration", "x"}});
+  const std::vector<TruthEvent> truth = obs::truth_from_trace(trace);
+  ASSERT_EQ(truth.size(), 3u);
+  EXPECT_EQ(truth[0].kind, "straggler");
+  EXPECT_EQ(truth[0].rank, 3u);
+  EXPECT_EQ(truth[1].kind, "drop");
+  EXPECT_EQ(truth[2].kind, "abort");
+  EXPECT_EQ(truth[2].rank, 0u);
+  EXPECT_EQ(truth[2].iteration, 4294967295u);
 }
 
 TEST(MonitorCrosscheck, AgreesWithConsistentMetricsAndFlagsTampering) {
