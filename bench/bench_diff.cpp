@@ -3,8 +3,9 @@
 // The cross-run diff engine (src/obs/diff) is itself a CI gate, so its own
 // load-bearing invariants get a BENCH record that scripts/bench_compare.py
 // --strict pins against bench/baselines/BENCH_diff.json. Everything here is
-// deterministic — in-process RunInputs built from hand-rolled documents, no
-// wall clock — so the committed baseline is exact:
+// deterministic — in-process RunInputs holding hand-built analysis
+// snapshots (the analysis.* series obs::record_analysis writes), no wall
+// clock — so the committed baseline is exact:
 //
 //   self_identical        diffing a run against itself yields zero
 //                         non-identical series and a clean verdict
@@ -16,7 +17,6 @@
 //
 // All four are committed as 1; any drop to 0 is a real engine break.
 
-#include <cstdint>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -25,7 +25,7 @@
 #include "obs/bench.hpp"
 #include "obs/diff.hpp"
 #include "obs/json.hpp"
-#include "obs/schema.hpp"
+#include "obs/metrics.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -35,31 +35,17 @@ using multihit::obs::DiffReport;
 using multihit::obs::JsonValue;
 using multihit::obs::RunInput;
 
-JsonValue segment(const char* phase, std::uint32_t lane, double begin, double end) {
-  JsonValue seg = JsonValue::object();
-  seg.set("lane", static_cast<double>(lane));
-  seg.set("phase", phase);
-  seg.set("begin_seconds", begin);
-  seg.set("end_seconds", end);
-  return seg;
-}
-
-/// A toy analysis document: compute on rank 0 then reduce on rank 1, with
-/// the compute span scaled by `stretch` (1.0 = the baseline run).
+/// A toy analysis snapshot: compute on rank 0 then reduce on rank 1, with
+/// the compute cell scaled by `stretch` (1.0 = the baseline run).
 JsonValue analysis_doc(double stretch) {
-  const double compute_end = 6.0 * stretch;
-  const double makespan = compute_end + 4.0;
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", std::string(multihit::obs::kAnalysisSchema));
-  doc.set("makespan_seconds", makespan);
-  JsonValue critical = JsonValue::object();
-  critical.set("total_seconds", makespan);
-  JsonValue segs = JsonValue::array();
-  segs.push_back(segment("compute", 0, 0.0, compute_end));
-  segs.push_back(segment("mpi_reduce", 1, compute_end, makespan));
-  critical.set("segments", std::move(segs));
-  doc.set("critical_path", std::move(critical));
-  return doc;
+  const double compute = 6.0 * stretch;
+  multihit::obs::MetricsRegistry metrics;
+  metrics.gauge("analysis.makespan_seconds").set(compute + 4.0);
+  metrics.gauge("analysis.critical_seconds", {{"lane", "0"}, {"phase", "compute"}})
+      .set(compute);
+  metrics.gauge("analysis.critical_seconds", {{"lane", "1"}, {"phase", "mpi_reduce"}})
+      .set(4.0);
+  return metrics.snapshot();
 }
 
 RunInput make_run(const char* label, double stretch) {

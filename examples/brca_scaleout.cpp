@@ -47,12 +47,12 @@
 // prefetch bytes, occupancy, placed seconds and the Fig. 6c
 // gpu.stall_seconds{reason}). Everything else is a view of those two files:
 // `multihit-obstool analyze run.trace.json --report-out F` writes the
-// multihit.analysis.v1 report (critical path, per-phase imbalance, comm
-// overhead), and the trace's "fault.<kind>" instants are the injected-fault
-// ground truth. Whenever metrics are written, the run's trace is also
-// replayed through the health monitor (src/obs/monitor.hpp) and its
-// incidents land in the metrics as `health.incidents` counters — the same
-// counters `multihit-obstool monitor TRACE METRICS` checks against its own
+// analysis (critical path, per-phase imbalance, comm overhead) as a metrics
+// snapshot of analysis.* gauges, and the trace's "fault.<kind>" instants are
+// the injected-fault ground truth. Whenever metrics are written, the run's
+// trace is also replayed through the health monitor (src/obs/monitor.hpp)
+// and its incidents land in the metrics as `health.incidents` counters — the
+// same counters `multihit-obstool monitor TRACE METRICS` checks against its own
 // replay, which it also scores against the trace's fault instants.
 // All are deterministic: timestamps are simulated seconds, so identical runs
 // produce byte-identical files. The host trace alone is wall clock.

@@ -14,8 +14,9 @@
 // `analyze` loads a --trace-out Chrome trace, runs the trace analytics
 // engine (critical path, per-phase imbalance, comm overhead — see
 // src/obs/analyze.hpp), and prints the human-readable summary.
-// `--report-out` writes the multihit.analysis.v1 JSON report (a run writes
-// none of its own), `--folded-out` writes collapsed flamegraph stacks
+// `--report-out` writes the analysis as a multihit.metrics.v1 snapshot of
+// analysis.* gauges (obs::record_analysis; a run writes none of its own),
+// `--folded-out` writes collapsed flamegraph stacks
 // (flamegraph.pl / speedscope format). A host trace (brca_scaleout
 // --host-profile-out) reads the same way: its worker lanes are the rank
 // lanes, so the phase table gives each of claim / evaluate / tail_idle with
@@ -51,11 +52,14 @@
 // either multihit.run.v1 manifests (from brca_scaleout / multihit-serve
 // --manifest-out or --artifacts-dir; every inventoried artifact is loaded
 // and its content digest verified) or a pair of individual artifacts of the
-// same kind. Every numeric series in the shared artifacts is compared
-// exactly and classified identical / within-tolerance / improved /
+// same kind: metrics snapshots (an `analyze --report-out` snapshot is one)
+// or serve reports. Every numeric series in the shared artifacts is
+// compared exactly and classified identical / within-tolerance / improved /
 // regressed / added / removed; `--tol FILE` loads a
 // `tol <series-glob> rel|abs <bound>` spec relaxing named series. On top of
-// the generic pass: critical-path makespan attribution by phase×rank cell.
+// the generic pass: critical-path makespan attribution by phase×rank cell,
+// read from each side's analysis.critical_seconds series (derived from a
+// manifest's trace, or carried by a bare analysis snapshot).
 // A new health incident is a regressed `health.incidents` counter, a newly
 // violated SLO objective a regressed `slo.violated` counter. `--report-out`
 // writes the multihit.diff.v1 document, byte-identical across repeated
@@ -141,9 +145,10 @@ int run_analyze(int argc, char** argv) {
   try {
     const Tracer tracer = tracer_from_chrome(JsonValue::parse(read_file(trace_path)));
     const TraceAnalysis analysis = analyze_trace(tracer);
-    const JsonValue report = analysis_report(analysis);
+    MetricsRegistry report;
+    record_analysis(analysis, report);
 
-    if (!report_out.empty() && !write_file(report_out, report.dump() + "\n")) {
+    if (!report_out.empty() && !write_file(report_out, report.to_json() + "\n")) {
       std::cerr << "error: cannot write report to " << report_out << "\n";
       return 1;
     }

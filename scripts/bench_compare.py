@@ -2,23 +2,29 @@
 """Validate BENCH_*.json records and diff them against committed baselines.
 
 The bench binaries (fig4_scaling, fig8_comm_overhead, tab_fault_overhead, ...)
-write machine-readable perf records — schema multihit.bench.v1, see
-src/obs/bench.hpp — into $MULTIHIT_BENCH_DIR. This script is the regression
-gate over that trajectory:
+write one machine-readable perf record each into $MULTIHIT_BENCH_DIR as
+BENCH_<name>.json. A record is a plain multihit.metrics.v1 snapshot (see
+src/obs/bench.hpp): its `bench.<key>` gauges, labelled {unit} when they have
+one, are the headline series; anything else in it (raw wall clock, say) is
+drill-down and not gated. This script is the regression gate over that
+trajectory:
 
-  1. every record must parse and carry the expected schema/fields;
+  1. every record must parse as a metrics snapshot holding at least one
+     `bench.*` gauge, each with a finite value and no key repeated; the bench
+     name is the <name> of its BENCH_<name>.json file name;
   2. every series present in the matching bench/baselines/BENCH_<name>.json
      is compared with a *signed* relative delta; a move beyond --threshold
      is classed `improved` when it lands in the better direction for that
      series (lower-is-better heuristic mirroring obs::lower_is_better in
      src/obs/diff.cpp) and `DRIFT` when it does not — both demand a
      baseline update, so both gate under --strict;
-  3. series in the record but absent from the baseline are reported as NEW —
-     unbaselined measurements silently escape the gate otherwise.
+  3. series in the record but absent from the baseline are reported as NEW,
+     and so is a record with no baseline file at all — unbaselined
+     measurements silently escape the gate otherwise.
 
 By default drift only warns (exit 0) so modeled-time refinements don't block
-CI; --strict turns schema violations AND drift into a non-zero exit for
-deliberate perf-gate runs.
+CI; --strict turns drift and unbaselined series or records into exit 2.
+Invalid records exit 1 either way.
 
 Usage:
   scripts/bench_compare.py [--baseline-dir bench/baselines]
@@ -31,10 +37,11 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
-SCHEMA = "multihit.bench.v1"
 METRICS_SCHEMA = "multihit.metrics.v1"
+PREFIX = "bench."
 
 
 def fail(errors: list[str], message: str) -> None:
@@ -46,8 +53,8 @@ def warn(message: str) -> None:
     print(f"WARN: {message}", file=sys.stderr)
 
 
-def validate(path: str, errors: list[str]) -> dict | None:
-    """Checks one record against the multihit.bench.v1 shape."""
+def bench_series(path: str, errors: list[str]) -> dict[str, float] | None:
+    """The `bench.*` gauges of one record, keyed without the prefix."""
     try:
         with open(path, encoding="utf-8") as handle:
             record = json.load(handle)
@@ -55,33 +62,36 @@ def validate(path: str, errors: list[str]) -> dict | None:
         fail(errors, f"{path}: unreadable or invalid JSON: {exc}")
         return None
 
-    if record.get("schema") != SCHEMA:
-        fail(errors, f"{path}: schema is {record.get('schema')!r}, expected {SCHEMA!r}")
+    if not isinstance(record, dict) or record.get("schema") != METRICS_SCHEMA:
+        schema = record.get("schema") if isinstance(record, dict) else None
+        fail(errors, f"{path}: schema is {schema!r}, expected {METRICS_SCHEMA!r}")
         return None
-    if not isinstance(record.get("bench"), str) or not record["bench"]:
-        fail(errors, f"{path}: missing bench name")
+    gauges = record.get("gauges")
+    if not isinstance(gauges, list):
+        fail(errors, f"{path}: gauges must be a list")
         return None
-    series = record.get("series")
-    if not isinstance(series, list) or not series:
-        fail(errors, f"{path}: series must be a non-empty list")
-        return None
-    for point in series:
-        if not isinstance(point.get("name"), str):
-            fail(errors, f"{path}: series point without a name: {point}")
+    series: dict[str, float] = {}
+    for index, gauge in enumerate(gauges):
+        name = gauge.get("name") if isinstance(gauge, dict) else None
+        if not isinstance(name, str):
+            fail(errors, f"{path}: gauges[{index}] has no name")
             return None
-        value = point.get("value")
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            fail(errors, f"{path}: series {point.get('name')!r} has non-finite value")
+        if not name.startswith(PREFIX):
+            continue
+        value = gauge.get("value")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            fail(errors, f"{path}: gauges[{index}] {name!r} has no finite value")
             return None
-    metrics = record.get("metrics")
-    if not isinstance(metrics, dict) or metrics.get("schema") != METRICS_SCHEMA:
-        fail(errors, f"{path}: metrics section missing or not {METRICS_SCHEMA!r}")
+        key = name[len(PREFIX):]
+        if key in series:
+            fail(errors, f"{path}: gauges[{index}] repeats the series {name!r}")
+            return None
+        series[key] = float(value)
+    if not series:
+        fail(errors, f"{path}: no {PREFIX}* gauges")
         return None
-    return record
-
-
-def series_map(record: dict) -> dict[str, float]:
-    return {point["name"]: float(point["value"]) for point in record["series"]}
+    return series
 
 
 HIGHER_BETTER = ("attainment", "admission", "occupancy", "efficiency",
@@ -95,20 +105,21 @@ def lower_is_better(name: str) -> bool:
     return not any(token in name for token in HIGHER_BETTER)
 
 
-def compare(path: str, record: dict, baseline_dir: str, threshold: float,
-            drift: list[str], unbaselined: list[str]) -> None:
-    baseline_path = os.path.join(baseline_dir, f"BENCH_{record['bench']}.json")
+def compare(bench: str, current: dict[str, float], baseline_dir: str,
+            threshold: float, errors: list[str], drift: list[str],
+            unbaselined: list[str]) -> None:
+    baseline_path = os.path.join(baseline_dir, f"BENCH_{bench}.json")
     if not os.path.exists(baseline_path):
-        warn(f"{path}: no baseline at {baseline_path} (skipping comparison)")
+        print(f"  {'NEW':<8} {bench}: no baseline at {baseline_path}")
+        unbaselined.append(f"{bench}: no baseline at {baseline_path}")
         return
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = json.load(handle)
+    base = bench_series(baseline_path, errors)
+    if base is None:
+        return
 
-    current = series_map(record)
-    base = series_map(baseline)
     for name, base_value in sorted(base.items()):
         if name not in current:
-            drift.append(f"{record['bench']}: series {name!r} disappeared")
+            drift.append(f"{bench}: series {name!r} disappeared")
             continue
         value = current[name]
         if base_value == 0.0:
@@ -122,15 +133,14 @@ def compare(path: str, record: dict, baseline_dir: str, threshold: float,
             marker = "improved"
         else:
             marker = "DRIFT"
-        print(f"  {marker:<8} {record['bench']}.{name}: {base_value:.6g} -> "
+        print(f"  {marker:<8} {bench}.{name}: {base_value:.6g} -> "
               f"{value:.6g} ({delta:+.2%})")
         if beyond:
-            drift.append(f"{record['bench']}.{name}: {base_value:.6g} -> "
+            drift.append(f"{bench}.{name}: {base_value:.6g} -> "
                          f"{value:.6g} ({delta:+.2%}, {marker})")
     for name in sorted(set(current) - set(base)):
-        print(f"  {'NEW':<8} {record['bench']}.{name}: {current[name]:.6g} "
-              "(no baseline)")
-        unbaselined.append(f"{record['bench']}.{name}: {current[name]:.6g}")
+        print(f"  {'NEW':<8} {bench}.{name}: {current[name]:.6g} (no baseline)")
+        unbaselined.append(f"{bench}.{name}: {current[name]:.6g}")
 
 
 def main() -> int:
@@ -140,28 +150,33 @@ def main() -> int:
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="relative drift that counts as a regression (default 0.10)")
     parser.add_argument("--strict", action="store_true",
-                        help="exit non-zero on schema errors, drift, or unbaselined "
-                             "series (default: warn only)")
+                        help="exit non-zero on drift or on unbaselined series or "
+                             "records (default: warn only)")
     args = parser.parse_args()
 
     errors: list[str] = []
     drift: list[str] = []
     unbaselined: list[str] = []
     for path in args.files:
-        record = validate(path, errors)
-        if record is None:
+        match = re.fullmatch(r"BENCH_(.+)\.json", os.path.basename(path))
+        if not match:
+            fail(errors, f"{path}: file name is not BENCH_<name>.json")
             continue
-        print(f"{path}: valid {SCHEMA} record for bench {record['bench']!r} "
-              f"({len(record['series'])} series)")
-        compare(path, record, args.baseline_dir, args.threshold, drift, unbaselined)
+        series = bench_series(path, errors)
+        if series is None:
+            continue
+        bench = match.group(1)
+        print(f"{path}: valid bench record {bench!r} ({len(series)} series)")
+        compare(bench, series, args.baseline_dir, args.threshold, errors, drift,
+                unbaselined)
 
     if drift:
         warn(f"{len(drift)} series drifted beyond {args.threshold:.0%}:")
         for line in drift:
             print(f"  {line}", file=sys.stderr)
     if unbaselined:
-        warn(f"{len(unbaselined)} series have no baseline entry "
-             "(add them to the baseline record):")
+        warn(f"{len(unbaselined)} series or records have no baseline "
+             "(add them to bench/baselines):")
         for line in unbaselined:
             print(f"  {line}", file=sys.stderr)
     if errors:

@@ -25,12 +25,16 @@ for preset in default asan tsan; do
 done
 
 # Instrumented bench trajectory: run the BENCH-emitting benches from the
-# optimized build, validate the multihit.bench.v1 records, and diff them
-# against the committed baselines under --strict. Every series here is a
+# optimized build, validate the records (metrics snapshots whose bench.*
+# gauges are the series), and diff them against the committed baselines
+# under --strict. Every series here is a
 # modeled (simulated-clock) number, deterministic run to run, so any drift is
 # a real change in the model or in the kernel accounting it prices; a
 # deliberate model change re-baselines bench/baselines/ in the same commit.
 bench_dir="build/bench_records"
+# Start from empty output directories, so the format inventory at the end
+# sees exactly the files this run wrote.
+rm -rf "$bench_dir" build/*_smoke
 mkdir -p "$bench_dir"
 echo "=== bench records ==="
 for bench in fig4_scaling fig6_util_2x2 fig7_util_3x1 fig8_comm_overhead \
@@ -411,6 +415,31 @@ echo "=== cancer panel smoke ==="
 build/examples/cancer_panel BRCA > /dev/null
 build/examples/cancer_panel > /dev/null
 echo "cancer panel green (2-hit BRCA path included)"
+
+# Format inventory: every JSON file the steps above wrote is a metrics
+# snapshot (run metrics, analysis reports, bench records), a serve report, a
+# run manifest, a diff report, or a Chrome trace (which carries no tag). A
+# numeric artifact with a format of its own fails here.
+echo "=== artifact format inventory ==="
+if command -v python3 > /dev/null; then
+  python3 - "$bench_dir" build/*_smoke <<'EOF'
+import collections, json, pathlib, sys
+allowed = {"multihit.metrics.v1", "multihit.serve.v1", "multihit.run.v1", "multihit.diff.v1"}
+found = collections.Counter()
+for root in sys.argv[1:]:
+    for path in sorted(pathlib.Path(root).rglob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        tag = doc.get("schema") if isinstance(doc, dict) else None
+        if tag is None and isinstance(doc, dict) and "traceEvents" in doc:
+            tag = "chrome trace"
+        elif tag not in allowed:
+            sys.exit(f"ERROR: {path} has format {tag!r}; want metrics, serve, run, diff "
+                     "or a Chrome trace")
+        found[tag] += 1
+for tag, count in sorted(found.items()):
+    print(f"  {count:4d} {tag}")
+EOF
+fi
 
 echo "=== all presets green ==="
 

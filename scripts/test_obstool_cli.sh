@@ -4,10 +4,13 @@
 #   usage errors   -> exit 2, usage text on stderr, nothing on stdout
 #   runtime errors -> exit 1 (unreadable inputs, malformed documents, ...)
 #
-# Usage: test_obstool_cli.sh /path/to/multihit-obstool
+# Usage: test_obstool_cli.sh /path/to/multihit-obstool /path/to/brca_scaleout
+# (brca_scaleout writes the equi-area and equi-distance traces the analysis
+# diff rows compare).
 set -u
 
-OBSTOOL=${1:?usage: test_obstool_cli.sh OBSTOOL}
+OBSTOOL=${1:?usage: test_obstool_cli.sh OBSTOOL BRCA_SCALEOUT}
+BRCA=${2:?usage: test_obstool_cli.sh OBSTOOL BRCA_SCALEOUT}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 fails=0
@@ -200,6 +203,30 @@ expect diff_regression 1 diff "$TMP/metrics_a.json" "$TMP/metrics_b.json" --quie
 printf 'tol metrics.counter.engine.* rel 0.5\n' > "$TMP/cover.tol"
 expect diff_tolerated 0 diff "$TMP/metrics_a.json" "$TMP/metrics_b.json" \
   --tol "$TMP/cover.tol" --quiet
+
+# Snapshots are read strictly: a junk section, a string value or a repeated
+# series is an error naming the entry, never "0 series, verdict ok".
+printf '{"schema":"multihit.metrics.v1","counters":"junk","gauges":7}' > "$TMP/junk.json"
+expect_error_naming diff_junk_snapshot 'metrics: counters is a string' \
+  diff "$TMP/junk.json" "$TMP/junk.json"
+printf '{"schema":"multihit.metrics.v1","counters":[{"name":"a","labels":{},"value":"1"}],"gauges":[],"histograms":[]}' \
+  > "$TMP/string_value.json"
+expect_error_naming diff_string_value 'metrics: counters[0].value' \
+  diff "$TMP/string_value.json" "$TMP/string_value.json"
+
+# The analysis is a metrics snapshot: `analyze --report-out` snapshots of an
+# equi-area and an equi-distance trace diff dirty, the makespan delta
+# attributed to a phase on a rank.
+for scheduler in ea ed; do
+  "$BRCA" 2 --scheduler "$scheduler" --trace-out "$TMP/$scheduler.trace.json" > /dev/null
+  expect "analyze_${scheduler}_report" 0 analyze "$TMP/$scheduler.trace.json" \
+    --report-out "$TMP/$scheduler.analysis.json" --quiet
+done
+expect diff_analysis_snapshots 1 diff "$TMP/ea.analysis.json" "$TMP/ed.analysis.json" --summary
+if ! grep -q 'attributed to' "$TMP/out"; then
+  echo "FAIL diff_analysis_snapshots: no 'attributed to' in the summary" >&2
+  fails=$((fails + 1))
+fi
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails CLI contract check(s) failed" >&2

@@ -12,9 +12,12 @@
 //     overall (the sub-0.23% claim of Fig. 8).
 //
 // The engine runs in-process on a live Tracer or offline on a saved
-// --trace-out file (tracer_from_chrome reverses Tracer::chrome_trace).
-// Everything is deterministic: analysis of byte-identical traces produces
-// byte-identical reports, which scripts/ci.sh enforces.
+// --trace-out file (tracer_from_chrome reverses Tracer::chrome_trace). Its
+// answers are metrics: record_analysis writes them as analysis.* gauges into
+// a MetricsRegistry, so the analysis report is a multihit.metrics.v1
+// snapshot like every other numeric artifact. Everything is deterministic:
+// analysis of byte-identical traces produces byte-identical snapshots, which
+// scripts/ci.sh enforces.
 //
 // Critical-path algorithm (backward walk over the happens-before graph):
 // start at the rank lane whose last span ends latest (the makespan). At the
@@ -43,6 +46,8 @@
 #include "obs/trace.hpp"
 
 namespace multihit::obs {
+
+class MetricsRegistry;
 
 /// Raised on structurally invalid inputs: a --trace-out document that is not
 /// a Chrome trace, an unpaired flow event, a metrics file with the wrong
@@ -127,9 +132,16 @@ std::string metrics_family_mismatch(const JsonValue& metrics, const JsonValue& r
 // ------------------------------------------------------------------ reports
 // (implemented in report.cpp)
 
-/// The multihit.analysis.v1 report document, a pure function of the trace's
-/// analysis (obstool analyze --report-out; obstool diff derives it on load).
-JsonValue analysis_report(const TraceAnalysis& analysis);
+/// Records the analysis as analysis.* gauges: makespan_seconds and
+/// rank_lanes; phase.{total,mean,max,stddev}_seconds, phase.max_over_mean,
+/// phase.lanes and phase.straggler_lane labelled {category, phase};
+/// comm_seconds, busy_seconds and comm_fraction; iteration.begin_seconds and
+/// iteration.end_seconds labelled {iteration}; and critical_seconds{lane,
+/// phase}, each cell's critical-path segments summed in path order — the
+/// cells the diff attributes a makespan delta to. `obstool analyze
+/// --report-out` writes this snapshot; `obstool diff` records it from a
+/// manifest's trace.
+void record_analysis(const TraceAnalysis& analysis, MetricsRegistry& metrics);
 
 /// Collapsed-stack ("folded") flamegraph lines over the span containment
 /// tree: one "laneName;outer;inner <self-microseconds>" line per distinct

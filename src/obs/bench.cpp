@@ -16,24 +16,6 @@ void BenchReporter::series(std::string_view key, double value, std::string_view 
   metrics_.gauge("bench." + std::string(key),
                  unit.empty() ? Labels{} : Labels{{"unit", std::string(unit)}})
       .set(value);
-  series_.push_back(SeriesPoint{std::string(key), value, std::string(unit)});
-}
-
-JsonValue BenchReporter::record() const {
-  JsonValue::Array series;
-  for (const SeriesPoint& point : series_) {
-    JsonValue entry;
-    entry.set("name", JsonValue(point.name));
-    entry.set("value", JsonValue(point.value));
-    if (!point.unit.empty()) entry.set("unit", JsonValue(point.unit));
-    series.push_back(std::move(entry));
-  }
-  JsonValue doc;
-  doc.set("schema", JsonValue(kBenchSchema));
-  doc.set("bench", JsonValue(name_));
-  doc.set("series", JsonValue(std::move(series)));
-  doc.set("metrics", metrics_.snapshot());
-  return doc;
 }
 
 std::string BenchReporter::path() const {

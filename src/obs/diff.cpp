@@ -1,6 +1,7 @@
 #include "obs/diff.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -9,6 +10,7 @@
 #include <sstream>
 
 #include "obs/analyze.hpp"
+#include "obs/metrics.hpp"
 #include "obs/schema.hpp"
 
 namespace multihit::obs {
@@ -20,25 +22,6 @@ std::string read_file(const std::string& path, const char* what) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-double number_or(const JsonValue& obj, std::string_view key, double fallback) {
-  const JsonValue* value = obj.find(key);
-  return value && value->is_number() ? value->as_number() : fallback;
-}
-
-/// `obj[key]` as a u32 id, 0 when absent. A present id that is not an
-/// integer in [0, 2^32) throws, naming its path: `array`[`index`].`key`.
-std::uint32_t id_or_zero(const JsonValue& obj, std::string_view key, std::string_view array,
-                         std::size_t index) {
-  const JsonValue* value = obj.find(key);
-  if (!value) return 0;
-  const double id = value->is_number() ? value->as_number() : -1.0;
-  if (!(id >= 0.0 && id < 4294967296.0 && id == std::floor(id))) {
-    throw DiffError("diff: " + std::string(array) + "[" + std::to_string(index) + "]." +
-                    std::string(key) + " is not an integer in [0, 2^32)");
-  }
-  return static_cast<std::uint32_t>(id);
 }
 
 }  // namespace
@@ -173,119 +156,93 @@ std::string element_key(const JsonValue& element) {
 
 using SeriesMap = std::map<std::string, double>;
 
-struct Flattener {
-  SeriesMap& out;
-  const std::vector<std::string_view>& skip;
-
-  void add_leaf(const std::string& path, double value) {
-    if (out.emplace(path, value).second) return;
-    for (int n = 2;; ++n) {
-      if (out.emplace(path + "#" + std::to_string(n), value).second) return;
-    }
+/// Adds one leaf of a generic walk; a repeated path gets a `#n` suffix.
+void add_leaf(SeriesMap& out, const std::string& path, double value) {
+  if (out.emplace(path, value).second) return;
+  for (int n = 2;; ++n) {
+    if (out.emplace(path + "#" + std::to_string(n), value).second) return;
   }
-
-  bool skipped(const std::string& path) const {
-    for (std::string_view glob : skip) {
-      if (glob_match(glob, path)) return true;
-    }
-    return false;
-  }
-
-  void walk(const std::string& path, const JsonValue& value) {
-    if (skipped(path)) return;
-    switch (value.kind()) {
-      case JsonValue::Kind::kNumber:
-        add_leaf(path, value.as_number());
-        return;
-      case JsonValue::Kind::kBool:
-        add_leaf(path, value.as_bool() ? 1.0 : 0.0);
-        return;
-      case JsonValue::Kind::kObject:
-        for (const auto& [key, child] : value.as_object()) {
-          walk(path + "." + key, child);
-        }
-        return;
-      case JsonValue::Kind::kArray: {
-        const JsonValue::Array& elements = value.as_array();
-        for (std::size_t i = 0; i < elements.size(); ++i) {
-          std::string key = element_key(elements[i]);
-          if (key.empty()) key = std::to_string(i);
-          walk(path + "[" + key + "]", elements[i]);
-        }
-        return;
-      }
-      default:
-        return;  // strings and nulls are identity/config, not series
-    }
-  }
-};
-
-std::string labels_suffix(const JsonValue& entry) {
-  const JsonValue* labels = entry.find("labels");
-  if (!labels || !labels->is_object() || labels->as_object().empty()) return {};
-  std::string out = "{";
-  for (const auto& [key, value] : labels->as_object()) {
-    if (out.size() > 1) out += ',';
-    out += key;
-    out += '=';
-    if (value.is_string()) out += value.as_string();
-  }
-  out += '}';
-  return out;
 }
 
-/// Metrics get a curated flattening — `metrics.counter.<name>{labels}` — so
-/// labeled variants never rely on positional collision suffixes.
-void flatten_metrics(const JsonValue& doc, SeriesMap& out) {
-  static const std::vector<std::string_view> kNoSkip;
-  Flattener flat{out, kNoSkip};
+void walk(SeriesMap& out, const std::string& path, const JsonValue& value) {
+  switch (value.kind()) {
+    case JsonValue::Kind::kNumber:
+      add_leaf(out, path, value.as_number());
+      return;
+    case JsonValue::Kind::kBool:
+      add_leaf(out, path, value.as_bool() ? 1.0 : 0.0);
+      return;
+    case JsonValue::Kind::kObject:
+      for (const auto& [key, child] : value.as_object()) {
+        walk(out, path + "." + key, child);
+      }
+      return;
+    case JsonValue::Kind::kArray: {
+      const JsonValue::Array& elements = value.as_array();
+      for (std::size_t i = 0; i < elements.size(); ++i) {
+        std::string key = element_key(elements[i]);
+        if (key.empty()) key = std::to_string(i);
+        walk(out, path + "[" + key + "]", elements[i]);
+      }
+      return;
+    }
+    default:
+      return;  // strings and nulls are identity/config, not series
+  }
+}
+
+std::string labels_suffix(const JsonFields& entry) {
+  const std::vector<std::pair<std::string, std::string>> labels =
+      entry.object("labels").strings();
+  if (labels.empty()) return {};
+  std::string out = "{";
+  for (const auto& [key, value] : labels) {
+    if (out.size() > 1) out += ',';
+    out += key + '=' + value;
+  }
+  return out + '}';
+}
+
+/// A metrics snapshot flattens to `<role>.<kind>.<name>{labels}` series
+/// (histograms one per stat), read strictly: every section, name, label
+/// and value must have its snapshot shape, and no (name, labels) may
+/// repeat; a violation throws DiffError naming `<role>: <path>`.
+void flatten_metrics(const std::string& role, const JsonValue& doc, SeriesMap& out) {
+  const JsonFields root = require_schema<DiffError>(doc, kMetricsSchema, role);
   for (const auto& [section, kind] :
        {std::pair<const char*, const char*>{"counters", "counter"},
-        {"gauges", "gauge"}}) {
-    const JsonValue* entries = doc.find(section);
-    if (!entries || !entries->is_array()) continue;
-    for (const JsonValue& entry : entries->as_array()) {
-      const JsonValue* name = entry.find("name");
-      const JsonValue* value = entry.find("value");
-      if (!name || !name->is_string() || !value || !value->is_number()) continue;
-      flat.add_leaf("metrics." + std::string(kind) + "." + name->as_string() +
-                        labels_suffix(entry),
-                    value->as_number());
-    }
-  }
-  if (const JsonValue* entries = doc.find("histograms");
-      entries && entries->is_array()) {
-    for (const JsonValue& entry : entries->as_array()) {
-      const JsonValue* name = entry.find("name");
-      if (!name || !name->is_string()) continue;
-      const std::string base =
-          "metrics.histogram." + name->as_string() + labels_suffix(entry);
+        {"gauges", "gauge"},
+        {"histograms", "histogram"}}) {
+    for (const JsonFields& entry : root.array(section).objects()) {
+      const std::string series =
+          role + "." + kind + "." + entry.string("name") + labels_suffix(entry);
+      const auto add = [&](const std::string& key, double value) {
+        if (!out.emplace(key, value).second) entry.fail("repeats the series " + series);
+      };
+      if (std::string_view(kind) != "histogram") {
+        add(series, entry.number("value"));
+        continue;
+      }
       for (const char* stat : {"count", "sum", "min", "max", "p50", "p90", "p99"}) {
-        if (const JsonValue* value = entry.find(stat); value && value->is_number()) {
-          flat.add_leaf(base + "." + stat, value->as_number());
-        }
+        add(series + "." + stat, entry.number(stat));
       }
     }
   }
 }
 
-/// Flattens one artifact document into role-prefixed series. Critical-path
-/// segments have specialized diff semantics and are excluded here.
+/// Flattens one artifact document into role-prefixed series: a serve report
+/// through the generic walk, every other role (metrics, and the analysis
+/// derived from a trace) as a metrics snapshot.
 void flatten_role(const std::string& role, const JsonValue& doc, SeriesMap& out) {
-  if (role == "metrics") {
-    flatten_metrics(doc, out);
-    return;
+  if (role.rfind("serve", 0) == 0) {
+    walk(out, role, doc);
+  } else {
+    flatten_metrics(role, doc, out);
   }
-  static const std::vector<std::string_view> kAnalysisSkip = {
-      "analysis.critical_path.segments"};
-  static const std::vector<std::string_view> kNoSkip;
-  const std::vector<std::string_view>* skip = &kNoSkip;
-  if (role == "analysis") skip = &kAnalysisSkip;
-  Flattener{out, *skip}.walk(role, doc);
 }
 
 bool diffable_kind(std::string_view kind) {
-  return kind == "metrics" || kind == "analysis" || kind == "serve" || kind == "bench";
+  return kind == "metrics" || kind == "serve";
 }
 
 const JsonValue* find_doc(const RunInput& run, std::string_view role) {
@@ -378,7 +335,11 @@ RunInput load_run(const std::string& path) {
       // without rank lanes (a serve run's) derives nothing.
       try {
         const TraceAnalysis analysis = analyze_trace(tracer_from_chrome(parsed));
-        if (analysis.rank_lanes > 0) insert_doc(run, "analysis", analysis_report(analysis));
+        if (analysis.rank_lanes > 0) {
+          MetricsRegistry metrics;
+          record_analysis(analysis, metrics);
+          insert_doc(run, "analysis", metrics.snapshot());
+        }
       } catch (const std::exception& error) {
         throw DiffError("diff: artifact \"" + artifact.name + "\" (" +
                         artifact_path.string() + "): " + error.what());
@@ -399,31 +360,51 @@ RunInput load_run(const std::string& path) {
 
 namespace {
 
-CriticalPathDiff diff_critical_path(const JsonValue* a, const JsonValue* b) {
-  CriticalPathDiff out;
-  if (!a || !b) return out;
-  out.present = true;
-  out.makespan_a = number_or(*a, "makespan_seconds", 0.0);
-  out.makespan_b = number_or(*b, "makespan_seconds", 0.0);
-  std::map<std::pair<std::string, std::uint32_t>, std::pair<double, double>> cells;
-  const auto accumulate = [&cells](const JsonValue& doc, bool side_b) {
-    const JsonValue* critical = doc.find("critical_path");
-    const JsonValue* segments = critical ? critical->find("segments") : nullptr;
-    if (!segments || !segments->is_array()) return;
-    const auto& segs = segments->as_array();
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-      const JsonValue& seg = segs[i];
-      const JsonValue* phase = seg.find("phase");
-      if (!phase || !phase->is_string()) continue;
-      const std::uint32_t lane = id_or_zero(seg, "lane", "analysis: critical_path.segments", i);
-      const double seconds =
-          number_or(seg, "end_seconds", 0.0) - number_or(seg, "begin_seconds", 0.0);
-      auto& cell = cells[{phase->as_string(), lane}];
-      (side_b ? cell.second : cell.first) += seconds;
+/// Critical-path seconds per (phase, lane) cell: (run A, run B).
+using Cells = std::map<std::pair<std::string, std::uint32_t>, std::pair<double, double>>;
+
+/// Reads one side's analysis from the first of its metrics snapshots that
+/// holds an analysis.makespan_seconds gauge: role "analysis" (derived from a
+/// manifest's trace) sorts before "metrics" (a bare analysis snapshot).
+/// False when the run carries no analysis. A critical_seconds lane label
+/// that is not an integer in [0, 2^32) throws, naming the series.
+bool read_analysis(const RunInput& run, double& makespan, Cells& cells, bool side_b) {
+  for (const auto& [role, doc] : run.docs) {
+    if (document_schema(doc) != kMetricsSchema) continue;
+    const std::vector<JsonFields> gauges =
+        require_schema<DiffError>(doc, kMetricsSchema, role).array("gauges").objects();
+    const auto makespan_entry = std::find_if(gauges.begin(), gauges.end(), [](const auto& g) {
+      return g.string("name") == "analysis.makespan_seconds";
+    });
+    if (makespan_entry == gauges.end()) continue;
+    makespan = makespan_entry->number("value");
+    for (const JsonFields& gauge : gauges) {
+      if (gauge.string("name") != "analysis.critical_seconds") continue;
+      const JsonFields labels = gauge.object("labels");
+      const std::string& lane_text = labels.string("lane");
+      std::uint32_t lane = 0;
+      const char* end = lane_text.data() + lane_text.size();
+      const auto [stop, error] = std::from_chars(lane_text.data(), end, lane);
+      if (error != std::errc{} || stop != end) {
+        labels.fail("lane", "of analysis.critical_seconds is \"" + lane_text +
+                                "\", not an integer in [0, 2^32)");
+      }
+      auto& cell = cells[{labels.string("phase"), lane}];
+      (side_b ? cell.second : cell.first) += gauge.number("value");
     }
-  };
-  accumulate(*a, false);
-  accumulate(*b, true);
+    return true;
+  }
+  return false;
+}
+
+CriticalPathDiff diff_critical_path(const RunInput& a, const RunInput& b) {
+  CriticalPathDiff out;
+  Cells cells;
+  if (!read_analysis(a, out.makespan_a, cells, false) ||
+      !read_analysis(b, out.makespan_b, cells, true)) {
+    return {};
+  }
+  out.present = true;
   for (const auto& [key, seconds] : cells) {
     AttributionCell cell;
     cell.phase = key.first;
@@ -606,7 +587,7 @@ DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& op
     }
   }
 
-  report.critical_path = diff_critical_path(find_doc(a, "analysis"), find_doc(b, "analysis"));
+  report.critical_path = diff_critical_path(a, b);
   report.summary = summary_sentence(report);
   return report;
 }

@@ -4,9 +4,12 @@
 // Loads two runs — each a multihit.run.v1 manifest or a single artifact —
 // and produces one deterministic comparison document. Three layers:
 //
-//  1. A generic series flattener turns every diffable artifact into
-//     `role.dotted.path` → number/bool leaves (array elements keyed by their
-//     identity fields: name, phase, tenant, rank, ...). Leaves are compared
+//  1. Every diffable artifact flattens to named series. A metrics snapshot
+//     (the run's metrics, and the analysis derived from its trace) gives
+//     `<role>.<kind>.<name>{labels}`, read strictly: an ill-shaped entry or
+//     a repeated (name, labels) throws. A serve report gives
+//     `serve.dotted.path` → number/bool leaves (array elements keyed by
+//     their identity fields: name, tenant, id, ...). Series are compared
 //     exactly by default and classified identical / within-tolerance /
 //     improved / regressed / added / removed. Tolerances come from a
 //     `tol <series-glob> rel|abs <bound>` grammar (slo.cpp-style parser;
@@ -14,9 +17,12 @@
 //     deterministic simulator is *exact* — every relaxation should be a
 //     committed, reviewable line.
 //
-//  2. One specialized section that knows artifact semantics: critical-path
-//     segment diffing that attributes the makespan delta to phase×lane
-//     cells (the cells plus an explicit residual sum to the delta exactly).
+//  2. One specialized section that knows artifact semantics: the
+//     critical path, which attributes the makespan delta to the phase×lane
+//     cells of the analysis's `analysis.critical_seconds{lane, phase}`
+//     series (the cells plus an explicit residual sum to the delta
+//     exactly). A bare analysis snapshot (`obstool analyze --report-out`)
+//     carries those series too, so it gets the attribution as well.
 //     Health incidents and SLO verdicts need no section: they are metrics.
 //     One more incident raises the lower-is-better `health.incidents` total;
 //     a newly violated objective raises `slo.violated`, both the total and
@@ -48,9 +54,10 @@
 namespace multihit::obs {
 
 /// Raised on malformed inputs: unreadable files, wrong schemas, digest
-/// mismatches, tolerance-grammar errors (naming the offending line), and
-/// section ids (lane, rank, gpu, iteration) that are not integers in
-/// [0, 2^32) (naming their path).
+/// mismatches, tolerance-grammar errors (naming the offending line),
+/// ill-shaped or repeated metrics entries (naming `<role>: <path>`), and a
+/// critical_seconds lane label that is not an integer in [0, 2^32) (naming
+/// the series).
 class DiffError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -119,7 +126,7 @@ struct AttributionCell {
 };
 
 struct CriticalPathDiff {
-  bool present = false;  ///< both runs carried an analysis (report or trace)
+  bool present = false;  ///< both runs carried analysis.* series
   double makespan_a = 0.0;
   double makespan_b = 0.0;
   std::vector<AttributionCell> cells;  ///< sorted by (phase, lane)
@@ -146,9 +153,9 @@ void add_doc(RunInput& run, std::string role, JsonValue doc);
 
 /// Loads one side from disk. A multihit.run.v1 file loads every inventoried
 /// artifact (paths resolved relative to the manifest's directory) and
-/// verifies each digest; a trace with rank lanes adds its analysis_report
-/// under role "analysis". Any other registered schema loads as a
-/// single-artifact run under its registry kind. Throws DiffError on
+/// verifies each digest; a trace with rank lanes adds its record_analysis
+/// snapshot under role "analysis". A bare metrics or serve document loads
+/// as a single-artifact run under its registry kind. Throws DiffError on
 /// unreadable files, unknown schemas, schema/inventory mismatches, digest
 /// mismatches, and traces that do not analyse.
 RunInput load_run(const std::string& path);

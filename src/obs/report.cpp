@@ -1,6 +1,6 @@
-// Rendering for the trace analysis: the multihit.analysis.v1 JSON report
-// and the human-readable summary `multihit-obstool analyze` prints. Both are
-// pure functions of TraceAnalysis, so byte-identical analyses render
+// Rendering for the trace analysis: its analysis.* metrics series and the
+// human-readable summary `multihit-obstool analyze` prints. Both are pure
+// functions of TraceAnalysis, so byte-identical analyses render
 // byte-identical artifacts.
 
 #include <algorithm>
@@ -57,74 +57,42 @@ std::string metrics_family_mismatch(const JsonValue& metrics, const JsonValue& r
   return {};
 }
 
-JsonValue analysis_report(const TraceAnalysis& analysis) {
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", JsonValue(kAnalysisSchema));
-  doc.set("makespan_seconds", JsonValue(analysis.makespan));
-  doc.set("rank_lanes", JsonValue(static_cast<double>(analysis.rank_lanes)));
-
-  JsonValue phases = JsonValue::array();
+void record_analysis(const TraceAnalysis& analysis, MetricsRegistry& metrics) {
+  metrics.gauge("analysis.makespan_seconds").set(analysis.makespan);
+  metrics.gauge("analysis.rank_lanes").set(analysis.rank_lanes);
   for (const PhaseStat& stat : analysis.phases) {
-    JsonValue entry = JsonValue::object();
-    entry.set("phase", JsonValue(stat.phase));
-    entry.set("category", JsonValue(stat.category));
-    entry.set("total_seconds", JsonValue(stat.total_seconds));
-    entry.set("mean_seconds", JsonValue(stat.mean_seconds));
-    entry.set("max_seconds", JsonValue(stat.max_seconds));
-    entry.set("stddev_seconds", JsonValue(stat.stddev_seconds));
-    entry.set("max_over_mean", JsonValue(stat.max_over_mean));
-    entry.set("lanes", JsonValue(static_cast<double>(stat.lanes)));
-    entry.set("straggler_lane", JsonValue(static_cast<double>(stat.straggler_lane)));
-    phases.push_back(std::move(entry));
+    const Labels labels = {{"category", stat.category}, {"phase", stat.phase}};
+    metrics.gauge("analysis.phase.total_seconds", labels).set(stat.total_seconds);
+    metrics.gauge("analysis.phase.mean_seconds", labels).set(stat.mean_seconds);
+    metrics.gauge("analysis.phase.max_seconds", labels).set(stat.max_seconds);
+    metrics.gauge("analysis.phase.stddev_seconds", labels).set(stat.stddev_seconds);
+    metrics.gauge("analysis.phase.max_over_mean", labels).set(stat.max_over_mean);
+    metrics.gauge("analysis.phase.lanes", labels).set(stat.lanes);
+    metrics.gauge("analysis.phase.straggler_lane", labels).set(stat.straggler_lane);
   }
-  doc.set("phases", std::move(phases));
-
-  JsonValue critical = JsonValue::object();
-  critical.set("total_seconds", JsonValue(analysis.critical_total));
-  JsonValue by_phase = JsonValue::array();
-  for (const auto& [phase, seconds] : analysis.critical_by_phase) {
-    JsonValue entry = JsonValue::object();
-    entry.set("phase", JsonValue(phase));
-    entry.set("seconds", JsonValue(seconds));
-    entry.set("fraction", JsonValue(analysis.critical_total > 0.0
-                                        ? seconds / analysis.critical_total
-                                        : 0.0));
-    by_phase.push_back(std::move(entry));
-  }
-  critical.set("by_phase", std::move(by_phase));
-  JsonValue segments = JsonValue::array();
-  for (const CriticalSegment& seg : analysis.critical_path) {
-    JsonValue entry = JsonValue::object();
-    entry.set("lane", JsonValue(static_cast<double>(seg.lane)));
-    entry.set("phase", JsonValue(seg.phase));
-    entry.set("begin_seconds", JsonValue(seg.begin));
-    entry.set("end_seconds", JsonValue(seg.end));
-    segments.push_back(std::move(entry));
-  }
-  critical.set("segments", std::move(segments));
-  doc.set("critical_path", std::move(critical));
-
-  JsonValue comm = JsonValue::object();
-  comm.set("comm_seconds", JsonValue(analysis.comm_seconds));
-  comm.set("busy_seconds", JsonValue(analysis.busy_seconds));
-  comm.set("overhead_fraction", JsonValue(analysis.comm_fraction));
-  doc.set("comm", std::move(comm));
-
-  JsonValue iterations = JsonValue::array();
+  metrics.gauge("analysis.comm_seconds").set(analysis.comm_seconds);
+  metrics.gauge("analysis.busy_seconds").set(analysis.busy_seconds);
+  metrics.gauge("analysis.comm_fraction").set(analysis.comm_fraction);
   for (const IterationWindow& window : analysis.iterations) {
-    JsonValue entry = JsonValue::object();
-    entry.set("index", JsonValue(static_cast<double>(window.index)));
-    entry.set("begin_seconds", JsonValue(window.begin));
-    entry.set("end_seconds", JsonValue(window.end));
-    iterations.push_back(std::move(entry));
+    const Labels labels = {{"iteration", std::to_string(window.index)}};
+    metrics.gauge("analysis.iteration.begin_seconds", labels).set(window.begin);
+    metrics.gauge("analysis.iteration.end_seconds", labels).set(window.end);
   }
-  doc.set("iterations", std::move(iterations));
-
-  return doc;
+  // One cell per (phase, lane), its segments summed in path order: the
+  // diff's makespan attribution reads these values as they stand.
+  std::map<std::pair<std::string, std::uint32_t>, double> cells;
+  for (const CriticalSegment& seg : analysis.critical_path) {
+    cells[{seg.phase, seg.lane}] += seg.end - seg.begin;
+  }
+  for (const auto& [cell, seconds] : cells) {
+    metrics.gauge("analysis.critical_seconds",
+                  {{"lane", std::to_string(cell.second)}, {"phase", cell.first}})
+        .set(seconds);
+  }
 }
 
 std::string analysis_text(const TraceAnalysis& analysis) {
-  std::string out = "multihit trace analysis (" + std::string(kAnalysisSchema) + ")\n";
+  std::string out = "multihit trace analysis\n";
   out += "  makespan: " + fmt("%.6g", analysis.makespan) + " s across " +
          std::to_string(analysis.rank_lanes) + " rank lane(s), " +
          std::to_string(analysis.iterations.size()) + " greedy iteration(s)\n";

@@ -10,7 +10,10 @@
 // schema tag and a deterministic content digest. `brca_scaleout` and
 // `multihit-serve` write one alongside their existing `--*-out` artifacts
 // (--manifest-out, or implicitly via --artifacts-dir), and `obstool diff`
-// consumes a pair of them to build a multihit.diff.v1 regression report.
+// consumes a pair of them to build a multihit.diff.v1 regression report. A
+// manifest inventories only what the run wrote (its metrics snapshot, Chrome
+// trace and serve report); the trace analysis is a view the diff derives
+// from the trace on load, not an artifact of its own.
 //
 // Determinism contract: config values are strings (no double formatting to
 // drift), artifacts are sorted by name, digests are FNV-1a over the exact
@@ -39,7 +42,7 @@ class RuninfoError : public std::runtime_error {
 /// deterministic across platforms.
 std::string content_digest(std::string_view bytes);
 
-/// One emitted artifact: its role name ("metrics", "analysis", ...), the
+/// One emitted artifact: its role name ("metrics", "trace", "serve"), the
 /// path it was written to (relative paths resolve against the manifest's
 /// own directory, which keeps --artifacts-dir run directories relocatable),
 /// its schema tag, and the digest/size of the bytes on disk.

@@ -3,11 +3,11 @@
 //
 // Every JSON artifact written by this project carries a top-level
 // `"schema": "multihit.<kind>.v1"` tag so offline tools can refuse the wrong
-// file with a useful message instead of mis-parsing it. The constants used
-// to live next to their writers (metrics.hpp, analyze.hpp, bench.hpp); they
-// are collected here so the full artifact surface is visible in one place
-// and parsers share one mismatch-error shape that names both the expected
-// and the found schema.
+// file with a useful message instead of mis-parsing it. The constants are
+// collected here so the full artifact surface is visible in one place and
+// parsers share one mismatch-error shape that names both the expected and
+// the found schema. Every numeric artifact without a format of its own (the
+// trace analysis, the bench records) is a multihit.metrics.v1 snapshot.
 
 #include <string>
 #include <string_view>
@@ -16,12 +16,9 @@
 
 namespace multihit::obs {
 
-/// MetricsRegistry::snapshot() documents (--metrics-out).
+/// MetricsRegistry::snapshot() documents: --metrics-out, the trace analysis
+/// (obstool analyze --report-out) and the bench records (BENCH_*.json).
 inline constexpr std::string_view kMetricsSchema = "multihit.metrics.v1";
-/// Trace-analysis reports (obstool analyze --report-out).
-inline constexpr std::string_view kAnalysisSchema = "multihit.analysis.v1";
-/// BenchReporter records (BENCH_*.json under $MULTIHIT_BENCH_DIR).
-inline constexpr std::string_view kBenchSchema = "multihit.bench.v1";
 /// Job-service trace-replay reports (multihit_serve --out).
 inline constexpr std::string_view kServeSchema = "multihit.serve.v1";
 /// Per-invocation run manifests (--manifest-out / --artifacts-dir): the
@@ -46,10 +43,8 @@ struct SchemaEntry {
 /// engine resolves loaders through this registry; adding an artifact kind
 /// means adding a row here, not teaching another tool a new string.
 inline constexpr SchemaEntry kSchemaRegistry[] = {
-    {kMetricsSchema, "metrics"}, {kAnalysisSchema, "analysis"},
-    {kBenchSchema, "bench"},     {kServeSchema, "serve"},
-    {kRunSchema, "run"},         {kDiffSchema, "diff"},
-    {kChromeTraceTag, "trace"},
+    {kMetricsSchema, "metrics"}, {kServeSchema, "serve"},      {kRunSchema, "run"},
+    {kDiffSchema, "diff"},       {kChromeTraceTag, "trace"},
 };
 
 /// Short kind for a schema tag ("" when the tag is not in the registry).

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/distributed.hpp"
@@ -45,6 +46,24 @@ obs::Tracer two_rank_tracer() {
   // by the walk.
   tracer.flow(0, 1.25, 1, 1.5, "p2p", "comm", /*binding=*/false);
   return tracer;
+}
+
+/// The analysis as record_analysis writes it: a metrics snapshot.
+JsonValue analysis_snapshot(const obs::TraceAnalysis& analysis) {
+  obs::MetricsRegistry metrics;
+  obs::record_analysis(analysis, metrics);
+  return metrics.snapshot();
+}
+
+/// The value of the gauge `name` whose labels dump as `labels`.
+double gauge_value(const JsonValue& snapshot, std::string_view name, std::string_view labels) {
+  for (const JsonValue& gauge : snapshot.find("gauges")->as_array()) {
+    if (gauge.find("name")->as_string() == name && gauge.find("labels")->dump() == labels) {
+      return gauge.find("value")->as_number();
+    }
+  }
+  ADD_FAILURE() << "no gauge " << name << labels;
+  return std::nan("");
 }
 
 TEST(AnalyzeCriticalPath, BackwardWalkCrossesBindingEdgesOnly) {
@@ -163,8 +182,38 @@ TEST(AnalyzeOffline, ChromeRoundTripIsLossless) {
   EXPECT_EQ(obs::folded_stacks(offline), obs::folded_stacks(live));
   const obs::TraceAnalysis a = obs::analyze_trace(live);
   const obs::TraceAnalysis b = obs::analyze_trace(offline);
-  EXPECT_EQ(obs::analysis_report(a).dump(), obs::analysis_report(b).dump());
+  EXPECT_EQ(analysis_snapshot(a).dump(), analysis_snapshot(b).dump());
   EXPECT_EQ(obs::analysis_text(a), obs::analysis_text(b));
+}
+
+TEST(AnalyzeMetrics, RecordAnalysisWritesTheAnalysisAsGauges) {
+  const obs::TraceAnalysis a = obs::analyze_trace(two_rank_tracer());
+  const JsonValue snapshot = analysis_snapshot(a);
+  EXPECT_EQ(snapshot.find("counters")->size(), 0u);
+  EXPECT_EQ(snapshot.find("histograms")->size(), 0u);
+
+  EXPECT_EQ(gauge_value(snapshot, "analysis.makespan_seconds", "{}"), 2.75);
+  EXPECT_EQ(gauge_value(snapshot, "analysis.rank_lanes", "{}"), 2.0);
+  EXPECT_EQ(gauge_value(snapshot, "analysis.comm_seconds", "{}"), a.comm_seconds);
+  EXPECT_EQ(gauge_value(snapshot, "analysis.busy_seconds", "{}"), a.busy_seconds);
+  EXPECT_EQ(gauge_value(snapshot, "analysis.comm_fraction", "{}"), a.comm_fraction);
+  const char* compute = R"({"category":"compute","phase":"compute"})";
+  EXPECT_EQ(gauge_value(snapshot, "analysis.phase.max_seconds", compute), 2.0);
+  EXPECT_EQ(gauge_value(snapshot, "analysis.phase.max_over_mean", compute), 2.0 / 1.5);
+  EXPECT_EQ(gauge_value(snapshot, "analysis.phase.straggler_lane", compute), 1.0);
+
+  // One cell per (phase, lane) of the critical path, its segments summed.
+  EXPECT_EQ(gauge_value(snapshot, "analysis.critical_seconds",
+                        R"({"lane":"1","phase":"compute"})"),
+            2.0);
+  EXPECT_EQ(gauge_value(snapshot, "analysis.critical_seconds",
+                        R"({"lane":"0","phase":"mpi_broadcast"})"),
+            0.25);
+  std::size_t cells = 0;
+  for (const JsonValue& gauge : snapshot.find("gauges")->as_array()) {
+    cells += gauge.find("name")->as_string() == "analysis.critical_seconds";
+  }
+  EXPECT_EQ(cells, a.critical_path.size());  // four segments, four cells
 }
 
 TEST(AnalyzeOffline, RejectsDocumentsThatAreNotTraces) {
@@ -304,17 +353,16 @@ TEST(AnalyzeCluster, ReportAgreesWithClusterModelClocks) {
   EXPECT_LT(a.comm_fraction, 1.0);
   EXPECT_GT(a.busy_seconds, 0.0);
 
-  // The report renders, carries the schema, and the critical-path fractions
-  // sum to one.
-  const JsonValue report = obs::analysis_report(a);
-  EXPECT_EQ(report.find("schema")->as_string(), obs::kAnalysisSchema);
-  const JsonValue* by_phase = report.find("critical_path")->find("by_phase");
-  ASSERT_NE(by_phase, nullptr);
-  double fraction_sum = 0.0;
-  for (std::size_t i = 0; i < by_phase->size(); ++i) {
-    fraction_sum += by_phase->at(i).find("fraction")->as_number();
+  // The recorded critical-path cells tile the recorded makespan.
+  const JsonValue snapshot = analysis_snapshot(a);
+  EXPECT_EQ(gauge_value(snapshot, "analysis.makespan_seconds", "{}"), a.makespan);
+  double cell_sum = 0.0;
+  for (const JsonValue& gauge : snapshot.find("gauges")->as_array()) {
+    if (gauge.find("name")->as_string() == "analysis.critical_seconds") {
+      cell_sum += gauge.find("value")->as_number();
+    }
   }
-  EXPECT_NEAR(fraction_sum, 1.0, 1e-9);
+  EXPECT_NEAR(cell_sum, a.makespan, 1e-9 * a.makespan);
 }
 
 TEST(AnalyzeCluster, ReportsAreByteIdenticalAcrossRuns) {
@@ -329,7 +377,7 @@ TEST(AnalyzeCluster, ReportsAreByteIdenticalAcrossRuns) {
     options.recorder = &rec;
     options.max_iterations = 3;
     runner.run(data, options);
-    return std::pair{obs::analysis_report(obs::analyze_trace(rec.trace)).dump(),
+    return std::pair{analysis_snapshot(obs::analyze_trace(rec.trace)).dump(),
                      obs::folded_stacks(rec.trace)};
   };
   const auto [report_a, folded_a] = artifacts();

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "cluster/distributed.hpp"
 #include "data/generator.hpp"
 #include "hostile_json.hpp"
+#include "obs/analyze.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/runinfo.hpp"
@@ -68,28 +70,22 @@ JsonValue metrics_doc(const std::vector<std::pair<const char*, double>>& counter
   return doc;
 }
 
-JsonValue segment(const char* phase, std::uint32_t lane, double begin, double end) {
-  JsonValue seg = JsonValue::object();
-  seg.set("lane", static_cast<double>(lane));
-  seg.set("phase", phase);
-  seg.set("begin_seconds", begin);
-  seg.set("end_seconds", end);
-  return seg;
-}
+struct Cell {
+  const char* phase;
+  const char* lane;
+  double seconds;
+};
 
-/// A minimal multihit.analysis.v1 document whose critical path is the given
-/// segments (assumed to tile [0, makespan]).
-JsonValue analysis_doc(double makespan, std::vector<JsonValue> segments) {
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", std::string(obs::kAnalysisSchema));
-  doc.set("makespan_seconds", makespan);
-  JsonValue critical = JsonValue::object();
-  critical.set("total_seconds", makespan);
-  JsonValue segs = JsonValue::array();
-  for (JsonValue& seg : segments) segs.push_back(std::move(seg));
-  critical.set("segments", std::move(segs));
-  doc.set("critical_path", std::move(critical));
-  return doc;
+/// A minimal analysis snapshot, as obs::record_analysis writes one: the
+/// makespan and the critical-path seconds of each (phase, lane) cell.
+JsonValue analysis_doc(double makespan, const std::vector<Cell>& cells) {
+  obs::MetricsRegistry metrics;
+  metrics.gauge("analysis.makespan_seconds").set(makespan);
+  for (const Cell& cell : cells) {
+    metrics.gauge("analysis.critical_seconds", {{"lane", cell.lane}, {"phase", cell.phase}})
+        .set(cell.seconds);
+  }
+  return metrics.snapshot();
 }
 
 RunInput metrics_run(const char* label,
@@ -276,17 +272,13 @@ TEST(DiffAttribution, CellsPlusResidualSumToMakespanDelta) {
   // 9s, reduce shrinks to 3.5s. Makespan 10 -> 12.5.
   RunInput a;
   a.label = "a";
-  std::vector<JsonValue> segs_a;
-  segs_a.push_back(segment("compute", 0, 0.0, 6.0));
-  segs_a.push_back(segment("mpi_reduce", 1, 6.0, 10.0));
-  obs::add_doc(a, "analysis", analysis_doc(10.0, std::move(segs_a)));
+  obs::add_doc(a, "analysis",
+              analysis_doc(10.0, {{"compute", "0", 6.0}, {"mpi_reduce", "1", 4.0}}));
 
   RunInput b;
   b.label = "b";
-  std::vector<JsonValue> segs_b;
-  segs_b.push_back(segment("compute", 0, 0.0, 9.0));
-  segs_b.push_back(segment("mpi_reduce", 1, 9.0, 12.5));
-  obs::add_doc(b, "analysis", analysis_doc(12.5, std::move(segs_b)));
+  obs::add_doc(b, "analysis",
+              analysis_doc(12.5, {{"compute", "0", 9.0}, {"mpi_reduce", "1", 3.5}}));
 
   const DiffReport report = obs::diff_runs(a, b, DiffOptions{});
   ASSERT_TRUE(report.critical_path.present);
@@ -317,6 +309,17 @@ TEST(DiffAttribution, CellsPlusResidualSumToMakespanDelta) {
   const double residual = critical->find("residual")->as_number();
   EXPECT_EQ(cell_sum + residual, makespan_delta);
   EXPECT_DOUBLE_EQ(makespan_delta, 2.5);
+
+  // The cells are series of a plain metrics snapshot: loaded bare, under
+  // role "metrics", an analysis still gets its attribution.
+  RunInput bare_a, bare_b;
+  obs::add_doc(bare_a, "metrics", a.docs[0].second);
+  obs::add_doc(bare_b, "metrics", b.docs[0].second);
+  const DiffReport bare = obs::diff_runs(bare_a, bare_b, DiffOptions{});
+  ASSERT_TRUE(bare.critical_path.present);
+  EXPECT_EQ(obs::diff_report_json(bare).find("critical_path")->dump(), critical->dump());
+  EXPECT_EQ(find_series(bare, "metrics.gauge.analysis.makespan_seconds")->cls,
+            DeltaClass::kRegressed);
 }
 
 // ------------------------------------------------------------- round-tripping
@@ -468,8 +471,8 @@ std::string write_cluster_run(const TempDir& dir, const std::string& tag,
 
 TEST(DiffLoadRun, ManifestTraceDerivesTheCriticalPath) {
   // A manifest inventories only the trace and the metrics; the analysis is
-  // a view of the trace, derived on load, so an EA-vs-ED pair still gets the
-  // critical-path section and the analysis.* series.
+  // a view of the trace, recorded as analysis.* series on load, so an
+  // EA-vs-ED pair still gets the critical-path section and those series.
   TempDir dir("trace_analysis");
   const RunInput ea = obs::load_run(write_cluster_run(dir, "ea", SchedulerKind::kEquiArea));
   const RunInput ed = obs::load_run(write_cluster_run(dir, "ed", SchedulerKind::kEquiDistance));
@@ -486,7 +489,8 @@ TEST(DiffLoadRun, ManifestTraceDerivesTheCriticalPath) {
   ASSERT_TRUE(report.critical_path.present);
   EXPECT_NE(report.critical_path.makespan_a, report.critical_path.makespan_b);
   EXPECT_NE(report.summary.find("attributed to"), std::string::npos) << report.summary;
-  EXPECT_NE(find_series(report, "analysis.makespan_seconds"), nullptr);
+  EXPECT_NE(find_series(report, "analysis.gauge.analysis.makespan_seconds"), nullptr);
+  EXPECT_EQ(find_series(report, "metrics.gauge.analysis.makespan_seconds"), nullptr);
 
   const JsonValue doc = obs::diff_report_json(report);
   const JsonValue* critical = doc.find("critical_path");
@@ -497,6 +501,21 @@ TEST(DiffLoadRun, ManifestTraceDerivesTheCriticalPath) {
   }
   EXPECT_EQ(cell_sum + critical->find("residual")->as_number(),
             critical->find("delta")->as_number());
+
+  // `obstool analyze --report-out` snapshots of the same two traces, diffed
+  // bare, attribute the same makespan delta to the same cells.
+  const auto analyze_file = [&dir](const char* tag) {
+    std::ifstream in(dir.path / (std::string(tag) + ".run.trace.json"));
+    std::stringstream text;
+    text << in.rdbuf();
+    obs::MetricsRegistry metrics;
+    obs::record_analysis(obs::analyze_trace(obs::tracer_from_chrome(JsonValue::parse(text.str()))),
+                         metrics);
+    return obs::load_run(dir.file((std::string(tag) + ".analysis.json").c_str(),
+                                  metrics.to_json() + "\n"));
+  };
+  const DiffReport bare = obs::diff_runs(analyze_file("ea"), analyze_file("ed"), DiffOptions{});
+  EXPECT_EQ(obs::diff_report_json(bare).find("critical_path")->dump(), critical->dump());
 }
 
 TEST(DiffLoadRun, TraceWithoutRankLanesDerivesNothingAndABadTraceIsNamed) {
@@ -620,30 +639,61 @@ TEST(DiffSlo, NewlyViolatedObjectiveIsARegression) {
   EXPECT_FALSE(obs::diff_regression(obs::diff_runs(slo_run(true), slo_run(true), DiffOptions{})));
 }
 
-/// Diffing a run that holds `doc` as `role` against one whose copy has the
-/// first `key` set to `value` must throw DiffError naming `path`.
-void expect_bad_id_rejected(const char* role, const JsonValue& doc, const char* key,
-                            const char* value, const char* path) {
+TEST(DiffSections, RejectIdsOutsideU32NamingTheirPath) {
+  // A critical_seconds lane label is a rank id: anything but a decimal
+  // integer in [0, 2^32) is refused, naming the series, before a cell is
+  // keyed on it.
+  const JsonValue analysis = analysis_doc(2.0, {{"compute", "1", 2.0}});
   RunInput a;
   a.label = "a";
-  obs::add_doc(a, role, doc);
-  const auto diff_against_a = [&](const JsonValue& other) {
+  obs::add_doc(a, "analysis", analysis);
+  const auto diff_against_a = [&a](const JsonValue& other) {
     RunInput b;
     b.label = "b";
-    obs::add_doc(b, role, other);
+    obs::add_doc(b, "analysis", other);
     return obs::diff_runs(a, b, DiffOptions{});
   };
-  ASSERT_NO_THROW(diff_against_a(doc)) << role;
-  hostile::expect_rejected<DiffError>(diff_against_a, hostile::plant(doc.dump(), key, value),
-                                      path);
+  ASSERT_NO_THROW(diff_against_a(analysis));
+  for (const char* lane : {"\"-1\"", "\"4294967296\"", "\"1.5\"", "\"x\"", "\"\""}) {
+    hostile::expect_rejected<DiffError>(
+        diff_against_a, hostile::plant(analysis.dump(), "lane", lane),
+        "analysis: gauges[0].labels.lane of analysis.critical_seconds");
+  }
 }
 
-TEST(DiffSections, RejectIdsOutsideU32NamingTheirPath) {
-  // Regression: ids were cast to u32 unchecked, undefined behaviour for a
-  // critical-path segment carrying "lane": -1e20.
-  const JsonValue analysis = analysis_doc(2.0, {segment("compute", 1, 0.0, 2.0)});
-  expect_bad_id_rejected("analysis", analysis, "lane", "-1e20",
-                         "analysis: critical_path.segments[0].lane");
+TEST(DiffMetrics, RejectsIllShapedSnapshotsNamingTheEntry) {
+  // A snapshot diffed against itself: every entry is read strictly, so a
+  // junk section, a string value or a repeated series cannot pass as
+  // "0 series, verdict ok" or as a removed series.
+  const auto self_diff = [](const JsonValue& doc) {
+    RunInput run;
+    run.label = "run";
+    obs::add_doc(run, "metrics", doc);
+    return obs::diff_runs(run, run, DiffOptions{});
+  };
+  obs::MetricsRegistry metrics;
+  metrics.counter("a").add(1.0);
+  metrics.gauge("g", {{"unit", "s"}}).set(2.0);
+  metrics.histogram("h").observe(3.0);
+  const std::string good = metrics.to_json();
+  ASSERT_EQ(self_diff(JsonValue::parse(good)).counts.identical, 9u);
+
+  const auto reject = [&self_diff](const std::string& text, const char* path) {
+    hostile::expect_rejected<DiffError>(self_diff, text, path);
+  };
+  reject(R"({"schema":"multihit.metrics.v1","counters":"junk","gauges":7})",
+         "metrics: counters is a string, expected an array");
+  reject(R"({"schema":"multihit.serve.v1","counters":[],"gauges":[],"histograms":[]})",
+         "metrics: expected schema \"multihit.metrics.v1\"");
+  reject(hostile::plant(good, "value", "\"1\""), "metrics: counters[0].value");
+  reject(hostile::plant(good, "unit", "5"), "metrics: gauges[0].labels.unit");
+  reject(hostile::drop(good, "p90"), "metrics: histograms[0].p90");
+  reject(R"({"schema":"multihit.metrics.v1","counters":[],"gauges":[]})",
+         "metrics: histograms is missing");
+  const std::string twice = R"({"schema":"multihit.metrics.v1","counters":[)"
+                            R"({"name":"a","labels":{},"value":1},)"
+                            R"({"name":"a","labels":{},"value":2}],"gauges":[],"histograms":[]})";
+  reject(twice, "metrics: counters[1] repeats the series metrics.counter.a");
 }
 
 }  // namespace

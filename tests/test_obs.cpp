@@ -444,16 +444,20 @@ TEST(ObsBench, RecordSchemaAndEnvOutputDir) {
   reporter.series("efficiency", 0.9);
   reporter.metrics().counter("work").add(3.0);
 
+  // The record is the registry's snapshot: each series a bench.<key> gauge,
+  // labelled {unit} when it has one, beside whatever else was instrumented.
   const JsonValue record = reporter.record();
-  EXPECT_EQ(record.find("schema")->as_string(), obs::kBenchSchema);
-  EXPECT_EQ(record.find("bench")->as_string(), "unit_test");
-  const JsonValue* series = record.find("series");
-  ASSERT_NE(series, nullptr);
-  ASSERT_EQ(series->size(), 2u);
-  EXPECT_EQ(series->at(0).find("name")->as_string(), "total_time");
-  EXPECT_DOUBLE_EQ(series->at(0).find("value")->as_number(), 12.5);
-  EXPECT_EQ(series->at(0).find("unit")->as_string(), "s");
-  EXPECT_EQ(record.find("metrics")->find("schema")->as_string(), obs::kMetricsSchema);
+  EXPECT_EQ(record.dump(), reporter.metrics().to_json());
+  EXPECT_EQ(record.find("schema")->as_string(), obs::kMetricsSchema);
+  const JsonValue* gauges = record.find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  ASSERT_EQ(gauges->size(), 2u);
+  EXPECT_EQ(gauges->at(0).find("name")->as_string(), "bench.efficiency");
+  EXPECT_EQ(gauges->at(0).find("labels")->size(), 0u);
+  EXPECT_EQ(gauges->at(1).find("name")->as_string(), "bench.total_time");
+  EXPECT_DOUBLE_EQ(gauges->at(1).find("value")->as_number(), 12.5);
+  EXPECT_EQ(gauges->at(1).find("labels")->find("unit")->as_string(), "s");
+  EXPECT_EQ(record.find("counters")->size(), 1u);
 
   std::string dir = ::testing::TempDir();
   if (!dir.empty() && dir.back() == '/') dir.pop_back();
