@@ -10,12 +10,11 @@
 //   self_identical        diffing a run against itself yields zero
 //                         non-identical series and a clean verdict
 //   regression_detected   a planted makespan regression flips the verdict
-//   tolerance_covers      the same drift under a covering `tol` rule is
-//                         within-tolerance, not a regression
-//   attribution_exact     phase×lane cell deltas + residual == makespan
-//                         delta, bit-exact
+//   attribution_named     the summary attributes that regression to the
+//                         cell that moved: "100% attributed to compute on
+//                         rank 0"
 //
-// All four are committed as 1; any drop to 0 is a real engine break.
+// All three are committed as 1; any drop to 0 is a real engine break.
 
 #include <iostream>
 #include <string>
@@ -30,7 +29,6 @@
 
 namespace {
 
-using multihit::obs::DiffOptions;
 using multihit::obs::DiffReport;
 using multihit::obs::JsonValue;
 using multihit::obs::RunInput;
@@ -56,38 +54,19 @@ RunInput make_run(const char* label, double stretch) {
 }
 
 bool self_identical() {
-  const DiffReport report =
-      multihit::obs::diff_runs(make_run("a", 1.0), make_run("b", 1.0), DiffOptions{});
+  const DiffReport report = multihit::obs::diff_runs(make_run("a", 1.0), make_run("b", 1.0));
   return !multihit::obs::diff_regression(report) && report.series.empty() &&
          report.counts.identical == report.counts.compared;
 }
 
 bool regression_detected() {
-  const DiffReport report =
-      multihit::obs::diff_runs(make_run("a", 1.0), make_run("b", 1.25), DiffOptions{});
+  const DiffReport report = multihit::obs::diff_runs(make_run("a", 1.0), make_run("b", 1.25));
   return multihit::obs::diff_regression(report);
 }
 
-bool tolerance_covers() {
-  DiffOptions options;
-  options.tolerances = multihit::obs::parse_tolerances("tol analysis.* rel 0.5\n");
-  const DiffReport report =
-      multihit::obs::diff_runs(make_run("a", 1.0), make_run("b", 1.25), options);
-  return !multihit::obs::diff_regression(report) && report.counts.within_tolerance > 0;
-}
-
-bool attribution_exact() {
-  const DiffReport report =
-      multihit::obs::diff_runs(make_run("a", 1.0), make_run("b", 1.25), DiffOptions{});
-  const JsonValue doc = multihit::obs::diff_report_json(report);
-  const JsonValue* critical = doc.find("critical_path");
-  if (!critical) return false;
-  double cell_sum = 0.0;
-  for (const JsonValue& cell : critical->find("cells")->as_array()) {
-    cell_sum += cell.find("delta")->as_number();
-  }
-  return cell_sum + critical->find("residual")->as_number() ==
-         critical->find("delta")->as_number();
+bool attribution_named() {
+  const DiffReport report = multihit::obs::diff_runs(make_run("a", 1.0), make_run("b", 1.25));
+  return report.summary.find("100% attributed to compute on rank 0") != std::string::npos;
 }
 
 }  // namespace
@@ -96,8 +75,7 @@ int main() {
   const std::vector<std::pair<const char*, bool>> checks = {
       {"self_identical", self_identical()},
       {"regression_detected", regression_detected()},
-      {"tolerance_covers", tolerance_covers()},
-      {"attribution_exact", attribution_exact()},
+      {"attribution_named", attribution_named()},
   };
 
   multihit::Table table({"check", "pass"});

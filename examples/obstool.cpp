@@ -8,8 +8,7 @@
 //                      [--summary] [--quiet]
 //   $ multihit-obstool slo SERVE.json --spec FILE [METRICS.json]
 //                      [--summary] [--quiet]
-//   $ multihit-obstool diff A B [--tol FILE]
-//                      [--report-out FILE] [--summary] [--quiet]
+//   $ multihit-obstool diff A B [--report-out FILE] [--summary] [--quiet]
 //
 // `analyze` loads a --trace-out Chrome trace, runs the trace analytics
 // engine (critical path, per-phase imbalance, comm overhead — see
@@ -54,12 +53,11 @@
 // and its content digest verified) or a pair of individual artifacts of the
 // same kind: metrics snapshots (an `analyze --report-out` snapshot is one)
 // or serve reports. Every numeric series in the shared artifacts is
-// compared exactly and classified identical / within-tolerance / improved /
-// regressed / added / removed; `--tol FILE` loads a
-// `tol <series-glob> rel|abs <bound>` spec relaxing named series. On top of
-// the generic pass: critical-path makespan attribution by phase×rank cell,
-// read from each side's analysis.critical_seconds series (derived from a
-// manifest's trace, or carried by a bare analysis snapshot).
+// compared exactly and classified identical / improved / regressed / added /
+// removed. The analysis (derived from a manifest's trace, or carried by a
+// bare analysis snapshot) is series too: the summary reads the makespan
+// change off `analysis.makespan_seconds` and attributes it to the
+// `analysis.critical_seconds{lane, phase}` cell that moved most.
 // A new health incident is a regressed `health.incidents` counter, a newly
 // violated SLO objective a regressed `slo.violated` counter. `--report-out`
 // writes the multihit.diff.v1 document, byte-identical across repeated
@@ -96,8 +94,7 @@ namespace {
                "                        [--summary] [--quiet]\n"
                "       multihit-obstool slo SERVE.json --spec FILE [METRICS.json]\n"
                "                        [--summary] [--quiet]\n"
-               "       multihit-obstool diff A B [--tol FILE]\n"
-               "                        [--report-out FILE] [--summary] [--quiet]\n";
+               "       multihit-obstool diff A B [--report-out FILE] [--summary] [--quiet]\n";
   std::exit(2);
 }
 
@@ -313,7 +310,7 @@ int run_slo(int argc, char** argv) {
 
 int run_diff(int argc, char** argv) {
   using namespace multihit::obs;
-  std::string path_a, path_b, tol_path, report_out;
+  std::string path_a, path_b, report_out;
   bool summary = false, quiet = false;
   for (int a = 2; a < argc; ++a) {
     const std::string arg = argv[a];
@@ -321,9 +318,7 @@ int run_diff(int argc, char** argv) {
       if (a + 1 >= argc) usage();
       return argv[++a];
     };
-    if (arg == "--tol") {
-      tol_path = next();
-    } else if (arg == "--report-out") {
+    if (arg == "--report-out") {
       report_out = next();
     } else if (arg == "--summary") {
       summary = true;
@@ -342,11 +337,9 @@ int run_diff(int argc, char** argv) {
   if (path_a.empty() || path_b.empty()) usage();
 
   try {
-    DiffOptions options;
-    if (!tol_path.empty()) options.tolerances = parse_tolerances(read_file(tol_path));
     const RunInput run_a = load_run(path_a);
     const RunInput run_b = load_run(path_b);
-    const DiffReport report = diff_runs(run_a, run_b, options);
+    const DiffReport report = diff_runs(run_a, run_b);
 
     if (!report_out.empty() &&
         !write_file(report_out, diff_report_json(report).dump() + "\n")) {

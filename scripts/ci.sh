@@ -331,12 +331,13 @@ echo "serve SLO offline replay equals the run's slo.* metrics, 4/4 planted patho
 #     exactly those two; diff derives the critical-path analysis from the
 #     trace) must diff clean (exit 0), and the multihit.diff.v1 report must
 #     be byte-identical across repeated diff invocations.
-#  2. Backend swap: scalar vs auto with a host-threaded sweep must diff clean
-#     with no tolerance: every simulated series and every hostsweep.*
-#     counter exact (the host trace, wall clock, is in no manifest).
+#  2. Backend swap: scalar vs auto with a host-threaded sweep must diff clean:
+#     every simulated series and every hostsweep.* counter exact (the host
+#     trace, wall clock, is in no manifest).
 #  3. Planted regression: equi-area vs equi-distance must diff dirty (exit 1)
-#     with the makespan delta attributed to phase×rank cells, and the dirty
-#     report must be byte-identical across invocations too.
+#     with the makespan delta attributed to a phase on a rank and no removed
+#     series (a rounding gap in a trace is no critical-path cell), and the
+#     dirty report must be byte-identical across invocations too.
 #  4. An incident is a regression: a crashed run (the health smoke's fault
 #     flags) must diff dirty against the clean one, with its
 #     health.incidents counter regressed.
@@ -344,7 +345,7 @@ echo "serve SLO offline replay equals the run's slo.* metrics, 4/4 planted patho
 #     planted must diff dirty against the clean one under the same spec,
 #     with its slo.violated counter regressed.
 #  6. bench_diff pins the engine's own invariants (self identity, regression
-#     detection, tolerance cover, attribution exactness) against the
+#     detection, the attributed cell named in the summary) against the
 #     committed baseline under --strict.
 echo "=== cross-run diff gate ==="
 diff_dir="build/diff_smoke"
@@ -373,6 +374,7 @@ for pass in 1 2; do
 done
 cmp "$diff_dir/sched_1.diff.json" "$diff_dir/sched_2.diff.json"
 grep -q 'attributed to' "$diff_dir/sched_1.diff.json"
+grep -q '"removed_series":0' "$diff_dir/sched_1.diff.json"
 build/examples/brca_scaleout 2 --crash 1@1 --checkpoint 2 \
   --artifacts-dir "$diff_dir/crash" > /dev/null
 if build/examples/multihit-obstool diff \

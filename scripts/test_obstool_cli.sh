@@ -174,9 +174,11 @@ expect_usage_on_stderr diff_missing_operands_usage diff
 expect diff_one_operand 2 diff a.json
 expect diff_extra_operand 2 diff a.json b.json c.json
 expect diff_unknown_flag 2 diff a.json b.json --bogus
-expect diff_flag_missing_value 2 diff a.json b.json --tol
+expect diff_flag_missing_value 2 diff a.json b.json --report-out
+# There is no tolerance grammar: --tol is an unknown flag like any other.
+expect diff_tol_unknown 2 diff a.json b.json --tol F
 
-# Runtime errors: unreadable/malformed/undiffable inputs, malformed tol specs.
+# Runtime errors: unreadable/malformed/undiffable inputs.
 expect diff_nonexistent_input 1 diff "$TMP/no-such-run.json" "$TMP/no-such-run.json"
 expect diff_malformed_input 1 diff "$TMP/garbage.json" "$TMP/garbage.json"
 printf '{"schema":"bogus.v9"}' > "$TMP/unknown.json"
@@ -191,18 +193,12 @@ printf '{"schema":"multihit.run.v1","driver":5,"config":{},"artifacts":[]}' \
 expect_error_naming diff_hostile_manifest 'run manifest: driver' \
   diff "$TMP/hostile.run.json" "$TMP/hostile.run.json"
 
-printf 'tol metrics.* sideways 0.1\n' > "$TMP/bad.tol"
-expect diff_bad_tol 1 diff "$TMP/metrics_a.json" "$TMP/metrics_a.json" --tol "$TMP/bad.tol"
-
 # Verdicts: a self-diff is clean (exit 0); a planted counter regression is
-# not (exit 1) — unless a committed tolerance rule covers it (exit 0 again).
+# not (exit 1).
 expect diff_self 0 diff "$TMP/metrics_a.json" "$TMP/metrics_a.json" --quiet
 printf '{"schema":"multihit.metrics.v1","counters":[{"name":"engine.iterations","labels":{},"value":7}],"gauges":[],"histograms":[]}' \
   > "$TMP/metrics_b.json"
 expect diff_regression 1 diff "$TMP/metrics_a.json" "$TMP/metrics_b.json" --quiet
-printf 'tol metrics.counter.engine.* rel 0.5\n' > "$TMP/cover.tol"
-expect diff_tolerated 0 diff "$TMP/metrics_a.json" "$TMP/metrics_b.json" \
-  --tol "$TMP/cover.tol" --quiet
 
 # Snapshots are read strictly: a junk section, a string value or a repeated
 # series is an error naming the entry, never "0 series, verdict ok".

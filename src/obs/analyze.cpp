@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -67,9 +68,17 @@ LaneSpans build_lane_spans(const Tracer& tracer) {
 
 bool is_rank_lane(std::uint32_t lane) { return lane < kEngineLane; }
 
+/// True when the gap [lo, hi] is rounding, not a wait: a few ULPs wide, as
+/// when one instant reaches two spans through different arithmetic (the
+/// Chrome export's microseconds).
+bool is_rounding_gap(double lo, double hi) {
+  return hi - lo <= 4.0 * std::numeric_limits<double>::epsilon() * std::abs(hi);
+}
+
 /// Appends the [a, b] slice of `lane`'s timeline to `out` in reverse
 /// chronological order: pieces covered by top-level spans get the span's
-/// name, gaps get "wait".
+/// name, gaps get "wait". A rounding gap joins the span beside it instead,
+/// so the pieces still tile [a, b].
 void attribute_backward(const std::vector<DepthSpan>& spans, std::uint32_t lane, double a,
                         double b, std::vector<CriticalSegment>& out) {
   if (!(b > a)) return;
@@ -80,14 +89,27 @@ void attribute_backward(const std::vector<DepthSpan>& spans, std::uint32_t lane,
     const TraceEvent& s = *ds.event;
     if (s.end <= cursor) continue;
     if (s.begin >= b) break;
-    const double lo = std::max(cursor, s.begin);
+    double lo = std::max(cursor, s.begin);
     const double hi = std::min(b, s.end);
-    if (lo > cursor) forward.push_back({lane, cursor, lo, "wait"});
+    if (lo > cursor) {
+      if (is_rounding_gap(cursor, lo)) {
+        lo = cursor;
+      } else {
+        forward.push_back({lane, cursor, lo, "wait"});
+      }
+    }
     if (hi > lo) forward.push_back({lane, lo, hi, s.name});
     cursor = std::max(cursor, hi);
     if (cursor >= b) break;
   }
-  if (cursor < b) forward.push_back({lane, cursor, b, "wait"});
+  if (cursor < b) {
+    // Every piece so far ends at `cursor`, so the last one can absorb it.
+    if (!forward.empty() && is_rounding_gap(cursor, b)) {
+      forward.back().end = b;
+    } else {
+      forward.push_back({lane, cursor, b, "wait"});
+    }
+  }
   for (auto it = forward.rbegin(); it != forward.rend(); ++it) out.push_back(*it);
 }
 

@@ -1,12 +1,11 @@
 #include "obs/diff.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "obs/analyze.hpp"
@@ -26,74 +25,9 @@ std::string read_file(const std::string& path, const char* what) {
 
 }  // namespace
 
-// --- tolerance grammar -----------------------------------------------------
-
-std::vector<ToleranceRule> parse_tolerances(std::string_view text) {
-  std::vector<ToleranceRule> rules;
-  std::istringstream lines{std::string(text)};
-  std::string line;
-  int line_no = 0;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    const auto fail = [&](const std::string& why) {
-      throw DiffError("tol line " + std::to_string(line_no) + ": " + why);
-    };
-    if (const std::size_t hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    std::istringstream words(line);
-    std::string word;
-    std::vector<std::string> tokens;
-    while (words >> word) tokens.push_back(word);
-    if (tokens.empty()) continue;
-    if (tokens[0] != "tol") fail("expected \"tol\", got \"" + tokens[0] + "\"");
-    if (tokens.size() != 4) {
-      fail("expected \"tol <series-glob> rel|abs <bound>\" (" +
-           std::to_string(tokens.size()) + " words)");
-    }
-    ToleranceRule rule;
-    rule.glob = tokens[1];
-    if (tokens[2] == "rel") {
-      rule.relative = true;
-    } else if (tokens[2] == "abs") {
-      rule.relative = false;
-    } else {
-      fail("expected rel|abs, got \"" + tokens[2] + "\"");
-    }
-    char* end = nullptr;
-    rule.bound = std::strtod(tokens[3].c_str(), &end);
-    if (end == tokens[3].c_str() || *end != '\0' || !(rule.bound >= 0.0)) {
-      fail("bound must be a non-negative number, got \"" + tokens[3] + "\"");
-    }
-    rules.push_back(std::move(rule));
-  }
-  return rules;
-}
-
-bool glob_match(std::string_view glob, std::string_view name) {
-  std::size_t g = 0, n = 0;
-  std::size_t star_g = std::string_view::npos, star_n = 0;
-  while (n < name.size()) {
-    if (g < glob.size() && (glob[g] == '?' || glob[g] == name[n])) {
-      ++g, ++n;
-    } else if (g < glob.size() && glob[g] == '*') {
-      star_g = g++;
-      star_n = n;
-    } else if (star_g != std::string_view::npos) {
-      g = star_g + 1;
-      n = ++star_n;
-    } else {
-      return false;
-    }
-  }
-  while (g < glob.size() && glob[g] == '*') ++g;
-  return g == glob.size();
-}
-
 const char* delta_class_name(DeltaClass cls) noexcept {
   switch (cls) {
     case DeltaClass::kIdentical: return "identical";
-    case DeltaClass::kWithinTolerance: return "within_tolerance";
     case DeltaClass::kImproved: return "improved";
     case DeltaClass::kRegressed: return "regressed";
     case DeltaClass::kAdded: return "added";
@@ -356,65 +290,9 @@ RunInput load_run(const std::string& path) {
   return run;
 }
 
-// --- the critical-path section --------------------------------------------
+// --- the report ------------------------------------------------------------
 
 namespace {
-
-/// Critical-path seconds per (phase, lane) cell: (run A, run B).
-using Cells = std::map<std::pair<std::string, std::uint32_t>, std::pair<double, double>>;
-
-/// Reads one side's analysis from the first of its metrics snapshots that
-/// holds an analysis.makespan_seconds gauge: role "analysis" (derived from a
-/// manifest's trace) sorts before "metrics" (a bare analysis snapshot).
-/// False when the run carries no analysis. A critical_seconds lane label
-/// that is not an integer in [0, 2^32) throws, naming the series.
-bool read_analysis(const RunInput& run, double& makespan, Cells& cells, bool side_b) {
-  for (const auto& [role, doc] : run.docs) {
-    if (document_schema(doc) != kMetricsSchema) continue;
-    const std::vector<JsonFields> gauges =
-        require_schema<DiffError>(doc, kMetricsSchema, role).array("gauges").objects();
-    const auto makespan_entry = std::find_if(gauges.begin(), gauges.end(), [](const auto& g) {
-      return g.string("name") == "analysis.makespan_seconds";
-    });
-    if (makespan_entry == gauges.end()) continue;
-    makespan = makespan_entry->number("value");
-    for (const JsonFields& gauge : gauges) {
-      if (gauge.string("name") != "analysis.critical_seconds") continue;
-      const JsonFields labels = gauge.object("labels");
-      const std::string& lane_text = labels.string("lane");
-      std::uint32_t lane = 0;
-      const char* end = lane_text.data() + lane_text.size();
-      const auto [stop, error] = std::from_chars(lane_text.data(), end, lane);
-      if (error != std::errc{} || stop != end) {
-        labels.fail("lane", "of analysis.critical_seconds is \"" + lane_text +
-                                "\", not an integer in [0, 2^32)");
-      }
-      auto& cell = cells[{labels.string("phase"), lane}];
-      (side_b ? cell.second : cell.first) += gauge.number("value");
-    }
-    return true;
-  }
-  return false;
-}
-
-CriticalPathDiff diff_critical_path(const RunInput& a, const RunInput& b) {
-  CriticalPathDiff out;
-  Cells cells;
-  if (!read_analysis(a, out.makespan_a, cells, false) ||
-      !read_analysis(b, out.makespan_b, cells, true)) {
-    return {};
-  }
-  out.present = true;
-  for (const auto& [key, seconds] : cells) {
-    AttributionCell cell;
-    cell.phase = key.first;
-    cell.lane = key.second;
-    cell.a_seconds = seconds.first;
-    cell.b_seconds = seconds.second;
-    out.cells.push_back(std::move(cell));
-  }
-  return out;
-}
 
 RunSummary summarize_run(const RunInput& run) {
   RunSummary out;
@@ -426,32 +304,57 @@ RunSummary summarize_run(const RunInput& run) {
   return out;
 }
 
-std::string summary_sentence(const DiffReport& report) {
+/// The value of label `key` in a flattened series' `{k=v,...}` suffix; ""
+/// when absent.
+std::string label_value(const std::string& series, const std::string& key) {
+  for (const char* lead : {"{", ","}) {
+    const std::size_t at = series.find(lead + key + '=');
+    if (at == std::string::npos) continue;
+    const std::size_t begin = at + key.size() + 2;
+    return series.substr(begin, series.find_first_of(",}", begin) - begin);
+  }
+  return {};
+}
+
+/// The analysis.makespan_seconds pair the summary reads, and its role.
+struct Makespan {
+  std::string role;
+  double a = 0.0;
+  double b = 0.0;
+};
+
+/// The counts, then the makespan clause when both runs carry an analysis:
+/// its relative change, and the share of it that the moved
+/// `<role>.gauge.analysis.critical_seconds` cell with the largest |b - a|
+/// explains ("attributed to <phase> on rank <lane>").
+std::string summary_sentence(const DiffReport& report, const std::optional<Makespan>& makespan) {
   const DiffCounts& c = report.counts;
-  std::string out = fmt("series %u: %u identical, %u within tolerance, %u improved, "
-                        "%u regressed, %u added, %u removed",
-                        c.compared, c.identical, c.within_tolerance, c.improved,
-                        c.regressed, c.added, c.removed);
-  if (report.critical_path.present) {
-    const double delta = report.critical_path.makespan_b - report.critical_path.makespan_a;
+  std::string out = fmt("series %u: %u identical, %u improved, %u regressed, %u added, %u removed",
+                        c.compared, c.identical, c.improved, c.regressed, c.added, c.removed);
+  if (makespan) {
+    const double delta = makespan->b - makespan->a;
     if (delta != 0.0) {
       out += "; makespan ";
-      if (report.critical_path.makespan_a > 0.0) {
-        out += fmt("%+.2f%%", delta / report.critical_path.makespan_a * 100.0);
+      if (makespan->a > 0.0) {
+        out += fmt("%+.2f%%", delta / makespan->a * 100.0);
       } else {
         out += fmt("%+g s", delta);
       }
-      out += " (" + json_number(report.critical_path.makespan_a) + " s -> " +
-             json_number(report.critical_path.makespan_b) + " s)";
-      const AttributionCell* top = nullptr;
-      for (const AttributionCell& cell : report.critical_path.cells) {
-        const double d = cell.b_seconds - cell.a_seconds;
-        if (!top || std::abs(d) > std::abs(top->b_seconds - top->a_seconds)) top = &cell;
+      out += " (" + json_number(makespan->a) + " s -> " + json_number(makespan->b) + " s)";
+      const std::string cells = makespan->role + ".gauge.analysis.critical_seconds{";
+      const SeriesDelta* top = nullptr;
+      double top_delta = 0.0;
+      for (const SeriesDelta& cell : report.series) {
+        if (!cell.series.starts_with(cells)) continue;
+        const double d = cell.b - cell.a;  // an absent side holds 0
+        if (!top || std::abs(d) > std::abs(top_delta)) {
+          top = &cell;
+          top_delta = d;
+        }
       }
-      if (top && top->b_seconds != top->a_seconds) {
-        out += fmt(", %.0f%% attributed to %s on rank %u",
-                   (top->b_seconds - top->a_seconds) / delta * 100.0,
-                   top->phase.c_str(), top->lane);
+      if (top && top_delta != 0.0) {
+        out += fmt(", %.0f%% attributed to ", top_delta / delta * 100.0);
+        out += label_value(top->series, "phase") + " on rank " + label_value(top->series, "lane");
       }
     } else {
       out += "; makespan unchanged";
@@ -467,11 +370,10 @@ bool diff_regression(const DiffReport& report) noexcept {
   return report.counts.regressed > 0 || report.counts.removed > 0;
 }
 
-DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& options) {
+DiffReport diff_runs(const RunInput& a, const RunInput& b) {
   DiffReport report;
   report.run_a = summarize_run(a);
   report.run_b = summarize_run(b);
-  report.tolerances = options.tolerances;
 
   // Config drift: informational — comparing two *different* configurations
   // is the tool's purpose, but the reader must see which knobs moved.
@@ -532,9 +434,16 @@ DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& op
   }
   auto it_a = series_a.begin();
   auto it_b = series_b.begin();
-  const auto classify = [&report, &options](const std::string& name, bool has_a,
-                                            double va, bool has_b, double vb) {
+  std::optional<Makespan> makespan;
+  const auto classify = [&report, &makespan](const std::string& name, bool has_a, double va,
+                                             bool has_b, double vb) {
     ++report.counts.compared;
+    // Series arrive in name order, so the first makespan pair is the first
+    // role's: a manifest's derived "analysis" before a bare "metrics".
+    constexpr std::string_view kMakespan = ".gauge.analysis.makespan_seconds";
+    if (!makespan && has_a && has_b && name.ends_with(kMakespan)) {
+      makespan = Makespan{name.substr(0, name.size() - kMakespan.size()), va, vb};
+    }
     SeriesDelta delta;
     delta.series = name;
     delta.has_a = has_a;
@@ -551,26 +460,12 @@ DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& op
     } else if (!has_b) {
       delta.cls = DeltaClass::kRemoved;
       ++report.counts.removed;
+    } else if ((vb < va) == lower_is_better(name)) {
+      delta.cls = DeltaClass::kImproved;
+      ++report.counts.improved;
     } else {
-      const ToleranceRule* covering = nullptr;
-      for (const ToleranceRule& rule : options.tolerances) {
-        if (glob_match(rule.glob, name)) covering = &rule;  // last match wins
-      }
-      const double gap = std::abs(vb - va);
-      if (covering &&
-          (covering->relative
-               ? gap <= covering->bound * std::max(std::abs(va), std::abs(vb))
-               : gap <= covering->bound)) {
-        delta.cls = DeltaClass::kWithinTolerance;
-        delta.tolerance = covering->glob;
-        ++report.counts.within_tolerance;
-      } else if ((vb < va) == lower_is_better(name)) {
-        delta.cls = DeltaClass::kImproved;
-        ++report.counts.improved;
-      } else {
-        delta.cls = DeltaClass::kRegressed;
-        ++report.counts.regressed;
-      }
+      delta.cls = DeltaClass::kRegressed;
+      ++report.counts.regressed;
     }
     report.series.push_back(std::move(delta));
   };
@@ -587,8 +482,7 @@ DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& op
     }
   }
 
-  report.critical_path = diff_critical_path(a, b);
-  report.summary = summary_sentence(report);
+  report.summary = summary_sentence(report, makespan);
   return report;
 }
 
@@ -617,16 +511,6 @@ JsonValue diff_report_json(const DiffReport& report) {
   runs.set("b", run_side_json(report.run_b));
   doc.set("runs", std::move(runs));
 
-  JsonValue tolerances = JsonValue::array();
-  for (const ToleranceRule& rule : report.tolerances) {
-    JsonValue entry = JsonValue::object();
-    entry.set("glob", rule.glob);
-    entry.set("mode", rule.relative ? "rel" : "abs");
-    entry.set("bound", rule.bound);
-    tolerances.push_back(std::move(entry));
-  }
-  doc.set("tolerances", std::move(tolerances));
-
   JsonValue config_changes = JsonValue::array();
   for (const auto& [key, values] : report.config_changes) {
     JsonValue entry = JsonValue::object();
@@ -652,7 +536,6 @@ JsonValue diff_report_json(const DiffReport& report) {
   JsonValue counts = JsonValue::object();
   counts.set("compared", static_cast<std::uint64_t>(report.counts.compared));
   counts.set("identical", static_cast<std::uint64_t>(report.counts.identical));
-  counts.set("within_tolerance", static_cast<std::uint64_t>(report.counts.within_tolerance));
   counts.set("improved", static_cast<std::uint64_t>(report.counts.improved));
   counts.set("regressed", static_cast<std::uint64_t>(report.counts.regressed));
   counts.set("added", static_cast<std::uint64_t>(report.counts.added));
@@ -670,38 +553,9 @@ JsonValue diff_report_json(const DiffReport& report) {
       entry.set("delta", delta.b - delta.a);
       if (delta.a != 0.0) entry.set("rel", (delta.b - delta.a) / std::abs(delta.a));
     }
-    if (!delta.tolerance.empty()) entry.set("tolerance", delta.tolerance);
     series.push_back(std::move(entry));
   }
   doc.set("series", std::move(series));
-
-  if (report.critical_path.present) {
-    const CriticalPathDiff& cp = report.critical_path;
-    const double makespan_delta = cp.makespan_b - cp.makespan_a;
-    JsonValue section = JsonValue::object();
-    section.set("makespan_a", cp.makespan_a);
-    section.set("makespan_b", cp.makespan_b);
-    section.set("delta", makespan_delta);
-    JsonValue cells = JsonValue::array();
-    double attributed = 0.0;
-    for (const AttributionCell& cell : cp.cells) {
-      const double cell_delta = cell.b_seconds - cell.a_seconds;
-      attributed += cell_delta;
-      JsonValue entry = JsonValue::object();
-      entry.set("phase", cell.phase);
-      entry.set("lane", static_cast<double>(cell.lane));
-      entry.set("a_seconds", cell.a_seconds);
-      entry.set("b_seconds", cell.b_seconds);
-      entry.set("delta", cell_delta);
-      entry.set("share", makespan_delta != 0.0 ? cell_delta / makespan_delta : 0.0);
-      cells.push_back(std::move(entry));
-    }
-    section.set("cells", std::move(cells));
-    // cells + residual == makespan delta, *exactly*: the residual is defined
-    // as whatever the tiles do not explain (floating-point dust included).
-    section.set("residual", makespan_delta - attributed);
-    doc.set("critical_path", std::move(section));
-  }
 
   JsonValue verdict = JsonValue::object();
   verdict.set("regression", diff_regression(report));
@@ -753,31 +607,6 @@ std::string diff_text(const DiffReport& report, bool summary_only) {
     out += "\n";
   }
 
-  if (report.critical_path.present) {
-    const CriticalPathDiff& cp = report.critical_path;
-    const double delta = cp.makespan_b - cp.makespan_a;
-    out += "  critical path: makespan " + json_number(cp.makespan_a) + " s -> " +
-           json_number(cp.makespan_b) + " s\n";
-    std::vector<const AttributionCell*> moved;
-    for (const AttributionCell& cell : cp.cells) {
-      if (cell.a_seconds != cell.b_seconds) moved.push_back(&cell);
-    }
-    std::sort(moved.begin(), moved.end(), [](const AttributionCell* x, const AttributionCell* y) {
-      const double dx = std::abs(x->b_seconds - x->a_seconds);
-      const double dy = std::abs(y->b_seconds - y->a_seconds);
-      if (dx != dy) return dx > dy;
-      if (x->phase != y->phase) return x->phase < y->phase;
-      return x->lane < y->lane;
-    });
-    constexpr std::size_t kMaxCells = 5;
-    for (std::size_t i = 0; i < moved.size() && i < kMaxCells; ++i) {
-      const AttributionCell& cell = *moved[i];
-      const double cell_delta = cell.b_seconds - cell.a_seconds;
-      out += fmt("    %s rank %u: %+g s", cell.phase.c_str(), cell.lane, cell_delta);
-      if (delta != 0.0) out += fmt(" (%.0f%% of makespan delta)", cell_delta / delta * 100.0);
-      out += "\n";
-    }
-  }
   return out;
 }
 

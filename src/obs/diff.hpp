@@ -2,7 +2,7 @@
 // Cross-run regression engine (multihit.diff.v1).
 //
 // Loads two runs — each a multihit.run.v1 manifest or a single artifact —
-// and produces one deterministic comparison document. Three layers:
+// and produces one deterministic comparison document. Two layers:
 //
 //  1. Every diffable artifact flattens to named series. A metrics snapshot
 //     (the run's metrics, and the analysis derived from its trace) gives
@@ -10,36 +10,29 @@
 //     a repeated (name, labels) throws. A serve report gives
 //     `serve.dotted.path` → number/bool leaves (array elements keyed by
 //     their identity fields: name, tenant, id, ...). Series are compared
-//     exactly by default and classified identical / within-tolerance /
-//     improved / regressed / added / removed. Tolerances come from a
-//     `tol <series-glob> rel|abs <bound>` grammar (slo.cpp-style parser;
-//     last matching rule wins), because the right default for a
-//     deterministic simulator is *exact* — every relaxation should be a
-//     committed, reviewable line.
+//     exactly — the right default for a deterministic simulator — and
+//     classified identical / improved / regressed / added / removed.
+//     No artifact has a section of its own. The summary sentence reads its
+//     makespan clause off series: the `<role>.gauge.analysis.makespan_seconds`
+//     pair of the first role in name order (a manifest's derived "analysis"
+//     before a bare snapshot's "metrics"), attributed to that role's
+//     `analysis.critical_seconds{lane, phase}` cell that moved most. One
+//     more health incident raises the lower-is-better
+//     `health.incidents` total; a newly violated objective raises
+//     `slo.violated`, both the total and its {objective, kind, tenant}
+//     series; a falling attainment, or a falling observed admission rate,
+//     regresses through the name's higher-is-better token. An incident that
+//     moved lane or rule leaves a removed series.
 //
-//  2. One specialized section that knows artifact semantics: the
-//     critical path, which attributes the makespan delta to the phase×lane
-//     cells of the analysis's `analysis.critical_seconds{lane, phase}`
-//     series (the cells plus an explicit residual sum to the delta
-//     exactly). A bare analysis snapshot (`obstool analyze --report-out`)
-//     carries those series too, so it gets the attribution as well.
-//     Health incidents and SLO verdicts need no section: they are metrics.
-//     One more incident raises the lower-is-better `health.incidents` total;
-//     a newly violated objective raises `slo.violated`, both the total and
-//     its {objective, kind, tenant} series; a falling attainment, or a
-//     falling observed admission rate, regresses through the name's
-//     higher-is-better token. An incident that moved lane or rule leaves a
-//     removed series.
-//
-//  3. A verdict: regression iff any series regressed or disappeared. Config
+//  2. A verdict: regression iff any series regressed or disappeared. Config
 //     changes and artifact-coverage differences are reported but
 //     informational — comparing an EA run against an ED run is the point,
 //     not an error.
 //
-// Determinism contract: same inputs + tolerances => byte-identical
-// multihit.diff.v1 (series sorted by name, sections sorted by their keys,
-// derived quantities recomputed from stored doubles at render time). The
-// report is written, never read back: nothing parses multihit.diff.v1.
+// Determinism contract: same inputs => byte-identical multihit.diff.v1
+// (series sorted by name, derived quantities recomputed from stored doubles
+// at render time). The report is written, never read back: nothing parses
+// multihit.diff.v1.
 
 #include <cstdint>
 #include <stdexcept>
@@ -54,41 +47,21 @@
 namespace multihit::obs {
 
 /// Raised on malformed inputs: unreadable files, wrong schemas, digest
-/// mismatches, tolerance-grammar errors (naming the offending line),
-/// ill-shaped or repeated metrics entries (naming `<role>: <path>`), and a
-/// critical_seconds lane label that is not an integer in [0, 2^32) (naming
-/// the series).
+/// mismatches, and ill-shaped or repeated metrics entries (naming
+/// `<role>: <path>`).
 class DiffError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-// --- tolerance grammar -----------------------------------------------------
-
-/// One `tol <series-glob> rel|abs <bound>` rule. Globs support '*' (any
-/// span) and '?' (any one character); everything else matches literally.
-struct ToleranceRule {
-  std::string glob;
-  bool relative = true;  ///< rel: |b-a| <= bound*max(|a|,|b|); abs: |b-a| <= bound
-  double bound = 0.0;
-};
-
-/// Parses the tolerance grammar ('#' comments, blank lines skipped); throws
-/// DiffError naming the offending line.
-std::vector<ToleranceRule> parse_tolerances(std::string_view text);
-
-/// True when `glob` matches all of `name`.
-bool glob_match(std::string_view glob, std::string_view name);
-
 // --- series deltas ---------------------------------------------------------
 
 enum class DeltaClass {
-  kIdentical,        ///< bit-equal on both sides
-  kWithinTolerance,  ///< differs, but a tol rule covers it
-  kImproved,         ///< differs in the better direction for this series
-  kRegressed,        ///< differs in the worse direction
-  kAdded,            ///< present only in run B
-  kRemoved,          ///< present only in run A
+  kIdentical,  ///< bit-equal on both sides
+  kImproved,   ///< differs in the better direction for this series
+  kRegressed,  ///< differs in the worse direction
+  kAdded,      ///< present only in run B
+  kRemoved,    ///< present only in run A
 };
 
 const char* delta_class_name(DeltaClass cls) noexcept;
@@ -101,36 +74,15 @@ struct SeriesDelta {
   bool has_b = false;
   double a = 0.0;
   double b = 0.0;
-  std::string tolerance;  ///< the covering rule's glob ("" when none)
 };
 
 /// True when smaller values of `series` are better (seconds, bytes, stalls,
 /// rejections, violations...). Higher-is-better names (attainment,
 /// occupancy, throughput, admission, ...) return false; the label suffix
 /// counts, except on a violation count. The heuristic only picks the
-/// improved/regressed label — the *gate* treats any uncovered delta on a
-/// lower-is-better=false series as regression-worthy via kRegressed when it
-/// moves down.
+/// improved/regressed label: a higher-is-better series that moves down is
+/// kRegressed, and so fails the gate.
 bool lower_is_better(std::string_view series);
-
-// --- the critical-path section --------------------------------------------
-
-/// One phase×lane cell of the makespan attribution: total critical-path
-/// seconds attributed to (phase, lane) on each side. delta = b - a; the sum
-/// of cell deltas plus `residual` equals the makespan delta exactly.
-struct AttributionCell {
-  std::string phase;
-  std::uint32_t lane = 0;
-  double a_seconds = 0.0;
-  double b_seconds = 0.0;
-};
-
-struct CriticalPathDiff {
-  bool present = false;  ///< both runs carried analysis.* series
-  double makespan_a = 0.0;
-  double makespan_b = 0.0;
-  std::vector<AttributionCell> cells;  ///< sorted by (phase, lane)
-};
 
 // --- run inputs ------------------------------------------------------------
 
@@ -162,10 +114,6 @@ RunInput load_run(const std::string& path);
 
 // --- the report ------------------------------------------------------------
 
-struct DiffOptions {
-  std::vector<ToleranceRule> tolerances;
-};
-
 struct RunSummary {
   std::string label;
   std::string driver;
@@ -184,7 +132,6 @@ struct ArtifactDelta {
 struct DiffCounts {
   std::uint32_t compared = 0;  ///< series present on at least one side
   std::uint32_t identical = 0;
-  std::uint32_t within_tolerance = 0;
   std::uint32_t improved = 0;
   std::uint32_t regressed = 0;
   std::uint32_t added = 0;
@@ -193,22 +140,20 @@ struct DiffCounts {
 
 struct DiffReport {
   RunSummary run_a, run_b;
-  std::vector<ToleranceRule> tolerances;  ///< echo, declaration order
   /// Config keys whose values differ (or exist on one side only); values
   /// are ("" when absent). Sorted by key. Informational.
   std::vector<std::pair<std::string, std::pair<std::string, std::string>>> config_changes;
   std::vector<ArtifactDelta> artifacts;
   DiffCounts counts;
   std::vector<SeriesDelta> series;  ///< non-identical only, sorted by name
-  CriticalPathDiff critical_path;
   std::string summary;  ///< one human sentence, embedded verbatim in the doc
 };
 
 /// True when the report's verdict is "regressed" (obstool diff exits 1).
 bool diff_regression(const DiffReport& report) noexcept;
 
-/// Compares two loaded runs under `options`. Pure and deterministic.
-DiffReport diff_runs(const RunInput& a, const RunInput& b, const DiffOptions& options);
+/// Compares two loaded runs. Pure and deterministic.
+DiffReport diff_runs(const RunInput& a, const RunInput& b);
 
 /// Renders the multihit.diff.v1 document (stable field order; identical
 /// reports produce byte-identical documents).

@@ -27,6 +27,15 @@ namespace {
 /// non-decreasing start order on each lane.
 constexpr std::uint32_t kJobLaneBase = obs::kSchedulerLane + 1;
 
+/// Modeled per-GPU throughput in workload-model work units. Deliberately
+/// throttled so a serve-scale iteration occupies seconds of *simulated*
+/// time — the shape a paper-scale job has on the real machine (DESIGN §13).
+constexpr double kWorkUnitsPerGpuSecond = 2.0e4;
+/// Per-round fixed cost: N-over-G schedule build + dispatch barrier.
+constexpr double kRoundOverhead = 0.25;
+/// Per-tree-level candidate reduce/broadcast latency within a job.
+constexpr double kReduceLatency = 1.5e-6;
+
 std::uint32_t ceil_log2(std::uint32_t n) noexcept {
   std::uint32_t levels = 0;
   for (std::uint32_t span = 1; span < n; span <<= 1) ++levels;
@@ -100,9 +109,6 @@ JobService::JobService(ServiceOptions options) : options_(std::move(options)) {
   }
   if (options_.queue_capacity == 0) {
     throw std::invalid_argument("serve: queue_capacity must be > 0");
-  }
-  if (options_.work_units_per_gpu_second <= 0.0) {
-    throw std::invalid_argument("serve: work_units_per_gpu_second must be > 0");
   }
 }
 
@@ -247,7 +253,7 @@ ServeResult JobService::replay(const RequestTrace& trace) {
         // Served straight from the result cache: no GPU time, no queue slot.
         job.cache_hit = true;
         job.start = t;
-        job.finish = t + opt.cache_hit_seconds;
+        job.finish = t + kCacheHitSeconds;
         job.selections = *cached;
         if (rec) {
           rec->metrics.counter("serve.cache_served", {{"tenant", job.tenant}}).add();
@@ -350,11 +356,11 @@ ServeResult JobService::replay(const RequestTrace& trace) {
       const ActiveJob& a = active[order[j]];
       const auto schedule = equiarea_schedule(a.model, grants[j]);
       const double max_work = schedule_imbalance(a.model, schedule).max_work * word_cost[j];
-      duration[j] = max_work / opt.work_units_per_gpu_second +
-                    static_cast<double>(ceil_log2(grants[j])) * 2.0 * opt.reduce_latency;
+      duration[j] = max_work / kWorkUnitsPerGpuSecond +
+                    static_cast<double>(ceil_log2(grants[j])) * 2.0 * kReduceLatency;
       longest = std::max(longest, duration[j]);
     }
-    const double round_time = longest + opt.round_overhead;
+    const double round_time = longest + kRoundOverhead;
 
     for (std::uint32_t j = 0; j < slots; ++j) {
       ActiveJob& a = active[order[j]];
@@ -497,10 +503,6 @@ obs::JsonValue serve_report(const ServeResult& result, const RequestTrace& trace
   service.set("max_concurrent", static_cast<std::uint64_t>(options.max_concurrent));
   service.set("queue_capacity", static_cast<std::uint64_t>(options.queue_capacity));
   service.set("tenant_quota", static_cast<std::uint64_t>(options.tenant_quota));
-  service.set("work_units_per_gpu_second", options.work_units_per_gpu_second);
-  service.set("round_overhead", options.round_overhead);
-  service.set("reduce_latency", options.reduce_latency);
-  service.set("cache_hit_seconds", options.cache_hit_seconds);
   service.set("result_cache", options.result_cache);
   doc.set("service", std::move(service));
 

@@ -17,7 +17,7 @@
 // on in-flight jobs, and priorities (higher runs first; preemption at
 // iteration boundaries only). Completed selections land in the per-cancer
 // result cache; an identical later request is served from cache in
-// cache_hit_seconds without touching a GPU.
+// kCacheHitSeconds without touching a GPU.
 //
 // Everything is deterministic: arrivals come from the seeded trace, compute
 // times from the workload model, and ties break on (priority desc, arrival
@@ -41,6 +41,9 @@ struct Recorder;
 
 namespace multihit::serve {
 
+/// Modeled time to serve a result-cache hit (lookup + transfer).
+inline constexpr double kCacheHitSeconds = 0.5;
+
 struct ServiceOptions {
   std::uint32_t gpus = 24;           ///< simulated fleet size G
   std::uint32_t max_concurrent = 8;  ///< jobs per round (also capped by G)
@@ -48,16 +51,6 @@ struct ServiceOptions {
   std::uint32_t queue_capacity = 16;
   /// Max in-flight (admitted, unfinished) jobs per tenant.
   std::uint32_t tenant_quota = 6;
-  /// Modeled per-GPU throughput in workload-model work units. Deliberately
-  /// throttled so a serve-scale iteration occupies seconds of *simulated*
-  /// time — the shape a paper-scale job has on the real machine (DESIGN §13).
-  double work_units_per_gpu_second = 2.0e4;
-  /// Per-round fixed cost: N-over-G schedule build + dispatch barrier.
-  double round_overhead = 0.25;
-  /// Per-tree-level candidate reduce/broadcast latency within a job.
-  double reduce_latency = 1.5e-6;
-  /// Modeled time to serve a result-cache hit (lookup + transfer).
-  double cache_hit_seconds = 0.5;
   bool result_cache = true;
   /// Optional observability: per-tenant labeled serve.* metrics, per-job
   /// trace lanes, serve_round spans on the scheduler lane. Null changes

@@ -140,6 +140,32 @@ TEST(AnalyzeCriticalPath, GapsBecomeWaitSegments) {
   EXPECT_EQ(a.critical_path[2].phase, "compute");
 }
 
+TEST(AnalyzeCriticalPath, RoundingGapsJoinTheAdjacentSpan) {
+  // One instant reached through two conversions can land one ULP apart (the
+  // equi-area brca_scaleout trace has such a gap at t ~ 2.2e-4 s). Rounding
+  // is not waiting: the gap joins the span beside it, before a span and
+  // after a lane's last one alike, and the tiles still sum to the makespan.
+  const double t = 2.187434820396085e-4;
+  const double departure = std::nextafter(3e-4, 1.0);
+  obs::Tracer tracer;
+  tracer.complete(1, "compute", "compute", 0.0, t);
+  tracer.complete(1, "mpi_reduce", "comm", std::nextafter(t, 1.0), 3e-4);
+  tracer.flow(1, departure, 0, 4e-4, "reduce", "comm", /*binding=*/true);
+  tracer.complete(0, "mpi_broadcast", "comm", 4e-4, 5e-4);
+
+  const obs::TraceAnalysis a = obs::analyze_trace(tracer);
+  ASSERT_EQ(a.critical_path.size(), 4u);
+  EXPECT_EQ(a.critical_path[0].phase, "compute");
+  EXPECT_EQ(a.critical_path[0].end, t);
+  EXPECT_EQ(a.critical_path[1].phase, "mpi_reduce");
+  EXPECT_EQ(a.critical_path[1].begin, t);
+  EXPECT_EQ(a.critical_path[1].end, departure);
+  EXPECT_EQ(a.critical_path[2].phase, "transfer");
+  EXPECT_EQ(a.critical_path[2].begin, departure);
+  EXPECT_EQ(a.critical_path[3].phase, "mpi_broadcast");
+  EXPECT_DOUBLE_EQ(a.critical_total, a.makespan);
+}
+
 TEST(AnalyzeCriticalPath, IterationWindowsComeFromEngineLane) {
   obs::Tracer tracer;
   tracer.complete(0, "compute", "compute", 0.0, 1.0);

@@ -349,7 +349,7 @@ TEST(JobService, LatencyHistogramsSplitBySourceAndCacheHitsCostCacheHitSeconds) 
     // A cache hit costs the modeled lookup+transfer time (to simulated-clock
     // rounding) — the regression this pins is cache hits billed a compute.
     for (const double v : cache.samples()) {
-      EXPECT_NEAR(v, options.cache_hit_seconds, 1e-6);
+      EXPECT_NEAR(v, kCacheHitSeconds, 1e-6);
     }
     cache_samples += cache.count();
     computed_samples += rec.metrics
