@@ -93,6 +93,17 @@ SyntheticSpec spec_of(std::uint32_t genes, std::uint32_t hits, std::uint32_t tum
   return spec;
 }
 
+/// The noisy instance cut down: background 0.08 and a driver detect rate of
+/// 0.6, so the planted combinations are used up after a few picks and most
+/// iterations run past the signal, where warm walks cut threads on their
+/// block's bound.
+SyntheticSpec noisy_spec(std::uint32_t genes, std::uint32_t hits, std::uint32_t tumor,
+                         std::uint32_t normal, std::uint64_t seed) {
+  SyntheticSpec spec = spec_of(genes, hits, tumor, normal, 6, 0.08, seed);
+  spec.driver_detect_rate = 0.6;
+  return spec;
+}
+
 // ------------------------------------------------------------ greedy solves
 
 /// A full greedy solve: per iteration the evaluation's KernelCounts, the
@@ -172,6 +183,10 @@ TEST(KernelGolden, GreedySolvesAtEveryHitCount) {
        0x0e8a4d48e27a0d08ULL, 0x0e8a4d48e27a0d08ULL, 0x55800c6a5d79d57cULL},
       {"h=5 G=22 narrow", generate_dataset(spec_of(22, 5, 70, 50, 2, 0.05, 51)), 5,
        0x22edecd5cee127b3ULL, 0x22edecd5cee127b3ULL, 0x0f3520910ee053b0ULL},
+      {"h=3 G=100 noisy", generate_dataset(noisy_spec(100, 3, 300, 200, 5)), 3,
+       0x09dca370c36df03eULL, 0x09dca370c36df03eULL, 0xac86437647df29bbULL},
+      {"h=4 G=60 noisy", generate_dataset(noisy_spec(60, 4, 128, 96, 5)), 4,
+       0xf35ad9f35632893cULL, 0xf35ad9f35632893cULL, 0x8c61e704ee661c5aULL},
   });
 }
 

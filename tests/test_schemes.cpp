@@ -1258,6 +1258,42 @@ TEST(CarriedBounds, BlockOnlyBoundsStayExact) {
   }
 }
 
+TEST(CarriedBounds, NoisySolvePastItsSignalSelectsAsTheSerialScan) {
+  // A cut of the noisy instance: background 0.08 and a driver detect rate of
+  // 0.6 use up the planted combinations within a few picks, so most warm
+  // walks cut threads on their block's bound after the incumbent rises. The
+  // kernel evaluator and 1- and 3-worker sweeps select what the serial scan
+  // selects, iteration by iteration.
+  SyntheticSpec spec;
+  spec.genes = 36;
+  spec.tumor_samples = 120;
+  spec.normal_samples = 80;
+  spec.hits = 4;
+  spec.num_combinations = 6;
+  spec.background_rate = 0.08;
+  spec.driver_detect_rate = 0.6;
+  spec.seed = 5;
+  const Dataset data = generate_dataset(spec);
+  EngineConfig config;
+  config.hits = 4;
+  const GreedyResult serial =
+      run_greedy(data.tumor, data.normal, config, make_serial_evaluator(4));
+  ASSERT_GT(serial.iterations.size(), 20u);
+  KernelCounts counts;
+  const GreedyResult kernel =
+      run_greedy(data.tumor, data.normal, config, make_kernel_evaluator(4, &counts));
+  expect_same_greedy(kernel, serial, "kernel evaluator");
+  EXPECT_GT(counts.threads_skipped, 0u);
+  for (const std::uint32_t threads : {1u, 3u}) {
+    HostSweepOptions sweep;
+    sweep.hits = 4;
+    sweep.threads = threads;
+    const GreedyResult swept =
+        run_greedy(data.tumor, data.normal, config, make_host_sweep_evaluator(sweep));
+    expect_same_greedy(swept, serial, std::to_string(threads) + "-worker sweep");
+  }
+}
+
 TEST(CarriedBounds, UnreadiedBoundsAreRejected) {
   const auto f = make_fixture(15, 4, 3);
   CarriedBounds bounds;
