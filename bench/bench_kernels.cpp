@@ -338,11 +338,34 @@ CapturedEvaluation capture_evaluation(const Dataset& data, std::uint32_t hits, s
   return out;
 }
 
+// Whole-space Scheme{hits, hits-1} evaluations of a captured warm
+// evaluation, each on a fresh copy of the bounds it received (copying them is
+// timed too), with the iteration's floor and row-count table taken outside
+// the loop.
+void time_warm_evaluation(benchmark::State& state, const CapturedEvaluation& at,
+                          const BitMatrix& normal, std::uint32_t hits) {
+  const Scheme scheme{hits, hits - 1};
+  const u64 total = scheme_threads(scheme, at.tumor.genes());
+  std::vector<std::uint64_t> row_counts(at.tumor.genes());
+  tumor_row_counts(at.tumor, row_counts);
+  const double floor = greedy_floor(at.tumor, normal, at.ctx, hits, row_counts);
+  KernelCounts counts;
+  for (auto _ : state) {
+    CarriedBounds bounds = at.carried;
+    if (!bounds.begin(at.tumor, at.ctx, hits)) {
+      state.SkipWithError("the captured bounds do not apply");
+      break;
+    }
+    counts = {};
+    benchmark::DoNotOptimize(evaluate_range(at.tumor, normal, at.ctx, scheme, 0, total, floor,
+                                            &counts, &bounds, row_counts));
+  }
+  state.counters["threads_skipped"] = static_cast<double>(counts.threads_skipped);
+  state.counters["pruned"] = static_cast<double>(counts.pruned);
+}
+
 // The second evaluation of a sweep4 greedy solve, the first with warm
-// carried bounds: its spliced tumor matrix, context and the bounds the
-// first evaluation left are captured once; each call evaluates the whole
-// 3x1 space on a fresh copy of those bounds (copying them is timed too),
-// with the iteration's floor and row-count table taken outside the loop.
+// carried bounds.
 void BM_WarmEvaluateSweep4(benchmark::State& state) {
   const Dataset data = generate_dataset(sweep4_spec());
   const CapturedEvaluation at = capture_evaluation(data, 4, 2);
@@ -350,26 +373,25 @@ void BM_WarmEvaluateSweep4(benchmark::State& state) {
     state.SkipWithError("the sweep4 solve has no warm second evaluation");
     return;
   }
-  const Scheme scheme{4, 3};
-  const u64 total = scheme_threads(scheme, at.tumor.genes());
-  std::vector<std::uint64_t> row_counts(at.tumor.genes());
-  tumor_row_counts(at.tumor, row_counts);
-  const double floor = greedy_floor(at.tumor, data.normal, at.ctx, 4, row_counts);
-  KernelCounts counts;
-  for (auto _ : state) {
-    CarriedBounds bounds = at.carried;
-    if (!bounds.begin(at.tumor, at.ctx, 4)) {
-      state.SkipWithError("the captured bounds do not apply");
-      break;
-    }
-    counts = {};
-    benchmark::DoNotOptimize(evaluate_range(at.tumor, data.normal, at.ctx, scheme, 0, total,
-                                            floor, &counts, &bounds, row_counts));
-  }
-  state.counters["threads_skipped"] = static_cast<double>(counts.threads_skipped);
-  state.counters["pruned"] = static_cast<double>(counts.pruned);
+  time_warm_evaluation(state, at, data.normal, 4);
 }
 BENCHMARK(BM_WarmEvaluateSweep4)->Unit(benchmark::kMicrosecond);
+
+// The fifth of the eight evaluations of a served LUSC job (serve_spec: 4
+// hits, G = 44, 56/44 samples), past most of its planted signal: after the
+// incumbent rises inside a block, the warm walk cuts whole smallest-digit
+// runs of threads on the block's bound.
+void BM_WarmEvaluateServed(benchmark::State& state) {
+  const CancerType lusc = *find_cancer_type("LUSC");
+  const Dataset data = generate_dataset(serve::CancerCache::serve_spec(lusc));
+  const CapturedEvaluation at = capture_evaluation(data, lusc.hits, 5);
+  if (!at.found || !at.carried.warm()) {
+    state.SkipWithError("the LUSC solve has no warm fifth evaluation");
+    return;
+  }
+  time_warm_evaluation(state, at, data.normal, lusc.hits);
+}
+BENCHMARK(BM_WarmEvaluateServed)->Unit(benchmark::kMicrosecond);
 
 // One greedy_floor on a captured evaluation's tumor matrix. given:1 passes
 // the evaluation's tumor_row_counts table, as the evaluators do; given:0

@@ -132,13 +132,14 @@ build/bench/bench_kernels --benchmark_filter='^BM_KernelFourHit3x1Terminal' \
 # and_popcount calls it makes. Then the sweep4-shaped kernel: one
 # whole-space cold 3x1 evaluation with fresh carried bounds (carried:1) and
 # without (carried:0), one warm
-# evaluation on a copy of the bounds a solve's first iteration left, and
-# the 3-digit unranking that repositions the scan after a block skip.
+# evaluation on a copy of the bounds a solve's first iteration left, one warm
+# mid-solve evaluation of a served 4-hit type (LUSC's fifth), and the 3-digit
+# unranking that repositions the scan after a block skip.
 echo "=== lazy greedy timing ==="
 build/bench/bench_kernels \
-  --benchmark_filter='^BM_(LazyGreedyCover2/|GreedyFloor(Cover2|Sweep4)/|ColdEvaluateSweep4/|WarmEvaluateSweep4|UnrankFlat3)' \
+  --benchmark_filter='^BM_(LazyGreedyCover2/|GreedyFloor(Cover2|Sweep4)/|ColdEvaluateSweep4/|WarmEvaluate(Sweep4|Served)|UnrankFlat3)' \
   --benchmark_repetitions=5 --benchmark_report_aggregates_only=true 2> /dev/null |
-  grep -E '^BM_(LazyGreedyCover2|GreedyFloor(Cover2|Sweep4)|ColdEvaluateSweep4|WarmEvaluateSweep4|UnrankFlat3).*_median'
+  grep -E '^BM_(LazyGreedyCover2|GreedyFloor(Cover2|Sweep4)|ColdEvaluateSweep4|WarmEvaluate(Sweep4|Served)|UnrankFlat3).*_median'
 # Dataset generation, printed without a gate: one cover2-shaped
 # generate_dataset call, and its floor, the same 780k background draws through
 # a local inline xoshiro256** that ORs each bit into its word.

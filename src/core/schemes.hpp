@@ -130,8 +130,9 @@ inline constexpr double kNoFloor = -std::numeric_limits<double>::infinity();
 /// blocks, so BRCA-scale spaces fit in 128 KiB. 2-hit spaces, whose
 /// threads are single genes tested before any fold, also keep one bound
 /// per thread (G of them); deeper spaces keep blocks only, since per-thread
-/// bounds there measured no faster and cost C(G, h-1) doubles a session. A
-/// bound only ever falls. Carried ranges hold whole blocks, so each block and
+/// bounds there measured no faster and cost C(G, h-1) doubles a session;
+/// without them a thread's bound is its block's, which lets the kernel cut
+/// a run of threads at once (evaluate_range). A bound only ever falls. Carried ranges hold whole blocks, so each block and
 /// thread is written by one evaluate_range call and host-sweep workers share
 /// the state without locks.
 ///
@@ -169,6 +170,8 @@ class CarriedBounds {
   std::uint64_t threads() const noexcept { return threads_; }
   /// log2 of the threads per block.
   unsigned block_shift() const noexcept { return shift_; }
+  /// True when threads keep bounds of their own (2-hit spaces).
+  bool per_thread() const noexcept { return !thread_ub_.empty(); }
   double block_bound(std::uint64_t block) const noexcept { return block_ub_[block]; }
   double thread_bound(std::uint64_t lambda) const noexcept {
     const double block = block_ub_[lambda >> shift_];
@@ -222,7 +225,15 @@ void tumor_row_counts(const BitMatrix& tumor, std::span<std::uint64_t> counts);
 /// at the space's end (std::invalid_argument otherwise): the kernel records
 /// its threads' bounds there and, once they are warm, also cuts a block or
 /// a thread whose bound is strictly below max(floor, best F), or equals the
-/// best F while every combination it owns ranks after the best's.
+/// best F while every combination it owns ranks after the best's. Without
+/// per-thread bounds (h >= 3), a thread cut on its block's bound takes the
+/// rest of its smallest-digit run with it (the threads that differ from it
+/// only in their smallest flat gene): they share its folded prefix, its
+/// bound and its top gene and rank after it, so a thread-by-thread walk
+/// would cut each of them by the same test. The run stops at the block's
+/// end, where the next block's bound is tested, and at its own end, where
+/// the next prefix may be cut on its count and lower the bounds of every
+/// block its run spans; so counts and stored bounds are the walk's.
 /// Skipped threads count in KernelCounts::threads_skipped and their
 /// combinations in pruned. The ignored FContext::carried never enables it.
 /// `row_counts` is the evaluation's tumor_row_counts table, which the
