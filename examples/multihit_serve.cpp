@@ -5,7 +5,7 @@
 //                               [--jobs N] [--seed S] [--gpus G]
 //                               [--concurrent N] [--queue-cap N] [--quota N]
 //                               [--invalidate-rate F] [--no-cache]
-//                               [--no-verify] [--out FILE]
+//                               [--no-verify]
 //                               [--trace-out FILE] [--metrics-out FILE]
 //                               [--slo-spec FILE]
 //                               [--scenario none|overload|starvation|burn|thrash]
@@ -23,23 +23,25 @@
 // per-cancer-type matrix/result caching with explicit invalidation.
 //
 // Everything is deterministic. Two runs with the same flags produce
-// byte-identical --out/--trace-out/--metrics-out files, on ANY bitops
-// backend (MULTIHIT_BITOPS=scalar|avx2|auto) — scripts/ci.sh pins this with
-// cmp. Unless --no-verify, the driver also re-runs every completed job
-// standalone (same dataset, same hit count, one job on the whole pipeline)
-// and exits 1 if any served selections differ — multi-tenant time-sharing
-// must never change an answer.
+// byte-identical --trace-out/--metrics-out files, on ANY bitops backend
+// (MULTIHIT_BITOPS=scalar|avx2|auto) — scripts/ci.sh pins this with cmp.
+// The run writes no format of its own: each analyze request is one `job`
+// instant in the trace (tenant, outcome, selections, exact arrival and
+// finish), and the numbers the instants do not carry are serve.* series in
+// the metrics (see serve/service.hpp). Unless --no-verify, the driver also
+// re-runs every completed job standalone (same dataset, same hit count, one
+// job on the whole pipeline) and exits 1 if any served selections differ —
+// multi-tenant time-sharing must never change an answer.
 //
-// --out writes the multihit.serve.v1 report (trace echo, per-job records
-// with selections, aggregate + per-tenant latency stats); --bench writes
-// BENCH_serve_latency.json (p50/p99 job latency, jobs/sec, makespan) for
-// the scripts/bench_compare.py regression gate.
+// --bench writes BENCH_serve_latency.json (p50/p99 job latency, jobs/sec,
+// makespan) for the scripts/bench_compare.py regression gate.
 //
 // --slo-spec loads per-tenant SLO objectives (obs::parse_slo grammar); the
-// run is then evaluated against them in-process and the verdict lands in
-// the --metrics-out snapshot as `slo.*` series (obs::record_slo) — equal to
-// what an offline `obstool slo SERVE --spec FILE METRICS` replay of the
-// saved --out document records. With --bench, a BENCH_serve_slo.json record
+// run records its trace, reads the SLO input back from the job instants
+// (obs::slo_input_from_trace) and evaluates it in-process, and the verdict
+// lands in the --metrics-out snapshot as `slo.*` series (obs::record_slo) —
+// equal to what an offline `obstool slo TRACE --spec FILE METRICS` replay of
+// the saved --trace-out file records. With --bench, a BENCH_serve_slo.json record
 // (per-tenant p99 attainment, worst burn rate) rides along. --scenario
 // plants one serve pathology (see serve::apply_scenario) on top of the other
 // flags, for detector-quality sweeps; violations never change this tool's
@@ -48,7 +50,7 @@
 // --manifest-out writes a multihit.run.v1 manifest (obs/runinfo.hpp): the
 // run configuration plus a digest inventory of every artifact the
 // invocation emitted, the unit `obstool diff` compares. --artifacts-dir DIR
-// is the one-flag spelling: it defaults --out/--trace-out/--metrics-out to
+// is the one-flag spelling: it defaults --trace-out/--metrics-out to
 // standard names under DIR and writes DIR/manifest.json.
 
 #include <cstdio>
@@ -85,8 +87,8 @@ int usage() {
                "                      [--jobs N] [--seed S] [--gpus G]\n"
                "                      [--concurrent N] [--queue-cap N] [--quota N]\n"
                "                      [--invalidate-rate F] [--no-cache] [--no-verify]\n"
-               "                      [--out FILE] [--trace-out FILE]\n"
-               "                      [--metrics-out FILE] [--slo-spec FILE]\n"
+               "                      [--trace-out FILE] [--metrics-out FILE]\n"
+               "                      [--slo-spec FILE]\n"
                "                      [--scenario none|overload|starvation|burn|thrash]\n"
                "                      [--manifest-out FILE] [--artifacts-dir DIR]\n"
                "                      [--bench]\n";
@@ -120,7 +122,6 @@ int main(int argc, char** argv) {
   bool verify = true;
   bool bench = false;
   Scenario scenario = Scenario::kNone;
-  std::string out_path;
   std::string trace_path;
   std::string metrics_path;
   std::string slo_path;
@@ -165,8 +166,6 @@ int main(int argc, char** argv) {
       options.result_cache = false;
     } else if (arg == "--no-verify") {
       verify = false;
-    } else if (arg == "--out") {
-      out_path = value();
     } else if (arg == "--trace-out") {
       trace_path = value();
     } else if (arg == "--metrics-out") {
@@ -199,7 +198,6 @@ int main(int argc, char** argv) {
     const auto standard = [&](const char* name) {
       return (std::filesystem::path(artifacts_dir) / name).string();
     };
-    if (out_path.empty()) out_path = standard("run.serve.json");
     if (trace_path.empty()) trace_path = standard("run.trace.json");
     if (metrics_path.empty()) metrics_path = standard("run.metrics.json");
     if (manifest_out.empty()) manifest_out = standard("manifest.json");
@@ -222,7 +220,9 @@ int main(int argc, char** argv) {
   }
 
   obs::Recorder recorder;
-  if (!trace_path.empty() || !metrics_path.empty()) options.recorder = &recorder;
+  if (!trace_path.empty() || !metrics_path.empty() || !options.slo.empty()) {
+    options.recorder = &recorder;
+  }
 
   // The spec comes from the flags, so a spec the generator refuses (say
   // --jobs 0, or an --invalidate-rate whose count overflows) is a usage error.
@@ -279,21 +279,13 @@ int main(int argc, char** argv) {
 
   obs::SloReport slo;
   if (!options.slo.empty()) {
-    slo = obs::evaluate_slo(slo_input(result), options.slo);
+    slo = obs::evaluate_slo(obs::slo_input_from_trace(recorder.trace), options.slo);
     obs::record_slo(slo, recorder.metrics);
     std::printf("  slo: %u objective(s), %u violated, worst burn %.3fx, "
                 "worst p99 attainment %.3f\n",
                 slo.objectives, slo.violated, slo.worst_burn, slo.worst_p99_attainment);
   }
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "multihit-serve: cannot write %s\n", out_path.c_str());
-      return 2;
-    }
-    out << serve_report(result, trace, options).dump() << '\n';
-  }
   if (!trace_path.empty() && !recorder.write_trace(trace_path)) {
     std::fprintf(stderr, "multihit-serve: cannot write %s\n", trace_path.c_str());
     return 2;
@@ -328,7 +320,6 @@ int main(int argc, char** argv) {
           }
         }
       };
-      add("serve", obs::kServeSchema, out_path);
       add("trace", obs::kChromeTraceTag, trace_path);
       add("metrics", obs::kMetricsSchema, metrics_path);
     } catch (const std::exception& e) {

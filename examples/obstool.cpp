@@ -6,7 +6,7 @@
 //                      [--sample-every S] [--window-samples N] [--slo-spec FILE]
 //                      [--truth-window S] [--annotate-out FILE]
 //                      [--summary] [--quiet]
-//   $ multihit-obstool slo SERVE.json --spec FILE [METRICS.json]
+//   $ multihit-obstool slo TRACE.json --spec FILE [METRICS.json]
 //                      [--summary] [--quiet]
 //   $ multihit-obstool diff A B [--report-out FILE] [--summary] [--quiet]
 //
@@ -39,8 +39,9 @@
 // windows usually need `--sample-every 0.5 --window-samples 256` or so —
 // the budget window must fit the retained history).
 //
-// `slo` replays a saved multihit.serve.v1 report through the per-tenant SLO
-// evaluator (src/obs/slo.hpp) against a --spec objective file and prints the
+// `slo` reads a multihit-serve --trace-out file's `job` instants back into
+// the per-tenant SLO evaluator (obs::slo_input_from_trace, src/obs/slo.hpp),
+// evaluates them against a --spec objective file and prints the
 // per-objective verdicts. With a metrics snapshot (multihit-serve
 // --metrics-out of the same run and spec), its `slo.*` series must equal
 // what this replay records (obs::record_slo), compared entry by entry; the
@@ -50,14 +51,14 @@
 // `diff` is the cross-run regression engine (src/obs/diff.hpp): A and B are
 // either multihit.run.v1 manifests (from brca_scaleout / multihit-serve
 // --manifest-out or --artifacts-dir; every inventoried artifact is loaded
-// and its content digest verified) or a pair of individual artifacts of the
-// same kind: metrics snapshots (an `analyze --report-out` snapshot is one)
-// or serve reports. Every numeric series in the shared artifacts is
-// compared exactly and classified identical / improved / regressed / added /
-// removed. The analysis (derived from a manifest's trace, or carried by a
-// bare analysis snapshot) is series too: the summary reads the makespan
-// change off `analysis.makespan_seconds` and attributes it to the
-// `analysis.critical_seconds{lane, phase}` cell that moved most.
+// and its content digest verified) or a pair of metrics snapshots (an
+// `analyze --report-out` snapshot is one). The diff reads metrics only:
+// every series in the shared snapshots is compared exactly and classified
+// identical / improved / regressed / added / removed. The analysis (derived
+// from a manifest's trace, or carried by a bare analysis snapshot) is series
+// too: the summary reads the makespan change off `analysis.makespan_seconds`
+// and attributes it to the `analysis.critical_seconds{lane, phase}` cell that
+// moved most.
 // A new health incident is a regressed `health.incidents` counter, a newly
 // violated SLO objective a regressed `slo.violated` counter. `--report-out`
 // writes the multihit.diff.v1 document, byte-identical across repeated
@@ -92,7 +93,7 @@ namespace {
                "                        [--sample-every S] [--window-samples N] [--slo-spec FILE]\n"
                "                        [--truth-window S] [--annotate-out FILE]\n"
                "                        [--summary] [--quiet]\n"
-               "       multihit-obstool slo SERVE.json --spec FILE [METRICS.json]\n"
+               "       multihit-obstool slo TRACE.json --spec FILE [METRICS.json]\n"
                "                        [--summary] [--quiet]\n"
                "       multihit-obstool diff A B [--report-out FILE] [--summary] [--quiet]\n";
   std::exit(2);
@@ -252,7 +253,7 @@ int run_monitor(int argc, char** argv) {
 
 int run_slo(int argc, char** argv) {
   using namespace multihit::obs;
-  std::string serve_path, spec_path, metrics_path;
+  std::string trace_path, spec_path, metrics_path;
   bool summary = false, quiet = false;
   for (int a = 2; a < argc; ++a) {
     const std::string arg = argv[a];
@@ -268,21 +269,20 @@ int run_slo(int argc, char** argv) {
       quiet = true;
     } else if (!arg.empty() && arg[0] == '-') {
       usage();
-    } else if (serve_path.empty()) {
-      serve_path = arg;
+    } else if (trace_path.empty()) {
+      trace_path = arg;
     } else if (metrics_path.empty()) {
       metrics_path = arg;
     } else {
       usage();
     }
   }
-  if (serve_path.empty() || spec_path.empty()) usage();
+  if (trace_path.empty() || spec_path.empty()) usage();
 
   try {
     const std::vector<SloObjective> spec = parse_slo(read_file(spec_path));
-    const JsonValue serve_doc = JsonValue::parse(read_file(serve_path));
-    const SloInput input = slo_input_from_serve_json(serve_doc);
-    const SloReport report = evaluate_slo(input, spec);
+    const Tracer tracer = tracer_from_chrome(JsonValue::parse(read_file(trace_path)));
+    const SloReport report = evaluate_slo(slo_input_from_trace(tracer), spec);
 
     if (!quiet) std::cout << slo_text(report, summary);
     if (!metrics_path.empty()) {

@@ -241,12 +241,13 @@ grep -q '"name":"health.incidents","labels":{"lane":"1","rule":"dead_rank"},"val
 echo "health counters equal the offline replay, truth score perfect"
 
 # Job-service smoke: replay one seeded multi-tenant trace (24 jobs, bursty
-# arrivals, cache invalidations) twice per bitops backend. The
-# multihit.serve.v1 report, Chrome trace, and metrics snapshot (with the
-# SLO verdict's slo.* series) must be byte-identical across runs AND across
-# backends, and the driver itself
-# exits non-zero unless every served job's selections are bit-identical to a
-# standalone single-job run. The latency/throughput BENCH series are fully
+# arrivals, cache invalidations) twice per bitops backend. The Chrome trace,
+# whose `job` instants carry every request's outcome, exact times and
+# selections, and the metrics snapshot (with the SLO verdict's slo.* series)
+# must be byte-identical across runs AND across backends, so the trace cmp
+# pins the served answers too; and the driver itself exits non-zero unless
+# every served job's selections are bit-identical to a standalone single-job
+# run. The latency/throughput BENCH series are fully
 # modeled (simulated clock), so --strict pins them against the committed
 # baseline exactly — a scheduling or admission regression shows up as drift.
 echo "=== job service smoke ==="
@@ -258,16 +259,15 @@ for backend in scalar auto; do
       build/examples/multihit-serve --mix bursty --jobs 24 --seed 7 \
       --invalidate-rate 0.2 --bench \
       --slo-spec examples/serve.slo \
-      --out "$serve_dir/${backend}_$run.serve.json" \
       --trace-out "$serve_dir/${backend}_$run.trace.json" \
       --metrics-out "$serve_dir/${backend}_$run.metrics.json" > /dev/null
   done
 done
-cmp "$serve_dir/scalar_1.serve.json" "$serve_dir/scalar_2.serve.json"
-cmp "$serve_dir/auto_1.serve.json" "$serve_dir/auto_2.serve.json"
-cmp "$serve_dir/scalar_1.serve.json" "$serve_dir/auto_1.serve.json"
-cmp "$serve_dir/scalar_1.trace.json" "$serve_dir/auto_1.trace.json"
-cmp "$serve_dir/scalar_1.metrics.json" "$serve_dir/auto_1.metrics.json"
+for kind in trace metrics; do
+  cmp "$serve_dir/scalar_1.$kind.json" "$serve_dir/scalar_2.$kind.json"
+  cmp "$serve_dir/auto_1.$kind.json" "$serve_dir/auto_2.$kind.json"
+  cmp "$serve_dir/scalar_1.$kind.json" "$serve_dir/auto_1.$kind.json"
+done
 if command -v python3 > /dev/null; then
   python3 scripts/bench_compare.py --strict "$bench_dir"/BENCH_serve_latency.json
   python3 scripts/bench_compare.py --strict "$bench_dir"/BENCH_serve_slo.json
@@ -275,8 +275,8 @@ fi
 echo "job service byte-identical (runs and backends), served answers pinned standalone"
 
 # SLO smoke: the per-tenant verdict layer over the serve run above.
-#  1. Offline replay identity: `obstool slo` over the saved multihit.serve.v1
-#     report must record exactly the slo.* series the run wrote into its
+#  1. Offline replay identity: `obstool slo` over the saved trace's job
+#     instants must record exactly the slo.* series the run wrote into its
 #     metrics (entry by entry; a difference exits 1), and the clean trace
 #     passes (exit 0).
 #  2. Detector ground truth: every planted --scenario pathology fires its
@@ -285,7 +285,7 @@ echo "job service byte-identical (runs and backends), served answers pinned stan
 #     (exit 1); thrash burns fleet efficiency without moving user-visible
 #     latency or admission, which is exactly why cache_thrash exists.
 echo "=== serve SLO smoke ==="
-build/examples/multihit-obstool slo "$serve_dir/scalar_1.serve.json" \
+build/examples/multihit-obstool slo "$serve_dir/scalar_1.trace.json" \
   --spec examples/serve.slo "$serve_dir/scalar_1.metrics.json" > /dev/null
 build/examples/multihit-obstool monitor "$serve_dir/scalar_1.trace.json" \
   --sample-every 0.5 --window-samples 256 --slo-spec examples/serve.slo \
@@ -297,9 +297,8 @@ if grep -q 'incident(s)' "$serve_dir/clean.health.txt"; then
 fi
 for scenario in overload starvation burn thrash; do
   build/examples/multihit-serve --jobs 24 --seed 7 --scenario "$scenario" \
-    --out "$serve_dir/$scenario.serve.json" \
     --trace-out "$serve_dir/$scenario.trace.json" > /dev/null
-  if build/examples/multihit-obstool slo "$serve_dir/$scenario.serve.json" \
+  if build/examples/multihit-obstool slo "$serve_dir/$scenario.trace.json" \
     --spec examples/serve.slo --quiet > /dev/null 2>&1; then
     verdict=0
   else
@@ -386,16 +385,16 @@ if build/examples/multihit-obstool diff \
 fi
 grep -q '"series":"metrics.counter.health.incidents","class":"regressed"' \
   "$diff_dir/crash.diff.json"
-for run in ea_1 ea_2 ed_1 scalar auto crash; do
+for scenario in none burn; do
+  build/examples/multihit-serve --jobs 24 --seed 7 --scenario "$scenario" \
+    --slo-spec examples/serve.slo --artifacts-dir "$diff_dir/serve_$scenario" > /dev/null
+done
+for run in ea_1 ea_2 ed_1 scalar auto crash serve_none serve_burn; do
   names=$(grep -o '"name":"[^"]*"' "$diff_dir/$run/manifest.json" | tr '\n' ' ')
   if [ "$names" != '"name":"metrics" "name":"trace" ' ]; then
     echo "ERROR: $run manifest inventories $names; want exactly metrics and trace" >&2
     exit 1
   fi
-done
-for scenario in none burn; do
-  build/examples/multihit-serve --jobs 24 --seed 7 --scenario "$scenario" \
-    --slo-spec examples/serve.slo --artifacts-dir "$diff_dir/serve_$scenario" > /dev/null
 done
 if build/examples/multihit-obstool diff \
   "$diff_dir/serve_none/manifest.json" "$diff_dir/serve_burn/manifest.json" \
@@ -420,14 +419,14 @@ build/examples/cancer_panel > /dev/null
 echo "cancer panel green (2-hit BRCA path included)"
 
 # Format inventory: every JSON file the steps above wrote is a metrics
-# snapshot (run metrics, analysis reports, bench records), a serve report, a
-# run manifest, a diff report, or a Chrome trace (which carries no tag). A
-# numeric artifact with a format of its own fails here.
+# snapshot (run metrics, analysis reports, bench records), a run manifest, a
+# diff report, or a Chrome trace (which carries no tag). An artifact with a
+# format of its own fails here.
 echo "=== artifact format inventory ==="
 if command -v python3 > /dev/null; then
   python3 - "$bench_dir" build/*_smoke <<'EOF'
 import collections, json, pathlib, sys
-allowed = {"multihit.metrics.v1", "multihit.serve.v1", "multihit.run.v1", "multihit.diff.v1"}
+allowed = {"multihit.metrics.v1", "multihit.run.v1", "multihit.diff.v1"}
 found = collections.Counter()
 for root in sys.argv[1:]:
     for path in sorted(pathlib.Path(root).rglob("*.json")):
@@ -436,7 +435,7 @@ for root in sys.argv[1:]:
         if tag is None and isinstance(doc, dict) and "traceEvents" in doc:
             tag = "chrome trace"
         elif tag not in allowed:
-            sys.exit(f"ERROR: {path} has format {tag!r}; want metrics, serve, run, diff "
+            sys.exit(f"ERROR: {path} has format {tag!r}; want metrics, run, diff "
                      "or a Chrome trace")
         found[tag] += 1
 for tag, count in sorted(found.items()):

@@ -111,32 +111,56 @@ if ! grep -q 'MISS: crash rank 1 @ iteration 1' "$TMP/out"; then
 fi
 
 # --- slo subcommand -------------------------------------------------------
-# Usage: needs both the serve report operand and --spec.
+# Usage: needs both the trace operand and --spec.
 expect slo_missing_operand 2 slo
 expect_usage_on_stderr slo_missing_operand_usage slo
-expect slo_unknown_flag 2 slo serve.json --bogus
-expect slo_flag_missing_value 2 slo serve.json --spec
+expect slo_unknown_flag 2 slo serve.trace.json --bogus
+expect slo_flag_missing_value 2 slo serve.trace.json --spec
 
 printf 'slo * latency p99 below 40\nslo * admission above 0.5\n' > "$TMP/ok.slo"
-expect slo_missing_spec 2 slo "$TMP/serve.json"
+expect slo_missing_spec 2 slo "$TMP/serve.trace.json"
 
-# Runtime errors: unreadable/malformed/wrong-schema inputs, malformed specs.
-expect slo_nonexistent_input 1 slo "$TMP/no-such-serve.json" --spec "$TMP/ok.slo"
+# Runtime errors: unreadable/malformed/non-trace inputs, malformed specs.
+expect slo_nonexistent_input 1 slo "$TMP/no-such.trace.json" --spec "$TMP/ok.slo"
 expect slo_malformed_input 1 slo "$TMP/garbage.json" --spec "$TMP/ok.slo"
 expect slo_wrong_schema 1 slo "$TMP/metrics.json" --spec "$TMP/ok.slo"
 
-printf '{"schema":"multihit.serve.v1","jobs":[{"tenant":"t","arrival":0,"finish":1,"outcome":"completed","cache_hit":false,"latency":1}]}' \
-  > "$TMP/serve.json"
+# A served run's trace: one `job` instant per analyze request, on its job
+# lane, times as exact decimal text.
+job_trace() {
+  printf '{"displayTimeUnit":"ms","traceEvents":[{"name":"job","cat":"serve","ph":"i","s":"t","pid":0,"tid":1048578,"ts":1000000,"args":{"id":"0","tenant":"t","cancer":"BRCA","hits":"4","outcome":"%s","cache_hit":"false","selections":"1,2,3,4","arrival":"0","finish":"1"}}]}' "$1"
+}
+job_trace completed > "$TMP/serve.trace.json"
 printf 'slo t latency p99 beneath 40\n' > "$TMP/bad.slo"
-expect slo_bad_spec 1 slo "$TMP/serve.json" --spec "$TMP/bad.slo"
+expect slo_bad_spec 1 slo "$TMP/serve.trace.json" --spec "$TMP/bad.slo"
 
 # Verdicts: exit 0 when every objective holds, exit 1 on any violation.
-expect slo_clean 0 slo "$TMP/serve.json" --spec "$TMP/ok.slo" --quiet
+expect slo_clean 0 slo "$TMP/serve.trace.json" --spec "$TMP/ok.slo" --quiet
 printf 'slo t latency p99 below 0.5\n' > "$TMP/tight.slo"
-expect slo_violation 1 slo "$TMP/serve.json" --spec "$TMP/tight.slo" --quiet
+expect slo_violation 1 slo "$TMP/serve.trace.json" --spec "$TMP/tight.slo" --quiet
+
+# A misspelt outcome is refused naming the event, never read as a rejection;
+# a trace with no job instants is no served run's; and a served run writes
+# no document of its own, so a file in the retired serve report format is
+# no trace for slo and no comparable artifact for diff. Its tag is spliced
+# in by printf so that no source line spells the retired tag.
+job_trace completd > "$TMP/misspelt.trace.json"
+expect_error_naming slo_misspelt_outcome "instant 'job' on lane 1048578" \
+  slo "$TMP/misspelt.trace.json" --spec "$TMP/ok.slo" --quiet
+if ! grep -qF "outcome 'completd'" "$TMP/err"; then
+  echo "FAIL slo_misspelt_outcome: stderr does not name the outcome" >&2
+  fails=$((fails + 1))
+fi
+expect_error_naming slo_no_job_instants 'no serve job instants' \
+  slo "$TMP/crash.trace.json" --spec "$TMP/ok.slo" --quiet
+printf '{"schema":"multihit.%s.v1","jobs":[{"tenant":"t","arrival":0,"finish":1,"outcome":"completed","cache_hit":false,"latency":1}]}' \
+  serve > "$TMP/old.serve.json"
+expect slo_old_serve_document 1 slo "$TMP/old.serve.json" --spec "$TMP/ok.slo" --quiet
+expect_error_naming diff_old_serve_document 'not a run manifest or a comparable artifact' \
+  diff "$TMP/old.serve.json" "$TMP/old.serve.json" --quiet
 
 # The verdict is slo.* metrics now: no SLO document to write.
-expect slo_report_out_unknown_flag 2 slo "$TMP/serve.json" --spec "$TMP/ok.slo" \
+expect slo_report_out_unknown_flag 2 slo "$TMP/serve.trace.json" --spec "$TMP/ok.slo" \
   --report-out "$TMP/slo.json"
 # A METRICS operand must hold the replay's slo.* series: a violated total
 # the replay does not record, or no slo.* series at all, fails the
@@ -144,10 +168,10 @@ expect slo_report_out_unknown_flag 2 slo "$TMP/serve.json" --spec "$TMP/ok.slo" 
 printf '{"schema":"multihit.metrics.v1","counters":[{"name":"slo.objectives","labels":{},"value":2},{"name":"slo.violated","labels":{},"value":1}],"gauges":[],"histograms":[]}' \
   > "$TMP/slo.metrics.json"
 expect_error_naming slo_metrics_violated_mismatch '"slo.violated"' \
-  slo "$TMP/serve.json" --spec "$TMP/ok.slo" "$TMP/slo.metrics.json" --quiet
+  slo "$TMP/serve.trace.json" --spec "$TMP/ok.slo" "$TMP/slo.metrics.json" --quiet
 expect_error_naming slo_metrics_without_slo_series '"slo.objectives"' \
-  slo "$TMP/serve.json" --spec "$TMP/ok.slo" "$TMP/metrics_a.json" --quiet
-expect slo_extra_operand 2 slo "$TMP/serve.json" --spec "$TMP/ok.slo" a.json b.json
+  slo "$TMP/serve.trace.json" --spec "$TMP/ok.slo" "$TMP/metrics_a.json" --quiet
+expect slo_extra_operand 2 slo "$TMP/serve.trace.json" --spec "$TMP/ok.slo" a.json b.json
 
 # --- analyze on a host trace ---------------------------------------------
 # A host-sweep trace (brca_scaleout --host-profile-out) is a Chrome trace

@@ -255,15 +255,8 @@ TraceAnalysis analyze_trace(const Tracer& tracer) {
     for (const DepthSpan& ds : engine_it->second) {
       if (ds.event->name != "greedy_iteration") continue;
       IterationWindow window;
-      window.index = static_cast<std::uint32_t>(analysis.iterations.size());
-      for (const auto& [k, v] : ds.event->args) {
-        if (k != "iteration") continue;
-        try {
-          window.index = static_cast<std::uint32_t>(std::stoul(v));
-        } catch (const std::exception&) {
-          // keep the positional index for unparseable annotations
-        }
-      }
+      window.index = u32_arg<AnalysisError>(*ds.event, "iteration")
+                         .value_or(static_cast<std::uint32_t>(analysis.iterations.size()));
       window.begin = ds.event->begin;
       window.end = ds.event->end;
       analysis.iterations.push_back(window);

@@ -103,7 +103,9 @@ struct TraceAnalysis {
 
 /// Runs the analysis over a tracer's spans and flow edges. Lanes >=
 /// kEngineLane are driver lanes: excluded from per-rank statistics, and the
-/// engine lane's greedy_iteration spans become the iteration windows.
+/// engine lane's greedy_iteration spans become the iteration windows, indexed
+/// by their `iteration` arg (positionally without one). A present `iteration`
+/// that is not a u32 throws AnalysisError naming the span.
 TraceAnalysis analyze_trace(const Tracer& tracer);
 
 /// Reconstructs a Tracer from a Chrome trace-event document written by

@@ -60,70 +60,7 @@ bool lower_is_better(std::string_view series) {
 
 namespace {
 
-/// Identity fields used to key array elements, tried in this order; every
-/// one present contributes to the element key.
-constexpr std::string_view kIdentityFields[] = {
-    "name",   "phase",  "series", "tenant", "op",   "cancer",    "worker",
-    "client", "id",     "gpu",    "rank",   "lane", "iteration", "index",
-    "kind",
-};
-
-std::string element_key(const JsonValue& element) {
-  if (!element.is_object()) return {};
-  std::string key;
-  for (std::string_view field : kIdentityFields) {
-    const JsonValue* value = element.find(field);
-    if (!value) continue;
-    if (!key.empty()) key += ',';
-    key += field;
-    key += '=';
-    if (value->is_string()) {
-      key += value->as_string();
-    } else if (value->is_number()) {
-      key += json_number(value->as_number());
-    } else if (value->is_bool()) {
-      key += value->as_bool() ? "true" : "false";
-    }
-  }
-  return key;
-}
-
 using SeriesMap = std::map<std::string, double>;
-
-/// Adds one leaf of a generic walk; a repeated path gets a `#n` suffix.
-void add_leaf(SeriesMap& out, const std::string& path, double value) {
-  if (out.emplace(path, value).second) return;
-  for (int n = 2;; ++n) {
-    if (out.emplace(path + "#" + std::to_string(n), value).second) return;
-  }
-}
-
-void walk(SeriesMap& out, const std::string& path, const JsonValue& value) {
-  switch (value.kind()) {
-    case JsonValue::Kind::kNumber:
-      add_leaf(out, path, value.as_number());
-      return;
-    case JsonValue::Kind::kBool:
-      add_leaf(out, path, value.as_bool() ? 1.0 : 0.0);
-      return;
-    case JsonValue::Kind::kObject:
-      for (const auto& [key, child] : value.as_object()) {
-        walk(out, path + "." + key, child);
-      }
-      return;
-    case JsonValue::Kind::kArray: {
-      const JsonValue::Array& elements = value.as_array();
-      for (std::size_t i = 0; i < elements.size(); ++i) {
-        std::string key = element_key(elements[i]);
-        if (key.empty()) key = std::to_string(i);
-        walk(out, path + "[" + key + "]", elements[i]);
-      }
-      return;
-    }
-    default:
-      return;  // strings and nulls are identity/config, not series
-  }
-}
 
 std::string labels_suffix(const JsonFields& entry) {
   const std::vector<std::pair<std::string, std::string>> labels =
@@ -162,21 +99,6 @@ void flatten_metrics(const std::string& role, const JsonValue& doc, SeriesMap& o
       }
     }
   }
-}
-
-/// Flattens one artifact document into role-prefixed series: a serve report
-/// through the generic walk, every other role (metrics, and the analysis
-/// derived from a trace) as a metrics snapshot.
-void flatten_role(const std::string& role, const JsonValue& doc, SeriesMap& out) {
-  if (role.rfind("serve", 0) == 0) {
-    walk(out, role, doc);
-  } else {
-    flatten_metrics(role, doc, out);
-  }
-}
-
-bool diffable_kind(std::string_view kind) {
-  return kind == "metrics" || kind == "serve";
 }
 
 const JsonValue* find_doc(const RunInput& run, std::string_view role) {
@@ -225,7 +147,7 @@ RunInput load_run(const std::string& path) {
     const std::string_view kind = schema_kind(tag);
     // A lone non-diffable artifact (a Chrome trace, another diff report)
     // would compare zero series and "pass" vacuously — refuse it instead.
-    if (kind.empty() || !diffable_kind(kind)) {
+    if (kind != "metrics") {
       throw DiffError("diff: \"" + path + "\" is not a run manifest or a " +
                       "comparable artifact (schema \"" + std::string(tag) + "\")");
     }
@@ -256,7 +178,7 @@ RunInput load_run(const std::string& path) {
       throw DiffError("diff: artifact \"" + artifact.name +
                       "\" carries unknown schema \"" + artifact.schema + "\"");
     }
-    if (!diffable_kind(kind) && kind != "trace") continue;
+    if (kind != "metrics" && kind != "trace") continue;
     JsonValue parsed;
     try {
       parsed = JsonValue::parse(bytes);
@@ -427,10 +349,10 @@ DiffReport diff_runs(const RunInput& a, const RunInput& b) {
   // of added/removed series).
   SeriesMap series_a, series_b;
   for (const auto& [role, doc] : a.docs) {
-    if (find_doc(b, role)) flatten_role(role, doc, series_a);
+    if (find_doc(b, role)) flatten_metrics(role, doc, series_a);
   }
   for (const auto& [role, doc] : b.docs) {
-    if (find_doc(a, role)) flatten_role(role, doc, series_b);
+    if (find_doc(a, role)) flatten_metrics(role, doc, series_b);
   }
   auto it_a = series_a.begin();
   auto it_b = series_b.begin();

@@ -4,12 +4,10 @@
 // Loads two runs — each a multihit.run.v1 manifest or a single artifact —
 // and produces one deterministic comparison document. Two layers:
 //
-//  1. Every diffable artifact flattens to named series. A metrics snapshot
-//     (the run's metrics, and the analysis derived from its trace) gives
-//     `<role>.<kind>.<name>{labels}`, read strictly: an ill-shaped entry or
-//     a repeated (name, labels) throws. A serve report gives
-//     `serve.dotted.path` → number/bool leaves (array elements keyed by
-//     their identity fields: name, tenant, id, ...). Series are compared
+//  1. The diff reads metrics only. Every metrics snapshot (the run's
+//     metrics, and the analysis derived from its trace) flattens to
+//     `<role>.<kind>.<name>{labels}` series, read strictly: an ill-shaped
+//     entry or a repeated (name, labels) throws. Series are compared
 //     exactly — the right default for a deterministic simulator — and
 //     classified identical / improved / regressed / added / removed.
 //     No artifact has a section of its own. The summary sentence reads its
@@ -106,8 +104,8 @@ void add_doc(RunInput& run, std::string role, JsonValue doc);
 /// Loads one side from disk. A multihit.run.v1 file loads every inventoried
 /// artifact (paths resolved relative to the manifest's directory) and
 /// verifies each digest; a trace with rank lanes adds its record_analysis
-/// snapshot under role "analysis". A bare metrics or serve document loads
-/// as a single-artifact run under its registry kind. Throws DiffError on
+/// snapshot under role "analysis". A bare metrics snapshot loads as a
+/// single-artifact run under role "metrics". Throws DiffError on
 /// unreadable files, unknown schemas, schema/inventory mismatches, digest
 /// mismatches, and traces that do not analyse.
 RunInput load_run(const std::string& path);

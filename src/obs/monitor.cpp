@@ -1,9 +1,8 @@
 #include "obs/monitor.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -18,13 +17,6 @@ namespace {
 constexpr std::uint64_t kMaxBoundaries = 4'000'000;
 
 bool is_rank_lane(std::uint32_t lane) noexcept { return lane < kEngineLane; }
-
-const std::string* find_arg(const TraceEvent& ev, std::string_view key) {
-  for (const auto& [k, v] : ev.args) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
 
 /// The detector whose incident detects an injected fault of `kind`
 /// (nullptr for a kind the fault layer does not inject).
@@ -163,8 +155,9 @@ HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options) {
     if (!ev.instant) lane_spans[ev.lane].push_back(&ev);
     if (ev.lane == kEngineLane) {
       if (!ev.instant && ev.name == "greedy_iteration") {
-        const std::string* arg = find_arg(ev, "iteration");
-        if (arg) windows.push_back({std::atoll(arg->c_str()), ev.begin, ev.end});
+        if (const auto iteration = u32_arg<MonitorError>(ev, "iteration")) {
+          windows.push_back({*iteration, ev.begin, ev.end});
+        }
       } else if (ev.instant && ev.name == "job_restart") {
         restarts.push_back(ev.begin);
       }
@@ -178,8 +171,9 @@ HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options) {
     if (ev.category != "gpu") busy_time.spans.emplace_back(ev.begin, ev.end);
     if (ev.category == "comm") comm_time.spans.emplace_back(ev.begin, ev.end);
     if (ev.name == "compute" && ev.category == "compute") {
-      const std::string* arg = find_arg(ev, "iteration");
-      if (arg) iter_compute[std::atoll(arg->c_str())][ev.lane] += ev.duration();
+      if (const auto iteration = u32_arg<MonitorError>(ev, "iteration")) {
+        iter_compute[*iteration][ev.lane] += ev.duration();
+      }
     }
   }
   for (const FlowEdge& f : trace.flows()) makespan = std::max(makespan, f.to_time);
@@ -686,23 +680,10 @@ std::vector<TruthEvent> truth_from_trace(const Tracer& trace) {
   std::vector<TruthEvent> out;
   for (const TraceEvent* ev : faults) {
     const std::string kind = ev->name.rfind("fault.", 0) == 0 ? ev->name.substr(6) : "";
-    const std::string* arg = find_arg(*ev, "iteration");
-    const std::string text = arg ? *arg : "";
-    std::uint32_t iteration = 0;
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), iteration);
-    std::string why;
-    if (!primary_rule(kind)) {
-      why = "unknown fault kind";
-    } else if (!arg) {
-      why = "no iteration arg";
-    } else if (ec != std::errc() || end != text.data() + text.size()) {
-      why = "iteration '" + text + "' is not an integer in [0, 2^32)";
-    }
-    if (!why.empty()) {
-      throw MonitorError("fault instant '" + ev->name + "' on lane " + std::to_string(ev->lane) +
-                         " at t=" + json_number(ev->begin) + " s: " + why);
-    }
-    out.push_back({kind, ev->lane == kEngineLane ? 0 : ev->lane, iteration, ev->begin});
+    if (!primary_rule(kind)) throw MonitorError(event_label(*ev) + ": unknown fault kind");
+    const std::optional<std::uint32_t> iteration = u32_arg<MonitorError>(*ev, "iteration");
+    if (!iteration) throw MonitorError(event_label(*ev) + ": no iteration arg");
+    out.push_back({kind, ev->lane == kEngineLane ? 0 : ev->lane, *iteration, ev->begin});
   }
   return out;
 }

@@ -149,7 +149,9 @@ struct HealthReport {
 
 /// Replays `trace` through the sampler and detectors. Pure and
 /// deterministic: same trace + options => identical report, and running it
-/// never touches the trace (bit-identical-off falls out for free).
+/// never touches the trace (bit-identical-off falls out for free). Throws
+/// MonitorError naming the event when a greedy_iteration or compute span's
+/// `iteration` arg is present but not a u32.
 HealthReport monitor_trace(const Tracer& trace, const MonitorOptions& options = {});
 
 /// Adds the report's incidents to `metrics` as counters: `health.incidents`

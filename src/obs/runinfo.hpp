@@ -11,9 +11,9 @@
 // `multihit-serve` write one alongside their existing `--*-out` artifacts
 // (--manifest-out, or implicitly via --artifacts-dir), and `obstool diff`
 // consumes a pair of them to build a multihit.diff.v1 regression report. A
-// manifest inventories only what the run wrote (its metrics snapshot, Chrome
-// trace and serve report); the trace analysis is a view the diff derives
-// from the trace on load, not an artifact of its own.
+// manifest inventories only what the run wrote, its metrics snapshot and its
+// Chrome trace; the trace analysis is a view the diff derives from the trace
+// on load, not an artifact of its own.
 //
 // Determinism contract: config values are strings (no double formatting to
 // drift), artifacts are sorted by name, digests are FNV-1a over the exact
@@ -42,7 +42,7 @@ class RuninfoError : public std::runtime_error {
 /// deterministic across platforms.
 std::string content_digest(std::string_view bytes);
 
-/// One emitted artifact: its role name ("metrics", "trace", "serve"), the
+/// One emitted artifact: its role name ("metrics", "trace"), the
 /// path it was written to (relative paths resolve against the manifest's
 /// own directory, which keeps --artifacts-dir run directories relocatable),
 /// its schema tag, and the digest/size of the bytes on disk.

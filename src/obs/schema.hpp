@@ -7,7 +7,9 @@
 // collected here so the full artifact surface is visible in one place and
 // parsers share one mismatch-error shape that names both the expected and
 // the found schema. Every numeric artifact without a format of its own (the
-// trace analysis, the bench records) is a multihit.metrics.v1 snapshot.
+// trace analysis, the bench records, a served run's numbers) is a
+// multihit.metrics.v1 snapshot, and every per-event record (a served job, an
+// injected fault) an instant in the Chrome trace.
 
 #include <string>
 #include <string_view>
@@ -19,8 +21,6 @@ namespace multihit::obs {
 /// MetricsRegistry::snapshot() documents: --metrics-out, the trace analysis
 /// (obstool analyze --report-out) and the bench records (BENCH_*.json).
 inline constexpr std::string_view kMetricsSchema = "multihit.metrics.v1";
-/// Job-service trace-replay reports (multihit_serve --out).
-inline constexpr std::string_view kServeSchema = "multihit.serve.v1";
 /// Per-invocation run manifests (--manifest-out / --artifacts-dir): the
 /// driver's configuration plus a digest inventory of every emitted artifact.
 inline constexpr std::string_view kRunSchema = "multihit.run.v1";
@@ -43,8 +43,10 @@ struct SchemaEntry {
 /// engine resolves loaders through this registry; adding an artifact kind
 /// means adding a row here, not teaching another tool a new string.
 inline constexpr SchemaEntry kSchemaRegistry[] = {
-    {kMetricsSchema, "metrics"}, {kServeSchema, "serve"},      {kRunSchema, "run"},
-    {kDiffSchema, "diff"},       {kChromeTraceTag, "trace"},
+    {kMetricsSchema, "metrics"},
+    {kRunSchema, "run"},
+    {kDiffSchema, "diff"},
+    {kChromeTraceTag, "trace"},
 };
 
 /// Short kind for a schema tag ("" when the tag is not in the registry).

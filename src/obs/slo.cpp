@@ -1,14 +1,15 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "obs/metrics.hpp"
-#include "obs/schema.hpp"
 
 namespace multihit::obs {
 
@@ -189,24 +190,67 @@ std::string series_tenant(std::string_view name) {
   return {};
 }
 
-SloInput slo_input_from_serve_json(const JsonValue& doc) {
-  const JsonFields jobs = require_schema<SloError>(doc, kServeSchema, "serve report").array("jobs");
+namespace {
+
+[[noreturn]] void job_error(const TraceEvent& ev, const std::string& what) {
+  throw SloError(event_label(ev) + ": " + what);
+}
+
+const std::string& job_arg(const TraceEvent& ev, const char* key) {
+  const std::string* value = find_arg(ev, key);
+  if (!value) job_error(ev, std::string("no ") + key + " arg");
+  return *value;
+}
+
+/// A time arg: the whole text one finite number.
+double job_seconds(const TraceEvent& ev, const char* key) {
+  const std::string& text = job_arg(ev, key);
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value)) {
+    job_error(ev, std::string(key) + " '" + text + "' is not a finite number");
+  }
+  return value;
+}
+
+}  // namespace
+
+SloInput slo_input_from_trace(const Tracer& trace) {
+  std::vector<std::pair<std::uint32_t, const TraceEvent*>> by_id;
+  for (const TraceEvent& ev : trace.events()) {
+    if (!ev.instant || ev.category != "serve" || ev.name != "job") continue;
+    const std::optional<std::uint32_t> id = u32_arg<SloError>(ev, "id");
+    if (!id) job_error(ev, "no id arg");
+    by_id.emplace_back(*id, &ev);
+  }
+  if (by_id.empty()) throw SloError("trace holds no serve job instants");
+  std::stable_sort(by_id.begin(), by_id.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+
   SloInput input;
-  input.jobs.reserve(jobs.size());
-  for (const JsonFields& entry : jobs.objects()) {
+  input.jobs.reserve(by_id.size());
+  for (std::uint32_t index = 0; index < by_id.size(); ++index) {
+    const auto [id, ev] = by_id[index];
+    if (id < index) job_error(*ev, "repeats job id " + std::to_string(id));
+    if (id > index) throw SloError("trace has no job instant with id " + std::to_string(index));
     SloJob job;
-    job.tenant = entry.string("tenant");
-    job.arrival = entry.number("arrival");
-    job.finish = entry.number("finish");
-    const std::string& outcome = entry.string("outcome");
+    job.tenant = job_arg(*ev, "tenant");
+    const std::string& outcome = job_arg(*ev, "outcome");
     if (outcome != "completed" && outcome != "rejected_queue_full" &&
         outcome != "rejected_quota") {
-      entry.fail("outcome", "is \"" + outcome +
-                                "\", expected completed, rejected_queue_full or rejected_quota");
+      job_error(*ev, "outcome '" + outcome +
+                         "' is not completed, rejected_queue_full or rejected_quota");
     }
     job.rejected = outcome != "completed";
-    job.cache_hit = entry.boolean("cache_hit");
-    if (!job.rejected) job.latency = entry.number("latency");
+    const std::string& cache_hit = job_arg(*ev, "cache_hit");
+    if (cache_hit != "true" && cache_hit != "false") {
+      job_error(*ev, "cache_hit '" + cache_hit + "' is not true or false");
+    }
+    job.cache_hit = cache_hit == "true";
+    job.arrival = job_seconds(*ev, "arrival");
+    job.finish = job_seconds(*ev, "finish");
+    if (!job.rejected) job.latency = job.finish - job.arrival;
     input.jobs.push_back(std::move(job));
   }
   return input;

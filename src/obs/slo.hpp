@@ -23,13 +23,14 @@
 // pattern, on the simulated clock.
 //
 // The evaluator consumes a neutral SloInput (one row per resolved analyze
-// request) that can be built two ways: in-process from a live ServeResult
-// (serve::slo_input), or offline by parsing a multihit.serve.v1 report
-// (slo_input_from_serve_json). Both paths carry bit-identical doubles (the
-// JSON layer prints shortest round-trippable numbers), so the verdict
-// record_slo writes into `multihit-serve --metrics-out` equals what an
-// `obstool slo SERVE --spec FILE METRICS` replay records, series for
-// series — scripts/ci.sh pins it.
+// request) that one reader builds: slo_input_from_trace, over the `job`
+// instants JobService::replay writes into a recorder's trace. multihit-serve
+// runs it on its live trace, `obstool slo TRACE --spec FILE METRICS` on the
+// saved --trace-out file read back through tracer_from_chrome. The instants
+// carry their times as shortest round-trippable text, so both read the same
+// doubles and the verdict record_slo writes into `multihit-serve
+// --metrics-out` equals the offline replay's, series for series —
+// scripts/ci.sh pins it.
 //
 // The monitor-side companions (queue-saturation / tenant-starvation /
 // burn-rate / cache-thrash detectors over serve trace lanes) live in
@@ -43,12 +44,12 @@
 #include <utility>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace multihit::obs {
 
-/// Raised on malformed SLO specs and ill-shaped serve documents.
+/// Raised on malformed SLO specs and ill-shaped serve job instants.
 class SloError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -113,12 +114,15 @@ struct SloInput {
   std::vector<SloJob> jobs;  ///< in admission order
 };
 
-/// Builds an SloInput from a parsed multihit.serve.v1 document; throws
-/// SloError on the wrong schema (naming expected and found) or ill-shaped
-/// job records, an `outcome` other than completed, rejected_queue_full or
-/// rejected_quota included. Doubles round-trip exactly, so this input is bit-identical
-/// to the in-process serve::slo_input of the run that wrote the report.
-SloInput slo_input_from_serve_json(const JsonValue& doc);
+/// Builds an SloInput from the `job` instants (category `serve`) of a serve
+/// trace, one row per analyze request in `id` order, latency = finish −
+/// arrival for completed jobs. Throws SloError naming the event on a missing
+/// or malformed arg (id, tenant, outcome, cache_hit, arrival, finish), an
+/// outcome other than completed, rejected_queue_full or rejected_quota, or a
+/// time that is not finite; and when the ids are not 0..n-1 each once,
+/// naming the repeated event or the missing id. A trace without job
+/// instants is refused too: it was not written by a served run.
+SloInput slo_input_from_trace(const Tracer& trace);
 
 /// One objective's verdict for one tenant.
 struct SloObjectiveResult {

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -18,6 +19,26 @@ JsonValue args_json(const SpanArgs& args) {
 }
 
 }  // namespace
+
+const std::string* find_arg(const TraceEvent& ev, std::string_view key) {
+  for (const auto& [k, v] : ev.args) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
+std::optional<std::uint32_t> parse_u32(std::string_view text) {
+  std::uint32_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+std::string event_label(const TraceEvent& ev) {
+  return std::string(ev.instant ? "instant '" : "span '") + ev.name + "' on lane " +
+         std::to_string(ev.lane) + " at t=" + json_number(ev.begin) + " s";
+}
 
 void Tracer::complete(std::uint32_t lane, std::string_view name, std::string_view category,
                       double begin, double end, SpanArgs args) {

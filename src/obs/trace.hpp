@@ -24,6 +24,7 @@
 // chrome://tracing or https://ui.perfetto.dev.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -56,6 +57,29 @@ struct TraceEvent {
 
   double duration() const noexcept { return end - begin; }
 };
+
+/// The value of `ev`'s arg `key`, or nullptr when it has none.
+const std::string* find_arg(const TraceEvent& ev, std::string_view key);
+
+/// Strict decimal u32: the whole text must be digits whose value is below
+/// 2^32 (no sign, no blanks); nullopt otherwise.
+std::optional<std::uint32_t> parse_u32(std::string_view text);
+
+/// "instant|span '<name>' on lane L at t=T s": how a trace reader's error
+/// names the event it refuses.
+std::string event_label(const TraceEvent& ev);
+
+/// `ev`'s arg `key` through parse_u32; nullopt when the arg is absent. A
+/// present but malformed value throws `Error` naming the event. Every trace
+/// reader takes its integer args through this one function.
+template <typename Error>
+std::optional<std::uint32_t> u32_arg(const TraceEvent& ev, std::string_view key) {
+  const std::string* text = find_arg(ev, key);
+  if (!text) return std::nullopt;
+  if (const std::optional<std::uint32_t> value = parse_u32(*text)) return value;
+  throw Error(event_label(ev) + ": " + std::string(key) + " '" + *text +
+              "' is not an integer in [0, 2^32)");
+}
 
 /// One sample of a numeric counter track (occupancy, DRAM throughput).
 /// Exported as Chrome "C" events: Perfetto renders each (lane, name) pair as

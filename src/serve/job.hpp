@@ -97,13 +97,10 @@ struct JobRecord {
   std::string tenant;
   std::string cancer;
   std::uint32_t hits = 0;
-  std::uint32_t priority = 0;
   double arrival = 0.0;
   double start = -1.0;   ///< first scheduling round it ran in (-1 = never ran)
   double finish = -1.0;  ///< completion time (-1 = rejected)
   std::uint32_t iterations = 0;  ///< greedy iterations committed
-  std::uint32_t rounds = 0;      ///< scheduling rounds participated in
-  std::uint64_t gpu_rounds = 0;  ///< Σ GPUs held per round (GPU·round occupancy)
   bool cache_hit = false;
   JobOutcome outcome = JobOutcome::kCompleted;
   std::vector<std::vector<std::uint32_t>> selections;  ///< the analysis answer

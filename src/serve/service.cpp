@@ -14,18 +14,12 @@
 #include "core/session.hpp"
 #include "data/registry.hpp"
 #include "obs/recorder.hpp"
-#include "obs/schema.hpp"
 #include "sched/schedule.hpp"
 #include "sched/workload.hpp"
 
 namespace multihit::serve {
 
 namespace {
-
-/// One lane per job record, above the scheduler lane; rounds advance the
-/// simulated clock monotonically, so per-job iteration spans append in
-/// non-decreasing start order on each lane.
-constexpr std::uint32_t kJobLaneBase = obs::kSchedulerLane + 1;
 
 /// Modeled per-GPU throughput in workload-model work units. Deliberately
 /// throttled so a serve-scale iteration occupies seconds of *simulated*
@@ -121,6 +115,7 @@ ServeResult JobService::replay(const RequestTrace& trace) {
   std::vector<ActiveJob> active;
   std::uint64_t rounds = 0;
   double now = 0.0;
+  const CancerCache::Stats cache_before = cache_.stats();
 
   // Requests whose absolute arrival time is known, keyed (arrival, request
   // index) so simultaneous arrivals process in trace order. Open mixes start
@@ -186,6 +181,33 @@ ServeResult JobService::replay(const RequestTrace& trace) {
                        t, static_cast<double>(counts.second));
   };
 
+  // One `job` instant per analyze request at its resolution time — arrival
+  // for cache hits and rejections, round end for computed completions — on
+  // its own lane, after that lane's iteration spans. It is the request's
+  // whole record (obs::slo_input_from_trace reads it back); the times are
+  // exact decimal text, which Chrome's microsecond `ts` is not.
+  const auto job_instant = [&](const JobRecord& job, double t) {
+    if (!rec) return;
+    std::string selections;
+    for (const auto& combo : job.selections) {
+      if (!selections.empty()) selections += ';';
+      for (std::size_t g = 0; g < combo.size(); ++g) {
+        if (g > 0) selections += ',';
+        selections += std::to_string(combo[g]);
+      }
+    }
+    rec->trace.instant(kJobLaneBase + job.id, "job", "serve", t,
+                       {{"id", std::to_string(job.id)},
+                        {"tenant", job.tenant},
+                        {"cancer", job.cancer},
+                        {"hits", std::to_string(job.hits)},
+                        {"outcome", outcome_name(job.outcome)},
+                        {"cache_hit", job.cache_hit ? "true" : "false"},
+                        {"selections", std::move(selections)},
+                        {"arrival", obs::json_number(job.arrival)},
+                        {"finish", obs::json_number(job.finish)}});
+  };
+
   // Boundary telemetry on the scheduler lane, sampled at every service round
   // boundary including rounds where nothing ran — absence and threshold
   // rules over these series need them defined through idle gaps. Wait age is
@@ -245,8 +267,11 @@ ServeResult JobService::replay(const RequestTrace& trace) {
     // a served job may enumerate.
     job.hits = std::clamp(req.hits != 0 ? req.hits : CancerCache::serve_spec(*type).hits,
                           2u, 5u);
-    job.priority = req.priority;
     job.arrival = t;
+    if (rec) {
+      rec->trace.set_lane_name(kJobLaneBase + job.id, "job " + std::to_string(job.id) + " " +
+                                                          job.tenant + "/" + job.cancer);
+    }
 
     if (opt.result_cache) {
       if (const auto* cached = cache_.find_result(req.cancer, job.hits)) {
@@ -262,6 +287,7 @@ ServeResult JobService::replay(const RequestTrace& trace) {
               .observe(job.latency());
         }
         slo_event(job.tenant, is_bad_completion(job), t);
+        job_instant(job, t);
         release_next(req.client, job.finish);
         result.jobs.push_back(std::move(job));
         return;
@@ -285,6 +311,7 @@ ServeResult JobService::replay(const RequestTrace& trace) {
                            {{"tenant", job.tenant}, {"reason", reject}});
       }
       slo_event(job.tenant, true, t);
+      job_instant(job, t);
       release_next(req.client, t);
       result.jobs.push_back(std::move(job));
       return;
@@ -308,8 +335,6 @@ ServeResult JobService::replay(const RequestTrace& trace) {
       rec->metrics.gauge("serve.queue_depth").set(static_cast<double>(active.size()));
       rec->trace.counter(obs::kSchedulerLane, "serve.queue_depth", t,
                          static_cast<double>(active.size()));
-      rec->trace.set_lane_name(kJobLaneBase + job.id, "job " + std::to_string(job.id) + " " +
-                                                          job.tenant + "/" + job.cancer);
     }
     result.jobs.push_back(std::move(job));
   };
@@ -371,8 +396,6 @@ ServeResult JobService::replay(const RequestTrace& trace) {
         throw std::logic_error("serve: session made no progress without finishing");
       }
       job.iterations += committed;
-      job.rounds += 1;
-      job.gpu_rounds += grants[j];
       if (rec) {
         rec->trace.complete(kJobLaneBase + a.record, "iteration", "serve", round_begin,
                             round_begin + duration[j],
@@ -407,6 +430,7 @@ ServeResult JobService::replay(const RequestTrace& trace) {
             .observe(job.latency());
       }
       slo_event(job.tenant, is_bad_completion(job), now);
+      job_instant(job, now);
       release_next(job.client, now);
     }
     active = std::move(still);
@@ -469,122 +493,23 @@ ServeResult JobService::replay(const RequestTrace& trace) {
     result.tenants.push_back(std::move(stats));
   }
   result.cache = cache_.stats();
+  if (rec) {
+    rec->metrics.gauge("serve.makespan_seconds").set(result.makespan);
+    // This replay's share of the cache's lifetime counts, so the counters
+    // stay exact when several replays record into one registry.
+    const auto cache_counter = [&](const char* name, std::uint64_t after, std::uint64_t before) {
+      rec->metrics.counter(std::string("serve.cache.") + name)
+          .add(static_cast<double>(after - before));
+    };
+    const CancerCache::Stats& after = result.cache;
+    cache_counter("dataset_builds", after.dataset_builds, cache_before.dataset_builds);
+    cache_counter("dataset_rebuilds", after.dataset_rebuilds, cache_before.dataset_rebuilds);
+    cache_counter("dataset_hits", after.dataset_hits, cache_before.dataset_hits);
+    cache_counter("result_hits", after.result_hits, cache_before.result_hits);
+    cache_counter("result_misses", after.result_misses, cache_before.result_misses);
+    cache_counter("invalidations", after.invalidations, cache_before.invalidations);
+  }
   return result;
-}
-
-obs::JsonValue serve_report(const ServeResult& result, const RequestTrace& trace,
-                            const ServiceOptions& options) {
-  using obs::JsonValue;
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", std::string(obs::kServeSchema));
-
-  JsonValue t = JsonValue::object();
-  t.set("mix", mix_name(trace.spec.mix));
-  t.set("jobs", static_cast<std::uint64_t>(trace.spec.jobs));
-  t.set("seed", static_cast<std::uint64_t>(trace.spec.seed));
-  t.set("requests", static_cast<std::uint64_t>(trace.requests.size()));
-  t.set("invalidate_rate", trace.spec.invalidate_rate);
-  JsonValue tenant_specs = JsonValue::array();
-  for (const TenantSpec& tenant : trace.spec.tenants) {
-    JsonValue entry = JsonValue::object();
-    entry.set("name", tenant.name);
-    entry.set("priority", static_cast<std::uint64_t>(tenant.priority));
-    entry.set("weight", tenant.weight);
-    tenant_specs.push_back(std::move(entry));
-  }
-  t.set("tenants", std::move(tenant_specs));
-  JsonValue cancers = JsonValue::array();
-  for (const std::string& code : trace.spec.cancers) cancers.push_back(code);
-  t.set("cancers", std::move(cancers));
-  doc.set("trace", std::move(t));
-
-  JsonValue service = JsonValue::object();
-  service.set("gpus", static_cast<std::uint64_t>(options.gpus));
-  service.set("max_concurrent", static_cast<std::uint64_t>(options.max_concurrent));
-  service.set("queue_capacity", static_cast<std::uint64_t>(options.queue_capacity));
-  service.set("tenant_quota", static_cast<std::uint64_t>(options.tenant_quota));
-  service.set("result_cache", options.result_cache);
-  doc.set("service", std::move(service));
-
-  JsonValue summary = JsonValue::object();
-  summary.set("rounds", static_cast<std::uint64_t>(result.rounds));
-  summary.set("completed", static_cast<std::uint64_t>(result.completed));
-  summary.set("rejected", static_cast<std::uint64_t>(result.rejected));
-  summary.set("cache_hits", static_cast<std::uint64_t>(result.cache_hits));
-  summary.set("makespan", result.makespan);
-  summary.set("p50_latency", result.p50_latency);
-  summary.set("p99_latency", result.p99_latency);
-  summary.set("mean_latency", result.mean_latency);
-  summary.set("jobs_per_sec", result.jobs_per_sec);
-  doc.set("summary", std::move(summary));
-
-  JsonValue tenants = JsonValue::array();
-  for (const TenantStats& stats : result.tenants) {
-    JsonValue entry = JsonValue::object();
-    entry.set("tenant", stats.tenant);
-    entry.set("completed", static_cast<std::uint64_t>(stats.completed));
-    entry.set("rejected", static_cast<std::uint64_t>(stats.rejected));
-    entry.set("p50_latency", stats.p50_latency);
-    entry.set("p99_latency", stats.p99_latency);
-    entry.set("mean_latency", stats.mean_latency);
-    tenants.push_back(std::move(entry));
-  }
-  doc.set("tenants", std::move(tenants));
-
-  JsonValue cache = JsonValue::object();
-  cache.set("dataset_builds", static_cast<std::uint64_t>(result.cache.dataset_builds));
-  cache.set("dataset_rebuilds", static_cast<std::uint64_t>(result.cache.dataset_rebuilds));
-  cache.set("dataset_hits", static_cast<std::uint64_t>(result.cache.dataset_hits));
-  cache.set("result_hits", static_cast<std::uint64_t>(result.cache.result_hits));
-  cache.set("result_misses", static_cast<std::uint64_t>(result.cache.result_misses));
-  cache.set("invalidations", static_cast<std::uint64_t>(result.cache.invalidations));
-  doc.set("cache", std::move(cache));
-
-  JsonValue jobs = JsonValue::array();
-  for (const JobRecord& job : result.jobs) {
-    JsonValue entry = JsonValue::object();
-    entry.set("id", static_cast<std::uint64_t>(job.id));
-    entry.set("client", static_cast<std::uint64_t>(job.client));
-    entry.set("tenant", job.tenant);
-    entry.set("cancer", job.cancer);
-    entry.set("hits", static_cast<std::uint64_t>(job.hits));
-    entry.set("priority", static_cast<std::uint64_t>(job.priority));
-    entry.set("arrival", job.arrival);
-    entry.set("start", job.start);
-    entry.set("finish", job.finish);
-    entry.set("outcome", outcome_name(job.outcome));
-    entry.set("cache_hit", job.cache_hit);
-    entry.set("iterations", static_cast<std::uint64_t>(job.iterations));
-    entry.set("rounds", static_cast<std::uint64_t>(job.rounds));
-    entry.set("gpu_rounds", static_cast<std::uint64_t>(job.gpu_rounds));
-    if (job.outcome == JobOutcome::kCompleted) entry.set("latency", job.latency());
-    JsonValue selections = JsonValue::array();
-    for (const auto& combo : job.selections) {
-      JsonValue genes = JsonValue::array();
-      for (const std::uint32_t gene : combo) genes.push_back(static_cast<std::uint64_t>(gene));
-      selections.push_back(std::move(genes));
-    }
-    entry.set("selections", std::move(selections));
-    jobs.push_back(std::move(entry));
-  }
-  doc.set("jobs", std::move(jobs));
-  return doc;
-}
-
-obs::SloInput slo_input(const ServeResult& result) {
-  obs::SloInput input;
-  input.jobs.reserve(result.jobs.size());
-  for (const JobRecord& job : result.jobs) {
-    obs::SloJob row;
-    row.tenant = job.tenant;
-    row.arrival = job.arrival;
-    row.finish = job.finish;
-    row.rejected = job.outcome != JobOutcome::kCompleted;
-    row.cache_hit = job.cache_hit;
-    if (!row.rejected) row.latency = job.latency();
-    input.jobs.push_back(std::move(row));
-  }
-  return input;
 }
 
 void apply_scenario(TraceSpec& spec, ServiceOptions& options, Scenario scenario) {

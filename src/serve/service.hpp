@@ -21,16 +21,25 @@
 //
 // Everything is deterministic: arrivals come from the seeded trace, compute
 // times from the workload model, and ties break on (priority desc, arrival
-// asc, id asc) — two replays of one trace produce byte-identical
-// multihit.serve.v1 artifacts, on any bitops backend, and every job's
-// selections are bit-identical to a standalone single-job run (pinned in
+// asc, id asc) — two replays of one trace record byte-identical traces and
+// metrics, on any bitops backend, and every job's selections are
+// bit-identical to a standalone single-job run (pinned in
 // tests/test_serve.cpp and scripts/ci.sh).
+//
+// A served run writes no format of its own. With a recorder attached, each
+// analyze request leaves one `job` instant (category `serve`) on its lane,
+// kJobLaneBase + id, at its resolution time: string args id, tenant, cancer,
+// hits, outcome, cache_hit, selections (combinations joined by ';', genes by
+// ','), and arrival and finish as exact decimal seconds (finish -1 for a
+// rejection). obs::slo_input_from_trace reads the SLO input back from them.
+// The numbers the instants do not carry are serve.* metrics, among them the
+// serve.makespan_seconds gauge and the serve.cache.* counters (this replay's
+// CancerCache::Stats increments).
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/slo.hpp"
 #include "serve/cache.hpp"
 #include "serve/job.hpp"
@@ -44,6 +53,12 @@ namespace multihit::serve {
 /// Modeled time to serve a result-cache hit (lookup + transfer).
 inline constexpr double kCacheHitSeconds = 0.5;
 
+/// Job record `id` traces on lane kJobLaneBase + id, above the scheduler
+/// lane; rounds advance the simulated clock monotonically, so a job's
+/// iteration spans and then its `job` instant append in non-decreasing start
+/// order on its lane.
+inline constexpr std::uint32_t kJobLaneBase = obs::kSchedulerLane + 1;
+
 struct ServiceOptions {
   std::uint32_t gpus = 24;           ///< simulated fleet size G
   std::uint32_t max_concurrent = 8;  ///< jobs per round (also capped by G)
@@ -53,8 +68,9 @@ struct ServiceOptions {
   std::uint32_t tenant_quota = 6;
   bool result_cache = true;
   /// Optional observability: per-tenant labeled serve.* metrics, per-job
-  /// trace lanes, serve_round spans on the scheduler lane. Null changes
-  /// nothing (the usual bit-identical-off contract).
+  /// trace lanes with their `job` instants, serve_round spans on the
+  /// scheduler lane. Null changes nothing (the usual bit-identical-off
+  /// contract).
   obs::Recorder* recorder = nullptr;
   /// SLO objectives (obs::parse_slo). The latency targets decide which
   /// completions count *bad* in the cumulative serve.slo_total / serve.slo_bad
@@ -111,17 +127,6 @@ class JobService {
   ServiceOptions options_;
   CancerCache cache_;
 };
-
-/// The multihit.serve.v1 artifact: trace echo, service config, per-job
-/// records (selections included), aggregate + per-tenant latency stats.
-obs::JsonValue serve_report(const ServeResult& result, const RequestTrace& trace,
-                            const ServiceOptions& options);
-
-/// The SLO evaluator's view of a finished replay: one row per analyze
-/// request, in admission order. Bit-identical to
-/// obs::slo_input_from_serve_json over this run's serve_report (the
-/// byte-identity contract behind `obstool slo`).
-obs::SloInput slo_input(const ServeResult& result);
 
 /// Rewrites `spec` and `options` so the scenario's failure class manifests
 /// (kNone leaves both untouched). Shared by multihit-serve --scenario and

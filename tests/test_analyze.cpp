@@ -296,6 +296,35 @@ TEST(AnalyzeOffline, RejectsDocumentsThatAreNotTraces) {
   reject(hostile::plant(good, "dur", R"(1,"args":{"n":3})"), "traceEvents[0].args.n");
 }
 
+TEST(AnalyzeOffline, IterationWindowsTakeStrictIterationArgs) {
+  // A window without an `iteration` arg keeps its position; with one, the
+  // arg is the index.
+  obs::Tracer trace;
+  trace.complete(obs::kEngineLane, "greedy_iteration", "engine", 0.0, 0.5);
+  trace.complete(obs::kEngineLane, "greedy_iteration", "engine", 0.5, 1.0,
+                 {{"iteration", "7"}});
+  const obs::TraceAnalysis a = obs::analyze_trace(trace);
+  ASSERT_EQ(a.iterations.size(), 2u);
+  EXPECT_EQ(a.iterations[0].index, 0u);
+  EXPECT_EQ(a.iterations[1].index, 7u);
+
+  // A present value that is not a u32 is refused naming the span, never
+  // wrapped ("-1" read as 4294967295) or cut short ("12abc" read as 12).
+  for (const char* bad : {"x", "-1", "12abc", "4294967296"}) {
+    obs::Tracer hostile;
+    hostile.complete(obs::kEngineLane, "greedy_iteration", "engine", 0.0, 0.5,
+                     {{"iteration", bad}});
+    try {
+      obs::analyze_trace(hostile);
+      ADD_FAILURE() << "accepted iteration '" << bad << "'";
+    } catch (const obs::AnalysisError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("span 'greedy_iteration' on lane "), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("iteration '") + bad + "'"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(AnalyzeOffline, MetricsCounterTotalsRejectHostileEntries) {
   const std::string good =
       R"({"schema":"multihit.metrics.v1","counters":[{"name":"a","labels":{},"value":5},)"

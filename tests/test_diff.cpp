@@ -168,27 +168,25 @@ TEST(DiffClassify, AddedAndRemovedSeries) {
 
 TEST(DiffClassify, LowerIsBetterHeuristic) {
   EXPECT_TRUE(obs::lower_is_better("analysis.makespan_seconds"));
-  EXPECT_TRUE(obs::lower_is_better("serve.aggregate.p99_latency"));
+  EXPECT_TRUE(obs::lower_is_better("metrics.gauge.bench.p99_latency_s{unit=s}"));
   EXPECT_FALSE(
       obs::lower_is_better("metrics.gauge.slo.attainment{kind=latency,objective=0,tenant=gold}"));
   EXPECT_FALSE(
       obs::lower_is_better("metrics.gauge.slo.observed{kind=admission,objective=1,tenant=gold}"));
   EXPECT_TRUE(obs::lower_is_better(
       "metrics.counter.slo.violated{kind=admission,objective=1,tenant=gold}"));
-  EXPECT_FALSE(obs::lower_is_better("serve.summary.jobs_per_sec"));
+  EXPECT_FALSE(obs::lower_is_better("metrics.gauge.bench.jobs_per_sec{unit=jobs/s}"));
   EXPECT_FALSE(obs::lower_is_better("metrics.histogram.gpu.occupancy.sum"));
-  // The per_sec row names a series a run really emits: the serve summary's
-  // jobs_per_sec, as the diff flattens it, rising is an improvement.
+  // The per_sec row names a series a run really emits: BENCH_serve_latency's
+  // jobs_per_sec gauge, as the diff flattens it; rising is an improvement.
   RunInput slow, fast;
   for (auto [run, rate] : {std::pair{&slow, 1.0}, std::pair{&fast, 2.0}}) {
-    JsonValue summary = JsonValue::object();
-    summary.set("jobs_per_sec", rate);
-    JsonValue doc = JsonValue::object();
-    doc.set("summary", std::move(summary));
-    obs::add_doc(*run, "serve", std::move(doc));
+    obs::MetricsRegistry metrics;
+    metrics.gauge("bench.jobs_per_sec", {{"unit", "jobs/s"}}).set(rate);
+    obs::add_doc(*run, "metrics", metrics.snapshot());
   }
   const DiffReport report = obs::diff_runs(slow, fast);
-  const SeriesDelta* delta = find_series(report, "serve.summary.jobs_per_sec");
+  const SeriesDelta* delta = find_series(report, "metrics.gauge.bench.jobs_per_sec{unit=jobs/s}");
   ASSERT_NE(delta, nullptr);
   EXPECT_EQ(delta->cls, DeltaClass::kImproved);
 }
@@ -622,7 +620,7 @@ TEST(DiffMetrics, RejectsIllShapedSnapshotsNamingTheEntry) {
   };
   reject(R"({"schema":"multihit.metrics.v1","counters":"junk","gauges":7})",
          "metrics: counters is a string, expected an array");
-  reject(R"({"schema":"multihit.serve.v1","counters":[],"gauges":[],"histograms":[]})",
+  reject(R"({"schema":"multihit.diff.v1","counters":[],"gauges":[],"histograms":[]})",
          "metrics: expected schema \"multihit.metrics.v1\"");
   reject(hostile::plant(good, "value", "\"1\""), "metrics: counters[0].value");
   reject(hostile::plant(good, "unit", "5"), "metrics: gauges[0].labels.unit");

@@ -193,6 +193,33 @@ TEST(MonitorDetectors, FaultCategoryEventsAreInvisible) {
   EXPECT_EQ(report.boundaries, 0u);  // ground truth does not even set the horizon
 }
 
+TEST(MonitorDetectors, MalformedIterationArgsAreRefusedNamingTheEvent) {
+  // The iteration windows and per-rank compute samples key on the spans'
+  // `iteration` arg: a present value must be a u32, not read as 0 (or as
+  // its leading digits).
+  for (const char* bad : {"x", "-1", "12abc", "4294967296"}) {
+    for (const bool engine : {true, false}) {
+      Tracer trace;
+      const char* name = engine ? "greedy_iteration" : "compute";
+      trace.complete(engine ? kEngineLane : 0, name, engine ? "engine" : "compute", 0.0, 1.0,
+                     {{"iteration", bad}});
+      try {
+        obs::monitor_trace(trace, MonitorOptions{});
+        ADD_FAILURE() << "accepted " << name << " iteration '" << bad << "'";
+      } catch (const MonitorError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string("span '") + name + "'"), std::string::npos) << what;
+        EXPECT_NE(what.find(std::string("iteration '") + bad + "'"), std::string::npos) << what;
+      }
+    }
+  }
+  // An absent arg is no window and no compute sample, as before.
+  Tracer trace;
+  trace.complete(kEngineLane, "greedy_iteration", "engine", 0.0, 1.0);
+  trace.complete(0, "compute", "compute", 0.0, 1.0);
+  EXPECT_NO_THROW(obs::monitor_trace(trace, MonitorOptions{}));
+}
+
 TEST(MonitorDetectors, JobRestartInstantYieldsOneAbortIncident) {
   Tracer trace;
   trace.counter(0, "heartbeat", 0.125, 1.0);

@@ -1,8 +1,8 @@
 // Multi-tenant job service suite (src/serve).
 //
 // The load-bearing properties, in order of importance:
-//   1. Determinism: replaying one seeded trace twice produces byte-identical
-//      multihit.serve.v1 reports.
+//   1. Determinism: replaying one seeded trace twice records byte-identical
+//      traces and metrics.
 //   2. Answer invariance: every completed job's selections are bit-identical
 //      to a standalone single-job run — time-sharing the fleet, preemption,
 //      caching, and invalidation must never change an answer.
@@ -154,11 +154,18 @@ TEST(JobService, ReplayIsDeterministicByteForByte) {
   spec.invalidate_rate = 0.2;
   const RequestTrace trace = generate_trace(spec);
 
-  JobService a(quick_options());
-  JobService b(quick_options());
-  const std::string report_a = serve_report(a.replay(trace), trace, a.options()).dump();
-  const std::string report_b = serve_report(b.replay(trace), trace, b.options()).dump();
-  EXPECT_EQ(report_a, report_b);
+  const auto recorded = [&trace] {
+    ServiceOptions options = quick_options();
+    obs::Recorder rec;
+    options.recorder = &rec;
+    JobService service(options);
+    service.replay(trace);
+    return std::make_pair(rec.trace.to_chrome_json(), rec.metrics.to_json());
+  };
+  const auto a = recorded();
+  const auto b = recorded();
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.second, b.second);
 }
 
 TEST(JobService, EveryServedSelectionMatchesAStandaloneRun) {
@@ -306,24 +313,119 @@ TEST(JobService, ClosedLoopClientsNeverOverlapThemselves) {
   }
 }
 
-TEST(JobService, ReportCarriesSchemaAndPerTenantStats) {
+/// The serve.cache.* counters against a service's lifetime cache stats.
+void expect_cache_counters(obs::MetricsRegistry& metrics, const CancerCache::Stats& stats) {
+  const auto value = [&](const char* field) {
+    return metrics.counter(std::string("serve.cache.") + field).value();
+  };
+  EXPECT_EQ(value("dataset_builds"), static_cast<double>(stats.dataset_builds));
+  EXPECT_EQ(value("dataset_rebuilds"), static_cast<double>(stats.dataset_rebuilds));
+  EXPECT_EQ(value("dataset_hits"), static_cast<double>(stats.dataset_hits));
+  EXPECT_EQ(value("result_hits"), static_cast<double>(stats.result_hits));
+  EXPECT_EQ(value("result_misses"), static_cast<double>(stats.result_misses));
+  EXPECT_EQ(value("invalidations"), static_cast<double>(stats.invalidations));
+}
+
+TEST(JobService, MetricsCarryTheMakespanCacheStatsAndPerTenantCounts) {
   TraceSpec spec;
   spec.jobs = 10;
   spec.seed = 31;
+  spec.mean_interarrival = 0.5;  // a flood the 3-deep queue sheds
+  spec.invalidate_rate = 0.3;
   const RequestTrace trace = generate_trace(spec);
-  JobService service(quick_options());
+  ServiceOptions options = quick_options();
+  options.queue_capacity = 3;
+  obs::Recorder rec;
+  options.recorder = &rec;
+  JobService service(options);
   const ServeResult result = service.replay(trace);
-  const obs::JsonValue doc = serve_report(result, trace, service.options());
+  ASSERT_GT(result.rejected, 0u);
+  ASSERT_GT(result.cache.invalidations, 0u);
 
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.find("schema")->as_string(), "multihit.serve.v1");
-  EXPECT_EQ(doc.find("jobs")->size(), result.jobs.size());
-  EXPECT_EQ(doc.find("tenants")->size(), result.tenants.size());
-  EXPECT_EQ(static_cast<std::uint64_t>(doc.find("summary")->find("completed")->as_number()),
-            result.completed);
+  EXPECT_EQ(rec.metrics.gauge("serve.makespan_seconds").value(), result.makespan);
+  expect_cache_counters(rec.metrics, result.cache);
+  for (const TenantStats& tenant : result.tenants) {
+    const obs::Labels labels{{"tenant", tenant.tenant}};
+    EXPECT_EQ(rec.metrics.counter("serve.jobs_completed", labels).value() +
+                  rec.metrics.counter("serve.cache_served", labels).value(),
+              static_cast<double>(tenant.completed))
+        << tenant.tenant;
+    double rejected = 0.0;
+    for (const char* reason : {"queue_full", "quota"}) {
+      rejected += rec.metrics
+                      .counter("serve.jobs_rejected", {{"tenant", tenant.tenant}, {"reason", reason}})
+                      .value();
+    }
+    EXPECT_EQ(rejected, static_cast<double>(tenant.rejected)) << tenant.tenant;
+  }
   // Percentiles are ordered and makespan bounds every latency.
   EXPECT_LE(result.p50_latency, result.p99_latency);
   EXPECT_LE(result.p99_latency, result.makespan);
+
+  // A second replay into the same registry adds only its own cache
+  // increments: the counters then equal the service's lifetime stats.
+  const ServeResult second = service.replay(trace);
+  EXPECT_EQ(rec.metrics.gauge("serve.makespan_seconds").value(), second.makespan);
+  expect_cache_counters(rec.metrics, second.cache);
+}
+
+/// A job instant's string args by key.
+std::map<std::string, std::string> args_of(const obs::TraceEvent& ev) {
+  return {ev.args.begin(), ev.args.end()};
+}
+
+TEST(JobService, JobInstantsCarryEachRecordsSelectionsOutcomeAndTimes) {
+  TraceSpec spec;
+  spec.mix = ArrivalMix::kBursty;
+  spec.jobs = 20;
+  spec.seed = 3;
+  spec.invalidate_rate = 0.2;
+  const RequestTrace trace = generate_trace(spec);
+  ServiceOptions options = quick_options();
+  options.queue_capacity = 4;
+  obs::Recorder rec;
+  options.recorder = &rec;
+  JobService service(options);
+  const ServeResult result = service.replay(trace);
+  ASSERT_GT(result.rejected, 0u);
+  ASSERT_GT(result.cache_hits, 0u);
+  ASSERT_GT(result.completed, result.cache_hits);
+
+  std::vector<bool> seen(result.jobs.size(), false);
+  for (const obs::TraceEvent& ev : rec.trace.events()) {
+    if (ev.name != "job") continue;
+    const std::map<std::string, std::string> args = args_of(ev);
+    const JobRecord& job = result.jobs.at(std::stoul(args.at("id")));
+    EXPECT_FALSE(seen[job.id]) << "one instant per job, job " << job.id;
+    seen[job.id] = true;
+    EXPECT_TRUE(ev.instant);
+    EXPECT_EQ(ev.category, "serve");
+    EXPECT_EQ(ev.lane, kJobLaneBase + job.id);
+    // Resolution time: the round end for a computed job, arrival otherwise.
+    const bool computed = job.outcome == JobOutcome::kCompleted && !job.cache_hit;
+    EXPECT_EQ(ev.begin, computed ? job.finish : job.arrival) << job.id;
+
+    std::string selections;
+    for (const auto& combo : job.selections) {
+      if (!selections.empty()) selections += ';';
+      for (std::size_t g = 0; g < combo.size(); ++g) {
+        if (g > 0) selections += ',';
+        selections += std::to_string(combo[g]);
+      }
+    }
+    EXPECT_EQ(args.at("selections"), selections) << job.id;
+    EXPECT_EQ(args.at("outcome"), outcome_name(job.outcome)) << job.id;
+    EXPECT_EQ(args.at("cache_hit"), job.cache_hit ? "true" : "false") << job.id;
+    EXPECT_EQ(args.at("tenant"), job.tenant);
+    EXPECT_EQ(args.at("cancer"), job.cancer);
+    EXPECT_EQ(args.at("hits"), std::to_string(job.hits));
+    // The times read back bit for bit.
+    EXPECT_EQ(std::stod(args.at("arrival")), job.arrival) << job.id;
+    EXPECT_EQ(std::stod(args.at("finish")), job.finish) << job.id;
+    EXPECT_EQ(args.size(), 9u);
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), false), 0) << "every request has its instant";
+  EXPECT_TRUE(rec.trace.per_lane_monotone()) << "each instant follows its lane's spans";
 }
 
 // --- serve telemetry ---------------------------------------------------------
@@ -411,7 +513,8 @@ TEST(JobService, SloCountersAgreeWithTheEvaluatedReport) {
   options.recorder = &rec;
   JobService service(options);
   const ServeResult result = service.replay(trace);
-  const obs::SloReport report = obs::evaluate_slo(slo_input(result), options.slo);
+  const obs::SloReport report =
+      obs::evaluate_slo(obs::slo_input_from_trace(rec.trace), options.slo);
 
   // Final cumulative serve.slo_total / serve.slo_bad per tenant must equal
   // the offline evaluator's event and bad counts — the burn detectors read

@@ -2,8 +2,9 @@
 //
 // The load-bearing properties, in order of importance:
 //   1. Replay identity: the slo.* metrics recorded in-process from a live
-//      ServeResult are byte-identical to those recomputed offline from the
-//      run's multihit.serve.v1 document — the contract `obstool slo` rests on.
+//      trace's job instants are byte-identical to those recomputed offline
+//      from the run's saved Chrome trace — the contract `obstool slo` rests
+//      on.
 //   2. Detector ground truth: every planted --scenario pathology fires its
 //      detector class (100% recall on the pinned seeds), and clean traces
 //      across ten seeds fire nothing (zero false positives).
@@ -21,9 +22,7 @@
 #include "obs/analyze.hpp"
 #include "obs/monitor.hpp"
 #include "obs/recorder.hpp"
-#include "obs/schema.hpp"
 #include "serve/service.hpp"
-#include "hostile_json.hpp"
 
 namespace multihit {
 namespace {
@@ -307,41 +306,96 @@ TEST(SloMetrics, OverlappingObjectivesOfOneTenantGetDistinctSeries) {
   EXPECT_EQ(metrics.series_count(), 2u + 3u * 3u);
 }
 
-TEST(SloInputJson, RejectsWrongSchemaAndIllShapedJobs) {
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", std::string(obs::kMetricsSchema));
-  EXPECT_THROW(obs::slo_input_from_serve_json(doc), SloError);
+/// A serve trace holding one `job` instant per entry of `jobs`.
+obs::Tracer job_trace(const std::vector<obs::SpanArgs>& jobs) {
+  obs::Tracer trace;
+  for (std::uint32_t i = 0; i < jobs.size(); ++i) {
+    trace.instant(serve::kJobLaneBase + i, "job", "serve", 1.0, jobs[i]);
+  }
+  return trace;
+}
 
-  doc.set("schema", std::string(obs::kServeSchema));
-  EXPECT_THROW(obs::slo_input_from_serve_json(doc), SloError) << "missing jobs array";
+/// Reading `jobs` back must throw SloError naming `why` (and, when
+/// `names_event`, the refused instant).
+void expect_refused(const std::vector<obs::SpanArgs>& jobs, const std::string& why,
+                    bool names_event = true) {
+  try {
+    obs::slo_input_from_trace(job_trace(jobs));
+    ADD_FAILURE() << "accepted a trace whose job instants hold " << why;
+  } catch (const SloError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+    if (names_event) {
+      EXPECT_NE(what.find("instant 'job' on lane "), std::string::npos) << what;
+    }
+  }
+}
 
-  JsonValue bad_job = JsonValue::object();
-  bad_job.set("tenant", std::string("t"));
-  JsonValue jobs = JsonValue::array();
-  jobs.push_back(std::move(bad_job));
-  doc.set("jobs", std::move(jobs));
-  EXPECT_THROW(obs::slo_input_from_serve_json(doc), SloError);
-
-  // Hostile values name their job and field.
-  const std::string good =
-      R"({"schema":"multihit.serve.v1","jobs":[{"tenant":"t","arrival":0,"finish":1,)"
-      R"("outcome":"completed","cache_hit":false,"latency":1}]})";
-  ASSERT_NO_THROW(obs::slo_input_from_serve_json(JsonValue::parse(good)));
-  const auto reject = [](const std::string& text, const char* path) {
-    hostile::expect_rejected<SloError>(obs::slo_input_from_serve_json, text, path);
+TEST(SloInputTrace, RejectsHostileJobInstantsNamingTheEvent) {
+  const obs::SpanArgs good{{"id", "0"},
+                           {"tenant", "t"},
+                           {"cancer", "BRCA"},
+                           {"hits", "4"},
+                           {"outcome", "completed"},
+                           {"cache_hit", "false"},
+                           {"selections", "1,2,3,4"},
+                           {"arrival", "0.25"},
+                           {"finish", "1.5"}};
+  // `good` with arg `key` set to `value`, or dropped when `value` is null.
+  const auto with = [&good](const char* key, const char* value) {
+    obs::SpanArgs args;
+    for (const auto& [k, v] : good) {
+      if (k == key && !value) continue;
+      args.emplace_back(k, k == key ? std::string(value) : v);
+    }
+    return args;
   };
-  reject(hostile::drop(good, "arrival"), "jobs[0].arrival");
-  reject(hostile::plant(good, "cache_hit", "\"yes\""), "jobs[0].cache_hit");
-  reject(hostile::plant(good, "tenant", "5"), "jobs[0].tenant");
-  reject(hostile::plant(good, "finish", "1e999"), "jobs[0].finish");
-  reject(good.substr(0, good.find(",\"latency\"")) + "}]}", "jobs[0].latency");
+
+  const SloInput input = obs::slo_input_from_trace(job_trace({good}));
+  ASSERT_EQ(input.jobs.size(), 1u);
+  EXPECT_EQ(input.jobs[0].tenant, "t");
+  EXPECT_EQ(input.jobs[0].arrival, 0.25);
+  EXPECT_EQ(input.jobs[0].finish, 1.5);
+  EXPECT_EQ(input.jobs[0].latency, 1.25);
+  EXPECT_FALSE(input.jobs[0].rejected);
+
+  expect_refused({with("arrival", nullptr)}, "no arrival arg");
+  expect_refused({with("tenant", nullptr)}, "no tenant arg");
+  expect_refused({with("id", nullptr)}, "no id arg");
+  expect_refused({with("cache_hit", "yes")}, "cache_hit 'yes'");
+  expect_refused({with("finish", "1e999")}, "finish '1e999'");
+  expect_refused({with("finish", "nan")}, "finish 'nan'");
+  expect_refused({with("arrival", "0.25s")}, "arrival '0.25s'");
+  expect_refused({with("arrival", "")}, "arrival ''");
+  for (const char* id : {"x", "-1", "12abc", "4294967296"}) {
+    expect_refused({with("id", id)}, std::string("id '") + id + "'");
+  }
   // A misspelt outcome is not a rejection: it would burn error budget.
-  reject(hostile::plant(good, "outcome", "\"completd\""), "jobs[0].outcome");
+  expect_refused({with("outcome", "completd")}, "outcome 'completd'");
+
+  // The ids must be 0..n-1, each once.
+  expect_refused({good, good}, "repeats job id 0");
+  expect_refused({good, with("id", "2")}, "no job instant with id 1", false);
+  // A trace without job instants is not a served run's; other instants,
+  // even one named `job` in another category, are not job records.
+  expect_refused({}, "no serve job instants", false);
+  obs::Tracer foreign;
+  foreign.instant(serve::kJobLaneBase, "job", "fault", 1.0, good);
+  foreign.instant(serve::kJobLaneBase, "reject", "serve", 1.0, good);
+  EXPECT_THROW(obs::slo_input_from_trace(foreign), SloError);
+
+  // Rows come back in id order; a rejection carries no latency.
+  const SloInput two = obs::slo_input_from_trace(job_trace(
+      {with("id", "1"), with("outcome", "rejected_quota")}));
+  ASSERT_EQ(two.jobs.size(), 2u);
+  EXPECT_TRUE(two.jobs[0].rejected);
+  EXPECT_EQ(two.jobs[0].latency, 0.0);
+  EXPECT_FALSE(two.jobs[1].rejected);
 }
 
 // ---------------------------------------------------------- replay identity
 
-TEST(SloReplay, OfflineServeJsonReproducesInProcessBytes) {
+TEST(SloReplay, OfflineTraceReproducesInProcessBytes) {
   TraceSpec spec;
   spec.mix = serve::ArrivalMix::kBursty;
   spec.jobs = 16;
@@ -350,18 +404,32 @@ TEST(SloReplay, OfflineServeJsonReproducesInProcessBytes) {
   const RequestTrace trace = serve::generate_trace(spec);
   ServiceOptions options;
   options.slo = obs::parse_slo(std::string(kServeSlo));
+  obs::Recorder rec;
+  options.recorder = &rec;
   JobService service(options);
   const ServeResult result = service.replay(trace);
 
-  // In-process: straight off the live ServeResult.
-  const SloReport live = obs::evaluate_slo(serve::slo_input(result), options.slo);
+  // In-process: straight off the live trace, one row per job record.
+  const SloInput live_input = obs::slo_input_from_trace(rec.trace);
+  ASSERT_EQ(live_input.jobs.size(), result.jobs.size());
+  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+    const serve::JobRecord& job = result.jobs[i];
+    const SloJob& row = live_input.jobs[i];
+    EXPECT_EQ(row.tenant, job.tenant) << i;
+    EXPECT_EQ(row.arrival, job.arrival) << i;
+    EXPECT_EQ(row.finish, job.finish) << i;
+    EXPECT_EQ(row.rejected, job.outcome != serve::JobOutcome::kCompleted) << i;
+    EXPECT_EQ(row.cache_hit, job.cache_hit) << i;
+    EXPECT_EQ(row.latency, row.rejected ? 0.0 : job.latency()) << i;
+  }
+  const SloReport live = obs::evaluate_slo(live_input, options.slo);
 
-  // Offline: dump the serve report to text, parse it back, rebuild the input
-  // — exactly what `obstool slo` does to a saved multihit.serve.v1 file.
-  const std::string serve_doc =
-      serve::serve_report(result, trace, service.options()).dump();
-  const SloInput parsed = obs::slo_input_from_serve_json(JsonValue::parse(serve_doc));
-  const SloReport offline = obs::evaluate_slo(parsed, options.slo);
+  // Offline: dump the trace to text, read it back through the Chrome reader,
+  // rebuild the input — exactly what `obstool slo` does to a saved
+  // --trace-out file.
+  const obs::Tracer replayed =
+      obs::tracer_from_chrome(JsonValue::parse(rec.trace.to_chrome_json()));
+  const SloReport offline = obs::evaluate_slo(obs::slo_input_from_trace(replayed), options.slo);
 
   obs::MetricsRegistry live_metrics, offline_metrics;
   obs::record_slo(live, live_metrics);
@@ -369,7 +437,7 @@ TEST(SloReplay, OfflineServeJsonReproducesInProcessBytes) {
   EXPECT_EQ(live_metrics.to_json(), offline_metrics.to_json());
   EXPECT_GT(live.objectives, 0u);
 
-  // The `obstool slo SERVE --spec FILE METRICS` crosscheck: the live snapshot,
+  // The `obstool slo TRACE --spec FILE METRICS` crosscheck: the live snapshot,
   // read back from text, agrees with the replay; one more violation in it is
   // named by the first entry that differs.
   EXPECT_EQ(obs::metrics_family_mismatch(JsonValue::parse(live_metrics.to_json()),
@@ -474,9 +542,11 @@ TEST(SloDetectors, ScenarioVerdictsMatchTheReportContract) {
     ServiceOptions options;
     serve::apply_scenario(trace_spec, options, scenario);
     options.slo = spec;
+    obs::Recorder rec;
+    options.recorder = &rec;
     JobService service(options);
-    const ServeResult result = service.replay(serve::generate_trace(trace_spec));
-    return obs::evaluate_slo(serve::slo_input(result), spec).violated;
+    service.replay(serve::generate_trace(trace_spec));
+    return obs::evaluate_slo(obs::slo_input_from_trace(rec.trace), spec).violated;
   };
   EXPECT_GT(violated(Scenario::kOverload), 0u);
   EXPECT_GT(violated(Scenario::kStarvation), 0u);
